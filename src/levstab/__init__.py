@@ -48,12 +48,9 @@ from .boundaries import (
     Ellipse,
     h0_gain,
     static_boundary_lines,
-    principal_ellipse_a,
-    principal_ellipse_b,
     combination_frequencies,
-    combination_ellipse_c,
-    combination_ellipse_d,
     all_ellipses,
+    default_map_window,
     relative_size,
     hb_determinant_principal,
     hill_determinant_combination,
@@ -102,12 +99,9 @@ __all__ = [
     "Ellipse",
     "h0_gain",
     "static_boundary_lines",
-    "principal_ellipse_a",
-    "principal_ellipse_b",
     "combination_frequencies",
-    "combination_ellipse_c",
-    "combination_ellipse_d",
     "all_ellipses",
+    "default_map_window",
     "relative_size",
     "hb_determinant_principal",
     "hill_determinant_combination",

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import ExcitationParams, PhysicalParams
+from .output import write_csv
 
 __all__ = [
     "Ellipse",
@@ -32,12 +34,9 @@ __all__ = [
     "ResonanceChart",
     "h0_gain",
     "static_boundary_lines",
-    "principal_ellipse_a",
-    "principal_ellipse_b",
     "combination_frequencies",
-    "combination_ellipse_c",
-    "combination_ellipse_d",
     "all_ellipses",
+    "default_map_window",
     "relative_size",
     "hb_determinant_principal",
     "hill_determinant_combination",
@@ -103,26 +102,6 @@ def static_boundary_lines(params: PhysicalParams) -> BoundaryLines:
     return BoundaryLines(h0=h0_gain(params), slope=params.R * params.z0 / (2.0 * params.C))
 
 
-def principal_ellipse_a(params: PhysicalParams, exc: ExcitationParams) -> Ellipse:
-    """Rotational principal resonance (omega2 = Omega/2)."""
-    p, Om = params, exc.Omega
-    rcgm = math.sqrt(p.C * p.g * p.m)
-    h1 = p.m * p.R * (24.0 * p.g + p.z0 * Om**2) / (24.0 * RT2 * rcgm)
-    h2 = p.C * p.m * Om**2 / (12.0 * RT2 * rcgm)
-    k2 = math.sqrt(exc.A**2 * p.m * p.R**2 * Om**2 * (1.0 + math.cos(exc.theta)) / (2304.0 * p.C * p.g))
-    return Ellipse("a", h1, h2, (Om / 2.0) * k2, k2, A=exc.A, theta=exc.theta)
-
-
-def principal_ellipse_b(params: PhysicalParams, exc: ExcitationParams) -> Ellipse:
-    """Translational principal resonance (omega1 = Omega/2)."""
-    p, Om = params, exc.Omega
-    rcgm = math.sqrt(p.C * p.g * p.m)
-    h1 = p.m * p.R * (8.0 * p.g + p.z0 * Om**2) / (8.0 * RT2 * rcgm)
-    h2 = p.C * p.m * Om**2 / (4.0 * RT2 * rcgm)
-    k2 = math.sqrt(exc.A**2 * p.m * p.R**2 * Om**2 * (1.0 + math.cos(exc.theta)) / (256.0 * p.C * p.g))
-    return Ellipse("b", h1, h2, (Om / 2.0) * k2, k2, A=exc.A, theta=exc.theta)
-
-
 def combination_frequencies(Omega: float) -> dict[str, tuple[float, float]]:
     """Natural-frequency pairs (omega1, omega2 = sqrt(3) omega1) that combine
     to the excitation frequency: the 'sum' pair has omega1 + omega2 = Omega,
@@ -137,40 +116,66 @@ def combination_frequencies(Omega: float) -> dict[str, tuple[float, float]]:
     }
 
 
-def combination_ellipse_c(params: PhysicalParams, exc: ExcitationParams) -> Ellipse:
-    """Combination sum resonance (omega1 + omega2 = Omega)."""
-    p, Om = params, exc.Omega
-    rcgm = math.sqrt(p.C * p.g * p.m)
-    h1 = p.m * p.R * (4.0 * p.g + (2.0 - RT3) * p.z0 * Om**2) / (4.0 * RT2 * rcgm)
-    h2 = (2.0 - RT3) * p.C * p.m * Om**2 / (2.0 * RT2 * rcgm)
-    k2 = math.sqrt(
-        (2.0 - RT3) * exc.A**2 * p.m * p.R**2 * Om**2 * (1.0 - math.cos(exc.theta)) / (128.0 * RT3 * p.C * p.g)
-    )
-    k1 = math.sqrt(RT3 * (2.0 - RT3) / 2.0) * Om * k2
-    return Ellipse("c", h1, h2, k1, k2, A=exc.A, theta=exc.theta)
+class _Resonance(NamedTuple):
+    """Constants of one resonance ellipse.
+
+    ``curve`` reaches the excitation ``level`` at the center, where
+    (omega1/Omega)^2 = n/den.  With rcgm = sqrt(C g m):
+
+      h1 = m R (2 den g + n z0 Omega^2) / (2 den sqrt(2) rcgm)
+      h2 = n C m Omega^2 / (den sqrt(2) rcgm)
+      k2 = sqrt(n A^2 m R^2 Omega^2 (1 + sign cos theta) / (K C g))
+      k1 = f Omega k2
+
+    sign is +1 for the principal resonances (closed at theta = pi) and -1
+    for the combination ones (closed at theta = 0).
+    """
+
+    curve: str
+    level: str
+    n: float
+    den: float
+    K: float
+    sign: float
+    f: float
 
 
-def combination_ellipse_d(params: PhysicalParams, exc: ExcitationParams) -> Ellipse:
-    """Combination difference resonance (omega2 - omega1 = Omega)."""
-    p, Om = params, exc.Omega
-    rcgm = math.sqrt(p.C * p.g * p.m)
-    h1 = p.m * p.R * (4.0 * p.g + (2.0 + RT3) * p.z0 * Om**2) / (4.0 * RT2 * rcgm)
-    h2 = (2.0 + RT3) * p.C * p.m * Om**2 / (2.0 * RT2 * rcgm)
-    k2 = math.sqrt(
-        (2.0 + RT3) * exc.A**2 * p.m * p.R**2 * Om**2 * (1.0 - math.cos(exc.theta)) / (128.0 * RT3 * p.C * p.g)
-    )
-    k1 = math.sqrt(RT3 * (2.0 + RT3) / 2.0) * Om * k2
-    return Ellipse("d", h1, h2, k1, k2, A=exc.A, theta=exc.theta)
+_RESONANCES = {
+    "a": _Resonance("omega2", "Omega/2", 1.0, 12.0, 2304.0, 1.0, 0.5),
+    "b": _Resonance("omega1", "Omega/2", 1.0, 4.0, 256.0, 1.0, 0.5),
+    "c": _Resonance(
+        "sum", "Omega", 2.0 - RT3, 2.0, 128.0 * RT3, -1.0, math.sqrt(RT3 * (2.0 - RT3) / 2.0)
+    ),
+    "d": _Resonance(
+        "difference", "Omega", 2.0 + RT3, 2.0, 128.0 * RT3, -1.0, math.sqrt(RT3 * (2.0 + RT3) / 2.0)
+    ),
+}
 
 
 def all_ellipses(params: PhysicalParams, exc: ExcitationParams) -> dict[str, Ellipse]:
     """All four resonance ellipses keyed by kind."""
-    return {
-        "a": principal_ellipse_a(params, exc),
-        "b": principal_ellipse_b(params, exc),
-        "c": combination_ellipse_c(params, exc),
-        "d": combination_ellipse_d(params, exc),
-    }
+    p, Om, A = params, exc.Omega, exc.A
+    rcgm = math.sqrt(p.C * p.g * p.m)
+    cos_theta = math.cos(exc.theta)
+    out = {}
+    for kind, r in _RESONANCES.items():
+        h1 = p.m * p.R * (2.0 * r.den * p.g + r.n * p.z0 * Om**2) / (2.0 * r.den * RT2 * rcgm)
+        h2 = r.n * p.C * p.m * Om**2 / (r.den * RT2 * rcgm)
+        k2 = math.sqrt(r.n * A**2 * p.m * p.R**2 * Om**2 * (1.0 + r.sign * cos_theta) / (r.K * p.C * p.g))
+        out[kind] = Ellipse(kind, h1, h2, r.f * Om * k2, k2, A=A, theta=exc.theta)
+    return out
+
+
+def default_map_window(
+    params: PhysicalParams, exc: ExcitationParams
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Gain window ((Kp lo, hi), (Kd lo, hi)) enclosing the static triangle
+    tip and the a, b, c tongues."""
+    lines = static_boundary_lines(params)
+    ells = all_ellipses(params, exc)
+    kp = (0.8 * lines.h0, ells["b"].h1 + 2.0 * ells["b"].k1)
+    kd = (0.1 * ells["a"].h2, 1.3 * ells["b"].h2)
+    return kp, kd
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,7 @@ def relative_size(e: Ellipse, params: PhysicalParams) -> RelativeSize:
     width = e.h1 - h0_gain(params)
     if width == 0.0:
         raise ValueError("relative size undefined: ellipse center sits on the vertical line")
-    sign = 1.0 if e.kind in ("a", "b") else -1.0
-    printed = e.A * math.sqrt(1.0 + sign * math.cos(e.theta)) / (4.0 * RT2 * params.z0)
+    printed = e.A * math.sqrt(1.0 + _RESONANCES[e.kind].sign * math.cos(e.theta)) / (4.0 * RT2 * params.z0)
     return RelativeSize(geometric=e.k1 / width, printed=printed)
 
 
@@ -351,14 +355,8 @@ def resonance_chart(
         kd = np.linspace(Kd_range[0], Kd_range[1], n)
     scale = math.sqrt(2.0 * params.g / (params.m * params.C))  # omega1^2 per Kd
     w1 = np.sqrt(np.maximum(kd, 0.0) * scale)
-    observed = {("omega2", "Omega/2"), ("omega1", "Omega/2"), ("sum", "Omega"), ("difference", "Omega")}
     factors = {"omega1": 1.0, "omega2": RT3, "sum": 1.0 + RT3, "difference": RT3 - 1.0}
-    kinds = {
-        ("omega2", "Omega/2"): "a",
-        ("omega1", "Omega/2"): "b",
-        ("sum", "Omega"): "c",
-        ("difference", "Omega"): "d",
-    }
+    kinds = {(r.curve, r.level): kind for kind, r in _RESONANCES.items()}
     inter = []
     for curve in _CURVES:
         for label, level in (("Omega", Omega), ("Omega/2", Omega / 2.0)):
@@ -368,7 +366,7 @@ def resonance_chart(
                     "curve": curve,
                     "level": label,
                     "Kd": kd_star,
-                    "observed": (curve, label) in observed,
+                    "observed": (curve, label) in kinds,
                     "kind": kinds.get((curve, label)),
                     "in_range": bool(Kd_range[0] <= kd_star <= Kd_range[1]),
                 }
@@ -401,17 +399,10 @@ def ellipse_to_dict(e: Ellipse, params: PhysicalParams) -> dict:
 
 def write_ellipse_boundary_csv(e: Ellipse, path, n: int = 64) -> None:
     """Boundary samples as CSV rows s,Kp,Kd with 17 significant digits."""
-    s, kp, kd = e.boundary_points(n)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("s,Kp,Kd\n")
-        for k in range(n):
-            fh.write(",".join(format(v, ".17g") for v in (s[k], kp[k], kd[k])) + "\n")
+    write_csv(path, "s,Kp,Kd", e.boundary_points(n))
 
 
 def write_resonance_chart_csv(chart: ResonanceChart, path) -> None:
     """Curve samples as CSV rows Kd,omega1,omega2,sum,difference."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("Kd,omega1,omega2,sum,difference\n")
-        for k in range(chart.Kd.size):
-            row = (chart.Kd[k], chart.omega1[k], chart.omega2[k], chart.sum[k], chart.difference[k])
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    columns = [chart.Kd, chart.omega1, chart.omega2, chart.sum, chart.difference]
+    write_csv(path, "Kd,omega1,omega2,sum,difference", columns)

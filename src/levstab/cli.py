@@ -12,7 +12,6 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,6 +22,7 @@ import numpy as np
 from . import __version__
 from .boundaries import (
     all_ellipses,
+    default_map_window,
     ellipse_to_dict,
     resonance_chart,
     static_boundary_lines,
@@ -31,7 +31,8 @@ from .boundaries import (
 )
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
 from .floquet import sweep, write_map_csv, write_map_metadata
-from .model import ControlGains
+from .model import ControlGains, validate
+from .output import write_csv, write_json
 from .plant import (
     GapClosedError,
     integrate,
@@ -58,9 +59,12 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ConfigError(f"{flag} expects two comma-separated values, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        lo, hi = float(parts[0]), float(parts[1])
     except ValueError as err:
         raise ConfigError(f"{flag} expects numbers, got {text!r}") from err
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{flag} expects finite numbers, got {text!r}")
+    return lo, hi
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -82,7 +86,9 @@ def _load(args) -> RunConfig:
     else:
         cfg = parse_config(DEFAULT_CONFIG)
     if getattr(args, "theta", None) is not None:
-        cfg = replace(cfg, exc=replace(cfg.exc, theta=args.theta, v=None, d=None))
+        exc = replace(cfg.exc, theta=args.theta, v=None, d=None)
+        validate(cfg.params, exc)
+        cfg = replace(cfg, exc=exc)
     return cfg
 
 
@@ -90,12 +96,6 @@ def _outdir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _gains_from(args, cfg: RunConfig) -> ControlGains:
@@ -118,7 +118,7 @@ def cmd_ellipses(args) -> int:
         "version": __version__,
     }
     if args.format != "csv":
-        _write_json(os.path.join(out, "ellipses.json"), payload)
+        write_json(os.path.join(out, "ellipses.json"), payload)
     if args.format != "json":
         for kind, e in ells.items():
             write_ellipse_boundary_csv(e, os.path.join(out, f"ellipse_{kind}.csv"))
@@ -141,11 +141,7 @@ def cmd_map(args) -> int:
     elif args.kp_range or args.kd_range:
         raise ConfigError("map needs both --kp lo,hi and --kd lo,hi (or neither)")
     else:
-        # default window: the static triangle tip plus the a, b, c tongues
-        lines = static_boundary_lines(cfg.params)
-        ells = all_ellipses(cfg.params, cfg.exc)
-        kp_range = (0.8 * lines.h0, ells["b"].h1 + 2.0 * ells["b"].k1)
-        kd_range = (0.1 * ells["a"].h2, 1.3 * ells["b"].h2)
+        kp_range, kd_range = default_map_window(cfg.params, cfg.exc)
     smap = sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid)
     write_map_csv(smap, os.path.join(out, "map.csv"))
     write_map_metadata(
@@ -156,17 +152,13 @@ def cmd_map(args) -> int:
         __version__,
         config=dump_config(cfg),
     )
-    ells = all_ellipses(cfg.params, cfg.exc)
-    with open(os.path.join(out, "map_overlay.csv"), "w", newline="\n") as fh:
-        fh.write("kind,s,Kp,Kd\n")
-        for kind, e in ells.items():
-            if e.degenerate:
-                continue
-            s, kp, kd = e.boundary_points(64)
-            for k in range(s.size):
-                fh.write(
-                    f"{kind},{format(s[k], '.17g')},{format(kp[k], '.17g')},{format(kd[k], '.17g')}\n"
-                )
+    overlay = [
+        (kind, *point)
+        for kind, e in all_ellipses(cfg.params, cfg.exc).items()
+        if not e.degenerate
+        for point in zip(*e.boundary_points(64))
+    ]
+    write_csv(os.path.join(out, "map_overlay.csv"), "kind,s,Kp,Kd", zip(*overlay))
     counts: dict = {}
     for row in smap.classes:
         for cls in row:
@@ -182,7 +174,7 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     report = run_battery(cfg.params, cfg.exc)
-    _write_json(os.path.join(out, "validation.json"), report.to_json(config=dump_config(cfg)))
+    write_json(os.path.join(out, "validation.json"), report.to_json(config=dump_config(cfg)))
     for c in report.criteria:
         line = f"criterion {c.index:2d} {c.name}: {c.status.upper()}"
         if c.status == "skip":
@@ -199,6 +191,8 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     gains = _gains_from(args, cfg)
+    if not 0.0 < args.periods < math.inf:
+        raise ConfigError(f"--periods must be a finite number > 0, got {args.periods!r}")
     dz, dphi = _parse_pair(args.perturb, "--perturb") if args.perturb else (0.0, 0.0)
     mode = "hybrid" if cfg.hybrid is not None else "standard"
     start = steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
@@ -213,7 +207,7 @@ def cmd_simulate(args) -> int:
     meta["gains"] = {"Kp": gains.Kp, "Kd": gains.Kd}
     meta["perturbation"] = {"dz": dz, "dphi": dphi}
     meta["version"] = __version__
-    _write_json(os.path.join(out, "trajectory_meta.json"), meta)
+    write_json(os.path.join(out, "trajectory_meta.json"), meta)
     if traj.aborted:
         print(
             f"gap closed at t = {traj.meta['abort_time']:.6g} s; "
@@ -240,7 +234,7 @@ def cmd_resonance_chart(args) -> int:
     if args.format != "json":
         write_resonance_chart_csv(chart, os.path.join(out, "resonance_chart.csv"))
     if args.format != "csv":
-        _write_json(
+        write_json(
             os.path.join(out, "resonance_chart.json"),
             {
                 "config": dump_config(cfg),
@@ -267,12 +261,9 @@ def cmd_steady_state(args) -> int:
     fields = ("t", "gap1", "gap1_rate", "I1", "U1", "gap2", "gap2_rate", "I2", "U2")
     cols = [np.asarray(getattr(ss, f)) for f in fields]
     if args.format != "json":
-        with open(os.path.join(out, "steady_state.csv"), "w", newline="\n") as fh:
-            fh.write(",".join(fields) + "\n")
-            for k in range(ts.size):
-                fh.write(",".join(format(c[k], ".17g") for c in cols) + "\n")
+        write_csv(os.path.join(out, "steady_state.csv"), ",".join(fields), cols)
     if args.format != "csv":
-        _write_json(
+        write_json(
             os.path.join(out, "steady_state.json"),
             {
                 "config": dump_config(cfg),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .model import (
@@ -59,6 +60,8 @@ def _number(section: dict, key: str, name: str) -> float:
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{name}.{key} must be a number, got {val!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"{name}.{key} must be finite, got {val!r}")
     return float(val)
 
 
@@ -143,7 +146,7 @@ def load_config(path) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig) -> dict:
-    """Inverse of parse_config, suitable for json.dump.
+    """Inverse of parse_config, ready to embed in a JSON product.
 
     Kinematic inputs are preserved when the excitation was built from them.
     """

@@ -19,6 +19,7 @@ from scipy.integrate import solve_ivp
 
 from .linearized import periodic_matrix
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
+from .output import write_csv, write_json
 
 __all__ = [
     "IntegrationOptions",
@@ -321,26 +322,15 @@ def boundary_crossings(
 
 def write_map_csv(smap: StabilityMap, path) -> None:
     """Map cells as CSV rows Kp,Kd,class,max_mu_abs (Kp outer, Kd inner)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(MAP_CSV_HEADER + "\n")
-        for i in range(smap.kp.size):
-            for j in range(smap.kd.size):
-                fh.write(
-                    "{},{},{},{}\n".format(
-                        format(smap.kp[i], ".17g"),
-                        format(smap.kd[j], ".17g"),
-                        smap.classes[i, j],
-                        format(smap.max_mu[i, j], ".17g"),
-                    )
-                )
+    nx, ny = smap.kp.size, smap.kd.size
+    columns = [np.repeat(smap.kp, ny), np.tile(smap.kd, nx), smap.classes.ravel(), smap.max_mu.ravel()]
+    write_csv(path, MAP_CSV_HEADER, columns)
 
 
 def write_map_metadata(
     smap: StabilityMap, path, params, exc, version: str, config: dict | None = None
 ) -> None:
     """Companion JSON describing exactly what produced a map CSV."""
-    import json
-
     payload = {
         "physical": {
             "m": params.m,
@@ -358,6 +348,4 @@ def write_map_metadata(
     }
     if config is not None:
         payload["config"] = config
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

@@ -21,7 +21,6 @@ linearized coil equation
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,7 +38,6 @@ from .plant import (
 )
 
 __all__ = [
-    "PerturbationState",
     "PeriodicMatrix",
     "ReducedResidual",
     "StaticStability",
@@ -50,47 +48,7 @@ __all__ = [
     "reduced_residual",
     "unexcited_spectrum",
     "is_statically_stable",
-    "export_spectrum_json",
 ]
-
-
-@dataclass(frozen=True)
-class PerturbationState:
-    """Per-support perturbation state with aggregate views.
-
-    The aggregates are definitions, not stored data: delta = mean gap error
-    (the heave perturbation) and phi = gap-error difference over L (the
-    pitch perturbation).
-    """
-
-    delta1: float
-    delta1_rate: float
-    itr1: float
-    delta2: float
-    delta2_rate: float
-    itr2: float
-    L: float
-
-    @property
-    def delta(self) -> float:
-        return 0.5 * (self.delta1 + self.delta2)
-
-    @property
-    def delta_rate(self) -> float:
-        return 0.5 * (self.delta1_rate + self.delta2_rate)
-
-    @property
-    def phi(self) -> float:
-        return (self.delta1 - self.delta2) / self.L
-
-    @property
-    def phi_rate(self) -> float:
-        return (self.delta1_rate - self.delta2_rate) / self.L
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.delta1, self.delta1_rate, self.itr1, self.delta2, self.delta2_rate, self.itr2]
-        )
 
 
 class PeriodicMatrix:
@@ -408,13 +366,3 @@ def is_statically_stable(params: PhysicalParams, gains: ControlGains) -> StaticS
     max_re = float(np.max(spec.all.real))
     return StaticStability(stable=max_re < 0.0, margin=-max_re)
 
-
-def export_spectrum_json(spec: UnexcitedSpectrum, path) -> None:
-    """Write the spectrum as a JSON array of {re, im, subsystem} records."""
-    records = []
-    for label, values in (("translation", spec.translation), ("rotation", spec.rotation)):
-        for lam in values:
-            records.append({"re": float(lam.real), "im": float(lam.imag), "subsystem": label})
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")

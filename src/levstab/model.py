@@ -90,10 +90,12 @@ class ExcitationParams:
     d: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        th = math.fmod(self.theta, TWO_PI)
-        if th < 0.0:
-            th += TWO_PI
-        object.__setattr__(self, "theta", th)
+        # a non-finite theta is kept as given for validate() to reject
+        if math.isfinite(self.theta):
+            th = math.fmod(self.theta, TWO_PI)
+            if th < 0.0:
+                th += TWO_PI
+            object.__setattr__(self, "theta", th)
 
     @property
     def period(self) -> float:
@@ -107,6 +109,10 @@ class ControlGains:
 
     Kp: float
     Kd: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.Kp) and math.isfinite(self.Kd)):
+            raise ValueError(f"gains must be finite, got Kp={self.Kp!r}, Kd={self.Kd!r}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
+from .output import write_csv
 
 __all__ = [
     "VehicleState",
@@ -404,8 +405,4 @@ def integrate(
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write samples as CSV with full double precision (17 significant digits)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        for k in range(traj.t.size):
-            row = [traj.t[k], *traj.states[k], traj.gap1[k], traj.gap2[k]]
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, TRAJECTORY_CSV_HEADER, [traj.t, *traj.states.T, traj.gap1, traj.gap2])

@@ -170,15 +170,6 @@ def tongue_edges(
     return left[0][0], right[-1][0]
 
 
-def _map_region(params: PhysicalParams, exc: ExcitationParams):
-    """Gain window enclosing the static triangle tip and the a, b, c tongues."""
-    lines = boundaries.static_boundary_lines(params)
-    ells = boundaries.all_ellipses(params, exc)
-    kp = (0.8 * lines.h0, ells["b"].h1 + 2.0 * ells["b"].k1)
-    kd = (0.1 * ells["a"].h2, 1.3 * ells["b"].h2)
-    return kp, kd
-
-
 def _rng_params(rng) -> PhysicalParams:
     return PhysicalParams(
         m=float(10 ** rng.uniform(2.0, 4.3)),
@@ -459,9 +450,9 @@ def _c9_hybrid_equivalence(params, exc):
     scale[scale == 0.0] = 1.0
     traj_err = float(np.max(diff / scale[None, :]))
 
-    (kp_lo, kp_hi), (kd_lo, kd_hi) = _map_region(params, exc)
-    map_h = sweep(params, exc, (kp_lo, kp_hi), (kd_lo, kd_hi), 21, 21, hyb=hyb)
-    map_s = sweep(params_bar, exc, (kp_lo, kp_hi), (kd_lo, kd_hi), 21, 21)
+    kp_range, kd_range = boundaries.default_map_window(params, exc)
+    map_h = sweep(params, exc, kp_range, kd_range, 21, 21, hyb=hyb)
+    map_s = sweep(params_bar, exc, kp_range, kd_range, 21, 21)
     cells_differ = int(np.sum(map_h.classes != map_s.classes))
     map_err = float(np.nanmax(np.abs(map_h.max_mu - map_s.max_mu)))
     ok = (
@@ -504,11 +495,11 @@ def _c10_linearization_consistency(params, exc):
 
 
 def _c11_length_invariance(params, exc):
-    (kp_lo, kp_hi), (kd_lo, kd_hi) = _map_region(params, exc)
+    kp_range, kd_range = boundaries.default_map_window(params, exc)
     maps = {}
     for l_val in (1.0, 3.0, 10.0):
         p = PhysicalParams(m=params.m, C=params.C, R=params.R, z0=params.z0, g=params.g, L=l_val)
-        maps[l_val] = sweep(p, exc, (kp_lo, kp_hi), (kd_lo, kd_hi), 21, 21)
+        maps[l_val] = sweep(p, exc, kp_range, kd_range, 21, 21)
     ref = maps[3.0]
     differing = {
         l_val: int(np.sum(m.classes != ref.classes)) for l_val, m in maps.items() if l_val != 3.0

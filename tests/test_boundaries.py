@@ -13,15 +13,11 @@ from levstab import (
     ExcitationParams,
     PhysicalParams,
     all_ellipses,
-    combination_ellipse_c,
-    combination_ellipse_d,
     combination_frequencies,
     h0_gain,
     hb_determinant_principal,
     hill_determinant_combination,
     natural_frequencies,
-    principal_ellipse_a,
-    principal_ellipse_b,
     relative_size,
     resonance_chart,
     static_boundary_lines,
@@ -93,7 +89,7 @@ def test_inclined_line_matches_bisected_hopf_boundary(b0):
 
 
 def test_principal_ellipse_a_reference(b0, exc_inphase):
-    e = principal_ellipse_a(b0, exc_inphase)
+    e = all_ellipses(b0, exc_inphase)["a"]
     assert e.kind == "a"
     for field, ref in ELL_A.items():
         assert getattr(e, field) == pytest.approx(ref, rel=1e-12), field
@@ -106,7 +102,7 @@ def test_principal_ellipse_a_reference(b0, exc_inphase):
 
 
 def test_principal_ellipse_b_reference(b0, exc_inphase):
-    e = principal_ellipse_b(b0, exc_inphase)
+    e = all_ellipses(b0, exc_inphase)["b"]
     for field, ref in ELL_B.items():
         assert getattr(e, field) == pytest.approx(ref, rel=1e-12), field
     assert e.h2 == pytest.approx(7064.5, rel=1e-4)
@@ -114,7 +110,7 @@ def test_principal_ellipse_b_reference(b0, exc_inphase):
 
 
 def test_combination_ellipse_c_reference(b0, exc_antiphase):
-    e = combination_ellipse_c(b0, exc_antiphase)
+    e = all_ellipses(b0, exc_antiphase)["c"]
     for field, ref in ELL_C.items():
         assert getattr(e, field) == pytest.approx(ref, rel=1e-12), field
     assert e.h2 == pytest.approx(3785.9, rel=1e-4)
@@ -122,7 +118,7 @@ def test_combination_ellipse_c_reference(b0, exc_antiphase):
 
 
 def test_combination_ellipse_d_reference(b0, exc_antiphase):
-    e = combination_ellipse_d(b0, exc_antiphase)
+    e = all_ellipses(b0, exc_antiphase)["d"]
     for field, ref in ELL_D.items():
         assert getattr(e, field) == pytest.approx(ref, rel=1e-12), field
     assert e.h2 == pytest.approx(52731.0, rel=1e-4)
@@ -288,7 +284,7 @@ def test_relative_size_undefined_on_vertical_line(b0):
 
 
 def test_ellipse_boundary_points_parameterization(b0, exc_inphase):
-    e = principal_ellipse_a(b0, exc_inphase)
+    e = all_ellipses(b0, exc_inphase)["a"]
     s, kp, kd = e.boundary_points(64)
     assert len(s) == 64 and s[0] == 0.0
     np.testing.assert_allclose(kp, e.h1 + e.k1 * np.cos(s), rtol=1e-15)
@@ -299,8 +295,7 @@ def test_ellipse_boundary_points_parameterization(b0, exc_inphase):
 
 @pytest.mark.parametrize("kind", ["a", "b"])
 def test_hb_determinant_vanishes_on_principal_boundary(b0, exc_inphase, kind):
-    fn = {"a": principal_ellipse_a, "b": principal_ellipse_b}[kind]
-    e = fn(b0, exc_inphase)
+    e = all_ellipses(b0, exc_inphase)[kind]
     _, kp, kd = e.boundary_points(64)
     ref = abs(hb_determinant_principal(
         b0, exc_inphase, ControlGains(e.h1 + 2.0 * e.k1, e.h2), kind))
@@ -312,7 +307,7 @@ def test_hb_determinant_vanishes_on_principal_boundary(b0, exc_inphase, kind):
 
 
 def test_hb_determinant_unexcited_collapses_to_center(b0, exc_still):
-    e = principal_ellipse_a(b0, exc_still)
+    e = all_ellipses(b0, exc_still)["a"]
     det = hb_determinant_principal(b0, exc_still, ControlGains(e.h1, e.h2), "a")
     off = hb_determinant_principal(b0, exc_still, ControlGains(e.h1 + 1.0, e.h2), "a")
     assert abs(det) < 1e-12 * abs(off)
@@ -320,8 +315,7 @@ def test_hb_determinant_unexcited_collapses_to_center(b0, exc_still):
 
 @pytest.mark.parametrize("kind,pair", [("c", "sum"), ("d", "difference")])
 def test_hill_residual_vanishes_on_combination_boundary(b0, exc_antiphase, kind, pair):
-    fn = {"c": combination_ellipse_c, "d": combination_ellipse_d}[kind]
-    e = fn(b0, exc_antiphase)
+    e = all_ellipses(b0, exc_antiphase)[kind]
     _, kp, kd = e.boundary_points(64)
     _, ref = hill_determinant_combination(
         b0, exc_antiphase, ControlGains(e.h1 + 2.0 * e.k1, e.h2), pair)
@@ -337,7 +331,7 @@ def test_hill_residual_vanishes_on_combination_boundary(b0, exc_antiphase, kind,
 def test_hill_raw_determinant_zero_only_at_axis_points(b0, exc_antiphase):
     """The 4x4 determinant retains the relative mode phase, so on the ellipse
     it only vanishes where the phase aligns: the four axis points."""
-    e = combination_ellipse_c(b0, exc_antiphase)
+    e = all_ellipses(b0, exc_antiphase)["c"]
     s, kp, kd = e.boundary_points(64)
     dets = np.array([
         hill_determinant_combination(b0, exc_antiphase, ControlGains(Kp, Kd), "sum")[0]
@@ -393,7 +387,7 @@ def test_resonance_chart_empty_range(b0):
 
 
 def test_boundary_csv_exports(tmp_path, b0, exc_quarter):
-    e = principal_ellipse_a(b0, exc_quarter)
+    e = all_ellipses(b0, exc_quarter)["a"]
     path = tmp_path / "ellipse_a.csv"
     write_ellipse_boundary_csv(e, path)
     lines = path.read_text().splitlines()

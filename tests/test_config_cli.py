@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from levstab import ControlGains, monodromy, principal_ellipse_a
+from levstab import ControlGains, all_ellipses, monodromy
 from levstab.cli import (
     DEFAULT_CONFIG,
     EXIT_BAD_INPUT,
@@ -309,7 +309,7 @@ def test_cli_simulate_gap_closure_abort(tmp_path, capsys):
     """In-tongue gains with a hard pitch kick close a gap: exit 3 plus the
     partial trajectory up to the reported time."""
     cfg = parse_config(B0_DOC)
-    ea = principal_ellipse_a(cfg.params, cfg.exc)
+    ea = all_ellipses(cfg.params, cfg.exc)["a"]
     doc = {**B0_DOC,
            "excitation": {"A": 0.005, "Omega": 80.0, "theta": 0.0},
            "gains": {"Kp": ea.h1, "Kd": ea.h2}}
@@ -333,8 +333,8 @@ def test_cli_simulate_growth_rate_matches_multiplier(tmp_path):
     pitch oscillation reproduces ln|mu_max|/T."""
     cfg = parse_config(B0_DOC)
     exc0 = {"A": 0.005, "Omega": 80.0, "theta": 0.0}
-    ea = principal_ellipse_a(cfg.params, parse_config(
-        {**B0_DOC, "excitation": exc0}).exc)
+    ea = all_ellipses(cfg.params, parse_config(
+        {**B0_DOC, "excitation": exc0}).exc)["a"]
     doc = {**B0_DOC, "excitation": exc0, "gains": {"Kp": ea.h1, "Kd": ea.h2}}
     cfgp = _write(tmp_path, doc)
     out = tmp_path / "growth"
@@ -418,15 +418,15 @@ def test_fault_injection_breaks_ratio_criterion(monkeypatch, b0, exc_quarter):
     import levstab.boundaries as boundaries
     from levstab import validation
 
-    real = boundaries.principal_ellipse_a
+    real = boundaries.all_ellipses
 
     def skewed(params, exc):
         from dataclasses import replace
 
-        e = real(params, exc)
-        return replace(e, k1=1.01 * e.k1)
+        ells = real(params, exc)
+        return {**ells, "a": replace(ells["a"], k1=1.01 * ells["a"].k1)}
 
-    monkeypatch.setattr(boundaries, "principal_ellipse_a", skewed)
+    monkeypatch.setattr(boundaries, "all_ellipses", skewed)
     status, measured, detail, reason = validation._c4_axis_ratios(b0, exc_quarter)
     assert status == "fail"
     assert measured["k1b_over_k1a"] == pytest.approx(3.0 / 1.01, rel=1e-9)
@@ -438,3 +438,46 @@ def test_cli_bad_config_exit(tmp_path):
     assert main(["ellipses", "--config", cfgp, "--out", str(tmp_path)]) == EXIT_BAD_INPUT
     assert main(["ellipses", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == EXIT_BAD_INPUT
+
+
+GAINS_ARGS = ["--kp", "10600", "--kd", "3000"]
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["simulate", "--kp", "nan", "--kd", "3000"], None),
+        (["simulate"], {**B0_DOC, "gains": {"Kp": math.nan, "Kd": 3000.0}}),
+        (["ellipses"], {**B0_DOC, "hybrid": {"beta": math.inf}}),
+        (["map", "--kp", "nan,1", "--kd", "1,2", "--grid", "2,2"], None),
+        (["resonance-chart", "--kd", "0,inf"], None),
+        (["simulate", *GAINS_ARGS, "--perturb", "0,nan"], None),
+        (["ellipses", "--theta", "nan"], None),
+        (["ellipses", "--theta=-inf"], None),
+        (["simulate", *GAINS_ARGS, "--periods", "0"], None),
+        (["simulate", *GAINS_ARGS, "--periods", "-1"], None),
+        (["simulate", *GAINS_ARGS, "--periods", "inf"], None),
+        (["simulate", *GAINS_ARGS, "--periods", "nan"], None),
+    ],
+    ids=[
+        "kp-flag-nan",
+        "config-kp-nan",
+        "config-beta-inf",
+        "map-range-nan",
+        "chart-range-inf",
+        "perturb-nan",
+        "theta-nan",
+        "theta-minus-inf",
+        "periods-zero",
+        "periods-negative",
+        "periods-inf",
+        "periods-nan",
+    ],
+)
+def test_cli_rejects_nonfinite_input(tmp_path, capsys, argv, doc):
+    """Non-finite numbers and a non-positive duration are bad input at every
+    entry point: exit 2 with an error line, never a hang or a traceback."""
+    if doc is not None:
+        argv = [*argv, "--config", _write(tmp_path, doc)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: ")

@@ -14,14 +14,12 @@ from levstab import (
     IntegrationOptions,
     MonodromyResult,
     PhysicalParams,
+    all_ellipses,
     boundary_crossings,
     classify,
     hybrid_gamma,
     is_statically_stable,
     monodromy,
-    principal_ellipse_a,
-    principal_ellipse_b,
-    combination_ellipse_c,
     sweep,
     unexcited_spectrum,
 )
@@ -77,7 +75,7 @@ def test_multipliers_conjugate_pairing(b0, exc_quarter):
 
 
 def test_principal_center_period_doubling_signature(b0, exc_inphase):
-    ea = principal_ellipse_a(b0, exc_inphase)
+    ea = all_ellipses(b0, exc_inphase)["a"]
     res = monodromy(b0, exc_inphase, ControlGains(ea.h1, ea.h2))
     dom = res.dominant
     assert abs(dom.imag) < 1e-9 * abs(dom)
@@ -86,7 +84,7 @@ def test_principal_center_period_doubling_signature(b0, exc_inphase):
 
 
 def test_combination_center_complex_signature(b0, exc_antiphase):
-    ec = combination_ellipse_c(b0, exc_antiphase)
+    ec = all_ellipses(b0, exc_antiphase)["c"]
     res = monodromy(b0, exc_antiphase, ControlGains(ec.h1, ec.h2))
     dom = res.dominant
     assert abs(dom.imag) > 1e-6
@@ -193,7 +191,7 @@ def test_sweep_captures_cell_errors(monkeypatch, b0, exc_still):
 def test_sweep_islands_follow_phase(b0):
     """Around the kind-a center a 5-point scan is unstable for in-phase
     excitation and quiet for antiphase, where that resonance is cancelled."""
-    ea = principal_ellipse_a(b0, ExcitationParams(A=0.005, Omega=80.0, theta=0.0))
+    ea = all_ellipses(b0, ExcitationParams(A=0.005, Omega=80.0, theta=0.0))["a"]
     # stay left of the inclined static line: only the tongue itself may fire
     kp_range = (ea.h1 - 0.9 * ea.k1, ea.h1 - 0.3 * ea.k1)
     kd_range = (ea.h2 - 1.0, ea.h2 + 1.0)
@@ -222,7 +220,7 @@ def test_boundary_crossing_left_edge_of_principal_tongue(b0, exc_inphase):
     """Scanning Kd = h2,a across ellipse a, the dominant-multiplier indicator
     crosses unity once, at the left edge h1 - k1 (the right half of the
     tongue overlaps the statically unstable side of the inclined line)."""
-    ea = principal_ellipse_a(b0, exc_inphase)
+    ea = all_ellipses(b0, exc_inphase)["a"]
     scan = ((ea.h1 - 1.6 * ea.k1, ea.h2), (ea.h1 + 1.6 * ea.k1, ea.h2))
     pts = boundary_crossings(b0, exc_inphase, scan)
     assert len(pts) == 1
@@ -235,7 +233,7 @@ def test_boundary_crossing_signature_indicator_finds_both_edges(b0, exc_inphase)
     """Tracking the resonant (real negative) multiplier pair separates the
     two tongue edges: the larger of the pair crosses unity at the left edge,
     the smaller at the right edge."""
-    ea = principal_ellipse_a(b0, exc_inphase)
+    ea = all_ellipses(b0, exc_inphase)["a"]
     scan = ((ea.h1 - 1.6 * ea.k1, ea.h2), (ea.h1 + 1.6 * ea.k1, ea.h2))
 
     def ranked(rank):

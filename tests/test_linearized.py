@@ -21,21 +21,10 @@ from levstab import (
     unexcited_spectrum,
 )
 from levstab.boundaries import h0_gain, static_boundary_lines
-from levstab.linearized import (
-    PerturbationState,
-    export_spectrum_json,
-    integrate_perturbation,
-)
+from levstab.linearized import integrate_perturbation
 
 
 GAINS = ControlGains(Kp=10600.0, Kd=3000.0)
-
-
-def test_perturbation_state_aggregates(b0):
-    s = PerturbationState(delta1=2e-4, delta1_rate=0.0, itr1=0.1,
-                          delta2=-1e-4, delta2_rate=0.0, itr2=0.2, L=b0.L)
-    assert s.delta == pytest.approx((2e-4 - 1e-4) / 2.0, rel=1e-15)
-    assert s.phi == pytest.approx((2e-4 + 1e-4) / b0.L, rel=1e-15)
 
 
 def test_periodicity(b0, exc_quarter):
@@ -192,15 +181,3 @@ def test_static_stability_inside_wedge(b0):
     Kd = 1500.0
     margin = is_statically_stable(b0, ControlGains(lines.inclined(Kd), Kd)).margin
     assert abs(margin) < 1e-6
-
-
-def test_spectrum_json_export(tmp_path, b0):
-    import json
-
-    spec = unexcited_spectrum(b0, GAINS)
-    path = tmp_path / "spectrum.json"
-    export_spectrum_json(spec, path)
-    doc = json.loads(path.read_text())
-    assert {rec["subsystem"] for rec in doc} == {"translation", "rotation"}
-    assert len(doc) == 6
-    assert all(set(rec) == {"re", "im", "subsystem"} for rec in doc)

@@ -28,7 +28,7 @@ from levstab import (
     support_motion,
     write_trajectory_csv,
 )
-from levstab.boundaries import h0_gain, principal_ellipse_a, static_boundary_lines
+from levstab.boundaries import all_ellipses, h0_gain, static_boundary_lines
 
 
 GAINS = ControlGains(Kp=10600.0, Kd=3000.0)  # inside the stable wedge at B0
@@ -234,7 +234,7 @@ def test_integrate_unexcited_transient_decays(b0, exc_still):
 def test_integrate_gap_closure_aborts_with_partial_history(b0, exc_inphase):
     """Unstable gains plus a pitch kick close a gap; the run must stop at the
     contact threshold and hand back the trajectory up to that point."""
-    ea = principal_ellipse_a(b0, exc_inphase)
+    ea = all_ellipses(b0, exc_inphase)["a"]
     g = ControlGains(Kp=ea.h1, Kd=ea.h2)
     start = steady_vehicle_state(b0, exc_inphase, 0.0)
     y0 = start.as_array()
