@@ -17,16 +17,15 @@ from .model import (
     HybridParams,
     validate,
     default_inertia,
+    has_uniform_bar_inertia,
     natural_frequencies,
     kinematic_excitation,
 )
 from .plant import (
     VehicleState,
     Trajectory,
-    GapClosedError,
     current_scale,
     support_motion,
-    em_force,
     steady_state,
     steady_vehicle_state,
     control_voltage,
@@ -42,7 +41,6 @@ from .linearized import (
     fd_jacobian,
     reduced_residual,
     unexcited_spectrum,
-    is_statically_stable,
 )
 from .boundaries import (
     Ellipse,
@@ -57,7 +55,6 @@ from .boundaries import (
     resonance_chart,
 )
 from .floquet import (
-    IntegrationOptions,
     MonodromyResult,
     StabilityMap,
     monodromy,
@@ -74,14 +71,13 @@ __all__ = [
     "HybridParams",
     "validate",
     "default_inertia",
+    "has_uniform_bar_inertia",
     "natural_frequencies",
     "kinematic_excitation",
     "VehicleState",
     "Trajectory",
-    "GapClosedError",
     "current_scale",
     "support_motion",
-    "em_force",
     "steady_state",
     "steady_vehicle_state",
     "control_voltage",
@@ -95,7 +91,6 @@ __all__ = [
     "fd_jacobian",
     "reduced_residual",
     "unexcited_spectrum",
-    "is_statically_stable",
     "Ellipse",
     "h0_gain",
     "static_boundary_lines",
@@ -106,7 +101,6 @@ __all__ = [
     "hb_determinant_principal",
     "hill_determinant_combination",
     "resonance_chart",
-    "IntegrationOptions",
     "MonodromyResult",
     "StabilityMap",
     "monodromy",

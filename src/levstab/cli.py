@@ -34,7 +34,6 @@ from .floquet import sweep, write_map_csv, write_map_metadata
 from .model import ControlGains, validate
 from .output import write_csv, write_json
 from .plant import (
-    GapClosedError,
     integrate,
     steady_state,
     steady_vehicle_state,
@@ -338,9 +337,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except GapClosedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -10,6 +10,7 @@ circle marks combination resonance or the static oscillatory instability.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,9 +21,9 @@ from scipy.integrate import solve_ivp
 from .linearized import periodic_matrix
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import write_csv, write_json
+from .plant import ATOL, METHOD, RTOL
 
 __all__ = [
-    "IntegrationOptions",
     "MonodromyResult",
     "StabilityMap",
     "FloquetError",
@@ -40,19 +41,11 @@ __all__ = [
 MAP_CSV_HEADER = "Kp,Kd,class,max_mu_abs"
 
 REAL_TOL = 1e-9  # |Im mu| below this (scaled) counts as a real multiplier
+EPS = 1e-6  # |mu| within EPS of 1 is classed marginal
 
 
 class FloquetError(RuntimeError):
     """Monodromy integration failed."""
-
-
-@dataclass(frozen=True)
-class IntegrationOptions:
-    """Adaptive-integrator settings shared by monodromy and scan runs."""
-
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    method: str = "DOP853"
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,6 @@ def monodromy(
     params: PhysicalParams,
     exc: ExcitationParams,
     gains: ControlGains,
-    opts: IntegrationOptions | None = None,
     hyb: HybridParams | None = None,
 ) -> MonodromyResult:
     """Integrate X' = A(t) X, X(0) = I over one period and extract multipliers.
@@ -85,18 +77,17 @@ def monodromy(
     The six canonical columns are propagated together as a single 36-state
     system; this evaluates A(t) once per step instead of six times, which
     matters for grid sweeps, and yields the same columns as six separate
-    runs at the given tolerances.
+    runs at the package tolerances.
     """
-    opts = opts or IntegrationOptions()
     pm = periodic_matrix(params, exc, gains, hyb=hyb)
     fun = lambda t, y: (pm.at(t) @ y.reshape(6, 6)).ravel()
     sol = solve_ivp(
         fun,
         (0.0, pm.period),
         np.eye(6).ravel(),
-        method=opts.method,
-        rtol=opts.rtol,
-        atol=opts.atol,
+        method=METHOD,
+        rtol=RTOL,
+        atol=ATOL,
     )
     if not sol.success:
         raise FloquetError(
@@ -107,24 +98,22 @@ def monodromy(
         matrix=m,
         multipliers=np.linalg.eigvals(m),
         period=pm.period,
-        stats={"nfev": int(sol.nfev), "rtol": opts.rtol, "atol": opts.atol, "method": opts.method},
+        stats={"nfev": int(sol.nfev)},
     )
 
 
-def classify(result: MonodromyResult, eps: float = 1e-6) -> str:
+def classify(result: MonodromyResult) -> str:
     """Map multipliers to a stability class.
 
-    stable: all |mu| < 1 - eps; marginal: largest |mu| within eps of 1;
+    stable: all |mu| < 1 - EPS; marginal: largest |mu| within EPS of 1;
     otherwise unstable, split into divergence (dominant multiplier real
     positive) and parametric-oscillatory (real negative, i.e. period
     doubling, or a complex pair).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     mu_max = result.max_modulus
-    if mu_max < 1.0 - eps:
+    if mu_max < 1.0 - EPS:
         return "stable"
-    if mu_max <= 1.0 + eps:
+    if mu_max <= 1.0 + EPS:
         return "marginal"
     dom = result.dominant
     if abs(dom.imag) <= REAL_TOL * max(1.0, abs(dom)) and dom.real > 0.0:
@@ -150,8 +139,12 @@ def signature_moduli(multipliers: np.ndarray, family: str) -> np.ndarray:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for sweeps: explicit argument, else LEVSTAB_THREADS
-    (0 or unset means auto), else one per CPU."""
+    """Worker count for sweeps: explicit argument, else LEVSTAB_THREADS;
+    0 or unset means one per usable CPU, and no count exceeds that."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     if workers is None:
         env = os.environ.get("LEVSTAB_THREADS", "0")
         try:
@@ -160,9 +153,7 @@ def resolve_workers(workers: int | None = None) -> int:
             raise ValueError(f"LEVSTAB_THREADS must be an integer, got {env!r}") from err
     if workers < 0:
         raise ValueError("worker count must be nonnegative")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
+    return cpus if workers == 0 else min(workers, cpus)
 
 
 @dataclass
@@ -188,20 +179,18 @@ def _sweep_cell(
     exc: ExcitationParams,
     kp: float,
     kd: float,
-    opts: IntegrationOptions,
-    eps: float,
     hyb: HybridParams | None,
 ) -> tuple[str, float, str | None]:
     try:
-        res = monodromy(params, exc, ControlGains(Kp=kp, Kd=kd), opts=opts, hyb=hyb)
-        return classify(res, eps=eps), res.max_modulus, None
+        res = monodromy(params, exc, ControlGains(Kp=kp, Kd=kd), hyb=hyb)
+        return classify(res), res.max_modulus, None
     except Exception as err:  # per-cell capture: the sweep must finish
         return "error", float("nan"), f"{type(err).__name__}: {err}"
 
 
 def _sweep_row(args) -> list[tuple[str, float, str | None]]:
-    params, exc, kp, kd_values, opts, eps, hyb = args
-    return [_sweep_cell(params, exc, kp, kd, opts, eps, hyb) for kd in kd_values]
+    params, exc, kp, kd_values, hyb = args
+    return [_sweep_cell(params, exc, kp, kd, hyb) for kd in kd_values]
 
 
 def sweep(
@@ -211,8 +200,6 @@ def sweep(
     Kd_range: tuple[float, float],
     nx: int,
     ny: int,
-    opts: IntegrationOptions | None = None,
-    eps: float = 1e-6,
     hyb: HybridParams | None = None,
     workers: int | None = None,
 ) -> StabilityMap:
@@ -224,7 +211,6 @@ def sweep(
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
-    opts = opts or IntegrationOptions()
     kp = np.linspace(Kp_range[0], Kp_range[1], nx)
     kd = np.linspace(Kd_range[0], Kd_range[1], ny)
     classes = np.empty((nx, ny), dtype=object)
@@ -232,7 +218,7 @@ def sweep(
     errors: list[tuple[int, int, str]] = []
 
     workers = resolve_workers(workers)
-    row_args = [(params, exc, kp[i], kd, opts, eps, hyb) for i in range(nx)]
+    row_args = [(params, exc, kp[i], kd, hyb) for i in range(nx)]
     if workers > 1 and nx > 1:
         with ProcessPoolExecutor(max_workers=min(workers, nx)) as pool:
             rows = list(pool.map(_sweep_row, row_args))
@@ -255,44 +241,50 @@ def sweep(
             "Kd_range": list(Kd_range),
             "nx": nx,
             "ny": ny,
-            "eps": eps,
-            "rtol": opts.rtol,
-            "atol": opts.atol,
-            "method": opts.method,
+            "eps": EPS,
+            "rtol": RTOL,
+            "atol": ATOL,
+            "method": METHOD,
             "workers": workers,
             "hybrid_beta": None if hyb is None else hyb.beta,
         },
     )
 
 
+@functools.lru_cache(maxsize=128)
+def _multipliers(params: PhysicalParams, exc: ExcitationParams, kp: float, kd: float) -> tuple:
+    """Multipliers at one gain point, memoized for the last 128 points in
+    the process: scans that share their presample points (as the two edge
+    searches of a tongue do) integrate each point once.  A tuple, so no
+    caller can alter a cached value."""
+    return tuple(monodromy(params, exc, ControlGains(Kp=kp, Kd=kd)).multipliers)
+
+
 def boundary_crossings(
     params: PhysicalParams,
     exc: ExcitationParams,
     scan: tuple[tuple[float, float], tuple[float, float]],
-    opts: IntegrationOptions | None = None,
-    hyb: HybridParams | None = None,
     indicator=None,
     n_presample: int = 17,
-    tol: float = 1e-3,
 ) -> list[tuple[float, float]]:
     """Locate stability-boundary crossings along a line segment of gains.
 
     ``scan`` is ((Kp0, Kd0), (Kp1, Kd1)).  The default indicator is
     max|mu| - 1; bisection runs on each sign change of the indicator among
-    ``n_presample`` uniform samples, down to ``tol`` relative to the scan
-    length (i.e. tol * segment length in gain units).  A custom indicator
-    maps the multiplier array to a scalar, which lets callers track a single
-    resonance signature instead of the dominant multiplier.  Returns the
-    crossing coordinates ordered along the scan; empty if no sign change.
+    ``n_presample`` uniform samples, down to 1e-3 of the scan length.  A
+    custom indicator maps the multiplier array to a scalar, which lets
+    callers track a single resonance signature instead of the dominant
+    multiplier.  Returns the crossing coordinates ordered along the scan;
+    empty if no sign change.
     """
-    opts = opts or IntegrationOptions()
+    tol = 1e-3
     (kp0, kd0), (kp1, kd1) = scan
     if indicator is None:
         indicator = lambda mu: float(np.max(np.abs(mu))) - 1.0
 
     def f(u: float) -> float:
-        gains = ControlGains(Kp=kp0 + u * (kp1 - kp0), Kd=kd0 + u * (kd1 - kd0))
-        return indicator(monodromy(params, exc, gains, opts=opts, hyb=hyb).multipliers)
+        mu = _multipliers(params, exc, kp0 + u * (kp1 - kp0), kd0 + u * (kd1 - kd0))
+        return indicator(np.array(mu))
 
     us = np.linspace(0.0, 1.0, n_presample)
     vals = [f(u) for u in us]

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .plant import (
+    ATOL,
+    METHOD,
+    RTOL,
     current_scale,
     rhs,
     rhs_hybrid,
@@ -40,14 +42,12 @@ from .plant import (
 __all__ = [
     "PeriodicMatrix",
     "ReducedResidual",
-    "StaticStability",
     "UnexcitedSpectrum",
     "periodic_matrix",
     "fd_jacobian",
     "integrate_perturbation",
     "reduced_residual",
     "unexcited_spectrum",
-    "is_statically_stable",
 ]
 
 
@@ -116,9 +116,6 @@ class PeriodicMatrix:
             out[row, 3 * k + 2] = -(p.R * d[k] ** 2 - twoC * ddot[k]) / (twoC * d[k])
         return out
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.at(t)
-
 
 def periodic_matrix(
     params: PhysicalParams,
@@ -159,7 +156,6 @@ def fd_jacobian(
     exc: ExcitationParams,
     gains: ControlGains,
     t: float,
-    step: float = 1e-7,
     hyb: HybridParams | None = None,
 ) -> np.ndarray:
     """Central-difference Jacobian of the nonlinear plant along its steady
@@ -173,6 +169,7 @@ def fd_jacobian(
     magnitudes involved.  This is the master guard against sign or
     transcription errors in the analytic coefficients.
     """
+    step = 1e-7
     y0 = steady_vehicle_state(params, exc, t, hyb).as_array()
     if hyb is None:
         fun = lambda y: rhs(y, t, params, exc, gains)
@@ -188,25 +185,18 @@ def fd_jacobian(
 
 
 def integrate_perturbation(
-    pm: PeriodicMatrix,
-    x0,
-    t_span: tuple[float, float],
-    t_eval=None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    method: str = "DOP853",
+    pm: PeriodicMatrix, x0, t_span: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate x' = A(t) x; returns (t, X) with one state row per sample."""
-    if t_eval is None:
-        t_eval = np.linspace(t_span[0], t_span[1], 201)
+    """Integrate x' = A(t) x; returns (t, X) at 201 evenly spaced samples,
+    one state row per sample."""
     sol = solve_ivp(
         lambda t, x: pm.at(t) @ x,
         t_span,
         np.asarray(x0, dtype=float),
-        method=method,
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
+        method=METHOD,
+        rtol=RTOL,
+        atol=ATOL,
+        t_eval=np.linspace(t_span[0], t_span[1], 201),
     )
     if not sol.success:
         raise RuntimeError(f"perturbation integration failed: {sol.message}")
@@ -352,17 +342,3 @@ def unexcited_spectrum(params: PhysicalParams, gains: ControlGains) -> Unexcited
         translation=np.linalg.eigvals(b[:3, :3]),
         rotation=np.linalg.eigvals(b[3:, 3:]),
     )
-
-
-class StaticStability(NamedTuple):
-    stable: bool
-    margin: float
-
-
-def is_statically_stable(params: PhysicalParams, gains: ControlGains) -> StaticStability:
-    """True iff every unexcited eigenvalue has negative real part; the margin
-    is the distance of the rightmost eigenvalue from the imaginary axis."""
-    spec = unexcited_spectrum(params, gains)
-    max_re = float(np.max(spec.all.real))
-    return StaticStability(stable=max_re < 0.0, margin=-max_re)
-

@@ -22,6 +22,7 @@ __all__ = [
     "HybridParams",
     "validate",
     "default_inertia",
+    "has_uniform_bar_inertia",
     "natural_frequencies",
     "kinematic_excitation",
 ]
@@ -63,14 +64,19 @@ class PhysicalParams:
     g: float = 9.81
     L: float = 3.0
     J: float | None = None
-    # set when J was filled in from default_inertia; l-invariance of the
-    # stability maps holds only in that case
-    j_defaulted: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.J is None:
             object.__setattr__(self, "J", default_inertia(self.m, self.L))
-            object.__setattr__(self, "j_defaulted", True)
+
+
+def has_uniform_bar_inertia(params: PhysicalParams) -> bool:
+    """Whether J is the uniform-bar m*L^2/12 to 1e-12 relative.
+
+    The closed-form boundaries and the L-invariance of the stability maps
+    hold only in that case.
+    """
+    return math.isclose(params.J, params.m * params.L**2 / 12.0, rel_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -158,8 +164,7 @@ def natural_frequencies(params: PhysicalParams, Kd: float) -> tuple[float, float
     if Kd < 0:
         raise ValueError("Kd must be nonnegative")
     omega1 = math.sqrt(Kd) * (2.0 * params.g / (params.m * params.C)) ** 0.25
-    J_bar = params.m * params.L**2 / 12.0
-    if params.J == J_bar or math.isclose(params.J, J_bar, rel_tol=1e-12):
+    if has_uniform_bar_inertia(params):
         ratio = math.sqrt(3.0)
     else:
         ratio = math.sqrt(params.m * params.L**2 / (4.0 * params.J))

@@ -17,7 +17,6 @@ oscillate with the base; it solves the equations exactly, not approximately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,9 +28,7 @@ __all__ = [
     "VehicleState",
     "SteadyStateSample",
     "Trajectory",
-    "GapClosedError",
     "support_motion",
-    "em_force",
     "steady_state",
     "control_voltage",
     "rhs",
@@ -46,23 +43,18 @@ __all__ = [
 
 TRAJECTORY_CSV_HEADER = "t,z,zdot,phi,phidot,I1,I2,gap1,gap2"
 
+# the one solver policy, shared by trajectories, perturbation runs and
+# monodromy matrices
+METHOD = "DOP853"
+RTOL = 1e-10
+ATOL = 1e-12
+SAMPLES_PER_PERIOD = 200  # integrate()'s default output grid
+
 # integrate() declares contact when a gap falls below this fraction of the
 # nominal one; rhs denominators are floored at the tighter _EVAL fraction so
 # adaptive trial steps can probe past the closure event without blowing up
 CLOSURE_FRACTION = 0.01
 _EVAL_FLOOR_FRACTION = 1e-3
-
-
-class GapClosedError(ValueError):
-    """An airgap reached zero: the vehicle touched the track."""
-
-    def __init__(self, t: float | None = None):
-        if t is None:
-            super().__init__("gap closed")
-            self.t = None
-        else:
-            super().__init__(f"gap closed at t = {float(t):.9g} s")
-            self.t = float(t)
 
 
 @dataclass(frozen=True)
@@ -79,11 +71,6 @@ class VehicleState:
     def as_array(self) -> np.ndarray:
         return np.array([self.z, self.zdot, self.phi, self.phidot, self.I1, self.I2])
 
-    @staticmethod
-    def from_array(y: Iterable[float]) -> "VehicleState":
-        z, zdot, phi, phidot, i1, i2 = (float(v) for v in y)
-        return VehicleState(z, zdot, phi, phidot, i1, i2)
-
 
 def current_scale(params: PhysicalParams) -> float:
     """Current per unit gap in steady state, sqrt(m*g/(2C)) (A/m)."""
@@ -95,14 +82,6 @@ def support_motion(exc: ExcitationParams, t):
     w2 = A cos(Omega t - theta).  Vectorized in t."""
     ph = exc.Omega * np.asarray(t, dtype=float)
     return exc.A * np.cos(ph), exc.A * np.cos(ph - exc.theta)
-
-
-def em_force(I: float, gap: float, params: PhysicalParams):
-    """Attractive electromagnet force C*I^2/gap^2 (N), sign-blind in I."""
-    gap = np.asarray(gap, dtype=float)
-    if np.any(gap <= 0.0):
-        raise GapClosedError()
-    return params.C * np.asarray(I, dtype=float) ** 2 / gap**2
 
 
 @dataclass(frozen=True)
@@ -125,8 +104,6 @@ class SteadyStateSample:
     I2_rate: np.ndarray
     U1: np.ndarray
     U2: np.ndarray
-    U1_rate: np.ndarray
-    U2_rate: np.ndarray
 
 
 def steady_state(params: PhysicalParams, exc: ExcitationParams, t) -> SteadyStateSample:
@@ -156,8 +133,6 @@ def steady_state(params: PhysicalParams, exc: ExcitationParams, t) -> SteadyStat
         I2_rate=kappa * d2dot,
         U1=params.R * kappa * d1,
         U2=params.R * kappa * d2,
-        U1_rate=params.R * kappa * d1dot,
-        U2_rate=params.R * kappa * d2dot,
     )
 
 
@@ -214,16 +189,6 @@ def hybrid_gamma(params: PhysicalParams, beta: float) -> float:
     if params.z0 + beta <= 0.0:
         raise ValueError("z0 + beta must be positive")
     return float(current_scale(params) * (params.z0 + beta))
-
-
-def hybrid_steady_currents(params: PhysicalParams, exc: ExcitationParams, hyb: HybridParams, t):
-    """Steady coil currents of the hybrid plant: kappa*(Delta_ss + beta) - gamma."""
-    ss = steady_state(params, exc, t)
-    kappa = current_scale(params)
-    return (
-        kappa * (ss.gap1 + hyb.beta) - hyb.gamma,
-        kappa * (ss.gap2 + hyb.beta) - hyb.gamma,
-    )
 
 
 def rhs_hybrid(
@@ -290,11 +255,17 @@ def steady_vehicle_state(
     t: float = 0.0,
     hyb: HybridParams | None = None,
 ) -> VehicleState:
-    """VehicleState on the exact steady state at time t (body at z0, no pitch)."""
+    """VehicleState on the exact steady state at time t (body at z0, no pitch).
+
+    The hybrid plant's steady currents are kappa*(Delta_ss + beta) - gamma.
+    """
+    ss = steady_state(params, exc, t)
     if hyb is None:
-        ss = steady_state(params, exc, t)
-        return VehicleState(params.z0, 0.0, 0.0, 0.0, float(ss.I1), float(ss.I2))
-    i1, i2 = hybrid_steady_currents(params, exc, hyb, t)
+        i1, i2 = ss.I1, ss.I2
+    else:
+        kappa = current_scale(params)
+        i1 = kappa * (ss.gap1 + hyb.beta) - hyb.gamma
+        i2 = kappa * (ss.gap2 + hyb.beta) - hyb.gamma
     return VehicleState(params.z0, 0.0, 0.0, 0.0, float(i1), float(i2))
 
 
@@ -325,13 +296,14 @@ def integrate(
     gains: ControlGains,
     mode: str = "standard",
     hyb: HybridParams | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    method: str = "DOP853",
+    rtol: float = RTOL,
+    atol: float = ATOL,
     t_eval=None,
-    samples_per_period: int = 200,
 ) -> Trajectory:
     """Integrate the plant over t_span with adaptive stepping.
+
+    Without ``t_eval`` the output grid holds SAMPLES_PER_PERIOD samples
+    per excitation period.
 
     An airgap falling below 1% of the nominal z0 counts as contact and
     terminates the run (the model has no track-contact physics); the partial
@@ -357,14 +329,14 @@ def integrate(
     gap_closure.direction = -1
 
     if t_eval is None:
-        n = max(2, int(round(samples_per_period * (t_span[1] - t_span[0]) / exc.period)))
+        n = max(2, int(round(SAMPLES_PER_PERIOD * (t_span[1] - t_span[0]) / exc.period)))
         t_eval = np.linspace(t_span[0], t_span[1], n + 1)
 
     sol = solve_ivp(
         fun,
         t_span,
         initial.as_array(),
-        method=method,
+        method=METHOD,
         rtol=rtol,
         atol=atol,
         t_eval=t_eval,
@@ -388,7 +360,7 @@ def integrate(
     gap1 = states[:, 0] + half * states[:, 2] - w1
     gap2 = states[:, 0] - half * states[:, 2] - w2
     meta = {
-        "method": method,
+        "method": METHOD,
         "rtol": rtol,
         "atol": atol,
         "nfev": int(sol.nfev),

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import boundaries
 from .floquet import (
-    IntegrationOptions,
     boundary_crossings,
     classify,
     monodromy,
@@ -31,7 +30,7 @@ from .model import (
     ExcitationParams,
     HybridParams,
     PhysicalParams,
-    default_inertia,
+    has_uniform_bar_inertia,
     natural_frequencies,
 )
 from .plant import (
@@ -106,15 +105,7 @@ class ValidationReport:
         return doc
 
 
-def _uses_default_inertia(params: PhysicalParams) -> bool:
-    return math.isclose(params.J, default_inertia(params.m, params.L), rel_tol=1e-12)
-
-
-def pick_stable_gains(
-    params: PhysicalParams,
-    exc: ExcitationParams,
-    opts: IntegrationOptions | None = None,
-) -> ControlGains:
+def pick_stable_gains(params: PhysicalParams, exc: ExcitationParams) -> ControlGains:
     """A gain point verified stable by Floquet, used by trajectory criteria.
 
     Candidates sit midway between the static boundary lines at a few Kd
@@ -126,7 +117,7 @@ def pick_stable_gains(
     kd0 = ells["a"].h2
     for f in (2.0, 1.4, 2.6, 3.2):
         gains = ControlGains(Kp=lines.h0 + 0.5 * lines.slope * f * kd0, Kd=f * kd0)
-        if classify(monodromy(params, exc, gains, opts=opts)) == "stable":
+        if classify(monodromy(params, exc, gains)) == "stable":
             return gains
     raise RuntimeError("no Floquet-stable gain candidate found")
 
@@ -135,12 +126,9 @@ def tongue_edges(
     params: PhysicalParams,
     exc: ExcitationParams,
     ell: boundaries.Ellipse,
-    opts: IntegrationOptions | None = None,
-    span: float = 1.6,
-    n_presample: int = 25,
-    tol: float = 1e-3,
 ) -> tuple[float, float]:
-    """Kp of the left and right tongue edges along the horizontal Kd = h2.
+    """Kp of the left and right tongue edges along the horizontal Kd = h2,
+    scanned over h1 +- 1.6 k1.
 
     Edge detection tracks the resonance-signature multipliers rather than
     max|mu|: the right half of each tongue lies beyond the oscillatory
@@ -158,13 +146,9 @@ def tongue_edges(
 
         return f
 
-    scan = ((ell.h1 - span * ell.k1, ell.h2), (ell.h1 + span * ell.k1, ell.h2))
-    left = boundary_crossings(
-        params, exc, scan, opts=opts, indicator=rank_indicator(0), n_presample=n_presample, tol=tol
-    )
-    right = boundary_crossings(
-        params, exc, scan, opts=opts, indicator=rank_indicator(1), n_presample=n_presample, tol=tol
-    )
+    scan = ((ell.h1 - 1.6 * ell.k1, ell.h2), (ell.h1 + 1.6 * ell.k1, ell.h2))
+    left = boundary_crossings(params, exc, scan, indicator=rank_indicator(0), n_presample=25)
+    right = boundary_crossings(params, exc, scan, indicator=rank_indicator(1), n_presample=25)
     if not left or not right:
         raise RuntimeError(f"tongue edges of kind {ell.kind} not bracketed by the scan")
     return left[0][0], right[-1][0]
@@ -202,7 +186,7 @@ def _c1_frequency_ratio(params, exc):
 
 
 def _c2_ellipse_centers(params, exc):
-    if not _uses_default_inertia(params):
+    if not has_uniform_bar_inertia(params):
         return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     ells = boundaries.all_ellipses(params, exc)
     s4 = (2.0 * params.g / (params.m * params.C)) ** 0.25
@@ -288,7 +272,7 @@ def _c3_center_line(params, exc):
 def _c4_axis_ratios(params, exc):
     if exc.A == 0.0:
         return "skip", {}, "", "tongue half-widths vanish without excitation"
-    if not _uses_default_inertia(params):
+    if not has_uniform_bar_inertia(params):
         return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     ells = boundaries.all_ellipses(params, exc)
     measured = {}
@@ -311,7 +295,7 @@ def _c4_axis_ratios(params, exc):
 def _c5_eta_frequency_independence(params, exc):
     if exc.A == 0.0:
         return "skip", {}, "", "eta undefined without excitation"
-    if not _uses_default_inertia(params):
+    if not has_uniform_bar_inertia(params):
         return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     h0 = boundaries.h0_gain(params)
     worst = 0.0
@@ -367,7 +351,7 @@ def _c6_degeneracy(params, exc):
 def _c7_floquet_vs_analytic(params, exc):
     if exc.A == 0.0:
         return "skip", {}, "", "no tongues to locate without excitation"
-    if not _uses_default_inertia(params):
+    if not has_uniform_bar_inertia(params):
         return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     t0 = time.perf_counter()
     plan = [(0.0, "ab"), (math.pi / 2.0, "abcd"), (math.pi, "cd")]
@@ -517,7 +501,7 @@ def _c11_length_invariance(params, exc):
 def _c12_printed_factor(params, exc):
     if exc.A == 0.0:
         return "skip", {}, "", "size ratio undefined without excitation"
-    if not _uses_default_inertia(params):
+    if not has_uniform_bar_inertia(params):
         return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     theta = exc.theta if 0.0 < exc.theta < math.pi else math.pi / 2.0
     ells = boundaries.all_ellipses(params, ExcitationParams(A=exc.A, Omega=exc.Omega, theta=theta))
@@ -542,7 +526,7 @@ def _c12_printed_factor(params, exc):
 def _c13_multiplier_signatures(params, exc):
     if exc.A == 0.0:
         return "skip", {}, "", "no resonant multipliers without excitation"
-    if not _uses_default_inertia(params):
+    if not has_uniform_bar_inertia(params):
         return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     measured = {}
     ok = True

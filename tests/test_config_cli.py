@@ -4,7 +4,6 @@ exit codes and file products."""
 import csv
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -350,7 +349,7 @@ def test_cli_simulate_growth_rate_matches_multiplier(tmp_path):
     rate_pred = math.log(res.max_modulus) / T
     # strobe at every 2T (the period-doubled cycle) and fit the log envelope
     # over the late window where slower transients have died out
-    stride = 2 * 200  # samples_per_period = 200
+    stride = 2 * 200  # simulate samples 200 points per period
     ks = np.arange(120, periods // 2 - 5)
     amp = np.abs(phi[ks * stride])
     assert np.all(amp > 0.0)

@@ -11,14 +11,12 @@ from levstab import (
     ControlGains,
     ExcitationParams,
     HybridParams,
-    IntegrationOptions,
     MonodromyResult,
     PhysicalParams,
     all_ellipses,
     boundary_crossings,
     classify,
     hybrid_gamma,
-    is_statically_stable,
     monodromy,
     sweep,
     unexcited_spectrum,
@@ -34,6 +32,16 @@ from levstab.floquet import (
 
 
 STABLE = ControlGains(Kp=10600.0, Kd=3000.0)
+
+
+def _ranked(rank):
+    """Indicator of the rank-th largest principal signature modulus."""
+    def indicator(mu):
+        moduli = signature_moduli(mu, "principal")
+        if len(moduli) <= rank:
+            return -1.0
+        return float(moduli[rank]) - 1.0
+    return indicator
 
 
 def _fake_result(multipliers):
@@ -99,8 +107,6 @@ def test_classify_synthetic_cases():
     assert classify(_fake_result([-1.2, 0.5, 0.1, 0.1, 0.1, 0.1])) == "parametric-oscillatory"
     pair = [1.1 * np.exp(1j * 0.3), 1.1 * np.exp(-1j * 0.3), 0.1, 0.1, 0.1, 0.1]
     assert classify(_fake_result(pair)) == "parametric-oscillatory"
-    with pytest.raises(ValueError):
-        classify(_fake_result([0.5] * 6), eps=0.0)
 
 
 def test_classify_divergence_left_of_vertical_line(b0, exc_quarter):
@@ -127,11 +133,11 @@ def test_sweep_agrees_with_static_oracle_when_unexcited(b0, exc_still):
     assert not smap.errors
     for i, kp in enumerate(smap.kp):
         for j, kd in enumerate(smap.kd):
-            static = is_statically_stable(b0, ControlGains(kp, kd))
+            max_re = float(np.max(unexcited_spectrum(b0, ControlGains(kp, kd)).all.real))
             got = smap.classes[i, j]
-            if abs(static.margin) * smap.kp[0] < 1e-6:
+            if abs(max_re) * smap.kp[0] < 1e-6:
                 continue  # numerically on a boundary: class is tolerance-bound
-            assert (got == "stable") == static.stable, (kp, kd, got)
+            assert (got == "stable") == (max_re < 0.0), (kp, kd, got)
 
 
 def test_sweep_deterministic_exports(tmp_path, b0, exc_quarter):
@@ -169,11 +175,11 @@ def test_sweep_captures_cell_errors(monkeypatch, b0, exc_still):
     real = fl.monodromy
     target = {"hit": False}
 
-    def flaky(params, exc, gains, opts=None, hyb=None):
+    def flaky(params, exc, gains, hyb=None):
         if not target["hit"] and gains.Kp == 9000.0 and gains.Kd == 2000.0:
             target["hit"] = True
             raise RuntimeError("synthetic integrator failure")
-        return real(params, exc, gains, opts=opts, hyb=hyb)
+        return real(params, exc, gains, hyb=hyb)
 
     monkeypatch.setattr(fl, "monodromy", flaky)
     smap = fl.sweep(b0, exc_still, (9000.0, 10000.0), (2000.0, 3000.0), 2, 2,
@@ -235,17 +241,8 @@ def test_boundary_crossing_signature_indicator_finds_both_edges(b0, exc_inphase)
     the smaller at the right edge."""
     ea = all_ellipses(b0, exc_inphase)["a"]
     scan = ((ea.h1 - 1.6 * ea.k1, ea.h2), (ea.h1 + 1.6 * ea.k1, ea.h2))
-
-    def ranked(rank):
-        def indicator(mu):
-            moduli = signature_moduli(mu, "principal")
-            if len(moduli) <= rank:
-                return -1.0
-            return float(moduli[rank]) - 1.0
-        return indicator
-
-    left = boundary_crossings(b0, exc_inphase, scan, indicator=ranked(0))
-    right = boundary_crossings(b0, exc_inphase, scan, indicator=ranked(1))
+    left = boundary_crossings(b0, exc_inphase, scan, indicator=_ranked(0))
+    right = boundary_crossings(b0, exc_inphase, scan, indicator=_ranked(1))
     assert len(left) >= 1 and len(right) >= 1
     assert left[0][0] == pytest.approx(ea.h1 - ea.k1, abs=0.02 * ea.k1)
     assert right[-1][0] == pytest.approx(ea.h1 + ea.k1, abs=0.02 * ea.k1)
@@ -269,19 +266,71 @@ def test_boundary_crossing_stable_scan_empty(b0, exc_quarter):
     assert boundary_crossings(b0, exc_quarter, ((lo, kd), (hi, kd))) == []
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.delenv("LEVSTAB_THREADS", raising=False)
-    assert resolve_workers(3) == 3
-    assert resolve_workers(None) == (os.cpu_count() or 1)
+    cpus = _usable_cpus()
+    assert resolve_workers(3) == min(3, cpus)
+    assert resolve_workers(None) == cpus
     monkeypatch.setenv("LEVSTAB_THREADS", "2")
-    assert resolve_workers(None) == 2
+    assert resolve_workers(None) == min(2, cpus)
     monkeypatch.setenv("LEVSTAB_THREADS", "0")
-    assert resolve_workers(None) == (os.cpu_count() or 1)
+    assert resolve_workers(None) == cpus
     monkeypatch.setenv("LEVSTAB_THREADS", "nope")
     with pytest.raises(ValueError, match="LEVSTAB_THREADS"):
         resolve_workers(None)
     with pytest.raises(ValueError):
         resolve_workers(-1)
+
+
+def test_resolve_workers_capped_at_usable_cpus(monkeypatch):
+    """Auto mode and every requested count stop at the CPUs this process
+    may run on.  Only the count is checked; no pool is started."""
+    monkeypatch.setenv("LEVSTAB_THREADS", "1000000")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert resolve_workers(None) == 3
+    assert resolve_workers(1000000) == 3
+    assert resolve_workers(0) == 3
+    assert resolve_workers(2) == 2
+    # without an affinity call the CPU count is the limit
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert resolve_workers(None) == 5
+
+
+def test_tongue_edge_scans_integrate_each_gain_once(monkeypatch, b0, exc_inphase):
+    """The left- and right-edge searches share their 25 presample points:
+    each gain point is integrated once, and the edges are the ones two
+    uncached searches find."""
+    import levstab.floquet as fl
+    from levstab.validation import tongue_edges
+
+    ea = all_ellipses(b0, exc_inphase)["a"]
+    real = fl.monodromy
+    seen = []
+
+    def counting(params, exc, gains, hyb=None):
+        seen.append((gains.Kp, gains.Kd))
+        return real(params, exc, gains, hyb=hyb)
+
+    monkeypatch.setattr(fl, "monodromy", counting)
+    fl._multipliers.cache_clear()
+    edges = tongue_edges(b0, exc_inphase, ea)
+    assert len(seen) == len(set(seen)) > 25
+
+    scan = ((ea.h1 - 1.6 * ea.k1, ea.h2), (ea.h1 + 1.6 * ea.k1, ea.h2))
+    uncached = []
+    for rank in (0, 1):
+        fl._multipliers.cache_clear()
+        uncached.append(
+            boundary_crossings(b0, exc_inphase, scan, indicator=_ranked(rank), n_presample=25)
+        )
+    assert edges == (uncached[0][0][0], uncached[1][-1][0])
 
 
 def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):
@@ -297,4 +346,6 @@ def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):
     assert doc["excitation"]["Omega"] == exc_quarter.Omega
     assert doc["version"] == "x.y.z"
     assert doc["grid"]["rtol"] == 1e-10
+    assert (doc["grid"]["atol"], doc["grid"]["eps"]) == (1e-12, 1e-6)
+    assert (doc["grid"]["method"], doc["grid"]["workers"]) == ("DOP853", 1)
     assert doc["cell_errors"] == []

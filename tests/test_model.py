@@ -11,6 +11,7 @@ from levstab import (
     ExcitationParams,
     PhysicalParams,
     default_inertia,
+    has_uniform_bar_inertia,
     kinematic_excitation,
     natural_frequencies,
     validate,
@@ -35,10 +36,10 @@ def test_default_inertia_homogeneous_in_mass():
 
 def test_inertia_defaulting_flag(b0):
     assert b0.J == pytest.approx(b0.m * b0.L**2 / 12.0, rel=0, abs=0)
-    assert b0.j_defaulted
+    assert has_uniform_bar_inertia(b0)
     explicit = PhysicalParams(m=7650.0, C=0.05, R=9.71, z0=0.015, J=5000.0)
     assert explicit.J == 5000.0
-    assert not explicit.j_defaulted
+    assert not has_uniform_bar_inertia(explicit)
 
 
 def test_validate_accepts_baseline(b0, exc_inphase):

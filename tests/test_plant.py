@@ -10,14 +10,10 @@ import pytest
 from levstab import (
     ControlGains,
     ExcitationParams,
-    GapClosedError,
     HybridParams,
-    PhysicalParams,
-    Trajectory,
     VehicleState,
     control_voltage,
     current_scale,
-    em_force,
     hybrid_gamma,
     hybrid_transform,
     integrate,
@@ -28,7 +24,7 @@ from levstab import (
     support_motion,
     write_trajectory_csv,
 )
-from levstab.boundaries import all_ellipses, h0_gain, static_boundary_lines
+from levstab.boundaries import all_ellipses, h0_gain
 
 
 GAINS = ControlGains(Kp=10600.0, Kd=3000.0)  # inside the stable wedge at B0
@@ -44,29 +40,6 @@ def test_support_motion_reference_phases(b0):
     w1, w2 = support_motion(eq, math.pi / 160.0)  # Omega*t = pi/2
     assert w1 == pytest.approx(0.0, abs=1e-18)
     assert w2 == pytest.approx(0.005, rel=1e-12)
-
-
-def test_em_force_zero_current(b0):
-    assert em_force(0.0, 0.01, b0) == 0.0
-
-
-def test_em_force_balances_half_weight(b0):
-    # steady current kappa*z0 at the nominal gap carries mg/2
-    kappa = current_scale(b0)
-    F = em_force(kappa * b0.z0, b0.z0, b0)
-    assert F == pytest.approx(b0.m * b0.g / 2.0, rel=1e-12)
-    assert F == pytest.approx(37523.25, rel=1e-6)
-
-
-def test_em_force_quadratic_in_current(b0):
-    F1 = em_force(5.0, 0.012, b0)
-    F2 = em_force(10.0, 0.012, b0)
-    assert F2 == pytest.approx(4.0 * F1, rel=1e-12)
-
-
-def test_em_force_rejects_closed_gap(b0):
-    with pytest.raises(ValueError, match="gap closed"):
-        em_force(5.0, 0.0, b0)
 
 
 def test_steady_state_quarter_phase(b0):
@@ -215,17 +188,18 @@ def test_integrate_steady_start_stays_put(b0, exc_quarter):
 
 
 def test_integrate_unexcited_transient_decays(b0, exc_still):
-    from levstab import is_statically_stable
+    from levstab import unexcited_spectrum
 
-    stability = is_statically_stable(b0, GAINS)
-    assert stability.stable
-    # four e-foldings of the slowest mode
-    t_end = 4.0 / stability.margin
+    margin = -float(np.max(unexcited_spectrum(b0, GAINS).all.real))
+    assert margin > 0.0
+    # four e-foldings of the slowest mode, sampled three times per period
+    t_end = 4.0 / margin
+    t_eval = np.linspace(0.0, t_end, round(3 * t_end / exc_still.period) + 1)
     start = steady_vehicle_state(b0, exc_still, 0.0)
     y0 = start.as_array()
     y0[0] += 5e-4
-    traj = integrate(VehicleState.from_array(y0), (0.0, t_end), b0, exc_still,
-                     GAINS, samples_per_period=3)
+    traj = integrate(VehicleState(*y0), (0.0, t_end), b0, exc_still, GAINS,
+                     t_eval=t_eval)
     early = np.max(np.abs(traj.states[:20, 0] - b0.z0))
     late = np.max(np.abs(traj.states[-20:, 0] - b0.z0))
     assert late < 0.1 * early
@@ -240,7 +214,7 @@ def test_integrate_gap_closure_aborts_with_partial_history(b0, exc_inphase):
     y0 = start.as_array()
     y0[2] += 2e-3  # large pitch kick
     traj = integrate(
-        VehicleState.from_array(y0), (0.0, 40 * exc_inphase.period),
+        VehicleState(*y0), (0.0, 40 * exc_inphase.period),
         b0, exc_inphase, g,
     )
     assert traj.aborted
@@ -269,9 +243,9 @@ def test_mirror_symmetry_swaps_supports(b0):
     mirrored[[4, 5]] = y0[[5, 4]]
     T = e_pos.period
     t_eval = np.linspace(0.0, 3 * T, 121)
-    traj_p = integrate(VehicleState.from_array(y0), (shift, shift + 3 * T),
+    traj_p = integrate(VehicleState(*y0), (shift, shift + 3 * T),
                        b0, e_pos, GAINS, t_eval=t_eval + shift)
-    traj_m = integrate(VehicleState.from_array(mirrored), (0.0, 3 * T), b0,
+    traj_m = integrate(VehicleState(*mirrored), (0.0, 3 * T), b0,
                        e_neg, GAINS, t_eval=t_eval)
     np.testing.assert_allclose(traj_m.states[:, 0], traj_p.states[:, 0],
                                rtol=0, atol=1e-10)
@@ -284,7 +258,7 @@ def test_mirror_symmetry_swaps_supports(b0):
 def test_trajectory_csv_round_trip(tmp_path, b0, exc_quarter):
     start = steady_vehicle_state(b0, exc_quarter, 0.0)
     traj = integrate(start, (0.0, exc_quarter.period), b0, exc_quarter, GAINS,
-                     samples_per_period=20)
+                     t_eval=np.linspace(0.0, exc_quarter.period, 21))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path)
     with open(path, newline="") as fh:
@@ -303,5 +277,5 @@ def test_negative_current_flagged(b0, exc_quarter):
     start = steady_vehicle_state(b0, exc_quarter, 0.0)
     y0 = start.as_array()
     y0[4] = -1.0
-    traj = integrate(VehicleState.from_array(y0), (0.0, 0.05), b0, exc_quarter, GAINS)
+    traj = integrate(VehicleState(*y0), (0.0, 0.05), b0, exc_quarter, GAINS)
     assert traj.meta["negative_current"]
