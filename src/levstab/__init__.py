@@ -25,7 +25,6 @@ from .plant import (
     VehicleState,
     Trajectory,
     current_scale,
-    support_motion,
     steady_state,
     steady_vehicle_state,
     control_voltage,
@@ -77,7 +76,6 @@ __all__ = [
     "VehicleState",
     "Trajectory",
     "current_scale",
-    "support_motion",
     "steady_state",
     "steady_vehicle_state",
     "control_voltage",

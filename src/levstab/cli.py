@@ -143,14 +143,8 @@ def cmd_map(args) -> int:
         kp_range, kd_range = default_map_window(cfg.params, cfg.exc)
     smap = sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid)
     write_map_csv(smap, os.path.join(out, "map.csv"))
-    write_map_metadata(
-        smap,
-        os.path.join(out, "map_meta.json"),
-        cfg.params,
-        cfg.exc,
-        __version__,
-        config=dump_config(cfg),
-    )
+    meta_path = os.path.join(out, "map_meta.json")
+    write_map_metadata(smap, meta_path, cfg.exc, __version__, dump_config(cfg))
     overlay = [
         (kind, *point)
         for kind, e in all_ellipses(cfg.params, cfg.exc).items()
@@ -256,7 +250,7 @@ def cmd_steady_state(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     ts = np.linspace(0.0, cfg.exc.period, 201)
-    ss = steady_state(cfg.params, cfg.exc, ts)
+    ss = steady_state(cfg.params, cfg.exc, ts, cfg.hybrid)
     fields = ("t", "gap1", "gap1_rate", "I1", "U1", "gap2", "gap2_rate", "I2", "U2")
     cols = [np.asarray(getattr(ss, f)) for f in fields]
     if args.format != "json":
@@ -289,6 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON configuration file (built-in baseline if omitted)")
         p.add_argument("--out", help="output directory (default: current directory)")
         p.add_argument("--theta", type=float, help="override the excitation phase lag (rad)")
+
+    def formats(p):
         p.add_argument(
             "--format",
             choices=("csv", "json"),
@@ -297,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ellipses", help="closed-form resonance ellipses and static lines")
     common(p)
+    formats(p)
     p.set_defaults(fn=cmd_ellipses)
 
     p = sub.add_parser("map", help="Floquet stability classification over a gain grid")
@@ -320,11 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resonance-chart", help="natural-frequency curves and resonance gains")
     common(p)
+    formats(p)
     p.add_argument("--kd", dest="kd_range", metavar="LO,HI", help="Kd range to sample")
     p.set_defaults(fn=cmd_resonance_chart)
 
     p = sub.add_parser("steady-state", help="exact periodic steady state over one period")
     common(p)
+    formats(p)
     p.set_defaults(fn=cmd_steady_state)
     return parser
 

@@ -219,7 +219,7 @@ def sweep(
 
     workers = resolve_workers(workers)
     row_args = [(params, exc, kp[i], kd, hyb) for i in range(nx)]
-    if workers > 1 and nx > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, nx)) as pool:
             rows = list(pool.map(_sweep_row, row_args))
     else:
@@ -320,24 +320,21 @@ def write_map_csv(smap: StabilityMap, path) -> None:
 
 
 def write_map_metadata(
-    smap: StabilityMap, path, params, exc, version: str, config: dict | None = None
+    smap: StabilityMap, path, exc: ExcitationParams, version: str, config: dict
 ) -> None:
-    """Companion JSON describing exactly what produced a map CSV."""
-    payload = {
-        "physical": {
-            "m": params.m,
-            "C": params.C,
-            "R": params.R,
-            "g": params.g,
-            "z0": params.z0,
-            "L": params.L,
-            "J": params.J,
+    """Companion JSON describing exactly what produced a map CSV.
+
+    ``config`` is the run's configuration as written by ``dump_config``;
+    ``excitation`` repeats the resolved Omega and theta, which a kinematic
+    (v, d) configuration does not state.
+    """
+    write_json(
+        path,
+        {
+            "config": config,
+            "excitation": {"A": exc.A, "Omega": exc.Omega, "theta": exc.theta},
+            "grid": smap.meta,
+            "cell_errors": [list(e) for e in smap.errors],
+            "version": version,
         },
-        "excitation": {"A": exc.A, "Omega": exc.Omega, "theta": exc.theta},
-        "grid": smap.meta,
-        "cell_errors": [list(e) for e in smap.errors],
-        "version": version,
-    }
-    if config is not None:
-        payload["config"] = config
-    write_json(path, payload)
+    )

@@ -66,6 +66,7 @@ class PeriodicMatrix:
         self.gains = gains
         self.gap_offset = gap_offset
         self.period = exc.period
+        self._kappa = current_scale(params)
         # joint solve of the two force-balance rows for the accelerations:
         # [m/2, m/2; 2J/L^2, -2J/L^2] [d1''; d2''] = [G1+G2; G1-G2]
         m, J, L = params.m, params.J, params.L
@@ -88,8 +89,7 @@ class PeriodicMatrix:
         off = self.gap_offset
         d = (float(ss.gap1) + off, float(ss.gap2) + off)
         ddot = (float(ss.gap1_rate), float(ss.gap2_rate))
-        kappa = current_scale(p)
-        iss = (kappa * d[0], kappa * d[1])
+        iss = (self._kappa * d[0], self._kappa * d[1])
         # gradients of the force perturbations G_i, per support
         ca = (
             2.0 * p.C * iss[0] ** 2 / d[0] ** 3,
@@ -259,7 +259,6 @@ def reduced_residual(
     p = params
     rt2 = math.sqrt(2.0)
     rcgm = math.sqrt(p.C * p.g * p.m)
-    kappa = current_scale(p)
     pm = periodic_matrix(params, exc, gains)
 
     res_tr = res_rot = 0.0

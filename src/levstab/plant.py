@@ -17,6 +17,7 @@ oscillate with the base; it solves the equations exactly, not approximately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -28,7 +29,6 @@ __all__ = [
     "VehicleState",
     "SteadyStateSample",
     "Trajectory",
-    "support_motion",
     "steady_state",
     "control_voltage",
     "rhs",
@@ -77,62 +77,59 @@ def current_scale(params: PhysicalParams) -> float:
     return np.sqrt(params.m * params.g / (2.0 * params.C))
 
 
-def support_motion(exc: ExcitationParams, t):
-    """Base displacement under each support: w1 = A cos(Omega t),
-    w2 = A cos(Omega t - theta).  Vectorized in t."""
-    ph = exc.Omega * np.asarray(t, dtype=float)
-    return exc.A * np.cos(ph), exc.A * np.cos(ph - exc.theta)
-
-
-@dataclass(frozen=True)
-class SteadyStateSample:
+class SteadyStateSample(NamedTuple):
     """Exact periodic steady state evaluated at given instants.
 
-    Gaps follow the base motion (the body stays at z0), currents are
-    proportional to the gaps with slope sqrt(m*g/2C), and voltages are the
-    resistive drop R*I.  All rates are analytic derivatives.
+    The body stays at z0, so the gaps follow the base motion w; currents are
+    the ones that hold the gaps there and voltages are the resistive drop
+    R*I.  All rates are analytic derivatives.  Fields are floats or arrays,
+    like the t they were evaluated at.
     """
 
-    t: np.ndarray
-    gap1: np.ndarray
-    gap2: np.ndarray
-    gap1_rate: np.ndarray
-    gap2_rate: np.ndarray
-    I1: np.ndarray
-    I2: np.ndarray
-    I1_rate: np.ndarray
-    I2_rate: np.ndarray
-    U1: np.ndarray
-    U2: np.ndarray
+    t: Any
+    w1: Any
+    w2: Any
+    gap1: Any
+    gap2: Any
+    gap1_rate: Any
+    gap2_rate: Any
+    I1: Any
+    I2: Any
+    I1_rate: Any
+    I2_rate: Any
+    U1: Any
+    U2: Any
 
 
-def steady_state(params: PhysicalParams, exc: ExcitationParams, t) -> SteadyStateSample:
-    """Evaluate the exact steady state at time(s) t.
+def steady_state(
+    params: PhysicalParams, exc: ExcitationParams, t, hyb: HybridParams | None = None
+) -> SteadyStateSample:
+    """Evaluate the exact steady state at time(s) t, a float or an array.
 
-    Delta_ss,i = z0 - w_i(t); I_ss = sqrt(m g / 2C) * Delta_ss; U_ss = R I_ss.
-    Substituted back into the plant equations these leave zero residuals for
-    every t, every A < z0 and every theta.
+    The base moves by w1 = A cos(Omega t), w2 = A cos(Omega t - theta), so
+    Delta_ss,i = z0 - w_i; I_ss = sqrt(m g / 2C) * Delta_ss and U_ss = R I_ss.
+    With ``hyb`` the currents are those of the hybrid plant,
+    kappa*(Delta_ss + beta) - gamma.  Substituted back into the plant
+    equations these leave zero residuals for every t, every A < z0 and every
+    theta.  This is the one place that evaluates the base motion.
     """
-    t = np.asarray(t, dtype=float)
-    w1, w2 = support_motion(exc, t)
+    ph = exc.Omega * t
+    w1 = exc.A * np.cos(ph)
+    w2 = exc.A * np.cos(ph - exc.theta)
     d1 = params.z0 - w1
     d2 = params.z0 - w2
-    ph = exc.Omega * t
     d1dot = exc.A * exc.Omega * np.sin(ph)
     d2dot = exc.A * exc.Omega * np.sin(ph - exc.theta)
     kappa = current_scale(params)
+    if hyb is None:
+        i1, i2 = kappa * d1, kappa * d2
+        u1, u2 = params.R * kappa * d1, params.R * kappa * d2
+    else:
+        i1 = kappa * (d1 + hyb.beta) - hyb.gamma
+        i2 = kappa * (d2 + hyb.beta) - hyb.gamma
+        u1, u2 = params.R * i1, params.R * i2
     return SteadyStateSample(
-        t=t,
-        gap1=d1,
-        gap2=d2,
-        gap1_rate=d1dot,
-        gap2_rate=d2dot,
-        I1=kappa * d1,
-        I2=kappa * d2,
-        I1_rate=kappa * d1dot,
-        I2_rate=kappa * d2dot,
-        U1=params.R * kappa * d1,
-        U2=params.R * kappa * d2,
+        t, w1, w2, d1, d2, d1dot, d2dot, i1, i2, kappa * d1dot, kappa * d2dot, u1, u2
     )
 
 
@@ -145,16 +142,16 @@ def control_voltage(gains: ControlGains, delta, delta_dot, ss: SteadyStateSample
     return u1, u2
 
 
-def _gaps(state, t, params: PhysicalParams, exc: ExcitationParams):
+def _gaps(state, params: PhysicalParams, ss: SteadyStateSample):
+    """Airgaps and their rates for state rows (z, zdot, phi, phidot, ...)
+    over the base motion recorded in ss."""
     z, zdot, phi, phidot = state[0], state[1], state[2], state[3]
-    w1, w2 = support_motion(exc, t)
     half = 0.5 * params.L
-    d1 = z + half * phi - w1
-    d2 = z - half * phi - w2
-    ph = exc.Omega * t
-    # d/dt of w enters the gap rates with opposite sign
-    d1dot = zdot + half * phidot + exc.A * exc.Omega * np.sin(ph)
-    d2dot = zdot - half * phidot + exc.A * exc.Omega * np.sin(ph - exc.theta)
+    d1 = z + half * phi - ss.w1
+    d2 = z - half * phi - ss.w2
+    # the steady gap rate is -w', which is how the base enters the gap rates
+    d1dot = zdot + half * phidot + ss.gap1_rate
+    d2dot = zdot - half * phidot + ss.gap2_rate
     return d1, d2, d1dot, d2dot
 
 
@@ -167,11 +164,11 @@ def rhs(state, t, params: PhysicalParams, exc: ExcitationParams, gains: ControlG
     1/gap^2 singularity.
     """
     z, zdot, phi, phidot, i1, i2 = state
-    d1, d2, d1dot, d2dot = _gaps(state, t, params, exc)
+    ss = steady_state(params, exc, t)
+    d1, d2, d1dot, d2dot = _gaps(state, params, ss)
     floor = _EVAL_FLOOR_FRACTION * params.z0
     d1e = d1 if d1 > floor else floor
     d2e = d2 if d2 > floor else floor
-    ss = steady_state(params, exc, t)
     u1, u2 = control_voltage(gains, (d1, d2), (d1dot, d2dot), ss)
     f1 = params.C * i1 * i1 / (d1e * d1e)
     f2 = params.C * i2 * i2 / (d2e * d2e)
@@ -206,13 +203,9 @@ def rhs_hybrid(
     physical gap error.  With beta = gamma = 0 this reduces to :func:`rhs`.
     """
     z, zdot, phi, phidot, i1, i2 = state
-    d1, d2, d1dot, d2dot = _gaps(state, t, params, exc)
-    ss = steady_state(params, exc, t)
-    kappa = current_scale(params)
-    iss1 = kappa * (ss.gap1 + hyb.beta) - hyb.gamma
-    iss2 = kappa * (ss.gap2 + hyb.beta) - hyb.gamma
-    u1 = params.R * iss1 + gains.Kp * (d1 - ss.gap1) + gains.Kd * (d1dot - ss.gap1_rate)
-    u2 = params.R * iss2 + gains.Kp * (d2 - ss.gap2) + gains.Kd * (d2dot - ss.gap2_rate)
+    ss = steady_state(params, exc, t, hyb)
+    d1, d2, d1dot, d2dot = _gaps(state, params, ss)
+    u1, u2 = control_voltage(gains, (d1, d2), (d1dot, d2dot), ss)
     # same trial-stage floor as rhs, on the effective gap Delta + beta
     floor = _EVAL_FLOOR_FRACTION * (params.z0 + hyb.beta)
     e1 = d1 + hyb.beta
@@ -255,18 +248,10 @@ def steady_vehicle_state(
     t: float = 0.0,
     hyb: HybridParams | None = None,
 ) -> VehicleState:
-    """VehicleState on the exact steady state at time t (body at z0, no pitch).
-
-    The hybrid plant's steady currents are kappa*(Delta_ss + beta) - gamma.
-    """
-    ss = steady_state(params, exc, t)
-    if hyb is None:
-        i1, i2 = ss.I1, ss.I2
-    else:
-        kappa = current_scale(params)
-        i1 = kappa * (ss.gap1 + hyb.beta) - hyb.gamma
-        i2 = kappa * (ss.gap2 + hyb.beta) - hyb.gamma
-    return VehicleState(params.z0, 0.0, 0.0, 0.0, float(i1), float(i2))
+    """VehicleState on the exact steady state at time t (body at z0, no pitch),
+    with the hybrid plant's currents when ``hyb`` is given."""
+    ss = steady_state(params, exc, t, hyb)
+    return VehicleState(params.z0, 0.0, 0.0, 0.0, float(ss.I1), float(ss.I2))
 
 
 @dataclass
@@ -313,16 +298,16 @@ def integrate(
     """
     if mode not in ("standard", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
+    if (mode == "hybrid") != (hyb is not None):
+        raise ValueError("HybridParams go with mode 'hybrid' and only with it")
     if mode == "hybrid":
-        if hyb is None:
-            raise ValueError("hybrid mode needs HybridParams")
         fun = lambda t, y: rhs_hybrid(y, t, params, exc, gains, hyb)
     else:
         fun = lambda t, y: rhs(y, t, params, exc, gains)
     contact = CLOSURE_FRACTION * params.z0
 
     def gap_closure(t, y):
-        d1, d2, _, _ = _gaps(y, t, params, exc)
+        d1, d2, _, _ = _gaps(y, params, steady_state(params, exc, t))
         return min(d1, d2) - contact
 
     gap_closure.terminal = True
@@ -355,10 +340,7 @@ def integrate(
         if t.size == 0 or t_ev > t[-1]:
             t = np.append(t, t_ev)
             states = np.vstack([states, sol.y_events[0][0]])
-    w1, w2 = support_motion(exc, t)
-    half = 0.5 * params.L
-    gap1 = states[:, 0] + half * states[:, 2] - w1
-    gap2 = states[:, 0] - half * states[:, 2] - w2
+    gap1, gap2, _, _ = _gaps(states.T, params, steady_state(params, exc, t))
     meta = {
         "method": METHOD,
         "rtol": rtol,

@@ -249,6 +249,25 @@ def test_cli_steady_state(tmp_path, capsys):
     assert len(doc["samples"]["t"]) == 201
 
 
+def test_cli_steady_state_hybrid(tmp_path, capsys):
+    """With a hybrid config the export holds the hybrid plant's steady
+    currents, the ones simulate starts from, not the standard plant's."""
+    from levstab import steady_vehicle_state
+
+    cfgp = _write(tmp_path, {**B0_DOC, "hybrid": {"beta": 0.01}})
+    out = tmp_path / "ss"
+    assert main(["steady-state", "--config", cfgp, "--out", str(out)]) == EXIT_OK
+    with open(out / "steady_state.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cfg = load_config(cfgp)
+    start = steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
+    assert float(rows[0]["t"]) == 0.0
+    assert float(rows[0]["I1"]) == start.I1
+    assert float(rows[0]["I2"]) == start.I2
+    assert float(rows[0]["U1"]) == pytest.approx(9.71 * start.I1, rel=1e-12)
+    assert f"I1 = {start.I1:.6g} A" in capsys.readouterr().out
+
+
 def test_cli_resonance_chart(tmp_path, capsys):
     out = tmp_path / "chart"
     rc = main(["resonance-chart", "--out", str(out)])
@@ -457,6 +476,9 @@ GAINS_ARGS = ["--kp", "10600", "--kd", "3000"]
         (["simulate", *GAINS_ARGS, "--periods", "-1"], None),
         (["simulate", *GAINS_ARGS, "--periods", "inf"], None),
         (["simulate", *GAINS_ARGS, "--periods", "nan"], None),
+        (["map", "--format", "csv"], None),
+        (["validate", "--format", "json"], None),
+        (["simulate", *GAINS_ARGS, "--format", "csv"], None),
     ],
     ids=[
         "kp-flag-nan",
@@ -471,12 +493,24 @@ GAINS_ARGS = ["--kp", "10600", "--kd", "3000"]
         "periods-negative",
         "periods-inf",
         "periods-nan",
+        "map-format",
+        "validate-format",
+        "simulate-format",
     ],
 )
 def test_cli_rejects_nonfinite_input(tmp_path, capsys, argv, doc):
-    """Non-finite numbers and a non-positive duration are bad input at every
-    entry point: exit 2 with an error line, never a hang or a traceback."""
+    """Non-finite numbers, a non-positive duration and --format on a command
+    with a single output format are bad input at every entry point: exit 2
+    with an error line, never a hang or a traceback."""
     if doc is not None:
         argv = [*argv, "--config", _write(tmp_path, doc)]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    try:
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+    except SystemExit as stop:
+        # argparse rejects an option the subcommand does not take, with its
+        # own usage line ahead of the error line
+        assert stop.code == EXIT_BAD_INPUT
+        assert "error: unrecognized arguments: --format" in capsys.readouterr().err
+        return
+    assert rc == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")

@@ -339,10 +339,11 @@ def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):
     smap = sweep(b0, exc_quarter, (10000.0, 11000.0), (2000.0, 2100.0), 2, 2,
                  workers=1)
     path = tmp_path / "meta.json"
-    write_map_metadata(smap, path, b0, exc_quarter, version="x.y.z")
+    config = {"physical": {"m": b0.m}}
+    write_map_metadata(smap, path, exc_quarter, "x.y.z", config)
     doc = json.loads(path.read_text())
     assert doc["grid"]["nx"] == 2 and doc["grid"]["ny"] == 2
-    assert doc["physical"]["m"] == b0.m
+    assert doc["config"] == config and "physical" not in doc
     assert doc["excitation"]["Omega"] == exc_quarter.Omega
     assert doc["version"] == "x.y.z"
     assert doc["grid"]["rtol"] == 1e-10

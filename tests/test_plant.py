@@ -21,7 +21,6 @@ from levstab import (
     rhs_hybrid,
     steady_state,
     steady_vehicle_state,
-    support_motion,
     write_trajectory_csv,
 )
 from levstab.boundaries import all_ellipses, h0_gain
@@ -32,12 +31,14 @@ GAINS = ControlGains(Kp=10600.0, Kd=3000.0)  # inside the stable wedge at B0
 
 def test_support_motion_reference_phases(b0):
     e0 = ExcitationParams(A=0.005, Omega=80.0, theta=0.0)
-    assert support_motion(e0, 0.0) == pytest.approx((0.005, 0.005))
+    ss = steady_state(b0, e0, 0.0)
+    assert (ss.w1, ss.w2) == pytest.approx((0.005, 0.005))
     ep = ExcitationParams(A=0.005, Omega=80.0, theta=math.pi)
-    w1, w2 = support_motion(ep, 0.0)
-    assert (w1, w2) == pytest.approx((0.005, -0.005))
+    ss = steady_state(b0, ep, 0.0)
+    assert (ss.w1, ss.w2) == pytest.approx((0.005, -0.005))
     eq = ExcitationParams(A=0.005, Omega=80.0, theta=math.pi / 2)
-    w1, w2 = support_motion(eq, math.pi / 160.0)  # Omega*t = pi/2
+    ss = steady_state(b0, eq, math.pi / 160.0)  # Omega*t = pi/2
+    w1, w2 = ss.w1, ss.w2
     assert w1 == pytest.approx(0.0, abs=1e-18)
     assert w2 == pytest.approx(0.005, rel=1e-12)
 
@@ -279,3 +280,15 @@ def test_negative_current_flagged(b0, exc_quarter):
     y0[4] = -1.0
     traj = integrate(VehicleState(*y0), (0.0, 0.05), b0, exc_quarter, GAINS)
     assert traj.meta["negative_current"]
+
+
+def test_integrate_rejects_mode_hyb_mismatch(b0, exc_quarter):
+    """HybridParams without mode='hybrid' would silently run the standard
+    plant; mode='hybrid' without them has no plant to run."""
+    hyb = HybridParams(beta=0.01, gamma=hybrid_gamma(b0, 0.01))
+    start = steady_vehicle_state(b0, exc_quarter, 0.0, hyb)
+    span = (0.0, exc_quarter.period)
+    with pytest.raises(ValueError, match="hybrid"):
+        integrate(start, span, b0, exc_quarter, GAINS, hyb=hyb)
+    with pytest.raises(ValueError, match="hybrid"):
+        integrate(start, span, b0, exc_quarter, GAINS, mode="hybrid")
