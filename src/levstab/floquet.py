@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .linearized import periodic_matrix
+from .linearized import CURRENT_ROWS, periodic_matrix
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import write_csv, write_json
 from .plant import ATOL, METHOD, RTOL
@@ -42,6 +42,21 @@ MAP_CSV_HEADER = "Kp,Kd,class,max_mu_abs"
 
 REAL_TOL = 1e-9  # |Im mu| below this (scaled) counts as a real multiplier
 EPS = 1e-6  # |mu| within EPS of 1 is classed marginal
+MAX_NFEV = 10_000  # RHS budget of one monodromy: 26x the default windows need, 14x the battery
+
+# sweep's batched engine: classical RK4 on shared nodes, step count doubled
+# from RK4_STEPS to RK4_MAX_STEPS until the Richardson estimate of max|mu|
+# stays within RK4_TOL * max(1, max|mu|) and det M passes the Liouville check
+RK4_STEPS = 200
+RK4_MAX_STEPS = 1600
+RK4_TOL = 1e-9
+# det M of an accepted cell lies within DET_TOL (relative) of the Liouville
+# value; its error is set by the fastest-decaying modes, not by max|mu|
+DET_TOL = 1e-8
+# a batched cell whose max|mu| lies within this many error estimates of a
+# class edge 1 +/- EPS is recomputed by monodromy
+GUARD = 10.0
+ENGINE = "RK4 (Richardson-checked) + DOP853 fallback"
 
 
 class FloquetError(RuntimeError):
@@ -76,11 +91,22 @@ def monodromy(
 
     The six canonical columns are propagated together as a single 36-state
     system; this evaluates A(t) once per step instead of six times, which
-    matters for grid sweeps, and yields the same columns as six separate
-    runs at the package tolerances.
+    matters for the boundary scans, and yields the same columns as six
+    separate runs at the package tolerances.  Raises ``FloquetError`` when
+    the integration fails or needs more than MAX_NFEV RHS evaluations.
     """
     pm = periodic_matrix(params, exc, gains, hyb=hyb)
-    fun = lambda t, y: (pm.at(t) @ y.reshape(6, 6)).ravel()
+    nfev = 0
+
+    def fun(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_NFEV:
+            raise FloquetError(
+                f"monodromy at Kp={gains.Kp!r}, Kd={gains.Kd!r} exceeded {MAX_NFEV} RHS evaluations"
+            )
+        return (pm.at(t) @ y.reshape(6, 6)).ravel()
+
     sol = solve_ivp(
         fun,
         (0.0, pm.period),
@@ -110,12 +136,18 @@ def classify(result: MonodromyResult) -> str:
     positive) and parametric-oscillatory (real negative, i.e. period
     doubling, or a complex pair).
     """
-    mu_max = result.max_modulus
+    return _class_of(result.multipliers)
+
+
+def _class_of(mu: np.ndarray) -> str:
+    """The class ``classify`` gives a set of multipliers."""
+    moduli = np.abs(mu)
+    mu_max = float(np.max(moduli))
     if mu_max < 1.0 - EPS:
         return "stable"
     if mu_max <= 1.0 + EPS:
         return "marginal"
-    dom = result.dominant
+    dom = complex(mu[int(np.argmax(moduli))])
     if abs(dom.imag) <= REAL_TOL * max(1.0, abs(dom)) and dom.real > 0.0:
         return "divergence"
     return "parametric-oscillatory"
@@ -174,23 +206,167 @@ class StabilityMap:
     meta: dict = field(default_factory=dict)
 
 
-def _sweep_cell(
+def _propagate(
+    a: np.ndarray, g: np.ndarray, kp: np.ndarray, kd: np.ndarray, steps: int, period: float
+) -> np.ndarray:
+    """Monodromy matrices of every cell (kp[c], kd[c]) by classical RK4 in
+    ``steps`` steps over one period, on the nodes of ``PeriodicMatrix.table``
+    (``a`` at zero gains, ``g``; its node count must be a multiple of
+    2*steps).
+
+    The cells advance together as one (6, N, 6) stack, x[i, c, j] = M_c[i, j].
+    The product with A is summed entry by entry in a fixed order, so a cell's
+    arithmetic, and with it its result, does not depend on which other cells
+    share the stack.  Returns the matrices as an (N, 6, 6) array.
+    """
+    stride = (len(a) - 1) // (2 * steps)
+    kp, kd = kp[:, None], kd[:, None]
+    # per row, its nonzero columns over the period, each with the
+    # (support, gains) that add to it at CURRENT_ROWS
+    added = {}
+    for s, (row, cp, cd) in enumerate(CURRENT_ROWS):
+        added[row, cp], added[row, cd] = (s, kp), (s, kd)
+    terms = [
+        [
+            (col, added.get((i, col)))
+            for col in range(6)
+            if (i, col) in added or np.any(a[:, i, col])
+        ]
+        for i in range(6)
+    ]
+
+    def coefficients(node: int) -> list:
+        """Per row, (column, coefficient) pairs; a coefficient is a float,
+        or an (N, 1) column where the gains enter."""
+        an, gn = a[node].tolist(), g[node]
+        return [
+            [
+                (col, an[i][col] if add is None else an[i][col] + add[1] * gn[add[0]])
+                for col, add in row
+            ]
+            for i, row in enumerate(terms)
+        ]
+
+    x = np.zeros((6, kp.shape[0], 6))
+    for i in range(6):
+        x[i, :, i] = 1.0
+    k, acc, y = (np.empty_like(x) for _ in range(3))
+    tmp = np.empty_like(x[0])
+    # row views of the stage buffers, made once
+    x_rows, y_rows, k_rows = list(x), list(y), list(k)
+
+    def derivative(coef: list, rows: list) -> None:
+        """k = A rows, A given by its coefficients at one node."""
+        for out, ((k0, c0), *rest) in zip(k_rows, coef):
+            np.multiply(c0, rows[k0], out=out)
+            for col, c in rest:
+                np.multiply(c, rows[col], out=tmp)
+                out += tmp
+
+    h = period / steps
+    last = coefficients(0)
+    for j in range(steps):
+        first = last
+        mid, last = coefficients((2 * j + 1) * stride), coefficients((2 * j + 2) * stride)
+        derivative(first, x_rows)
+        np.copyto(acc, k)
+        np.multiply(k, 0.5 * h, out=y)
+        y += x
+        derivative(mid, y_rows)
+        np.multiply(k, 0.5 * h, out=y)
+        y += x
+        k *= 2.0
+        acc += k
+        derivative(mid, y_rows)
+        np.multiply(k, h, out=y)
+        y += x
+        k *= 2.0
+        acc += k
+        derivative(last, y_rows)
+        acc += k
+        acc *= h / 6.0
+        x += acc
+    return x.transpose(1, 0, 2).copy()
+
+
+def _batched_cells(
     params: PhysicalParams,
     exc: ExcitationParams,
-    kp: float,
-    kd: float,
     hyb: HybridParams | None,
-) -> tuple[str, float, str | None]:
-    try:
-        res = monodromy(params, exc, ControlGains(Kp=kp, Kd=kd), hyb=hyb)
-        return classify(res), res.max_modulus, None
-    except Exception as err:  # per-cell capture: the sweep must finish
-        return "error", float("nan"), f"{type(err).__name__}: {err}"
+    kp: np.ndarray,
+    kd: np.ndarray,
+) -> tuple[list, dict]:
+    """Classify the gain cells (kp[c], kd[c]) with the batched RK4 engine.
 
+    Every cell is propagated at RK4_STEPS and at half that on one node
+    table.  A cell is accepted once its Richardson estimate
+    |max|mu|(n) - max|mu|(n/2)| / 15 is within RK4_TOL * max(1, max|mu|),
+    det M is within DET_TOL of the Liouville value exp(-R (z0 + beta) T / C),
+    and its class at n equals that at n/2; the others are run again at
+    twice the steps, up to RK4_MAX_STEPS.  A cell goes to the scalar
+    ``monodromy`` (DOP853) when its matrix is not finite, when it is still
+    not accepted at the cap, or when its max|mu| lies within GUARD estimates
+    of a class edge 1 +/- EPS (or within RK4_TOL, how closely the two
+    engines agree); a cell whose ``monodromy`` fails is classed 'error' and
+    never aborts the batch.
 
-def _sweep_row(args) -> list[tuple[str, float, str | None]]:
-    params, exc, kp, kd_values, hyb = args
-    return [_sweep_cell(params, exc, kp, kd, hyb) for kd in kd_values]
+    Returns one (class, max|mu|, error message or None) per cell, and
+    statistics: cells accepted per step count, fallback cells, the largest
+    Richardson estimate (relative to max(1, max|mu|)) and the largest
+    relative det M error.
+    """
+    pm = periodic_matrix(params, exc, ControlGains(Kp=0.0, Kd=0.0), hyb=hyb)
+    det_exact = np.exp(-params.R * (params.z0 + pm.gap_offset) * pm.period / params.C)
+    out: list = [None] * kp.size
+    stats = {"steps": {}, "fallback": 0, "richardson_max": 0.0, "det_rel_err_max": 0.0}
+    fallback = []
+    pending = np.arange(kp.size)
+    steps = RK4_STEPS
+    with np.errstate(all="ignore"):
+        a, g = pm.table(2 * steps)
+        coarse = _propagate(a, g, kp, kd, steps // 2, pm.period)
+        while pending.size:
+            if steps > RK4_STEPS:
+                a, g = pm.table(2 * steps)
+            fine = _propagate(a, g, kp[pending], kd[pending], steps, pm.period)
+            finite = np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(coarse).all(axis=(1, 2))
+            fallback += list(pending[~finite])
+            pending, coarse, fine = pending[finite], coarse[finite], fine[finite]
+            mu_coarse, mu_fine = np.linalg.eigvals(coarse), np.linalg.eigvals(fine)
+            top = np.abs(mu_fine).max(axis=1)
+            scale = np.maximum(1.0, top)
+            est = np.abs(top - np.abs(mu_coarse).max(axis=1)) / 15.0 / scale
+            det_err = np.abs(np.linalg.det(fine) / det_exact - 1.0)
+            edge_gap = np.minimum(np.abs(top - (1.0 - EPS)), np.abs(top - (1.0 + EPS)))
+            margin = np.maximum(GUARD * est, RK4_TOL) * scale
+            retry = []
+            for r, c in enumerate(pending):
+                cls = _class_of(mu_fine[r])
+                if est[r] > RK4_TOL or det_err[r] > DET_TOL or cls != _class_of(mu_coarse[r]):
+                    retry.append(r)
+                elif edge_gap[r] <= margin[r]:
+                    fallback.append(c)
+                else:
+                    out[c] = (cls, float(top[r]), None)
+                    stats["steps"][steps] = stats["steps"].get(steps, 0) + 1
+                    stats["richardson_max"] = max(stats["richardson_max"], float(est[r]))
+                    stats["det_rel_err_max"] = max(stats["det_rel_err_max"], float(det_err[r]))
+            if steps >= RK4_MAX_STEPS:
+                fallback += list(pending[retry])
+                break
+            pending, coarse = pending[retry], fine[retry]
+            steps *= 2
+    for c in sorted(fallback):
+        stats["fallback"] += 1
+        try:
+            res = monodromy(params, exc, ControlGains(Kp=float(kp[c]), Kd=float(kd[c])), hyb=hyb)
+        except Exception as err:  # per-cell capture: the sweep must finish
+            out[c] = ("error", float("nan"), f"{type(err).__name__}: {err}")
+            continue
+        out[c] = (classify(res), res.max_modulus, None)
+        det_err = abs(float(np.linalg.det(res.matrix)) / det_exact - 1.0)
+        stats["det_rel_err_max"] = max(stats["det_rel_err_max"], det_err)
+    return out, stats
 
 
 def sweep(
@@ -205,36 +381,35 @@ def sweep(
 ) -> StabilityMap:
     """Classify an nx-by-ny gain grid.
 
-    Cells are independent; with more than one worker the rows are evaluated
-    in a process pool and written back at their grid indices, so the output
-    is deterministic regardless of scheduling.
+    The cells, Kp outer and Kd inner, are split into one contiguous chunk
+    per worker and each chunk is classified by the batched engine
+    (``_batched_cells``); with more than one chunk the chunks run in a
+    process pool.  A cell's result does not depend on its chunk, so the
+    output is the same for every worker count.
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
     kp = np.linspace(Kp_range[0], Kp_range[1], nx)
     kd = np.linspace(Kd_range[0], Kd_range[1], ny)
-    classes = np.empty((nx, ny), dtype=object)
-    max_mu = np.full((nx, ny), np.nan)
-    errors: list[tuple[int, int, str]] = []
-
-    workers = resolve_workers(workers)
-    row_args = [(params, exc, kp[i], kd, hyb) for i in range(nx)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, nx)) as pool:
-            rows = list(pool.map(_sweep_row, row_args))
+    cells_kp, cells_kd = np.repeat(kp, ny), np.tile(kd, nx)
+    bounds = np.linspace(0, nx * ny, min(resolve_workers(workers), nx * ny) + 1).astype(int)
+    chunks = [
+        (params, exc, hyb, cells_kp[lo:hi], cells_kd[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+    ]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(_batched_cells, *zip(*chunks)))
     else:
-        rows = [_sweep_row(a) for a in row_args]
-    for i, row in enumerate(rows):
-        for j, (cls, mu, err) in enumerate(row):
-            classes[i, j] = cls
-            max_mu[i, j] = mu
-            if err is not None:
-                errors.append((i, j, err))
+        results = [_batched_cells(*chunks[0])]
+    cells = [cell for part, _ in results for cell in part]
+    stats = [st for _, st in results]
+    steps = sorted({n for st in stats for n in st["steps"]})
+    errors = [(*divmod(c, ny), err) for c, (_, _, err) in enumerate(cells) if err is not None]
     return StabilityMap(
         kp=kp,
         kd=kd,
-        classes=classes,
-        max_mu=max_mu,
+        classes=np.array([cls for cls, _, _ in cells], dtype=object).reshape(nx, ny),
+        max_mu=np.array([mu for _, mu, _ in cells]).reshape(nx, ny),
         errors=errors,
         meta={
             "Kp_range": list(Kp_range),
@@ -244,8 +419,14 @@ def sweep(
             "eps": EPS,
             "rtol": RTOL,
             "atol": ATOL,
-            "method": METHOD,
-            "workers": workers,
+            "method": ENGINE,
+            "rk4_cells_by_steps": {
+                str(n): sum(st["steps"].get(n, 0) for st in stats) for n in steps
+            },
+            "fallback_cells": sum(st["fallback"] for st in stats),
+            "richardson_max": max(st["richardson_max"] for st in stats),
+            "det_rel_err_max": max(st["det_rel_err_max"] for st in stats),
+            "workers": len(chunks),
             "hybrid_beta": None if hyb is None else hyb.beta,
         },
     )

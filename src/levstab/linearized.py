@@ -51,6 +51,13 @@ __all__ = [
 ]
 
 
+# flat indices of the nonzero entries of A(t): the two rate rows, the
+# force-balance rows (1, 4) and the current rows (2, 5)
+_NONZERO = np.array([1, 6, 8, 9, 11, 12, 13, 14, 22, 24, 26, 27, 29, 33, 34, 35])
+# per support: its current row and the gap and gap-rate columns the gains act on
+CURRENT_ROWS = ((2, 0, 1), (5, 3, 4))
+
+
 class PeriodicMatrix:
     """Evaluator of the 6x6 coefficient matrix A(t), periodic with T = 2pi/Omega."""
 
@@ -67,6 +74,9 @@ class PeriodicMatrix:
         self.gap_offset = gap_offset
         self.period = exc.period
         self._kappa = current_scale(params)
+        self._twoC = 2.0 * params.C
+        self._kp_2C = gains.Kp / self._twoC
+        self._kd_2C = gains.Kd / self._twoC
         # joint solve of the two force-balance rows for the accelerations:
         # [m/2, m/2; 2J/L^2, -2J/L^2] [d1''; d2''] = [G1+G2; G1-G2]
         m, J, L = params.m, params.J, params.L
@@ -83,38 +93,53 @@ class PeriodicMatrix:
 
     def at(self, t: float) -> np.ndarray:
         """Coefficient matrix at time t."""
-        p = self.params
-        ss = steady_state(p, self.exc, t)
-        out = np.zeros((6, 6))
+        ss = steady_state(self.params, self.exc, t)
         off = self.gap_offset
         d = (float(ss.gap1) + off, float(ss.gap2) + off)
         ddot = (float(ss.gap1_rate), float(ss.gap2_rate))
-        iss = (self._kappa * d[0], self._kappa * d[1])
+        out = np.zeros(36)
+        out[_NONZERO] = self._entries(d, ddot)
+        return out.reshape(6, 6)
+
+    def table(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """A(t) at this matrix's gains and the gain scale d_i/2C at the
+        nodes t_k = k T/count, k = 0..count, from one vectorized steady-state
+        evaluation and the assembly ``at`` uses.
+
+        Returns ``(a, g)`` with ``a[k]`` the 6x6 matrix at t_k and ``g[k, i]``
+        support i's d_i/2C, the entry per unit gain at ``CURRENT_ROWS``: A at
+        gains (Kp + dKp, Kd + dKd) adds dKp*g_i at (row, gap column) and
+        dKd*g_i at (row, gap-rate column).
+        """
+        t = np.arange(count + 1) * (self.period / count)
+        ss = steady_state(self.params, self.exc, t)
+        d = (ss.gap1 + self.gap_offset, ss.gap2 + self.gap_offset)
+        ddot = (ss.gap1_rate, ss.gap2_rate)
+        a = np.zeros((t.size, 36))
+        a[:, _NONZERO] = np.stack(np.broadcast_arrays(*self._entries(d, ddot)), axis=-1)
+        g = np.stack(d, axis=-1) / self._twoC
+        return a.reshape(-1, 6, 6), g
+
+    def _entries(self, d, ddot) -> tuple:
+        """The nonzero entries of A, in ``_NONZERO`` order, for the gaps
+        d = (d1, d2) and gap rates ddot = (d1', d2'), floats or arrays alike."""
+        (d1, d2), (r1, r2) = d, ddot
+        twoC, R = self._twoC, self.params.R
+        i1, i2 = self._kappa * d1, self._kappa * d2  # steady currents
+        s1, s2 = d1**2, d2**2
         # gradients of the force perturbations G_i, per support
-        ca = (
-            2.0 * p.C * iss[0] ** 2 / d[0] ** 3,
-            2.0 * p.C * iss[1] ** 2 / d[1] ** 3,
+        ca1, ca2 = twoC * i1**2 / d1**3, twoC * i2**2 / d2**3
+        cb1, cb2 = twoC * i1 / s1, twoC * i2 / s2
+        w11, w12, w21, w22 = self._w11, self._w12, self._w21, self._w22
+        kp, kd = self._kp_2C, self._kd_2C
+        return (
+            1.0,
+            w11 * ca1, -w11 * cb1, w12 * ca2, -w12 * cb2,
+            kp * d1 - r1 * i1 / s1, (kd + i1 / s1) * d1, -(R * s1 - twoC * r1) / (twoC * d1),
+            1.0,
+            w21 * ca1, -w21 * cb1, w22 * ca2, -w22 * cb2,
+            kp * d2 - r2 * i2 / s2, (kd + i2 / s2) * d2, -(R * s2 - twoC * r2) / (twoC * d2),
         )
-        cb = (
-            2.0 * p.C * iss[0] / d[0] ** 2,
-            2.0 * p.C * iss[1] / d[1] ** 2,
-        )
-        out[0, 1] = 1.0
-        out[1, 0] = self._w11 * ca[0]
-        out[1, 2] = -self._w11 * cb[0]
-        out[1, 3] = self._w12 * ca[1]
-        out[1, 5] = -self._w12 * cb[1]
-        out[3, 4] = 1.0
-        out[4, 0] = self._w21 * ca[0]
-        out[4, 2] = -self._w21 * cb[0]
-        out[4, 3] = self._w22 * ca[1]
-        out[4, 5] = -self._w22 * cb[1]
-        twoC = 2.0 * p.C
-        for row, k in ((2, 0), (5, 1)):
-            out[row, 3 * k] = self.gains.Kp / twoC * d[k] - ddot[k] * iss[k] / d[k] ** 2
-            out[row, 3 * k + 1] = (self.gains.Kd / twoC + iss[k] / d[k] ** 2) * d[k]
-            out[row, 3 * k + 2] = -(p.R * d[k] ** 2 - twoC * ddot[k]) / (twoC * d[k])
-        return out
 
 
 def periodic_matrix(

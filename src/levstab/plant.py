@@ -49,6 +49,7 @@ METHOD = "DOP853"
 RTOL = 1e-10
 ATOL = 1e-12
 SAMPLES_PER_PERIOD = 200  # integrate()'s default output grid
+_GAP_BLOCK = 1024  # samples per steady-state evaluation in integrate()'s gap columns
 
 # integrate() declares contact when a gap falls below this fraction of the
 # nominal one; rhs denominators are floored at the tighter _EVAL fraction so
@@ -340,7 +341,15 @@ def integrate(
         if t.size == 0 or t_ev > t[-1]:
             t = np.append(t, t_ev)
             states = np.vstack([states, sol.y_events[0][0]])
-    gap1, gap2, _, _ = _gaps(states.T, params, steady_state(params, exc, t))
+    # the gap columns, a block of samples at a time, so that the steady-state
+    # record never spans the whole output grid
+    gaps = np.empty((2, t.size))
+    for lo in range(0, t.size, _GAP_BLOCK):
+        block = slice(lo, lo + _GAP_BLOCK)
+        gaps[0, block], gaps[1, block], _, _ = _gaps(
+            states[block].T, params, steady_state(params, exc, t[block])
+        )
+    gap1, gap2 = gaps
     meta = {
         "method": METHOD,
         "rtol": rtol,

@@ -4,10 +4,16 @@ exit codes and file products."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levstab
 from levstab import ControlGains, all_ellipses, monodromy
 from levstab.cli import (
     DEFAULT_CONFIG,
@@ -229,6 +235,27 @@ def test_cli_map_cell_errors_exit_code(tmp_path, monkeypatch, capsys):
     assert "cell(s) failed" in capsys.readouterr().err
     meta = json.loads((tmp_path / "map_meta.json").read_text())
     assert meta["cell_errors"] == [[0, 0, "synthetic failure"]]
+
+
+def test_cli_map_extreme_gains_fail_fast(tmp_path):
+    """Gains of 1e12 overflow the batched engine and exhaust monodromy's RHS
+    budget: every cell is classed 'error' and the map exits 3 within
+    seconds, with no numpy RuntimeWarning on stderr."""
+    src = Path(levstab.__file__).resolve().parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "levstab.cli", "map", "--kp", "1e12,2e12", "--kd", "1e3,2e3",
+         "--grid", "2,2", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert time.perf_counter() - start < 30.0
+    assert proc.returncode == EXIT_RUNTIME
+    assert "Warning" not in proc.stderr
+    rows = (tmp_path / "map.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["error"] * 4
+    meta = json.loads((tmp_path / "map_meta.json").read_text())
+    assert all("RHS evaluations" in msg for _, _, msg in meta["cell_errors"])
 
 
 def test_cli_steady_state(tmp_path, capsys):

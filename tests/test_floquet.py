@@ -21,7 +21,7 @@ from levstab import (
     sweep,
     unexcited_spectrum,
 )
-from levstab.boundaries import h0_gain, static_boundary_lines
+from levstab.boundaries import default_map_window, h0_gain, static_boundary_lines
 from levstab.floquet import (
     MAP_CSV_HEADER,
     resolve_workers,
@@ -169,29 +169,84 @@ def test_sweep_grid_properties(b0, exc_still):
 
 
 def test_sweep_captures_cell_errors(monkeypatch, b0, exc_still):
-    """A failing cell is marked 'error' and the sweep still completes."""
+    """A cell whose batched result is not finite goes to monodromy; when that
+    fails too, the cell is marked 'error' and the sweep still completes."""
     import levstab.floquet as fl
 
-    real = fl.monodromy
-    target = {"hit": False}
+    real = fl._propagate
+    calls = []
 
-    def flaky(params, exc, gains, hyb=None):
-        if not target["hit"] and gains.Kp == 9000.0 and gains.Kd == 2000.0:
-            target["hit"] = True
-            raise RuntimeError("synthetic integrator failure")
-        return real(params, exc, gains, hyb=hyb)
+    def poisoned(a, g, kp, kd, steps, period):
+        m = real(a, g, kp, kd, steps, period)
+        m[(kp == 9000.0) & (kd == 2000.0)] = np.nan
+        return m
 
-    monkeypatch.setattr(fl, "monodromy", flaky)
+    def failing(params, exc, gains, hyb=None):
+        calls.append((gains.Kp, gains.Kd))
+        raise RuntimeError("synthetic integrator failure")
+
+    monkeypatch.setattr(fl, "_propagate", poisoned)
+    monkeypatch.setattr(fl, "monodromy", failing)
     smap = fl.sweep(b0, exc_still, (9000.0, 10000.0), (2000.0, 3000.0), 2, 2,
                     workers=1)
-    assert target["hit"]
+    assert calls == [(9000.0, 2000.0)]
     assert smap.classes[0, 0] == "error"
     assert math.isnan(smap.max_mu[0, 0])
     assert len(smap.errors) == 1
     i, j, msg = smap.errors[0]
     assert (i, j) == (0, 0) and "synthetic integrator failure" in msg
+    assert smap.meta["fallback_cells"] == 1
     # the other cells are classified normally
     assert smap.classes[1, 1] in {"stable", "divergence"}
+
+
+@pytest.mark.parametrize("case", ["still", "inphase", "quarter", "antiphase", "hybrid"])
+def test_batched_engine_matches_monodromy(case, b0):
+    """Every cell of a 5x5 grid over the a, b and c tongues gets the class
+    the scalar DOP853 monodromy gives and its max|mu| to 1e-9."""
+    theta = {"inphase": 0.0, "antiphase": math.pi}.get(case, math.pi / 2)
+    exc = ExcitationParams(A=0.0 if case == "still" else 0.005, Omega=80.0, theta=theta)
+    hyb = HybridParams(beta=0.01, gamma=hybrid_gamma(b0, 0.01)) if case == "hybrid" else None
+    kp_range, kd_range = default_map_window(b0, ExcitationParams(A=0.005, Omega=80.0, theta=theta))
+    smap = sweep(b0, exc, kp_range, kd_range, 5, 5, hyb=hyb, workers=1)
+    assert not smap.errors
+    for i, kp in enumerate(smap.kp):
+        for j, kd in enumerate(smap.kd):
+            ref = monodromy(b0, exc, ControlGains(kp, kd), hyb=hyb)
+            assert smap.classes[i, j] == classify(ref), (kp, kd)
+            assert abs(smap.max_mu[i, j] - ref.max_modulus) <= 1e-9 * max(1.0, ref.max_modulus)
+
+
+def test_sweep_routes_band_edge_cell_to_monodromy(monkeypatch, b0, exc_still):
+    """A cell whose max|mu| lies within the engine's margin of the class edge
+    1 + EPS is classified by monodromy.  At A = 0 the multipliers are
+    exp(lambda T), so bisection on the static spectrum places a gain there."""
+    import levstab.floquet as fl
+
+    kd = 2000.0
+
+    def excess(kp):
+        lam = unexcited_spectrum(b0, ControlGains(kp, kd)).all
+        return float(np.max(np.exp(lam.real * exc_still.period))) - (1.0 + fl.EPS)
+
+    lo, hi = h0_gain(b0) - 100.0, h0_gain(b0) + 100.0
+    assert excess(lo) > 0.0 > excess(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    edge = lo
+    real = fl.monodromy
+    calls = []
+
+    def counting(params, exc, gains, hyb=None):
+        calls.append((gains.Kp, gains.Kd))
+        return real(params, exc, gains, hyb=hyb)
+
+    monkeypatch.setattr(fl, "monodromy", counting)
+    smap = fl.sweep(b0, exc_still, (edge, edge + 2000.0), (kd, kd + 500.0), 2, 2, workers=1)
+    assert (edge, kd) in calls
+    assert smap.meta["fallback_cells"] == len(calls) < 4
+    assert smap.classes[0, 0] == classify(real(b0, exc_still, ControlGains(edge, kd)))
 
 
 def test_sweep_islands_follow_phase(b0):
@@ -348,5 +403,10 @@ def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):
     assert doc["version"] == "x.y.z"
     assert doc["grid"]["rtol"] == 1e-10
     assert (doc["grid"]["atol"], doc["grid"]["eps"]) == (1e-12, 1e-6)
-    assert (doc["grid"]["method"], doc["grid"]["workers"]) == ("DOP853", 1)
+    grid = doc["grid"]
+    assert (grid["method"], grid["workers"]) == ("RK4 (Richardson-checked) + DOP853 fallback", 1)
+    assert sum(grid["rk4_cells_by_steps"].values()) + grid["fallback_cells"] == 4
+    assert set(grid["rk4_cells_by_steps"]) <= {"200", "400", "800", "1600"}
+    assert 0.0 <= grid["richardson_max"] <= 1e-9
+    assert 0.0 <= grid["det_rel_err_max"] <= 1e-8
     assert doc["cell_errors"] == []

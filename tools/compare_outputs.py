@@ -7,10 +7,21 @@ runs the same matrix of ``levstab`` commands against both source trees:
 ``ellipses``, ``resonance-chart``, ``steady-state``, ``map`` (default window,
 and ``--theta 0``), ``simulate --periods 10`` and ``validate``, each with the
 built-in baseline config plus gains 10600/3000 and with the same config on
-the hybrid plant (beta 0.01).  Every output file, stdout and the exit code
-must match; the only fields ignored are the timings ``seconds`` and
-``elapsed_s`` in ``validation.json``.  Prints each difference and exits 1 if
-there is any, else 0.  A full run takes a few minutes, mostly ``validate``.
+the hybrid plant (beta 0.01).  Stdout, the exit code and every output file
+must match byte for byte, except where the map engine may legitimately move
+a value in its last digits:
+
+* ``map.csv``: the classes must be identical and ``max_mu_abs`` must agree
+  within ``MU_TOL`` relative to max(1, |mu|); the largest deviation is
+  printed;
+* ``map_meta.json``: the engine fields of its ``grid`` block
+  (``ENGINE_FIELDS``) are printed, not compared; all else must be equal;
+* ``validation.json``: the timings ``seconds`` and ``elapsed_s`` are ignored,
+  and the deviation between two maps that criterion 9 measures
+  (``map_max_mu_dev``) must stay within ``MU_TOL`` on both sides.
+
+Prints each difference and exits 1 if there is any, else 0.  A full run takes
+a few minutes, mostly ``validate``.
 """
 
 from __future__ import annotations
@@ -43,6 +54,14 @@ COMMANDS = {
     "validate": ["validate"],
 }
 TIMINGS = {"seconds", "elapsed_s"}
+MU_TOL = 1e-9  # max|mu| agreement of two map engines, relative to max(1, |mu|)
+ENGINE_FIELDS = {
+    "method",
+    "rk4_cells_by_steps",
+    "fallback_cells",
+    "richardson_max",
+    "det_rel_err_max",
+}
 
 
 def extract_src(rev: str, dest: Path) -> Path:
@@ -68,18 +87,73 @@ def run(src: Path, argv: list[str], config: Path, out: Path) -> tuple[int, str]:
     return proc.returncode, proc.stdout
 
 
-def _drop_timings(doc):
+def _drop(doc, keys):
     if isinstance(doc, dict):
-        return {k: _drop_timings(v) for k, v in doc.items() if k not in TIMINGS}
+        return {k: _drop(v, keys) for k, v in doc.items() if k not in keys}
     if isinstance(doc, list):
-        return [_drop_timings(v) for v in doc]
+        return [_drop(v, keys) for v in doc]
     return doc
 
 
-def same_file(a: Path, b: Path) -> bool:
-    if a.name == "validation.json":
-        return _drop_timings(json.loads(a.read_text())) == _drop_timings(json.loads(b.read_text()))
-    return a.read_bytes() == b.read_bytes()
+def _map_deviations(doc) -> list:
+    """Every ``map_max_mu_dev`` in a validation report."""
+    if isinstance(doc, dict):
+        own = [doc["map_max_mu_dev"]] if "map_max_mu_dev" in doc else []
+        return own + [d for v in doc.values() for d in _map_deviations(v)]
+    if isinstance(doc, list):
+        return [d for v in doc for d in _map_deviations(v)]
+    return []
+
+
+def compare_map_csv(a: Path, b: Path) -> str | None:
+    """Classes exact, max|mu| within MU_TOL; prints the largest deviation."""
+    rows_a = [r.split(",") for r in a.read_text().splitlines()]
+    rows_b = [r.split(",") for r in b.read_text().splitlines()]
+    if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+        return "map.csv header or row count"
+    worst = 0.0
+    for ra, rb in zip(rows_a[1:], rows_b[1:]):
+        if ra[:3] != rb[:3]:
+            return f"map.csv cell {ra[:3]} -> {rb[:3]}"
+        mu_a, mu_b = float(ra[3]), float(rb[3])
+        if not (math.isnan(mu_a) and math.isnan(mu_b)):
+            worst = max(worst, abs(mu_a - mu_b) / max(1.0, abs(mu_a)))
+    print(f"  map.csv: classes identical, max|mu| deviates by up to {worst:.3e}")
+    return None if worst <= MU_TOL else f"map.csv max|mu| deviates by {worst:.3e}"
+
+
+def compare_map_meta(a: Path, b: Path) -> str | None:
+    """Equal apart from the engine fields, which are printed."""
+    doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
+    for key in sorted(ENGINE_FIELDS):
+        va, vb = doc_a["grid"].get(key), doc_b["grid"].get(key)
+        if va != vb:
+            print(f"  map_meta.json grid.{key}: {va!r} -> {vb!r}")
+    return None if _drop(doc_a, ENGINE_FIELDS) == _drop(doc_b, ENGINE_FIELDS) else "map_meta.json"
+
+
+def compare_validation(a: Path, b: Path) -> str | None:
+    """Equal apart from timings; criterion 9's map deviation within MU_TOL."""
+    doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
+    ignored = TIMINGS | {"map_max_mu_dev"}
+    if _drop(doc_a, ignored) != _drop(doc_b, ignored):
+        return "validation.json"
+    devs = _map_deviations(doc_a) + _map_deviations(doc_b)
+    return None if all(d <= MU_TOL for d in devs) else f"validation.json map_max_mu_dev {devs}"
+
+
+COMPARE = {
+    "map.csv": compare_map_csv,
+    "map_meta.json": compare_map_meta,
+    "validation.json": compare_validation,
+}
+
+
+def file_difference(a: Path, b: Path) -> str | None:
+    """None if the two files agree, else what differs."""
+    if a.name in COMPARE:
+        return COMPARE[a.name](a, b)
+    return None if a.read_bytes() == b.read_bytes() else a.name
 
 
 def differences(rev_run, work_run) -> list[str]:
@@ -92,7 +166,10 @@ def differences(rev_run, work_run) -> list[str]:
     files_b = {p.name for p in out_b.iterdir()}
     diffs += [f"{name} only at the revision" for name in sorted(files_a - files_b)]
     diffs += [f"{name} only in the working tree" for name in sorted(files_b - files_a)]
-    diffs += [n for n in sorted(files_a & files_b) if not same_file(out_a / n, out_b / n)]
+    for name in sorted(files_a & files_b):
+        diff = file_difference(out_a / name, out_b / name)
+        if diff is not None:
+            diffs.append(diff)
     return diffs
 
 
