@@ -38,7 +38,6 @@ from .plant import (
 from .linearized import (
     periodic_matrix,
     fd_jacobian,
-    reduced_residual,
     unexcited_spectrum,
 )
 from .boundaries import (
@@ -87,7 +86,6 @@ __all__ = [
     "write_trajectory_csv",
     "periodic_matrix",
     "fd_jacobian",
-    "reduced_residual",
     "unexcited_spectrum",
     "Ellipse",
     "h0_gain",

@@ -6,7 +6,7 @@ Floquet sweep, ``simulate`` and ``steady-state`` exercise the nonlinear
 plant, and ``validate`` runs the full cross-validation battery.
 
 Exit codes: 0 success, 1 validation failure, 2 bad input, 3 runtime or
-numerical failure.
+numerical failure, including running out of memory.
 """
 
 from __future__ import annotations
@@ -333,14 +333,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as err:
+    except ValueError as err:  # ConfigError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (RuntimeError, ArithmeticError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (RuntimeError, ArithmeticError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -257,7 +257,11 @@ def _propagate(
 
     def derivative(coef: list, rows: list) -> None:
         """k = A rows, A given by its coefficients at one node."""
-        for out, ((k0, c0), *rest) in zip(k_rows, coef):
+        for out, row in zip(k_rows, coef):
+            if not row:  # a row of A that is zero over the whole period
+                out.fill(0.0)
+                continue
+            (k0, c0), *rest = row
             np.multiply(c0, rows[k0], out=out)
             for col, c in rest:
                 np.multiply(c, rows[col], out=tmp)

@@ -21,17 +21,12 @@ linearized coil equation
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .plant import (
-    ATOL,
-    METHOD,
-    RTOL,
     current_scale,
     rhs,
     rhs_hybrid,
@@ -41,12 +36,9 @@ from .plant import (
 
 __all__ = [
     "PeriodicMatrix",
-    "ReducedResidual",
     "UnexcitedSpectrum",
     "periodic_matrix",
     "fd_jacobian",
-    "integrate_perturbation",
-    "reduced_residual",
     "unexcited_spectrum",
 ]
 
@@ -207,135 +199,6 @@ def fd_jacobian(
         dy = step * directions[:, j]
         jac[:, j] = S @ (fun(y0 + dy) - fun(y0 - dy)) / (2.0 * step)
     return jac
-
-
-def integrate_perturbation(
-    pm: PeriodicMatrix, x0, t_span: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate x' = A(t) x; returns (t, X) at 201 evenly spaced samples,
-    one state row per sample."""
-    sol = solve_ivp(
-        lambda t, x: pm.at(t) @ x,
-        t_span,
-        np.asarray(x0, dtype=float),
-        method=METHOD,
-        rtol=RTOL,
-        atol=ATOL,
-        t_eval=np.linspace(t_span[0], t_span[1], 201),
-    )
-    if not sol.success:
-        raise RuntimeError(f"perturbation integration failed: {sol.message}")
-    return sol.t, sol.y.T
-
-
-@dataclass(frozen=True)
-class ReducedResidual:
-    """Residuals of the third-order aggregate equations on a trajectory.
-
-    ``translation``/``rotation`` are max absolute raw residuals of the heave
-    and pitch equations; the scales are the largest single-term magnitudes,
-    and ``max_scaled`` is the headline scale-relative residual.
-    """
-
-    translation: float
-    rotation: float
-    translation_scale: float
-    rotation_scale: float
-
-    @property
-    def max_scaled(self) -> float:
-        parts = []
-        for res, scale in (
-            (self.translation, self.translation_scale),
-            (self.rotation, self.rotation_scale),
-        ):
-            parts.append(0.0 if res == 0.0 else res / scale)
-        return max(parts)
-
-
-def reduced_residual(
-    traj: tuple[np.ndarray, np.ndarray],
-    params: PhysicalParams,
-    exc: ExcitationParams,
-    gains: ControlGains,
-) -> ReducedResidual:
-    """Evaluate the reduced third-order heave/pitch equations on a linearized
-    trajectory (t, X) produced by :func:`integrate_perturbation`.
-
-    After eliminating the current perturbations, the six first-order
-    equations collapse to two third-order ones in the aggregates
-    delta = (dtr1 + dtr2)/2 and phi = (dtr1 - dtr2)/L:
-
-      (-8 Kp L rCgm + 4 rt2 g L m R) delta - 8 Kd L rCgm delta'
-        - rt2 L m R (dss1 + dss2) delta'' - 2 rt2 J R (dss1 - dss2) phi''
-        - 4 rt2 C L m delta''' = 0
-
-      (-4 Kp L^2 rCgm + 2 rt2 g L^2 m R) phi - 4 Kd L^2 rCgm phi'
-        - rt2 L m R (dss1 - dss2) delta'' - 2 rt2 J R (dss1 + dss2) phi''
-        - 8 rt2 C J phi''' = 0
-
-    with rCgm = sqrt(C g m) and rt2 = sqrt(2).  The trailing terms must be
-    third derivatives: written as second derivatives these equations would be
-    dimensionally inconsistent, and only the third-derivative reading makes
-    the reduction exact.  Second derivatives come from the first-order
-    system, third ones from differentiating the force gradients G_i in time.
-    """
-    t, X = traj
-    p = params
-    rt2 = math.sqrt(2.0)
-    rcgm = math.sqrt(p.C * p.g * p.m)
-    pm = periodic_matrix(params, exc, gains)
-
-    res_tr = res_rot = 0.0
-    scale_tr = scale_rot = 0.0
-    for k in range(t.size):
-        x = X[k]
-        ss = steady_state(p, exc, t[k])
-        d = (float(ss.gap1), float(ss.gap2))
-        ddot = (float(ss.gap1_rate), float(ss.gap2_rate))
-        iss = (float(ss.I1), float(ss.I2))
-        issdot = (float(ss.I1_rate), float(ss.I2_rate))
-        xdot = pm.at(t[k]) @ x
-
-        delta = 0.5 * (x[0] + x[3])
-        delta_r = 0.5 * (x[1] + x[4])
-        phi = (x[0] - x[3]) / p.L
-        phi_r = (x[1] - x[4]) / p.L
-        delta_rr = 0.5 * (xdot[1] + xdot[4])
-        phi_rr = (xdot[1] - xdot[4]) / p.L
-
-        # time derivative of G_i = ca_i*dtr_i - cb_i*Itr_i
-        gdot = []
-        for i, (dtr, dtr_r, itr, itr_r) in enumerate(
-            ((x[0], x[1], x[2], xdot[2]), (x[3], x[4], x[5], xdot[5]))
-        ):
-            ca = 2.0 * p.C * iss[i] ** 2 / d[i] ** 3
-            cb = 2.0 * p.C * iss[i] / d[i] ** 2
-            ca_dot = 2.0 * p.C * (2.0 * iss[i] * issdot[i] - 3.0 * iss[i] ** 2 * ddot[i] / d[i]) / d[i] ** 3
-            cb_dot = 2.0 * p.C * (issdot[i] - 2.0 * iss[i] * ddot[i] / d[i]) / d[i] ** 2
-            gdot.append(ca_dot * dtr + ca * dtr_r - cb_dot * itr - cb * itr_r)
-        delta_rrr = (gdot[0] + gdot[1]) / p.m
-        phi_rrr = (p.L / (2.0 * p.J)) * (gdot[0] - gdot[1])
-
-        terms_tr = (
-            (-8.0 * gains.Kp * p.L * rcgm + 4.0 * rt2 * p.g * p.L * p.m * p.R) * delta,
-            -8.0 * gains.Kd * p.L * rcgm * delta_r,
-            -rt2 * p.L * p.m * p.R * (d[0] + d[1]) * delta_rr,
-            -2.0 * rt2 * p.J * p.R * (d[0] - d[1]) * phi_rr,
-            -4.0 * rt2 * p.C * p.L * p.m * delta_rrr,
-        )
-        terms_rot = (
-            (-4.0 * gains.Kp * p.L**2 * rcgm + 2.0 * rt2 * p.g * p.L**2 * p.m * p.R) * phi,
-            -4.0 * gains.Kd * p.L**2 * rcgm * phi_r,
-            -rt2 * p.L * p.m * p.R * (d[0] - d[1]) * delta_rr,
-            -2.0 * rt2 * p.J * p.R * (d[0] + d[1]) * phi_rr,
-            -8.0 * rt2 * p.C * p.J * phi_rrr,
-        )
-        res_tr = max(res_tr, abs(sum(terms_tr)))
-        res_rot = max(res_rot, abs(sum(terms_rot)))
-        scale_tr = max(scale_tr, max(abs(v) for v in terms_tr))
-        scale_rot = max(scale_rot, max(abs(v) for v in terms_rot))
-    return ReducedResidual(res_tr, res_rot, scale_tr, scale_rot)
 
 
 @dataclass(frozen=True)

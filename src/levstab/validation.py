@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -66,16 +66,7 @@ class CriterionResult:
     seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "status": self.status,
-            "tolerance": self.tolerance,
-            "measured": self.measured,
-            "detail": self.detail,
-            "reason": self.reason,
-            "seconds": round(self.seconds, 3),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 @dataclass
@@ -89,10 +80,7 @@ class ValidationReport:
         return all(c.status != "fail" for c in self.criteria)
 
     def counts(self) -> dict:
-        out = {"pass": 0, "fail": 0, "skip": 0}
-        for c in self.criteria:
-            out[c.status] = out.get(c.status, 0) + 1
-        return out
+        return {s: sum(c.status == s for c in self.criteria) for s in ("pass", "fail", "skip")}
 
     def to_json(self, config: dict | None = None) -> dict:
         doc = {
@@ -165,7 +153,12 @@ def _rng_params(rng) -> PhysicalParams:
     )
 
 
-# criterion implementations; each returns (status, measured, detail, reason)
+class _Skip(Exception):
+    """Raised by a criterion that does not apply to the configuration; the
+    message is the reason reported."""
+
+
+# criterion implementations; each returns (ok, measured, detail)
 
 
 def _c1_frequency_ratio(params, exc):
@@ -176,18 +169,14 @@ def _c1_frequency_ratio(params, exc):
         kd = float(10 ** rng.uniform(1.0, 5.0))
         w1, w2 = natural_frequencies(p, kd)
         worst = max(worst, abs(w2 / w1 / RT3 - 1.0))
-    ok = worst <= 1e-12
     return (
-        "pass" if ok else "fail",
+        worst <= 1e-12,
         {"max_rel_err": worst, "draws": 100},
         f"max |omega2/omega1/sqrt(3) - 1| = {worst:.3e}",
-        "",
     )
 
 
 def _c2_ellipse_centers(params, exc):
-    if not has_uniform_bar_inertia(params):
-        return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     ells = boundaries.all_ellipses(params, exc)
     s4 = (2.0 * params.g / (params.m * params.C)) ** 0.25
     w1, w2 = natural_frequencies(params, 1.0)
@@ -206,13 +195,11 @@ def _c2_ellipse_centers(params, exc):
         worst = max(worst, abs(h2 / target - 1.0))
         measured[f"h2_{kind}"] = h2
     measured["max_rel_err"] = worst
-    ok = worst <= 1e-9
     return (
-        "pass" if ok else "fail",
+        worst <= 1e-9,
         measured,
         "centers vs inverted resonance frequencies, max rel err "
         f"{worst:.3e}",
-        "",
     )
 
 
@@ -232,10 +219,9 @@ def _c3_center_line(params, exc):
             worst = max(worst, abs(ell.h1 / line - 1.0))
     if worst > 1e-12:
         return (
-            "fail",
+            False,
             {"max_center_rel_err": worst},
             f"center line identity violated, max rel err {worst:.3e}",
-            "",
         )
 
     # bisected oscillatory boundary of the unexcited spectrum vs the line
@@ -251,7 +237,7 @@ def _c3_center_line(params, exc):
             return float(np.max(unexcited_spectrum(params, ControlGains(kp, kd)).all.real))
 
         if growth(lo) >= 0.0 or growth(hi) <= 0.0:
-            return "fail", {"Kd": kd}, "oscillatory boundary not bracketed", ""
+            return False, {"Kd": kd}, "oscillatory boundary not bracketed"
         while hi - lo > 1e-10 * hi:
             mid = 0.5 * (lo + hi)
             if growth(mid) > 0.0:
@@ -259,21 +245,15 @@ def _c3_center_line(params, exc):
             else:
                 lo = mid
         worst_hopf = max(worst_hopf, abs(0.5 * (lo + hi) / line - 1.0))
-    ok = worst_hopf <= 1e-6
     return (
-        "pass" if ok else "fail",
+        worst_hopf <= 1e-6,
         {"max_center_rel_err": worst, "max_hopf_rel_err": worst_hopf},
         f"50 random sets: centers on line to {worst:.1e}; "
         f"bisected oscillatory boundary matches to {worst_hopf:.1e}",
-        "",
     )
 
 
 def _c4_axis_ratios(params, exc):
-    if exc.A == 0.0:
-        return "skip", {}, "", "tongue half-widths vanish without excitation"
-    if not has_uniform_bar_inertia(params):
-        return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     ells = boundaries.all_ellipses(params, exc)
     measured = {}
     worst = 0.0
@@ -286,17 +266,12 @@ def _c4_axis_ratios(params, exc):
         measured["k1d_over_k1c"] = r
         worst = max(worst, abs(r / (7.0 + 4.0 * RT3) - 1.0))
     if not measured:
-        return "skip", {}, "", "all tongues degenerate at this phase"
+        raise _Skip("all tongues degenerate at this phase")
     measured["max_rel_err"] = worst
-    ok = worst <= 1e-12
-    return "pass" if ok else "fail", measured, f"axis ratios, max rel err {worst:.3e}", ""
+    return worst <= 1e-12, measured, f"axis ratios, max rel err {worst:.3e}"
 
 
 def _c5_eta_frequency_independence(params, exc):
-    if exc.A == 0.0:
-        return "skip", {}, "", "eta undefined without excitation"
-    if not has_uniform_bar_inertia(params):
-        return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     h0 = boundaries.h0_gain(params)
     worst = 0.0
     measured = {}
@@ -315,20 +290,16 @@ def _c5_eta_frequency_independence(params, exc):
         measured[f"eta_{kind}"] = etas[0]
         worst = max(worst, spread)
     if not measured:
-        return "skip", {}, "", "all tongues degenerate at this phase"
+        raise _Skip("all tongues degenerate at this phase")
     measured["max_rel_spread"] = worst
-    ok = worst <= 1e-12
     return (
-        "pass" if ok else "fail",
+        worst <= 1e-12,
         measured,
         f"eta constant over Omega in {{20, 80, 320}}, max spread {worst:.3e}",
-        "",
     )
 
 
 def _c6_degeneracy(params, exc):
-    if exc.A == 0.0:
-        return "skip", {}, "", "degeneracy pattern is vacuous without excitation"
     in_phase = boundaries.all_ellipses(params, ExcitationParams(A=exc.A, Omega=exc.Omega, theta=0.0))
     anti_phase = boundaries.all_ellipses(
         params, ExcitationParams(A=exc.A, Omega=exc.Omega, theta=math.pi)
@@ -339,20 +310,14 @@ def _c6_degeneracy(params, exc):
         "k1_a_at_pi": anti_phase["a"].k1,
         "k1_b_at_pi": anti_phase["b"].k1,
     }
-    ok = all(v == 0.0 for v in measured.values())
     return (
-        "pass" if ok else "fail",
+        all(v == 0.0 for v in measured.values()),
         measured,
         "combination tongues closed in phase, principal tongues closed in antiphase",
-        "",
     )
 
 
 def _c7_floquet_vs_analytic(params, exc):
-    if exc.A == 0.0:
-        return "skip", {}, "", "no tongues to locate without excitation"
-    if not has_uniform_bar_inertia(params):
-        return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     t0 = time.perf_counter()
     plan = [(0.0, "ab"), (math.pi / 2.0, "abcd"), (math.pi, "cd")]
     scans = []
@@ -387,11 +352,10 @@ def _c7_floquet_vs_analytic(params, exc):
         "elapsed_s": elapsed,
     }
     return (
-        "pass" if ok else "fail",
+        ok,
         measured,
         f"{len(scans)} scans; half-widths match {labels[0] if consistent else labels} "
         f"times k1 (criterion allows 1 or 2; measured factor reported)",
-        "",
     )
 
 
@@ -400,15 +364,13 @@ def _c8_steady_state_exactness(params, exc):
     t_end = 10.0 * exc.period
     traj = integrate(steady_vehicle_state(params, exc, 0.0), (0.0, t_end), params, exc, gains)
     if traj.aborted:
-        return "fail", {}, "gap closed during steady-state run", ""
+        return False, {}, "gap closed during steady-state run"
     dz = float(np.max(np.abs(traj.states[:, 0] - params.z0)))
     dphi = float(np.max(np.abs(traj.states[:, 2])))
-    ok = dz < 1e-8 and dphi < 1e-8
     return (
-        "pass" if ok else "fail",
+        dz < 1e-8 and dphi < 1e-8,
         {"max_abs_dz": dz, "max_abs_phi": dphi, "Kp": gains.Kp, "Kd": gains.Kd},
         f"max|z - z0| = {dz:.2e} m, max|phi| = {dphi:.2e} rad over 10 periods",
-        "",
     )
 
 
@@ -427,7 +389,7 @@ def _c9_hybrid_equivalence(params, exc):
     traj_h = integrate(start_h, (0.0, t_end), params, exc, gains, mode="hybrid", hyb=hyb, **kw)
     traj_s = integrate(start_s, (0.0, t_end), params_bar, exc, gains, **kw)
     if traj_h.aborted or traj_s.aborted:
-        return "fail", {}, "gap closed during equivalence run", ""
+        return False, {}, "gap closed during equivalence run"
     shift = np.array([beta, 0.0, 0.0, 0.0, hyb.gamma, hyb.gamma])
     diff = np.abs(traj_s.states - shift[None, :] - traj_h.states)
     scale = np.max(np.abs(traj_h.states), axis=0)
@@ -446,7 +408,7 @@ def _c9_hybrid_equivalence(params, exc):
         and not map_s.errors
     )
     return (
-        "pass" if ok else "fail",
+        ok,
         {
             "trajectory_rel_err": traj_err,
             "beta": beta,
@@ -456,7 +418,6 @@ def _c9_hybrid_equivalence(params, exc):
         },
         f"trajectories agree to {traj_err:.2e} rel; "
         f"{cells_differ} of 441 map cells differ",
-        "",
     )
 
 
@@ -469,12 +430,10 @@ def _c10_linearization_consistency(params, exc):
         a_an = pm.at(t)
         a_fd = fd_jacobian(params, exc, gains, t)
         worst = max(worst, float(np.max(np.abs(a_fd - a_an) / np.maximum(1.0, np.abs(a_an)))))
-    ok = worst <= 1e-6
     return (
-        "pass" if ok else "fail",
+        worst <= 1e-6,
         {"max_rel_err": worst, "Kp": gains.Kp, "Kd": gains.Kd},
         f"analytic vs central-difference system matrix, max entry err {worst:.3e}",
-        "",
     )
 
 
@@ -489,20 +448,14 @@ def _c11_length_invariance(params, exc):
         l_val: int(np.sum(m.classes != ref.classes)) for l_val, m in maps.items() if l_val != 3.0
     }
     errors = sum(len(m.errors) for m in maps.values())
-    ok = all(v == 0 for v in differing.values()) and errors == 0
     return (
-        "pass" if ok else "fail",
+        all(v == 0 for v in differing.values()) and errors == 0,
         {"cells_differing": differing, "cell_errors": errors},
         "classification maps identical for L in {1, 3, 10} with the uniform-bar inertia",
-        "",
     )
 
 
 def _c12_printed_factor(params, exc):
-    if exc.A == 0.0:
-        return "skip", {}, "", "size ratio undefined without excitation"
-    if not has_uniform_bar_inertia(params):
-        return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     theta = exc.theta if 0.0 < exc.theta < math.pi else math.pi / 2.0
     ells = boundaries.all_ellipses(params, ExcitationParams(A=exc.A, Omega=exc.Omega, theta=theta))
     measured = {}
@@ -513,21 +466,15 @@ def _c12_printed_factor(params, exc):
         measured[f"ratio_{kind}"] = ratio
         worst = max(worst, abs(ratio / 2.0 - 1.0))
     measured["max_rel_err"] = worst
-    ok = worst <= 1e-9
     return (
-        "pass" if ok else "fail",
+        worst <= 1e-9,
         measured,
         "geometric relative size is exactly twice the closed-form one for "
         "every kind (documented discrepancy, not resolved here)",
-        "",
     )
 
 
 def _c13_multiplier_signatures(params, exc):
-    if exc.A == 0.0:
-        return "skip", {}, "", "no resonant multipliers without excitation"
-    if not has_uniform_bar_inertia(params):
-        return "skip", {}, "", "closed-form boundaries assume the uniform-bar inertia"
     measured = {}
     ok = True
     for kind in "abcd":
@@ -546,60 +493,70 @@ def _c13_multiplier_signatures(params, exc):
         else:
             ok = ok and not is_real and abs(dom) > 1.0
     return (
-        "pass" if ok else "fail",
+        ok,
         measured,
         "dominant multiplier real negative at a/b centers, complex pair at c/d centers",
-        "",
     )
 
 
+# index, name, tolerance, implementation, the reason it is skipped at A = 0
+# (None: it runs), and whether it needs the uniform-bar inertia
 _CRITERIA = [
-    (1, "natural-frequency-ratio", "1e-12 relative", _c1_frequency_ratio),
-    (2, "ellipse-centers", "1e-9 relative vs frequency inversion", _c2_ellipse_centers),
-    (3, "center-line", "1e-12 relative (line), 1e-6 (bisected boundary)", _c3_center_line),
-    (4, "axis-ratios", "1e-12 relative", _c4_axis_ratios),
-    (5, "eta-frequency-independence", "1e-12 relative", _c5_eta_frequency_independence),
-    (6, "theta-degeneracy", "exact zeros", _c6_degeneracy),
-    (7, "floquet-vs-analytic", "center 1% of k1, half-width 2%", _c7_floquet_vs_analytic),
-    (8, "steady-state-exactness", "1e-8 m / 1e-8 rad over 10 periods", _c8_steady_state_exactness),
-    (9, "hybrid-equivalence", "1e-8 relative, cell-identical maps", _c9_hybrid_equivalence),
-    (10, "linearization-consistency", "1e-6 entrywise relative", _c10_linearization_consistency),
-    (11, "length-invariance", "cell-identical maps", _c11_length_invariance),
-    (12, "printed-factor-ratio", "ratio = 2.000 to 1e-9", _c12_printed_factor),
-    (13, "multiplier-signatures", "signature at each tongue center", _c13_multiplier_signatures),
+    (1, "natural-frequency-ratio", "1e-12 relative", _c1_frequency_ratio, None, False),
+    (2, "ellipse-centers", "1e-9 relative vs frequency inversion", _c2_ellipse_centers, None, True),
+    (3, "center-line", "1e-12 relative (line), 1e-6 (bisected boundary)", _c3_center_line,
+     None, False),
+    (4, "axis-ratios", "1e-12 relative", _c4_axis_ratios,
+     "tongue half-widths vanish without excitation", True),
+    (5, "eta-frequency-independence", "1e-12 relative", _c5_eta_frequency_independence,
+     "eta undefined without excitation", True),
+    (6, "theta-degeneracy", "exact zeros", _c6_degeneracy,
+     "degeneracy pattern is vacuous without excitation", False),
+    (7, "floquet-vs-analytic", "center 1% of k1, half-width 2%", _c7_floquet_vs_analytic,
+     "no tongues to locate without excitation", True),
+    (8, "steady-state-exactness", "1e-8 m / 1e-8 rad over 10 periods", _c8_steady_state_exactness,
+     None, False),
+    (9, "hybrid-equivalence", "1e-8 relative, cell-identical maps", _c9_hybrid_equivalence,
+     None, False),
+    (10, "linearization-consistency", "1e-6 entrywise relative", _c10_linearization_consistency,
+     None, False),
+    (11, "length-invariance", "cell-identical maps", _c11_length_invariance, None, False),
+    (12, "printed-factor-ratio", "ratio = 2.000 to 1e-9", _c12_printed_factor,
+     "size ratio undefined without excitation", True),
+    (13, "multiplier-signatures", "signature at each tongue center", _c13_multiplier_signatures,
+     "no resonant multipliers without excitation", True),
 ]
 
 
 def run_battery(params: PhysicalParams, exc: ExcitationParams) -> ValidationReport:
     """Run all cross-validation criteria against the given configuration.
 
-    Criteria that need a nonzero excitation amplitude or the uniform-bar
-    inertia are skipped with a reason when the configuration rules them out;
-    unexpected exceptions inside a criterion fail it rather than aborting
-    the battery.
+    A criterion is skipped with its reason at A = 0 when ``_CRITERIA``
+    gives one, else when it needs the uniform-bar inertia and the
+    configuration has another J, else when it raises ``_Skip``; otherwise
+    it passes or fails on its own verdict.  An unexpected exception inside
+    a criterion fails it rather than aborting the battery.
     """
+    uniform_j = has_uniform_bar_inertia(params)
     results = []
-    for index, name, tolerance, fn in _CRITERIA:
+    for index, name, tolerance, fn, unexcited_reason, needs_uniform_j in _CRITERIA:
         t0 = time.perf_counter()
-        try:
-            status, measured, detail, reason = fn(params, exc)
-        except Exception as err:  # criterion must report, not abort
-            status, measured, detail, reason = (
-                "fail",
-                {},
-                f"unexpected {type(err).__name__}: {err}",
-                "",
-            )
+        status, measured, detail, reason = "skip", {}, "", ""
+        if exc.A == 0.0 and unexcited_reason is not None:
+            reason = unexcited_reason
+        elif needs_uniform_j and not uniform_j:
+            reason = "closed-form boundaries assume the uniform-bar inertia"
+        else:
+            try:
+                ok, measured, detail = fn(params, exc)
+                status = "pass" if ok else "fail"
+            except _Skip as skip:
+                reason = str(skip)
+            except Exception as err:  # criterion must report, not abort
+                status, detail = "fail", f"unexpected {type(err).__name__}: {err}"
         results.append(
             CriterionResult(
-                index=index,
-                name=name,
-                status=status,
-                tolerance=tolerance,
-                measured=measured,
-                detail=detail,
-                reason=reason,
-                seconds=time.perf_counter() - t0,
+                index, name, status, tolerance, measured, detail, reason, time.perf_counter() - t0
             )
         )
     return ValidationReport(criteria=results)

@@ -6,6 +6,7 @@ measured quantities and the tolerance it was judged against.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -25,8 +26,8 @@ def _fmt(val):
 
 @pytest.mark.parametrize(
     "index",
-    [idx for idx, _, _, _ in _CRITERIA],
-    ids=[f"{idx:02d}-{name}" for idx, name, _, _ in _CRITERIA],
+    [idx for idx, *_ in _CRITERIA],
+    ids=[f"{idx:02d}-{name}" for idx, name, *_ in _CRITERIA],
 )
 def test_acceptance_criterion(index, battery_report):
     c = next(c for c in battery_report.criteria if c.index == index)
@@ -66,3 +67,45 @@ def test_acceptance_tongue_centers_spot_values(b0, exc_quarter):
         assert e.h1 == pytest.approx(lines.h0 + lines.slope * kd, rel=1e-12), kind
     assert ells["b"].h2 == pytest.approx(3.0 * ells["a"].h2, rel=1e-12)
     assert ells["d"].k1 / ells["c"].k1 == pytest.approx(7.0 + 4.0 * math.sqrt(3.0), rel=1e-12)
+
+
+def test_run_battery_applies_prerequisites(monkeypatch, b0, exc_quarter, exc_still):
+    """run_battery alone decides a criterion's status: the A = 0 reason
+    first, then the uniform-bar inertia, then the criterion's own _Skip;
+    its verdict maps to pass or fail and an unexpected exception to fail."""
+    from levstab import validation
+
+    def skips(params, exc):
+        raise validation._Skip("own reason")
+
+    def breaks(params, exc):
+        raise ZeroDivisionError("boom")
+
+    def passes(params, exc):
+        return True, {"x": 1.0}, "fine"
+
+    monkeypatch.setattr(validation, "_CRITERIA", [
+        (1, "passes", "", passes, None, False),
+        (2, "fails", "", lambda params, exc: (False, {}, "bad"), None, False),
+        (3, "own-skip", "", skips, None, False),
+        (4, "breaks", "", breaks, None, False),
+        (5, "needs-excitation", "", passes, "unexcited", True),
+        (6, "needs-uniform-j", "", passes, None, True),
+    ])
+
+    def outcomes(params, exc):
+        report = validation.run_battery(params, exc)
+        return [(c.status, c.reason or c.detail) for c in report.criteria]
+
+    uniform = "closed-form boundaries assume the uniform-bar inertia"
+    assert outcomes(b0, exc_quarter) == [
+        ("pass", "fine"),
+        ("fail", "bad"),
+        ("skip", "own reason"),
+        ("fail", "unexpected ZeroDivisionError: boom"),
+        ("pass", "fine"),
+        ("pass", "fine"),
+    ]
+    odd_j = replace(b0, J=7000.0)
+    assert outcomes(odd_j, exc_quarter)[4:] == [("skip", uniform), ("skip", uniform)]
+    assert outcomes(odd_j, exc_still)[4:] == [("skip", "unexcited"), ("skip", uniform)]

@@ -373,6 +373,22 @@ def test_cli_simulate_gap_closure_abort(tmp_path, capsys):
     assert min(last[7], last[8]) == pytest.approx(0.01 * 0.015, rel=1e-6)
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.46 TiB for an array", ""])
+def test_cli_out_of_memory_is_runtime_failure(tmp_path, monkeypatch, capsys, message):
+    """Running out of memory is a runtime failure (exit 3) reported on one
+    error line, never a traceback or exit 1 ("validation failed")."""
+    import levstab.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "integrate", exhausted)
+    rc = main(["simulate", "--kp", "10600", "--kd", "3000", "--out", str(tmp_path)])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == f"error: {message or 'MemoryError'}\n"
+
+
 def test_cli_simulate_growth_rate_matches_multiplier(tmp_path):
     """Inside a principal tongue the fitted exponential growth rate of the
     pitch oscillation reproduces ln|mu_max|/T."""
@@ -472,8 +488,8 @@ def test_fault_injection_breaks_ratio_criterion(monkeypatch, b0, exc_quarter):
         return {**ells, "a": replace(ells["a"], k1=1.01 * ells["a"].k1)}
 
     monkeypatch.setattr(boundaries, "all_ellipses", skewed)
-    status, measured, detail, reason = validation._c4_axis_ratios(b0, exc_quarter)
-    assert status == "fail"
+    ok, measured, detail = validation._c4_axis_ratios(b0, exc_quarter)
+    assert not ok
     assert measured["k1b_over_k1a"] == pytest.approx(3.0 / 1.01, rel=1e-9)
 
 

@@ -24,6 +24,7 @@ from levstab import (
 from levstab.boundaries import default_map_window, h0_gain, static_boundary_lines
 from levstab.floquet import (
     MAP_CSV_HEADER,
+    _batched_cells,
     resolve_workers,
     signature_moduli,
     write_map_csv,
@@ -153,6 +154,35 @@ def test_sweep_deterministic_exports(tmp_path, b0, exc_quarter):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == MAP_CSV_HEADER == "Kp,Kd,class,max_mu_abs"
+
+
+def test_batched_cells_independent_of_chunking(b0, exc_quarter):
+    """A cell's result does not depend on the other cells of its batch, so
+    the worker split cannot change a map, whatever the CPU count: the
+    engine's results on a set of cells equal, bit for bit, its results on
+    two unequal parts of it."""
+    kp_range, kd_range = default_map_window(b0, exc_quarter)
+    kp = np.repeat(np.linspace(*kp_range, 5), 5)
+    kd = np.tile(np.linspace(*kd_range, 5), 5)
+    whole, stats = _batched_cells(b0, exc_quarter, None, kp, kd)
+    head, _ = _batched_cells(b0, exc_quarter, None, kp[:7], kd[:7])
+    tail, _ = _batched_cells(b0, exc_quarter, None, kp[7:], kd[7:])
+    assert len(stats["steps"]) > 1  # some cells needed a refined pass
+    assert whole == head + tail
+
+
+def test_sweep_survives_rows_of_a_that_underflow(exc_quarter):
+    """With m = 1e-300 and C = 1e300 the steady currents underflow to zero
+    and the force-balance rows of A are zero over the whole period; the
+    sweep still classifies every cell, as DOP853 does."""
+    params = PhysicalParams(m=1e-300, C=1e300, R=9.71, z0=0.015)
+    kp_range, kd_range = default_map_window(params, exc_quarter)
+    smap = sweep(params, exc_quarter, kp_range, kd_range, 3, 3, workers=1)
+    assert not smap.errors
+    for i, kp in enumerate(smap.kp):
+        for j, kd in enumerate(smap.kd):
+            ref = classify(monodromy(params, exc_quarter, ControlGains(kp, kd)))
+            assert smap.classes[i, j] == ref == "marginal", (kp, kd)
 
 
 def test_sweep_grid_properties(b0, exc_still):

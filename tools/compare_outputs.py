@@ -6,8 +6,9 @@ Extracts ``src/`` at REV with ``git archive`` into a temporary directory and
 runs the same matrix of ``levstab`` commands against both source trees:
 ``ellipses``, ``resonance-chart``, ``steady-state``, ``map`` (default window,
 and ``--theta 0``), ``simulate --periods 10`` and ``validate``, each with the
-built-in baseline config plus gains 10600/3000 and with the same config on
-the hybrid plant (beta 0.01).  Stdout, the exit code and every output file
+built-in baseline config plus gains 10600/3000, with the same config on the
+hybrid plant (beta 0.01), without excitation (A = 0) and with an inertia J
+other than the uniform bar's.  Stdout, the exit code and every output file
 must match byte for byte, except where the map engine may legitimately move
 a value in its last digits:
 
@@ -43,7 +44,13 @@ BASELINE = {
     "excitation": {"A": 0.005, "Omega": 80.0, "theta": math.pi / 2.0},
     "gains": {"Kp": 10600.0, "Kd": 3000.0},
 }
-CONFIGS = {"standard": BASELINE, "hybrid": {**BASELINE, "hybrid": {"beta": 0.01}}}
+# the unexcited and non-uniform-J configs take the battery's two skip paths
+CONFIGS = {
+    "standard": BASELINE,
+    "hybrid": {**BASELINE, "hybrid": {"beta": 0.01}},
+    "unexcited": {**BASELINE, "excitation": {**BASELINE["excitation"], "A": 0.0}},
+    "non-uniform-J": {**BASELINE, "physical": {**BASELINE["physical"], "J": 7000.0}},
+}
 COMMANDS = {
     "ellipses": ["ellipses"],
     "resonance-chart": ["resonance-chart"],
