@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .linearized import CURRENT_ROWS, periodic_matrix
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
@@ -57,6 +56,12 @@ DET_TOL = 1e-8
 # class edge 1 +/- EPS is recomputed by monodromy
 GUARD = 10.0
 ENGINE = "RK4 (Richardson-checked) + DOP853 fallback"
+# at its peak the engine holds about 1.9 KB per cell: the four (6, N, 6)
+# RK4 stage buffers, the coarse and fine matrices and their multipliers
+# (tracemalloc over whole sweeps of 2,500 and 10,000 cells).  At 2 KiB per
+# cell a 1 GiB budget allows 2**30 / 2**11 = 524,288 cells, about 724 x 724;
+# worker chunks split the cells, so the budget is shared, not multiplied
+MAX_GRID_CELLS = 2**30 // 2**11
 
 
 class FloquetError(RuntimeError):
@@ -95,6 +100,8 @@ def monodromy(
     separate runs at the package tolerances.  Raises ``FloquetError`` when
     the integration fails or needs more than MAX_NFEV RHS evaluations.
     """
+    from scipy.integrate import solve_ivp  # on first use: map's default windows never get here
+
     pm = periodic_matrix(params, exc, gains, hyb=hyb)
     nfev = 0
 
@@ -393,6 +400,11 @@ def sweep(
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
+    if nx * ny > MAX_GRID_CELLS:
+        raise ValueError(
+            f"a {nx}x{ny} grid has {nx * ny} cells, over the limit of "
+            f"MAX_GRID_CELLS = {MAX_GRID_CELLS} (a 1 GiB budget at 2 KiB per cell)"
+        )
     kp = np.linspace(Kp_range[0], Kp_range[1], nx)
     kd = np.linspace(Kd_range[0], Kd_range[1], ny)
     cells_kp, cells_kd = np.repeat(kp, ny), np.tile(kd, nx)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import write_csv
@@ -49,6 +48,11 @@ METHOD = "DOP853"
 RTOL = 1e-10
 ATOL = 1e-12
 SAMPLES_PER_PERIOD = 200  # integrate()'s default output grid
+# a run holds about 160 bytes per output sample at its peak: the grid, the
+# solver's per-step chunks of t and y and their concatenation, and the gap
+# columns (tracemalloc over 20- and 80-period runs).  A 1 GiB budget allows
+# 2**30 // 160 = 6,710,886 samples, 33,554 periods at SAMPLES_PER_PERIOD
+MAX_SAMPLES = 2**30 // 160
 _GAP_BLOCK = 1024  # samples per steady-state evaluation in integrate()'s gap columns
 
 # integrate() declares contact when a gap falls below this fraction of the
@@ -297,6 +301,8 @@ def integrate(
     time recorded.  Negative currents do not stop the run (the force law is
     sign-blind) but are flagged in ``meta["negative_current"]``.
     """
+    from scipy.integrate import solve_ivp  # on first use: the closed-form commands never get here
+
     if mode not in ("standard", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
     if (mode == "hybrid") != (hyb is not None):
@@ -316,6 +322,12 @@ def integrate(
 
     if t_eval is None:
         n = max(2, int(round(SAMPLES_PER_PERIOD * (t_span[1] - t_span[0]) / exc.period)))
+        if n > MAX_SAMPLES:
+            raise ValueError(
+                f"{n} output samples exceed the limit of MAX_SAMPLES = {MAX_SAMPLES} "
+                f"({MAX_SAMPLES // SAMPLES_PER_PERIOD} periods; a 1 GiB budget at "
+                "160 bytes per sample)"
+            )
         t_eval = np.linspace(t_span[0], t_span[1], n + 1)
 
     sol = solve_ivp(

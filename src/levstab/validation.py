@@ -499,8 +499,9 @@ def _c13_multiplier_signatures(params, exc):
     )
 
 
-# index, name, tolerance, implementation, the reason it is skipped at A = 0
-# (None: it runs), and whether it needs the uniform-bar inertia
+# index, name, tolerance, implementation, the reason it is skipped when every
+# tongue is degenerate, as at A = 0 (None: it runs), and whether it needs the
+# uniform-bar inertia
 _CRITERIA = [
     (1, "natural-frequency-ratio", "1e-12 relative", _c1_frequency_ratio, None, False),
     (2, "ellipse-centers", "1e-9 relative vs frequency inversion", _c2_ellipse_centers, None, True),
@@ -531,18 +532,21 @@ _CRITERIA = [
 def run_battery(params: PhysicalParams, exc: ExcitationParams) -> ValidationReport:
     """Run all cross-validation criteria against the given configuration.
 
-    A criterion is skipped with its reason at A = 0 when ``_CRITERIA``
-    gives one, else when it needs the uniform-bar inertia and the
-    configuration has another J, else when it raises ``_Skip``; otherwise
-    it passes or fails on its own verdict.  An unexpected exception inside
-    a criterion fails it rather than aborting the battery.
+    A criterion is skipped with its reason when the excitation opens no
+    tongue (every closed-form tongue degenerate: at A = 0, or when A**2
+    underflows) and ``_CRITERIA`` gives one, else when it needs the
+    uniform-bar inertia and the configuration has another J, else when it
+    raises ``_Skip``; otherwise it passes or fails on its own verdict.  An
+    unexpected exception inside a criterion fails it rather than aborting
+    the battery.
     """
     uniform_j = has_uniform_bar_inertia(params)
+    unexcited = all(e.degenerate for e in boundaries.all_ellipses(params, exc).values())
     results = []
     for index, name, tolerance, fn, unexcited_reason, needs_uniform_j in _CRITERIA:
         t0 = time.perf_counter()
         status, measured, detail, reason = "skip", {}, "", ""
-        if exc.A == 0.0 and unexcited_reason is not None:
+        if unexcited and unexcited_reason is not None:
             reason = unexcited_reason
         elif needs_uniform_j and not uniform_j:
             reason = "closed-form boundaries assume the uniform-bar inertia"

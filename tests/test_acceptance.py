@@ -109,3 +109,20 @@ def test_run_battery_applies_prerequisites(monkeypatch, b0, exc_quarter, exc_sti
     odd_j = replace(b0, J=7000.0)
     assert outcomes(odd_j, exc_quarter)[4:] == [("skip", uniform), ("skip", uniform)]
     assert outcomes(odd_j, exc_still)[4:] == [("skip", "unexcited"), ("skip", uniform)]
+
+
+def test_run_battery_underflowing_excitation_skips_like_unexcited(b0, exc_still):
+    """At A = 1e-170, A**2 underflows and every tongue is degenerate, so the
+    battery skips the tongue criteria as at A = 0 instead of failing them
+    with nothing to measure."""
+    from levstab import ExcitationParams
+    from levstab.validation import run_battery
+
+    def skips(exc):
+        report = run_battery(b0, exc)
+        assert report.counts()["fail"] == 0
+        return [(c.index, c.reason) for c in report.criteria if c.status == "skip"]
+
+    tiny = ExcitationParams(A=1e-170, Omega=exc_still.Omega, theta=exc_still.theta)
+    assert all(e.degenerate for e in all_ellipses(b0, tiny).values())
+    assert skips(tiny) == skips(exc_still)

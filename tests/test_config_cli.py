@@ -258,6 +258,84 @@ def test_cli_map_extreme_gains_fail_fast(tmp_path):
     assert all("RHS evaluations" in msg for _, _, msg in meta["cell_errors"])
 
 
+def test_cli_map_grid_over_cell_cap_rejected(tmp_path, monkeypatch, capsys):
+    """A grid over MAX_GRID_CELLS is bad input: exit 2 at once, before any
+    engine buffer is allocated, on one error line naming the limit.  A
+    101x101 grid stays under the cap (engine stubbed out, so only the cap
+    is exercised)."""
+    from levstab import floquet
+
+    start = time.perf_counter()
+    rc = main(["map", "--grid", "2000,2000", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"MAX_GRID_CELLS = {floquet.MAX_GRID_CELLS}" in err
+    assert not (tmp_path / "map.csv").exists()
+
+    stats = {"steps": {}, "fallback": 0, "richardson_max": 0.0, "det_rel_err_max": 0.0}
+    monkeypatch.setenv("LEVSTAB_THREADS", "1")
+    monkeypatch.setattr(
+        floquet, "_batched_cells",
+        lambda params, exc, hyb, kp, kd: ([("stable", 0.5, None)] * kp.size, stats),
+    )
+    assert main(["map", "--grid", "101,101", "--out", str(tmp_path)]) == EXIT_OK
+    assert len((tmp_path / "map.csv").read_text().splitlines()) == 1 + 101 * 101
+
+
+def test_cli_simulate_periods_over_sample_cap_rejected(tmp_path, capsys):
+    """--periods beyond MAX_SAMPLES output samples is bad input: exit 2 on
+    one error line naming the limit, before the output grid is built."""
+    from levstab.plant import MAX_SAMPLES
+
+    rc = main(["simulate", "--kp", "10600", "--kd", "3000", "--periods", "1e9",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"MAX_SAMPLES = {MAX_SAMPLES}" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+_LAZY_SCIPY_SCRIPT = """
+import json, sys
+from levstab.cli import main
+out = sys.argv[1]
+seen = {"import": [0, "scipy" in sys.modules]}
+for cmd in ("map", "ellipses", "resonance-chart", "steady-state"):
+    seen[cmd] = [main([cmd, "--out", f"{out}/{cmd}"]), "scipy" in sys.modules]
+rc = main(["simulate", "--kp", "10600", "--kd", "3000", "--periods", "1",
+           "--out", f"{out}/simulate"])
+seen["simulate"] = [rc, "scipy.integrate" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_cli_loads_scipy_only_to_solve_an_ode(tmp_path):
+    """In a fresh interpreter, importing the CLI and running the default
+    map, ellipses, resonance-chart and steady-state leave scipy unloaded;
+    simulate loads scipy.integrate on first use."""
+    src = Path(levstab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [EXIT_OK, False],
+        "map": [EXIT_OK, False],
+        "ellipses": [EXIT_OK, False],
+        "resonance-chart": [EXIT_OK, False],
+        "steady-state": [EXIT_OK, False],
+        "simulate": [EXIT_OK, True],
+    }
+    meta = json.loads((tmp_path / "map" / "map_meta.json").read_text())
+    assert meta["grid"]["nx"] == meta["grid"]["ny"] == 21
+    assert meta["grid"]["fallback_cells"] == 0
+
+
 def test_cli_steady_state(tmp_path, capsys):
     out = tmp_path / "ss"
     rc = main(["steady-state", "--out", str(out)])

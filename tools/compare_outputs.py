@@ -21,8 +21,10 @@ a value in its last digits:
   and the deviation between two maps that criterion 9 measures
   (``map_max_mu_dev``) must stay within ``MU_TOL`` on both sides.
 
-Prints each difference and exits 1 if there is any, else 0.  A full run takes
-a few minutes, mostly ``validate``.
+Each command's line also gives its wall time in both trees (one fresh
+process each, import included), so a cold-start change shows in the same run
+that checks the outputs.  Prints each difference and exits 1 if there is
+any, else 0.  A full run takes a few minutes, mostly ``validate``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -185,6 +188,7 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     total = 0
+    wall = {"rev": 0.0, "work": 0.0}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         trees = {"rev": extract_src(argv[0], tmp / "rev"), "work": ROOT / "src"}
@@ -192,17 +196,26 @@ def main(argv: list[str]) -> int:
             config = tmp / f"{cname}.json"
             config.write_text(json.dumps(doc))
             for cmd, args in COMMANDS.items():
-                runs = []
+                runs, seconds = [], {}
                 for side, src in trees.items():
                     out = tmp / "out" / side / cname / cmd
                     out.mkdir(parents=True)
+                    start = time.perf_counter()
                     runs.append((*run(src, args, config, out), out))
+                    seconds[side] = time.perf_counter() - start
+                    wall[side] += seconds[side]
                 diffs = differences(*runs)
                 for d in diffs:
                     print(f"differs: {cname} {cmd}: {d}")
-                print(f"{cname} {cmd}: exit {runs[1][0]}, {len(diffs)} difference(s)")
+                print(
+                    f"{cname} {cmd}: exit {runs[1][0]}, {len(diffs)} difference(s), "
+                    f"{seconds['rev']:.2f} s at {argv[0]} -> {seconds['work']:.2f} s here"
+                )
                 total += len(diffs)
-    print(f"{total} difference(s)")
+    print(
+        f"{total} difference(s); wall time {wall['rev']:.1f} s at {argv[0]} "
+        f"-> {wall['work']:.1f} s here"
+    )
     return 1 if total else 0
 
 
