@@ -19,6 +19,7 @@ cross-validation keep J symbolic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -153,15 +154,21 @@ _RESONANCES = {
 
 
 def all_ellipses(params: PhysicalParams, exc: ExcitationParams) -> dict[str, Ellipse]:
-    """All four resonance ellipses keyed by kind."""
+    """All four resonance ellipses keyed by kind.
+
+    A subnormal A**2 (A below about 1.5e-154) counts as zero, so every
+    tongue is degenerate as at A = 0: it has lost the precision that the
+    half-widths, and every measurement of a tongue, rely on.
+    """
     p, Om, A = params, exc.Omega, exc.A
+    A2 = A**2 if A**2 >= sys.float_info.min else 0.0
     rcgm = math.sqrt(p.C * p.g * p.m)
     cos_theta = math.cos(exc.theta)
     out = {}
     for kind, r in _RESONANCES.items():
         h1 = p.m * p.R * (2.0 * r.den * p.g + r.n * p.z0 * Om**2) / (2.0 * r.den * RT2 * rcgm)
         h2 = r.n * p.C * p.m * Om**2 / (r.den * RT2 * rcgm)
-        k2 = math.sqrt(r.n * A**2 * p.m * p.R**2 * Om**2 * (1.0 + r.sign * cos_theta) / (r.K * p.C * p.g))
+        k2 = math.sqrt(r.n * A2 * p.m * p.R**2 * Om**2 * (1.0 + r.sign * cos_theta) / (r.K * p.C * p.g))
         out[kind] = Ellipse(kind, h1, h2, r.f * Om * k2, k2, A=A, theta=exc.theta)
     return out
 

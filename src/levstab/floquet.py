@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dop853
 from .linearized import CURRENT_ROWS, periodic_matrix
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import write_csv, write_json
-from .plant import ATOL, METHOD, RTOL
+from .plant import ATOL, RTOL
 
 __all__ = [
     "MonodromyResult",
@@ -100,8 +101,6 @@ def monodromy(
     separate runs at the package tolerances.  Raises ``FloquetError`` when
     the integration fails or needs more than MAX_NFEV RHS evaluations.
     """
-    from scipy.integrate import solve_ivp  # on first use: map's default windows never get here
-
     pm = periodic_matrix(params, exc, gains, hyb=hyb)
     nfev = 0
 
@@ -114,19 +113,12 @@ def monodromy(
             )
         return (pm.at(t) @ y.reshape(6, 6)).ravel()
 
-    sol = solve_ivp(
-        fun,
-        (0.0, pm.period),
-        np.eye(6).ravel(),
-        method=METHOD,
-        rtol=RTOL,
-        atol=ATOL,
-    )
-    if not sol.success:
+    sol = dop853.solve(fun, (0.0, pm.period), np.eye(6).ravel(), RTOL, ATOL)
+    if sol.status < 0:
         raise FloquetError(
             f"monodromy integration failed at Kp={gains.Kp!r}, Kd={gains.Kd!r}: {sol.message}"
         )
-    m = sol.y[:, -1].reshape(6, 6)
+    m = sol.y[-1].reshape(6, 6)
     return MonodromyResult(
         matrix=m,
         multipliers=np.linalg.eigvals(m),

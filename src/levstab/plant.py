@@ -16,11 +16,13 @@ oscillate with the base; it solves the equations exactly, not approximately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 import numpy as np
 
+from . import dop853
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import write_csv
 
@@ -53,6 +55,13 @@ SAMPLES_PER_PERIOD = 200  # integrate()'s default output grid
 # columns (tracemalloc over 20- and 80-period runs).  A 1 GiB budget allows
 # 2**30 // 160 = 6,710,886 samples, 33,554 periods at SAMPLES_PER_PERIOD
 MAX_SAMPLES = 2**30 // 160
+# integrate() stops a run whose RHS evaluations exceed
+# MAX_NFEV_PER_PERIOD * (1 + elapsed time / T).  The largest count measured
+# against that allowance is 515 per period (the benchmark's rtol 1e-12
+# reference runs, seeds 1-10; the test suite peaks at 508, in the battery's
+# criterion 9), so 12,000 leaves 23x headroom, while stiff gains such as
+# Kp = Kd = 1e10, at about 41,600 per period, stop within the first period
+MAX_NFEV_PER_PERIOD = 12_000
 _GAP_BLOCK = 1024  # samples per steady-state evaluation in integrate()'s gap columns
 
 # integrate() declares contact when a gap falls below this fraction of the
@@ -79,7 +88,7 @@ class VehicleState:
 
 def current_scale(params: PhysicalParams) -> float:
     """Current per unit gap in steady state, sqrt(m*g/(2C)) (A/m)."""
-    return np.sqrt(params.m * params.g / (2.0 * params.C))
+    return math.sqrt(params.m * params.g / (2.0 * params.C))
 
 
 class SteadyStateSample(NamedTuple):
@@ -116,15 +125,19 @@ def steady_state(
     With ``hyb`` the currents are those of the hybrid plant,
     kappa*(Delta_ss + beta) - gamma.  Substituted back into the plant
     equations these leave zero residuals for every t, every A < z0 and every
-    theta.  This is the one place that evaluates the base motion.
+    theta.  This is the one place that evaluates the base motion.  A float
+    t takes ``math``'s cos and sin, a fraction of numpy's cost per call, for
+    the RHS and A(t), which evaluate one instant; on x86-64 with numpy 2.4
+    they give numpy's values bit for bit (checked on 1.2 million phases).
     """
+    cos, sin = (math.cos, math.sin) if isinstance(t, float) else (np.cos, np.sin)
     ph = exc.Omega * t
-    w1 = exc.A * np.cos(ph)
-    w2 = exc.A * np.cos(ph - exc.theta)
+    w1 = exc.A * cos(ph)
+    w2 = exc.A * cos(ph - exc.theta)
     d1 = params.z0 - w1
     d2 = params.z0 - w2
-    d1dot = exc.A * exc.Omega * np.sin(ph)
-    d2dot = exc.A * exc.Omega * np.sin(ph - exc.theta)
+    d1dot = exc.A * exc.Omega * sin(ph)
+    d2dot = exc.A * exc.Omega * sin(ph - exc.theta)
     kappa = current_scale(params)
     if hyb is None:
         i1, i2 = kappa * d1, kappa * d2
@@ -168,6 +181,7 @@ def rhs(state, t, params: PhysicalParams, exc: ExcitationParams, gains: ControlG
     evaluate trial stages past the contact event instead of hitting the
     1/gap^2 singularity.
     """
+    state = state.tolist()  # Python floats: scalar arithmetic is cheaper than on numpy scalars
     z, zdot, phi, phidot, i1, i2 = state
     ss = steady_state(params, exc, t)
     d1, d2, d1dot, d2dot = _gaps(state, params, ss)
@@ -207,6 +221,7 @@ def rhs_hybrid(
     and the current equation accordingly; the PD law still acts on the
     physical gap error.  With beta = gamma = 0 this reduces to :func:`rhs`.
     """
+    state = state.tolist()
     z, zdot, phi, phidot, i1, i2 = state
     ss = steady_state(params, exc, t, hyb)
     d1, d2, d1dot, d2dot = _gaps(state, params, ss)
@@ -293,7 +308,9 @@ def integrate(
     """Integrate the plant over t_span with adaptive stepping.
 
     Without ``t_eval`` the output grid holds SAMPLES_PER_PERIOD samples
-    per excitation period.
+    per excitation period.  A run that needs more than MAX_NFEV_PER_PERIOD
+    RHS evaluations per period, counted from t_span[0] plus one period of
+    slack, raises ``RuntimeError`` naming the limit.
 
     An airgap falling below 1% of the nominal z0 counts as contact and
     terminates the run (the model has no track-contact physics); the partial
@@ -301,24 +318,30 @@ def integrate(
     time recorded.  Negative currents do not stop the run (the force law is
     sign-blind) but are flagged in ``meta["negative_current"]``.
     """
-    from scipy.integrate import solve_ivp  # on first use: the closed-form commands never get here
-
     if mode not in ("standard", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
     if (mode == "hybrid") != (hyb is not None):
         raise ValueError("HybridParams go with mode 'hybrid' and only with it")
-    if mode == "hybrid":
-        fun = lambda t, y: rhs_hybrid(y, t, params, exc, gains, hyb)
-    else:
-        fun = lambda t, y: rhs(y, t, params, exc, gains)
+    t0 = float(t_span[0])
+    nfev = 0
+
+    def fun(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_NFEV_PER_PERIOD * (1.0 + (t - t0) / exc.period):
+            raise RuntimeError(
+                f"integration stopped at t = {t:.6g} s after {nfev} RHS evaluations, over the "
+                f"budget of MAX_NFEV_PER_PERIOD = {MAX_NFEV_PER_PERIOD} per excitation period"
+            )
+        if hyb is None:
+            return rhs(y, t, params, exc, gains)
+        return rhs_hybrid(y, t, params, exc, gains, hyb)
+
     contact = CLOSURE_FRACTION * params.z0
 
     def gap_closure(t, y):
         d1, d2, _, _ = _gaps(y, params, steady_state(params, exc, t))
         return min(d1, d2) - contact
-
-    gap_closure.terminal = True
-    gap_closure.direction = -1
 
     if t_eval is None:
         n = max(2, int(round(SAMPLES_PER_PERIOD * (t_span[1] - t_span[0]) / exc.period)))
@@ -330,29 +353,19 @@ def integrate(
             )
         t_eval = np.linspace(t_span[0], t_span[1], n + 1)
 
-    sol = solve_ivp(
-        fun,
-        t_span,
-        initial.as_array(),
-        method=METHOD,
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
-        events=gap_closure,
-        dense_output=False,
+    sol = dop853.solve(
+        fun, t_span, initial.as_array(), rtol, atol, t_eval=t_eval, event=gap_closure
     )
     if sol.status == -1:
         raise RuntimeError(f"integration failed: {sol.message}")
 
     t = sol.t
-    states = sol.y.T
+    states = sol.y
     aborted = sol.status == 1
-    if aborted and sol.t_events[0].size:
-        # append the event sample so the closure time is part of the record
-        t_ev = float(sol.t_events[0][0])
-        if t.size == 0 or t_ev > t[-1]:
-            t = np.append(t, t_ev)
-            states = np.vstack([states, sol.y_events[0][0]])
+    # append the event sample so the closure time is part of the record
+    if aborted and (t.size == 0 or sol.t_event > t[-1]):
+        t = np.append(t, sol.t_event)
+        states = np.vstack([states, sol.y_event])
     # the gap columns, a block of samples at a time, so that the steady-state
     # record never spans the whole output grid
     gaps = np.empty((2, t.size))

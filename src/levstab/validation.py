@@ -534,7 +534,7 @@ def run_battery(params: PhysicalParams, exc: ExcitationParams) -> ValidationRepo
 
     A criterion is skipped with its reason when the excitation opens no
     tongue (every closed-form tongue degenerate: at A = 0, or when A**2
-    underflows) and ``_CRITERIA`` gives one, else when it needs the
+    is subnormal) and ``_CRITERIA`` gives one, else when it needs the
     uniform-bar inertia and the configuration has another J, else when it
     raises ``_Skip``; otherwise it passes or fails on its own verdict.  An
     unexpected exception inside a criterion fails it rather than aborting

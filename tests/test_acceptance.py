@@ -112,9 +112,10 @@ def test_run_battery_applies_prerequisites(monkeypatch, b0, exc_quarter, exc_sti
 
 
 def test_run_battery_underflowing_excitation_skips_like_unexcited(b0, exc_still):
-    """At A = 1e-170, A**2 underflows and every tongue is degenerate, so the
-    battery skips the tongue criteria as at A = 0 instead of failing them
-    with nothing to measure."""
+    """At A = 1e-170, A**2 underflows to zero; at A = 1.7e-162 it is
+    subnormal, with one significant bit left.  Either way every tongue is
+    degenerate, so the battery skips the tongue criteria as at A = 0 instead
+    of failing them on tongues it cannot measure."""
     from levstab import ExcitationParams
     from levstab.validation import run_battery
 
@@ -123,6 +124,8 @@ def test_run_battery_underflowing_excitation_skips_like_unexcited(b0, exc_still)
         assert report.counts()["fail"] == 0
         return [(c.index, c.reason) for c in report.criteria if c.status == "skip"]
 
-    tiny = ExcitationParams(A=1e-170, Omega=exc_still.Omega, theta=exc_still.theta)
-    assert all(e.degenerate for e in all_ellipses(b0, tiny).values())
-    assert skips(tiny) == skips(exc_still)
+    unexcited = skips(exc_still)
+    for A in (1e-170, 1.7e-162):
+        tiny = ExcitationParams(A=A, Omega=exc_still.Omega, theta=math.pi / 2)
+        assert all(e.degenerate for e in all_ellipses(b0, tiny).values())
+        assert skips(tiny) == unexcited

@@ -298,27 +298,52 @@ def test_cli_simulate_periods_over_sample_cap_rejected(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
-_LAZY_SCIPY_SCRIPT = """
+def test_cli_simulate_stiff_gains_stop_at_rhs_budget(tmp_path, capsys):
+    """Gains of 1e10 make the plant so stiff that DOP853 needs about 41,600
+    RHS evaluations per period: over MAX_NFEV_PER_PERIOD the run stops
+    within the first period, exit 3 on one error line naming the limit,
+    instead of grinding through 1000 periods for half an hour."""
+    from levstab.plant import MAX_NFEV_PER_PERIOD
+
+    start = time.perf_counter()
+    rc = main(["simulate", "--kp", "1e10", "--kd", "1e10", "--periods", "1000",
+               "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 30.0
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"MAX_NFEV_PER_PERIOD = {MAX_NFEV_PER_PERIOD}" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+_NO_SCIPY_SCRIPT = """
 import json, sys
-from levstab.cli import main
+from levstab import ControlGains, all_ellipses, monodromy
+from levstab.cli import DEFAULT_CONFIG, main
+from levstab.config import parse_config
 out = sys.argv[1]
 seen = {"import": [0, "scipy" in sys.modules]}
 for cmd in ("map", "ellipses", "resonance-chart", "steady-state"):
     seen[cmd] = [main([cmd, "--out", f"{out}/{cmd}"]), "scipy" in sys.modules]
 rc = main(["simulate", "--kp", "10600", "--kd", "3000", "--periods", "1",
            "--out", f"{out}/simulate"])
-seen["simulate"] = [rc, "scipy.integrate" in sys.modules]
+seen["simulate"] = [rc, "scipy" in sys.modules]
+cfg = parse_config(DEFAULT_CONFIG)
+ea = all_ellipses(cfg.params, cfg.exc)["a"]
+res = monodromy(cfg.params, cfg.exc, ControlGains(ea.h1, ea.h2))
+seen["monodromy"] = [0 if res.stats["nfev"] > 0 else 1, "scipy" in sys.modules]
 print(json.dumps(seen))
 """
 
 
-def test_cli_loads_scipy_only_to_solve_an_ode(tmp_path):
-    """In a fresh interpreter, importing the CLI and running the default
-    map, ellipses, resonance-chart and steady-state leave scipy unloaded;
-    simulate loads scipy.integrate on first use."""
+def test_cli_and_solvers_never_load_scipy(tmp_path):
+    """In a fresh interpreter, importing the CLI, running the default map,
+    ellipses, resonance-chart, steady-state and simulate, and a DOP853
+    monodromy all leave scipy unloaded: the package integrates with its
+    own DOP853."""
     src = Path(levstab.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
@@ -329,7 +354,8 @@ def test_cli_loads_scipy_only_to_solve_an_ode(tmp_path):
         "ellipses": [EXIT_OK, False],
         "resonance-chart": [EXIT_OK, False],
         "steady-state": [EXIT_OK, False],
-        "simulate": [EXIT_OK, True],
+        "simulate": [EXIT_OK, False],
+        "monodromy": [0, False],
     }
     meta = json.loads((tmp_path / "map" / "map_meta.json").read_text())
     assert meta["grid"]["nx"] == meta["grid"]["ny"] == 21
@@ -635,3 +661,31 @@ def test_cli_rejects_nonfinite_input(tmp_path, capsys, argv, doc):
         return
     assert rc == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _write_csv_per_cell(path, header, columns):
+    """The CSV writer as first written: one ``format(v, ".17g")`` per cell."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(v if isinstance(v, str) else format(v, ".17g") for v in row) + "\n")
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    """The row-template writer gives the bytes of per-cell formatting, for
+    special and extreme floats, string columns as numpy, object and tuple
+    columns, and more rows than one formatted block."""
+    from levstab.output import _CSV_BLOCK, write_csv
+
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.225e-308, 1e308, -1.7976931348623157e308, 0.1, 3]
+    rng = np.random.default_rng(7)
+    n = _CSV_BLOCK + 123
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    x[: len(special)] = special
+    words = np.array(["stable", "marginal", "divergence"], dtype=object)[rng.integers(0, 3, n)]
+    columns = [x, words, tuple(-x), np.array(words.tolist()), rng.integers(-5, 5, n)]
+    write_csv(tmp_path / "new.csv", "x,cls,y,s,k", columns)
+    _write_csv_per_cell(tmp_path / "old.csv", "x,cls,y,s,k", columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    write_csv(tmp_path / "empty.csv", "a,b", [[], []])
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"

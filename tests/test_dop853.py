@@ -1,0 +1,119 @@
+"""The package's DOP853 against scipy.integrate.solve_ivp(method="DOP853").
+
+``levstab.dop853.solve`` repeats SciPy's integrator operation for operation,
+so on the package's own problems its samples, final states and RHS counts
+must equal SciPy's bit for bit.  SciPy is the independent reference here and
+is needed by the tests only.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from levstab import ControlGains, HybridParams, all_ellipses, monodromy
+from levstab.dop853 import solve
+from levstab.linearized import periodic_matrix
+from levstab.plant import (
+    ATOL,
+    CLOSURE_FRACTION,
+    RTOL,
+    _gaps,
+    hybrid_gamma,
+    rhs,
+    rhs_hybrid,
+    steady_state,
+    steady_vehicle_state,
+)
+
+GAINS = ControlGains(Kp=10600.0, Kd=3000.0)
+
+
+def _gap_closure(params, exc):
+    contact = CLOSURE_FRACTION * params.z0
+
+    def event(t, y):
+        d1, d2, _, _ = _gaps(y, params, steady_state(params, exc, t))
+        return min(d1, d2) - contact
+
+    return event
+
+
+def _reference(fun, t_span, y0, t_eval=None, event=None, rtol=RTOL, atol=ATOL):
+    events = None
+    if event is not None:
+        events = lambda t, y: event(t, y)
+        events.terminal, events.direction = True, -1
+    return solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol, t_eval=t_eval, events=events)
+
+
+@pytest.mark.parametrize("plant", ["standard", "hybrid"])
+def test_perturbed_run_matches_solve_ivp_bit_for_bit(b0, exc_quarter, plant):
+    """A perturbed 20-period run sampled on a t_eval grid, with the gap
+    closure event armed: same samples, same nfev, status and message."""
+    hyb = None
+    if plant == "hybrid":
+        hyb = HybridParams(beta=0.01, gamma=hybrid_gamma(b0, 0.01))
+        fun = lambda t, y: rhs_hybrid(y, t, b0, exc_quarter, GAINS, hyb)
+    else:
+        fun = lambda t, y: rhs(y, t, b0, exc_quarter, GAINS)
+    start = steady_vehicle_state(b0, exc_quarter, 0.0, hyb)
+    y0 = replace(start, z=start.z + 1e-4, phi=start.phi + 5e-5).as_array()
+    t_end = 20.0 * exc_quarter.period
+    t_eval = np.linspace(0.0, t_end, 4001)
+    event = _gap_closure(b0, exc_quarter)
+
+    ref = _reference(fun, (0.0, t_end), y0, t_eval, event)
+    sol = solve(fun, (0.0, t_end), y0, RTOL, ATOL, t_eval=t_eval, event=event)
+    assert ref.status == sol.status == 0
+    assert sol.message == ref.message
+    assert sol.nfev == ref.nfev
+    assert sol.t_event is None and ref.t_events[0].size == 0
+    np.testing.assert_array_equal(sol.t, ref.t)
+    np.testing.assert_array_equal(sol.y, ref.y.T)
+
+
+def test_monodromy_matches_solve_ivp_bit_for_bit(b0, exc_quarter):
+    """The DOP853 monodromy at the tongue-a center: the final state of the
+    36-state variational system and its RHS count equal SciPy's."""
+    ea = all_ellipses(b0, exc_quarter)["a"]
+    gains = ControlGains(ea.h1, ea.h2)
+    pm = periodic_matrix(b0, exc_quarter, gains)
+    ref = _reference(lambda t, y: (pm.at(t) @ y.reshape(6, 6)).ravel(), (0.0, pm.period), np.eye(6).ravel())
+    res = monodromy(b0, exc_quarter, gains)
+    np.testing.assert_array_equal(res.matrix, ref.y[:, -1].reshape(6, 6))
+    assert res.stats["nfev"] == ref.nfev
+
+
+def test_gap_closure_event_matches_solve_ivp(b0, exc_quarter):
+    """Weak gains let the gap close: the run stops on the event, located to
+    1e-12 relative of SciPy's, and every earlier sample is identical."""
+    gains = ControlGains(Kp=3000.0, Kd=10.0)
+    fun = lambda t, y: rhs(y, t, b0, exc_quarter, gains)
+    y0 = steady_vehicle_state(b0, exc_quarter).as_array()
+    y0[0] += 1e-4
+    t_end = 50.0 * exc_quarter.period
+    t_eval = np.linspace(0.0, t_end, 10001)
+    event = _gap_closure(b0, exc_quarter)
+
+    ref = _reference(fun, (0.0, t_end), y0, t_eval, event)
+    sol = solve(fun, (0.0, t_end), y0, RTOL, ATOL, t_eval=t_eval, event=event)
+    assert ref.status == sol.status == 1
+    assert sol.message == ref.message
+    assert sol.nfev == ref.nfev
+    t_ref = float(ref.t_events[0][0])
+    assert abs(sol.t_event - t_ref) <= 1e-12 * t_ref
+    assert sol.t[-1] <= sol.t_event < t_end
+    np.testing.assert_array_equal(sol.t, ref.t)
+    np.testing.assert_array_equal(sol.y, ref.y.T)
+
+
+def test_solve_rejects_what_it_does_not_implement():
+    fun = lambda t, y: -y
+    with pytest.raises(ValueError, match="increasing"):
+        solve(fun, (1.0, 0.0), np.ones(2), RTOL, ATOL)
+    with pytest.raises(ValueError, match="t_eval"):
+        solve(fun, (0.0, 1.0), np.ones(2), RTOL, ATOL, t_eval=[0.5, 2.0])
+    with pytest.raises(ValueError, match="increasing"):
+        solve(fun, (0.0, 1.0), np.ones(2), RTOL, ATOL, t_eval=[0.5, 0.25])
