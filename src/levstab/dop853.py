@@ -278,11 +278,13 @@ def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
 
 def _error_norm(K, h, scale):
     """RMS norm of the 8th-order step's error, the 5th-order estimate
-    damped by the 3rd-order one."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+    damped by the 3rd-order one.  A step whose stages overflowed gives a
+    NaN or infinite norm, which rejects it, without a RuntimeWarning."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        err5 = np.dot(K.T, E5) / scale
+        err3 = np.dot(K.T, E3) / scale
+        err5_norm_2 = np.linalg.norm(err5) ** 2
+        err3_norm_2 = np.linalg.norm(err3) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,27 +41,52 @@ MAP_CSV_HEADER = "Kp,Kd,class,max_mu_abs"
 
 REAL_TOL = 1e-9  # |Im mu| below this (scaled) counts as a real multiplier
 EPS = 1e-6  # |mu| within EPS of 1 is classed marginal
+BISECT_TOL = 1e-3  # boundary_crossings bisects to this fraction of its scan
 MAX_NFEV = 10_000  # RHS budget of one monodromy: 26x the default windows need, 14x the battery
 
-# sweep's batched engine: classical RK4 on shared nodes, step count doubled
-# from RK4_STEPS to RK4_MAX_STEPS until the Richardson estimate of max|mu|
-# stays within RK4_TOL * max(1, max|mu|) and det M passes the Liouville check
-RK4_STEPS = 200
-RK4_MAX_STEPS = 1600
-RK4_TOL = 1e-9
+# sweep's batched engine: Butcher's order-6 Runge-Kutta method on shared
+# nodes, step count doubled from STEPS to MAX_STEPS until the Richardson
+# estimate of max|mu| stays within STEP_TOL * max(1, max|mu|) and det M
+# passes the Liouville check
+STEPS = 50
+MAX_STEPS = 400
+STEP_TOL = 1e-9
 # det M of an accepted cell lies within DET_TOL (relative) of the Liouville
 # value; its error is set by the fastest-decaying modes, not by max|mu|
 DET_TOL = 1e-8
 # a batched cell whose max|mu| lies within this many error estimates of a
 # class edge 1 +/- EPS is recomputed by monodromy
 GUARD = 10.0
-ENGINE = "RK4 (Richardson-checked) + DOP853 fallback"
-# at its peak the engine holds about 1.9 KB per cell: the four (6, N, 6)
-# RK4 stage buffers, the coarse and fine matrices and their multipliers
-# (tracemalloc over whole sweeps of 2,500 and 10,000 cells).  At 2 KiB per
-# cell a 1 GiB budget allows 2**30 / 2**11 = 524,288 cells, about 724 x 724;
-# worker chunks split the cells, so the budget is shared, not multiplied
+ENGINE = "RK6 (Butcher 7-stage, Richardson-checked) + DOP853 fallback"
+# cells per engine block; the process pool starts only when every worker
+# gets at least one full block
+BLOCK = 2048
+# Memory (tracemalloc over whole one-worker sweeps of 50x50 to 301x301
+# cells): a worker's engine holds about 8 MB for its block, the stage stack
+# and the block's matrices and multipliers, whatever the grid, and the
+# results add about 110 bytes per cell; 301x301 peaks at 18 MB.  The cap
+# was set when the engine held all of a chunk at once, at 2 KiB per cell
+# for a 1 GiB budget: 2**30 / 2**11 = 524,288 cells, about 724 x 724.  It
+# is kept, and a map at the cap now needs about 60 MB plus 8 MB per worker
 MAX_GRID_CELLS = 2**30 // 2**11
+
+# Butcher's 7-stage explicit Runge-Kutta method of order 6 (Butcher 1964;
+# Butcher 2008, Numerical Methods for Ordinary Differential Equations): the
+# nodes in sixths of a step, so that PeriodicMatrix.table(6 n) serves n
+# steps, the rows of its a-matrix and its weights
+_RK6_NODES = (0, 2, 4, 2, 3, 3, 6)
+_RK6_A = (
+    (1 / 3,),
+    (0.0, 2 / 3),
+    (1 / 12, 1 / 3, -1 / 12),
+    (-1 / 16, 9 / 8, -3 / 16, -3 / 8),
+    (0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2),
+    (9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11),
+)
+_RK6_B = (11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120)
+# the engine's stack holds the rows of M in the order (d1, d2, I1, I2, v1,
+# v2), so that the two supports' rows of each kind form one block
+_STACK_ROWS = (0, 3, 2, 5, 1, 4)
 
 
 class FloquetError(RuntimeError):
@@ -208,88 +232,84 @@ class StabilityMap:
 def _propagate(
     a: np.ndarray, g: np.ndarray, kp: np.ndarray, kd: np.ndarray, steps: int, period: float
 ) -> np.ndarray:
-    """Monodromy matrices of every cell (kp[c], kd[c]) by classical RK4 in
-    ``steps`` steps over one period, on the nodes of ``PeriodicMatrix.table``
-    (``a`` at zero gains, ``g``; its node count must be a multiple of
-    2*steps).
+    """Monodromy matrices of every cell (kp[c], kd[c]) by Butcher's order-6
+    method in ``steps`` steps over one period, on the nodes of
+    ``PeriodicMatrix.table`` (``a`` at zero gains, ``g``; its node count
+    must be a multiple of 6*steps).
 
-    The cells advance together as one (6, N, 6) stack, x[i, c, j] = M_c[i, j].
-    The product with A is summed entry by entry in a fixed order, so a cell's
-    arithmetic, and with it its result, does not depend on which other cells
-    share the stack.  Returns the matrices as an (N, 6, 6) array.
+    The cells advance together as one (6, 6, N) stack, x[r, j, c] =
+    M_c[_STACK_ROWS[r], j], with the cells innermost.  Each support pair of
+    rows is a contiguous (2, 6, N) block and A acts on it by elementwise
+    products summed in a fixed order: the rate rows are the velocity rows,
+    the force rows take both gaps and both currents, and the current rows
+    take their own gap, rate and current, with the gains entering the gap
+    and rate columns.  So a cell's arithmetic, and with it its result, does
+    not depend on which other cells share the stack.  Returns the matrices
+    as an (N, 6, 6) array.
     """
-    stride = (len(a) - 1) // (2 * steps)
-    kp, kd = kp[:, None], kd[:, None]
-    # per row, its nonzero columns over the period, each with the
-    # (support, gains) that add to it at CURRENT_ROWS
-    added = {}
-    for s, (row, cp, cd) in enumerate(CURRENT_ROWS):
-        added[row, cp], added[row, cd] = (s, kp), (s, kd)
-    terms = [
-        [
-            (col, added.get((i, col)))
-            for col in range(6)
-            if (i, col) in added or np.any(a[:, i, col])
-        ]
-        for i in range(6)
-    ]
-
-    def coefficients(node: int) -> list:
-        """Per row, (column, coefficient) pairs; a coefficient is a float,
-        or an (N, 1) column where the gains enter."""
-        an, gn = a[node].tolist(), g[node]
-        return [
-            [
-                (col, an[i][col] if add is None else an[i][col] + add[1] * gn[add[0]])
-                for col, add in row
-            ]
-            for i, row in enumerate(terms)
-        ]
-
-    x = np.zeros((6, kp.shape[0], 6))
-    for i in range(6):
-        x[i, :, i] = 1.0
-    k, acc, y = (np.empty_like(x) for _ in range(3))
-    tmp = np.empty_like(x[0])
-    # row views of the stage buffers, made once
-    x_rows, y_rows, k_rows = list(x), list(y), list(k)
-
-    def derivative(coef: list, rows: list) -> None:
-        """k = A rows, A given by its coefficients at one node."""
-        for out, row in zip(k_rows, coef):
-            if not row:  # a row of A that is zero over the whole period
-                out.fill(0.0)
-                continue
-            (k0, c0), *rest = row
-            np.multiply(c0, rows[k0], out=out)
-            for col, c in rest:
-                np.multiply(c, rows[col], out=tmp)
-                out += tmp
-
+    stride = (len(a) - 1) // (6 * steps)
     h = period / steps
-    last = coefficients(0)
-    for j in range(steps):
-        first = last
-        mid, last = coefficients((2 * j + 1) * stride), coefficients((2 * j + 2) * stride)
-        derivative(first, x_rows)
-        np.copyto(acc, k)
-        np.multiply(k, 0.5 * h, out=y)
-        y += x
-        derivative(mid, y_rows)
-        np.multiply(k, 0.5 * h, out=y)
-        y += x
-        k *= 2.0
-        acc += k
-        derivative(mid, y_rows)
-        np.multiply(k, h, out=y)
-        y += x
-        k *= 2.0
-        acc += k
-        derivative(last, y_rows)
-        acc += k
-        acc *= h / 6.0
-        x += acc
-    return x.transpose(1, 0, 2).copy()
+    n = kp.size
+    # per node, (2, 1, 1) coefficient columns: the force rows' entries on
+    # d1, I1, d2, I2, each with the stack row it multiplies, and the current
+    # rows' entries on their own current, gap and rate at zero gains, with
+    # the gain scale d_i/2C
+    force = [(a[:, [1, 4], col][:, :, None, None], _STACK_ROWS.index(col)) for col in (0, 2, 3, 5)]
+    rows, gaps, rates = (list(cols) for cols in zip(*CURRENT_ROWS))
+    cur_i, cur_d, cur_v = (a[:, rows, cols][:, :, None, None] for cols in (rows, gaps, rates))
+    scale = g[:, :, None, None]
+    stages = [
+        (node, [(j, h * c) for j, c in enumerate(row) if c])
+        for node, row in zip(_RK6_NODES[1:], _RK6_A)
+    ]
+    weights = [(j, h * b) for j, b in enumerate(_RK6_B) if b]
+
+    x = np.zeros((6, 6, n))
+    for r, row in enumerate(_STACK_ROWS):
+        x[r, row] = 1.0
+    ks = [np.empty_like(x) for _ in _RK6_B]
+    y, tmp = np.empty_like(x), np.empty_like(x)
+    pair = tmp[:2]
+
+    def derivative(y: np.ndarray, k: np.ndarray, node: int, gap: np.ndarray, rate: np.ndarray):
+        """k = A y at one node, with the current rows' gap and rate entries
+        ``gap`` and ``rate`` at the cells' gains."""
+        np.copyto(k[0:2], y[4:6])
+        out = k[4:6]
+        (f, row), *rest = force
+        np.multiply(f[node], y[row], out=out)
+        for f, row in rest:
+            np.multiply(f[node], y[row], out=pair)
+            out += pair
+        out = k[2:4]
+        np.multiply(gap, y[0:2], out=out)
+        np.multiply(rate, y[4:6], out=pair)
+        out += pair
+        np.multiply(cur_i[node], y[2:4], out=pair)
+        out += pair
+
+    for step in range(steps):
+        first = 6 * step * stride
+        nodes = slice(first, first + 6 * stride + 1, stride)
+        gap, rate = cur_d[nodes] + kp * scale[nodes], cur_v[nodes] + kd * scale[nodes]
+        derivative(x, ks[0], first, gap[0], rate[0])
+        for s, (node, terms) in enumerate(stages, start=1):
+            (j, c), *rest = terms
+            np.multiply(ks[j], c, out=y)
+            y += x
+            for j, c in rest:
+                np.multiply(ks[j], c, out=tmp)
+                y += tmp
+            derivative(y, ks[s], first + node * stride, gap[node], rate[node])
+        (j, c), *rest = weights
+        np.multiply(ks[j], c, out=y)
+        for j, c in rest:
+            np.multiply(ks[j], c, out=tmp)
+            y += tmp
+        x += y
+    m = np.empty((n, 6, 6))
+    m[:, _STACK_ROWS, :] = x.transpose(2, 0, 1)
+    return m
 
 
 def _batched_cells(
@@ -299,17 +319,18 @@ def _batched_cells(
     kp: np.ndarray,
     kd: np.ndarray,
 ) -> tuple[list, dict]:
-    """Classify the gain cells (kp[c], kd[c]) with the batched RK4 engine.
+    """Classify the gain cells (kp[c], kd[c]) with the batched engine, in
+    blocks of BLOCK cells.
 
-    Every cell is propagated at RK4_STEPS and at half that on one node
-    table.  A cell is accepted once its Richardson estimate
-    |max|mu|(n) - max|mu|(n/2)| / 15 is within RK4_TOL * max(1, max|mu|),
+    Every cell of a block is propagated at STEPS and at half that on one
+    node table.  A cell is accepted once its Richardson estimate
+    |max|mu|(n) - max|mu|(n/2)| / 63 is within STEP_TOL * max(1, max|mu|),
     det M is within DET_TOL of the Liouville value exp(-R (z0 + beta) T / C),
     and its class at n equals that at n/2; the others are run again at
-    twice the steps, up to RK4_MAX_STEPS.  A cell goes to the scalar
+    twice the steps, up to MAX_STEPS.  A cell goes to the scalar
     ``monodromy`` (DOP853) when its matrix is not finite, when it is still
     not accepted at the cap, or when its max|mu| lies within GUARD estimates
-    of a class edge 1 +/- EPS (or within RK4_TOL, how closely the two
+    of a class edge 1 +/- EPS (or within STEP_TOL, how closely the two
     engines agree); a cell whose ``monodromy`` fails is classed 'error' and
     never aborts the batch.
 
@@ -323,42 +344,42 @@ def _batched_cells(
     out: list = [None] * kp.size
     stats = {"steps": {}, "fallback": 0, "richardson_max": 0.0, "det_rel_err_max": 0.0}
     fallback = []
-    pending = np.arange(kp.size)
-    steps = RK4_STEPS
+    table = functools.cache(lambda steps: pm.table(6 * steps))
     with np.errstate(all="ignore"):
-        a, g = pm.table(2 * steps)
-        coarse = _propagate(a, g, kp, kd, steps // 2, pm.period)
-        while pending.size:
-            if steps > RK4_STEPS:
-                a, g = pm.table(2 * steps)
-            fine = _propagate(a, g, kp[pending], kd[pending], steps, pm.period)
-            finite = np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(coarse).all(axis=(1, 2))
-            fallback += list(pending[~finite])
-            pending, coarse, fine = pending[finite], coarse[finite], fine[finite]
-            mu_coarse, mu_fine = np.linalg.eigvals(coarse), np.linalg.eigvals(fine)
-            top = np.abs(mu_fine).max(axis=1)
-            scale = np.maximum(1.0, top)
-            est = np.abs(top - np.abs(mu_coarse).max(axis=1)) / 15.0 / scale
-            det_err = np.abs(np.linalg.det(fine) / det_exact - 1.0)
-            edge_gap = np.minimum(np.abs(top - (1.0 - EPS)), np.abs(top - (1.0 + EPS)))
-            margin = np.maximum(GUARD * est, RK4_TOL) * scale
-            retry = []
-            for r, c in enumerate(pending):
-                cls = _class_of(mu_fine[r])
-                if est[r] > RK4_TOL or det_err[r] > DET_TOL or cls != _class_of(mu_coarse[r]):
-                    retry.append(r)
-                elif edge_gap[r] <= margin[r]:
-                    fallback.append(c)
-                else:
-                    out[c] = (cls, float(top[r]), None)
-                    stats["steps"][steps] = stats["steps"].get(steps, 0) + 1
-                    stats["richardson_max"] = max(stats["richardson_max"], float(est[r]))
-                    stats["det_rel_err_max"] = max(stats["det_rel_err_max"], float(det_err[r]))
-            if steps >= RK4_MAX_STEPS:
-                fallback += list(pending[retry])
-                break
-            pending, coarse = pending[retry], fine[retry]
-            steps *= 2
+        for start in range(0, kp.size, BLOCK):
+            pending = np.arange(start, min(start + BLOCK, kp.size))
+            steps = STEPS
+            coarse = _propagate(*table(steps), kp[pending], kd[pending], steps // 2, pm.period)
+            while pending.size:
+                fine = _propagate(*table(steps), kp[pending], kd[pending], steps, pm.period)
+                finite = np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(coarse).all(axis=(1, 2))
+                fallback += list(pending[~finite])
+                pending, coarse, fine = pending[finite], coarse[finite], fine[finite]
+                mu_coarse, mu_fine = np.linalg.eigvals(coarse), np.linalg.eigvals(fine)
+                top = np.abs(mu_fine).max(axis=1)
+                scale = np.maximum(1.0, top)
+                # order 6: halving the step divides the error by 2**6
+                est = np.abs(top - np.abs(mu_coarse).max(axis=1)) / 63.0 / scale
+                det_err = np.abs(np.linalg.det(fine) / det_exact - 1.0)
+                edge_gap = np.minimum(np.abs(top - (1.0 - EPS)), np.abs(top - (1.0 + EPS)))
+                margin = np.maximum(GUARD * est, STEP_TOL) * scale
+                retry = []
+                for r, c in enumerate(pending):
+                    cls = _class_of(mu_fine[r])
+                    if est[r] > STEP_TOL or det_err[r] > DET_TOL or cls != _class_of(mu_coarse[r]):
+                        retry.append(r)
+                    elif edge_gap[r] <= margin[r]:
+                        fallback.append(c)
+                    else:
+                        out[c] = (cls, float(top[r]), None)
+                        stats["steps"][steps] = stats["steps"].get(steps, 0) + 1
+                        stats["richardson_max"] = max(stats["richardson_max"], float(est[r]))
+                        stats["det_rel_err_max"] = max(stats["det_rel_err_max"], float(det_err[r]))
+                if steps >= MAX_STEPS:
+                    fallback += list(pending[retry])
+                    break
+                pending, coarse = pending[retry], fine[retry]
+                steps *= 2
     for c in sorted(fallback):
         stats["fallback"] += 1
         try:
@@ -386,25 +407,29 @@ def sweep(
 
     The cells, Kp outer and Kd inner, are split into one contiguous chunk
     per worker and each chunk is classified by the batched engine
-    (``_batched_cells``); with more than one chunk the chunks run in a
-    process pool.  A cell's result does not depend on its chunk, so the
-    output is the same for every worker count.
+    (``_batched_cells``).  The workers are those of ``resolve_workers``, but
+    no more than the grid has full blocks of BLOCK cells; with more than one
+    chunk the chunks run in a process pool.  A cell's result does not depend
+    on its chunk, so the output is the same for every worker count.
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
     if nx * ny > MAX_GRID_CELLS:
         raise ValueError(
             f"a {nx}x{ny} grid has {nx * ny} cells, over the limit of "
-            f"MAX_GRID_CELLS = {MAX_GRID_CELLS} (a 1 GiB budget at 2 KiB per cell)"
+            f"MAX_GRID_CELLS = {MAX_GRID_CELLS} (about 724x724)"
         )
     kp = np.linspace(Kp_range[0], Kp_range[1], nx)
     kd = np.linspace(Kd_range[0], Kd_range[1], ny)
     cells_kp, cells_kd = np.repeat(kp, ny), np.tile(kd, nx)
-    bounds = np.linspace(0, nx * ny, min(resolve_workers(workers), nx * ny) + 1).astype(int)
+    workers = max(1, min(resolve_workers(workers), nx * ny // BLOCK))
+    bounds = np.linspace(0, nx * ny, workers + 1).astype(int)
     chunks = [
         (params, exc, hyb, cells_kp[lo:hi], cells_kd[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
     ]
     if len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(_batched_cells, *zip(*chunks)))
     else:
@@ -428,7 +453,7 @@ def sweep(
             "rtol": RTOL,
             "atol": ATOL,
             "method": ENGINE,
-            "rk4_cells_by_steps": {
+            "cells_by_steps": {
                 str(n): sum(st["steps"].get(n, 0) for st in stats) for n in steps
             },
             "fallback_cells": sum(st["fallback"] for st in stats),
@@ -460,13 +485,12 @@ def boundary_crossings(
 
     ``scan`` is ((Kp0, Kd0), (Kp1, Kd1)).  The default indicator is
     max|mu| - 1; bisection runs on each sign change of the indicator among
-    ``n_presample`` uniform samples, down to 1e-3 of the scan length.  A
+    ``n_presample`` uniform samples, down to BISECT_TOL of the scan length.  A
     custom indicator maps the multiplier array to a scalar, which lets
     callers track a single resonance signature instead of the dominant
     multiplier.  Returns the crossing coordinates ordered along the scan;
     empty if no sign change.
     """
-    tol = 1e-3
     (kp0, kd0), (kp1, kd1) = scan
     if indicator is None:
         indicator = lambda mu: float(np.max(np.abs(mu))) - 1.0
@@ -485,7 +509,7 @@ def boundary_crossings(
         if fa * fb >= 0.0:
             continue
         lo, hi, flo = a, b, fa
-        while hi - lo > tol:
+        while hi - lo > BISECT_TOL:
             mid = 0.5 * (lo + hi)
             fm = f(mid)
             if fm == 0.0:

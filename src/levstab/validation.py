@@ -18,6 +18,7 @@ import numpy as np
 
 from . import boundaries
 from .floquet import (
+    BISECT_TOL,
     boundary_crossings,
     classify,
     monodromy,
@@ -34,6 +35,7 @@ from .model import (
     natural_frequencies,
 )
 from .plant import (
+    RTOL,
     hybrid_gamma,
     hybrid_transform,
     integrate,
@@ -50,6 +52,18 @@ __all__ = [
 
 RT3 = math.sqrt(3.0)
 SEED = 20260814
+# tongue_edges scans h1 +- SCAN_HALF_WIDTH * k1
+SCAN_HALF_WIDTH = 1.6
+# The narrowest relative tongue width k1/h1 (about 7 A) that the boundary
+# bisection resolves.  It places an edge to BISECT_TOL of its scan, which is
+# 2 * SCAN_HALF_WIDTH * k1 long, and inside a tongue |mu| - 1 is of the
+# order of k1/h1 (near 0.2 k1/h1 at the centres), so over that distance
+# |mu| moves by about 2 * SCAN_HALF_WIDTH * BISECT_TOL * k1/h1.  The
+# monodromy resolves |mu| to about RTOL, and a narrower tongue puts its
+# edges inside that error.  The limit errs on the safe side: at theta =
+# pi/2 the Floquet tongue criteria still pass at A = 1e-9 (narrowest width
+# 6.8e-9) and fail at A = 1e-10 (6.8e-10)
+MIN_TONGUE_WIDTH = RTOL / (2.0 * SCAN_HALF_WIDTH * BISECT_TOL)
 
 
 @dataclass
@@ -116,7 +130,7 @@ def tongue_edges(
     ell: boundaries.Ellipse,
 ) -> tuple[float, float]:
     """Kp of the left and right tongue edges along the horizontal Kd = h2,
-    scanned over h1 +- 1.6 k1.
+    scanned over h1 +- SCAN_HALF_WIDTH * k1.
 
     Edge detection tracks the resonance-signature multipliers rather than
     max|mu|: the right half of each tongue lies beyond the oscillatory
@@ -134,7 +148,8 @@ def tongue_edges(
 
         return f
 
-    scan = ((ell.h1 - 1.6 * ell.k1, ell.h2), (ell.h1 + 1.6 * ell.k1, ell.h2))
+    half = SCAN_HALF_WIDTH * ell.k1
+    scan = ((ell.h1 - half, ell.h2), (ell.h1 + half, ell.h2))
     left = boundary_crossings(params, exc, scan, indicator=rank_indicator(0), n_presample=25)
     right = boundary_crossings(params, exc, scan, indicator=rank_indicator(1), n_presample=25)
     if not left or not right:
@@ -500,32 +515,34 @@ def _c13_multiplier_signatures(params, exc):
 
 
 # index, name, tolerance, implementation, the reason it is skipped when every
-# tongue is degenerate, as at A = 0 (None: it runs), and whether it needs the
-# uniform-bar inertia
+# tongue is degenerate, as at A = 0 (None: it runs), whether it measures
+# tongues by their Floquet multipliers (skipped below MIN_TONGUE_WIDTH), and
+# whether it needs the uniform-bar inertia
 _CRITERIA = [
-    (1, "natural-frequency-ratio", "1e-12 relative", _c1_frequency_ratio, None, False),
-    (2, "ellipse-centers", "1e-9 relative vs frequency inversion", _c2_ellipse_centers, None, True),
+    (1, "natural-frequency-ratio", "1e-12 relative", _c1_frequency_ratio, None, False, False),
+    (2, "ellipse-centers", "1e-9 relative vs frequency inversion", _c2_ellipse_centers,
+     None, False, True),
     (3, "center-line", "1e-12 relative (line), 1e-6 (bisected boundary)", _c3_center_line,
-     None, False),
+     None, False, False),
     (4, "axis-ratios", "1e-12 relative", _c4_axis_ratios,
-     "tongue half-widths vanish without excitation", True),
+     "tongue half-widths vanish without excitation", False, True),
     (5, "eta-frequency-independence", "1e-12 relative", _c5_eta_frequency_independence,
-     "eta undefined without excitation", True),
+     "eta undefined without excitation", False, True),
     (6, "theta-degeneracy", "exact zeros", _c6_degeneracy,
-     "degeneracy pattern is vacuous without excitation", False),
+     "degeneracy pattern is vacuous without excitation", False, False),
     (7, "floquet-vs-analytic", "center 1% of k1, half-width 2%", _c7_floquet_vs_analytic,
-     "no tongues to locate without excitation", True),
+     "no tongues to locate without excitation", True, True),
     (8, "steady-state-exactness", "1e-8 m / 1e-8 rad over 10 periods", _c8_steady_state_exactness,
-     None, False),
+     None, False, False),
     (9, "hybrid-equivalence", "1e-8 relative, cell-identical maps", _c9_hybrid_equivalence,
-     None, False),
+     None, False, False),
     (10, "linearization-consistency", "1e-6 entrywise relative", _c10_linearization_consistency,
-     None, False),
-    (11, "length-invariance", "cell-identical maps", _c11_length_invariance, None, False),
+     None, False, False),
+    (11, "length-invariance", "cell-identical maps", _c11_length_invariance, None, False, False),
     (12, "printed-factor-ratio", "ratio = 2.000 to 1e-9", _c12_printed_factor,
-     "size ratio undefined without excitation", True),
+     "size ratio undefined without excitation", False, True),
     (13, "multiplier-signatures", "signature at each tongue center", _c13_multiplier_signatures,
-     "no resonant multipliers without excitation", True),
+     "no resonant multipliers without excitation", True, True),
 ]
 
 
@@ -534,20 +551,30 @@ def run_battery(params: PhysicalParams, exc: ExcitationParams) -> ValidationRepo
 
     A criterion is skipped with its reason when the excitation opens no
     tongue (every closed-form tongue degenerate: at A = 0, or when A**2
-    is subnormal) and ``_CRITERIA`` gives one, else when it needs the
-    uniform-bar inertia and the configuration has another J, else when it
-    raises ``_Skip``; otherwise it passes or fails on its own verdict.  An
-    unexpected exception inside a criterion fails it rather than aborting
-    the battery.
+    is subnormal) and ``_CRITERIA`` gives one, else when it measures
+    tongues by Floquet and the narrowest tongue at theta = pi/2, where all
+    four are open, is narrower than MIN_TONGUE_WIDTH, else when it needs
+    the uniform-bar inertia and the configuration has another J, else when
+    it raises ``_Skip``; otherwise it passes or fails on its own verdict.
+    An unexpected exception inside a criterion fails it rather than
+    aborting the battery.
     """
     uniform_j = has_uniform_bar_inertia(params)
     unexcited = all(e.degenerate for e in boundaries.all_ellipses(params, exc).values())
+    quarter = ExcitationParams(A=exc.A, Omega=exc.Omega, theta=math.pi / 2.0)
+    widths = [e.k1 / e.h1 for e in boundaries.all_ellipses(params, quarter).values()]
+    narrow = min(widths) < MIN_TONGUE_WIDTH
     results = []
-    for index, name, tolerance, fn, unexcited_reason, needs_uniform_j in _CRITERIA:
+    for index, name, tolerance, fn, unexcited_reason, floquet_tongues, needs_uniform_j in _CRITERIA:
         t0 = time.perf_counter()
         status, measured, detail, reason = "skip", {}, "", ""
         if unexcited and unexcited_reason is not None:
             reason = unexcited_reason
+        elif floquet_tongues and narrow:
+            reason = (
+                f"tongues narrower than MIN_TONGUE_WIDTH = {MIN_TONGUE_WIDTH:.3g} (k1/h1), "
+                "below what the boundary bisection resolves"
+            )
         elif needs_uniform_j and not uniform_j:
             reason = "closed-form boundaries assume the uniform-bar inertia"
         else:

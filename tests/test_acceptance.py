@@ -71,8 +71,9 @@ def test_acceptance_tongue_centers_spot_values(b0, exc_quarter):
 
 def test_run_battery_applies_prerequisites(monkeypatch, b0, exc_quarter, exc_still):
     """run_battery alone decides a criterion's status: the A = 0 reason
-    first, then the uniform-bar inertia, then the criterion's own _Skip;
-    its verdict maps to pass or fail and an unexpected exception to fail."""
+    first, then the narrow-tongue gate, then the uniform-bar inertia, then
+    the criterion's own _Skip; its verdict maps to pass or fail and an
+    unexpected exception to fail."""
     from levstab import validation
 
     def skips(params, exc):
@@ -85,12 +86,13 @@ def test_run_battery_applies_prerequisites(monkeypatch, b0, exc_quarter, exc_sti
         return True, {"x": 1.0}, "fine"
 
     monkeypatch.setattr(validation, "_CRITERIA", [
-        (1, "passes", "", passes, None, False),
-        (2, "fails", "", lambda params, exc: (False, {}, "bad"), None, False),
-        (3, "own-skip", "", skips, None, False),
-        (4, "breaks", "", breaks, None, False),
-        (5, "needs-excitation", "", passes, "unexcited", True),
-        (6, "needs-uniform-j", "", passes, None, True),
+        (1, "passes", "", passes, None, False, False),
+        (2, "fails", "", lambda params, exc: (False, {}, "bad"), None, False, False),
+        (3, "own-skip", "", skips, None, False, False),
+        (4, "breaks", "", breaks, None, False, False),
+        (5, "needs-excitation", "", passes, "unexcited", False, True),
+        (6, "needs-uniform-j", "", passes, None, False, True),
+        (7, "needs-resolvable-tongues", "", passes, "unexcited", True, True),
     ])
 
     def outcomes(params, exc):
@@ -105,10 +107,16 @@ def test_run_battery_applies_prerequisites(monkeypatch, b0, exc_quarter, exc_sti
         ("fail", "unexpected ZeroDivisionError: boom"),
         ("pass", "fine"),
         ("pass", "fine"),
+        ("pass", "fine"),
     ]
     odd_j = replace(b0, J=7000.0)
-    assert outcomes(odd_j, exc_quarter)[4:] == [("skip", uniform), ("skip", uniform)]
-    assert outcomes(odd_j, exc_still)[4:] == [("skip", "unexcited"), ("skip", uniform)]
+    assert outcomes(odd_j, exc_quarter)[4:] == [("skip", uniform)] * 3
+    assert outcomes(odd_j, exc_still)[4:] == [
+        ("skip", "unexcited"), ("skip", uniform), ("skip", "unexcited"),
+    ]
+    narrow = outcomes(odd_j, replace(exc_quarter, A=1e-12))
+    assert narrow[4:6] == [("skip", uniform)] * 2
+    assert narrow[6][0] == "skip" and "MIN_TONGUE_WIDTH" in narrow[6][1]
 
 
 def test_run_battery_underflowing_excitation_skips_like_unexcited(b0, exc_still):
@@ -129,3 +137,22 @@ def test_run_battery_underflowing_excitation_skips_like_unexcited(b0, exc_still)
         tiny = ExcitationParams(A=A, Omega=exc_still.Omega, theta=math.pi / 2)
         assert all(e.degenerate for e in all_ellipses(b0, tiny).values())
         assert skips(tiny) == unexcited
+
+
+def test_run_battery_skips_floquet_tongue_criteria_below_resolvable_width(b0):
+    """The relative tongue width is about 7 A.  Below MIN_TONGUE_WIDTH the
+    boundary bisection cannot resolve a tongue, so at A = 1e-12 and 1e-150
+    the criteria that measure tongues by Floquet (7 and 13) are skipped
+    with a reason naming that limit, where they used to fail; at A = 1e-8
+    all 13 criteria still run and pass."""
+    from levstab import ExcitationParams
+    from levstab.validation import MIN_TONGUE_WIDTH, run_battery
+
+    for A in (1e-12, 1e-150):
+        report = run_battery(b0, ExcitationParams(A=A, Omega=80.0, theta=math.pi / 2))
+        assert report.counts() == {"pass": 11, "fail": 0, "skip": 2}
+        skipped = [(c.index, c.reason) for c in report.criteria if c.status == "skip"]
+        assert [index for index, _ in skipped] == [7, 13]
+        assert all(f"MIN_TONGUE_WIDTH = {MIN_TONGUE_WIDTH:.3g}" in reason for _, reason in skipped)
+    report = run_battery(b0, ExcitationParams(A=1e-8, Omega=80.0, theta=math.pi / 2))
+    assert report.counts() == {"pass": 13, "fail": 0, "skip": 0}

@@ -298,20 +298,27 @@ def test_cli_simulate_periods_over_sample_cap_rejected(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
-def test_cli_simulate_stiff_gains_stop_at_rhs_budget(tmp_path, capsys):
+def test_cli_simulate_stiff_gains_stop_at_rhs_budget(tmp_path):
     """Gains of 1e10 make the plant so stiff that DOP853 needs about 41,600
     RHS evaluations per period: over MAX_NFEV_PER_PERIOD the run stops
     within the first period, exit 3 on one error line naming the limit,
-    instead of grinding through 1000 periods for half an hour."""
+    instead of grinding through 1000 periods for half an hour.  Run in a
+    fresh interpreter, so that no numpy RuntimeWarning from the rejected
+    overflowing steps can hide behind a capture: stderr is that one line."""
     from levstab.plant import MAX_NFEV_PER_PERIOD
 
+    src = Path(levstab.__file__).resolve().parents[1]
     start = time.perf_counter()
-    rc = main(["simulate", "--kp", "1e10", "--kd", "1e10", "--periods", "1000",
-               "--out", str(tmp_path)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "levstab.cli", "simulate", "--kp", "1e10", "--kd", "1e10",
+         "--periods", "1000", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
     assert time.perf_counter() - start < 30.0
-    assert rc == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert proc.returncode == EXIT_RUNTIME
+    err = proc.stderr
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"MAX_NFEV_PER_PERIOD = {MAX_NFEV_PER_PERIOD}" in err
     assert not (tmp_path / "trajectory.csv").exists()
 
@@ -332,6 +339,7 @@ cfg = parse_config(DEFAULT_CONFIG)
 ea = all_ellipses(cfg.params, cfg.exc)["a"]
 res = monodromy(cfg.params, cfg.exc, ControlGains(ea.h1, ea.h2))
 seen["monodromy"] = [0 if res.stats["nfev"] > 0 else 1, "scipy" in sys.modules]
+seen["process pool"] = [0, "concurrent.futures.process" in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -340,7 +348,8 @@ def test_cli_and_solvers_never_load_scipy(tmp_path):
     """In a fresh interpreter, importing the CLI, running the default map,
     ellipses, resonance-chart, steady-state and simulate, and a DOP853
     monodromy all leave scipy unloaded: the package integrates with its
-    own DOP853."""
+    own DOP853.  The default map is under two engine blocks, so it starts
+    no process pool and never imports one."""
     src = Path(levstab.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
@@ -356,6 +365,7 @@ def test_cli_and_solvers_never_load_scipy(tmp_path):
         "steady-state": [EXIT_OK, False],
         "simulate": [EXIT_OK, False],
         "monodromy": [0, False],
+        "process pool": [0, False],
     }
     meta = json.loads((tmp_path / "map" / "map_meta.json").read_text())
     assert meta["grid"]["nx"] == meta["grid"]["ny"] == 21

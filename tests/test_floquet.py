@@ -141,13 +141,20 @@ def test_sweep_agrees_with_static_oracle_when_unexcited(b0, exc_still):
             assert (got == "stable") == (max_re < 0.0), (kp, kd, got)
 
 
-def test_sweep_deterministic_exports(tmp_path, b0, exc_quarter):
+def test_sweep_deterministic_exports(monkeypatch, tmp_path, b0, exc_quarter):
     """Two identical sweeps serialize to byte-identical CSV files, parallel
-    or not."""
+    or not.  The pool starts only when every worker gets a full block of
+    cells, so a 4x4 map runs on one worker, and on two (where two CPUs are
+    usable) once the block is shrunk to 8 cells."""
+    import levstab.floquet as fl
+
     kp_range = (10000.0, 13000.0)
     kd_range = (2300.0, 2420.0)
     m1 = sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=1)
+    assert sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=2).meta["workers"] == 1
+    monkeypatch.setattr(fl, "BLOCK", 8)
     m2 = sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=2)
+    assert m2.meta["workers"] == resolve_workers(2)
     p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     write_map_csv(m1, p1)
     write_map_csv(m2, p2)
@@ -156,19 +163,46 @@ def test_sweep_deterministic_exports(tmp_path, b0, exc_quarter):
     assert header == MAP_CSV_HEADER == "Kp,Kd,class,max_mu_abs"
 
 
-def test_batched_cells_independent_of_chunking(b0, exc_quarter):
+def test_batched_cells_independent_of_chunking(monkeypatch, b0, exc_quarter):
     """A cell's result does not depend on the other cells of its batch, so
-    the worker split cannot change a map, whatever the CPU count: the
-    engine's results on a set of cells equal, bit for bit, its results on
-    two unequal parts of it."""
+    neither the worker split nor the engine's blocks can change a map,
+    whatever the CPU count: the engine's results on a set of cells equal,
+    bit for bit, its results on two unequal parts of it, and its results
+    in blocks of 4 cells.  The kind-d tongue centre, far outside the default
+    window, needs refined passes (at 25 steps it errs by about 1e-4)."""
+    import levstab.floquet as fl
+
     kp_range, kd_range = default_map_window(b0, exc_quarter)
-    kp = np.repeat(np.linspace(*kp_range, 5), 5)
-    kd = np.tile(np.linspace(*kd_range, 5), 5)
+    ed = all_ellipses(b0, exc_quarter)["d"]
+    kp = np.append(np.repeat(np.linspace(*kp_range, 5), 5), [ed.h1, 1.01 * ed.h1])
+    kd = np.append(np.tile(np.linspace(*kd_range, 5), 5), [ed.h2, ed.h2])
     whole, stats = _batched_cells(b0, exc_quarter, None, kp, kd)
     head, _ = _batched_cells(b0, exc_quarter, None, kp[:7], kd[:7])
     tail, _ = _batched_cells(b0, exc_quarter, None, kp[7:], kd[7:])
     assert len(stats["steps"]) > 1  # some cells needed a refined pass
     assert whole == head + tail
+    monkeypatch.setattr(fl, "BLOCK", 4)
+    assert _batched_cells(b0, exc_quarter, None, kp, kd)[0] == whole
+
+
+def test_batched_step_is_sixth_order(b0, exc_quarter):
+    """Guards the engine's tableau: at the tongue-a centre the monodromy
+    matrix at 25, 50 and 100 steps converges on a 400-step run at an
+    observed order of at least 5.5.  (max|mu| itself is no guard here: its
+    error is about 1e-6 of the matrix's and reaches roundoff by 100 steps.)"""
+    from levstab.floquet import _propagate
+    from levstab.linearized import periodic_matrix
+
+    ea = all_ellipses(b0, exc_quarter)["a"]
+    pm = periodic_matrix(b0, exc_quarter, ControlGains(0.0, 0.0))
+    kp, kd = np.array([ea.h1]), np.array([ea.h2])
+    m = {}
+    for n in (25, 50, 100, 400):
+        a, g = pm.table(6 * n)
+        m[n] = _propagate(a, g, kp, kd, n, pm.period)[0]
+    err = [np.max(np.abs(m[n] - m[400])) for n in (25, 50, 100)]
+    orders = [math.log2(e0 / e1) for e0, e1 in zip(err, err[1:])]
+    assert min(orders) >= 5.5, orders
 
 
 def test_sweep_survives_rows_of_a_that_underflow(exc_quarter):
@@ -434,9 +468,11 @@ def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):
     assert doc["grid"]["rtol"] == 1e-10
     assert (doc["grid"]["atol"], doc["grid"]["eps"]) == (1e-12, 1e-6)
     grid = doc["grid"]
-    assert (grid["method"], grid["workers"]) == ("RK4 (Richardson-checked) + DOP853 fallback", 1)
-    assert sum(grid["rk4_cells_by_steps"].values()) + grid["fallback_cells"] == 4
-    assert set(grid["rk4_cells_by_steps"]) <= {"200", "400", "800", "1600"}
+    assert (grid["method"], grid["workers"]) == (
+        "RK6 (Butcher 7-stage, Richardson-checked) + DOP853 fallback", 1
+    )
+    assert sum(grid["cells_by_steps"].values()) + grid["fallback_cells"] == 4
+    assert set(grid["cells_by_steps"]) <= {"50", "100", "200", "400"}
     assert 0.0 <= grid["richardson_max"] <= 1e-9
     assert 0.0 <= grid["det_rel_err_max"] <= 1e-8
     assert doc["cell_errors"] == []

@@ -68,12 +68,17 @@ COMMANDS = {
 }
 TIMINGS = {"seconds", "elapsed_s"}
 MU_TOL = 1e-9  # max|mu| agreement of two map engines, relative to max(1, |mu|)
+# the engine's own record; "rk4_cells_by_steps" is the older name of
+# "cells_by_steps", kept so that a revision from before the rename compares,
+# and "workers" depends on the engine's block size, which gates the pool
 ENGINE_FIELDS = {
     "method",
+    "cells_by_steps",
     "rk4_cells_by_steps",
     "fallback_cells",
     "richardson_max",
     "det_rel_err_max",
+    "workers",
 }
 
 
