@@ -224,6 +224,9 @@ MAX_FACTOR = 10  # largest increase of the step after an accepted one
 ERROR_EXPONENT = -1 / 8  # -1/(q + 1) for the error estimator's order q = 7
 EPS = np.finfo(float).eps
 EVENT_TOL = 4 * EPS  # absolute and relative tolerance of the event root
+# solve() samples t_eval on the dense output of queued steps, at most this
+# many samples per evaluation, so that its work arrays stay bounded
+SAMPLE_BLOCK = 1024
 # the nodes as Python floats, whose products with h cost less than numpy
 # scalars', and each stage's row of A
 _C = C.tolist()
@@ -276,6 +279,15 @@ def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
+def _square_norm(x):
+    """``np.linalg.norm(x) ** 2`` for a real 1-D x, bit for bit: the norm
+    is sqrt(x.dot(x)), and a square past the largest float is inf."""
+    try:
+        return math.sqrt(x.dot(x)) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _error_norm(K, h, scale):
     """RMS norm of the 8th-order step's error, the 5th-order estimate
     damped by the 3rd-order one.  A step whose stages overflowed gives a
@@ -283,20 +295,22 @@ def _error_norm(K, h, scale):
     with np.errstate(invalid="ignore", over="ignore"):
         err5 = np.dot(K.T, E5) / scale
         err3 = np.dot(K.T, E3) / scale
-        err5_norm_2 = np.linalg.norm(err5) ** 2
-        err3_norm_2 = np.linalg.norm(err3) ** 2
+    err5_norm_2 = _square_norm(err5)
+    err3_norm_2 = _square_norm(err3)
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    if denom == 0:  # 0.01 * err3_norm_2 underflowed; numpy's 0 / 0
+        return math.nan
+    return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def _dense_output(fun, t_old, t, y_old, y, f, h, K):
-    """The step's 7th-order interpolant, from three extra RHS evaluations.
+def _dense_output(fun, t_old, y_old, y, f, h, K):
+    """The coefficient rows F of the step's 7th-order interpolant, from
+    three extra RHS evaluations.
 
     ``K`` is the extended stage array with rows 0-12 from the step; rows
-    13-15 are filled here.  The returned function maps an array of times
-    in [t_old, t] to their states, one row each.
+    13-15 are filled here.  ``_interpolate`` evaluates the interpolant.
     """
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
         dy = np.dot(K[:s].T, _A_ROWS[s]) * h
@@ -308,21 +322,49 @@ def _dense_output(fun, t_old, t, y_old, y, f, h, K):
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(D, K)
-    span = t - t_old
+    return F
 
-    def interpolate(tq):
-        x = ((np.asarray(tq) - t_old) / span)[:, None]
-        out = np.zeros((len(x), y.size))
-        for i, row in enumerate(reversed(F)):
-            out += row
-            if i % 2 == 0:
-                out *= x
-            else:
-                out *= 1 - x
-        out += y_old
-        return out
 
-    return interpolate
+def _interpolate(F, t_old, span, y_old, tq):
+    """States at the times ``tq``, one row each, on the dense output of
+    the steps that start at ``t_old`` with state ``y_old``, span ``span``
+    and coefficient rows ``F``.
+
+    Either one step, with F of shape (7, n), or one step per time, with
+    ``t_old`` and ``span`` arrays shaped like tq, ``y_old`` of shape
+    (len(tq), n) and F of shape (7, len(tq), n).  Each element takes
+    SciPy's Horner loop, so its value does not depend on which other
+    times share the call.
+    """
+    x = ((tq - t_old) / span)[:, None]
+    out = np.zeros((len(x), F.shape[-1]))
+    for i, row in enumerate(reversed(F)):
+        out += row
+        if i % 2 == 0:
+            out *= x
+        else:
+            out *= 1 - x
+    out += y_old
+    return out
+
+
+def _sample(queue, tq, out):
+    """Evaluate the samples of the queued steps into ``out``, in blocks of
+    at most SAMPLE_BLOCK samples, and empty the queue.
+
+    ``queue`` holds one (F, t_old, span, y_old, sample count) per step, in
+    order; ``tq`` holds their sample times.
+    """
+    if not queue:
+        return
+    F, t_old, span, y_old, counts = zip(*queue)
+    queue.clear()
+    F, t_old, span, y_old = np.stack(F, axis=1), np.array(t_old), np.array(span), np.array(y_old)
+    step = np.repeat(np.arange(len(counts)), counts)
+    for lo in range(0, step.size, SAMPLE_BLOCK):
+        s = step[lo : lo + SAMPLE_BLOCK]
+        block = slice(lo, lo + s.size)
+        out[block] = _interpolate(F[:, s], t_old[s], span[s], y_old[s], tq[block])
 
 
 def _brentq(f, a, b, tol):
@@ -400,8 +442,14 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None) -> Solution:
     K_extended = np.empty((N_STAGES_EXTENDED, y.size))
     K = K_extended[: N_STAGES + 1]
     KT = [K_extended[:s].T for s in range(N_STAGES_EXTENDED)]
-    ts, ys = ([], []) if t_eval is not None else ([t], [y])
-    i_eval = 0
+    if t_eval is None:
+        ts, ys = [t], [y]
+    else:
+        # the samples t_eval[:i_done] are in y_out; the steps queued hold
+        # t_eval[i_done:i_eval]
+        y_out = np.empty((t_eval.size, y.size))
+        queue = []
+        i_done = i_eval = 0
     g = None if event is None else event(t, y)
     t_event = y_event = None
     status = None
@@ -445,14 +493,16 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None) -> Solution:
         if t >= t_bound:
             status = 0
 
-        dense = None
+        # the step's span t - t_old is h, bit for bit
+        F = None
         if event is not None:
             g_new = event(t, y)
             if g >= 0 and g_new <= 0:
-                dense = _dense_output(fun, t_old, t, y_old, y, f, h, K_extended)
+                F = _dense_output(fun, t_old, y_old, y, f, h, K_extended)
                 nfev += 3
-                t_event = _brentq(lambda s: event(s, dense(np.array([s]))[0]), t_old, t, EVENT_TOL)
-                y_event = dense(np.array([t_event]))[0]
+                at = lambda s: _interpolate(F, t_old, h, y_old, np.array([s]))[0]
+                t_event = _brentq(lambda s: event(s, at(s)), t_old, t, EVENT_TOL)
+                y_event = at(t_event)
                 t, y = t_event, y_event
                 status = 1
             g = g_new
@@ -462,17 +512,18 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None) -> Solution:
         else:
             i_new = np.searchsorted(t_eval, t, side="right")
             if i_new > i_eval:
-                if dense is None:
-                    dense = _dense_output(fun, t_old, t, y_old, y, f, h, K_extended)
+                if F is None:
+                    F = _dense_output(fun, t_old, y_old, y, f, h, K_extended)
                     nfev += 3
-                ts.append(t_eval[i_eval:i_new])
-                ys.append(dense(t_eval[i_eval:i_new]))
+                queue.append((F, t_old, h, y_old, i_new - i_eval))
                 i_eval = i_new
+                if i_eval - i_done >= SAMPLE_BLOCK:
+                    _sample(queue, t_eval[i_done:i_eval], y_out[i_done:i_eval])
+                    i_done = i_eval
 
     if t_eval is None:
         t_out, y_out = np.array(ts), np.vstack(ys)
-    elif ts:
-        t_out, y_out = np.concatenate(ts), np.vstack(ys)
     else:
-        t_out, y_out = np.empty(0), np.empty((0, y.size))
+        _sample(queue, t_eval[i_done:i_eval], y_out[i_done:i_eval])
+        t_out, y_out = t_eval[:i_eval].copy(), y_out[:i_eval]
     return Solution(t_out, y_out, t_event, y_event, nfev, status, MESSAGES[status])

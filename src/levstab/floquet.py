@@ -95,7 +95,12 @@ class FloquetError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonodromyResult:
-    """One-period state transition matrix and its multipliers."""
+    """One-period state transition matrix and its multipliers.
+
+    ``monodromy`` records in ``stats`` its RHS count ``nfev`` and
+    ``det_rel_err``, |det M / exp(-R (z0 + beta) T / C) - 1|, the relative
+    error of det M against Liouville's formula.
+    """
 
     matrix: np.ndarray
     multipliers: np.ndarray
@@ -147,8 +152,18 @@ def monodromy(
         matrix=m,
         multipliers=np.linalg.eigvals(m),
         period=pm.period,
-        stats={"nfev": int(sol.nfev)},
+        stats={
+            "nfev": int(sol.nfev),
+            "det_rel_err": abs(float(np.linalg.det(m)) / _liouville_det(params, pm) - 1.0),
+        },
     )
+
+
+def _liouville_det(params: PhysicalParams, pm) -> float:
+    """The exact det M of a monodromy, by Liouville's formula the
+    exponential of the trace of A(t) integrated over a period:
+    exp(-R (z0 + beta) T / C)."""
+    return np.exp(-params.R * (params.z0 + pm.gap_offset) * pm.period / params.C)
 
 
 def classify(result: MonodromyResult) -> str:
@@ -340,7 +355,7 @@ def _batched_cells(
     relative det M error.
     """
     pm = periodic_matrix(params, exc, ControlGains(Kp=0.0, Kd=0.0), hyb=hyb)
-    det_exact = np.exp(-params.R * (params.z0 + pm.gap_offset) * pm.period / params.C)
+    det_exact = _liouville_det(params, pm)
     out: list = [None] * kp.size
     stats = {"steps": {}, "fallback": 0, "richardson_max": 0.0, "det_rel_err_max": 0.0}
     fallback = []
@@ -388,8 +403,7 @@ def _batched_cells(
             out[c] = ("error", float("nan"), f"{type(err).__name__}: {err}")
             continue
         out[c] = (classify(res), res.max_modulus, None)
-        det_err = abs(float(np.linalg.det(res.matrix)) / det_exact - 1.0)
-        stats["det_rel_err_max"] = max(stats["det_rel_err_max"], det_err)
+        stats["det_rel_err_max"] = max(stats["det_rel_err_max"], res.stats["det_rel_err"])
     return out, stats
 
 

@@ -50,10 +50,13 @@ METHOD = "DOP853"
 RTOL = 1e-10
 ATOL = 1e-12
 SAMPLES_PER_PERIOD = 200  # integrate()'s default output grid
-# a run holds about 160 bytes per output sample at its peak: the grid, the
-# solver's per-step chunks of t and y and their concatenation, and the gap
-# columns (tracemalloc over 20- and 80-period runs).  A 1 GiB budget allows
-# 2**30 // 160 = 6,710,886 samples, 33,554 periods at SAMPLES_PER_PERIOD
+# a run holds about 80 bytes per output sample at its peak, the grid, the
+# solver's output rows, their times and the gap columns, plus under 1 MB for
+# the solver's sampling blocks (tracemalloc over 20-, 80- and 320-period
+# runs: 207, 93 and 83 bytes per sample).  The cap was set at 160 bytes per
+# sample, when the solver also held its per-step chunks, and is kept: a 1 GiB
+# budget allows 2**30 // 160 = 6,710,886 samples, 33,554 periods at
+# SAMPLES_PER_PERIOD
 MAX_SAMPLES = 2**30 // 160
 # integrate() stops a run whose RHS evaluations exceed
 # MAX_NFEV_PER_PERIOD * (1 + elapsed time / T).  The largest count measured
@@ -115,6 +118,49 @@ class SteadyStateSample(NamedTuple):
     U2: Any
 
 
+def _steady_kernel(
+    params: PhysicalParams, exc: ExcitationParams, hyb=None, cos=math.cos, sin=math.sin
+):
+    """The steady-state terms as a function of t, with the run's constants
+    hoisted out of it.
+
+    The kernel returns the plain tuple (w1, w2, gap1, gap2, gap1_rate,
+    gap2_rate, I1, I2, I1_rate, I2_rate, U1, U2), the fields of
+    :class:`SteadyStateSample` after t.  ``cos`` and ``sin`` are math's for
+    a float t and numpy's for an array.
+    """
+    A, Omega, theta, z0 = exc.A, exc.Omega, exc.theta, params.z0
+    A_Omega = A * Omega
+    kappa = current_scale(params)
+    R = params.R
+    R_kappa = R * kappa
+    beta, gamma = (None, None) if hyb is None else (hyb.beta, hyb.gamma)
+
+    def kernel(t):
+        ph = Omega * t
+        w1 = A * cos(ph)
+        w2 = A * cos(ph - theta)
+        d1 = z0 - w1
+        d2 = z0 - w2
+        d1dot = A_Omega * sin(ph)
+        d2dot = A_Omega * sin(ph - theta)
+        if beta is None:
+            i1, i2 = kappa * d1, kappa * d2
+            u1, u2 = R_kappa * d1, R_kappa * d2
+        else:
+            i1 = kappa * (d1 + beta) - gamma
+            i2 = kappa * (d2 + beta) - gamma
+            u1, u2 = R * i1, R * i2
+        return w1, w2, d1, d2, d1dot, d2dot, i1, i2, kappa * d1dot, kappa * d2dot, u1, u2
+
+    return kernel
+
+
+# the scalar kernel of the last (params, exc, hyb) that steady_state served,
+# kept like the derivative of rhs below
+_last_kernel = (None, None, None, None)
+
+
 def steady_state(
     params: PhysicalParams, exc: ExcitationParams, t, hyb: HybridParams | None = None
 ) -> SteadyStateSample:
@@ -125,30 +171,20 @@ def steady_state(
     With ``hyb`` the currents are those of the hybrid plant,
     kappa*(Delta_ss + beta) - gamma.  Substituted back into the plant
     equations these leave zero residuals for every t, every A < z0 and every
-    theta.  This is the one place that evaluates the base motion.  A float
-    t takes ``math``'s cos and sin, a fraction of numpy's cost per call, for
-    the RHS and A(t), which evaluate one instant; on x86-64 with numpy 2.4
-    they give numpy's values bit for bit (checked on 1.2 million phases).
+    theta.  Its kernel, which ``rhs`` and ``rhs_hybrid`` also call, is the
+    one place that evaluates the base motion.  A float t takes ``math``'s
+    cos and sin, a fraction of numpy's cost per call, for the RHS and A(t),
+    which evaluate one instant; on x86-64 with numpy 2.4 they give numpy's
+    values bit for bit (checked on 1.2 million phases).
     """
-    cos, sin = (math.cos, math.sin) if isinstance(t, float) else (np.cos, np.sin)
-    ph = exc.Omega * t
-    w1 = exc.A * cos(ph)
-    w2 = exc.A * cos(ph - exc.theta)
-    d1 = params.z0 - w1
-    d2 = params.z0 - w2
-    d1dot = exc.A * exc.Omega * sin(ph)
-    d2dot = exc.A * exc.Omega * sin(ph - exc.theta)
-    kappa = current_scale(params)
-    if hyb is None:
-        i1, i2 = kappa * d1, kappa * d2
-        u1, u2 = params.R * kappa * d1, params.R * kappa * d2
-    else:
-        i1 = kappa * (d1 + hyb.beta) - hyb.gamma
-        i2 = kappa * (d2 + hyb.beta) - hyb.gamma
-        u1, u2 = params.R * i1, params.R * i2
-    return SteadyStateSample(
-        t, w1, w2, d1, d2, d1dot, d2dot, i1, i2, kappa * d1dot, kappa * d2dot, u1, u2
-    )
+    global _last_kernel
+    if not isinstance(t, float):
+        return SteadyStateSample(t, *_steady_kernel(params, exc, hyb, np.cos, np.sin)(t))
+    p, e, h, kernel = _last_kernel
+    if p is not params or e is not exc or h is not hyb:
+        kernel = _steady_kernel(params, exc, hyb)
+        _last_kernel = (params, exc, hyb, kernel)
+    return SteadyStateSample(t, *kernel(t))
 
 
 def control_voltage(gains: ControlGains, delta, delta_dot, ss: SteadyStateSample):
@@ -173,6 +209,67 @@ def _gaps(state, params: PhysicalParams, ss: SteadyStateSample):
     return d1, d2, d1dot, d2dot
 
 
+# the derivative of the last configuration that rhs or rhs_hybrid served,
+# keyed on the identity of its frozen (params, exc, gains, hyb) objects: one
+# tuple, read once per call, so that a miss replaces the entry whole
+_last_derivative = (None, None, None, None, None)
+
+
+def _derivative(params: PhysicalParams, exc: ExcitationParams, gains: ControlGains, hyb):
+    """``rhs`` (hyb None) or ``rhs_hybrid`` at one configuration, as a
+    function of (state, t), with the configuration's constants hoisted and
+    the arithmetic of the gaps, voltages, forces and currents written out.
+    It becomes the entry of ``_last_derivative``."""
+    global _last_derivative
+    steady = _steady_kernel(params, exc, hyb)
+    half = 0.5 * params.L
+    kp, kd = gains.Kp, gains.Kd
+    C, R, g, m, L = params.C, params.R, params.g, params.m, params.L
+    twoC, twoJ = 2.0 * C, 2.0 * params.J
+    if hyb is None:
+        beta = gamma = None
+        floor = _EVAL_FLOOR_FRACTION * params.z0
+    else:
+        beta, gamma = hyb.beta, hyb.gamma
+        # same trial-stage floor as rhs, on the effective gap Delta + beta
+        floor = _EVAL_FLOOR_FRACTION * (params.z0 + beta)
+
+    def derivative(state, t):
+        # Python floats: scalar arithmetic is cheaper than on numpy scalars
+        z, zdot, phi, phidot, i1, i2 = state.tolist()
+        w1, w2, s1, s2, s1dot, s2dot, _, _, _, _, U1, U2 = steady(t)
+        d1 = z + half * phi - w1
+        d2 = z - half * phi - w2
+        d1dot = zdot + half * phidot + s1dot
+        d2dot = zdot - half * phidot + s2dot
+        u1 = U1 + kp * (d1 - s1) + kd * (d1dot - s1dot)
+        u2 = U2 + kp * (d2 - s2) + kd * (d2dot - s2dot)
+        if beta is None:
+            e1 = d1 if d1 > floor else floor
+            e2 = d2 if d2 > floor else floor
+            f1 = C * i1 * i1 / (e1 * e1)
+            f2 = C * i2 * i2 / (e2 * e2)
+            i1dot = (e1 / twoC) * (u1 - R * i1 + twoC * i1 * d1dot / (e1 * e1))
+            i2dot = (e2 / twoC) * (u2 - R * i2 + twoC * i2 * d2dot / (e2 * e2))
+        else:
+            e1 = d1 + beta
+            e2 = d2 + beta
+            e1 = e1 if e1 > floor else floor
+            e2 = e2 if e2 > floor else floor
+            j1 = i1 + gamma
+            j2 = i2 + gamma
+            f1 = C * j1 * j1 / (e1 * e1)
+            f2 = C * j2 * j2 / (e2 * e2)
+            i1dot = (e1 / twoC) * (u1 - R * i1) + (j1 / e1) * d1dot
+            i2dot = (e2 / twoC) * (u2 - R * i2) + (j2 / e2) * d2dot
+        zdd = g - (f1 + f2) / m
+        phidd = -(f1 - f2) * L / twoJ
+        return np.array([zdot, zdd, phidot, phidd, i1dot, i2dot])
+
+    _last_derivative = (params, exc, gains, hyb, derivative)
+    return derivative
+
+
 def rhs(state, t, params: PhysicalParams, exc: ExcitationParams, gains: ControlGains) -> np.ndarray:
     """Time derivative of (z, zdot, phi, phidot, I1, I2) for the standard plant.
 
@@ -181,22 +278,10 @@ def rhs(state, t, params: PhysicalParams, exc: ExcitationParams, gains: ControlG
     evaluate trial stages past the contact event instead of hitting the
     1/gap^2 singularity.
     """
-    state = state.tolist()  # Python floats: scalar arithmetic is cheaper than on numpy scalars
-    z, zdot, phi, phidot, i1, i2 = state
-    ss = steady_state(params, exc, t)
-    d1, d2, d1dot, d2dot = _gaps(state, params, ss)
-    floor = _EVAL_FLOOR_FRACTION * params.z0
-    d1e = d1 if d1 > floor else floor
-    d2e = d2 if d2 > floor else floor
-    u1, u2 = control_voltage(gains, (d1, d2), (d1dot, d2dot), ss)
-    f1 = params.C * i1 * i1 / (d1e * d1e)
-    f2 = params.C * i2 * i2 / (d2e * d2e)
-    zdd = params.g - (f1 + f2) / params.m
-    phidd = -(f1 - f2) * params.L / (2.0 * params.J)
-    twoC = 2.0 * params.C
-    i1dot = (d1e / twoC) * (u1 - params.R * i1 + twoC * i1 * d1dot / (d1e * d1e))
-    i2dot = (d2e / twoC) * (u2 - params.R * i2 + twoC * i2 * d2dot / (d2e * d2e))
-    return np.array([zdot, zdd, phidot, phidd, i1dot, i2dot])
+    p, e, g, h, derivative = _last_derivative
+    if p is not params or e is not exc or g is not gains or h is not None:
+        derivative = _derivative(params, exc, gains, None)
+    return derivative(state, t)
 
 
 def hybrid_gamma(params: PhysicalParams, beta: float) -> float:
@@ -221,27 +306,10 @@ def rhs_hybrid(
     and the current equation accordingly; the PD law still acts on the
     physical gap error.  With beta = gamma = 0 this reduces to :func:`rhs`.
     """
-    state = state.tolist()
-    z, zdot, phi, phidot, i1, i2 = state
-    ss = steady_state(params, exc, t, hyb)
-    d1, d2, d1dot, d2dot = _gaps(state, params, ss)
-    u1, u2 = control_voltage(gains, (d1, d2), (d1dot, d2dot), ss)
-    # same trial-stage floor as rhs, on the effective gap Delta + beta
-    floor = _EVAL_FLOOR_FRACTION * (params.z0 + hyb.beta)
-    e1 = d1 + hyb.beta
-    e2 = d2 + hyb.beta
-    e1 = e1 if e1 > floor else floor
-    e2 = e2 if e2 > floor else floor
-    j1 = i1 + hyb.gamma
-    j2 = i2 + hyb.gamma
-    f1 = params.C * j1 * j1 / (e1 * e1)
-    f2 = params.C * j2 * j2 / (e2 * e2)
-    zdd = params.g - (f1 + f2) / params.m
-    phidd = -(f1 - f2) * params.L / (2.0 * params.J)
-    twoC = 2.0 * params.C
-    i1dot = (e1 / twoC) * (u1 - params.R * i1) + (j1 / e1) * d1dot
-    i2dot = (e2 / twoC) * (u2 - params.R * i2) + (j2 / e2) * d2dot
-    return np.array([zdot, zdd, phidot, phidd, i1dot, i2dot])
+    p, e, g, h, derivative = _last_derivative
+    if p is not params or e is not exc or g is not gains or h is not hyb:
+        derivative = _derivative(params, exc, gains, hyb)
+    return derivative(state, t)
 
 
 def hybrid_transform(state: VehicleState, hyb: HybridParams, inverse: bool = False) -> VehicleState:
@@ -323,12 +391,13 @@ def integrate(
     if (mode == "hybrid") != (hyb is not None):
         raise ValueError("HybridParams go with mode 'hybrid' and only with it")
     t0 = float(t_span[0])
+    period = exc.period
     nfev = 0
 
     def fun(t, y):
         nonlocal nfev
         nfev += 1
-        if nfev > MAX_NFEV_PER_PERIOD * (1.0 + (t - t0) / exc.period):
+        if nfev > MAX_NFEV_PER_PERIOD * (1.0 + (t - t0) / period):
             raise RuntimeError(
                 f"integration stopped at t = {t:.6g} s after {nfev} RHS evaluations, over the "
                 f"budget of MAX_NFEV_PER_PERIOD = {MAX_NFEV_PER_PERIOD} per excitation period"

@@ -8,8 +8,10 @@ the benchmark, not the program, so this suite guards them.
 import inspect
 from pathlib import Path
 
+import pytest
+
 import levstab.cli  # noqa: F401  (imports every module the tracer patches)
-from levstab import ControlGains, floquet, monodromy, periodic_matrix, plant
+from levstab import ControlGains, HybridParams, floquet, monodromy, periodic_matrix, plant
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -26,6 +28,33 @@ def test_tracer_installs_and_removes(monkeypatch):
     finally:
         tracer.remove()
     assert (plant.integrate, floquet.sweep, floquet.monodromy) == originals
+
+
+@pytest.mark.parametrize("beta", [None, 0.01])
+def test_tracer_counts_every_rhs_evaluation(monkeypatch, b0, exc_quarter, beta):
+    """plant.rhs_calls counts integrate's RHS evaluations: integrate calls
+    rhs and rhs_hybrid by module name, so the tracer sees every one."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from spans import Tracer
+
+    hyb = None if beta is None else HybridParams(beta, plant.hybrid_gamma(b0, beta))
+    start = plant.steady_vehicle_state(b0, exc_quarter, 0.0, hyb)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        traj = plant.integrate(
+            start,
+            (0.0, 2.0 * exc_quarter.period),
+            b0,
+            exc_quarter,
+            ControlGains(Kp=10600.0, Kd=3000.0),
+            mode="standard" if hyb is None else "hybrid",
+            hyb=hyb,
+        )
+    finally:
+        tracer.remove()
+    assert traj.meta["nfev"] > 0
+    assert tracer.stat("plant.rhs").calls == traj.meta["nfev"]
 
 
 def test_benchmark_call_signatures(b0, exc_quarter):

@@ -117,3 +117,29 @@ def test_solve_rejects_what_it_does_not_implement():
         solve(fun, (0.0, 1.0), np.ones(2), RTOL, ATOL, t_eval=[0.5, 2.0])
     with pytest.raises(ValueError, match="increasing"):
         solve(fun, (0.0, 1.0), np.ones(2), RTOL, ATOL, t_eval=[0.5, 0.25])
+
+
+@pytest.mark.parametrize("samples", ["one", "step-ends", 1023, 1024, 1025])
+def test_sample_grids_match_solve_ivp_bit_for_bit(b0, exc_quarter, samples):
+    """solve samples t_eval in blocks of SAMPLE_BLOCK = 1024: one sample,
+    samples on the step ends themselves, and grids one short of, equal to
+    and one past a block give SciPy's samples and RHS count."""
+    fun = lambda t, y: rhs(y, t, b0, exc_quarter, GAINS)
+    y0 = steady_vehicle_state(b0, exc_quarter, 0.0).as_array()
+    y0[0] += 1e-4
+    y0[2] += 5e-5
+    t_span = (0.0, 2.0 * exc_quarter.period)
+    if samples == "one":
+        t_eval = np.array([0.37 * t_span[1]])
+    elif samples == "step-ends":
+        t_eval = _reference(fun, t_span, y0).t
+        assert t_eval.size > 20
+    else:
+        t_eval = np.linspace(*t_span, samples)
+
+    ref = _reference(fun, t_span, y0, t_eval)
+    sol = solve(fun, t_span, y0, RTOL, ATOL, t_eval=t_eval)
+    assert ref.status == sol.status == 0
+    assert sol.nfev == ref.nfev
+    np.testing.assert_array_equal(sol.t, ref.t)
+    np.testing.assert_array_equal(sol.y, ref.y.T)

@@ -57,6 +57,20 @@ def test_monodromy_unexcited_stable_gains(b0, exc_still):
     assert res.stats.get("nfev", 0) > 0
 
 
+@pytest.mark.parametrize("beta", [None, 0.01])
+def test_monodromy_records_liouville_det_error(b0, exc_quarter, beta):
+    """stats["det_rel_err"] is |det M / exp(-R (z0 + beta) T / C) - 1|,
+    which DOP853 at the package tolerances keeps far below DET_TOL."""
+    import levstab.floquet as fl
+
+    hyb = None if beta is None else HybridParams(beta, hybrid_gamma(b0, beta))
+    res = monodromy(b0, exc_quarter, STABLE, hyb=hyb)
+    exact = math.exp(-b0.R * (b0.z0 + (beta or 0.0)) * res.period / b0.C)
+    det_err = abs(np.linalg.det(res.matrix) / exact - 1.0)
+    assert res.stats["det_rel_err"] == pytest.approx(det_err, abs=1e-15)
+    assert 0.0 <= res.stats["det_rel_err"] < 1e-2 * fl.DET_TOL
+
+
 def test_monodromy_matches_matrix_exponential_oracle(b0, exc_still):
     """At A = 0 the multipliers are exp(lambda*T) of the constant system."""
     for gains in (STABLE, ControlGains(8000.0, 2000.0), ControlGains(15000.0, 2500.0)):

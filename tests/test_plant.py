@@ -11,6 +11,7 @@ from levstab import (
     ControlGains,
     ExcitationParams,
     HybridParams,
+    PhysicalParams,
     VehicleState,
     control_voltage,
     current_scale,
@@ -24,6 +25,7 @@ from levstab import (
     write_trajectory_csv,
 )
 from levstab.boundaries import all_ellipses, h0_gain
+from levstab.plant import _EVAL_FLOOR_FRACTION, SteadyStateSample, _gaps
 
 
 GAINS = ControlGains(Kp=10600.0, Kd=3000.0)  # inside the stable wedge at B0
@@ -306,3 +308,106 @@ def test_integrate_rejects_mode_hyb_mismatch(b0, exc_quarter):
         integrate(start, span, b0, exc_quarter, GAINS, hyb=hyb)
     with pytest.raises(ValueError, match="hybrid"):
         integrate(start, span, b0, exc_quarter, GAINS, mode="hybrid")
+
+
+# The per-call steady state and right-hand sides that the per-configuration
+# derivative replaced, kept as the reference it must equal bit for bit.
+def _steady_state_reference(params, exc, t, hyb=None):
+    cos, sin = (math.cos, math.sin) if isinstance(t, float) else (np.cos, np.sin)
+    ph = exc.Omega * t
+    w1 = exc.A * cos(ph)
+    w2 = exc.A * cos(ph - exc.theta)
+    d1 = params.z0 - w1
+    d2 = params.z0 - w2
+    d1dot = exc.A * exc.Omega * sin(ph)
+    d2dot = exc.A * exc.Omega * sin(ph - exc.theta)
+    kappa = current_scale(params)
+    if hyb is None:
+        i1, i2 = kappa * d1, kappa * d2
+        u1, u2 = params.R * kappa * d1, params.R * kappa * d2
+    else:
+        i1 = kappa * (d1 + hyb.beta) - hyb.gamma
+        i2 = kappa * (d2 + hyb.beta) - hyb.gamma
+        u1, u2 = params.R * i1, params.R * i2
+    return SteadyStateSample(
+        t, w1, w2, d1, d2, d1dot, d2dot, i1, i2, kappa * d1dot, kappa * d2dot, u1, u2
+    )
+
+
+def _rhs_reference(state, t, params, exc, gains):
+    state = state.tolist()
+    z, zdot, phi, phidot, i1, i2 = state
+    ss = _steady_state_reference(params, exc, t)
+    d1, d2, d1dot, d2dot = _gaps(state, params, ss)
+    floor = _EVAL_FLOOR_FRACTION * params.z0
+    d1e = d1 if d1 > floor else floor
+    d2e = d2 if d2 > floor else floor
+    u1, u2 = control_voltage(gains, (d1, d2), (d1dot, d2dot), ss)
+    f1 = params.C * i1 * i1 / (d1e * d1e)
+    f2 = params.C * i2 * i2 / (d2e * d2e)
+    zdd = params.g - (f1 + f2) / params.m
+    phidd = -(f1 - f2) * params.L / (2.0 * params.J)
+    twoC = 2.0 * params.C
+    i1dot = (d1e / twoC) * (u1 - params.R * i1 + twoC * i1 * d1dot / (d1e * d1e))
+    i2dot = (d2e / twoC) * (u2 - params.R * i2 + twoC * i2 * d2dot / (d2e * d2e))
+    return np.array([zdot, zdd, phidot, phidd, i1dot, i2dot])
+
+
+def _rhs_hybrid_reference(state, t, params, exc, gains, hyb):
+    state = state.tolist()
+    z, zdot, phi, phidot, i1, i2 = state
+    ss = _steady_state_reference(params, exc, t, hyb)
+    d1, d2, d1dot, d2dot = _gaps(state, params, ss)
+    u1, u2 = control_voltage(gains, (d1, d2), (d1dot, d2dot), ss)
+    floor = _EVAL_FLOOR_FRACTION * (params.z0 + hyb.beta)
+    e1 = d1 + hyb.beta
+    e2 = d2 + hyb.beta
+    e1 = e1 if e1 > floor else floor
+    e2 = e2 if e2 > floor else floor
+    j1 = i1 + hyb.gamma
+    j2 = i2 + hyb.gamma
+    f1 = params.C * j1 * j1 / (e1 * e1)
+    f2 = params.C * j2 * j2 / (e2 * e2)
+    zdd = params.g - (f1 + f2) / params.m
+    phidd = -(f1 - f2) * params.L / (2.0 * params.J)
+    twoC = 2.0 * params.C
+    i1dot = (e1 / twoC) * (u1 - params.R * i1) + (j1 / e1) * d1dot
+    i2dot = (e2 / twoC) * (u2 - params.R * i2) + (j2 / e2) * d2dot
+    return np.array([zdot, zdd, phidot, phidd, i1dot, i2dot])
+
+
+def test_rhs_equals_per_call_reference_bit_for_bit(b0, exc_quarter):
+    """rhs and rhs_hybrid keep one derivative per configuration, found by
+    the identity of its objects.  Over 12,000 random (t, state) pairs per
+    plant, calls that switch plant, parameters, excitation, gains (among
+    them an equal but distinct gains object) and hybrid offsets at random,
+    so that a stale derivative would show, equal the per-call reference
+    bit for bit; so does steady_state, for floats and arrays."""
+    rng = np.random.default_rng(11)
+    params = [b0, PhysicalParams(m=5200.0, C=0.04, R=7.5, z0=0.012, L=2.5, J=3100.0)]
+    excs = [exc_quarter, ExcitationParams(A=0.003, Omega=120.0, theta=1.1)]
+    gains = [GAINS, ControlGains(Kp=10600.0, Kd=3000.0), ControlGains(Kp=25000.0, Kd=4500.0)]
+    hybs = [HybridParams(0.01, hybrid_gamma(b0, 0.01)), HybridParams(0.006, 17.0)]
+    for _ in range(12_000):
+        p, e, g = params[rng.integers(2)], excs[rng.integers(2)], gains[rng.integers(3)]
+        h = hybs[rng.integers(2)]
+        t = float(rng.uniform(0.0, 10.0))
+        state = steady_vehicle_state(p, e, t).as_array()
+        state += rng.normal(size=6) * [2e-3, 0.05, 1e-3, 0.05, 5.0, 5.0]
+        if rng.random() < 0.05:  # a gap below the evaluation floor
+            state[0] = -0.02
+        calls = [
+            (rhs(state, t, p, e, g), _rhs_reference(state, t, p, e, g)),
+            (rhs_hybrid(state, t, p, e, g, h), _rhs_hybrid_reference(state, t, p, e, g, h)),
+        ]
+        for new, ref in calls[:: 1 if rng.random() < 0.5 else -1]:
+            assert new.tobytes() == ref.tobytes()
+    ts = rng.uniform(0.0, 10.0, 500)
+    for p in params:
+        for e in excs:
+            for h in (None, *hybs):
+                for t in (ts, float(ts[0]), float(ts[1])):
+                    got = steady_state(p, e, t, h)
+                    want = _steady_state_reference(p, e, t, h)
+                    for a, b in zip(got, want):
+                        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
