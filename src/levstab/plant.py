@@ -37,6 +37,8 @@ __all__ = [
     "hybrid_gamma",
     "hybrid_transform",
     "steady_vehicle_state",
+    "output_grid",
+    "require_open_gaps",
     "integrate",
     "write_trajectory_csv",
     "TRAJECTORY_CSV_HEADER",
@@ -65,7 +67,6 @@ MAX_SAMPLES = 2**30 // 160
 # criterion 9), so 12,000 leaves 23x headroom, while stiff gains such as
 # Kp = Kd = 1e10, at about 41,600 per period, stop within the first period
 MAX_NFEV_PER_PERIOD = 12_000
-_GAP_BLOCK = 1024  # samples per steady-state evaluation in integrate()'s gap columns
 
 # integrate() declares contact when a gap falls below this fraction of the
 # nominal one; rhs denominators are floored at the tighter _EVAL fraction so
@@ -342,6 +343,42 @@ def steady_vehicle_state(
     return VehicleState(params.z0, 0.0, 0.0, 0.0, float(ss.I1), float(ss.I2))
 
 
+def output_grid(t_span: tuple[float, float], exc: ExcitationParams) -> np.ndarray:
+    """The sample times ``integrate`` uses without ``t_eval``:
+    SAMPLES_PER_PERIOD per excitation period, and both ends of t_span.
+
+    A grid of more than MAX_SAMPLES samples raises ``ValueError`` naming
+    the limit, before anything is allocated.
+    """
+    n = max(2, int(round(SAMPLES_PER_PERIOD * (t_span[1] - t_span[0]) / exc.period)))
+    if n > MAX_SAMPLES:
+        raise ValueError(
+            f"{n} output samples exceed the limit of MAX_SAMPLES = {MAX_SAMPLES} "
+            f"({MAX_SAMPLES // SAMPLES_PER_PERIOD} periods; a 1 GiB budget at "
+            "160 bytes per sample)"
+        )
+    return np.linspace(t_span[0], t_span[1], n + 1)
+
+
+def require_open_gaps(
+    state: VehicleState, t: float, params: PhysicalParams, exc: ExcitationParams
+) -> None:
+    """Raise ``ValueError`` if an airgap of ``state`` at time t lies below
+    the contact threshold CLOSURE_FRACTION * z0.
+
+    ``integrate``'s closure event fires when a gap falls through that
+    threshold, so it never sees a run that starts below it.
+    """
+    contact = CLOSURE_FRACTION * params.z0
+    gaps = _gaps(state.as_array(), params, steady_state(params, exc, float(t)))[:2]
+    for name, gap in zip(("gap1", "gap2"), gaps):
+        if gap < contact:
+            raise ValueError(
+                f"the start has {name} = {gap:.6g} m, below the contact threshold "
+                f"CLOSURE_FRACTION * z0 = {contact:.6g} m"
+            )
+
+
 @dataclass
 class Trajectory:
     """Integration result: samples plus integrator metadata.
@@ -372,19 +409,29 @@ def integrate(
     rtol: float = RTOL,
     atol: float = ATOL,
     t_eval=None,
+    sink=None,
 ) -> Trajectory:
     """Integrate the plant over t_span with adaptive stepping.
 
-    Without ``t_eval`` the output grid holds SAMPLES_PER_PERIOD samples
-    per excitation period.  A run that needs more than MAX_NFEV_PER_PERIOD
-    RHS evaluations per period, counted from t_span[0] plus one period of
-    slack, raises ``RuntimeError`` naming the limit.
+    Without ``t_eval`` the output grid is ``output_grid(t_span, exc)``,
+    SAMPLES_PER_PERIOD samples per excitation period.  A run that needs
+    more than MAX_NFEV_PER_PERIOD RHS evaluations per period, counted from
+    t_span[0] plus one period of slack, raises ``RuntimeError`` naming the
+    limit.
 
     An airgap falling below 1% of the nominal z0 counts as contact and
     terminates the run (the model has no track-contact physics); the partial
     trajectory is returned with ``meta["aborted"] = True`` and the closure
     time recorded.  Negative currents do not stop the run (the force law is
     sign-blind) but are flagged in ``meta["negative_current"]``.
+
+    ``sink(columns)``, if given, gets the trajectory's rows while the run
+    goes on, a block at a time as the solver makes them final, and the
+    closure sample last: ``columns`` holds the block's t, the six state
+    columns and gap1, gap2, in the order of TRAJECTORY_CSV_HEADER.  They
+    are views into the arrays the run is filling and returns, so a sink
+    must serialize them before it returns.  An exception the sink raises
+    ends the run and propagates.
     """
     if mode not in ("standard", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -413,17 +460,29 @@ def integrate(
         return min(d1, d2) - contact
 
     if t_eval is None:
-        n = max(2, int(round(SAMPLES_PER_PERIOD * (t_span[1] - t_span[0]) / exc.period)))
-        if n > MAX_SAMPLES:
-            raise ValueError(
-                f"{n} output samples exceed the limit of MAX_SAMPLES = {MAX_SAMPLES} "
-                f"({MAX_SAMPLES // SAMPLES_PER_PERIOD} periods; a 1 GiB budget at "
-                "160 bytes per sample)"
-            )
-        t_eval = np.linspace(t_span[0], t_span[1], n + 1)
+        t_eval = output_grid(t_span, exc)
+    # the gap columns, filled a block of samples at a time as the solver
+    # hands them over, with one slot more for the closure sample
+    gaps = np.empty((2, len(t_eval) + 1))
+    done = 0
+
+    def on_samples(t, y):
+        nonlocal done
+        block = gaps[:, done : done + t.size]
+        block[0], block[1], _, _ = _gaps(y.T, params, steady_state(params, exc, t))
+        done += t.size
+        if sink is not None:
+            sink((t, *y.T, *block))
 
     sol = dop853.solve(
-        fun, t_span, initial.as_array(), rtol, atol, t_eval=t_eval, event=gap_closure
+        fun,
+        t_span,
+        initial.as_array(),
+        rtol,
+        atol,
+        t_eval=t_eval,
+        event=gap_closure,
+        on_samples=on_samples,
     )
     if sol.status == -1:
         raise RuntimeError(f"integration failed: {sol.message}")
@@ -435,15 +494,8 @@ def integrate(
     if aborted and (t.size == 0 or sol.t_event > t[-1]):
         t = np.append(t, sol.t_event)
         states = np.vstack([states, sol.y_event])
-    # the gap columns, a block of samples at a time, so that the steady-state
-    # record never spans the whole output grid
-    gaps = np.empty((2, t.size))
-    for lo in range(0, t.size, _GAP_BLOCK):
-        block = slice(lo, lo + _GAP_BLOCK)
-        gaps[0, block], gaps[1, block], _, _ = _gaps(
-            states[block].T, params, steady_state(params, exc, t[block])
-        )
-    gap1, gap2 = gaps
+        on_samples(t[-1:], states[-1:])
+    gap1, gap2 = gaps[:, : t.size]
     meta = {
         "method": METHOD,
         "rtol": rtol,

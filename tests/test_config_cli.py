@@ -30,6 +30,7 @@ B0_DOC = {
     "physical": {"m": 7650.0, "C": 0.05, "R": 9.71, "z0": 0.015},
     "excitation": {"A": 0.005, "Omega": 80.0, "theta": math.pi / 2},
 }
+GAINS_ARGS = ["--kp", "10600", "--kd", "3000"]
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -549,6 +550,139 @@ def test_cli_simulate_hybrid_mode(tmp_path):
     assert np.max(np.abs(data[:, 1] - 0.015)) < 1e-8
 
 
+# config additions, periods and (dz, dphi) of simulate runs that stream
+STREAM_CASES = {
+    "standard": ({}, 25, (1e-4, 5e-5)),
+    "hybrid": ({"hybrid": {"beta": 0.01}}, 25, (1e-4, 5e-5)),
+    # closes a gap at t = 0.0106 s, so the closure row ends the stream
+    "gap-closure": ({}, 25, (0.0, 5e-3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_cli_simulate_stream_matches_in_process_writer(tmp_path, monkeypatch, case):
+    """From STREAM_MIN_SAMPLES rows on, simulate streams trajectory.csv
+    through the writer process; its bytes equal those of
+    write_trajectory_csv on the same run, the closure row included."""
+    from dataclasses import replace
+
+    import levstab.cli as cli
+    from levstab.plant import integrate, steady_vehicle_state, write_trajectory_csv
+
+    extra, periods, (dz, dphi) = STREAM_CASES[case]
+    doc = {**B0_DOC, "gains": {"Kp": 10600.0, "Kd": 3000.0}, **extra}
+    assert 200 * periods + 1 >= cli.STREAM_MIN_SAMPLES
+    cfg = parse_config(doc)
+    start = steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
+    start = replace(start, z=start.z + dz, phi=start.phi + dphi)
+    mode = "standard" if cfg.hybrid is None else "hybrid"
+    traj = integrate(start, (0.0, periods * cfg.exc.period), cfg.params, cfg.exc, cfg.gains,
+                     mode=mode, hyb=cfg.hybrid)
+    write_trajectory_csv(traj, tmp_path / "reference.csv")
+    assert traj.aborted == (case == "gap-closure")
+
+    def not_in_process(*args):
+        raise AssertionError("simulate wrote the CSV in-process")
+
+    monkeypatch.setattr(cli, "write_trajectory_csv", not_in_process)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", _write(tmp_path, doc), "--periods", str(periods),
+               f"--perturb={dz!r},{dphi!r}", "--out", str(out)])
+    assert rc == (EXIT_RUNTIME if traj.aborted else EXIT_OK)
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv", "trajectory_meta.json"]
+
+
+@pytest.mark.parametrize(
+    "writer,message",
+    [
+        ("import sys; sys.exit(7)", "exited with status 7"),
+        # 200 kB is under the 25-period run's 360 kB of frames
+        ("import os, sys; sys.stdin.buffer.read(200_000); os.kill(os.getpid(), 9)",
+         "was killed by signal 9"),
+        ("", "exited before it had read every row"),
+        (None, "integration failed here"),
+    ],
+    ids=["writer-exits-7", "writer-killed-mid-stream", "writer-stops-reading", "integration-fails"],
+)
+def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsys, writer, message):
+    """A writer process that fails, dies mid-stream or stops reading, and
+    an integration that fails mid-stream, end simulate with exit 3 on one
+    error line; no trajectory.csv, no temporary file and no child process
+    is left behind."""
+    import levstab.cli as cli
+    from levstab import output
+
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    if writer is None:
+        real = cli.integrate
+
+        def failing(*args, sink, **kwargs):
+            def send(columns):
+                sink(columns)
+                if columns[0][0] > 0.0:  # after the first block went out
+                    raise RuntimeError(message)
+
+            return real(*args, sink=send, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate", failing)
+    else:
+        monkeypatch.setattr(output, "_WRITER", (sys.executable, "-c", writer))
+    out = tmp_path / "out"
+    rc = main(["simulate", *GAINS_ARGS, "--periods", "25", "--perturb", "1e-4,5e-5",
+               "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert list(out.iterdir()) == []
+    assert len(started) == 1
+    assert started[0].returncode is not None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(started[0].pid, os.WNOHANG)
+
+
+def test_cli_simulate_rejects_start_with_closed_gap(tmp_path, monkeypatch, capsys):
+    """A perturbation that puts an airgap below the contact threshold at
+    the start is bad input, reported before any integration: the closure
+    event fires only on a falling crossing and would never see it."""
+    import levstab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a start with a closed gap")
+
+    monkeypatch.setattr(cli, "integrate", never)
+    rc = main(["simulate", "--kp", "11841.56", "--kd", "4709.7", "--perturb", "0,1e-2",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "gap2" in err and "CLOSURE_FRACTION * z0 = 0.00015 m" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["ellipses"], ["simulate", *GAINS_ARGS]])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_cli_out_not_a_directory_is_bad_input(tmp_path, capsys, command, below):
+    """--out naming an existing file, or a path below one, is bad input:
+    exit 2 on one error line naming the path, not a traceback."""
+    target = tmp_path / "taken"
+    target.write_text("")
+    out = target / "x" if below else target
+    rc = main([*command, "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(out) in err
+
+
 def test_cli_validate_unexcited_skips(tmp_path, capsys):
     """A = 0 rules out the parametric criteria; they must skip with a reason
     and the command still succeeds."""
@@ -613,9 +747,6 @@ def test_cli_bad_config_exit(tmp_path):
     assert main(["ellipses", "--config", cfgp, "--out", str(tmp_path)]) == EXIT_BAD_INPUT
     assert main(["ellipses", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == EXIT_BAD_INPUT
-
-
-GAINS_ARGS = ["--kp", "10600", "--kd", "3000"]
 
 
 @pytest.mark.parametrize(
@@ -699,3 +830,26 @@ def test_write_csv_matches_per_cell_format(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     write_csv(tmp_path / "empty.csv", "a,b", [[], []])
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
+def test_csv_stream_matches_write_csv(tmp_path):
+    """The writer process formats float columns into the bytes write_csv
+    gives them, for special and extreme floats, blocks of any size, and no
+    rows at all."""
+    from levstab.output import csv_stream, write_csv
+
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.225e-308, 1e308, -1.7976931348623157e308, 0.1, 3]
+    rng = np.random.default_rng(11)
+    n = 5000
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    x[: len(special)] = special
+    columns = [x, -x[::-1], rng.standard_normal(n)]
+    write_csv(tmp_path / "whole.csv", "a,b,c", columns)
+    with csv_stream(tmp_path / "streamed.csv", "a,b,c") as send:
+        for lo, hi in [(0, 1), (1, 1024), (1024, 4999), (4999, 5000)]:
+            send([c[lo:hi] for c in columns])
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    with csv_stream(tmp_path / "empty.csv", "a,b"):
+        pass
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv", "streamed.csv", "whole.csv"]

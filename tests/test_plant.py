@@ -191,14 +191,15 @@ def test_integrate_steady_start_stays_put(b0, exc_quarter):
 
 
 def test_integrate_gap_columns_match_whole_grid(b0, exc_quarter):
-    """The gap columns, evaluated a block of samples at a time, equal the
-    gaps of the whole output grid evaluated at once, bit for bit."""
-    from levstab import plant
+    """The gap columns, evaluated on each block of samples the solver
+    hands over, equal the gaps of the whole output grid evaluated at once,
+    bit for bit."""
+    from levstab import dop853, plant
 
     s0 = steady_vehicle_state(b0, exc_quarter, 0.0)
     start = VehicleState(s0.z + 1e-4, 0.0, 5e-5, 0.0, s0.I1, s0.I2)
     traj = integrate(start, (0.0, 6.0 * exc_quarter.period), b0, exc_quarter, GAINS)
-    assert traj.t.size > plant._GAP_BLOCK
+    assert traj.t.size > dop853.SAMPLE_BLOCK
     gap1, gap2, _, _ = plant._gaps(traj.states.T, b0, steady_state(b0, exc_quarter, traj.t))
     np.testing.assert_array_equal(traj.gap1, gap1)
     np.testing.assert_array_equal(traj.gap2, gap2)

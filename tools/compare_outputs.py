@@ -6,7 +6,8 @@ Extracts ``src/`` at REV with ``git archive`` into a temporary directory and
 runs the same matrix of ``levstab`` commands against both source trees:
 ``ellipses``, ``resonance-chart``, ``steady-state``, ``map`` (default window,
 and ``--theta 0``), ``simulate --periods 10``, ``simulate --periods 100
---perturb 1e-4,5e-5`` and ``validate``, each with the
+--perturb 1e-4,5e-5``, ``simulate --periods 100 --perturb 0,5e-3`` and
+``validate``, each with the
 built-in baseline config plus gains 10600/3000, with the same config on the
 hybrid plant (beta 0.01), without excitation (A = 0) and with an inertia J
 other than the uniform bar's.  Stdout, the exit code and every output file
@@ -64,6 +65,9 @@ COMMANDS = {
     "simulate": ["simulate", "--periods", "10"],
     # a perturbed start makes the step control work, which the steady start does not
     "simulate-perturbed": ["simulate", "--periods", "100", "--perturb", "1e-4,5e-5"],
+    # a pitch kick that closes a gap early in the run, so the closure row ends
+    # a streamed trajectory.csv
+    "simulate-closure": ["simulate", "--periods", "100", "--perturb", "0,5e-3"],
     "validate": ["validate"],
 }
 TIMINGS = {"seconds", "elapsed_s"}
