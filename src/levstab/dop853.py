@@ -7,9 +7,12 @@ battery's perturbation runs and DOP853 monodromy matrices all use it.
 ``solve`` repeats, one operation at a time, what
 SciPy's ``solve_ivp(method="DOP853")`` does for a real 1-D state
 without ``max_step``: the initial step selection, the stage sums, the
-E5/E3 error norm, the step-size factors, the clipping of the last step,
-the dense output and the location of a terminal event.  Its samples and
-its RHS count therefore equal SciPy's bit for bit (the tests compare
+E5/E3 error norm, the step-size factors, the clipping of the last step
+and the location of a terminal event.  The dense output, which depends
+only on its own accepted step (Sec. II.6), waits for the block of samples
+its step belongs to and is evaluated there for all of the block's steps
+in one stacked pass, each element with SciPy's operations.  Its samples
+and its RHS count therefore equal SciPy's bit for bit (the tests compare
 them), and no command needs SciPy.
 """
 
@@ -291,10 +294,9 @@ def _square_norm(x):
 def _error_norm(K, h, scale):
     """RMS norm of the 8th-order step's error, the 5th-order estimate
     damped by the 3rd-order one.  A step whose stages overflowed gives a
-    NaN or infinite norm, which rejects it, without a RuntimeWarning."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        err5 = np.dot(K.T, E5) / scale
-        err3 = np.dot(K.T, E3) / scale
+    NaN or infinite norm, which rejects it."""
+    err5 = np.dot(K.T, E5) / scale
+    err3 = np.dot(K.T, E3) / scale
     err5_norm_2 = _square_norm(err5)
     err3_norm_2 = _square_norm(err3)
     if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -305,36 +307,40 @@ def _error_norm(K, h, scale):
     return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def _dense_output(fun, t_old, y_old, y, f, h, K):
-    """The coefficient rows F of the step's 7th-order interpolant, from
-    three extra RHS evaluations.
+def _dense_output(fun, steps):
+    """The 7th-order interpolants of the accepted ``steps``, each
+    ``(t_old, h, y_old, y, K)`` with K its 13 stage rows, stacked.
 
-    ``K`` is the extended stage array with rows 0-12 from the step; rows
-    13-15 are filled here.  ``_interpolate`` evaluates the interpolant.
+    The three extra stages of every step are evaluated together, one
+    stacked RHS call per stage, so ``fun`` gets a (k,) array of times and a
+    (k, n) array of states.  ``np.matmul`` over the stack gives each step
+    the bits of SciPy's per-step ``np.dot``.  Returns ``(F, t_old, h,
+    y_old)``: the coefficient rows F of shape (7, k, n), then the steps'
+    starts, spans and start states, which ``_interpolate`` takes.
     """
+    t_old, h, y_old, y, stages = map(np.array, zip(*steps))
+    K = np.empty((len(h), N_STAGES_EXTENDED, y.shape[1]))
+    K[:, : N_STAGES + 1] = stages
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, _A_ROWS[s]) * h
-        K[s] = fun(t_old + _C[s] * h, y_old + dy)
-    F = np.empty((INTERPOLATOR_POWER, y.size))
-    f_old = K[0]
+        dy = np.matmul(K[:, :s].transpose(0, 2, 1), _A_ROWS[s]) * h[:, None]
+        K[:, s] = fun(t_old + C[s] * h, y_old + dy)
+    F = np.empty((INTERPOLATOR_POWER, *y.shape))
+    f_old, f = K[:, 0], K[:, N_STAGES]
     delta_y = y - y_old
     F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K)
-    return F
+    F[1] = h[:, None] * f_old - delta_y
+    F[2] = 2 * delta_y - h[:, None] * (f + f_old)
+    F[3:] = (h[:, None, None] * np.matmul(D, K)).transpose(1, 0, 2)
+    return F, t_old, h, y_old
 
 
 def _interpolate(F, t_old, span, y_old, tq):
     """States at the times ``tq``, one row each, on the dense output of
-    the steps that start at ``t_old`` with state ``y_old``, span ``span``
-    and coefficient rows ``F``.
-
-    Either one step, with F of shape (7, n), or one step per time, with
-    ``t_old`` and ``span`` arrays shaped like tq, ``y_old`` of shape
-    (len(tq), n) and F of shape (7, len(tq), n).  Each element takes
-    SciPy's Horner loop, so its value does not depend on which other
-    times share the call.
+    one step per time: the step that starts at ``t_old`` with state
+    ``y_old``, spans ``span`` and has the coefficient rows ``F``, with
+    t_old and span shaped like tq, y_old of shape (len(tq), n) and F of
+    shape (7, len(tq), n).  Each element takes SciPy's Horner loop, so its
+    value does not depend on which other times share the call.
     """
     x = ((tq - t_old) / span)[:, None]
     out = np.zeros((len(x), F.shape[-1]))
@@ -348,25 +354,22 @@ def _interpolate(F, t_old, span, y_old, tq):
     return out
 
 
-def _sample(queue, tq, out, on_samples=None):
-    """Evaluate the samples of the queued steps into ``out``, in blocks of
-    at most SAMPLE_BLOCK samples, empty the queue and hand the samples,
-    now final, to ``on_samples(tq, out)`` if it is given.
+def _sample(dense, counts, tq, out, on_samples=None):
+    """Evaluate the samples of the steps whose stacked dense output is
+    ``dense`` into ``out``, in blocks of at most SAMPLE_BLOCK samples, and
+    hand them, now final, to ``on_samples(tq, out)`` if it is given.
 
-    ``queue`` holds one (F, t_old, span, y_old, sample count) per step, in
-    order; ``tq`` holds their sample times.
+    ``counts`` holds each step's number of samples, in order; ``tq`` holds
+    their times.  The event step may hold none, so a block can be empty,
+    which is not handed over.
     """
-    if not queue:
-        return
-    F, t_old, span, y_old, counts = zip(*queue)
-    queue.clear()
-    F, t_old, span, y_old = np.stack(F, axis=1), np.array(t_old), np.array(span), np.array(y_old)
+    F, t_old, span, y_old = dense
     step = np.repeat(np.arange(len(counts)), counts)
     for lo in range(0, step.size, SAMPLE_BLOCK):
         s = step[lo : lo + SAMPLE_BLOCK]
         block = slice(lo, lo + s.size)
         out[block] = _interpolate(F[:, s], t_old[s], span[s], y_old[s], tq[block])
-    if on_samples is not None:
+    if on_samples is not None and tq.size:
         on_samples(tq, out)
 
 
@@ -416,16 +419,24 @@ def _brentq(f, a, b, tol):
     raise RuntimeError(f"event location failed to converge after 100 iterations, t = {xcur}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None) -> Solution:
     """Integrate y' = fun(t, y) forward over ``t_span`` from the 1-D state y0.
 
-    ``fun`` returns a float array shaped like y.  Steps keep the local
-    error below ``atol + rtol |y|``.  With ``t_eval`` (increasing, within
-    ``t_span``) the solution is sampled there on each step's dense output.
+    ``fun`` returns a float array shaped like y.  With ``t_eval`` or
+    ``event`` it must also take a stack of k states: a (k,) array of times
+    and a (k, n) array of states, one row each, for which it returns a
+    (k, n) array, row i the derivative at (t[i], y[i]).  Each stack holds
+    one of the three extra dense-output stages of the steps whose samples
+    are evaluated together; the event step's come with those of the steps
+    queued before it.  Steps keep the local error below
+    ``atol + rtol |y|``.  With ``t_eval`` (increasing, within ``t_span``)
+    the solution is sampled there on each step's dense output.
     ``event(t, y)`` is a terminal event: the run stops where it falls
     through zero, located on the dense output to ``EVENT_TOL``.  An
     exception raised by ``fun`` propagates, which is how callers impose
-    an RHS budget.
+    an RHS budget.  Overflow and invalid operations, such as the stages of
+    a step that overflowed and is rejected, raise no RuntimeWarning.
 
     With ``t_eval``, ``on_samples(t, y)`` gets each block of samples as
     soon as it is final, in order, without gaps or overlaps: ``t`` the
@@ -450,16 +461,20 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound - t, rtol, atol)
     nfev = 2
-    K_extended = np.empty((N_STAGES_EXTENDED, y.size))
-    K = K_extended[: N_STAGES + 1]
-    KT = [K_extended[:s].T for s in range(N_STAGES_EXTENDED)]
+    K = np.empty((N_STAGES + 1, y.size))
+    KT = [K[:s].T for s in range(N_STAGES + 1)]
+    # the accepted steps whose dense output waits, as _dense_output takes
+    # them: the sampled steps since the last block of samples, then the
+    # event step, whose dense output is evaluated with theirs; nfev counts
+    # their three extra stages when they are queued
+    queue = []
     if t_eval is None:
         ts, ys = [t], [y]
     else:
         # the samples t_eval[:i_done] are in y_out; the steps queued hold
-        # t_eval[i_done:i_eval]
+        # t_eval[i_done:i_eval], counts[j] of them step j
         y_out = np.empty((t_eval.size, y.size))
-        queue = []
+        counts = []
         i_done = i_eval = 0
     g = None if event is None else event(t, y)
     t_event = y_event = None
@@ -505,13 +520,16 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
             status = 0
 
         # the step's span t - t_old is h, bit for bit
-        F = None
+        dense = None
         if event is not None:
             g_new = event(t, y)
             if g >= 0 and g_new <= 0:
-                F = _dense_output(fun, t_old, y_old, y, f, h, K_extended)
+                queue.append((t_old, h, y_old, y, K.copy()))
                 nfev += 3
-                at = lambda s: _interpolate(F, t_old, h, y_old, np.array([s]))[0]
+                dense = _dense_output(fun, queue)
+                F, starts, spans, states = dense
+                last = F[:, -1:], starts[-1:], spans[-1:], states[-1:]
+                at = lambda s: _interpolate(*last, np.array([s]))[0]
                 t_event = _brentq(lambda s: event(s, at(s)), t_old, t, EVENT_TOL)
                 y_event = at(t_event)
                 t, y = t_event, y_event
@@ -520,21 +538,27 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
         if t_eval is None:
             ts.append(t)
             ys.append(y)
-        else:
-            i_new = np.searchsorted(t_eval, t, side="right")
-            if i_new > i_eval:
-                if F is None:
-                    F = _dense_output(fun, t_old, y_old, y, f, h, K_extended)
-                    nfev += 3
-                queue.append((F, t_old, h, y_old, i_new - i_eval))
-                i_eval = i_new
-                if i_eval - i_done >= SAMPLE_BLOCK:
-                    _sample(queue, t_eval[i_done:i_eval], y_out[i_done:i_eval], on_samples)
-                    i_done = i_eval
+            continue
+        i_new = np.searchsorted(t_eval, t, side="right")
+        if dense is not None or i_new > i_eval:
+            if dense is None:
+                queue.append((t_old, h, y_old, y, K.copy()))
+                nfev += 3
+            counts.append(i_new - i_eval)
+            i_eval = i_new
+        if dense is not None or i_eval - i_done >= SAMPLE_BLOCK:
+            if dense is None:
+                dense = _dense_output(fun, queue)
+            _sample(dense, counts, t_eval[i_done:i_eval], y_out[i_done:i_eval], on_samples)
+            queue.clear()
+            counts.clear()
+            i_done = i_eval
 
     if t_eval is None:
         t_out, y_out = np.array(ts), np.vstack(ys)
     else:
-        _sample(queue, t_eval[i_done:i_eval], y_out[i_done:i_eval], on_samples)
+        if queue:
+            dense = _dense_output(fun, queue)
+            _sample(dense, counts, t_eval[i_done:i_eval], y_out[i_done:i_eval], on_samples)
         t_out, y_out = t_eval[:i_eval].copy(), y_out[:i_eval]
     return Solution(t_out, y_out, t_event, y_event, nfev, status, MESSAGES[status])

@@ -54,8 +54,9 @@ ATOL = 1e-12
 SAMPLES_PER_PERIOD = 200  # integrate()'s default output grid
 # a run holds about 80 bytes per output sample at its peak, the grid, the
 # solver's output rows, their times and the gap columns, plus under 1 MB for
-# the solver's sampling blocks (tracemalloc over 20-, 80- and 320-period
-# runs: 207, 93 and 83 bytes per sample).  The cap was set at 160 bytes per
+# the solver's queued steps, their stacked dense output and its sampling
+# blocks (tracemalloc over 20-, 80- and 320-period runs of the standard
+# plant: 253, 117 and 83 bytes per sample).  The cap was set at 160 bytes per
 # sample, when the solver also held its per-step chunks, and is kept: a 1 GiB
 # budget allows 2**30 // 160 = 6,710,886 samples, 33,554 periods at
 # SAMPLES_PER_PERIOD
@@ -210,19 +211,32 @@ def _gaps(state, params: PhysicalParams, ss: SteadyStateSample):
     return d1, d2, d1dot, d2dot
 
 
-# the derivative of the last configuration that rhs or rhs_hybrid served,
+# the derivatives of the last configuration that rhs or rhs_hybrid served,
 # keyed on the identity of its frozen (params, exc, gains, hyb) objects: one
 # tuple, read once per call, so that a miss replaces the entry whole
-_last_derivative = (None, None, None, None, None)
+_last_derivative = (None, None, None, None, None, None)
 
 
-def _derivative(params: PhysicalParams, exc: ExcitationParams, gains: ControlGains, hyb):
+def _derivative(
+    params: PhysicalParams, exc: ExcitationParams, gains: ControlGains, hyb, stacked: bool
+):
     """``rhs`` (hyb None) or ``rhs_hybrid`` at one configuration, as a
     function of (state, t), with the configuration's constants hoisted and
     the arithmetic of the gaps, voltages, forces and currents written out.
-    It becomes the entry of ``_last_derivative``."""
-    global _last_derivative
-    steady = _steady_kernel(params, exc, hyb)
+
+    Without ``stacked`` it takes one state and a float t, and computes on
+    Python floats with math's cos and sin; with it, a (k, 6) stack of
+    states and a (k,) array of times, computed column by column with
+    numpy's cos and sin, which equal math's bit for bit.  The floor
+    ``max(floor, d)`` and its numpy form both keep d only where
+    ``d > floor``, so a NaN gap takes the floor in either.
+    """
+    if stacked:
+        steady = _steady_kernel(params, exc, hyb, np.cos, np.sin)
+        at_least = lambda floor, d: np.where(d > floor, d, floor)
+    else:
+        steady = _steady_kernel(params, exc, hyb)
+        at_least = max
     half = 0.5 * params.L
     kp, kd = gains.Kp, gains.Kd
     C, R, g, m, L = params.C, params.R, params.g, params.m, params.L
@@ -236,8 +250,9 @@ def _derivative(params: PhysicalParams, exc: ExcitationParams, gains: ControlGai
         floor = _EVAL_FLOOR_FRACTION * (params.z0 + beta)
 
     def derivative(state, t):
-        # Python floats: scalar arithmetic is cheaper than on numpy scalars
-        z, zdot, phi, phidot, i1, i2 = state.tolist()
+        # one state as Python floats, cheaper in scalar arithmetic than
+        # numpy scalars, or a stack as its columns
+        z, zdot, phi, phidot, i1, i2 = state.T if stacked else state.tolist()
         w1, w2, s1, s2, s1dot, s2dot, _, _, _, _, U1, U2 = steady(t)
         d1 = z + half * phi - w1
         d2 = z - half * phi - w2
@@ -246,17 +261,15 @@ def _derivative(params: PhysicalParams, exc: ExcitationParams, gains: ControlGai
         u1 = U1 + kp * (d1 - s1) + kd * (d1dot - s1dot)
         u2 = U2 + kp * (d2 - s2) + kd * (d2dot - s2dot)
         if beta is None:
-            e1 = d1 if d1 > floor else floor
-            e2 = d2 if d2 > floor else floor
+            e1 = at_least(floor, d1)
+            e2 = at_least(floor, d2)
             f1 = C * i1 * i1 / (e1 * e1)
             f2 = C * i2 * i2 / (e2 * e2)
             i1dot = (e1 / twoC) * (u1 - R * i1 + twoC * i1 * d1dot / (e1 * e1))
             i2dot = (e2 / twoC) * (u2 - R * i2 + twoC * i2 * d2dot / (e2 * e2))
         else:
-            e1 = d1 + beta
-            e2 = d2 + beta
-            e1 = e1 if e1 > floor else floor
-            e2 = e2 if e2 > floor else floor
+            e1 = at_least(floor, d1 + beta)
+            e2 = at_least(floor, d2 + beta)
             j1 = i1 + gamma
             j2 = i2 + gamma
             f1 = C * j1 * j1 / (e1 * e1)
@@ -265,24 +278,38 @@ def _derivative(params: PhysicalParams, exc: ExcitationParams, gains: ControlGai
             i2dot = (e2 / twoC) * (u2 - R * i2) + (j2 / e2) * d2dot
         zdd = g - (f1 + f2) / m
         phidd = -(f1 - f2) * L / twoJ
-        return np.array([zdot, zdd, phidot, phidd, i1dot, i2dot])
+        out = np.array([zdot, zdd, phidot, phidd, i1dot, i2dot])
+        return out.T if stacked else out
 
-    _last_derivative = (params, exc, gains, hyb, derivative)
     return derivative
+
+
+def _derivatives(params, exc, gains, hyb):
+    """The derivatives of one state and of a stack at one configuration,
+    which become the entry of ``_last_derivative``."""
+    global _last_derivative
+    one = _derivative(params, exc, gains, hyb, stacked=False)
+    stack = _derivative(params, exc, gains, hyb, stacked=True)
+    _last_derivative = (params, exc, gains, hyb, one, stack)
+    return one, stack
 
 
 def rhs(state, t, params: PhysicalParams, exc: ExcitationParams, gains: ControlGains) -> np.ndarray:
     """Time derivative of (z, zdot, phi, phidot, I1, I2) for the standard plant.
+
+    ``state`` is one state and t a float, or ``state`` is a (k, 6) stack
+    of states, one row each, and t a (k,) array of their times; the
+    result is shaped like ``state``.
 
     Gap denominators are floored at 0.1% of z0: exact above the floor, and a
     finite (if enormous) force below it, so an adaptive integrator can
     evaluate trial stages past the contact event instead of hitting the
     1/gap^2 singularity.
     """
-    p, e, g, h, derivative = _last_derivative
+    p, e, g, h, one, stack = _last_derivative
     if p is not params or e is not exc or g is not gains or h is not None:
-        derivative = _derivative(params, exc, gains, None)
-    return derivative(state, t)
+        one, stack = _derivatives(params, exc, gains, None)
+    return (one if isinstance(t, float) else stack)(state, t)
 
 
 def hybrid_gamma(params: PhysicalParams, beta: float) -> float:
@@ -301,16 +328,17 @@ def rhs_hybrid(
     gains: ControlGains,
     hyb: HybridParams,
 ) -> np.ndarray:
-    """Time derivative for the hybrid-magnet plant.
+    """Time derivative for the hybrid-magnet plant, of one state or a
+    stack of states as for :func:`rhs`.
 
     The permanent magnet shifts the force law to C*((I+gamma)/(Delta+beta))^2
     and the current equation accordingly; the PD law still acts on the
     physical gap error.  With beta = gamma = 0 this reduces to :func:`rhs`.
     """
-    p, e, g, h, derivative = _last_derivative
+    p, e, g, h, one, stack = _last_derivative
     if p is not params or e is not exc or g is not gains or h is not hyb:
-        derivative = _derivative(params, exc, gains, hyb)
-    return derivative(state, t)
+        one, stack = _derivatives(params, exc, gains, hyb)
+    return (one if isinstance(t, float) else stack)(state, t)
 
 
 def hybrid_transform(state: VehicleState, hyb: HybridParams, inverse: bool = False) -> VehicleState:
@@ -442,11 +470,17 @@ def integrate(
     nfev = 0
 
     def fun(t, y):
+        # a stack of k states counts k evaluations, checked at its last time
         nonlocal nfev
-        nfev += 1
-        if nfev > MAX_NFEV_PER_PERIOD * (1.0 + (t - t0) / period):
+        if isinstance(t, float):
+            nfev += 1
+            t_last = t
+        else:
+            nfev += t.size
+            t_last = float(t.max())
+        if nfev > MAX_NFEV_PER_PERIOD * (1.0 + (t_last - t0) / period):
             raise RuntimeError(
-                f"integration stopped at t = {t:.6g} s after {nfev} RHS evaluations, over the "
+                f"integration stopped at t = {t_last:.6g} s after {nfev} RHS evaluations, over the "
                 f"budget of MAX_NFEV_PER_PERIOD = {MAX_NFEV_PER_PERIOD} per excitation period"
             )
         if hyb is None:

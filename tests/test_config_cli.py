@@ -649,6 +649,64 @@ def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsy
         os.waitpid(started[0].pid, os.WNOHANG)
 
 
+def test_cli_simulate_early_closure_formats_in_process(tmp_path, monkeypatch):
+    """A run that a gap closure ends within its first block of samples
+    delivers fewer rows than the writer process is started for: simulate
+    formats them in-process, with subprocess.Popen unable to start
+    anything, into the bytes write_trajectory_csv gives the same run."""
+    from dataclasses import replace
+
+    from levstab.output import _SPAWN_ROWS
+    from levstab.plant import integrate, steady_vehicle_state, write_trajectory_csv
+
+    doc = {**B0_DOC, "gains": {"Kp": 10600.0, "Kd": 3000.0}}
+    cfg = parse_config(doc)
+    start = steady_vehicle_state(cfg.params, cfg.exc, 0.0)
+    start = replace(start, phi=start.phi + 5e-3)
+    traj = integrate(start, (0.0, 25 * cfg.exc.period), cfg.params, cfg.exc, cfg.gains)
+    assert traj.aborted and traj.t.size < _SPAWN_ROWS
+    write_trajectory_csv(traj, tmp_path / "reference.csv")
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("simulate started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", _write(tmp_path, doc), "--periods", "25",
+               "--perturb=0,5e-3", "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv", "trajectory_meta.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--grid", "3,3", "--kp", "1e300,1e301", "--kd", "0,1"],
+        ["simulate", "--kp", "1e300", "--kd", "1e300", "--periods", "1"],
+    ],
+    ids=["map", "simulate"],
+)
+def test_cli_overflowing_gains_raise_no_runtime_warning(tmp_path, argv):
+    """Gains of 1e300 overflow the solver's step selection, stage sums and
+    error norms.  In a fresh interpreter that turns every RuntimeWarning
+    into an error, the command still exits 3 on its one stderr line, and
+    no map cell failed on a warning."""
+    src = Path(levstab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "levstab.cli", *argv,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    if argv[0] == "map":
+        meta = json.loads((tmp_path / "map_meta.json").read_text())
+        assert len(meta["cell_errors"]) == 9
+        assert not any("Warning" in msg for _, _, msg in meta["cell_errors"])
+
+
 def test_cli_simulate_rejects_start_with_closed_gap(tmp_path, monkeypatch, capsys):
     """A perturbation that puts an airgap below the contact threshold at
     the start is bad input, reported before any integration: the closure

@@ -143,3 +143,47 @@ def test_sample_grids_match_solve_ivp_bit_for_bit(b0, exc_quarter, samples):
     assert sol.nfev == ref.nfev
     np.testing.assert_array_equal(sol.t, ref.t)
     np.testing.assert_array_equal(sol.y, ref.y.T)
+
+
+@pytest.mark.parametrize("grid", ["dense", "ends-on-a-block"])
+@pytest.mark.parametrize("plant", ["standard", "hybrid"])
+def test_event_after_deferred_dense_output_matches_solve_ivp(b0, exc_quarter, plant, grid):
+    """solve defers the dense output of sampled steps to their block of
+    samples.  A gap closure after several blocks, on a grid of 1000
+    samples per period, finds deferred steps queued before the event step;
+    on a grid of exactly one block that ends before the closure, the event
+    step is queued alone and holds no sample.  Samples, RHS count and event
+    equal SciPy's, and on_samples gets every sample once, in order, in
+    blocks that are not empty."""
+    from levstab.dop853 import SAMPLE_BLOCK
+
+    gains = ControlGains(Kp=3000.0, Kd=10.0)
+    hyb = None
+    if plant == "hybrid":
+        hyb = HybridParams(beta=0.01, gamma=hybrid_gamma(b0, 0.01))
+        fun = lambda t, y: rhs_hybrid(y, t, b0, exc_quarter, gains, hyb)
+    else:
+        fun = lambda t, y: rhs(y, t, b0, exc_quarter, gains)
+    y0 = steady_vehicle_state(b0, exc_quarter, 0.0, hyb).as_array()
+    y0[0] += 1e-4
+    t_end = 8.0 * exc_quarter.period
+    if grid == "dense":
+        t_eval = np.linspace(0.0, t_end, 8001)
+    else:
+        t_eval = np.linspace(0.0, 0.3, SAMPLE_BLOCK)
+    event = _gap_closure(b0, exc_quarter)
+    blocks = []
+
+    ref = _reference(fun, (0.0, t_end), y0, t_eval, event)
+    sol = solve(fun, (0.0, t_end), y0, RTOL, ATOL, t_eval=t_eval, event=event,
+                on_samples=lambda t, y: blocks.append((t.copy(), y.copy())))
+    assert ref.status == sol.status == 1
+    assert sol.nfev == ref.nfev
+    assert sol.t.size >= (3 * SAMPLE_BLOCK + 1 if grid == "dense" else SAMPLE_BLOCK)
+    t_ref = float(ref.t_events[0][0])
+    assert abs(sol.t_event - t_ref) <= 1e-12 * t_ref
+    np.testing.assert_array_equal(sol.t, ref.t)
+    np.testing.assert_array_equal(sol.y, ref.y.T)
+    assert all(t.size >= SAMPLE_BLOCK for t, _ in blocks[:-1]) and blocks[-1][0].size
+    np.testing.assert_array_equal(np.concatenate([t for t, _ in blocks]), sol.t)
+    np.testing.assert_array_equal(np.concatenate([y for _, y in blocks]), sol.y)

@@ -412,3 +412,40 @@ def test_rhs_equals_per_call_reference_bit_for_bit(b0, exc_quarter):
                     want = _steady_state_reference(p, e, t, h)
                     for a, b in zip(got, want):
                         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_stacked_rhs_equals_per_row_calls_bit_for_bit(b0, exc_quarter):
+    """rhs and rhs_hybrid on a (k, 6) stack of states with a (k,) array of
+    times, as the solver's dense output calls them, give each row the bits
+    of the call on that row alone.  The rows are the 12,000 random
+    (t, state) pairs of the per-call test above, gaps below the evaluation
+    floor included, plus NaN rows, grouped by configuration."""
+    rng = np.random.default_rng(11)
+    params = [b0, PhysicalParams(m=5200.0, C=0.04, R=7.5, z0=0.012, L=2.5, J=3100.0)]
+    excs = [exc_quarter, ExcitationParams(A=0.003, Omega=120.0, theta=1.1)]
+    gains = [GAINS, ControlGains(Kp=10600.0, Kd=3000.0), ControlGains(Kp=25000.0, Kd=4500.0)]
+    hybs = [HybridParams(0.01, hybrid_gamma(b0, 0.01)), HybridParams(0.006, 17.0)]
+    groups = {}
+    for _ in range(12_000):
+        key = (rng.integers(2), rng.integers(2), rng.integers(3), rng.integers(2))
+        t = float(rng.uniform(0.0, 10.0))
+        state = steady_vehicle_state(params[key[0]], excs[key[1]], t).as_array()
+        state += rng.normal(size=6) * [2e-3, 0.05, 1e-3, 0.05, 5.0, 5.0]
+        if rng.random() < 0.05:  # a gap below the evaluation floor
+            state[0] = -0.02
+        rng.random()  # the per-call test's draw of the call order
+        groups.setdefault(key, []).append((t, state))
+    nan_rng = np.random.default_rng(12)
+    for (ip, ie, ig, ih), rows in groups.items():
+        p, e, g, h = params[ip], excs[ie], gains[ig], hybs[ih]
+        ts, states = np.array([t for t, _ in rows]), np.array([s for _, s in rows])
+        nan = nan_rng.random(states.shape) < 0.01  # NaN states, gaps among them
+        states[nan] = np.nan
+        assert len(ts) > 1
+        for new, one in [
+            (rhs(states, ts, p, e, g), lambda y, t: rhs(y, t, p, e, g)),
+            (rhs_hybrid(states, ts, p, e, g, h), lambda y, t: rhs_hybrid(y, t, p, e, g, h)),
+        ]:
+            assert new.shape == states.shape
+            for row, state, t in zip(new, states, ts.tolist()):
+                assert row.tobytes() == one(state, t).tobytes()

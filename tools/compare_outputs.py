@@ -6,7 +6,8 @@ Extracts ``src/`` at REV with ``git archive`` into a temporary directory and
 runs the same matrix of ``levstab`` commands against both source trees:
 ``ellipses``, ``resonance-chart``, ``steady-state``, ``map`` (default window,
 and ``--theta 0``), ``simulate --periods 10``, ``simulate --periods 100
---perturb 1e-4,5e-5``, ``simulate --periods 100 --perturb 0,5e-3`` and
+--perturb 1e-4,5e-5``, ``simulate --periods 100 --perturb 0,5e-3``,
+``simulate --periods 100 --kp 6000 --kd 1000 --perturb=-1e-6,0`` and
 ``validate``, each with the
 built-in baseline config plus gains 10600/3000, with the same config on the
 hybrid plant (beta 0.01), without excitation (A = 0) and with an inertia J
@@ -68,6 +69,12 @@ COMMANDS = {
     # a pitch kick that closes a gap early in the run, so the closure row ends
     # a streamed trajectory.csv
     "simulate-closure": ["simulate", "--periods", "100", "--perturb", "0,5e-3"],
+    # weaker gains that let a gap close late (t = 3.054 s on the standard
+    # config, after 7,779 rows), so the event step follows steps whose dense
+    # output was deferred to a block of samples
+    "simulate-late-closure": [
+        "simulate", "--periods", "100", "--kp", "6000", "--kd", "1000", "--perturb=-1e-6,0"
+    ],
     "validate": ["validate"],
 }
 TIMINGS = {"seconds", "elapsed_s"}
