@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ExcitationParams, PhysicalParams
-from .output import write_csv
 
 __all__ = [
     "Ellipse",
@@ -43,8 +42,6 @@ __all__ = [
     "hill_determinant_combination",
     "resonance_chart",
     "ellipse_to_dict",
-    "write_ellipse_boundary_csv",
-    "write_resonance_chart_csv",
 ]
 
 RT2 = math.sqrt(2.0)
@@ -352,10 +349,13 @@ def resonance_chart(
     solve each curve against the levels Omega and Omega/2 in closed form.
 
     An empty range (lo >= hi) yields a chart with no samples; the
-    intersection records are still computed, all flagged out of range.
+    intersection records are still computed, all flagged out of range.  A
+    range whose width hi - lo overflows raises ``ValueError``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if not math.isfinite(Kd_range[1] - Kd_range[0]):
+        raise ValueError(f"the Kd range {Kd_range[0]!r},{Kd_range[1]!r} is wider than a float can hold")
     if Kd_range[0] >= Kd_range[1]:
         kd = np.empty(0)
     else:
@@ -403,13 +403,3 @@ def ellipse_to_dict(e: Ellipse, params: PhysicalParams) -> dict:
         "degenerate": e.degenerate,
     }
 
-
-def write_ellipse_boundary_csv(e: Ellipse, path, n: int = 64) -> None:
-    """Boundary samples as CSV rows s,Kp,Kd with 17 significant digits."""
-    write_csv(path, "s,Kp,Kd", e.boundary_points(n))
-
-
-def write_resonance_chart_csv(chart: ResonanceChart, path) -> None:
-    """Curve samples as CSV rows Kd,omega1,omega2,sum,difference."""
-    columns = [chart.Kd, chart.omega1, chart.omega2, chart.sum, chart.difference]
-    write_csv(path, "Kd,omega1,omega2,sum,difference", columns)

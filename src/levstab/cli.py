@@ -6,7 +6,8 @@ Floquet sweep, ``simulate`` and ``steady-state`` exercise the nonlinear
 plant, and ``validate`` runs the full cross-validation battery.
 
 Exit codes: 0 success, 1 validation failure, 2 bad input, 3 runtime or
-numerical failure, including running out of memory.
+numerical failure, including running out of memory and a product that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -27,8 +27,6 @@ from .boundaries import (
     ellipse_to_dict,
     resonance_chart,
     static_boundary_lines,
-    write_ellipse_boundary_csv,
-    write_resonance_chart_csv,
 )
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
 from .floquet import sweep, write_map_csv, write_map_metadata
@@ -41,7 +39,6 @@ from .plant import (
     require_open_gaps,
     steady_state,
     steady_vehicle_state,
-    write_trajectory_csv,
 )
 from .validation import run_battery
 
@@ -49,15 +46,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_RUNTIME = 3
-
-# simulate streams trajectory.csv through a writer process, which formats the
-# rows while the integrator runs, when the output grid has at least this many
-# rows.  Below it the writer's start (a fresh interpreter, about 15 ms) costs
-# more than the formatting it takes off this process: in 16 alternating pairs
-# per length on a 2-vCPU VM, streaming lost by a median 11 and 4 ms at 1001
-# and 2001 rows (5 and 10 periods), broke even at 3001 (faster in 9 of 16)
-# and won by 13 and 39 ms at 4001 and 6001 rows (20 and 30 periods)
-STREAM_MIN_SAMPLES = 4000
 
 # moderate-speed baseline configuration used when --config is not given
 DEFAULT_CONFIG = {
@@ -121,22 +109,33 @@ def _gains_from(args, cfg: RunConfig) -> ControlGains:
     return ControlGains(Kp=float(kp), Kd=float(kd))
 
 
+def _write_products(args, cfg: RunConfig, out: str, tables: dict, name: str, doc: dict) -> None:
+    """Write the CSV tables ``{file: (header, columns)}`` and the JSON
+    document ``doc``, with the run's ``config`` and the package ``version``
+    added, as ``name`` into ``out``; a command's ``--format`` keeps one of
+    the two kinds."""
+    fmt = getattr(args, "format", None)
+    if fmt != "json":
+        for file, (header, columns) in tables.items():
+            write_csv(os.path.join(out, file), header, columns)
+    if fmt != "csv":
+        write_json(os.path.join(out, name), {**doc, "config": dump_config(cfg), "version": __version__})
+
+
 def cmd_ellipses(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     ells = all_ellipses(cfg.params, cfg.exc)
     lines = static_boundary_lines(cfg.params)
-    payload = {
-        "config": dump_config(cfg),
-        "static_lines": {"h0": lines.h0, "slope": lines.slope},
-        "ellipses": [ellipse_to_dict(e, cfg.params) for e in ells.values()],
-        "version": __version__,
-    }
-    if args.format != "csv":
-        write_json(os.path.join(out, "ellipses.json"), payload)
-    if args.format != "json":
-        for kind, e in ells.items():
-            write_ellipse_boundary_csv(e, os.path.join(out, f"ellipse_{kind}.csv"))
+    _write_products(
+        args, cfg, out,
+        {f"ellipse_{kind}.csv": ("s,Kp,Kd", e.boundary_points(64)) for kind, e in ells.items()},
+        "ellipses.json",
+        {
+            "static_lines": {"h0": lines.h0, "slope": lines.slope},
+            "ellipses": [ellipse_to_dict(e, cfg.params) for e in ells.values()],
+        },
+    )
     for e in ells.values():
         tag = " (degenerate)" if e.degenerate else ""
         print(
@@ -183,7 +182,7 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     report = run_battery(cfg.params, cfg.exc)
-    write_json(os.path.join(out, "validation.json"), report.to_json(config=dump_config(cfg)))
+    _write_products(args, cfg, out, {}, "validation.json", report.to_json())
     for c in report.criteria:
         line = f"criterion {c.index:2d} {c.name}: {c.status.upper()}"
         if c.status == "skip":
@@ -210,20 +209,17 @@ def cmd_simulate(args) -> int:
     t_span = (0.0, args.periods * cfg.exc.period)
     t_eval = output_grid(t_span, cfg.exc)
     path = os.path.join(out, "trajectory.csv")
-    stream = t_eval.size >= STREAM_MIN_SAMPLES
-    with csv_stream(path, TRAJECTORY_CSV_HEADER) if stream else nullcontext() as sink:
+    with csv_stream(path, TRAJECTORY_CSV_HEADER, t_eval.size) as sink:
         traj = integrate(
             start, t_span, cfg.params, cfg.exc, gains, mode=mode, hyb=cfg.hybrid,
             t_eval=t_eval, sink=sink,
         )
-    if not stream:
-        write_trajectory_csv(traj, path)
-    meta = dict(traj.meta)
-    meta["config"] = dump_config(cfg)
-    meta["gains"] = {"Kp": gains.Kp, "Kd": gains.Kd}
-    meta["perturbation"] = {"dz": dz, "dphi": dphi}
-    meta["version"] = __version__
-    write_json(os.path.join(out, "trajectory_meta.json"), meta)
+    meta = {
+        **traj.meta,
+        "gains": {"Kp": gains.Kp, "Kd": gains.Kd},
+        "perturbation": {"dz": dz, "dphi": dphi},
+    }
+    _write_products(args, cfg, out, {}, "trajectory_meta.json", meta)
     if traj.aborted:
         print(
             f"gap closed at t = {traj.meta['abort_time']:.6g} s; "
@@ -247,19 +243,13 @@ def cmd_resonance_chart(args) -> int:
         scale = math.sqrt(2.0 * cfg.params.g / (cfg.params.m * cfg.params.C))
         kd_range = (0.0, 1.3 * (cfg.exc.Omega / (math.sqrt(3.0) - 1.0)) ** 2 / scale)
     chart = resonance_chart(cfg.params, cfg.exc.Omega, kd_range)
-    if args.format != "json":
-        write_resonance_chart_csv(chart, os.path.join(out, "resonance_chart.csv"))
-    if args.format != "csv":
-        write_json(
-            os.path.join(out, "resonance_chart.json"),
-            {
-                "config": dump_config(cfg),
-                "Omega": chart.Omega,
-                "Kd_range": list(kd_range),
-                "intersections": list(chart.intersections),
-                "version": __version__,
-            },
-        )
+    fields = ("Kd", "omega1", "omega2", "sum", "difference")
+    _write_products(
+        args, cfg, out,
+        {"resonance_chart.csv": (",".join(fields), [getattr(chart, f) for f in fields])},
+        "resonance_chart.json",
+        {"Omega": chart.Omega, "Kd_range": list(kd_range), "intersections": list(chart.intersections)},
+    )
     for rec in chart.intersections:
         if rec["observed"]:
             print(
@@ -276,17 +266,12 @@ def cmd_steady_state(args) -> int:
     ss = steady_state(cfg.params, cfg.exc, ts, cfg.hybrid)
     fields = ("t", "gap1", "gap1_rate", "I1", "U1", "gap2", "gap2_rate", "I2", "U2")
     cols = [np.asarray(getattr(ss, f)) for f in fields]
-    if args.format != "json":
-        write_csv(os.path.join(out, "steady_state.csv"), ",".join(fields), cols)
-    if args.format != "csv":
-        write_json(
-            os.path.join(out, "steady_state.json"),
-            {
-                "config": dump_config(cfg),
-                "samples": {f: list(map(float, c)) for f, c in zip(fields, cols)},
-                "version": __version__,
-            },
-        )
+    _write_products(
+        args, cfg, out,
+        {"steady_state.csv": (",".join(fields), cols)},
+        "steady_state.json",
+        {"samples": {f: list(map(float, c)) for f, c in zip(fields, cols)}},
+    )
     print(
         f"steady state over one period written; at t=0: gap1 = {float(ss.gap1[0]):.6g} m, "
         f"I1 = {float(ss.I1[0]):.6g} A, U1 = {float(ss.U1[0]):.6g} V"
@@ -359,7 +344,7 @@ def main(argv=None) -> int:
     except ValueError as err:  # ConfigError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (RuntimeError, ArithmeticError, MemoryError) as err:
+    except (RuntimeError, ArithmeticError, MemoryError, OSError) as err:
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -11,6 +11,7 @@ circle marks combination resonance or the static oscillatory instability.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -424,7 +425,8 @@ def sweep(
     (``_batched_cells``).  The workers are those of ``resolve_workers``, but
     no more than the grid has full blocks of BLOCK cells; with more than one
     chunk the chunks run in a process pool.  A cell's result does not depend
-    on its chunk, so the output is the same for every worker count.
+    on its chunk, so the output is the same for every worker count.  A
+    range whose width hi - lo overflows raises ``ValueError``.
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
@@ -433,6 +435,9 @@ def sweep(
             f"a {nx}x{ny} grid has {nx * ny} cells, over the limit of "
             f"MAX_GRID_CELLS = {MAX_GRID_CELLS} (about 724x724)"
         )
+    for flag, (lo, hi) in (("Kp", Kp_range), ("Kd", Kd_range)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the {flag} range {lo!r},{hi!r} is wider than a float can hold")
     kp = np.linspace(Kp_range[0], Kp_range[1], nx)
     kd = np.linspace(Kd_range[0], Kd_range[1], ny)
     cells_kp, cells_kd = np.repeat(kp, ny), np.tile(kd, nx)

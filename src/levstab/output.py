@@ -5,12 +5,13 @@ float64, so a CSV product reloads to the exact values that were computed.
 JSON products are indented and key-sorted, so equal payloads give equal
 bytes.
 
-A CSV of float columns can also be streamed with :func:`csv_stream`: its
-rows go as raw float64 frames to a writer process, which formats them with
-``write_csv``'s row formatter while the caller computes the next ones.  The
-writer process runs this file as a script on the standard library alone,
-which is why numpy, json and contextlib are imported inside the functions
-that use them: the writer starts in about 15 ms instead of 30.
+A CSV of float columns can also be streamed with :func:`csv_stream`: the
+rows of a long stream go as raw float64 frames to a writer process, which
+formats them with ``write_csv``'s row formatter while the caller computes
+the next ones.  The writer process runs this file as a script on the
+standard library alone, which is why numpy, json and contextlib are
+imported inside the functions that use them: the writer starts in about
+15 ms instead of 30.
 """
 
 from __future__ import annotations
@@ -21,9 +22,18 @@ import sys
 __all__ = ["write_csv", "write_json", "csv_stream"]
 
 _CSV_BLOCK = 4096  # rows per formatted block
-# csv_stream starts its writer process once it holds this many rows: a run
-# with fewer is formatted in-process, 2048 rows of 9 columns in about 11 ms,
-# which is about what the writer's start and exit cost (14 ms)
+# csv_stream starts a writer process only for a plan of at least this many
+# rows.  Below it the writer's start (a fresh interpreter, about 15 ms) costs
+# more than the formatting it takes off the caller: for simulate's 9 columns,
+# in 16 alternating pairs per length on a 2-vCPU VM, streaming lost by a
+# median 11 and 4 ms at 1001 and 2001 rows (5 and 10 periods), broke even at
+# 3001 (faster in 9 of 16) and won by 13 and 39 ms at 4001 and 6001 rows
+# (20 and 30 periods)
+_STREAM_ROWS = 4000
+# and only once it holds this many rows: a stream that ends with fewer, such
+# as a run that a gap closure ends early, is formatted in-process, 2048 rows
+# of 9 columns in about 11 ms, which is about what the writer's start and
+# exit cost (14 ms)
 _SPAWN_ROWS = 2048
 # the writer process of csv_stream: this file as a script, in an
 # interpreter that ignores the environment and skips the site module, which
@@ -60,30 +70,32 @@ def write_csv(path, header, columns) -> None:
             fh.write(_rows(template, (c[lo : lo + _CSV_BLOCK].tolist() for c in columns)))
 
 
-def csv_stream(path, header):
-    """Write a CSV of float columns to ``path`` through a writer process,
-    one block of rows at a time.
+def csv_stream(path, header, rows):
+    """Write a CSV of float columns to ``path``, one block of rows at a
+    time, through a writer process if the stream is long.
 
-    Yields ``send(columns)``, which takes a block of rows as equal-length
-    float columns, one per name in ``header``, and copies them before it
-    returns.  The blocks are held until they amount to ``_SPAWN_ROWS``
-    rows; then the writer process starts and gets them and every later
-    block, which it formats as ``write_csv`` does into a temporary file
-    beside ``path``.  A stream that ends with fewer rows is formatted in
-    this process, which spares a short run, or one that a gap closure
-    ends early, the writer's start.  The temporary file becomes ``path``
-    once the ``with`` block has ended and the writer, if it started, has
-    exited with status 0.  Otherwise the writer is killed and reaped, the
-    temporary file is removed and the error propagates; a writer that
-    failed or stopped reading raises ``RuntimeError`` with its exit status
-    and the last line of its stderr.
+    ``rows`` is the number of rows the caller plans to send.  Yields
+    ``send(columns)``, which takes a block of rows as equal-length float
+    columns, one per name in ``header``, and copies them before it returns.
+    The blocks are held until they amount to ``_SPAWN_ROWS`` rows of a plan
+    of at least ``_STREAM_ROWS``; then the writer process starts and gets
+    them and every later block, which it formats as ``write_csv`` does into
+    a temporary file beside ``path``.  A shorter plan, or a stream that
+    ends with fewer rows held (a run that a gap closure ends early), is
+    formatted in this process by the writer's own code, into the same
+    bytes, which spares it the writer's start.  The temporary file becomes
+    ``path`` once the ``with`` block has ended and the writer, if it
+    started, has exited with status 0.  Otherwise the writer is killed and
+    reaped, the temporary file is removed and the error propagates; a
+    writer that failed or stopped reading raises ``RuntimeError`` with its
+    exit status and the last line of its stderr.
     """
     from contextlib import contextmanager
 
-    return contextmanager(_stream)(path, header)
+    return contextmanager(_stream)(path, header, rows)
 
 
-def _stream(path, header):
+def _stream(path, header, rows):
     """The generator behind ``csv_stream``."""
     import io
     import subprocess
@@ -95,19 +107,19 @@ def _stream(path, header):
     # what the writer reads (see _serve) and has not yet been sent: the
     # header line and the frames of the rows held before it starts
     held = [header.encode() + b"\n"]
-    rows = 0
+    held_rows = 0
     writer = None
 
     def send(columns):
-        nonlocal writer, rows
+        nonlocal writer, held_rows
         block = np.array(columns, dtype=np.float64)
         frame = block.shape[1].to_bytes(8, "little") + block.tobytes()
         if writer is not None:
             writer.stdin.write(frame)
             return
         held.append(frame)
-        rows += block.shape[1]
-        if rows < _SPAWN_ROWS:
+        held_rows += block.shape[1]
+        if rows < _STREAM_ROWS or held_rows < _SPAWN_ROWS:
             return
         try:
             with open(tmp, "wb") as fh:

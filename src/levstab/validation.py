@@ -96,15 +96,12 @@ class ValidationReport:
     def counts(self) -> dict:
         return {s: sum(c.status == s for c in self.criteria) for s in ("pass", "fail", "skip")}
 
-    def to_json(self, config: dict | None = None) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "passed": self.passed,
             "counts": self.counts(),
             "criteria": [c.to_dict() for c in self.criteria],
         }
-        if config is not None:
-            doc["config"] = config
-        return doc
 
 
 def pick_stable_gains(params: PhysicalParams, exc: ExcitationParams) -> ControlGains:

@@ -23,7 +23,7 @@ from levstab import (
     static_boundary_lines,
     unexcited_spectrum,
 )
-from levstab.boundaries import write_ellipse_boundary_csv, write_resonance_chart_csv
+from levstab.cli import EXIT_OK, main
 
 
 RT3 = math.sqrt(3.0)
@@ -386,16 +386,16 @@ def test_resonance_chart_empty_range(b0):
     assert not any(rec["in_range"] for rec in chart.intersections)
 
 
-def test_boundary_csv_exports(tmp_path, b0, exc_quarter):
-    e = all_ellipses(b0, exc_quarter)["a"]
-    path = tmp_path / "ellipse_a.csv"
-    write_ellipse_boundary_csv(e, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "s,Kp,Kd"
-    assert len(lines) == 65
-    chart = resonance_chart(b0, 80.0, (0.0, 1e4), n=50)
-    cpath = tmp_path / "chart.csv"
-    write_resonance_chart_csv(chart, cpath)
-    clines = cpath.read_text().splitlines()
-    assert clines[0].startswith("Kd,")
-    assert len(clines) == 51
+def test_boundary_csv_exports(tmp_path):
+    """The CLI writes each ellipse's 64 boundary samples and the chart's
+    400 curve samples below their headers."""
+    assert main(["ellipses", "--format", "csv", "--out", str(tmp_path)]) == EXIT_OK
+    for kind in "abcd":
+        lines = (tmp_path / f"ellipse_{kind}.csv").read_text().splitlines()
+        assert lines[0] == "s,Kp,Kd"
+        assert len(lines) == 65
+    assert main(["resonance-chart", "--kd", "0,1e4", "--format", "csv", "--out", str(tmp_path)]) == EXIT_OK
+    clines = (tmp_path / "resonance_chart.csv").read_text().splitlines()
+    assert clines[0] == "Kd,omega1,omega2,sum,difference"
+    assert len(clines) == 401
+    assert not list(tmp_path.glob("*.json"))

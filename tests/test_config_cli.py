@@ -561,17 +561,18 @@ STREAM_CASES = {
 
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_cli_simulate_stream_matches_in_process_writer(tmp_path, monkeypatch, case):
-    """From STREAM_MIN_SAMPLES rows on, simulate streams trajectory.csv
-    through the writer process; its bytes equal those of
-    write_trajectory_csv on the same run, the closure row included."""
+    """From _STREAM_ROWS planned rows on, simulate streams trajectory.csv
+    through one writer process, unless a gap closure ends the run before
+    _SPAWN_ROWS rows; its bytes equal those of write_trajectory_csv on the
+    same run, the closure row included."""
     from dataclasses import replace
 
-    import levstab.cli as cli
+    from levstab.output import _SPAWN_ROWS, _STREAM_ROWS
     from levstab.plant import integrate, steady_vehicle_state, write_trajectory_csv
 
     extra, periods, (dz, dphi) = STREAM_CASES[case]
     doc = {**B0_DOC, "gains": {"Kp": 10600.0, "Kd": 3000.0}, **extra}
-    assert 200 * periods + 1 >= cli.STREAM_MIN_SAMPLES
+    assert 200 * periods + 1 >= _STREAM_ROWS
     cfg = parse_config(doc)
     start = steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
     start = replace(start, z=start.z + dz, phi=start.phi + dphi)
@@ -581,14 +582,19 @@ def test_cli_simulate_stream_matches_in_process_writer(tmp_path, monkeypatch, ca
     write_trajectory_csv(traj, tmp_path / "reference.csv")
     assert traj.aborted == (case == "gap-closure")
 
-    def not_in_process(*args):
-        raise AssertionError("simulate wrote the CSV in-process")
+    started = []
 
-    monkeypatch.setattr(cli, "write_trajectory_csv", not_in_process)
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
     out = tmp_path / "out"
     rc = main(["simulate", "--config", _write(tmp_path, doc), "--periods", str(periods),
                f"--perturb={dz!r},{dphi!r}", "--out", str(out)])
     assert rc == (EXIT_RUNTIME if traj.aborted else EXIT_OK)
+    assert len(started) == (0 if traj.t.size < _SPAWN_ROWS else 1)
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv", "trajectory_meta.json"]
 
@@ -649,22 +655,19 @@ def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsy
         os.waitpid(started[0].pid, os.WNOHANG)
 
 
-def test_cli_simulate_early_closure_formats_in_process(tmp_path, monkeypatch):
-    """A run that a gap closure ends within its first block of samples
-    delivers fewer rows than the writer process is started for: simulate
-    formats them in-process, with subprocess.Popen unable to start
-    anything, into the bytes write_trajectory_csv gives the same run."""
+def _simulate_without_process(tmp_path, monkeypatch, periods, dz, dphi):
+    """Run simulate with subprocess.Popen unable to start anything; assert
+    that its trajectory.csv has the bytes write_trajectory_csv gives the
+    same run, and return that run and simulate's exit code."""
     from dataclasses import replace
 
-    from levstab.output import _SPAWN_ROWS
     from levstab.plant import integrate, steady_vehicle_state, write_trajectory_csv
 
     doc = {**B0_DOC, "gains": {"Kp": 10600.0, "Kd": 3000.0}}
     cfg = parse_config(doc)
     start = steady_vehicle_state(cfg.params, cfg.exc, 0.0)
-    start = replace(start, phi=start.phi + 5e-3)
-    traj = integrate(start, (0.0, 25 * cfg.exc.period), cfg.params, cfg.exc, cfg.gains)
-    assert traj.aborted and traj.t.size < _SPAWN_ROWS
+    start = replace(start, z=start.z + dz, phi=start.phi + dphi)
+    traj = integrate(start, (0.0, periods * cfg.exc.period), cfg.params, cfg.exc, cfg.gains)
     write_trajectory_csv(traj, tmp_path / "reference.csv")
 
     def no_process(*args, **kwargs):
@@ -672,11 +675,77 @@ def test_cli_simulate_early_closure_formats_in_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", no_process)
     out = tmp_path / "out"
-    rc = main(["simulate", "--config", _write(tmp_path, doc), "--periods", "25",
-               "--perturb=0,5e-3", "--out", str(out)])
-    assert rc == EXIT_RUNTIME
+    rc = main(["simulate", "--config", _write(tmp_path, doc), "--periods", str(periods),
+               f"--perturb={dz!r},{dphi!r}", "--out", str(out)])
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv", "trajectory_meta.json"]
+    return traj, rc
+
+
+def test_cli_simulate_early_closure_formats_in_process(tmp_path, monkeypatch):
+    """A run that a gap closure ends within its first block of samples
+    delivers fewer rows than the writer process is started for: simulate
+    formats them in-process into the bytes of write_trajectory_csv."""
+    from levstab.output import _SPAWN_ROWS
+
+    traj, rc = _simulate_without_process(tmp_path, monkeypatch, 25, 0.0, 5e-3)
+    assert rc == EXIT_RUNTIME
+    assert traj.aborted and traj.t.size < _SPAWN_ROWS
+
+
+def test_cli_simulate_short_plan_formats_in_process(tmp_path, monkeypatch):
+    """A run planned under _STREAM_ROWS rows starts no writer process,
+    though it delivers more than the _SPAWN_ROWS rows that start one on a
+    longer plan: 19 periods, 3,801 rows, are formatted in-process into the
+    bytes of write_trajectory_csv."""
+    from levstab.output import _SPAWN_ROWS, _STREAM_ROWS
+
+    traj, rc = _simulate_without_process(tmp_path, monkeypatch, 19, 1e-4, 5e-5)
+    assert rc == EXIT_OK
+    assert _SPAWN_ROWS < traj.t.size == 3801 < _STREAM_ROWS
+
+
+@pytest.mark.parametrize(
+    "argv,product",
+    [
+        (["map", "--grid", "2,2", "--kp", "10000,12000", "--kd", "2000,2600"], "map.csv"),
+        (["simulate", *GAINS_ARGS, "--periods", "1"], "trajectory.csv"),
+        (["simulate", *GAINS_ARGS, "--periods", "25"], "trajectory.csv"),
+        (["ellipses", "--format", "json"], "ellipses.json"),
+    ],
+    ids=["map", "simulate-1", "simulate-25", "ellipses-json"],
+)
+def test_cli_unwritable_product_exits_3(tmp_path, capsys, argv, product):
+    """A product that cannot be written, here because its path is a
+    directory, ends the command with exit 3 on one error line, with no
+    traceback and no temporary file left behind."""
+    out = tmp_path / "out"
+    (out / product).mkdir(parents=True)
+    rc = main([*argv, "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and product in err
+    assert [p.name for p in out.iterdir()] == [product]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--grid", "2,2", "--kp=-1e308,1e308", "--kd", "0,1"],
+        ["resonance-chart", "--kd=-1e308,1e308"],
+    ],
+    ids=["map", "resonance-chart"],
+)
+def test_cli_overflowing_range_is_bad_input(tmp_path, capsys, argv):
+    """A gain range whose width hi - lo overflows is bad input: exit 2 on
+    one error line, and no product written."""
+    rc = main([*argv, "--out", str(tmp_path)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "wider than a float can hold" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -760,6 +829,7 @@ def test_cli_validate_unexcited_skips(tmp_path, capsys):
     assert "SKIP" in out and "skipped=6" in out
     assert report["passed"] is True
     assert parse_config(report["config"]) == parse_config(doc)
+    assert report["version"] == levstab.__version__
 
 
 def test_cli_validate_failure_exit(tmp_path, monkeypatch, capsys):
@@ -903,11 +973,11 @@ def test_csv_stream_matches_write_csv(tmp_path):
     x[: len(special)] = special
     columns = [x, -x[::-1], rng.standard_normal(n)]
     write_csv(tmp_path / "whole.csv", "a,b,c", columns)
-    with csv_stream(tmp_path / "streamed.csv", "a,b,c") as send:
+    with csv_stream(tmp_path / "streamed.csv", "a,b,c", n) as send:
         for lo, hi in [(0, 1), (1, 1024), (1024, 4999), (4999, 5000)]:
             send([c[lo:hi] for c in columns])
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    with csv_stream(tmp_path / "empty.csv", "a,b"):
+    with csv_stream(tmp_path / "empty.csv", "a,b", 0):
         pass
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv", "streamed.csv", "whole.csv"]
