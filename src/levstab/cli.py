@@ -29,7 +29,7 @@ from .boundaries import (
     static_boundary_lines,
 )
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
-from .floquet import sweep, write_map_csv, write_map_metadata
+from .floquet import check_grid, sweep, write_map_csv, write_map_metadata
 from .model import ControlGains, validate
 from .output import csv_stream, write_csv, write_json
 from .plant import (
@@ -147,7 +147,6 @@ def cmd_ellipses(args) -> int:
 
 def cmd_map(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     nx, ny = _parse_grid(args.grid) if args.grid else (21, 21)
     if args.kp_range and args.kd_range:
         kp_range = _parse_pair(args.kp_range, "--kp")
@@ -156,6 +155,8 @@ def cmd_map(args) -> int:
         raise ConfigError("map needs both --kp lo,hi and --kd lo,hi (or neither)")
     else:
         kp_range, kd_range = default_map_window(cfg.params, cfg.exc)
+    check_grid(kp_range, kd_range, nx, ny)
+    out = _outdir(args)
     smap = sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid)
     write_map_csv(smap, os.path.join(out, "map.csv"))
     meta_path = os.path.join(out, "map_meta.json")
@@ -197,7 +198,6 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     gains = _gains_from(args, cfg)
     if not 0.0 < args.periods < math.inf:
         raise ConfigError(f"--periods must be a finite number > 0, got {args.periods!r}")
@@ -206,6 +206,7 @@ def cmd_simulate(args) -> int:
     start = steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
     start = replace(start, z=start.z + dz, phi=start.phi + dphi)
     require_open_gaps(start, 0.0, cfg.params, cfg.exc)
+    out = _outdir(args)
     t_span = (0.0, args.periods * cfg.exc.period)
     t_eval = output_grid(t_span, cfg.exc)
     path = os.path.join(out, "trajectory.csv")
@@ -236,13 +237,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_resonance_chart(args) -> int:
     cfg = _load(args)
-    out = _outdir(args)
     kd_range = _parse_pair(args.kd_range, "--kd") if args.kd_range else (0.0, None)
     if kd_range[1] is None:
         # default range covers all observed intersections with margin
         scale = math.sqrt(2.0 * cfg.params.g / (cfg.params.m * cfg.params.C))
         kd_range = (0.0, 1.3 * (cfg.exc.Omega / (math.sqrt(3.0) - 1.0)) ** 2 / scale)
     chart = resonance_chart(cfg.params, cfg.exc.Omega, kd_range)
+    out = _outdir(args)
     fields = ("Kd", "omega1", "omega2", "sum", "difference")
     _write_products(
         args, cfg, out,
@@ -349,5 +350,21 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The ``levstab`` console script and ``python -m levstab.cli``: run
+    ``main`` and exit with its code.
+
+    It first moves every object alive after the imports, numpy's import
+    heap above all, into the collector's permanent generation
+    (``gc.freeze``), so that neither a collection during the command nor
+    the interpreter's shutdown traverses them.  ``main`` does not, since
+    the tests call it in-process.
+    """
+    import gc
+
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dop853
 from .linearized import CURRENT_ROWS, periodic_matrix
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import write_csv, write_json
@@ -30,6 +29,7 @@ __all__ = [
     "monodromy",
     "classify",
     "sweep",
+    "check_grid",
     "boundary_crossings",
     "signature_moduli",
     "resolve_workers",
@@ -51,6 +51,8 @@ MAX_NFEV = 10_000  # RHS budget of one monodromy: 26x the default windows need, 
 # passes the Liouville check
 STEPS = 50
 MAX_STEPS = 400
+# a refined pass (over STEPS steps) runs as segments of this many steps
+SEGMENT = STEPS // 2
 STEP_TOL = 1e-9
 # det M of an accepted cell lies within DET_TOL (relative) of the Liouville
 # value; its error is set by the fastest-decaying modes, not by max|mu|
@@ -62,13 +64,30 @@ ENGINE = "RK6 (Butcher 7-stage, Richardson-checked) + DOP853 fallback"
 # cells per engine block; the process pool starts only when every worker
 # gets at least one full block
 BLOCK = 2048
+# stack columns (cells times segments) of one group of a pass, ten arrays
+# of 36 floats each, about 3 MB.  Best of 5 in-process timings on a 2-vCPU
+# VM, 1024 columns against 2048: 135 against 154 ms for a 50-step pass of
+# 2048 cells, 1190 against 1238 ms for one at 400 steps, and 84 against 96
+# ms for 128 cells at 400 steps, whose 16 segments run side by side
+GROUP_COLUMNS = 1024
+# a refined pass of at least this many cells integrates its segments one
+# after another, each over all its cells; a pass of fewer cells runs them
+# side by side.  Timed per pass (best of 5, 2-vCPU VM), side by side wins
+# up to 192 cells (26.5 against 31.8 ms at 128 cells and 100 steps, 108
+# against 138 ms at 400 steps), and one after another from 256 (52.3
+# against 59.4 ms; 195 against 209 ms), where a segment's entries broadcast
+# over the cells as a level-0 pass's do and spreading them costs more than
+# the per-step calls it saves
+SERIAL_CELLS = 256
 # Memory (tracemalloc over whole one-worker sweeps of 50x50 to 301x301
-# cells): a worker's engine holds about 8 MB for its block, the stage stack
-# and the block's matrices and multipliers, whatever the grid, and the
-# results add about 110 bytes per cell; 301x301 peaks at 18 MB.  The cap
-# was set when the engine held all of a chunk at once, at 2 KiB per cell
-# for a 1 GiB budget: 2**30 / 2**11 = 524,288 cells, about 724 x 724.  It
-# is kept, and a map at the cap now needs about 60 MB plus 8 MB per worker
+# cells): a worker's engine holds 5-7 MB for its block, the stage stack of
+# at most GROUP_COLUMNS columns and the block's matrices and multipliers,
+# whatever the grid and the step counts (7.3 MB for the all-refined 50x50
+# map of tongue d's window), and the results add about 110 bytes per cell;
+# 301x301 peaks at 16 MB.
+# The cap was set when the engine held all of a chunk at once, at 2 KiB per
+# cell for a 1 GiB budget: 2**30 / 2**11 = 524,288 cells, about 724 x 724.
+# It is kept, and a map at the cap now needs about 60 MB plus 7 MB per worker
 MAX_GRID_CELLS = 2**30 // 2**11
 
 # Butcher's 7-stage explicit Runge-Kutta method of order 6 (Butcher 1964;
@@ -131,6 +150,8 @@ def monodromy(
     separate runs at the package tolerances.  Raises ``FloquetError`` when
     the integration fails or needs more than MAX_NFEV RHS evaluations.
     """
+    from . import dop853  # on first use: a map that needs no fallback never loads it
+
     pm = periodic_matrix(params, exc, gains, hyb=hyb)
     nfev = 0
 
@@ -175,21 +196,21 @@ def classify(result: MonodromyResult) -> str:
     positive) and parametric-oscillatory (real negative, i.e. period
     doubling, or a complex pair).
     """
-    return _class_of(result.multipliers)
+    return _classes(result.multipliers[None, :])[0]
 
 
-def _class_of(mu: np.ndarray) -> str:
-    """The class ``classify`` gives a set of multipliers."""
+_CLASSES = np.array(["stable", "marginal", "divergence", "parametric-oscillatory"], dtype=object)
+
+
+def _classes(mu: np.ndarray) -> np.ndarray:
+    """The class ``classify`` gives each row of multipliers of an (n, 6)
+    array.  The dominant multiplier of a row is its first of largest
+    modulus."""
     moduli = np.abs(mu)
-    mu_max = float(np.max(moduli))
-    if mu_max < 1.0 - EPS:
-        return "stable"
-    if mu_max <= 1.0 + EPS:
-        return "marginal"
-    dom = complex(mu[int(np.argmax(moduli))])
-    if abs(dom.imag) <= REAL_TOL * max(1.0, abs(dom)) and dom.real > 0.0:
-        return "divergence"
-    return "parametric-oscillatory"
+    top = moduli.max(axis=1)
+    dom = np.take_along_axis(mu, moduli.argmax(axis=1)[:, None], axis=1)[:, 0]
+    real = np.abs(dom.imag) <= REAL_TOL * np.maximum(1.0, top)
+    return _CLASSES[np.select([top < 1.0 - EPS, top <= 1.0 + EPS, real & (dom.real > 0.0)], [0, 1, 2], 3)]
 
 
 def signature_moduli(multipliers: np.ndarray, family: str) -> np.ndarray:
@@ -253,78 +274,125 @@ def _propagate(
     ``PeriodicMatrix.table`` (``a`` at zero gains, ``g``; its node count
     must be a multiple of 6*steps).
 
-    The cells advance together as one (6, 6, N) stack, x[r, j, c] =
-    M_c[_STACK_ROWS[r], j], with the cells innermost.  Each support pair of
-    rows is a contiguous (2, 6, N) block and A acts on it by elementwise
+    A pass of at most STEPS steps integrates the period in one piece, S =
+    1 segment.  A refined pass splits it into S = steps / SEGMENT segments,
+    integrates each from the identity and multiplies their matrices in step
+    order.  A pass of fewer than SERIAL_CELLS cells integrates its segments
+    side by side, GROUP_COLUMNS // S cells at a time, so it makes SEGMENT
+    stack iterations per group, not ``steps``; a larger pass integrates
+    them one after another, GROUP_COLUMNS cells at a time.
+
+    The stack of k segments of n cells is (6, 6, k*n), x[r, j, s*n + c] =
+    M_sc[_STACK_ROWS[r], j] for segment s of cell c.  Each support pair of
+    rows is a contiguous (2, 6, k*n) block and A acts on it by elementwise
     products summed in a fixed order: the rate rows are the velocity rows,
     the force rows take both gaps and both currents, and the current rows
     take their own gap, rate and current, with the gains entering the gap
-    and rate columns.  So a cell's arithmetic, and with it its result, does
-    not depend on which other cells share the stack.  Returns the matrices
-    as an (N, 6, 6) array.
+    and rate columns.  The segments' product is elementwise too.  So a
+    cell's arithmetic, and with it its result, depends neither on which
+    other cells share the stack nor on whether its segments run side by
+    side.  Returns the matrices as an (N, 6, 6) array.
     """
-    stride = (len(a) - 1) // (6 * steps)
+    segments = 1 if steps <= STEPS else steps // SEGMENT
+    length = steps // segments
     h = period / steps
-    n = kp.size
-    # per node, (2, 1, 1) coefficient columns: the force rows' entries on
-    # d1, I1, d2, I2, each with the stack row it multiplies, and the current
-    # rows' entries on their own current, gap and rate at zero gains, with
-    # the gain scale d_i/2C
-    force = [(a[:, [1, 4], col][:, :, None, None], _STACK_ROWS.index(col)) for col in (0, 2, 3, 5)]
+    stride = (len(a) - 1) // (6 * steps)
+    # the table row of node k of step i of segment s, as [i, k, s]
+    begin = 6 * stride * (np.arange(segments) * length + np.arange(length)[:, None])
+    at = begin[:, None, :] + stride * np.arange(7)[:, None]
+
+    def columns(table: np.ndarray) -> np.ndarray:
+        """A table of two entries per node as (2, 1, S, 1) columns, indexed
+        [step, node]."""
+        return table[at].transpose(0, 1, 3, 2)[:, :, :, None, :, None]
+
+    # the force rows' entries on d1, I1, d2, I2 and the current rows' on
+    # their own current, then the current rows' entries on their gap and
+    # rate at zero gains, and the gain scale d_i/2C
     rows, gaps, rates = (list(cols) for cols in zip(*CURRENT_ROWS))
-    cur_i, cur_d, cur_v = (a[:, rows, cols][:, :, None, None] for cols in (rows, gaps, rates))
-    scale = g[:, :, None, None]
+    fixed = [columns(a[:, [1, 4], col]) for col in (0, 2, 3, 5)] + [columns(a[:, rows, rows])]
+    force_rows = [_STACK_ROWS.index(col) for col in (0, 2, 3, 5)]
+    cur_d, cur_v, scale = columns(a[:, rows, gaps]), columns(a[:, rows, rates]), columns(g)
     stages = [
         (node, [(j, h * c) for j, c in enumerate(row) if c])
         for node, row in zip(_RK6_NODES[1:], _RK6_A)
     ]
     weights = [(j, h * b) for j, b in enumerate(_RK6_B) if b]
 
-    x = np.zeros((6, 6, n))
-    for r, row in enumerate(_STACK_ROWS):
-        x[r, row] = 1.0
-    ks = [np.empty_like(x) for _ in _RK6_B]
-    y, tmp = np.empty_like(x), np.empty_like(x)
-    pair = tmp[:2]
-
-    def derivative(y: np.ndarray, k: np.ndarray, node: int, gap: np.ndarray, rate: np.ndarray):
-        """k = A y at one node, with the current rows' gap and rate entries
-        ``gap`` and ``rate`` at the cells' gains."""
+    def derivative(y, k, pair, coef: list, gap: np.ndarray, rate: np.ndarray):
+        """k = A y at one node, with the entries ``coef`` of ``fixed`` there
+        and the current rows' gap and rate entries at the cells' gains."""
         np.copyto(k[0:2], y[4:6])
         out = k[4:6]
-        (f, row), *rest = force
-        np.multiply(f[node], y[row], out=out)
-        for f, row in rest:
-            np.multiply(f[node], y[row], out=pair)
+        np.multiply(coef[0], y[force_rows[0]], out=out)
+        for f, row in zip(coef[1:4], force_rows[1:]):
+            np.multiply(f, y[row], out=pair)
             out += pair
         out = k[2:4]
         np.multiply(gap, y[0:2], out=out)
         np.multiply(rate, y[4:6], out=pair)
         out += pair
-        np.multiply(cur_i[node], y[2:4], out=pair)
+        np.multiply(coef[4], y[2:4], out=pair)
         out += pair
 
-    for step in range(steps):
-        first = 6 * step * stride
-        nodes = slice(first, first + 6 * stride + 1, stride)
-        gap, rate = cur_d[nodes] + kp * scale[nodes], cur_v[nodes] + kd * scale[nodes]
-        derivative(x, ks[0], first, gap[0], rate[0])
-        for s, (node, terms) in enumerate(stages, start=1):
-            (j, c), *rest = terms
+    def run(gkp: np.ndarray, gkd: np.ndarray, start: int, count: int) -> np.ndarray:
+        """Matrices of segments start, ..., start + count - 1 of the cells
+        (gkp, gkd), integrated side by side, as (6, 6, count, n) in the
+        natural row order."""
+        segs = slice(start, start + count)
+        n = count * gkp.size
+        x = np.zeros((6, 6, n))
+        for r, row in enumerate(_STACK_ROWS):
+            x[r, row] = 1.0
+        ks = [np.empty_like(x) for _ in _RK6_B]
+        y, tmp = np.empty_like(x), np.empty_like(x)
+        for step in range(length):
+            gap = (cur_d[step, ..., segs, :] + gkp * scale[step, ..., segs, :]).reshape(7, 2, 1, n)
+            rate = (cur_v[step, ..., segs, :] + gkd * scale[step, ..., segs, :]).reshape(7, 2, 1, n)
+            # one segment's entries broadcast over the cells, several
+            # segments' spread over their columns
+            if count == 1:
+                coef = [t[step, ..., start, :] for t in fixed]
+            else:
+                coef = [np.repeat(t[step, ..., segs, :], gkp.size, -1).reshape(7, 2, 1, n) for t in fixed]
+            derivative(x, ks[0], tmp[:2], [c[0] for c in coef], gap[0], rate[0])
+            for s, (node, terms) in enumerate(stages, start=1):
+                (j, c), *rest = terms
+                np.multiply(ks[j], c, out=y)
+                y += x
+                for j, c in rest:
+                    np.multiply(ks[j], c, out=tmp)
+                    y += tmp
+                derivative(y, ks[s], tmp[:2], [c[node] for c in coef], gap[node], rate[node])
+            (j, c), *rest = weights
             np.multiply(ks[j], c, out=y)
-            y += x
             for j, c in rest:
                 np.multiply(ks[j], c, out=tmp)
                 y += tmp
-            derivative(y, ks[s], first + node * stride, gap[node], rate[node])
-        (j, c), *rest = weights
-        np.multiply(ks[j], c, out=y)
-        for j, c in rest:
-            np.multiply(ks[j], c, out=tmp)
-            y += tmp
-        x += y
-    m = np.empty((n, 6, 6))
-    m[:, _STACK_ROWS, :] = x.transpose(2, 0, 1)
+            x += y
+        seg = np.empty_like(x)
+        seg[list(_STACK_ROWS)] = x
+        return seg.reshape(6, 6, count, gkp.size)
+
+    m = np.empty((kp.size, 6, 6))
+    serial = kp.size >= SERIAL_CELLS
+    group = GROUP_COLUMNS if serial else max(1, GROUP_COLUMNS // segments)
+    for lo in range(0, kp.size, group):
+        gkp, gkd = kp[lo : lo + group], kd[lo : lo + group]
+        if serial:
+            parts = (run(gkp, gkd, s, 1) for s in range(segments))
+        else:
+            parts = [run(gkp, gkd, 0, segments)]
+        # M = M_{S-1} ... M_1 M_0
+        prod = None
+        for later in (part[:, :, s] for part in parts for s in range(part.shape[2])):
+            if prod is not None:
+                nxt = later[:, 0, None] * prod[0]
+                for k in range(1, 6):
+                    nxt += later[:, k, None] * prod[k]
+                later = nxt
+            prod = later
+        m[lo : lo + group] = prod.transpose(2, 0, 1)
     return m
 
 
@@ -379,18 +447,18 @@ def _batched_cells(
                 det_err = np.abs(np.linalg.det(fine) / det_exact - 1.0)
                 edge_gap = np.minimum(np.abs(top - (1.0 - EPS)), np.abs(top - (1.0 + EPS)))
                 margin = np.maximum(GUARD * est, STEP_TOL) * scale
-                retry = []
-                for r, c in enumerate(pending):
-                    cls = _class_of(mu_fine[r])
-                    if est[r] > STEP_TOL or det_err[r] > DET_TOL or cls != _class_of(mu_coarse[r]):
-                        retry.append(r)
-                    elif edge_gap[r] <= margin[r]:
-                        fallback.append(c)
-                    else:
-                        out[c] = (cls, float(top[r]), None)
-                        stats["steps"][steps] = stats["steps"].get(steps, 0) + 1
-                        stats["richardson_max"] = max(stats["richardson_max"], float(est[r]))
-                        stats["det_rel_err_max"] = max(stats["det_rel_err_max"], float(det_err[r]))
+                cls = _classes(mu_fine)
+                retry = (est > STEP_TOL) | (det_err > DET_TOL) | (cls != _classes(mu_coarse))
+                edge = ~retry & (edge_gap <= margin)
+                done = ~retry & ~edge
+                fallback += list(pending[edge])
+                for c, name, mu in zip(pending[done], cls[done], top[done]):
+                    out[c] = (name, float(mu), None)
+                if done.any():
+                    stats["steps"][steps] = stats["steps"].get(steps, 0) + int(done.sum())
+                    # fmax, like max(), passes over a NaN
+                    for key, value in (("richardson_max", est), ("det_rel_err_max", det_err)):
+                        stats[key] = float(np.fmax.reduce(value[done], initial=stats[key]))
                 if steps >= MAX_STEPS:
                     fallback += list(pending[retry])
                     break
@@ -406,6 +474,24 @@ def _batched_cells(
         out[c] = (classify(res), res.max_modulus, None)
         stats["det_rel_err_max"] = max(stats["det_rel_err_max"], res.stats["det_rel_err"])
     return out, stats
+
+
+def check_grid(
+    Kp_range: tuple[float, float], Kd_range: tuple[float, float], nx: int, ny: int
+) -> None:
+    """Raise ``ValueError`` unless ``sweep`` can classify this grid: nx and
+    ny at least 2, at most MAX_GRID_CELLS cells, and ranges whose width
+    hi - lo does not overflow."""
+    if nx < 2 or ny < 2:
+        raise ValueError("nx and ny must be at least 2")
+    if nx * ny > MAX_GRID_CELLS:
+        raise ValueError(
+            f"a {nx}x{ny} grid has {nx * ny} cells, over the limit of "
+            f"MAX_GRID_CELLS = {MAX_GRID_CELLS} (about 724x724)"
+        )
+    for flag, (lo, hi) in (("Kp", Kp_range), ("Kd", Kd_range)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the {flag} range {lo!r},{hi!r} is wider than a float can hold")
 
 
 def sweep(
@@ -425,19 +511,10 @@ def sweep(
     (``_batched_cells``).  The workers are those of ``resolve_workers``, but
     no more than the grid has full blocks of BLOCK cells; with more than one
     chunk the chunks run in a process pool.  A cell's result does not depend
-    on its chunk, so the output is the same for every worker count.  A
-    range whose width hi - lo overflows raises ``ValueError``.
+    on its chunk, so the output is the same for every worker count.  A grid
+    that ``check_grid`` rejects raises ``ValueError``.
     """
-    if nx < 2 or ny < 2:
-        raise ValueError("nx and ny must be at least 2")
-    if nx * ny > MAX_GRID_CELLS:
-        raise ValueError(
-            f"a {nx}x{ny} grid has {nx * ny} cells, over the limit of "
-            f"MAX_GRID_CELLS = {MAX_GRID_CELLS} (about 724x724)"
-        )
-    for flag, (lo, hi) in (("Kp", Kp_range), ("Kd", Kd_range)):
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"the {flag} range {lo!r},{hi!r} is wider than a float can hold")
+    check_grid(Kp_range, Kd_range, nx, ny)
     kp = np.linspace(Kp_range[0], Kp_range[1], nx)
     kd = np.linspace(Kd_range[0], Kd_range[1], ny)
     cells_kp, cells_kd = np.repeat(kp, ny), np.tile(kd, nx)

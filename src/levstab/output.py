@@ -135,7 +135,7 @@ def _stream(path, header, rows):
             if writer is None:  # the writer's work, done here
                 with open(tmp, "wb") as fh:
                     _serve(io.BytesIO(b"".join(held)), fh)
-                os.replace(tmp, path)
+                _publish(tmp, path)
                 return
             writer.stdin.close()
             complete = True
@@ -153,7 +153,7 @@ def _stream(path, header, rows):
                 what = "exited before it had read every row"
             lines = writer.stderr.read().decode(errors="replace").strip().splitlines()
             raise RuntimeError(f"the CSV writer of {path} {what}" + (f": {lines[-1]}" if lines else ""))
-        os.replace(tmp, path)
+        _publish(tmp, path)
     finally:
         if writer is not None:
             if writer.returncode is None:
@@ -166,6 +166,15 @@ def _stream(path, header, rows):
             writer.stderr.close()
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _publish(tmp, path) -> None:
+    """Rename the finished temporary file ``tmp`` to ``path``.  A failure
+    names ``path`` alone, since the caller then deletes ``tmp``."""
+    try:
+        os.replace(tmp, path)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
 
 
 def _serve(src, dst) -> None:

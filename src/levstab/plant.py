@@ -22,7 +22,6 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from . import dop853
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import write_csv
 
@@ -465,6 +464,8 @@ def integrate(
         raise ValueError(f"unknown mode {mode!r}")
     if (mode == "hybrid") != (hyb is not None):
         raise ValueError("HybridParams go with mode 'hybrid' and only with it")
+    from . import dop853  # imported on first use: importing the package does not load it
+
     t0 = float(t_span[0])
     period = exc.period
     nfev = 0

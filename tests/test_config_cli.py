@@ -331,8 +331,12 @@ from levstab.cli import DEFAULT_CONFIG, main
 from levstab.config import parse_config
 out = sys.argv[1]
 seen = {"import": [0, "scipy" in sys.modules]}
+dop853 = ["levstab.dop853" in sys.modules]
 for cmd in ("map", "ellipses", "resonance-chart", "steady-state"):
     seen[cmd] = [main([cmd, "--out", f"{out}/{cmd}"]), "scipy" in sys.modules]
+    if cmd == "map":
+        dop853.append("levstab.dop853" in sys.modules)
+seen["dop853 after import, map"] = dop853
 rc = main(["simulate", "--kp", "10600", "--kd", "3000", "--periods", "1",
            "--out", f"{out}/simulate"])
 seen["simulate"] = [rc, "scipy" in sys.modules]
@@ -350,7 +354,8 @@ def test_cli_and_solvers_never_load_scipy(tmp_path):
     ellipses, resonance-chart, steady-state and simulate, and a DOP853
     monodromy all leave scipy unloaded: the package integrates with its
     own DOP853.  The default map is under two engine blocks, so it starts
-    no process pool and never imports one."""
+    no process pool and never imports one, and it needs no DOP853 fallback,
+    so neither the import nor the map loads ``levstab.dop853``."""
     src = Path(levstab.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
@@ -367,10 +372,61 @@ def test_cli_and_solvers_never_load_scipy(tmp_path):
         "simulate": [EXIT_OK, False],
         "monodromy": [0, False],
         "process pool": [0, False],
+        "dop853 after import, map": [False, False],
     }
     meta = json.loads((tmp_path / "map" / "map_meta.json").read_text())
     assert meta["grid"]["nx"] == meta["grid"]["ny"] == 21
     assert meta["grid"]["fallback_cells"] == 0
+
+
+_FREEZE_SCRIPT = """
+import gc, runpy, sys
+freeze_at_main = []
+
+def probe(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_name == "main" and code.co_filename.endswith("cli.py"):
+        freeze_at_main.append(gc.get_freeze_count())
+
+assert gc.get_freeze_count() == 0
+sys.argv = ["levstab", "--version"]
+sys.setprofile(probe)
+try:
+    if TARGET is None:
+        runpy.run_module("levstab.cli", run_name="__main__", alter_sys=True)
+    else:
+        module, name = TARGET.split(":")
+        getattr(__import__(module, fromlist=[name]), name)()
+except SystemExit:
+    pass
+finally:
+    sys.setprofile(None)
+print(freeze_at_main)
+"""
+
+
+@pytest.mark.parametrize("how", ["python -m levstab.cli", "console script"])
+def test_cli_entry_freezes_import_heap(how):
+    """Both ways of starting the CLI, ``python -m levstab.cli`` and the
+    ``levstab`` console script named in pyproject.toml, move the import
+    heap into the collector's permanent generation before ``main`` runs,
+    so that no collection, the one at shutdown included, traverses it.
+    ``main`` itself, which the tests call in-process, freezes nothing."""
+    import re
+
+    src = Path(levstab.__file__).resolve().parents[1]
+    target = None
+    if how == "console script":
+        pyproject = (src.parent / "pyproject.toml").read_text()
+        target = re.search(r'^levstab = "([\w.:]+)"$', pyproject, re.M).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"TARGET = {target!r}\n" + _FREEZE_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert len(counts) == 1 and counts[0] > 0, proc.stdout
 
 
 def test_cli_steady_state(tmp_path, capsys):
@@ -725,7 +781,7 @@ def test_cli_unwritable_product_exits_3(tmp_path, capsys, argv, product):
     assert rc == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err and product in err
+    assert "Traceback" not in err and product in err and ".tmp" not in err
     assert [p.name for p in out.iterdir()] == [product]
 
 
@@ -739,8 +795,8 @@ def test_cli_unwritable_product_exits_3(tmp_path, capsys, argv, product):
 )
 def test_cli_overflowing_range_is_bad_input(tmp_path, capsys, argv):
     """A gain range whose width hi - lo overflows is bad input: exit 2 on
-    one error line, and no product written."""
-    rc = main([*argv, "--out", str(tmp_path)])
+    one error line, and no product written, nor the --out directory made."""
+    rc = main([*argv, "--out", str(tmp_path / "out")])
     assert rc == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -917,19 +973,23 @@ def test_cli_bad_config_exit(tmp_path):
 def test_cli_rejects_nonfinite_input(tmp_path, capsys, argv, doc):
     """Non-finite numbers, a non-positive duration and --format on a command
     with a single output format are bad input at every entry point: exit 2
-    with an error line, never a hang or a traceback."""
+    with an error line, never a hang or a traceback, and no --out directory
+    made."""
     if doc is not None:
         argv = [*argv, "--config", _write(tmp_path, doc)]
+    out = tmp_path / "out"
     try:
-        rc = main([*argv, "--out", str(tmp_path / "out")])
+        rc = main([*argv, "--out", str(out)])
     except SystemExit as stop:
         # argparse rejects an option the subcommand does not take, with its
         # own usage line ahead of the error line
         assert stop.code == EXIT_BAD_INPUT
         assert "error: unrecognized arguments: --format" in capsys.readouterr().err
+        assert not out.exists()
         return
     assert rc == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def _write_csv_per_cell(path, header, columns):

@@ -115,13 +115,75 @@ def test_combination_center_complex_signature(b0, exc_antiphase):
     assert classify(res) == "parametric-oscillatory"
 
 
+def _check_classes(rows_and_classes):
+    """classify on each row, and the engine's classifier on all rows as one
+    (n, 6) array, give the expected class of every row."""
+    from levstab.floquet import _classes
+
+    rows = np.array([row for row, _ in rows_and_classes], dtype=complex)
+    expected = [cls for _, cls in rows_and_classes]
+    assert [classify(_fake_result(row)) for row in rows] == expected
+    assert list(_classes(rows)) == expected
+
+
 def test_classify_synthetic_cases():
-    assert classify(_fake_result([0.5, 0.2, 0.1, 0.1, 0.1, 0.1])) == "stable"
-    assert classify(_fake_result([1.0 + 2e-7, 0.5, 0.1, 0.1, 0.1, 0.1])) == "marginal"
-    assert classify(_fake_result([1.2, 0.5, 0.1, 0.1, 0.1, 0.1])) == "divergence"
-    assert classify(_fake_result([-1.2, 0.5, 0.1, 0.1, 0.1, 0.1])) == "parametric-oscillatory"
     pair = [1.1 * np.exp(1j * 0.3), 1.1 * np.exp(-1j * 0.3), 0.1, 0.1, 0.1, 0.1]
-    assert classify(_fake_result(pair)) == "parametric-oscillatory"
+    _check_classes([
+        ([0.5, 0.2, 0.1, 0.1, 0.1, 0.1], "stable"),
+        ([1.0 + 2e-7, 0.5, 0.1, 0.1, 0.1, 0.1], "marginal"),
+        ([1.2, 0.5, 0.1, 0.1, 0.1, 0.1], "divergence"),
+        ([-1.2, 0.5, 0.1, 0.1, 0.1, 0.1], "parametric-oscillatory"),
+        (pair, "parametric-oscillatory"),
+    ])
+
+
+def test_classify_tied_moduli():
+    """Of several multipliers of the largest modulus the first is the
+    dominant one."""
+    rest = [0.1, 0.1, 0.1, 0.1]
+    _check_classes([
+        ([1.2, -1.2, *rest], "divergence"),
+        ([-1.2, 1.2, *rest], "parametric-oscillatory"),
+        ([1.2, 1.2j, *rest], "divergence"),
+        ([1.2j, 1.2, *rest], "parametric-oscillatory"),
+        ([0.5, -0.5, *rest], "stable"),
+    ])
+
+
+def test_classify_one_ulp_around_class_edges():
+    """Values one ulp either side of 1 - EPS and 1 + EPS: stable below
+    1 - EPS, marginal from it up to 1 + EPS, unstable above."""
+    from levstab.floquet import EPS
+
+    lo, hi = 1.0 - EPS, 1.0 + EPS
+    rest = [0.1, 0.1, 0.1, 0.1, 0.1]
+    _check_classes([
+        ([np.nextafter(lo, 0.0), *rest], "stable"),
+        ([lo, *rest], "marginal"),
+        ([np.nextafter(lo, 2.0), *rest], "marginal"),
+        ([np.nextafter(hi, 0.0), *rest], "marginal"),
+        ([hi, *rest], "marginal"),
+        ([np.nextafter(hi, 2.0), *rest], "divergence"),
+        ([-np.nextafter(hi, 2.0), *rest], "parametric-oscillatory"),
+    ])
+
+
+def test_classify_at_the_real_tolerance():
+    """A dominant multiplier counts as real while |Im mu| is at most
+    REAL_TOL * max(1, |mu|): one ulp more makes it a complex one."""
+    from levstab.floquet import REAL_TOL
+
+    rest = [0.1, 0.1, 0.1, 0.1, 0.1]
+    rows = []
+    for re in (1.5, 3.0):
+        im = REAL_TOL * abs(complex(re, REAL_TOL * re))
+        assert REAL_TOL * abs(complex(re, im)) == im  # the edge itself
+        rows += [
+            ([complex(re, im), *rest], "divergence"),
+            ([complex(re, -im), *rest], "divergence"),
+            ([complex(re, np.nextafter(im, 1.0)), *rest], "parametric-oscillatory"),
+        ]
+    _check_classes(rows)
 
 
 def test_classify_divergence_left_of_vertical_line(b0, exc_quarter):
@@ -217,6 +279,73 @@ def test_batched_step_is_sixth_order(b0, exc_quarter):
     err = [np.max(np.abs(m[n] - m[400])) for n in (25, 50, 100)]
     orders = [math.log2(e0 / e1) for e0, e1 in zip(err, err[1:])]
     assert min(orders) >= 5.5, orders
+
+
+def _stack_iterations(params, exc, steps: int, cells: int) -> int:
+    """Stack iterations one _propagate pass of ``cells`` cells at ``steps``
+    steps makes: the calls of its A y evaluation, seven per iteration."""
+    import sys
+
+    from levstab import floquet as fl
+    from levstab.linearized import periodic_matrix
+
+    pm = periodic_matrix(params, exc, ControlGains(0.0, 0.0))
+    table = pm.table(6 * steps)
+    calls = []
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "derivative" and code.co_filename == fl.__file__:
+            calls.append(1)
+
+    kp, kd = np.full(cells, STABLE.Kp), np.full(cells, STABLE.Kd)
+    sys.setprofile(count)
+    try:
+        fl._propagate(*table, kp, kd, steps, pm.period)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) % len(fl._RK6_B) == 0
+    return len(calls) // len(fl._RK6_B)
+
+
+def test_refined_pass_runs_as_segments(b0, exc_quarter):
+    """A refined pass of 2 cells at 100 steps runs its 100 / SEGMENT
+    segments side by side, in SEGMENT stack iterations; a level-0 pass
+    makes one per step."""
+    from levstab.floquet import SEGMENT, STEPS
+
+    assert 100 % SEGMENT == 0 and SEGMENT < 100
+    assert _stack_iterations(b0, exc_quarter, 100, 2) == SEGMENT
+    assert _stack_iterations(b0, exc_quarter, STEPS, 2) == STEPS
+
+
+def test_segmented_pass_matches_one_segment(monkeypatch, b0, exc_quarter):
+    """At tongue d's centre, where the engine accepts one cell at 200 steps
+    and one at 400, max|mu| of the segmented passes is within 1e-13
+    (relative) of one-segment passes over the whole period, and the
+    matrices agree to roundoff.  Segments run one after another (as a pass
+    of SERIAL_CELLS or more cells runs them) give the same bits as side by
+    side."""
+    import levstab.floquet as fl
+    from levstab.linearized import periodic_matrix
+
+    ed = all_ellipses(b0, exc_quarter)["d"]
+    kp, kd = np.array([ed.h1, ed.h1]), np.array([ed.h2, ed.h2 + 3.0 * ed.k2])
+    assert _batched_cells(b0, exc_quarter, None, kp, kd)[1]["steps"] == {200: 1, 400: 1}
+    pm = periodic_matrix(b0, exc_quarter, ControlGains(0.0, 0.0))
+    for steps in (200, 400):
+        table = pm.table(6 * steps)
+        segmented = fl._propagate(*table, kp, kd, steps, pm.period)
+        with monkeypatch.context() as one_segment:
+            one_segment.setattr(fl, "SEGMENT", steps)
+            whole = fl._propagate(*table, kp, kd, steps, pm.period)
+        with monkeypatch.context() as serial:
+            serial.setattr(fl, "SERIAL_CELLS", 1)
+            assert np.array_equal(fl._propagate(*table, kp, kd, steps, pm.period), segmented)
+        assert not np.array_equal(segmented, whole)
+        np.testing.assert_allclose(segmented, whole, rtol=0.0, atol=1e-12 * np.abs(whole).max())
+        top = [np.abs(np.linalg.eigvals(m)).max(axis=1) for m in (segmented, whole)]
+        np.testing.assert_allclose(top[0], top[1], rtol=1e-13, atol=0.0)
 
 
 def test_sweep_survives_rows_of_a_that_underflow(exc_quarter):

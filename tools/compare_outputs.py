@@ -5,10 +5,12 @@
 Extracts ``src/`` at REV with ``git archive`` into a temporary directory and
 runs the same matrix of ``levstab`` commands against both source trees:
 ``ellipses``, ``resonance-chart``, ``steady-state``, ``map`` (default window,
-and ``--theta 0``), ``simulate --periods 10``, ``simulate --periods 19
---perturb 1e-4,5e-5``, ``simulate --periods 100 --perturb 1e-4,5e-5``,
-``simulate --periods 100 --perturb 0,5e-3``, ``simulate --periods 100 --kp
-6000 --kd 1000 --perturb=-1e-6,0`` and ``validate``, each with the
+``--theta 0``, and tongue d's window of the baseline, ``--kp h1-3k1,h1+3k1
+--kd h2-5k2,h2+5k2``, where the engine refines every cell), ``simulate
+--periods 10``, ``simulate --periods 19 --perturb 1e-4,5e-5``, ``simulate
+--periods 100 --perturb 1e-4,5e-5``, ``simulate --periods 100 --perturb
+0,5e-3``, ``simulate --periods 100 --kp 6000 --kd 1000 --perturb=-1e-6,0``
+and ``validate``, each with the
 built-in baseline config plus gains 10600/3000, with the same config on the
 hybrid plant (beta 0.01), without excitation (A = 0) and with an inertia J
 other than the uniform bar's.  Stdout, the exit code and every output file
@@ -44,12 +46,29 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from levstab import all_ellipses
+from levstab.config import parse_config
 
 BASELINE = {
     "physical": {"m": 7650.0, "C": 0.05, "R": 9.71, "z0": 0.015},
     "excitation": {"A": 0.005, "Omega": 80.0, "theta": math.pi / 2.0},
     "gains": {"Kp": 10600.0, "Kd": 3000.0},
 }
+
+
+def tongue_d_window(doc: dict) -> list[str]:
+    """``map`` options for tongue d's window of a config, Kp = h1 +/- 3 k1
+    and Kd = h2 +/- 5 k2, computed with the working tree's ``all_ellipses``.
+    On the baseline every cell of it needs a refined pass, at 200 or 400
+    steps."""
+    cfg = parse_config(doc)
+    d = all_ellipses(cfg.params, cfg.exc)["d"]
+    kp, kd = (d.h1 - 3 * d.k1, d.h1 + 3 * d.k1), (d.h2 - 5 * d.k2, d.h2 + 5 * d.k2)
+    return ["--kp={!r},{!r}".format(*kp), "--kd={!r},{!r}".format(*kd)]
+
+
 # the unexcited and non-uniform-J configs take the battery's two skip paths
 CONFIGS = {
     "standard": BASELINE,
@@ -63,6 +82,8 @@ COMMANDS = {
     "steady-state": ["steady-state"],
     "map": ["map"],
     "map-theta0": ["map", "--theta", "0"],
+    # one window for every config, so that all four run the same cells
+    "map-tongue-d": ["map", *tongue_d_window(BASELINE)],
     "simulate": ["simulate", "--periods", "10"],
     # 3,801 rows: more than the stream holds before it starts its writer, on
     # a plan too short to start one, so they are formatted in-process
