@@ -29,7 +29,7 @@ from .boundaries import (
     static_boundary_lines,
 )
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
-from .floquet import check_grid, sweep, write_map_csv, write_map_metadata
+from .floquet import sweep, write_map_csv, write_map_metadata
 from .model import ControlGains, validate
 from .output import csv_stream, write_csv, write_json
 from .plant import (
@@ -155,9 +155,8 @@ def cmd_map(args) -> int:
         raise ConfigError("map needs both --kp lo,hi and --kd lo,hi (or neither)")
     else:
         kp_range, kd_range = default_map_window(cfg.params, cfg.exc)
-    check_grid(kp_range, kd_range, nx, ny)
-    out = _outdir(args)
     smap = sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid)
+    out = _outdir(args)
     write_map_csv(smap, os.path.join(out, "map.csv"))
     meta_path = os.path.join(out, "map_meta.json")
     write_map_metadata(smap, meta_path, cfg.exc, __version__, dump_config(cfg))

@@ -29,7 +29,6 @@ __all__ = [
     "monodromy",
     "classify",
     "sweep",
-    "check_grid",
     "boundary_crossings",
     "signature_moduli",
     "resolve_workers",
@@ -70,24 +69,15 @@ BLOCK = 2048
 # 2048 cells, 1190 against 1238 ms for one at 400 steps, and 84 against 96
 # ms for 128 cells at 400 steps, whose 16 segments run side by side
 GROUP_COLUMNS = 1024
-# a refined pass of at least this many cells integrates its segments one
-# after another, each over all its cells; a pass of fewer cells runs them
-# side by side.  Timed per pass (best of 5, 2-vCPU VM), side by side wins
-# up to 192 cells (26.5 against 31.8 ms at 128 cells and 100 steps, 108
-# against 138 ms at 400 steps), and one after another from 256 (52.3
-# against 59.4 ms; 195 against 209 ms), where a segment's entries broadcast
-# over the cells as a level-0 pass's do and spreading them costs more than
-# the per-step calls it saves
-SERIAL_CELLS = 256
 # Memory (tracemalloc over whole one-worker sweeps of 50x50 to 301x301
-# cells): a worker's engine holds 5-7 MB for its block, the stage stack of
+# cells): a worker's engine holds 5-8 MB for its block, the stage stack of
 # at most GROUP_COLUMNS columns and the block's matrices and multipliers,
-# whatever the grid and the step counts (7.3 MB for the all-refined 50x50
+# whatever the grid and the step counts (7.9 MB for the all-refined 50x50
 # map of tongue d's window), and the results add about 110 bytes per cell;
 # 301x301 peaks at 16 MB.
 # The cap was set when the engine held all of a chunk at once, at 2 KiB per
 # cell for a 1 GiB budget: 2**30 / 2**11 = 524,288 cells, about 724 x 724.
-# It is kept, and a map at the cap now needs about 60 MB plus 7 MB per worker
+# It is kept, and a map at the cap now needs about 60 MB plus 8 MB per worker
 MAX_GRID_CELLS = 2**30 // 2**11
 
 # Butcher's 7-stage explicit Runge-Kutta method of order 6 (Butcher 1964;
@@ -277,10 +267,9 @@ def _propagate(
     A pass of at most STEPS steps integrates the period in one piece, S =
     1 segment.  A refined pass splits it into S = steps / SEGMENT segments,
     integrates each from the identity and multiplies their matrices in step
-    order.  A pass of fewer than SERIAL_CELLS cells integrates its segments
-    side by side, GROUP_COLUMNS // S cells at a time, so it makes SEGMENT
-    stack iterations per group, not ``steps``; a larger pass integrates
-    them one after another, GROUP_COLUMNS cells at a time.
+    order.  The segments are integrated side by side, GROUP_COLUMNS // S
+    cells at a time, so a group makes SEGMENT stack iterations, not
+    ``steps``.
 
     The stack of k segments of n cells is (6, 6, k*n), x[r, j, s*n + c] =
     M_sc[_STACK_ROWS[r], j] for segment s of cell c.  Each support pair of
@@ -290,8 +279,7 @@ def _propagate(
     take their own gap, rate and current, with the gains entering the gap
     and rate columns.  The segments' product is elementwise too.  So a
     cell's arithmetic, and with it its result, depends neither on which
-    other cells share the stack nor on whether its segments run side by
-    side.  Returns the matrices as an (N, 6, 6) array.
+    other cells share the stack.  Returns the matrices as an (N, 6, 6) array.
     """
     segments = 1 if steps <= STEPS else steps // SEGMENT
     length = steps // segments
@@ -335,26 +323,24 @@ def _propagate(
         np.multiply(coef[4], y[2:4], out=pair)
         out += pair
 
-    def run(gkp: np.ndarray, gkd: np.ndarray, start: int, count: int) -> np.ndarray:
-        """Matrices of segments start, ..., start + count - 1 of the cells
-        (gkp, gkd), integrated side by side, as (6, 6, count, n) in the
-        natural row order."""
-        segs = slice(start, start + count)
-        n = count * gkp.size
+    def run(gkp: np.ndarray, gkd: np.ndarray) -> np.ndarray:
+        """Matrices of every segment of the cells (gkp, gkd), integrated
+        side by side, as (6, 6, S, n) in the natural row order."""
+        n = segments * gkp.size
         x = np.zeros((6, 6, n))
         for r, row in enumerate(_STACK_ROWS):
             x[r, row] = 1.0
         ks = [np.empty_like(x) for _ in _RK6_B]
         y, tmp = np.empty_like(x), np.empty_like(x)
         for step in range(length):
-            gap = (cur_d[step, ..., segs, :] + gkp * scale[step, ..., segs, :]).reshape(7, 2, 1, n)
-            rate = (cur_v[step, ..., segs, :] + gkd * scale[step, ..., segs, :]).reshape(7, 2, 1, n)
+            gap = (cur_d[step] + gkp * scale[step]).reshape(7, 2, 1, n)
+            rate = (cur_v[step] + gkd * scale[step]).reshape(7, 2, 1, n)
             # one segment's entries broadcast over the cells, several
             # segments' spread over their columns
-            if count == 1:
-                coef = [t[step, ..., start, :] for t in fixed]
+            if segments == 1:
+                coef = [t[step, ..., 0, :] for t in fixed]
             else:
-                coef = [np.repeat(t[step, ..., segs, :], gkp.size, -1).reshape(7, 2, 1, n) for t in fixed]
+                coef = [np.repeat(t[step], gkp.size, -1).reshape(7, 2, 1, n) for t in fixed]
             derivative(x, ks[0], tmp[:2], [c[0] for c in coef], gap[0], rate[0])
             for s, (node, terms) in enumerate(stages, start=1):
                 (j, c), *rest = terms
@@ -372,26 +358,20 @@ def _propagate(
             x += y
         seg = np.empty_like(x)
         seg[list(_STACK_ROWS)] = x
-        return seg.reshape(6, 6, count, gkp.size)
+        return seg.reshape(6, 6, segments, gkp.size)
 
     m = np.empty((kp.size, 6, 6))
-    serial = kp.size >= SERIAL_CELLS
-    group = GROUP_COLUMNS if serial else max(1, GROUP_COLUMNS // segments)
+    group = max(1, GROUP_COLUMNS // segments)
     for lo in range(0, kp.size, group):
-        gkp, gkd = kp[lo : lo + group], kd[lo : lo + group]
-        if serial:
-            parts = (run(gkp, gkd, s, 1) for s in range(segments))
-        else:
-            parts = [run(gkp, gkd, 0, segments)]
+        seg = run(kp[lo : lo + group], kd[lo : lo + group])
         # M = M_{S-1} ... M_1 M_0
-        prod = None
-        for later in (part[:, :, s] for part in parts for s in range(part.shape[2])):
-            if prod is not None:
-                nxt = later[:, 0, None] * prod[0]
-                for k in range(1, 6):
-                    nxt += later[:, k, None] * prod[k]
-                later = nxt
-            prod = later
+        prod = seg[:, :, 0]
+        for s in range(1, segments):
+            later = seg[:, :, s]
+            nxt = later[:, 0, None] * prod[0]
+            for k in range(1, 6):
+                nxt += later[:, k, None] * prod[k]
+            prod = nxt
         m[lo : lo + group] = prod.transpose(2, 0, 1)
     return m
 
@@ -476,24 +456,6 @@ def _batched_cells(
     return out, stats
 
 
-def check_grid(
-    Kp_range: tuple[float, float], Kd_range: tuple[float, float], nx: int, ny: int
-) -> None:
-    """Raise ``ValueError`` unless ``sweep`` can classify this grid: nx and
-    ny at least 2, at most MAX_GRID_CELLS cells, and ranges whose width
-    hi - lo does not overflow."""
-    if nx < 2 or ny < 2:
-        raise ValueError("nx and ny must be at least 2")
-    if nx * ny > MAX_GRID_CELLS:
-        raise ValueError(
-            f"a {nx}x{ny} grid has {nx * ny} cells, over the limit of "
-            f"MAX_GRID_CELLS = {MAX_GRID_CELLS} (about 724x724)"
-        )
-    for flag, (lo, hi) in (("Kp", Kp_range), ("Kd", Kd_range)):
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"the {flag} range {lo!r},{hi!r} is wider than a float can hold")
-
-
 def sweep(
     params: PhysicalParams,
     exc: ExcitationParams,
@@ -511,10 +473,19 @@ def sweep(
     (``_batched_cells``).  The workers are those of ``resolve_workers``, but
     no more than the grid has full blocks of BLOCK cells; with more than one
     chunk the chunks run in a process pool.  A cell's result does not depend
-    on its chunk, so the output is the same for every worker count.  A grid
-    that ``check_grid`` rejects raises ``ValueError``.
+    on its chunk, so the output is the same for every worker count.  A
+    range whose width hi - lo overflows raises ``ValueError``.
     """
-    check_grid(Kp_range, Kd_range, nx, ny)
+    if nx < 2 or ny < 2:
+        raise ValueError("nx and ny must be at least 2")
+    if nx * ny > MAX_GRID_CELLS:
+        raise ValueError(
+            f"a {nx}x{ny} grid has {nx * ny} cells, over the limit of "
+            f"MAX_GRID_CELLS = {MAX_GRID_CELLS} (about 724x724)"
+        )
+    for flag, (lo, hi) in (("Kp", Kp_range), ("Kd", Kd_range)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the {flag} range {lo!r},{hi!r} is wider than a float can hold")
     kp = np.linspace(Kp_range[0], Kp_range[1], nx)
     kd = np.linspace(Kd_range[0], Kd_range[1], ny)
     cells_kp, cells_kd = np.repeat(kp, ny), np.tile(kd, nx)

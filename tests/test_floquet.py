@@ -323,9 +323,7 @@ def test_segmented_pass_matches_one_segment(monkeypatch, b0, exc_quarter):
     """At tongue d's centre, where the engine accepts one cell at 200 steps
     and one at 400, max|mu| of the segmented passes is within 1e-13
     (relative) of one-segment passes over the whole period, and the
-    matrices agree to roundoff.  Segments run one after another (as a pass
-    of SERIAL_CELLS or more cells runs them) give the same bits as side by
-    side."""
+    matrices agree to roundoff."""
     import levstab.floquet as fl
     from levstab.linearized import periodic_matrix
 
@@ -339,9 +337,6 @@ def test_segmented_pass_matches_one_segment(monkeypatch, b0, exc_quarter):
         with monkeypatch.context() as one_segment:
             one_segment.setattr(fl, "SEGMENT", steps)
             whole = fl._propagate(*table, kp, kd, steps, pm.period)
-        with monkeypatch.context() as serial:
-            serial.setattr(fl, "SERIAL_CELLS", 1)
-            assert np.array_equal(fl._propagate(*table, kp, kd, steps, pm.period), segmented)
         assert not np.array_equal(segmented, whole)
         np.testing.assert_allclose(segmented, whole, rtol=0.0, atol=1e-12 * np.abs(whole).max())
         top = [np.abs(np.linalg.eigvals(m)).max(axis=1) for m in (segmented, whole)]
