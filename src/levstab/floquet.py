@@ -42,6 +42,7 @@ MAP_CSV_HEADER = "Kp,Kd,class,max_mu_abs"
 REAL_TOL = 1e-9  # |Im mu| below this (scaled) counts as a real multiplier
 EPS = 1e-6  # |mu| within EPS of 1 is classed marginal
 BISECT_TOL = 1e-3  # boundary_crossings bisects to this fraction of its scan
+N_PRESAMPLE = 25  # uniform samples in which boundary_crossings looks for sign changes
 MAX_NFEV = 10_000  # RHS budget of one monodromy: 26x the default windows need, 14x the battery
 
 # sweep's batched engine: Butcher's order-6 Runge-Kutta method on shared
@@ -532,41 +533,29 @@ def sweep(
     )
 
 
-@functools.lru_cache(maxsize=128)
-def _multipliers(params: PhysicalParams, exc: ExcitationParams, kp: float, kd: float) -> tuple:
-    """Multipliers at one gain point, memoized for the last 128 points in
-    the process: scans that share their presample points (as the two edge
-    searches of a tongue do) integrate each point once.  A tuple, so no
-    caller can alter a cached value."""
-    return tuple(monodromy(params, exc, ControlGains(Kp=kp, Kd=kd)).multipliers)
-
-
 def boundary_crossings(
     params: PhysicalParams,
     exc: ExcitationParams,
     scan: tuple[tuple[float, float], tuple[float, float]],
-    indicator=None,
-    n_presample: int = 17,
+    indicator,
 ) -> list[tuple[float, float]]:
-    """Locate stability-boundary crossings along a line segment of gains.
+    """Locate the sign changes of an indicator along a line segment of gains.
 
-    ``scan`` is ((Kp0, Kd0), (Kp1, Kd1)).  The default indicator is
-    max|mu| - 1; bisection runs on each sign change of the indicator among
-    ``n_presample`` uniform samples, down to BISECT_TOL of the scan length.  A
-    custom indicator maps the multiplier array to a scalar, which lets
-    callers track a single resonance signature instead of the dominant
-    multiplier.  Returns the crossing coordinates ordered along the scan;
-    empty if no sign change.
+    ``scan`` is ((Kp0, Kd0), (Kp1, Kd1)); ``indicator`` maps the multiplier
+    array of one gain point to a scalar, for example max|mu| - 1 for the
+    stability boundary, or a measure of a single resonance signature.
+    Bisection runs on each sign change among N_PRESAMPLE uniform samples,
+    down to BISECT_TOL of the scan length, so each gain point is integrated
+    once.  Returns the crossing coordinates ordered along the scan; empty if
+    no sign change.
     """
     (kp0, kd0), (kp1, kd1) = scan
-    if indicator is None:
-        indicator = lambda mu: float(np.max(np.abs(mu))) - 1.0
 
     def f(u: float) -> float:
-        mu = _multipliers(params, exc, kp0 + u * (kp1 - kp0), kd0 + u * (kd1 - kd0))
-        return indicator(np.array(mu))
+        gains = ControlGains(Kp=kp0 + u * (kp1 - kp0), Kd=kd0 + u * (kd1 - kd0))
+        return indicator(monodromy(params, exc, gains).multipliers)
 
-    us = np.linspace(0.0, 1.0, n_presample)
+    us = np.linspace(0.0, 1.0, N_PRESAMPLE)
     vals = [f(u) for u in us]
     crossings = []
     for a, b, fa, fb in zip(us[:-1], us[1:], vals[:-1], vals[1:]):

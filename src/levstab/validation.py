@@ -132,26 +132,25 @@ def tongue_edges(
     Edge detection tracks the resonance-signature multipliers rather than
     max|mu|: the right half of each tongue lies beyond the oscillatory
     static boundary, where an unrelated complex pair already exceeds the
-    unit circle, so max|mu| - 1 has no sign change there.  The largest
-    signature modulus crosses 1 at the left edge and the second largest at
-    the right edge (the partner multiplier rejoining the unit circle).
+    unit circle, so max|mu| - 1 has no sign change there.  Of the two
+    largest signature moduli s0 >= s1 (an absent one counts as 0), both lie
+    below 1 left of the tongue, only s0 exceeds 1 inside it, and both do
+    right of it, where the partner multiplier has left the unit circle too.
+    So min(s0 - 1, 1 - s1) is positive exactly inside the tongue, and one
+    scan finds both edges, as its first and last crossings.
     """
     family = "principal" if ell.kind in ("a", "b") else "combination"
 
-    def rank_indicator(rank: int):
-        def f(mu) -> float:
-            s = signature_moduli(mu, family)
-            return float(s[rank] - 1.0) if s.size > rank else -1.0
-
-        return f
+    def inside(mu) -> float:
+        s0, s1 = np.concatenate([signature_moduli(mu, family), [0.0, 0.0]])[:2]
+        return float(min(s0 - 1.0, 1.0 - s1))
 
     half = SCAN_HALF_WIDTH * ell.k1
     scan = ((ell.h1 - half, ell.h2), (ell.h1 + half, ell.h2))
-    left = boundary_crossings(params, exc, scan, indicator=rank_indicator(0), n_presample=25)
-    right = boundary_crossings(params, exc, scan, indicator=rank_indicator(1), n_presample=25)
-    if not left or not right:
+    crossings = boundary_crossings(params, exc, scan, inside)
+    if len(crossings) < 2:
         raise RuntimeError(f"tongue edges of kind {ell.kind} not bracketed by the scan")
-    return left[0][0], right[-1][0]
+    return crossings[0][0], crossings[-1][0]
 
 
 def _rng_params(rng) -> PhysicalParams:

@@ -35,10 +35,15 @@ from levstab.floquet import (
 STABLE = ControlGains(Kp=10600.0, Kd=3000.0)
 
 
-def _ranked(rank):
-    """Indicator of the rank-th largest principal signature modulus."""
+def _max_mu(mu):
+    """The stability indicator max|mu| - 1."""
+    return float(np.max(np.abs(mu))) - 1.0
+
+
+def _ranked(rank, family="principal"):
+    """Indicator of the rank-th largest signature modulus of ``family``."""
     def indicator(mu):
-        moduli = signature_moduli(mu, "principal")
+        moduli = signature_moduli(mu, family)
         if len(moduli) <= rank:
             return -1.0
         return float(moduli[rank]) - 1.0
@@ -485,7 +490,7 @@ def test_boundary_crossing_left_edge_of_principal_tongue(b0, exc_inphase):
     tongue overlaps the statically unstable side of the inclined line)."""
     ea = all_ellipses(b0, exc_inphase)["a"]
     scan = ((ea.h1 - 1.6 * ea.k1, ea.h2), (ea.h1 + 1.6 * ea.k1, ea.h2))
-    pts = boundary_crossings(b0, exc_inphase, scan)
+    pts = boundary_crossings(b0, exc_inphase, scan, _max_mu)
     assert len(pts) == 1
     kp_cross, kd_cross = pts[0]
     assert kd_cross == ea.h2
@@ -510,7 +515,7 @@ def test_boundary_crossing_static_vertical_line(b0, exc_still):
     at Kp = h0."""
     h0 = h0_gain(b0)
     scan = ((h0 - 800.0, 2000.0), (h0 + 800.0, 2000.0))
-    pts = boundary_crossings(b0, exc_still, scan)
+    pts = boundary_crossings(b0, exc_still, scan, _max_mu)
     assert len(pts) == 1
     assert pts[0][0] == pytest.approx(h0, rel=1e-3)
 
@@ -520,7 +525,7 @@ def test_boundary_crossing_stable_scan_empty(b0, exc_quarter):
     kd = 2000.0  # off every tongue center at Omega = 80
     lo = lines.h0 + 0.35 * (lines.inclined(kd) - lines.h0)
     hi = lines.h0 + 0.65 * (lines.inclined(kd) - lines.h0)
-    assert boundary_crossings(b0, exc_quarter, ((lo, kd), (hi, kd))) == []
+    assert boundary_crossings(b0, exc_quarter, ((lo, kd), (hi, kd)), _max_mu) == []
 
 
 def _usable_cpus():
@@ -561,33 +566,53 @@ def test_resolve_workers_capped_at_usable_cpus(monkeypatch):
 
 
 def test_tongue_edge_scans_integrate_each_gain_once(monkeypatch, b0, exc_inphase):
-    """The left- and right-edge searches share their 25 presample points:
-    each gain point is integrated once, and the edges are the ones two
-    uncached searches find."""
+    """tongue_edges finds both edges in one boundary_crossings call, which
+    integrates each gain point once; a second call integrates its points
+    again, so no state outlives a call."""
     import levstab.floquet as fl
-    from levstab.validation import tongue_edges
+    from levstab import validation
 
     ea = all_ellipses(b0, exc_inphase)["a"]
-    real = fl.monodromy
-    seen = []
+    real_monodromy, real_crossings = fl.monodromy, validation.boundary_crossings
+    seen, scans = [], []
 
     def counting(params, exc, gains, hyb=None):
         seen.append((gains.Kp, gains.Kd))
-        return real(params, exc, gains, hyb=hyb)
+        return real_monodromy(params, exc, gains, hyb=hyb)
+
+    def crossings(params, exc, scan, indicator):
+        scans.append(scan)
+        return real_crossings(params, exc, scan, indicator)
 
     monkeypatch.setattr(fl, "monodromy", counting)
-    fl._multipliers.cache_clear()
-    edges = tongue_edges(b0, exc_inphase, ea)
-    assert len(seen) == len(set(seen)) > 25
+    monkeypatch.setattr(validation, "boundary_crossings", crossings)
+    edges = validation.tongue_edges(b0, exc_inphase, ea)
+    first = list(seen)
+    assert len(scans) == 1
+    assert len(first) == len(set(first)) > fl.N_PRESAMPLE
 
-    scan = ((ea.h1 - 1.6 * ea.k1, ea.h2), (ea.h1 + 1.6 * ea.k1, ea.h2))
-    uncached = []
-    for rank in (0, 1):
-        fl._multipliers.cache_clear()
-        uncached.append(
-            boundary_crossings(b0, exc_inphase, scan, indicator=_ranked(rank), n_presample=25)
-        )
-    assert edges == (uncached[0][0][0], uncached[1][-1][0])
+    seen.clear()
+    assert validation.tongue_edges(b0, exc_inphase, ea) == edges
+    assert len(scans) == 2 and seen == first
+
+
+@pytest.mark.parametrize("kind,exc_name", [
+    ("a", "exc_inphase"), ("b", "exc_inphase"), ("c", "exc_antiphase"), ("d", "exc_antiphase"),
+])
+def test_tongue_edges_match_rank_indicator_searches(request, b0, kind, exc_name):
+    """The inside-the-tongue indicator's first and last crossings are the
+    left edge of the largest signature modulus and the right edge of the
+    second largest, each found by its own search."""
+    from levstab.validation import SCAN_HALF_WIDTH, tongue_edges
+
+    exc = request.getfixturevalue(exc_name)
+    ell = all_ellipses(b0, exc)[kind]
+    family = "principal" if kind in "ab" else "combination"
+    half = SCAN_HALF_WIDTH * ell.k1
+    scan = ((ell.h1 - half, ell.h2), (ell.h1 + half, ell.h2))
+    left = boundary_crossings(b0, exc, scan, _ranked(0, family))
+    right = boundary_crossings(b0, exc, scan, _ranked(1, family))
+    assert tongue_edges(b0, exc, ell) == (left[0][0], right[-1][0])
 
 
 def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):
