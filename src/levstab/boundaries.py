@@ -217,58 +217,29 @@ def hb_determinant_principal(
     """Determinant of the first-harmonic balance matrix for a principal
     resonance, negative inside the corresponding ellipse and zero on it.
 
-    For kind 'a' the pitch equation is probed with phi = b0 cos(omega2 t) +
-    b1 sin(omega2 t) at omega2 = Omega/2; for kind 'b' the heave equation
-    with the analogous ansatz at omega1 = Omega/2.  Coefficients keep J
-    symbolic, so the zero set matches the closed-form ellipse only for the
-    uniform-bar inertia.
+    For kind 'a' the pitch equation is probed with phi = b0 cos(w t) +
+    b1 sin(w t) at w = omega2 = Omega/2; for kind 'b' the heave equation
+    with the analogous ansatz at w = omega1 = Omega/2.  Both balances are
+    one formula in the modal inertia I = J/L^2 (pitch) or m/4 (heave): the
+    pitch equation's rows divided by L^2, the heave equation's by 2L, so
+    the determinant is that of the raw balance divided by L^4 (a) or 4 L^2
+    (b), with the same sign and zero set.  I keeps J symbolic, so the zero
+    set matches the closed-form ellipse only for the uniform-bar inertia.
     """
-    p = params
-    rcgm = math.sqrt(p.C * p.g * p.m)
-    P = exc.A * math.cos(exc.theta)
-    Q = exc.A * math.sin(exc.theta)
-    Kp, Kd = gains.Kp, gains.Kd
-    if kind == "a":
-        w2 = exc.Omega / 2.0
-        L2, J = p.L**2, p.J
-        # rows: coefficients of (b0, b1) in the cos and sin balance equations
-        c00 = (
-            -4.0 * Kp * L2 * rcgm
-            + 2.0 * RT2 * p.g * L2 * p.m * p.R
-            - RT2 * exc.A * J * p.R * w2**2
-            - RT2 * J * P * p.R * w2**2
-            + 4.0 * RT2 * J * p.R * p.z0 * w2**2
-        )
-        c01 = -4.0 * Kd * L2 * rcgm * w2 - RT2 * J * Q * p.R * w2**2 + 8.0 * RT2 * p.C * J * w2**3
-        c10 = 4.0 * Kd * L2 * rcgm * w2 - RT2 * J * Q * p.R * w2**2 - 8.0 * RT2 * p.C * J * w2**3
-        c11 = (
-            -4.0 * Kp * L2 * rcgm
-            + 2.0 * RT2 * p.g * L2 * p.m * p.R
-            + RT2 * exc.A * J * p.R * w2**2
-            + RT2 * J * P * p.R * w2**2
-            + 4.0 * RT2 * J * p.R * p.z0 * w2**2
-        )
-    elif kind == "b":
-        w1 = exc.Omega / 2.0
-        L, m, R = p.L, p.m, p.R
-        c00 = (
-            -8.0 * Kp * L * rcgm
-            + 4.0 * RT2 * p.g * L * m * R
-            - exc.A * L * m * R * w1**2 / RT2
-            - L * m * P * R * w1**2 / RT2
-            + 2.0 * RT2 * L * m * R * p.z0 * w1**2
-        )
-        c01 = -(8.0 * Kd * L * rcgm * w1 + L * m * Q * R * w1**2 / RT2 - 4.0 * RT2 * p.C * L * m * w1**3)
-        c10 = 8.0 * Kd * L * rcgm * w1 - L * m * Q * R * w1**2 / RT2 - 4.0 * RT2 * p.C * L * m * w1**3
-        c11 = -(
-            8.0 * Kp * L * rcgm
-            - 4.0 * RT2 * p.g * L * m * R
-            - exc.A * L * m * R * w1**2 / RT2
-            - L * m * P * R * w1**2 / RT2
-            - 2.0 * RT2 * L * m * R * p.z0 * w1**2
-        )
-    else:
+    if kind not in ("a", "b"):
         raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")
+    p = params
+    inertia = p.J / p.L**2 if kind == "a" else p.m / 4.0
+    w = exc.Omega / 2.0
+    rcgm = math.sqrt(p.C * p.g * p.m)
+    pump = RT2 * inertia * p.R * w**2
+    stiff = -4.0 * gains.Kp * rcgm + 2.0 * RT2 * p.g * p.m * p.R + 4.0 * p.z0 * pump
+    damp = 4.0 * gains.Kd * rcgm * w - 8.0 * RT2 * p.C * inertia * w**3
+    forced_cos = exc.A * (1.0 + math.cos(exc.theta)) * pump
+    forced_sin = exc.A * math.sin(exc.theta) * pump
+    # rows: coefficients of (b0, b1) in the cos and sin balance equations
+    c00, c01 = stiff - forced_cos, -damp - forced_sin
+    c10, c11 = damp - forced_sin, stiff + forced_cos
     return c00 * c11 - c01 * c10
 
 

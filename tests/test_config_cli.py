@@ -925,6 +925,40 @@ def test_fault_injection_breaks_ratio_criterion(monkeypatch, b0, exc_quarter):
     assert measured["k1b_over_k1a"] == pytest.approx(3.0 / 1.01, rel=1e-9)
 
 
+def test_fault_injection_breaks_frequency_criterion(monkeypatch, b0, exc_quarter):
+    """Criterion 1 takes its frequencies from the unexcited spectrum, so a
+    closed-form omega2 off by 1e-9 fails it while the spectrum's ratio
+    still holds."""
+    from levstab import validation
+
+    real = validation.natural_frequencies
+
+    def off(params, kd):
+        w1, w2 = real(params, kd)
+        return w1, w2 * (1.0 + 1e-9)
+
+    monkeypatch.setattr(validation, "natural_frequencies", off)
+    ok, measured, detail = validation._c1_frequency_ratio(b0, exc_quarter)
+    assert not ok
+    assert measured["max_closed_form_dev"] == pytest.approx(1e-9, rel=1e-2)
+    assert measured["max_rel_err"] <= 1e-12
+
+
+def test_fault_injection_factor_two_fails_tongue_criterion(monkeypatch, b0, exc_quarter):
+    """Criterion 7 gates each half-width at 1 times k1: edges at h1 +- 2 k1,
+    centred exactly, fail it."""
+    from levstab import validation
+
+    def wide(params, exc, ell):
+        return ell.h1 - 2.0 * ell.k1, ell.h1 + 2.0 * ell.k1
+
+    monkeypatch.setattr(validation, "tongue_edges", wide)
+    ok, measured, detail = validation._c7_floquet_vs_analytic(b0, exc_quarter)
+    assert not ok
+    assert measured["max_factor_dev"] == pytest.approx(1.0)
+    assert measured["max_center_err"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_cli_bad_config_exit(tmp_path):
     doc = {**B0_DOC, "excitation": {"A": 0.005, "Omega": 80.0, "v": 1.0, "d": 1.0}}
     cfgp = _write(tmp_path, doc)
