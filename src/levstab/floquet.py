@@ -272,15 +272,17 @@ def _propagate(
     cells at a time, so a group makes SEGMENT stack iterations, not
     ``steps``.
 
-    The stack of k segments of n cells is (6, 6, k*n), x[r, j, s*n + c] =
-    M_sc[_STACK_ROWS[r], j] for segment s of cell c.  Each support pair of
-    rows is a contiguous (2, 6, k*n) block and A acts on it by elementwise
-    products summed in a fixed order: the rate rows are the velocity rows,
-    the force rows take both gaps and both currents, and the current rows
-    take their own gap, rate and current, with the gains entering the gap
-    and rate columns.  The segments' product is elementwise too.  So a
-    cell's arithmetic, and with it its result, depends neither on which
-    other cells share the stack.  Returns the matrices as an (N, 6, 6) array.
+    The stack of S segments of n cells is (6, 6, S, n), x[r, j, s, c] =
+    M_sc[_STACK_ROWS[r], j] for segment s of cell c, so a segment's
+    coefficients broadcast over its cells and a pass of one segment is the
+    case S = 1.  Each support pair of rows is a contiguous (2, 6, S, n)
+    block and A acts on it by elementwise products summed in a fixed order:
+    the rate rows are the velocity rows, the force rows take both gaps and
+    both currents, and the current rows take their own gap, rate and
+    current, with the gains entering the gap and rate columns.  The
+    segments' product is elementwise too.  So a cell's arithmetic, and with
+    it its result, depends neither on which other cells share the stack.
+    Returns the matrices as an (N, 6, 6) array.
     """
     segments = 1 if steps <= STEPS else steps // SEGMENT
     length = steps // segments
@@ -292,7 +294,7 @@ def _propagate(
 
     def columns(table: np.ndarray) -> np.ndarray:
         """A table of two entries per node as (2, 1, S, 1) columns, indexed
-        [step, node]."""
+        [step, node], which broadcast over a stack's cells."""
         return table[at].transpose(0, 1, 3, 2)[:, :, :, None, :, None]
 
     # the force rows' entries on d1, I1, d2, I2 and the current rows' on
@@ -327,22 +329,15 @@ def _propagate(
     def run(gkp: np.ndarray, gkd: np.ndarray) -> np.ndarray:
         """Matrices of every segment of the cells (gkp, gkd), integrated
         side by side, as (6, 6, S, n) in the natural row order."""
-        n = segments * gkp.size
-        x = np.zeros((6, 6, n))
+        x = np.zeros((6, 6, segments, gkp.size))
         for r, row in enumerate(_STACK_ROWS):
             x[r, row] = 1.0
         ks = [np.empty_like(x) for _ in _RK6_B]
         y, tmp = np.empty_like(x), np.empty_like(x)
         for step in range(length):
-            gap = (cur_d[step] + gkp * scale[step]).reshape(7, 2, 1, n)
-            rate = (cur_v[step] + gkd * scale[step]).reshape(7, 2, 1, n)
-            # one segment's entries broadcast over the cells, several
-            # segments' spread over their columns
-            if segments == 1:
-                coef = [t[step, ..., 0, :] for t in fixed]
-            else:
-                coef = [np.repeat(t[step], gkp.size, -1).reshape(7, 2, 1, n) for t in fixed]
-            derivative(x, ks[0], tmp[:2], [c[0] for c in coef], gap[0], rate[0])
+            gap = cur_d[step] + gkp * scale[step]
+            rate = cur_v[step] + gkd * scale[step]
+            derivative(x, ks[0], tmp[:2], [t[step, 0] for t in fixed], gap[0], rate[0])
             for s, (node, terms) in enumerate(stages, start=1):
                 (j, c), *rest = terms
                 np.multiply(ks[j], c, out=y)
@@ -350,7 +345,7 @@ def _propagate(
                 for j, c in rest:
                     np.multiply(ks[j], c, out=tmp)
                     y += tmp
-                derivative(y, ks[s], tmp[:2], [c[node] for c in coef], gap[node], rate[node])
+                derivative(y, ks[s], tmp[:2], [t[step, node] for t in fixed], gap[node], rate[node])
             (j, c), *rest = weights
             np.multiply(ks[j], c, out=y)
             for j, c in rest:
@@ -359,7 +354,7 @@ def _propagate(
             x += y
         seg = np.empty_like(x)
         seg[list(_STACK_ROWS)] = x
-        return seg.reshape(6, 6, segments, gkp.size)
+        return seg
 
     m = np.empty((kp.size, 6, 6))
     group = max(1, GROUP_COLUMNS // segments)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .plant import (
+    _steady_kernel,
     current_scale,
     rhs,
     rhs_hybrid,
@@ -65,6 +66,7 @@ class PeriodicMatrix:
         self.gains = gains
         self.gap_offset = gap_offset
         self.period = exc.period
+        self._steady = _steady_kernel(params, exc)
         self._kappa = current_scale(params)
         self._twoC = 2.0 * params.C
         self._kp_2C = gains.Kp / self._twoC
@@ -84,13 +86,12 @@ class PeriodicMatrix:
         self._w22 = w[1, 0] - w[1, 1]
 
     def at(self, t: float) -> np.ndarray:
-        """Coefficient matrix at time t."""
-        ss = steady_state(self.params, self.exc, t)
+        """Coefficient matrix at time t, a float, from this matrix's own
+        steady-state kernel."""
+        d1, d2, r1, r2 = self._steady(t)[2:6]
         off = self.gap_offset
-        d = (float(ss.gap1) + off, float(ss.gap2) + off)
-        ddot = (float(ss.gap1_rate), float(ss.gap2_rate))
         out = np.zeros(36)
-        out[_NONZERO] = self._entries(d, ddot)
+        out[_NONZERO] = self._entries((d1 + off, d2 + off), (r1, r2))
         return out.reshape(6, 6)
 
     def table(self, count: int) -> tuple[np.ndarray, np.ndarray]:

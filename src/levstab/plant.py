@@ -157,11 +157,6 @@ def _steady_kernel(
     return kernel
 
 
-# the scalar kernel of the last (params, exc, hyb) that steady_state served,
-# kept like the derivative of rhs below
-_last_kernel = (None, None, None, None)
-
-
 def steady_state(
     params: PhysicalParams, exc: ExcitationParams, t, hyb: HybridParams | None = None
 ) -> SteadyStateSample:
@@ -172,20 +167,15 @@ def steady_state(
     With ``hyb`` the currents are those of the hybrid plant,
     kappa*(Delta_ss + beta) - gamma.  Substituted back into the plant
     equations these leave zero residuals for every t, every A < z0 and every
-    theta.  Its kernel, which ``rhs`` and ``rhs_hybrid`` also call, is the
-    one place that evaluates the base motion.  A float t takes ``math``'s
-    cos and sin, a fraction of numpy's cost per call, for the RHS and A(t),
-    which evaluate one instant; on x86-64 with numpy 2.4 they give numpy's
-    values bit for bit (checked on 1.2 million phases).
+    theta.  Its kernel is the one place that evaluates the base motion;
+    ``rhs`` and ``rhs_hybrid``, ``integrate``'s closure event and
+    ``PeriodicMatrix.at`` each hold one for their configuration, and this
+    function builds a fresh one per call.  A float t takes ``math``'s cos
+    and sin, a fraction of numpy's cost per call; on x86-64 with numpy 2.4
+    they give numpy's values bit for bit (checked on 1.2 million phases).
     """
-    global _last_kernel
-    if not isinstance(t, float):
-        return SteadyStateSample(t, *_steady_kernel(params, exc, hyb, np.cos, np.sin)(t))
-    p, e, h, kernel = _last_kernel
-    if p is not params or e is not exc or h is not hyb:
-        kernel = _steady_kernel(params, exc, hyb)
-        _last_kernel = (params, exc, hyb, kernel)
-    return SteadyStateSample(t, *kernel(t))
+    trig = (math.cos, math.sin) if isinstance(t, float) else (np.cos, np.sin)
+    return SteadyStateSample(t, *_steady_kernel(params, exc, hyb, *trig)(t))
 
 
 def control_voltage(gains: ControlGains, delta, delta_dot, ss: SteadyStateSample):
@@ -489,9 +479,10 @@ def integrate(
         return rhs_hybrid(y, t, params, exc, gains, hyb)
 
     contact = CLOSURE_FRACTION * params.z0
+    steady = _steady_kernel(params, exc)
 
     def gap_closure(t, y):
-        d1, d2, _, _ = _gaps(y, params, steady_state(params, exc, t))
+        d1, d2, _, _ = _gaps(y, params, SteadyStateSample(t, *steady(t)))
         return min(d1, d2) - contact
 
     if t_eval is None:

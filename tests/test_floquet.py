@@ -348,6 +348,31 @@ def test_segmented_pass_matches_one_segment(monkeypatch, b0, exc_quarter):
         np.testing.assert_allclose(top[0], top[1], rtol=1e-13, atol=0.0)
 
 
+def test_refined_pass_independent_of_groups(monkeypatch, b0, exc_quarter):
+    """A refined pass of twelve cells across tongue d's window, at 100, 200
+    and 400 steps, gives each cell the bits of a pass in groups of one cell,
+    whether the cells share one group or split into groups of five."""
+    import levstab.floquet as fl
+    from levstab.linearized import periodic_matrix
+
+    ed = all_ellipses(b0, exc_quarter)["d"]
+    rng = np.random.default_rng(19)
+    kp = ed.h1 + ed.k1 * rng.uniform(-3.0, 3.0, 12)
+    kd = ed.h2 + ed.k2 * rng.uniform(-5.0, 5.0, 12)
+    pm = periodic_matrix(b0, exc_quarter, ControlGains(0.0, 0.0))
+    for steps in (100, 200, 400):
+        table = pm.table(6 * steps)
+        segments = steps // fl.SEGMENT
+        passes = {}
+        for cells in (None, 5, 1):
+            with monkeypatch.context() as groups:
+                if cells is not None:
+                    groups.setattr(fl, "GROUP_COLUMNS", cells * segments)
+                passes[cells] = fl._propagate(*table, kp, kd, steps, pm.period)
+        assert passes[None].tobytes() == passes[1].tobytes()
+        assert passes[5].tobytes() == passes[1].tobytes()
+
+
 def test_sweep_survives_rows_of_a_that_underflow(exc_quarter):
     """With m = 1e-300 and C = 1e300 the steady currents underflow to zero
     and the force-balance rows of A are zero over the whole period; the

@@ -22,7 +22,7 @@ from levstab import (
     unexcited_spectrum,
 )
 from levstab.boundaries import h0_gain, static_boundary_lines
-from levstab.linearized import PeriodicMatrix
+from levstab.linearized import _NONZERO, PeriodicMatrix
 from levstab.plant import ATOL, METHOD, RTOL
 
 
@@ -90,6 +90,48 @@ def test_jacobian_consistency_hybrid(b0, exc_quarter):
         an = pm.at(t)
         fd = fd_jacobian(b0, exc_quarter, GAINS, t, hyb=hyb)
         assert np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))) < 1e-6
+
+
+def _at_from_record(pm: PeriodicMatrix, t) -> np.ndarray:
+    """A(t) assembled from the ``steady_state`` record at t: its gaps plus
+    the matrix's gap offset, and its gap rates."""
+    ss = steady_state(pm.params, pm.exc, t)
+    off = pm.gap_offset
+    out = np.zeros(36)
+    out[_NONZERO] = pm._entries((ss.gap1 + off, ss.gap2 + off), (ss.gap1_rate, ss.gap2_rate))
+    return out.reshape(6, 6)
+
+
+@pytest.mark.parametrize("beta", [None, 0.01])
+def test_at_equals_assembly_from_steady_state_record(b0, exc_quarter, beta):
+    """``at`` evaluates its own steady-state kernel; at float and np.float64
+    instants it gives the bits of the assembly from ``steady_state``, on
+    the standard and the hybrid plant."""
+    hyb = None if beta is None else HybridParams(beta=beta, gamma=hybrid_gamma(b0, beta))
+    pm = periodic_matrix(b0, exc_quarter, GAINS, hyb=hyb)
+    ts = np.random.default_rng(23).uniform(0.0, 5.0 * pm.period, 200)
+    for t in (*ts[:100].tolist(), *ts[100:]):
+        assert pm.at(t).tobytes() == _at_from_record(pm, t).tobytes()
+
+
+def test_at_of_two_matrices_called_alternately(b0, exc_quarter):
+    """Two matrices of different configurations, called in turn, each give
+    the bits they give when called alone, which are those of the assembly
+    from ``steady_state``."""
+    other = PhysicalParams(m=5200.0, C=0.04, R=7.5, z0=0.012, L=2.5, J=3100.0)
+    hyb = HybridParams(beta=0.006, gamma=hybrid_gamma(other, 0.006))
+    configs = [
+        (b0, exc_quarter, GAINS, None),
+        (other, ExcitationParams(A=0.003, Omega=120.0, theta=1.1), ControlGains(25000.0, 4500.0), hyb),
+    ]
+    ts = np.random.default_rng(29).uniform(0.0, 0.5, 100).tolist()
+    pms = [periodic_matrix(*c[:3], hyb=c[3]) for c in configs]
+    alone = [[pm.at(t).tobytes() for t in ts] for pm in pms]
+    for pm, want in zip(pms, alone):
+        assert want == [_at_from_record(pm, t).tobytes() for t in ts]
+    for k, t in enumerate(ts):
+        for pm, want in zip(pms, alone):
+            assert pm.at(t).tobytes() == want[k]
 
 
 def test_hybrid_linearization_equals_shifted_standard(b0, exc_quarter):
