@@ -288,6 +288,7 @@ def hill_determinant_combination(
 
 
 _CURVES = ("omega1", "omega2", "sum", "difference")
+CHART_SAMPLES = 400  # Kd samples of a resonance chart
 
 
 @dataclass(frozen=True)
@@ -314,23 +315,21 @@ def resonance_chart(
     params: PhysicalParams,
     Omega: float,
     Kd_range: tuple[float, float],
-    n: int = 400,
 ) -> ResonanceChart:
-    """Sample omega1, omega2, their sum and difference over a Kd range and
-    solve each curve against the levels Omega and Omega/2 in closed form.
+    """Sample omega1, omega2, their sum and difference at CHART_SAMPLES
+    points of a Kd range and solve each curve against the levels Omega and
+    Omega/2 in closed form.
 
     An empty range (lo >= hi) yields a chart with no samples; the
     intersection records are still computed, all flagged out of range.  A
     range whose width hi - lo overflows raises ``ValueError``.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     if not math.isfinite(Kd_range[1] - Kd_range[0]):
         raise ValueError(f"the Kd range {Kd_range[0]!r},{Kd_range[1]!r} is wider than a float can hold")
     if Kd_range[0] >= Kd_range[1]:
         kd = np.empty(0)
     else:
-        kd = np.linspace(Kd_range[0], Kd_range[1], n)
+        kd = np.linspace(Kd_range[0], Kd_range[1], CHART_SAMPLES)
     scale = math.sqrt(2.0 * params.g / (params.m * params.C))  # omega1^2 per Kd
     w1 = np.sqrt(np.maximum(kd, 0.0) * scale)
     factors = {"omega1": 1.0, "omega2": RT3, "sum": 1.0 + RT3, "difference": RT3 - 1.0}

@@ -54,30 +54,19 @@ DEFAULT_CONFIG = {
 }
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+def _parse_pair(text: str, flag: str, kind=float) -> tuple:
+    """Two comma-separated finite values, each converted by ``kind``
+    (``float`` or ``int``)."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"{flag} expects two comma-separated values, got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = kind(parts[0]), kind(parts[1])
     except ValueError as err:
-        raise ConfigError(f"{flag} expects numbers, got {text!r}") from err
+        raise ConfigError(f"{flag} expects {kind.__name__} values, got {text!r}") from err
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"{flag} expects finite numbers, got {text!r}")
     return lo, hi
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--grid expects nx,ny, got {text!r}")
-    try:
-        nx, ny = int(parts[0]), int(parts[1])
-    except ValueError as err:
-        raise ConfigError(f"--grid expects integers, got {text!r}") from err
-    if nx < 2 or ny < 2:
-        raise ConfigError("--grid dimensions must be at least 2")
-    return nx, ny
 
 
 def _load(args) -> RunConfig:
@@ -147,7 +136,7 @@ def cmd_ellipses(args) -> int:
 
 def cmd_map(args) -> int:
     cfg = _load(args)
-    nx, ny = _parse_grid(args.grid) if args.grid else (21, 21)
+    nx, ny = _parse_pair(args.grid, "--grid", int) if args.grid else (21, 21)
     if args.kp_range and args.kd_range:
         kp_range = _parse_pair(args.kp_range, "--kp")
         kd_range = _parse_pair(args.kd_range, "--kd")

@@ -330,21 +330,20 @@ def rhs_hybrid(
     return (one if isinstance(t, float) else stack)(state, t)
 
 
-def hybrid_transform(state: VehicleState, hyb: HybridParams, inverse: bool = False) -> VehicleState:
+def hybrid_transform(state: VehicleState, hyb: HybridParams) -> VehicleState:
     """Shift a hybrid-plant state into the equivalent standard-plant variables.
 
     Gaps shift by +beta (z shifts, phi does not) and currents by +gamma;
     rates are unchanged.  The transformed trajectory obeys the standard
-    plant with nominal gap z0 + beta.  ``inverse=True`` undoes the shift.
+    plant with nominal gap z0 + beta.
     """
-    s = -1.0 if inverse else 1.0
     return VehicleState(
-        z=state.z + s * hyb.beta,
+        z=state.z + hyb.beta,
         zdot=state.zdot,
         phi=state.phi,
         phidot=state.phidot,
-        I1=state.I1 + s * hyb.gamma,
-        I2=state.I2 + s * hyb.gamma,
+        I1=state.I1 + hyb.gamma,
+        I2=state.I2 + hyb.gamma,
     )
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import boundaries
 from .floquet import (
     BISECT_TOL,
+    REAL_TOL,
     boundary_crossings,
     classify,
     monodromy,
@@ -180,7 +181,7 @@ def _c1_frequency_ratio(params, exc):
         kd = float(10 ** rng.uniform(1.0, 5.0))
         # the imaginary pairs of the unexcited spectrum on the oscillatory line
         lines = boundaries.static_boundary_lines(p)
-        spec = unexcited_spectrum(p, ControlGains(lines.h0 + lines.slope * kd, kd))
+        spec = unexcited_spectrum(p, ControlGains(float(lines.inclined(kd)), kd))
         w1, w2 = (float(np.max(block.imag)) for block in (spec.translation, spec.rotation))
         ref1, ref2 = natural_frequencies(p, kd)
         worst = max(worst, abs(w2 / w1 / RT3 - 1.0))
@@ -232,7 +233,7 @@ def _c3_center_line(params, exc):
         )
         lines = boundaries.static_boundary_lines(p)
         for ell in boundaries.all_ellipses(p, e).values():
-            line = lines.h0 + lines.slope * ell.h2
+            line = float(lines.inclined(ell.h2))
             worst = max(worst, abs(ell.h1 / line - 1.0))
     if worst > 1e-12:
         return (
@@ -247,7 +248,7 @@ def _c3_center_line(params, exc):
     worst_hopf = 0.0
     for frac in (0.25, 0.5, 1.0, 1.5, 2.0):
         kd = frac * kd_ref
-        line = lines.h0 + lines.slope * kd
+        line = float(lines.inclined(kd))
         lo, hi = lines.h0 + 0.5 * lines.slope * kd, lines.h0 + 1.5 * lines.slope * kd
 
         def growth(kp: float) -> float:
@@ -499,7 +500,7 @@ def _c13_multiplier_signatures(params, exc):
         res = monodromy(params, ExcitationParams(exc.A, exc.Omega, theta), ControlGains(ell.h1, ell.h2))
         dom = res.dominant
         measured[f"dominant_{kind}"] = {"re": dom.real, "im": dom.imag, "abs": abs(dom)}
-        is_real = abs(dom.imag) <= 1e-9 * max(1.0, abs(dom))
+        is_real = abs(dom.imag) <= REAL_TOL * max(1.0, abs(dom))
         if principal:
             ok = ok and is_real and dom.real < 0.0 and abs(dom) > 1.0
         else:
