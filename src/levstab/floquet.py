@@ -257,20 +257,16 @@ class StabilityMap:
     meta: dict = field(default_factory=dict)
 
 
-def _propagate(
-    a: np.ndarray, g: np.ndarray, kp: np.ndarray, kd: np.ndarray, steps: int, period: float
-) -> np.ndarray:
+def _propagate(a: np.ndarray, g: np.ndarray, kp: np.ndarray, kd: np.ndarray, period: float) -> np.ndarray:
     """Monodromy matrices of every cell (kp[c], kd[c]) by Butcher's order-6
-    method in ``steps`` steps over one period, on the nodes of
-    ``PeriodicMatrix.table`` (``a`` at zero gains, ``g``; its node count
-    must be a multiple of 6*steps).
+    method over one period, in n steps on the 6n + 1 nodes of
+    ``PeriodicMatrix.table(6 n)`` (``a`` at zero gains, and ``g``).
 
     A pass of at most STEPS steps integrates the period in one piece, S =
     1 segment.  A refined pass splits it into S = steps / SEGMENT segments,
     integrates each from the identity and multiplies their matrices in step
     order.  The segments are integrated side by side, GROUP_COLUMNS // S
-    cells at a time, so a group makes SEGMENT stack iterations, not
-    ``steps``.
+    cells at a time, so a group makes SEGMENT stack iterations, not n.
 
     The stack of S segments of n cells is (6, 6, S, n), x[r, j, s, c] =
     M_sc[_STACK_ROWS[r], j] for segment s of cell c, so a segment's
@@ -284,13 +280,13 @@ def _propagate(
     it its result, depends neither on which other cells share the stack.
     Returns the matrices as an (N, 6, 6) array.
     """
+    steps = (len(a) - 1) // 6
     segments = 1 if steps <= STEPS else steps // SEGMENT
     length = steps // segments
     h = period / steps
-    stride = (len(a) - 1) // (6 * steps)
     # the table row of node k of step i of segment s, as [i, k, s]
-    begin = 6 * stride * (np.arange(segments) * length + np.arange(length)[:, None])
-    at = begin[:, None, :] + stride * np.arange(7)[:, None]
+    begin = 6 * (np.arange(segments) * length + np.arange(length)[:, None])
+    at = begin[:, None, :] + np.arange(7)[:, None]
 
     def columns(table: np.ndarray) -> np.ndarray:
         """A table of two entries per node as (2, 1, S, 1) columns, indexed
@@ -382,8 +378,8 @@ def _batched_cells(
     """Classify the gain cells (kp[c], kd[c]) with the batched engine, in
     blocks of BLOCK cells.
 
-    Every cell of a block is propagated at STEPS and at half that on one
-    node table.  A cell is accepted once its Richardson estimate
+    Every cell of a block is propagated at STEPS and at half that, each
+    step count on a node table of its own.  A cell is accepted once its Richardson estimate
     |max|mu|(n) - max|mu|(n/2)| / 63 is within STEP_TOL * max(1, max|mu|),
     det M is within DET_TOL of the Liouville value exp(-R (z0 + beta) T / C),
     and its class at n equals that at n/2; the others are run again at
@@ -409,9 +405,9 @@ def _batched_cells(
         for start in range(0, kp.size, BLOCK):
             pending = np.arange(start, min(start + BLOCK, kp.size))
             steps = STEPS
-            coarse = _propagate(*table(steps), kp[pending], kd[pending], steps // 2, pm.period)
+            coarse = _propagate(*table(steps // 2), kp[pending], kd[pending], pm.period)
             while pending.size:
-                fine = _propagate(*table(steps), kp[pending], kd[pending], steps, pm.period)
+                fine = _propagate(*table(steps), kp[pending], kd[pending], pm.period)
                 finite = np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(coarse).all(axis=(1, 2))
                 fallback += list(pending[~finite])
                 pending, coarse, fine = pending[finite], coarse[finite], fine[finite]

@@ -30,11 +30,6 @@ _CSV_BLOCK = 4096  # rows per formatted block
 # 3001 (faster in 9 of 16) and won by 13 and 39 ms at 4001 and 6001 rows
 # (20 and 30 periods)
 _STREAM_ROWS = 4000
-# and only once it holds this many rows: a stream that ends with fewer, such
-# as a run that a gap closure ends early, is formatted in-process, 2048 rows
-# of 9 columns in about 11 ms, which is about what the writer's start and
-# exit cost (14 ms)
-_SPAWN_ROWS = 2048
 # the writer process of csv_stream: this file as a script, in an
 # interpreter that ignores the environment and skips the site module, which
 # halves its start-up
@@ -74,21 +69,21 @@ def csv_stream(path, header, rows):
     """Write a CSV of float columns to ``path``, one block of rows at a
     time, through a writer process if the stream is long.
 
-    ``rows`` is the number of rows the caller plans to send.  Yields
-    ``send(columns)``, which takes a block of rows as equal-length float
-    columns, one per name in ``header``, and copies them before it returns.
-    The blocks are held until they amount to ``_SPAWN_ROWS`` rows of a plan
-    of at least ``_STREAM_ROWS``; then the writer process starts and gets
-    them and every later block, which it formats as ``write_csv`` does into
-    a temporary file beside ``path``.  A shorter plan, or a stream that
-    ends with fewer rows held (a run that a gap closure ends early), is
-    formatted in this process by the writer's own code, into the same
-    bytes, which spares it the writer's start.  The temporary file becomes
-    ``path`` once the ``with`` block has ended and the writer, if it
-    started, has exited with status 0.  Otherwise the writer is killed and
+    ``rows`` is the number of rows the caller plans to send, and it alone
+    decides the writer: a plan of at least ``_STREAM_ROWS`` rows starts the
+    writer process when the stream opens, before the first block, and the
+    process formats every block as ``write_csv`` does into a temporary file
+    beside ``path``.  A shorter plan is held and formatted in this process
+    when the stream closes, by the writer's own code into the same bytes,
+    which spares it the writer's start.  Yields ``send(columns)``, which
+    takes a block of rows as equal-length float columns, one per name in
+    ``header``, and copies them before it returns.  The temporary file
+    becomes ``path`` once the ``with`` block has ended and the writer, if
+    any, has exited with status 0.  Otherwise the writer is killed and
     reaped, the temporary file is removed and the error propagates; a
-    writer that failed or stopped reading raises ``RuntimeError`` with its
-    exit status and the last line of its stderr.
+    writer that cannot start, failed or stopped reading raises
+    ``RuntimeError``, with its exit status and the last line of its stderr
+    once it ran.
     """
     from contextlib import contextmanager
 
@@ -104,37 +99,29 @@ def _stream(path, header, rows):
 
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    # what the writer reads (see _serve) and has not yet been sent: the
-    # header line and the frames of the rows held before it starts
-    held = [header.encode() + b"\n"]
-    held_rows = 0
     writer = None
-
-    def send(columns):
-        nonlocal writer, held_rows
-        block = np.array(columns, dtype=np.float64)
-        frame = block.shape[1].to_bytes(8, "little") + block.tobytes()
-        if writer is not None:
-            writer.stdin.write(frame)
-            return
-        held.append(frame)
-        held_rows += block.shape[1]
-        if rows < _STREAM_ROWS or held_rows < _SPAWN_ROWS:
-            return
-        try:
-            with open(tmp, "wb") as fh:
-                writer = subprocess.Popen(_WRITER, stdin=subprocess.PIPE, stdout=fh, stderr=subprocess.PIPE)
-        except OSError as err:
-            raise RuntimeError(f"cannot start the CSV writer of {path}: {err}") from err
-        writer.stdin.write(b"".join(held))
-        held.clear()
-
     try:
+        if rows >= _STREAM_ROWS:
+            try:
+                with open(tmp, "wb") as fh:
+                    writer = subprocess.Popen(_WRITER, stdin=subprocess.PIPE, stdout=fh, stderr=subprocess.PIPE)
+            except OSError as err:
+                raise RuntimeError(f"cannot start the CSV writer of {path}: {err}") from err
+        # what the writer reads (see _serve): the header line, then a frame
+        # per block, held here for a short plan
+        frames = io.BytesIO() if writer is None else writer.stdin
+
+        def send(columns):
+            block = np.array(columns, dtype=np.float64)
+            frames.write(block.shape[1].to_bytes(8, "little") + block.tobytes())
+
         try:
+            frames.write(header.encode() + b"\n")
             yield send
             if writer is None:  # the writer's work, done here
+                frames.seek(0)
                 with open(tmp, "wb") as fh:
-                    _serve(io.BytesIO(b"".join(held)), fh)
+                    _serve(frames, fh)
                 _publish(tmp, path)
                 return
             writer.stdin.close()
@@ -179,7 +166,7 @@ def _publish(tmp, path) -> None:
 
 def _serve(src, dst) -> None:
     """The writer of ``csv_stream``, run in its process, or in the caller's
-    for a stream too short to start it: copy the header line from the
+    for a plan too short to start it: copy the header line from the
     binary stream ``src`` to ``dst``, then format each frame that follows
     as CSV rows into ``dst`` until ``src`` ends.
 

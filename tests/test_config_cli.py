@@ -618,12 +618,12 @@ STREAM_CASES = {
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_cli_simulate_stream_matches_in_process_writer(tmp_path, monkeypatch, case):
     """From _STREAM_ROWS planned rows on, simulate streams trajectory.csv
-    through one writer process, unless a gap closure ends the run before
-    _SPAWN_ROWS rows; its bytes equal those of write_trajectory_csv on the
+    through one writer process, also when a gap closure ends the run within
+    its first block; its bytes equal those of write_trajectory_csv on the
     same run, the closure row included."""
     from dataclasses import replace
 
-    from levstab.output import _SPAWN_ROWS, _STREAM_ROWS
+    from levstab.output import _STREAM_ROWS
     from levstab.plant import integrate, steady_vehicle_state, write_trajectory_csv
 
     extra, periods, (dz, dphi) = STREAM_CASES[case]
@@ -650,7 +650,7 @@ def test_cli_simulate_stream_matches_in_process_writer(tmp_path, monkeypatch, ca
     rc = main(["simulate", "--config", _write(tmp_path, doc), "--periods", str(periods),
                f"--perturb={dz!r},{dphi!r}", "--out", str(out)])
     assert rc == (EXIT_RUNTIME if traj.aborted else EXIT_OK)
-    assert len(started) == (0 if traj.t.size < _SPAWN_ROWS else 1)
+    assert len(started) == 1
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv", "trajectory_meta.json"]
 
@@ -738,27 +738,39 @@ def _simulate_without_process(tmp_path, monkeypatch, periods, dz, dphi):
     return traj, rc
 
 
-def test_cli_simulate_early_closure_formats_in_process(tmp_path, monkeypatch):
-    """A run that a gap closure ends within its first block of samples
-    delivers fewer rows than the writer process is started for: simulate
-    formats them in-process into the bytes of write_trajectory_csv."""
-    from levstab.output import _SPAWN_ROWS
-
-    traj, rc = _simulate_without_process(tmp_path, monkeypatch, 25, 0.0, 5e-3)
-    assert rc == EXIT_RUNTIME
-    assert traj.aborted and traj.t.size < _SPAWN_ROWS
-
-
 def test_cli_simulate_short_plan_formats_in_process(tmp_path, monkeypatch):
-    """A run planned under _STREAM_ROWS rows starts no writer process,
-    though it delivers more than the _SPAWN_ROWS rows that start one on a
-    longer plan: 19 periods, 3,801 rows, are formatted in-process into the
-    bytes of write_trajectory_csv."""
-    from levstab.output import _SPAWN_ROWS, _STREAM_ROWS
+    """A run planned under _STREAM_ROWS rows starts no writer process:
+    19 periods, 3,801 rows, are formatted in-process into the bytes of
+    write_trajectory_csv."""
+    from levstab.output import _STREAM_ROWS
 
     traj, rc = _simulate_without_process(tmp_path, monkeypatch, 19, 1e-4, 5e-5)
     assert rc == EXIT_OK
-    assert _SPAWN_ROWS < traj.t.size == 3801 < _STREAM_ROWS
+    assert traj.t.size == 3801 < _STREAM_ROWS
+
+
+def test_cli_simulate_writer_that_cannot_start_exits_3(tmp_path, monkeypatch, capsys):
+    """A writer process that cannot start ends simulate with exit 3 on one
+    error line as the stream opens, before the integration runs; no
+    trajectory.csv and no temporary file is left behind."""
+    import errno
+
+    import levstab.cli as cli
+
+    def no_process(*args, **kwargs):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    integrated = []
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: integrated.append(args))
+    out = tmp_path / "out"
+    rc = main(["simulate", *GAINS_ARGS, "--periods", "25", "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "cannot start the CSV writer" in err and "trajectory.csv" in err
+    assert integrated == []
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1075,3 +1087,31 @@ def test_csv_stream_matches_write_csv(tmp_path):
         pass
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv", "streamed.csv", "whole.csv"]
+
+
+@pytest.mark.parametrize("short", [1, 0], ids=["short-plan", "long-plan"])
+def test_csv_stream_decides_its_writer_when_it_opens(tmp_path, monkeypatch, short):
+    """A plan of _STREAM_ROWS rows starts the writer process when the
+    stream opens, before the first block is sent; a plan of one row fewer
+    starts none.  Both give the bytes of write_csv."""
+    from levstab.output import _STREAM_ROWS, csv_stream, write_csv
+
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    rows = _STREAM_ROWS - short
+    columns = [np.arange(rows) / 7.0, np.sqrt(np.arange(rows))]
+    write_csv(tmp_path / "whole.csv", "a,b", columns)
+    with csv_stream(tmp_path / "streamed.csv", "a,b", rows) as send:
+        assert len(started) == 1 - short
+        for lo in range(0, rows, 1024):
+            send([c[lo : lo + 1024] for c in columns])
+    assert len(started) == 1 - short
+    assert all(w.returncode == 0 for w in started)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.csv", "whole.csv"]

@@ -280,7 +280,7 @@ def test_batched_step_is_sixth_order(b0, exc_quarter):
     m = {}
     for n in (25, 50, 100, 400):
         a, g = pm.table(6 * n)
-        m[n] = _propagate(a, g, kp, kd, n, pm.period)[0]
+        m[n] = _propagate(a, g, kp, kd, pm.period)[0]
     err = [np.max(np.abs(m[n] - m[400])) for n in (25, 50, 100)]
     orders = [math.log2(e0 / e1) for e0, e1 in zip(err, err[1:])]
     assert min(orders) >= 5.5, orders
@@ -306,7 +306,7 @@ def _stack_iterations(params, exc, steps: int, cells: int) -> int:
     kp, kd = np.full(cells, STABLE.Kp), np.full(cells, STABLE.Kd)
     sys.setprofile(count)
     try:
-        fl._propagate(*table, kp, kd, steps, pm.period)
+        fl._propagate(*table, kp, kd, pm.period)
     finally:
         sys.setprofile(None)
     assert len(calls) % len(fl._RK6_B) == 0
@@ -338,10 +338,10 @@ def test_segmented_pass_matches_one_segment(monkeypatch, b0, exc_quarter):
     pm = periodic_matrix(b0, exc_quarter, ControlGains(0.0, 0.0))
     for steps in (200, 400):
         table = pm.table(6 * steps)
-        segmented = fl._propagate(*table, kp, kd, steps, pm.period)
+        segmented = fl._propagate(*table, kp, kd, pm.period)
         with monkeypatch.context() as one_segment:
             one_segment.setattr(fl, "SEGMENT", steps)
-            whole = fl._propagate(*table, kp, kd, steps, pm.period)
+            whole = fl._propagate(*table, kp, kd, pm.period)
         assert not np.array_equal(segmented, whole)
         np.testing.assert_allclose(segmented, whole, rtol=0.0, atol=1e-12 * np.abs(whole).max())
         top = [np.abs(np.linalg.eigvals(m)).max(axis=1) for m in (segmented, whole)]
@@ -368,7 +368,7 @@ def test_refined_pass_independent_of_groups(monkeypatch, b0, exc_quarter):
             with monkeypatch.context() as groups:
                 if cells is not None:
                     groups.setattr(fl, "GROUP_COLUMNS", cells * segments)
-                passes[cells] = fl._propagate(*table, kp, kd, steps, pm.period)
+                passes[cells] = fl._propagate(*table, kp, kd, pm.period)
         assert passes[None].tobytes() == passes[1].tobytes()
         assert passes[5].tobytes() == passes[1].tobytes()
 
@@ -408,8 +408,8 @@ def test_sweep_captures_cell_errors(monkeypatch, b0, exc_still):
     real = fl._propagate
     calls = []
 
-    def poisoned(a, g, kp, kd, steps, period):
-        m = real(a, g, kp, kd, steps, period)
+    def poisoned(a, g, kp, kd, period):
+        m = real(a, g, kp, kd, period)
         m[(kp == 9000.0) & (kd == 2000.0)] = np.nan
         return m
 
