@@ -47,6 +47,7 @@ __all__ = [
 RT2 = math.sqrt(2.0)
 RT3 = math.sqrt(3.0)
 RT6 = math.sqrt(6.0)
+BOUNDARY_SAMPLES = 64  # samples of an ellipse's boundary
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,10 @@ class Ellipse:
     def degenerate(self) -> bool:
         return self.k1 == 0.0
 
-    def boundary_points(self, n: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sample the boundary at s_k = 2 pi k / n:
+    def boundary_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample the boundary at s_k = 2 pi k / n, n = BOUNDARY_SAMPLES:
         (Kp, Kd) = (h1 + k1 cos s, h2 + k2 sin s)."""
-        s = 2.0 * math.pi * np.arange(n) / n
+        s = 2.0 * math.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
         return s, self.h1 + self.k1 * np.cos(s), self.h2 + self.k2 * np.sin(s)
 
 

@@ -118,7 +118,7 @@ def cmd_ellipses(args) -> int:
     lines = static_boundary_lines(cfg.params)
     _write_products(
         args, cfg, out,
-        {f"ellipse_{kind}.csv": ("s,Kp,Kd", e.boundary_points(64)) for kind, e in ells.items()},
+        {f"ellipse_{kind}.csv": ("s,Kp,Kd", e.boundary_points()) for kind, e in ells.items()},
         "ellipses.json",
         {
             "static_lines": {"h0": lines.h0, "slope": lines.slope},
@@ -153,7 +153,7 @@ def cmd_map(args) -> int:
         (kind, *point)
         for kind, e in all_ellipses(cfg.params, cfg.exc).items()
         if not e.degenerate
-        for point in zip(*e.boundary_points(64))
+        for point in zip(*e.boundary_points())
     ]
     write_csv(os.path.join(out, "map_overlay.csv"), "kind,s,Kp,Kd", zip(*overlay))
     counts: dict = {}

@@ -285,7 +285,7 @@ def test_relative_size_undefined_on_vertical_line(b0):
 
 def test_ellipse_boundary_points_parameterization(b0, exc_inphase):
     e = all_ellipses(b0, exc_inphase)["a"]
-    s, kp, kd = e.boundary_points(64)
+    s, kp, kd = e.boundary_points()
     assert len(s) == 64 and s[0] == 0.0
     np.testing.assert_allclose(kp, e.h1 + e.k1 * np.cos(s), rtol=1e-15)
     np.testing.assert_allclose(kd, e.h2 + e.k2 * np.sin(s), rtol=1e-15)
@@ -296,7 +296,7 @@ def test_ellipse_boundary_points_parameterization(b0, exc_inphase):
 @pytest.mark.parametrize("kind", ["a", "b"])
 def test_hb_determinant_vanishes_on_principal_boundary(b0, exc_inphase, kind):
     e = all_ellipses(b0, exc_inphase)[kind]
-    _, kp, kd = e.boundary_points(64)
+    _, kp, kd = e.boundary_points()
     ref = abs(hb_determinant_principal(
         b0, exc_inphase, ControlGains(e.h1 + 2.0 * e.k1, e.h2), kind))
     for Kp, Kd in zip(kp, kd):
@@ -316,7 +316,7 @@ def test_hb_determinant_unexcited_collapses_to_center(b0, exc_still):
 @pytest.mark.parametrize("kind,pair", [("c", "sum"), ("d", "difference")])
 def test_hill_residual_vanishes_on_combination_boundary(b0, exc_antiphase, kind, pair):
     e = all_ellipses(b0, exc_antiphase)[kind]
-    _, kp, kd = e.boundary_points(64)
+    _, kp, kd = e.boundary_points()
     _, ref = hill_determinant_combination(
         b0, exc_antiphase, ControlGains(e.h1 + 2.0 * e.k1, e.h2), pair)
     for Kp, Kd in zip(kp, kd):
@@ -332,7 +332,7 @@ def test_hill_raw_determinant_zero_only_at_axis_points(b0, exc_antiphase):
     """The 4x4 determinant retains the relative mode phase, so on the ellipse
     it only vanishes where the phase aligns: the four axis points."""
     e = all_ellipses(b0, exc_antiphase)["c"]
-    s, kp, kd = e.boundary_points(64)
+    s, kp, kd = e.boundary_points()
     dets = np.array([
         hill_determinant_combination(b0, exc_antiphase, ControlGains(Kp, Kd), "sum")[0]
         for Kp, Kd in zip(kp, kd)
