@@ -379,11 +379,12 @@ def _batched_cells(
     blocks of BLOCK cells.
 
     Every cell of a block is propagated at STEPS and at half that, each
-    step count on a node table of its own.  A cell is accepted once its Richardson estimate
-    |max|mu|(n) - max|mu|(n/2)| / 63 is within STEP_TOL * max(1, max|mu|),
-    det M is within DET_TOL of the Liouville value exp(-R (z0 + beta) T / C),
-    and its class at n equals that at n/2; the others are run again at
-    twice the steps, up to MAX_STEPS.  A cell goes to the scalar
+    step count on a node table of its own.  A cell is accepted once its
+    Richardson estimate |max|mu|(n) - max|mu|(n/2)| / 63 is within
+    STEP_TOL * max(1, max|mu|), det M is within DET_TOL of the Liouville
+    value exp(-R (z0 + beta) T / C), and its class at n equals that at
+    n/2; the others are run again at twice the steps, up to MAX_STEPS.  A
+    cell goes to the scalar
     ``monodromy`` (DOP853) when its matrix is not finite, when it is still
     not accepted at the cap, or when its max|mu| lies within GUARD estimates
     of a class edge 1 +/- EPS (or within STEP_TOL, how closely the two
