@@ -44,7 +44,6 @@ from .boundaries import (
     Ellipse,
     h0_gain,
     static_boundary_lines,
-    combination_frequencies,
     all_ellipses,
     default_map_window,
     relative_size,
@@ -90,7 +89,6 @@ __all__ = [
     "Ellipse",
     "h0_gain",
     "static_boundary_lines",
-    "combination_frequencies",
     "all_ellipses",
     "default_map_window",
     "relative_size",

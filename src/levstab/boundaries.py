@@ -34,7 +34,6 @@ __all__ = [
     "ResonanceChart",
     "h0_gain",
     "static_boundary_lines",
-    "combination_frequencies",
     "all_ellipses",
     "default_map_window",
     "relative_size",
@@ -71,6 +70,16 @@ class Ellipse:
     def degenerate(self) -> bool:
         return self.k1 == 0.0
 
+    @property
+    def family(self) -> str:
+        """'principal' (kinds a, b) or 'combination' (c, d)."""
+        return _RESONANCES[self.kind].family
+
+    @property
+    def open_theta(self) -> float:
+        """The phase that opens this kind's tongue widest: 1 + sign cos theta = 2."""
+        return 0.0 if _RESONANCES[self.kind].sign > 0.0 else math.pi
+
     def boundary_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample the boundary at s_k = 2 pi k / n, n = BOUNDARY_SAMPLES:
         (Kp, Kd) = (h1 + k1 cos s, h2 + k2 sin s)."""
@@ -101,20 +110,6 @@ def static_boundary_lines(params: PhysicalParams) -> BoundaryLines:
     return BoundaryLines(h0=h0_gain(params), slope=params.R * params.z0 / (2.0 * params.C))
 
 
-def combination_frequencies(Omega: float) -> dict[str, tuple[float, float]]:
-    """Natural-frequency pairs (omega1, omega2 = sqrt(3) omega1) that combine
-    to the excitation frequency: the 'sum' pair has omega1 + omega2 = Omega,
-    the 'difference' pair omega2 - omega1 = Omega."""
-    if Omega <= 0:
-        raise ValueError("Omega must be positive")
-    w1s = math.sqrt((2.0 - RT3) / 2.0) * Omega
-    w1d = math.sqrt((2.0 + RT3) / 2.0) * Omega
-    return {
-        "sum": (w1s, RT3 * w1s),
-        "difference": (w1d, RT3 * w1d),
-    }
-
-
 class _Resonance(NamedTuple):
     """Constants of one resonance ellipse.
 
@@ -137,6 +132,14 @@ class _Resonance(NamedTuple):
     K: float
     sign: float
     f: float
+
+    @property
+    def family(self) -> str:
+        return "principal" if self.sign > 0.0 else "combination"
+
+    def omega1(self, Omega: float) -> float:
+        """omega1 at the center: Omega sqrt(n/den)."""
+        return Omega * math.sqrt(self.n / self.den)
 
 
 _RESONANCES = {
@@ -209,6 +212,14 @@ def relative_size(e: Ellipse, params: PhysicalParams) -> RelativeSize:
     return RelativeSize(geometric=e.k1 / width, printed=printed)
 
 
+def _resonance(kind: str, family: str) -> _Resonance:
+    """The table row of ``kind``, which must belong to ``family``."""
+    kinds = [k for k, r in _RESONANCES.items() if r.family == family]
+    if kind not in kinds:
+        raise ValueError(f"kind must be {' or '.join(map(repr, kinds))}, got {kind!r}")
+    return _RESONANCES[kind]
+
+
 def hb_determinant_principal(
     params: PhysicalParams,
     exc: ExcitationParams,
@@ -227,8 +238,7 @@ def hb_determinant_principal(
     (b), with the same sign and zero set.  I keeps J symbolic, so the zero
     set matches the closed-form ellipse only for the uniform-bar inertia.
     """
-    if kind not in ("a", "b"):
-        raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")
+    _resonance(kind, "principal")
     p = params
     inertia = p.J / p.L**2 if kind == "a" else p.m / 4.0
     w = exc.Omega / 2.0
@@ -248,9 +258,9 @@ def hill_determinant_combination(
     params: PhysicalParams,
     exc: ExcitationParams,
     gains,
-    pair: str,
+    kind: str,
 ) -> tuple[float, float]:
-    """Truncated Hill determinant for a combination resonance.
+    """Truncated Hill determinant for combination resonance kind 'c' or 'd'.
 
     Returns (det, residual): ``det`` is the determinant of the 4x4
     first-harmonic coefficient matrix in the amplitudes (a0, a1, b0, b1);
@@ -260,11 +270,8 @@ def hill_determinant_combination(
     vanishes on the ellipse only where the mode phases align (the axis
     points); the reduction removes that phase freedom.
     """
+    w1 = _resonance(kind, "combination").omega1(exc.Omega)
     p = params
-    freqs = combination_frequencies(exc.Omega)
-    if pair not in freqs:
-        raise ValueError(f"pair must be 'sum' or 'difference', got {pair!r}")
-    w1 = freqs[pair][0]
     rcgm = math.sqrt(p.C * p.g * p.m)
     P = exc.A * math.cos(exc.theta)
     Q = exc.A * math.sin(exc.theta)
@@ -288,7 +295,6 @@ def hill_determinant_combination(
     return float(np.linalg.det(H)), residual
 
 
-_CURVES = ("omega1", "omega2", "sum", "difference")
 CHART_SAMPLES = 400  # Kd samples of a resonance chart
 
 
@@ -304,6 +310,7 @@ class ResonanceChart:
     """
 
     Omega: float
+    Kd_range: tuple[float, float]
     Kd: np.ndarray
     omega1: np.ndarray
     omega2: np.ndarray
@@ -315,30 +322,35 @@ class ResonanceChart:
 def resonance_chart(
     params: PhysicalParams,
     Omega: float,
-    Kd_range: tuple[float, float],
+    Kd_range: tuple[float, float] | None = None,
 ) -> ResonanceChart:
     """Sample omega1, omega2, their sum and difference at CHART_SAMPLES
     points of a Kd range and solve each curve against the levels Omega and
     Omega/2 in closed form.
 
-    An empty range (lo >= hi) yields a chart with no samples; the
-    intersection records are still computed, all flagged out of range.  A
-    range whose width hi - lo overflows raises ``ValueError``.
+    The default range, 0 to 1.3 times tongue d's Kd, covers all four
+    observed intersections; the chart records the range it used.  An empty
+    range (lo >= hi) yields a chart with no samples; the intersection
+    records are still computed, all flagged out of range.  A range whose
+    width hi - lo overflows raises ``ValueError``.
     """
+    scale = math.sqrt(2.0 * params.g / (params.m * params.C))  # omega1^2 per Kd
+    # each curve as a multiple of omega1
+    factors = {"omega1": 1.0, "omega2": RT3, "sum": 1.0 + RT3, "difference": RT3 - 1.0}
+    if Kd_range is None:
+        Kd_range = (0.0, 1.3 * (Omega / factors["difference"]) ** 2 / scale)
     if not math.isfinite(Kd_range[1] - Kd_range[0]):
         raise ValueError(f"the Kd range {Kd_range[0]!r},{Kd_range[1]!r} is wider than a float can hold")
     if Kd_range[0] >= Kd_range[1]:
         kd = np.empty(0)
     else:
         kd = np.linspace(Kd_range[0], Kd_range[1], CHART_SAMPLES)
-    scale = math.sqrt(2.0 * params.g / (params.m * params.C))  # omega1^2 per Kd
     w1 = np.sqrt(np.maximum(kd, 0.0) * scale)
-    factors = {"omega1": 1.0, "omega2": RT3, "sum": 1.0 + RT3, "difference": RT3 - 1.0}
     kinds = {(r.curve, r.level): kind for kind, r in _RESONANCES.items()}
     inter = []
-    for curve in _CURVES:
+    for curve, factor in factors.items():
         for label, level in (("Omega", Omega), ("Omega/2", Omega / 2.0)):
-            kd_star = (level / factors[curve]) ** 2 / scale
+            kd_star = (level / factor) ** 2 / scale
             inter.append(
                 {
                     "curve": curve,
@@ -351,12 +363,10 @@ def resonance_chart(
             )
     return ResonanceChart(
         Omega=Omega,
+        Kd_range=Kd_range,
         Kd=kd,
-        omega1=w1,
-        omega2=RT3 * w1,
-        sum=(1.0 + RT3) * w1,
-        difference=(RT3 - 1.0) * w1,
         intersections=tuple(inter),
+        **{curve: factor * w1 for curve, factor in factors.items()},
     )
 
 

@@ -225,11 +225,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_resonance_chart(args) -> int:
     cfg = _load(args)
-    kd_range = _parse_pair(args.kd_range, "--kd") if args.kd_range else (0.0, None)
-    if kd_range[1] is None:
-        # default range covers all observed intersections with margin
-        scale = math.sqrt(2.0 * cfg.params.g / (cfg.params.m * cfg.params.C))
-        kd_range = (0.0, 1.3 * (cfg.exc.Omega / (math.sqrt(3.0) - 1.0)) ** 2 / scale)
+    kd_range = _parse_pair(args.kd_range, "--kd") if args.kd_range else None
     chart = resonance_chart(cfg.params, cfg.exc.Omega, kd_range)
     out = _outdir(args)
     fields = ("Kd", "omega1", "omega2", "sum", "difference")
@@ -237,7 +233,7 @@ def cmd_resonance_chart(args) -> int:
         args, cfg, out,
         {"resonance_chart.csv": (",".join(fields), [getattr(chart, f) for f in fields])},
         "resonance_chart.json",
-        {"Omega": chart.Omega, "Kd_range": list(kd_range), "intersections": list(chart.intersections)},
+        {"Omega": chart.Omega, "Kd_range": list(chart.Kd_range), "intersections": list(chart.intersections)},
     )
     for rec in chart.intersections:
         if rec["observed"]:

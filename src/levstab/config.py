@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .model import (
     ControlGains,
@@ -23,10 +23,11 @@ class ConfigError(ValueError):
     """Configuration file is malformed or inconsistent."""
 
 
-_PHYSICAL_KEYS = {"m", "C", "R", "g", "z0", "L", "J"}
-_PHYSICAL_REQUIRED = {"m", "C", "R", "z0"}
-_EXC_KEYS = {"A", "Omega", "theta", "v", "d"}
-_GAIN_KEYS = {"Kp", "Kd"}
+_PHYSICAL_KEYS = {f.name for f in fields(PhysicalParams)}
+_PHYSICAL_REQUIRED = {f.name for f in fields(PhysicalParams) if f.default is MISSING}
+_EXC_KEYS = {f.name for f in fields(ExcitationParams)}
+_GAIN_KEYS = {f.name for f in fields(ControlGains)}
+# gamma is derived from beta, not configured
 _HYBRID_KEYS = {"beta"}
 _TOP_KEYS = {"physical", "excitation", "gains", "hybrid"}
 
@@ -150,23 +151,13 @@ def dump_config(cfg: RunConfig) -> dict:
 
     Kinematic inputs are preserved when the excitation was built from them.
     """
-    doc: dict = {
-        "physical": {
-            "m": cfg.params.m,
-            "C": cfg.params.C,
-            "R": cfg.params.R,
-            "g": cfg.params.g,
-            "z0": cfg.params.z0,
-            "L": cfg.params.L,
-            "J": cfg.params.J,
-        }
-    }
+    doc: dict = {"physical": asdict(cfg.params)}
     if cfg.exc.v is not None and cfg.exc.d is not None:
         doc["excitation"] = {"A": cfg.exc.A, "v": cfg.exc.v, "d": cfg.exc.d}
     else:
         doc["excitation"] = {"A": cfg.exc.A, "Omega": cfg.exc.Omega, "theta": cfg.exc.theta}
     if cfg.gains is not None:
-        doc["gains"] = {"Kp": cfg.gains.Kp, "Kd": cfg.gains.Kd}
+        doc["gains"] = asdict(cfg.gains)
     if cfg.hybrid is not None:
         doc["hybrid"] = {"beta": cfg.hybrid.beta}
     return doc

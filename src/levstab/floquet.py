@@ -31,6 +31,7 @@ __all__ = [
     "sweep",
     "boundary_crossings",
     "signature_moduli",
+    "is_real",
     "resolve_workers",
     "write_map_csv",
     "write_map_metadata",
@@ -200,8 +201,13 @@ def _classes(mu: np.ndarray) -> np.ndarray:
     moduli = np.abs(mu)
     top = moduli.max(axis=1)
     dom = np.take_along_axis(mu, moduli.argmax(axis=1)[:, None], axis=1)[:, 0]
-    real = np.abs(dom.imag) <= REAL_TOL * np.maximum(1.0, top)
+    real = is_real(dom)
     return _CLASSES[np.select([top < 1.0 - EPS, top <= 1.0 + EPS, real & (dom.real > 0.0)], [0, 1, 2], 3)]
+
+
+def is_real(mu):
+    """Whether each multiplier is real: |Im mu| <= REAL_TOL max(1, |mu|)."""
+    return np.abs(mu.imag) <= REAL_TOL * np.maximum(1.0, np.abs(mu))
 
 
 def signature_moduli(multipliers: np.ndarray, family: str) -> np.ndarray:
@@ -211,11 +217,10 @@ def signature_moduli(multipliers: np.ndarray, family: str) -> np.ndarray:
     family 'combination': one representative per complex-conjugate pair.
     """
     mu = np.asarray(multipliers)
-    scale = np.maximum(1.0, np.abs(mu))
     if family == "principal":
-        sel = (np.abs(mu.imag) <= REAL_TOL * scale) & (mu.real < 0.0)
+        sel = is_real(mu) & (mu.real < 0.0)
     elif family == "combination":
-        sel = mu.imag > REAL_TOL * scale
+        sel = ~is_real(mu) & (mu.imag > 0.0)
     else:
         raise ValueError(f"family must be 'principal' or 'combination', got {family!r}")
     return np.sort(np.abs(mu[sel]))[::-1]

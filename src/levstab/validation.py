@@ -19,9 +19,9 @@ import numpy as np
 from . import boundaries
 from .floquet import (
     BISECT_TOL,
-    REAL_TOL,
     boundary_crossings,
     classify,
+    is_real,
     monodromy,
     signature_moduli,
     sweep,
@@ -140,10 +140,8 @@ def tongue_edges(
     So min(s0 - 1, 1 - s1) is positive exactly inside the tongue, and one
     scan finds both edges, as its first and last crossings.
     """
-    family = "principal" if ell.kind in ("a", "b") else "combination"
-
     def inside(mu) -> float:
-        s0, s1 = np.concatenate([signature_moduli(mu, family), [0.0, 0.0]])[:2]
+        s0, s1 = np.concatenate([signature_moduli(mu, ell.family), [0.0, 0.0]])[:2]
         return float(min(s0 - 1.0, 1.0 - s1))
 
     half = SCAN_HALF_WIDTH * ell.k1
@@ -337,14 +335,11 @@ def _c6_degeneracy(params, exc):
 
 def _c7_floquet_vs_analytic(params, exc):
     t0 = time.perf_counter()
-    plan = [(0.0, "ab"), (math.pi / 2.0, "abcd"), (math.pi, "cd")]
     scans = []
-    for theta, kinds in plan:
+    for theta in (0.0, math.pi / 2.0, math.pi):
         exc_t = ExcitationParams(A=exc.A, Omega=exc.Omega, theta=theta)
-        ells = boundaries.all_ellipses(params, exc_t)
-        for kind in kinds:
-            ell = ells[kind]
-            if ell.degenerate:
+        for kind, ell in boundaries.all_ellipses(params, exc_t).items():
+            if ell.degenerate:  # closed at its family's phase
                 continue
             left, right = tongue_edges(params, exc_t, ell)
             scans.append(
@@ -490,21 +485,21 @@ def _c12_printed_factor(params, exc):
 def _c13_multiplier_signatures(params, exc):
     measured = {}
     ok = True
-    for kind in "abcd":
-        principal = kind in ("a", "b")
-        theta = exc.theta
-        ell = boundaries.all_ellipses(params, ExcitationParams(exc.A, exc.Omega, theta))[kind]
-        if ell.degenerate:
-            theta = 0.0 if principal else math.pi
-            ell = boundaries.all_ellipses(params, ExcitationParams(exc.A, exc.Omega, theta))[kind]
+    # the ellipses at each phase used; a tongue closed at exc.theta is
+    # measured at its family's open phase
+    at = {exc.theta: boundaries.all_ellipses(params, exc)}
+    for kind, ell in at[exc.theta].items():
+        theta = ell.open_theta if ell.degenerate else exc.theta
+        if theta not in at:
+            at[theta] = boundaries.all_ellipses(params, ExcitationParams(exc.A, exc.Omega, theta))
+        ell = at[theta][kind]
         res = monodromy(params, ExcitationParams(exc.A, exc.Omega, theta), ControlGains(ell.h1, ell.h2))
         dom = res.dominant
         measured[f"dominant_{kind}"] = {"re": dom.real, "im": dom.imag, "abs": abs(dom)}
-        is_real = abs(dom.imag) <= REAL_TOL * max(1.0, abs(dom))
-        if principal:
-            ok = ok and is_real and dom.real < 0.0 and abs(dom) > 1.0
+        if ell.family == "principal":
+            ok = ok and is_real(dom) and dom.real < 0.0 and abs(dom) > 1.0
         else:
-            ok = ok and not is_real and abs(dom) > 1.0
+            ok = ok and not is_real(dom) and abs(dom) > 1.0
     return (
         ok,
         measured,

@@ -13,7 +13,6 @@ from levstab import (
     ExcitationParams,
     PhysicalParams,
     all_ellipses,
-    combination_frequencies,
     h0_gain,
     hb_determinant_principal,
     hill_determinant_combination,
@@ -23,6 +22,7 @@ from levstab import (
     static_boundary_lines,
     unexcited_spectrum,
 )
+from levstab.boundaries import _RESONANCES
 from levstab.cli import EXIT_OK, main
 
 
@@ -225,15 +225,27 @@ def test_phase_scaling_of_axes(b0):
 
 
 def test_combination_frequencies_closure():
-    freqs = combination_frequencies(80.0)
-    w1s, w2s = freqs["sum"]
-    assert (w1s, w2s) == pytest.approx((29.282, 50.718), rel=1e-4)
-    assert w1s + w2s == pytest.approx(80.0, rel=1e-12)
-    w1d, w2d = freqs["difference"]
-    assert (w1d, w2d) == pytest.approx((109.282, 189.282), rel=1e-4)
-    assert w2d - w1d == pytest.approx(80.0, rel=1e-12)
-    assert w2s / w1s == pytest.approx(RT3, rel=1e-12)
-    assert w2d / w1d == pytest.approx(RT3, rel=1e-12)
+    """The table's omega1 of tongue c closes omega1 + omega2 = Omega, and
+    tongue d's omega2 - omega1 = Omega, with omega2 = sqrt(3) omega1."""
+    w1c = _RESONANCES["c"].omega1(80.0)
+    assert w1c == pytest.approx(29.282, rel=1e-4)
+    assert w1c + RT3 * w1c == pytest.approx(80.0, rel=1e-12)
+    w1d = _RESONANCES["d"].omega1(80.0)
+    assert w1d == pytest.approx(109.282, rel=1e-4)
+    assert RT3 * w1d - w1d == pytest.approx(80.0, rel=1e-12)
+    # the principal tongues respond at Omega/2: omega2 for a, omega1 for b
+    assert RT3 * _RESONANCES["a"].omega1(80.0) == pytest.approx(40.0, rel=1e-12)
+    assert _RESONANCES["b"].omega1(80.0) == 40.0
+
+
+def test_ellipse_family_from_table(b0, exc_quarter):
+    ells = all_ellipses(b0, exc_quarter)
+    assert {kind: e.family for kind, e in ells.items()} == {
+        "a": "principal", "b": "principal", "c": "combination", "d": "combination",
+    }
+    assert {kind: e.open_theta for kind, e in ells.items()} == {
+        "a": 0.0, "b": 0.0, "c": math.pi, "d": math.pi,
+    }
 
 
 def test_relative_size_factor_two(b0):
@@ -313,18 +325,18 @@ def test_hb_determinant_unexcited_collapses_to_center(b0, exc_still):
     assert abs(det) < 1e-12 * abs(off)
 
 
-@pytest.mark.parametrize("kind,pair", [("c", "sum"), ("d", "difference")])
-def test_hill_residual_vanishes_on_combination_boundary(b0, exc_antiphase, kind, pair):
+@pytest.mark.parametrize("kind", ["c", "d"])
+def test_hill_residual_vanishes_on_combination_boundary(b0, exc_antiphase, kind):
     e = all_ellipses(b0, exc_antiphase)[kind]
     _, kp, kd = e.boundary_points()
     _, ref = hill_determinant_combination(
-        b0, exc_antiphase, ControlGains(e.h1 + 2.0 * e.k1, e.h2), pair)
+        b0, exc_antiphase, ControlGains(e.h1 + 2.0 * e.k1, e.h2), kind)
     for Kp, Kd in zip(kp, kd):
         _, res = hill_determinant_combination(
-            b0, exc_antiphase, ControlGains(Kp, Kd), pair)
+            b0, exc_antiphase, ControlGains(Kp, Kd), kind)
         assert abs(res) < 1e-6 * abs(ref)
     _, center = hill_determinant_combination(
-        b0, exc_antiphase, ControlGains(e.h1, e.h2), pair)
+        b0, exc_antiphase, ControlGains(e.h1, e.h2), kind)
     assert center < 0.0
 
 
@@ -334,7 +346,7 @@ def test_hill_raw_determinant_zero_only_at_axis_points(b0, exc_antiphase):
     e = all_ellipses(b0, exc_antiphase)["c"]
     s, kp, kd = e.boundary_points()
     dets = np.array([
-        hill_determinant_combination(b0, exc_antiphase, ControlGains(Kp, Kd), "sum")[0]
+        hill_determinant_combination(b0, exc_antiphase, ControlGains(Kp, Kd), "c")[0]
         for Kp, Kd in zip(kp, kd)
     ])
     small = np.abs(dets) < 1e-6 * np.max(np.abs(dets))
@@ -345,16 +357,21 @@ def test_hill_phase_independence_at_theta_zero(b0, exc_inphase, exc_still):
     """In-phase excitation cancels the combination forcing: the residual
     loses its amplitude dependence entirely."""
     g = ControlGains(Kp=12000.0, Kd=3800.0)
-    _, r_inphase = hill_determinant_combination(b0, exc_inphase, g, "sum")
-    _, r_still = hill_determinant_combination(b0, exc_still, g, "sum")
+    _, r_inphase = hill_determinant_combination(b0, exc_inphase, g, "c")
+    _, r_still = hill_determinant_combination(b0, exc_still, g, "c")
     assert r_inphase == r_still
 
 
 def test_invalid_kind_and_pair_rejected(b0, exc_quarter):
-    with pytest.raises(ValueError):
-        hb_determinant_principal(b0, exc_quarter, ControlGains(1.0, 1.0), "c")
-    with pytest.raises(ValueError):
-        hill_determinant_combination(b0, exc_quarter, ControlGains(1.0, 1.0), "a")
+    """Each determinant takes the kinds of its own family only; the pair
+    names 'sum' and 'difference' are no kinds."""
+    g = ControlGains(1.0, 1.0)
+    for kind in ("c", "d", "sum", "x"):
+        with pytest.raises(ValueError, match=r"^kind must be 'a' or 'b', got "):
+            hb_determinant_principal(b0, exc_quarter, g, kind)
+    for kind in ("a", "b", "sum", "difference"):
+        with pytest.raises(ValueError, match=r"^kind must be 'c' or 'd', got "):
+            hill_determinant_combination(b0, exc_quarter, g, kind)
 
 
 def test_resonance_chart_intersections(b0):
@@ -377,6 +394,23 @@ def test_resonance_chart_quadratic_frequency_scaling(b0):
     doubled = resonance_chart(b0, 160.0, (0.0, 1e6))
     for rec_b, rec_d in zip(base.intersections, doubled.intersections):
         assert rec_d["Kd"] == pytest.approx(4.0 * rec_b["Kd"], rel=1e-12)
+
+
+@pytest.mark.parametrize("Omega", [80.0, 120.0])
+def test_resonance_chart_default_range(b0, Omega):
+    """Without a range the chart samples 0 to 1.3 times tongue d's gain,
+    computed as 1.3 x**2 / scale (at Omega = 120 that differs from
+    1.3 (x**2 / scale) in the last bit), and records that range."""
+    chart = resonance_chart(b0, Omega)
+    scale = math.sqrt(2.0 * b0.g / (b0.m * b0.C))
+    hi = 1.3 * (Omega / (RT3 - 1.0)) ** 2 / scale
+    assert chart.Kd_range == (0.0, hi)
+    assert chart.Kd[0] == 0.0 and chart.Kd[-1] == hi and chart.Kd.size == 400
+    d = next(rec for rec in chart.intersections if rec["kind"] == "d")
+    assert (d["curve"], d["level"]) == ("difference", "Omega")
+    assert hi == pytest.approx(1.3 * d["Kd"], rel=1e-15)
+    assert all(rec["in_range"] for rec in chart.intersections if rec["observed"])
+    assert resonance_chart(b0, Omega, (0.0, 1e5)).Kd_range == (0.0, 1e5)
 
 
 def test_resonance_chart_empty_range(b0):

@@ -971,6 +971,53 @@ def test_fault_injection_factor_two_fails_tongue_criterion(monkeypatch, b0, exc_
     assert measured["max_center_err"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_criterion_7_scans_the_open_tongues_at_each_phase(monkeypatch, b0, exc_quarter):
+    """Criterion 7 scans every tongue that is open at theta = 0, pi/2 and
+    pi: the principal ones at 0, all four at pi/2, the combination ones at
+    pi."""
+    from levstab import validation
+
+    calls = []
+
+    def record(params, exc, ell):
+        calls.append((exc.theta, ell.kind))
+        return ell.h1 - ell.k1, ell.h1 + ell.k1
+
+    monkeypatch.setattr(validation, "tongue_edges", record)
+    ok, measured, _ = validation._c7_floquet_vs_analytic(b0, exc_quarter)
+    assert ok
+    half = math.pi / 2.0
+    assert calls == [
+        (0.0, "a"), (0.0, "b"),
+        (half, "a"), (half, "b"), (half, "c"), (half, "d"),
+        (math.pi, "c"), (math.pi, "d"),
+    ]
+    assert [(s["theta"], s["kind"]) for s in measured["scans"]] == calls
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi])
+def test_criterion_13_measures_closed_tongues_at_their_open_phase(monkeypatch, b0, theta):
+    """At theta = 0 the combination tongues are closed and criterion 13
+    measures them at pi; at pi it measures the principal ones at 0.  It
+    evaluates the ellipses once per phase."""
+    from levstab import ExcitationParams, boundaries, validation
+
+    phases, measured_at = [], []
+    all_ellipses, monodromy = boundaries.all_ellipses, validation.monodromy
+    monkeypatch.setattr(
+        boundaries, "all_ellipses", lambda p, e: phases.append(e.theta) or all_ellipses(p, e)
+    )
+    monkeypatch.setattr(
+        validation, "monodromy", lambda p, e, g: measured_at.append(e.theta) or monodromy(p, e, g)
+    )
+    exc = ExcitationParams(A=0.005, Omega=80.0, theta=theta)
+    ok, measured, _ = validation._c13_multiplier_signatures(b0, exc)
+    assert ok
+    assert phases == [theta, math.pi - theta]
+    assert measured_at == [0.0, 0.0, math.pi, math.pi]
+    assert sorted(measured) == ["dominant_a", "dominant_b", "dominant_c", "dominant_d"]
+
+
 def test_cli_bad_config_exit(tmp_path):
     doc = {**B0_DOC, "excitation": {"A": 0.005, "Omega": 80.0, "v": 1.0, "d": 1.0}}
     cfgp = _write(tmp_path, doc)

@@ -4,8 +4,9 @@
 
 Extracts ``src/`` at REV with ``git archive`` into a temporary directory and
 runs the same matrix of ``levstab`` commands against both source trees:
-``ellipses``, ``resonance-chart``, ``steady-state``, ``map`` (default window,
-``--theta 0``, and tongue d's window of the baseline, ``--kp h1-3k1,h1+3k1
+``ellipses``, ``resonance-chart`` (default range and ``--kd=0,1e5``),
+``steady-state``, ``map`` (default window, ``--theta 0``, and tongue d's
+window of the baseline, ``--kp h1-3k1,h1+3k1
 --kd h2-5k2,h2+5k2``, where the engine refines every cell), ``simulate
 --periods 10``, ``simulate --periods 19 --perturb 1e-4,5e-5``, ``simulate
 --periods 100 --perturb 1e-4,5e-5``, ``simulate --periods 100 --perturb
@@ -79,6 +80,7 @@ CONFIGS = {
 COMMANDS = {
     "ellipses": ["ellipses"],
     "resonance-chart": ["resonance-chart"],
+    "resonance-chart-kd": ["resonance-chart", "--kd=0,1e5"],
     "steady-state": ["steady-state"],
     "map": ["map"],
     "map-theta0": ["map", "--theta", "0"],
