@@ -5,6 +5,10 @@ Subcommands map one-to-one onto the library layers: ``ellipses`` and
 Floquet sweep, ``simulate`` and ``steady-state`` exercise the nonlinear
 plant, and ``validate`` runs the full cross-validation battery.
 
+Importing this module runs only the standard library.  The command
+modules are registered lazily and run on first use, so each command loads
+only the modules it reaches, numpy included.
+
 Exit codes: 0 success, 1 validation failure, 2 bad input, 3 runtime or
 numerical failure, including running out of memory and a product that
 cannot be written.
@@ -13,34 +17,42 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import os
 import sys
-from dataclasses import replace
-
-import numpy as np
 
 from . import __version__
-from .boundaries import (
-    all_ellipses,
-    default_map_window,
-    ellipse_to_dict,
-    resonance_chart,
-    static_boundary_lines,
-)
-from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
-from .floquet import sweep, write_map_csv, write_map_metadata
-from .model import ControlGains, validate
-from .output import csv_stream, write_csv, write_json
-from .plant import (
-    TRAJECTORY_CSV_HEADER,
-    integrate,
-    output_grid,
-    require_open_gaps,
-    steady_state,
-    steady_vehicle_state,
-)
-from .validation import run_battery
+
+
+def _lazy(name: str):
+    """The submodule ``levstab.<name>``, registered in ``sys.modules`` and
+    bound on the package without running it: it runs on its first
+    attribute access (``importlib.util.LazyLoader``).  A submodule already
+    in ``sys.modules`` is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# linearized is not used here; it is registered so that every traced module
+# is in sys.modules after ``import levstab.cli`` (benchmarks/spans.py looks
+# them up there).
+boundaries = _lazy("boundaries")
+config = _lazy("config")
+floquet = _lazy("floquet")
+linearized = _lazy("linearized")
+model = _lazy("model")
+output = _lazy("output")
+plant = _lazy("plant")
+validation = _lazy("validation")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,24 +71,26 @@ def _parse_pair(text: str, flag: str, kind=float) -> tuple:
     (``float`` or ``int``)."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"{flag} expects two comma-separated values, got {text!r}")
+        raise config.ConfigError(f"{flag} expects two comma-separated values, got {text!r}")
     try:
         lo, hi = kind(parts[0]), kind(parts[1])
     except ValueError as err:
-        raise ConfigError(f"{flag} expects {kind.__name__} values, got {text!r}") from err
+        raise config.ConfigError(f"{flag} expects {kind.__name__} values, got {text!r}") from err
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"{flag} expects finite numbers, got {text!r}")
+        raise config.ConfigError(f"{flag} expects finite numbers, got {text!r}")
     return lo, hi
 
 
-def _load(args) -> RunConfig:
+def _load(args) -> config.RunConfig:
     if args.config is not None:
-        cfg = load_config(args.config)
+        cfg = config.load_config(args.config)
     else:
-        cfg = parse_config(DEFAULT_CONFIG)
+        cfg = config.parse_config(DEFAULT_CONFIG)
     if getattr(args, "theta", None) is not None:
+        from dataclasses import replace
+
         exc = replace(cfg.exc, theta=args.theta, v=None, d=None)
-        validate(cfg.params, exc)
+        model.validate(cfg.params, exc)
         cfg = replace(cfg, exc=exc)
     return cfg
 
@@ -86,19 +100,19 @@ def _outdir(args) -> str:
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as err:
-        raise ConfigError(f"--out {out} is not a usable directory: {err.strerror or err}") from err
+        raise config.ConfigError(f"--out {out} is not a usable directory: {err.strerror or err}") from err
     return out
 
 
-def _gains_from(args, cfg: RunConfig) -> ControlGains:
+def _gains_from(args, cfg: config.RunConfig) -> model.ControlGains:
     kp = args.kp if args.kp is not None else (cfg.gains.Kp if cfg.gains else None)
     kd = args.kd if args.kd is not None else (cfg.gains.Kd if cfg.gains else None)
     if kp is None or kd is None:
-        raise ConfigError("gains required: set them in the config or pass --kp and --kd")
-    return ControlGains(Kp=float(kp), Kd=float(kd))
+        raise config.ConfigError("gains required: set them in the config or pass --kp and --kd")
+    return model.ControlGains(Kp=float(kp), Kd=float(kd))
 
 
-def _write_products(args, cfg: RunConfig, out: str, tables: dict, name: str, doc: dict) -> None:
+def _write_products(args, cfg: config.RunConfig, out: str, tables: dict, name: str, doc: dict) -> None:
     """Write the CSV tables ``{file: (header, columns)}`` and the JSON
     document ``doc``, with the run's ``config`` and the package ``version``
     added, as ``name`` into ``out``; a command's ``--format`` keeps one of
@@ -106,23 +120,24 @@ def _write_products(args, cfg: RunConfig, out: str, tables: dict, name: str, doc
     fmt = getattr(args, "format", None)
     if fmt != "json":
         for file, (header, columns) in tables.items():
-            write_csv(os.path.join(out, file), header, columns)
+            output.write_csv(os.path.join(out, file), header, columns)
     if fmt != "csv":
-        write_json(os.path.join(out, name), {**doc, "config": dump_config(cfg), "version": __version__})
+        doc = {**doc, "config": config.dump_config(cfg), "version": __version__}
+        output.write_json(os.path.join(out, name), doc)
 
 
 def cmd_ellipses(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    ells = all_ellipses(cfg.params, cfg.exc)
-    lines = static_boundary_lines(cfg.params)
+    ells = boundaries.all_ellipses(cfg.params, cfg.exc)
+    lines = boundaries.static_boundary_lines(cfg.params)
     _write_products(
         args, cfg, out,
         {f"ellipse_{kind}.csv": ("s,Kp,Kd", e.boundary_points()) for kind, e in ells.items()},
         "ellipses.json",
         {
             "static_lines": {"h0": lines.h0, "slope": lines.slope},
-            "ellipses": [ellipse_to_dict(e, cfg.params) for e in ells.values()],
+            "ellipses": [boundaries.ellipse_to_dict(e, cfg.params) for e in ells.values()],
         },
     )
     for e in ells.values():
@@ -141,21 +156,21 @@ def cmd_map(args) -> int:
         kp_range = _parse_pair(args.kp_range, "--kp")
         kd_range = _parse_pair(args.kd_range, "--kd")
     elif args.kp_range or args.kd_range:
-        raise ConfigError("map needs both --kp lo,hi and --kd lo,hi (or neither)")
+        raise config.ConfigError("map needs both --kp lo,hi and --kd lo,hi (or neither)")
     else:
-        kp_range, kd_range = default_map_window(cfg.params, cfg.exc)
-    smap = sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid)
+        kp_range, kd_range = boundaries.default_map_window(cfg.params, cfg.exc)
+    smap = floquet.sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid)
     out = _outdir(args)
-    write_map_csv(smap, os.path.join(out, "map.csv"))
+    floquet.write_map_csv(smap, os.path.join(out, "map.csv"))
     meta_path = os.path.join(out, "map_meta.json")
-    write_map_metadata(smap, meta_path, cfg.exc, __version__, dump_config(cfg))
+    floquet.write_map_metadata(smap, meta_path, cfg.exc, __version__, config.dump_config(cfg))
     overlay = [
         (kind, *point)
-        for kind, e in all_ellipses(cfg.params, cfg.exc).items()
+        for kind, e in boundaries.all_ellipses(cfg.params, cfg.exc).items()
         if not e.degenerate
         for point in zip(*e.boundary_points())
     ]
-    write_csv(os.path.join(out, "map_overlay.csv"), "kind,s,Kp,Kd", zip(*overlay))
+    output.write_csv(os.path.join(out, "map_overlay.csv"), "kind,s,Kp,Kd", zip(*overlay))
     counts: dict = {}
     for row in smap.classes:
         for cls in row:
@@ -170,7 +185,7 @@ def cmd_map(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    report = run_battery(cfg.params, cfg.exc)
+    report = validation.run_battery(cfg.params, cfg.exc)
     _write_products(args, cfg, out, {}, "validation.json", report.to_json())
     for c in report.criteria:
         line = f"criterion {c.index:2d} {c.name}: {c.status.upper()}"
@@ -185,21 +200,23 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import replace
+
     cfg = _load(args)
     gains = _gains_from(args, cfg)
     if not 0.0 < args.periods < math.inf:
-        raise ConfigError(f"--periods must be a finite number > 0, got {args.periods!r}")
+        raise config.ConfigError(f"--periods must be a finite number > 0, got {args.periods!r}")
     dz, dphi = _parse_pair(args.perturb, "--perturb") if args.perturb else (0.0, 0.0)
     mode = "hybrid" if cfg.hybrid is not None else "standard"
-    start = steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
+    start = plant.steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
     start = replace(start, z=start.z + dz, phi=start.phi + dphi)
-    require_open_gaps(start, 0.0, cfg.params, cfg.exc)
+    plant.require_open_gaps(start, 0.0, cfg.params, cfg.exc)
     out = _outdir(args)
     t_span = (0.0, args.periods * cfg.exc.period)
-    t_eval = output_grid(t_span, cfg.exc)
+    t_eval = plant.output_grid(t_span, cfg.exc)
     path = os.path.join(out, "trajectory.csv")
-    with csv_stream(path, TRAJECTORY_CSV_HEADER, t_eval.size) as sink:
-        traj = integrate(
+    with output.csv_stream(path, plant.TRAJECTORY_CSV_HEADER, t_eval.size) as sink:
+        traj = plant.integrate(
             start, t_span, cfg.params, cfg.exc, gains, mode=mode, hyb=cfg.hybrid,
             t_eval=t_eval, sink=sink,
         )
@@ -226,7 +243,7 @@ def cmd_simulate(args) -> int:
 def cmd_resonance_chart(args) -> int:
     cfg = _load(args)
     kd_range = _parse_pair(args.kd_range, "--kd") if args.kd_range else None
-    chart = resonance_chart(cfg.params, cfg.exc.Omega, kd_range)
+    chart = boundaries.resonance_chart(cfg.params, cfg.exc.Omega, kd_range)
     out = _outdir(args)
     fields = ("Kd", "omega1", "omega2", "sum", "difference")
     _write_products(
@@ -245,10 +262,12 @@ def cmd_resonance_chart(args) -> int:
 
 
 def cmd_steady_state(args) -> int:
+    import numpy as np
+
     cfg = _load(args)
     out = _outdir(args)
     ts = np.linspace(0.0, cfg.exc.period, 201)
-    ss = steady_state(cfg.params, cfg.exc, ts, cfg.hybrid)
+    ss = plant.steady_state(cfg.params, cfg.exc, ts, cfg.hybrid)
     fields = ("t", "gap1", "gap1_rate", "I1", "U1", "gap2", "gap2_rate", "I2", "U2")
     cols = [np.asarray(getattr(ss, f)) for f in fields]
     _write_products(
@@ -338,16 +357,19 @@ def entry() -> None:
     """The ``levstab`` console script and ``python -m levstab.cli``: run
     ``main`` and exit with its code.
 
-    It first moves every object alive after the imports, numpy's import
-    heap above all, into the collector's permanent generation
-    (``gc.freeze``), so that neither a collection during the command nor
-    the interpreter's shutdown traverses them.  ``main`` does not, since
-    the tests call it in-process.
+    It moves every object alive into the collector's permanent generation
+    (``gc.freeze``) twice: before ``main``, so that no collection during
+    the command traverses the CLI's own import heap, and after it, so that
+    the interpreter's shutdown does not traverse what the command loaded,
+    numpy's import heap above all.  ``main`` does not, since the tests
+    call it in-process.
     """
     import gc
 
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,17 +16,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import boundaries
-from .floquet import (
-    BISECT_TOL,
-    boundary_crossings,
-    classify,
-    is_real,
-    monodromy,
-    signature_moduli,
-    sweep,
-)
-from .linearized import fd_jacobian, periodic_matrix, unexcited_spectrum
+# The engine functions that benchmarks/spans.py traces are called through
+# their modules, never bound here by name: a name bound while a tracer is
+# installed would keep its wrapper after the tracer is removed.
+from . import boundaries, floquet, linearized, plant
+from .floquet import BISECT_TOL, classify, is_real, signature_moduli
+from .linearized import periodic_matrix, unexcited_spectrum
 from .model import (
     ControlGains,
     ExcitationParams,
@@ -35,13 +30,7 @@ from .model import (
     has_uniform_bar_inertia,
     natural_frequencies,
 )
-from .plant import (
-    RTOL,
-    hybrid_gamma,
-    hybrid_transform,
-    integrate,
-    steady_vehicle_state,
-)
+from .plant import RTOL, hybrid_gamma, hybrid_transform, steady_vehicle_state
 
 __all__ = [
     "CriterionResult",
@@ -117,7 +106,7 @@ def pick_stable_gains(params: PhysicalParams, exc: ExcitationParams) -> ControlG
     kd0 = ells["a"].h2
     for f in (2.0, 1.4, 2.6, 3.2):
         gains = ControlGains(Kp=lines.h0 + 0.5 * lines.slope * f * kd0, Kd=f * kd0)
-        if classify(monodromy(params, exc, gains)) == "stable":
+        if classify(floquet.monodromy(params, exc, gains)) == "stable":
             return gains
     raise RuntimeError("no Floquet-stable gain candidate found")
 
@@ -146,7 +135,7 @@ def tongue_edges(
 
     half = SCAN_HALF_WIDTH * ell.k1
     scan = ((ell.h1 - half, ell.h2), (ell.h1 + half, ell.h2))
-    crossings = boundary_crossings(params, exc, scan, inside)
+    crossings = floquet.boundary_crossings(params, exc, scan, inside)
     if len(crossings) < 2:
         raise RuntimeError(f"tongue edges of kind {ell.kind} not bracketed by the scan")
     return crossings[0][0], crossings[-1][0]
@@ -370,7 +359,7 @@ def _c7_floquet_vs_analytic(params, exc):
 def _c8_steady_state_exactness(params, exc):
     gains = pick_stable_gains(params, exc)
     t_end = 10.0 * exc.period
-    traj = integrate(steady_vehicle_state(params, exc, 0.0), (0.0, t_end), params, exc, gains)
+    traj = plant.integrate(steady_vehicle_state(params, exc, 0.0), (0.0, t_end), params, exc, gains)
     if traj.aborted:
         return False, {}, "gap closed during steady-state run"
     dz = float(np.max(np.abs(traj.states[:, 0] - params.z0)))
@@ -394,8 +383,8 @@ def _c9_hybrid_equivalence(params, exc):
     t_end = 10.0 * exc.period
     t_eval = np.linspace(0.0, t_end, 1201)
     kw = dict(rtol=1e-12, atol=1e-14, t_eval=t_eval)
-    traj_h = integrate(start_h, (0.0, t_end), params, exc, gains, mode="hybrid", hyb=hyb, **kw)
-    traj_s = integrate(start_s, (0.0, t_end), params_bar, exc, gains, **kw)
+    traj_h = plant.integrate(start_h, (0.0, t_end), params, exc, gains, mode="hybrid", hyb=hyb, **kw)
+    traj_s = plant.integrate(start_s, (0.0, t_end), params_bar, exc, gains, **kw)
     if traj_h.aborted or traj_s.aborted:
         return False, {}, "gap closed during equivalence run"
     shift = np.array([beta, 0.0, 0.0, 0.0, hyb.gamma, hyb.gamma])
@@ -405,8 +394,8 @@ def _c9_hybrid_equivalence(params, exc):
     traj_err = float(np.max(diff / scale[None, :]))
 
     kp_range, kd_range = boundaries.default_map_window(params, exc)
-    map_h = sweep(params, exc, kp_range, kd_range, 21, 21, hyb=hyb)
-    map_s = sweep(params_bar, exc, kp_range, kd_range, 21, 21)
+    map_h = floquet.sweep(params, exc, kp_range, kd_range, 21, 21, hyb=hyb)
+    map_s = floquet.sweep(params_bar, exc, kp_range, kd_range, 21, 21)
     cells_differ = int(np.sum(map_h.classes != map_s.classes))
     map_err = float(np.nanmax(np.abs(map_h.max_mu - map_s.max_mu)))
     ok = (
@@ -436,7 +425,7 @@ def _c10_linearization_consistency(params, exc):
     for k in range(20):
         t = k * exc.period / 20.0
         a_an = pm.at(t)
-        a_fd = fd_jacobian(params, exc, gains, t)
+        a_fd = linearized.fd_jacobian(params, exc, gains, t)
         worst = max(worst, float(np.max(np.abs(a_fd - a_an) / np.maximum(1.0, np.abs(a_an)))))
     return (
         worst <= 1e-6,
@@ -450,7 +439,7 @@ def _c11_length_invariance(params, exc):
     maps = {}
     for l_val in (1.0, 3.0, 10.0):
         p = PhysicalParams(m=params.m, C=params.C, R=params.R, z0=params.z0, g=params.g, L=l_val)
-        maps[l_val] = sweep(p, exc, kp_range, kd_range, 21, 21)
+        maps[l_val] = floquet.sweep(p, exc, kp_range, kd_range, 21, 21)
     ref = maps[3.0]
     differing = {
         l_val: int(np.sum(m.classes != ref.classes)) for l_val, m in maps.items() if l_val != 3.0
@@ -493,7 +482,8 @@ def _c13_multiplier_signatures(params, exc):
         if theta not in at:
             at[theta] = boundaries.all_ellipses(params, ExcitationParams(exc.A, exc.Omega, theta))
         ell = at[theta][kind]
-        res = monodromy(params, ExcitationParams(exc.A, exc.Omega, theta), ControlGains(ell.h1, ell.h2))
+        gains = ControlGains(ell.h1, ell.h2)
+        res = floquet.monodromy(params, ExcitationParams(exc.A, exc.Omega, theta), gains)
         dom = res.dominant
         measured[f"dominant_{kind}"] = {"re": dom.real, "im": dom.imag, "abs": abs(dom)}
         if ell.family == "principal":

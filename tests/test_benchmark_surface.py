@@ -6,11 +6,15 @@ the benchmark, not the program, so this suite guards them.
 """
 
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-import levstab.cli  # noqa: F401  (imports every module the tracer patches)
+import levstab.cli  # noqa: F401  (registers every module the tracer patches)
 from levstab import ControlGains, HybridParams, floquet, monodromy, periodic_matrix, plant
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -28,6 +32,58 @@ def test_tracer_installs_and_removes(monkeypatch):
     finally:
         tracer.remove()
     assert (plant.integrate, floquet.sweep, floquet.monodromy) == originals
+
+
+_STALE_WRAPPER_SCRIPT = """
+import json, sys
+sys.path.insert(0, BENCHMARKS)
+import levstab.cli
+from spans import Tracer
+
+# validation first runs while this tracer is installed
+first = Tracer()
+first.install()
+first.remove()
+from levstab import validation
+from levstab.cli import DEFAULT_CONFIG
+from levstab.config import parse_config
+
+cfg = parse_config(DEFAULT_CONFIG)
+second = Tracer()
+second.install()
+try:
+    ok = validation._c10_linearization_consistency(cfg.params, cfg.exc)[0]
+finally:
+    second.remove()
+
+# every wrapper a tracer makes runs the same code
+marker = Tracer().span("marker", len).__code__
+modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "levstab"]
+owners = modules + [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+stale = sorted(
+    f"{getattr(owner, '__name__', owner)}.{attr}"
+    for owner in owners
+    for attr, value in vars(owner).items()
+    if getattr(value, "__code__", None) is marker
+)
+print(json.dumps([ok, second.stat("linearized.fd_jacobian").calls, stale]))
+"""
+
+
+def test_second_tracer_sees_the_battery_after_the_first_is_removed():
+    """In a fresh interpreter, validation first runs while a tracer is
+    installed.  It reaches the traced engine functions through their
+    modules, so it keeps no wrapper of that tracer: after ``remove`` no
+    attribute of a levstab module or class is a wrapper, and a second
+    tracer counts criterion 10's 20 ``linearized.fd_jacobian`` calls."""
+    src = Path(levstab.cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"BENCHMARKS = {str(BENCHMARKS)!r}\n" + _STALE_WRAPPER_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [True, 20, []]
 
 
 @pytest.mark.parametrize("beta", [None, 0.01])

@@ -220,16 +220,17 @@ def test_cli_map_bad_grid_and_ranges(tmp_path):
 
 def test_cli_map_cell_errors_exit_code(tmp_path, monkeypatch, capsys):
     """Completed-with-cell-errors is a distinct, nonzero outcome."""
-    import levstab.cli as cli
     import levstab.floquet as fl
 
+    real = fl.sweep
+
     def broken_sweep(params, exc, kp_range, kd_range, nx, ny, **kwargs):
-        smap = fl.sweep(params, exc, kp_range, kd_range, nx, ny, **kwargs)
+        smap = real(params, exc, kp_range, kd_range, nx, ny, **kwargs)
         smap.classes[0, 0] = "error"
         smap.errors.append((0, 0, "synthetic failure"))
         return smap
 
-    monkeypatch.setattr(cli, "sweep", broken_sweep)
+    monkeypatch.setattr(fl, "sweep", broken_sweep)
     rc = main(["map", "--kp", "10000,12000", "--kd", "2000,2600",
                "--grid", "2,2", "--out", str(tmp_path)])
     assert rc == EXIT_RUNTIME
@@ -325,28 +326,60 @@ def test_cli_simulate_stiff_gains_stop_at_rhs_budget(tmp_path):
 
 
 _NO_SCIPY_SCRIPT = """
-import json, sys
-from levstab import ControlGains, all_ellipses, monodromy
+import json, sys, types
 from levstab.cli import DEFAULT_CONFIG, main
-from levstab.config import parse_config
-out = sys.argv[1]
+
+def loaded():
+    # the levstab modules that have run: one that levstab.cli registered
+    # but that has not run keeps its lazy type
+    ran = [k for k, m in sys.modules.items() if k.startswith("levstab") and type(m) is types.ModuleType]
+    return sorted(ran) + [k for k in ("numpy", "dataclasses", "inspect") if k in sys.modules]
+
+out, commands = sys.argv[1], sys.argv[2:]
 seen = {"import": [0, "scipy" in sys.modules]}
+ran = {"import": loaded()}
+try:
+    main(["--version"])
+except SystemExit as stop:
+    ran["--version"] = [stop.code, *loaded()]
 dop853 = ["levstab.dop853" in sys.modules]
-for cmd in ("map", "ellipses", "resonance-chart", "steady-state"):
-    seen[cmd] = [main([cmd, "--out", f"{out}/{cmd}"]), "scipy" in sys.modules]
+for cmd in commands:
+    argv = [cmd, "--out", f"{out}/{cmd}"]
+    if cmd == "simulate":
+        argv += ["--kp", "10600", "--kd", "3000", "--periods", "1"]
+    seen[cmd] = [main(argv), "scipy" in sys.modules]
+    ran[cmd] = loaded()
     if cmd == "map":
         dop853.append("levstab.dop853" in sys.modules)
 seen["dop853 after import, map"] = dop853
-rc = main(["simulate", "--kp", "10600", "--kd", "3000", "--periods", "1",
-           "--out", f"{out}/simulate"])
-seen["simulate"] = [rc, "scipy" in sys.modules]
+from levstab import ControlGains, all_ellipses, monodromy
+from levstab.config import parse_config
 cfg = parse_config(DEFAULT_CONFIG)
 ea = all_ellipses(cfg.params, cfg.exc)["a"]
 res = monodromy(cfg.params, cfg.exc, ControlGains(ea.h1, ea.h2))
 seen["monodromy"] = [0 if res.stats["nfev"] > 0 else 1, "scipy" in sys.modules]
 seen["process pool"] = [0, "concurrent.futures.process" in sys.modules]
-print(json.dumps(seen))
+print(json.dumps({"seen": seen, "ran": ran}))
 """
+
+
+def _run_no_scipy_script(tmp_path, *commands) -> dict:
+    """Run ``_NO_SCIPY_SCRIPT`` in a fresh interpreter: import the CLI, run
+    ``--version`` and then ``commands`` in order, then a DOP853 monodromy.
+    Return what each step left loaded."""
+    src = Path(levstab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path), *commands],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# What importing the CLI and --version may run: no analysis module, and
+# neither numpy nor the dataclasses and inspect modules
+COLD_START = ["levstab", "levstab.cli"]
 
 
 def test_cli_and_solvers_never_load_scipy(tmp_path):
@@ -355,15 +388,14 @@ def test_cli_and_solvers_never_load_scipy(tmp_path):
     monodromy all leave scipy unloaded: the package integrates with its
     own DOP853.  The default map is under two engine blocks, so it starts
     no process pool and never imports one, and it needs no DOP853 fallback,
-    so neither the import nor the map loads ``levstab.dop853``."""
-    src = Path(levstab.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
+    so neither the import nor the map loads ``levstab.dop853``.
+
+    The import and ``--version`` run only ``levstab`` and ``levstab.cli``,
+    and the map does not run the validation battery's module."""
+    result = _run_no_scipy_script(
+        tmp_path, "map", "ellipses", "resonance-chart", "steady-state", "simulate"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
+    assert result["seen"] == {
         "import": [EXIT_OK, False],
         "map": [EXIT_OK, False],
         "ellipses": [EXIT_OK, False],
@@ -374,13 +406,30 @@ def test_cli_and_solvers_never_load_scipy(tmp_path):
         "process pool": [0, False],
         "dop853 after import, map": [False, False],
     }
+    ran = result["ran"]
+    assert ran["import"] == COLD_START
+    assert ran["--version"] == [EXIT_OK, *COLD_START]
+    assert "levstab.floquet" in ran["map"]
+    assert "levstab.validation" not in ran["map"]
     meta = json.loads((tmp_path / "map" / "map_meta.json").read_text())
     assert meta["grid"]["nx"] == meta["grid"]["ny"] == 21
     assert meta["grid"]["fallback_cells"] == 0
 
 
+def test_cli_simulate_runs_no_analysis_module(tmp_path):
+    """simulate, the first command of a fresh interpreter, runs the plant
+    and none of the Floquet, linearization, boundary or validation
+    modules."""
+    result = _run_no_scipy_script(tmp_path, "simulate")
+    assert result["seen"]["simulate"] == [EXIT_OK, False]
+    assert result["ran"]["import"] == COLD_START
+    ran = set(result["ran"]["simulate"])
+    assert "levstab.plant" in ran
+    assert not ran & {"levstab.floquet", "levstab.linearized", "levstab.boundaries", "levstab.validation"}
+
+
 _FREEZE_SCRIPT = """
-import gc, runpy, sys
+import gc, json, runpy, sys
 freeze_at_main = []
 
 def probe(frame, event, arg):
@@ -389,7 +438,7 @@ def probe(frame, event, arg):
         freeze_at_main.append(gc.get_freeze_count())
 
 assert gc.get_freeze_count() == 0
-sys.argv = ["levstab", "--version"]
+sys.argv = ["levstab", "ellipses", "--out", OUT]
 sys.setprofile(probe)
 try:
     if TARGET is None:
@@ -401,17 +450,20 @@ except SystemExit:
     pass
 finally:
     sys.setprofile(None)
-print(freeze_at_main)
+# the objects in the permanent generation are not among gc.get_objects()
+numpy_frozen = not any(obj is vars(sys.modules["numpy"]) for obj in gc.get_objects())
+print(json.dumps([freeze_at_main, numpy_frozen]))
 """
 
 
 @pytest.mark.parametrize("how", ["python -m levstab.cli", "console script"])
-def test_cli_entry_freezes_import_heap(how):
+def test_cli_entry_freezes_import_heap(tmp_path, how):
     """Both ways of starting the CLI, ``python -m levstab.cli`` and the
     ``levstab`` console script named in pyproject.toml, move the import
     heap into the collector's permanent generation before ``main`` runs,
-    so that no collection, the one at shutdown included, traverses it.
-    ``main`` itself, which the tests call in-process, freezes nothing."""
+    and again after it, when the command has loaded numpy, so that no
+    collection, the one at shutdown included, traverses it.  ``main``
+    itself, which the tests call in-process, freezes nothing."""
     import re
 
     src = Path(levstab.__file__).resolve().parents[1]
@@ -420,13 +472,14 @@ def test_cli_entry_freezes_import_heap(how):
         pyproject = (src.parent / "pyproject.toml").read_text()
         target = re.search(r'^levstab = "([\w.:]+)"$', pyproject, re.M).group(1)
     proc = subprocess.run(
-        [sys.executable, "-c", f"TARGET = {target!r}\n" + _FREEZE_SCRIPT],
+        [sys.executable, "-c", f"TARGET = {target!r}\nOUT = {str(tmp_path)!r}\n" + _FREEZE_SCRIPT],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(proc.stdout.splitlines()[-1])
+    counts, numpy_frozen = json.loads(proc.stdout.splitlines()[-1])
     assert len(counts) == 1 and counts[0] > 0, proc.stdout
+    assert numpy_frozen
 
 
 def test_cli_steady_state(tmp_path, capsys):
@@ -548,12 +601,12 @@ def test_cli_simulate_gap_closure_abort(tmp_path, capsys):
 def test_cli_out_of_memory_is_runtime_failure(tmp_path, monkeypatch, capsys, message):
     """Running out of memory is a runtime failure (exit 3) reported on one
     error line, never a traceback or exit 1 ("validation failed")."""
-    import levstab.cli as cli
+    from levstab import plant
 
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "integrate", exhausted)
+    monkeypatch.setattr(plant, "integrate", exhausted)
     rc = main(["simulate", "--kp", "10600", "--kd", "3000", "--out", str(tmp_path)])
     assert rc == EXIT_RUNTIME
     err = capsys.readouterr().err
@@ -672,8 +725,7 @@ def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsy
     an integration that fails mid-stream, end simulate with exit 3 on one
     error line; no trajectory.csv, no temporary file and no child process
     is left behind."""
-    import levstab.cli as cli
-    from levstab import output
+    from levstab import output, plant
 
     started = []
 
@@ -684,7 +736,7 @@ def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     if writer is None:
-        real = cli.integrate
+        real = plant.integrate
 
         def failing(*args, sink, **kwargs):
             def send(columns):
@@ -694,7 +746,7 @@ def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsy
 
             return real(*args, sink=send, **kwargs)
 
-        monkeypatch.setattr(cli, "integrate", failing)
+        monkeypatch.setattr(plant, "integrate", failing)
     else:
         monkeypatch.setattr(output, "_WRITER", (sys.executable, "-c", writer))
     out = tmp_path / "out"
@@ -755,14 +807,14 @@ def test_cli_simulate_writer_that_cannot_start_exits_3(tmp_path, monkeypatch, ca
     trajectory.csv and no temporary file is left behind."""
     import errno
 
-    import levstab.cli as cli
+    from levstab import plant
 
     def no_process(*args, **kwargs):
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     integrated = []
     monkeypatch.setattr(subprocess, "Popen", no_process)
-    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: integrated.append(args))
+    monkeypatch.setattr(plant, "integrate", lambda *args, **kwargs: integrated.append(args))
     out = tmp_path / "out"
     rc = main(["simulate", *GAINS_ARGS, "--periods", "25", "--out", str(out)])
     assert rc == EXIT_RUNTIME
@@ -848,12 +900,12 @@ def test_cli_simulate_rejects_start_with_closed_gap(tmp_path, monkeypatch, capsy
     """A perturbation that puts an airgap below the contact threshold at
     the start is bad input, reported before any integration: the closure
     event fires only on a falling crossing and would never see it."""
-    import levstab.cli as cli
+    from levstab import plant
 
     def never(*args, **kwargs):
         raise AssertionError("integrated a start with a closed gap")
 
-    monkeypatch.setattr(cli, "integrate", never)
+    monkeypatch.setattr(plant, "integrate", never)
     rc = main(["simulate", "--kp", "11841.56", "--kd", "4709.7", "--perturb", "0,1e-2",
                "--out", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
@@ -901,7 +953,7 @@ def test_cli_validate_unexcited_skips(tmp_path, capsys):
 
 
 def test_cli_validate_failure_exit(tmp_path, monkeypatch, capsys):
-    import levstab.cli as cli
+    from levstab import validation
     from levstab.validation import CriterionResult, ValidationReport
 
     canned = ValidationReport(criteria=[
@@ -909,7 +961,7 @@ def test_cli_validate_failure_exit(tmp_path, monkeypatch, capsys):
         CriterionResult(index=2, name="y", status="fail", tolerance=1e-9,
                         reason="synthetic"),
     ])
-    monkeypatch.setattr(cli, "run_battery", lambda params, exc: canned)
+    monkeypatch.setattr(validation, "run_battery", lambda params, exc: canned)
     rc = main(["validate", "--out", str(tmp_path)])
     assert rc == EXIT_VALIDATION
     report = json.loads((tmp_path / "validation.json").read_text())
@@ -1000,15 +1052,15 @@ def test_criterion_13_measures_closed_tongues_at_their_open_phase(monkeypatch, b
     """At theta = 0 the combination tongues are closed and criterion 13
     measures them at pi; at pi it measures the principal ones at 0.  It
     evaluates the ellipses once per phase."""
-    from levstab import ExcitationParams, boundaries, validation
+    from levstab import ExcitationParams, boundaries, floquet, validation
 
     phases, measured_at = [], []
-    all_ellipses, monodromy = boundaries.all_ellipses, validation.monodromy
+    all_ellipses, monodromy = boundaries.all_ellipses, floquet.monodromy
     monkeypatch.setattr(
         boundaries, "all_ellipses", lambda p, e: phases.append(e.theta) or all_ellipses(p, e)
     )
     monkeypatch.setattr(
-        validation, "monodromy", lambda p, e, g: measured_at.append(e.theta) or monodromy(p, e, g)
+        floquet, "monodromy", lambda p, e, g: measured_at.append(e.theta) or monodromy(p, e, g)
     )
     exc = ExcitationParams(A=0.005, Omega=80.0, theta=theta)
     ok, measured, _ = validation._c13_multiplier_signatures(b0, exc)

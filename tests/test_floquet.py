@@ -598,7 +598,7 @@ def test_tongue_edge_scans_integrate_each_gain_once(monkeypatch, b0, exc_inphase
     from levstab import validation
 
     ea = all_ellipses(b0, exc_inphase)["a"]
-    real_monodromy, real_crossings = fl.monodromy, validation.boundary_crossings
+    real_monodromy, real_crossings = fl.monodromy, fl.boundary_crossings
     seen, scans = [], []
 
     def counting(params, exc, gains, hyb=None):
@@ -610,7 +610,7 @@ def test_tongue_edge_scans_integrate_each_gain_once(monkeypatch, b0, exc_inphase
         return real_crossings(params, exc, scan, indicator)
 
     monkeypatch.setattr(fl, "monodromy", counting)
-    monkeypatch.setattr(validation, "boundary_crossings", crossings)
+    monkeypatch.setattr(fl, "boundary_crossings", crossings)
     edges = validation.tongue_edges(b0, exc_inphase, ea)
     first = list(seen)
     assert len(scans) == 1

@@ -11,10 +11,11 @@ window of the baseline, ``--kp h1-3k1,h1+3k1
 --periods 10``, ``simulate --periods 19 --perturb 1e-4,5e-5``, ``simulate
 --periods 100 --perturb 1e-4,5e-5``, ``simulate --periods 100 --perturb
 0,5e-3``, ``simulate --periods 100 --kp 6000 --kd 1000 --perturb=-1e-6,0``
-and ``validate``, each with the
-built-in baseline config plus gains 10600/3000, with the same config on the
-hybrid plant (beta 0.01), without excitation (A = 0) and with an inertia J
-other than the uniform bar's.  Stdout, the exit code and every output file
+and ``validate`` (at the config's phase, ``--theta=0`` and
+``--theta=3.141592653589793``), each with the built-in baseline config
+plus gains 10600/3000, with the same config on the hybrid plant (beta
+0.01), without excitation (A = 0) and with an inertia J other than the
+uniform bar's.  Stdout, the exit code and every output file
 must match byte for byte, except where the map engine may legitimately move
 a value in its last digits:
 
@@ -102,6 +103,9 @@ COMMANDS = {
         "simulate", "--periods", "100", "--kp", "6000", "--kd", "1000", "--perturb=-1e-6,0"
     ],
     "validate": ["validate"],
+    # the two phases at which criteria 4 and 13 close a tongue
+    "validate-theta0": ["validate", "--theta=0"],
+    "validate-theta-pi": ["validate", "--theta=3.141592653589793"],
 }
 TIMINGS = {"seconds", "elapsed_s"}
 MU_TOL = 1e-9  # max|mu| agreement of two map engines, relative to max(1, |mu|)
