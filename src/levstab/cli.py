@@ -42,13 +42,12 @@ def _lazy(name: str):
     return module
 
 
-# linearized is not used here; it is registered so that every traced module
-# is in sys.modules after ``import levstab.cli`` (benchmarks/spans.py looks
-# them up there).
 boundaries = _lazy("boundaries")
 config = _lazy("config")
 floquet = _lazy("floquet")
-linearized = _lazy("linearized")
+# not used here: registered so that every traced module is in sys.modules
+# after ``import levstab.cli`` (benchmarks/spans.py looks them up there)
+_lazy("linearized")
 model = _lazy("model")
 output = _lazy("output")
 plant = _lazy("plant")
