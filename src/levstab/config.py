@@ -14,7 +14,6 @@ from .model import (
     kinematic_excitation,
     validate,
 )
-from .plant import hybrid_gamma
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "dump_config"]
 
@@ -27,8 +26,7 @@ _PHYSICAL_KEYS = {f.name for f in fields(PhysicalParams)}
 _PHYSICAL_REQUIRED = {f.name for f in fields(PhysicalParams) if f.default is MISSING}
 _EXC_KEYS = {f.name for f in fields(ExcitationParams)}
 _GAIN_KEYS = {f.name for f in fields(ControlGains)}
-# gamma is derived from beta, not configured
-_HYBRID_KEYS = {"beta"}
+_HYBRID_KEYS = {f.name for f in fields(HybridParams)}
 _TOP_KEYS = {"physical", "excitation", "gains", "hybrid"}
 
 
@@ -129,7 +127,7 @@ def parse_config(doc: dict) -> RunConfig:
         beta = _number(hd, "beta", "hybrid")
         if beta < 0:
             raise ConfigError("hybrid.beta must be nonnegative")
-        hybrid = HybridParams(beta=beta, gamma=hybrid_gamma(params, beta))
+        hybrid = HybridParams(beta=beta)
 
     return RunConfig(params=params, exc=exc, gains=gains, hybrid=hybrid)
 
@@ -159,5 +157,5 @@ def dump_config(cfg: RunConfig) -> dict:
     if cfg.gains is not None:
         doc["gains"] = asdict(cfg.gains)
     if cfg.hybrid is not None:
-        doc["hybrid"] = {"beta": cfg.hybrid.beta}
+        doc["hybrid"] = asdict(cfg.hybrid)
     return doc

@@ -262,7 +262,8 @@ class Solution(NamedTuple):
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size**0.5
+    # a float, so that the step sizes and stage times are floats too
+    return float(np.linalg.norm(x)) / x.size**0.5
 
 
 def _initial_step(fun, t0, y0, f0, interval, rtol, atol):

@@ -116,7 +116,6 @@ class MonodromyResult:
 
     matrix: np.ndarray
     multipliers: np.ndarray
-    period: float
     stats: dict = field(compare=False, default_factory=dict)
 
     @property
@@ -165,7 +164,6 @@ def monodromy(
     return MonodromyResult(
         matrix=m,
         multipliers=np.linalg.eigvals(m),
-        period=pm.period,
         stats={
             "nfev": int(sol.nfev),
             "det_rel_err": abs(float(np.linalg.det(m)) / _liouville_det(params, pm) - 1.0),

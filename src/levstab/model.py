@@ -123,11 +123,10 @@ class ControlGains:
 
 @dataclass(frozen=True)
 class HybridParams:
-    """Hybrid-magnet offsets: the permanent magnet is modeled by shifting the
-    force law to C*((I + gamma)/(gap + beta))^2."""
+    """Hybrid-magnet gap offset: the permanent magnet shifts the force law to
+    C*((I + gamma)/(gap + beta))^2, gamma = ``plant.hybrid_gamma(params, beta)``."""
 
     beta: float
-    gamma: float
 
 
 def validate(params: PhysicalParams, exc: ExcitationParams) -> tuple[PhysicalParams, ExcitationParams]:

@@ -95,6 +95,14 @@ def current_scale(params: PhysicalParams) -> float:
     return math.sqrt(params.m * params.g / (2.0 * params.C))
 
 
+def hybrid_gamma(params: PhysicalParams, beta: float) -> float:
+    """Current offset that lets the permanent magnets carry the static load:
+    gamma = sqrt(m*g/2C) * (z0 + beta), so steady currents are zero."""
+    if params.z0 + beta <= 0.0:
+        raise ValueError("z0 + beta must be positive")
+    return float(current_scale(params) * (params.z0 + beta))
+
+
 class SteadyStateSample(NamedTuple):
     """Exact periodic steady state evaluated at given instants.
 
@@ -135,7 +143,7 @@ def _steady_kernel(
     kappa = current_scale(params)
     R = params.R
     R_kappa = R * kappa
-    beta, gamma = (None, None) if hyb is None else (hyb.beta, hyb.gamma)
+    beta, gamma = (None, None) if hyb is None else (hyb.beta, hybrid_gamma(params, hyb.beta))
 
     def kernel(t):
         ph = Omega * t
@@ -234,7 +242,7 @@ def _derivative(
         beta = gamma = None
         floor = _EVAL_FLOOR_FRACTION * params.z0
     else:
-        beta, gamma = hyb.beta, hyb.gamma
+        beta, gamma = hyb.beta, hybrid_gamma(params, hyb.beta)
         # same trial-stage floor as rhs, on the effective gap Delta + beta
         floor = _EVAL_FLOOR_FRACTION * (params.z0 + beta)
 
@@ -301,14 +309,6 @@ def rhs(state, t, params: PhysicalParams, exc: ExcitationParams, gains: ControlG
     return (one if isinstance(t, float) else stack)(state, t)
 
 
-def hybrid_gamma(params: PhysicalParams, beta: float) -> float:
-    """Current offset that lets the permanent magnets carry the static load:
-    gamma = sqrt(m*g/2C) * (z0 + beta), so steady currents are zero."""
-    if params.z0 + beta <= 0.0:
-        raise ValueError("z0 + beta must be positive")
-    return float(current_scale(params) * (params.z0 + beta))
-
-
 def rhs_hybrid(
     state,
     t,
@@ -320,9 +320,10 @@ def rhs_hybrid(
     """Time derivative for the hybrid-magnet plant, of one state or a
     stack of states as for :func:`rhs`.
 
-    The permanent magnet shifts the force law to C*((I+gamma)/(Delta+beta))^2
-    and the current equation accordingly; the PD law still acts on the
-    physical gap error.  With beta = gamma = 0 this reduces to :func:`rhs`.
+    The permanent magnet shifts the force law to C*((I+gamma)/(Delta+beta))^2,
+    gamma = ``hybrid_gamma(params, hyb.beta)``, and the current equation
+    accordingly; the PD law still acts on the physical gap error.  Shifted by
+    :func:`hybrid_transform`, it is :func:`rhs` with the nominal gap z0 + beta.
     """
     p, e, g, h, one, stack = _last_derivative
     if p is not params or e is not exc or g is not gains or h is not hyb:
@@ -330,20 +331,21 @@ def rhs_hybrid(
     return (one if isinstance(t, float) else stack)(state, t)
 
 
-def hybrid_transform(state: VehicleState, hyb: HybridParams) -> VehicleState:
+def hybrid_transform(state: VehicleState, params: PhysicalParams, hyb: HybridParams) -> VehicleState:
     """Shift a hybrid-plant state into the equivalent standard-plant variables.
 
-    Gaps shift by +beta (z shifts, phi does not) and currents by +gamma;
-    rates are unchanged.  The transformed trajectory obeys the standard
-    plant with nominal gap z0 + beta.
+    Gaps shift by +beta (z shifts, phi does not) and currents by +gamma of
+    ``hybrid_gamma``; rates are unchanged.  The transformed trajectory obeys
+    the standard plant with nominal gap z0 + beta.
     """
+    gamma = hybrid_gamma(params, hyb.beta)
     return VehicleState(
         z=state.z + hyb.beta,
         zdot=state.zdot,
         phi=state.phi,
         phidot=state.phidot,
-        I1=state.I1 + hyb.gamma,
-        I2=state.I2 + hyb.gamma,
+        I1=state.I1 + gamma,
+        I2=state.I2 + gamma,
     )
 
 

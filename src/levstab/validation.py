@@ -373,13 +373,14 @@ def _c8_steady_state_exactness(params, exc):
 
 def _c9_hybrid_equivalence(params, exc):
     beta = 0.01
-    hyb = HybridParams(beta=beta, gamma=hybrid_gamma(params, beta))
+    hyb = HybridParams(beta=beta)
+    gamma = hybrid_gamma(params, beta)
     params_bar = replace(params, z0=params.z0 + beta)
     gains = pick_stable_gains(params, exc)
 
     s0 = steady_vehicle_state(params, exc, 0.0, hyb)
     start_h = replace(s0, z=s0.z + 1e-4, phi=s0.phi + 5e-5)
-    start_s = hybrid_transform(start_h, hyb)
+    start_s = hybrid_transform(start_h, params, hyb)
     t_end = 10.0 * exc.period
     t_eval = np.linspace(0.0, t_end, 1201)
     kw = dict(rtol=1e-12, atol=1e-14, t_eval=t_eval)
@@ -387,7 +388,7 @@ def _c9_hybrid_equivalence(params, exc):
     traj_s = plant.integrate(start_s, (0.0, t_end), params_bar, exc, gains, **kw)
     if traj_h.aborted or traj_s.aborted:
         return False, {}, "gap closed during equivalence run"
-    shift = np.array([beta, 0.0, 0.0, 0.0, hyb.gamma, hyb.gamma])
+    shift = np.array([beta, 0.0, 0.0, 0.0, gamma, gamma])
     diff = np.abs(traj_s.states - shift[None, :] - traj_h.states)
     scale = np.max(np.abs(traj_h.states), axis=0)
     scale[scale == 0.0] = 1.0
@@ -409,7 +410,7 @@ def _c9_hybrid_equivalence(params, exc):
         {
             "trajectory_rel_err": traj_err,
             "beta": beta,
-            "gamma": hyb.gamma,
+            "gamma": gamma,
             "map_cells_differing": cells_differ,
             "map_max_mu_dev": map_err,
         },

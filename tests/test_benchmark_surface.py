@@ -108,7 +108,7 @@ def test_tracer_counts_every_rhs_evaluation(monkeypatch, b0, exc_quarter, beta):
 
     monkeypatch.setattr(plant, "rhs", counting(plant.rhs))
     monkeypatch.setattr(plant, "rhs_hybrid", counting(plant.rhs_hybrid))
-    hyb = None if beta is None else HybridParams(beta, plant.hybrid_gamma(b0, beta))
+    hyb = None if beta is None else HybridParams(beta)
     start = plant.steady_vehicle_state(b0, exc_quarter, 0.0, hyb)
     tracer = Tracer()
     try:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import levstab
-from levstab import ControlGains, all_ellipses, monodromy
+from levstab import ControlGains, HybridParams, all_ellipses, monodromy
 from levstab.cli import (
     DEFAULT_CONFIG,
     EXIT_BAD_INPUT,
@@ -101,8 +101,7 @@ def test_parse_kinematic_form_warns_and_converts():
 def test_parse_hybrid_block():
     doc = {**B0_DOC, "hybrid": {"beta": 0.01}}
     cfg = parse_config(doc)
-    assert cfg.hybrid.beta == 0.01
-    assert cfg.hybrid.gamma == pytest.approx(21.657, rel=1e-3)
+    assert cfg.hybrid == HybridParams(beta=0.01)
     with pytest.raises(ConfigError, match="nonnegative"):
         parse_config({**B0_DOC, "hybrid": {"beta": -0.01}})
     with pytest.raises(ConfigError, match="unknown key"):
@@ -426,6 +425,19 @@ def test_cli_simulate_runs_no_analysis_module(tmp_path):
     ran = set(result["ran"]["simulate"])
     assert "levstab.plant" in ran
     assert not ran & {"levstab.floquet", "levstab.linearized", "levstab.boundaries", "levstab.validation"}
+
+
+def test_cli_ellipses_and_resonance_chart_run_no_plant(tmp_path):
+    """ellipses and then resonance-chart, the first commands of a fresh
+    interpreter, run neither the plant nor the Floquet, linearization or
+    validation modules: loading a configuration needs no plant."""
+    result = _run_no_scipy_script(tmp_path, "ellipses", "resonance-chart")
+    assert result["seen"]["ellipses"] == result["seen"]["resonance-chart"] == [EXIT_OK, False]
+    assert result["ran"]["import"] == COLD_START
+    for cmd in ("ellipses", "resonance-chart"):
+        ran = set(result["ran"][cmd])
+        assert "levstab.config" in ran
+        assert not ran & {"levstab.plant", "levstab.floquet", "levstab.linearized", "levstab.validation"}
 
 
 _FREEZE_SCRIPT = """

@@ -20,7 +20,6 @@ from levstab.plant import (
     CLOSURE_FRACTION,
     RTOL,
     _gaps,
-    hybrid_gamma,
     rhs,
     rhs_hybrid,
     steady_state,
@@ -54,7 +53,7 @@ def test_perturbed_run_matches_solve_ivp_bit_for_bit(b0, exc_quarter, plant):
     closure event armed: same samples, same nfev, status and message."""
     hyb = None
     if plant == "hybrid":
-        hyb = HybridParams(beta=0.01, gamma=hybrid_gamma(b0, 0.01))
+        hyb = HybridParams(beta=0.01)
         fun = lambda t, y: rhs_hybrid(y, t, b0, exc_quarter, GAINS, hyb)
     else:
         fun = lambda t, y: rhs(y, t, b0, exc_quarter, GAINS)
@@ -109,6 +108,25 @@ def test_gap_closure_event_matches_solve_ivp(b0, exc_quarter):
     np.testing.assert_array_equal(sol.y, ref.y.T)
 
 
+def test_single_state_calls_get_float_times(b0, exc_quarter):
+    """Over a 5-s decay run, every call of ``fun`` on one state, the
+    initial-step probe and every stage included, gets a Python float t:
+    the step sizes are floats, not numpy scalars."""
+    kinds = []
+
+    def fun(t, y):
+        if y.ndim == 1:
+            kinds.append(type(t))
+        return rhs(y, t, b0, exc_quarter, GAINS)
+
+    start = steady_vehicle_state(b0, exc_quarter)
+    y0 = replace(start, z=start.z + 1e-4, phi=start.phi + 5e-5).as_array()
+    t_eval = np.linspace(0.0, 5.0, 401)
+    sol = solve(fun, (0.0, 5.0), y0, RTOL, ATOL, t_eval=t_eval, event=_gap_closure(b0, exc_quarter))
+    assert sol.status == 0
+    assert len(kinds) > 100 and set(kinds) == {float}
+
+
 def test_solve_rejects_what_it_does_not_implement():
     fun = lambda t, y: -y
     with pytest.raises(ValueError, match="increasing"):
@@ -160,7 +178,7 @@ def test_event_after_deferred_dense_output_matches_solve_ivp(b0, exc_quarter, pl
     gains = ControlGains(Kp=3000.0, Kd=10.0)
     hyb = None
     if plant == "hybrid":
-        hyb = HybridParams(beta=0.01, gamma=hybrid_gamma(b0, 0.01))
+        hyb = HybridParams(beta=0.01)
         fun = lambda t, y: rhs_hybrid(y, t, b0, exc_quarter, gains, hyb)
     else:
         fun = lambda t, y: rhs(y, t, b0, exc_quarter, gains)

@@ -16,7 +16,6 @@ from levstab import (
     all_ellipses,
     boundary_crossings,
     classify,
-    hybrid_gamma,
     monodromy,
     sweep,
     unexcited_spectrum,
@@ -52,7 +51,7 @@ def _ranked(rank, family="principal"):
 
 def _fake_result(multipliers):
     mu = np.asarray(multipliers, dtype=complex)
-    return MonodromyResult(matrix=np.eye(6), multipliers=mu, period=1.0)
+    return MonodromyResult(matrix=np.eye(6), multipliers=mu)
 
 
 def test_monodromy_unexcited_stable_gains(b0, exc_still):
@@ -68,9 +67,9 @@ def test_monodromy_records_liouville_det_error(b0, exc_quarter, beta):
     which DOP853 at the package tolerances keeps far below DET_TOL."""
     import levstab.floquet as fl
 
-    hyb = None if beta is None else HybridParams(beta, hybrid_gamma(b0, beta))
+    hyb = None if beta is None else HybridParams(beta)
     res = monodromy(b0, exc_quarter, STABLE, hyb=hyb)
-    exact = math.exp(-b0.R * (b0.z0 + (beta or 0.0)) * res.period / b0.C)
+    exact = math.exp(-b0.R * (b0.z0 + (beta or 0.0)) * exc_quarter.period / b0.C)
     det_err = abs(np.linalg.det(res.matrix) / exact - 1.0)
     assert res.stats["det_rel_err"] == pytest.approx(det_err, abs=1e-15)
     assert 0.0 <= res.stats["det_rel_err"] < 1e-2 * fl.DET_TOL
@@ -81,7 +80,7 @@ def test_monodromy_matches_matrix_exponential_oracle(b0, exc_still):
     for gains in (STABLE, ControlGains(8000.0, 2000.0), ControlGains(15000.0, 2500.0)):
         res = monodromy(b0, exc_still, gains)
         lam = unexcited_spectrum(b0, gains).all
-        expected = np.sort_complex(np.exp(lam * res.period))
+        expected = np.sort_complex(np.exp(lam * exc_still.period))
         got = np.sort_complex(res.multipliers)
         np.testing.assert_allclose(got, expected, rtol=1e-8)
 
@@ -438,7 +437,7 @@ def test_batched_engine_matches_monodromy(case, b0):
     the scalar DOP853 monodromy gives and its max|mu| to 1e-9."""
     theta = {"inphase": 0.0, "antiphase": math.pi}.get(case, math.pi / 2)
     exc = ExcitationParams(A=0.0 if case == "still" else 0.005, Omega=80.0, theta=theta)
-    hyb = HybridParams(beta=0.01, gamma=hybrid_gamma(b0, 0.01)) if case == "hybrid" else None
+    hyb = HybridParams(beta=0.01) if case == "hybrid" else None
     kp_range, kd_range = default_map_window(b0, ExcitationParams(A=0.005, Omega=80.0, theta=theta))
     smap = sweep(b0, exc, kp_range, kd_range, 5, 5, hyb=hyb, workers=1)
     assert not smap.errors
@@ -500,7 +499,7 @@ def test_hybrid_sweep_identical_to_standard(b0, exc_quarter):
     """The hybrid plant linearized about its own steady state shares the
     standard plant's stability map cell by cell."""
     beta = 0.01
-    hyb = HybridParams(beta=beta, gamma=hybrid_gamma(b0, beta))
+    hyb = HybridParams(beta=beta)
     shifted = PhysicalParams(m=b0.m, C=b0.C, R=b0.R, z0=b0.z0 + beta)
     kp_range, kd_range = (10500.0, 12500.0), (2330.0, 2380.0)
     std = sweep(shifted, exc_quarter, kp_range, kd_range, 3, 3, workers=1)

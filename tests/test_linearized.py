@@ -15,7 +15,6 @@ from levstab import (
     HybridParams,
     PhysicalParams,
     fd_jacobian,
-    hybrid_gamma,
     natural_frequencies,
     periodic_matrix,
     steady_state,
@@ -84,7 +83,7 @@ def test_jacobian_consistency_standard(b0, exc_quarter):
 
 def test_jacobian_consistency_hybrid(b0, exc_quarter):
     beta = 0.01
-    hyb = HybridParams(beta=beta, gamma=hybrid_gamma(b0, beta))
+    hyb = HybridParams(beta=beta)
     pm = periodic_matrix(b0, exc_quarter, GAINS, hyb=hyb)
     for t in np.linspace(0.0, exc_quarter.period, 5, endpoint=False):
         an = pm.at(t)
@@ -107,7 +106,7 @@ def test_at_equals_assembly_from_steady_state_record(b0, exc_quarter, beta):
     """``at`` evaluates its own steady-state kernel; at float and np.float64
     instants it gives the bits of the assembly from ``steady_state``, on
     the standard and the hybrid plant."""
-    hyb = None if beta is None else HybridParams(beta=beta, gamma=hybrid_gamma(b0, beta))
+    hyb = None if beta is None else HybridParams(beta=beta)
     pm = periodic_matrix(b0, exc_quarter, GAINS, hyb=hyb)
     ts = np.random.default_rng(23).uniform(0.0, 5.0 * pm.period, 200)
     for t in (*ts[:100].tolist(), *ts[100:]):
@@ -119,7 +118,7 @@ def test_at_of_two_matrices_called_alternately(b0, exc_quarter):
     the bits they give when called alone, which are those of the assembly
     from ``steady_state``."""
     other = PhysicalParams(m=5200.0, C=0.04, R=7.5, z0=0.012, L=2.5, J=3100.0)
-    hyb = HybridParams(beta=0.006, gamma=hybrid_gamma(other, 0.006))
+    hyb = HybridParams(beta=0.006)
     configs = [
         (b0, exc_quarter, GAINS, None),
         (other, ExcitationParams(A=0.003, Omega=120.0, theta=1.1), ControlGains(25000.0, 4500.0), hyb),
@@ -138,7 +137,7 @@ def test_hybrid_linearization_equals_shifted_standard(b0, exc_quarter):
     """Linearizing the hybrid plant about its steady state is the standard
     linearization at the enlarged effective gap z0 + beta."""
     beta = 0.01
-    hyb = HybridParams(beta=beta, gamma=hybrid_gamma(b0, beta))
+    hyb = HybridParams(beta=beta)
     shifted = PhysicalParams(m=b0.m, C=b0.C, R=b0.R, z0=b0.z0 + beta)
     pm_h = periodic_matrix(b0, exc_quarter, GAINS, hyb=hyb)
     pm_s = periodic_matrix(shifted, exc_quarter, GAINS)

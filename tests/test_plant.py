@@ -135,11 +135,18 @@ def test_rhs_symmetric_state_stays_symmetric(b0, exc_inphase):
 
 
 def test_rhs_hybrid_reduces_to_standard(b0, exc_quarter):
-    hyb0 = HybridParams(beta=0.0, gamma=0.0)
-    state = np.array([b0.z0 + 5e-4, 0.01, 2e-4, -0.01, 11.0, 13.0])
-    d_std = rhs(state, 0.3, b0, exc_quarter, GAINS)
-    d_hyb = rhs_hybrid(state, 0.3, b0, exc_quarter, GAINS, hyb0)
-    np.testing.assert_allclose(d_hyb, d_std, rtol=1e-14, atol=1e-16)
+    """Validation criterion 9 at the level of one RHS call: the hybrid
+    derivative at a state is the standard derivative, with the nominal gap
+    z0 + beta, at the state that hybrid_transform shifts it to.  The shifts
+    are constant, so the two derivatives agree to rounding (1e-13
+    relative; the currents' rates of about 300 A/s differ by 6e-14)."""
+    shifted = PhysicalParams(m=b0.m, C=b0.C, R=b0.R, z0=b0.z0 + 0.01)
+    for beta, params_std in ((0.0, b0), (0.01, shifted)):
+        hyb = HybridParams(beta=beta)
+        state = VehicleState(z=b0.z0 + 5e-4, zdot=0.01, phi=2e-4, phidot=-0.01, I1=-1.5, I2=2.0)
+        d_hyb = rhs_hybrid(state.as_array(), 0.3, b0, exc_quarter, GAINS, hyb)
+        d_std = rhs(hybrid_transform(state, b0, hyb).as_array(), 0.3, params_std, exc_quarter, GAINS)
+        np.testing.assert_allclose(d_hyb, d_std, rtol=1e-13, atol=0.0)
 
 
 def test_hybrid_gamma_values(b0):
@@ -156,7 +163,7 @@ def test_hybrid_zero_current_steady_state(b0, exc_quarter):
     """With gamma chosen so the permanent magnet carries the static load, the
     hybrid steady state rides at zero mean current."""
     beta = 0.01
-    hyb = HybridParams(beta=beta, gamma=hybrid_gamma(b0, beta))
+    hyb = HybridParams(beta=beta)
     state = steady_vehicle_state(b0, exc_quarter, 0.0, hyb=hyb)
     d = rhs_hybrid(state.as_array(), 0.0, b0, exc_quarter, GAINS, hyb)
     assert abs(d[1]) < 1e-10 * b0.g
@@ -169,15 +176,31 @@ def test_hybrid_zero_current_steady_state(b0, exc_quarter):
     np.testing.assert_allclose(d0, np.zeros(6), atol=1e-12)
 
 
-def test_hybrid_transform_round_trip():
-    """A zero offset leaves a state as it is; otherwise z shifts by beta and
-    both currents by gamma, and pitch and rates stay."""
-    hyb = HybridParams(beta=0.01, gamma=20.0)
+def test_one_hybrid_offset_serves_each_plant_its_own_gamma(b0):
+    """One HybridParams paired in turn with two physical parameter sets
+    gives each its own zero-current steady state: gamma follows the
+    parameters it is used with, not the ones of an earlier call."""
+    hyb = HybridParams(beta=0.006)
+    other = PhysicalParams(m=5200.0, C=0.04, R=7.5, z0=0.012, L=2.5, J=3100.0)
+    still = ExcitationParams(A=0.0, Omega=80.0, theta=0.0)
+    assert hybrid_gamma(other, hyb.beta) != hybrid_gamma(b0, hyb.beta)
+    for params in (b0, other, b0, other):
+        s0 = steady_vehicle_state(params, still, 0.0, hyb=hyb)
+        assert (s0.I1, s0.I2) == pytest.approx((0.0, 0.0), abs=1e-12)
+        d0 = rhs_hybrid(s0.as_array(), 0.1, params, still, GAINS, hyb)
+        np.testing.assert_allclose(d0, np.zeros(6), atol=1e-12)
+
+
+def test_hybrid_transform_round_trip(b0):
+    """z shifts by beta and both currents by the gamma of the physical
+    parameters, hybrid_gamma(params, beta), also at beta = 0; pitch and
+    rates stay."""
     s = VehicleState(z=0.014, zdot=0.1, phi=1e-3, phidot=-0.2, I1=3.0, I2=4.0)
-    assert hybrid_transform(s, HybridParams(0.0, 0.0)) == s
-    assert hybrid_transform(s, hyb) == VehicleState(
-        z=0.014 + 0.01, zdot=0.1, phi=1e-3, phidot=-0.2, I1=3.0 + 20.0, I2=4.0 + 20.0
-    )
+    for beta in (0.0, 0.01):
+        gamma = hybrid_gamma(b0, beta)
+        assert hybrid_transform(s, b0, HybridParams(beta)) == VehicleState(
+            z=0.014 + beta, zdot=0.1, phi=1e-3, phidot=-0.2, I1=3.0 + gamma, I2=4.0 + gamma
+        )
 
 
 def test_integrate_steady_start_stays_put(b0, exc_quarter):
@@ -304,7 +327,7 @@ def test_negative_current_flagged(b0, exc_quarter):
 def test_integrate_rejects_mode_hyb_mismatch(b0, exc_quarter):
     """HybridParams without mode='hybrid' would silently run the standard
     plant; mode='hybrid' without them has no plant to run."""
-    hyb = HybridParams(beta=0.01, gamma=hybrid_gamma(b0, 0.01))
+    hyb = HybridParams(beta=0.01)
     start = steady_vehicle_state(b0, exc_quarter, 0.0, hyb)
     span = (0.0, exc_quarter.period)
     with pytest.raises(ValueError, match="hybrid"):
@@ -329,8 +352,9 @@ def _steady_state_reference(params, exc, t, hyb=None):
         i1, i2 = kappa * d1, kappa * d2
         u1, u2 = params.R * kappa * d1, params.R * kappa * d2
     else:
-        i1 = kappa * (d1 + hyb.beta) - hyb.gamma
-        i2 = kappa * (d2 + hyb.beta) - hyb.gamma
+        gamma = hybrid_gamma(params, hyb.beta)
+        i1 = kappa * (d1 + hyb.beta) - gamma
+        i2 = kappa * (d2 + hyb.beta) - gamma
         u1, u2 = params.R * i1, params.R * i2
     return SteadyStateSample(
         t, w1, w2, d1, d2, d1dot, d2dot, i1, i2, kappa * d1dot, kappa * d2dot, u1, u2
@@ -367,8 +391,9 @@ def _rhs_hybrid_reference(state, t, params, exc, gains, hyb):
     e2 = d2 + hyb.beta
     e1 = e1 if e1 > floor else floor
     e2 = e2 if e2 > floor else floor
-    j1 = i1 + hyb.gamma
-    j2 = i2 + hyb.gamma
+    gamma = hybrid_gamma(params, hyb.beta)
+    j1 = i1 + gamma
+    j2 = i2 + gamma
     f1 = params.C * j1 * j1 / (e1 * e1)
     f2 = params.C * j2 * j2 / (e2 * e2)
     zdd = params.g - (f1 + f2) / params.m
@@ -384,13 +409,14 @@ def test_rhs_equals_per_call_reference_bit_for_bit(b0, exc_quarter):
     the identity of its objects.  Over 12,000 random (t, state) pairs per
     plant, calls that switch plant, parameters, excitation, gains (among
     them an equal but distinct gains object) and hybrid offsets at random,
-    so that a stale derivative would show, equal the per-call reference
-    bit for bit; so does steady_state, for floats and arrays."""
+    so that a stale derivative would show, equal bit for bit the per-call
+    reference, which derives gamma from the drawn parameters; so does
+    steady_state, for floats and arrays."""
     rng = np.random.default_rng(11)
     params = [b0, PhysicalParams(m=5200.0, C=0.04, R=7.5, z0=0.012, L=2.5, J=3100.0)]
     excs = [exc_quarter, ExcitationParams(A=0.003, Omega=120.0, theta=1.1)]
     gains = [GAINS, ControlGains(Kp=10600.0, Kd=3000.0), ControlGains(Kp=25000.0, Kd=4500.0)]
-    hybs = [HybridParams(0.01, hybrid_gamma(b0, 0.01)), HybridParams(0.006, 17.0)]
+    hybs = [HybridParams(0.01), HybridParams(0.006)]
     for _ in range(12_000):
         p, e, g = params[rng.integers(2)], excs[rng.integers(2)], gains[rng.integers(3)]
         h = hybs[rng.integers(2)]
@@ -426,7 +452,7 @@ def test_stacked_rhs_equals_per_row_calls_bit_for_bit(b0, exc_quarter):
     params = [b0, PhysicalParams(m=5200.0, C=0.04, R=7.5, z0=0.012, L=2.5, J=3100.0)]
     excs = [exc_quarter, ExcitationParams(A=0.003, Omega=120.0, theta=1.1)]
     gains = [GAINS, ControlGains(Kp=10600.0, Kd=3000.0), ControlGains(Kp=25000.0, Kd=4500.0)]
-    hybs = [HybridParams(0.01, hybrid_gamma(b0, 0.01)), HybridParams(0.006, 17.0)]
+    hybs = [HybridParams(0.01), HybridParams(0.006)]
     groups = {}
     for _ in range(12_000):
         key = (rng.integers(2), rng.integers(2), rng.integers(3), rng.integers(2))

@@ -31,7 +31,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from levstab import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from levstab.boundaries import default_map_window
 from levstab.floquet import STEPS, FloquetError, classify, monodromy, resolve_workers, sweep
-from levstab.plant import hybrid_gamma
 
 PARAMS = PhysicalParams(m=7650.0, C=0.05, R=9.71, z0=0.015)
 THETAS = [k * math.pi / 12.0 for k in range(1, 13)]
@@ -43,7 +42,7 @@ MU_TOL = 1e-9  # max|mu| agreement, relative to max(1, |mu|), as in compare_outp
 def check_map(theta: float, hybrid: bool, n: int) -> dict:
     """One map against DOP853: class differences and the largest deviation."""
     exc = ExcitationParams(A=0.005, Omega=80.0, theta=theta)
-    hyb = HybridParams(beta=BETA, gamma=hybrid_gamma(PARAMS, BETA)) if hybrid else None
+    hyb = HybridParams(BETA) if hybrid else None
     kp_range, kd_range = default_map_window(PARAMS, exc)
     start = time.perf_counter()
     smap = sweep(PARAMS, exc, kp_range, kd_range, n, n, hyb=hyb, workers=1)
