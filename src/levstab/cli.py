@@ -205,13 +205,17 @@ def cmd_simulate(args) -> int:
     gains = _gains_from(args, cfg)
     if not 0.0 < args.periods < math.inf:
         raise config.ConfigError(f"--periods must be a finite number > 0, got {args.periods!r}")
+    t_span = (0.0, args.periods * cfg.exc.period)
+    if not 0.0 < t_span[1] < math.inf:
+        raise config.ConfigError(
+            f"--periods {args.periods!r} of {cfg.exc.period!r} s each is no finite duration > 0 s"
+        )
     dz, dphi = _parse_pair(args.perturb, "--perturb") if args.perturb else (0.0, 0.0)
     mode = "hybrid" if cfg.hybrid is not None else "standard"
     start = plant.steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
     start = replace(start, z=start.z + dz, phi=start.phi + dphi)
     plant.require_open_gaps(start, 0.0, cfg.params, cfg.exc)
     out = _outdir(args)
-    t_span = (0.0, args.periods * cfg.exc.period)
     t_eval = plant.output_grid(t_span, cfg.exc)
     path = os.path.join(out, "trajectory.csv")
     with output.csv_stream(path, plant.TRAJECTORY_CSV_HEADER, t_eval.size) as sink:

@@ -75,11 +75,12 @@ GROUP_COLUMNS = 1024
 # cells): a worker's engine holds 5-8 MB for its block, the stage stack of
 # at most GROUP_COLUMNS columns and the block's matrices and multipliers,
 # whatever the grid and the step counts (7.9 MB for the all-refined 50x50
-# map of tongue d's window), and the results add about 110 bytes per cell;
-# 301x301 peaks at 16 MB.
+# map of tongue d's window), and its record adds 128 bytes per cell (the
+# multipliers twice while the sweep joins chunks): 301x301 peaks at 21 MB.
 # The cap was set when the engine held all of a chunk at once, at 2 KiB per
 # cell for a 1 GiB budget: 2**30 / 2**11 = 524,288 cells, about 724 x 724.
-# It is kept, and a map at the cap now needs about 60 MB plus 8 MB per worker
+# It is kept, and a one-worker map at the cap peaks at 120 MB; a pool's
+# workers add their chunk's record and 8 MB each
 MAX_GRID_CELLS = 2**30 // 2**11
 
 # Butcher's 7-stage explicit Runge-Kutta method of order 6 (Butcher 1964;
@@ -377,9 +378,9 @@ def _batched_cells(
     hyb: HybridParams | None,
     kp: np.ndarray,
     kd: np.ndarray,
-) -> tuple[list, dict]:
-    """Classify the gain cells (kp[c], kd[c]) with the batched engine, in
-    blocks of BLOCK cells.
+) -> dict:
+    """Multipliers of the gain cells (kp[c], kd[c]) by the batched engine,
+    in blocks of BLOCK cells.
 
     Every cell of a block is propagated at STEPS and at half that, each
     step count on a node table of its own.  A cell is accepted once its
@@ -387,23 +388,28 @@ def _batched_cells(
     STEP_TOL * max(1, max|mu|), det M is within DET_TOL of the Liouville
     value exp(-R (z0 + beta) T / C), and its class at n equals that at
     n/2; the others are run again at twice the steps, up to MAX_STEPS.  A
-    cell goes to the scalar
-    ``monodromy`` (DOP853) when its matrix is not finite, when it is still
-    not accepted at the cap, or when its max|mu| lies within GUARD estimates
-    of a class edge 1 +/- EPS (or within STEP_TOL, how closely the two
-    engines agree); a cell whose ``monodromy`` fails is classed 'error' and
-    never aborts the batch.
+    cell goes to the scalar ``monodromy`` (DOP853) when its matrix is not
+    finite, when it is still not accepted at the cap, or when its max|mu|
+    lies within GUARD estimates of a class edge 1 +/- EPS (or within
+    STEP_TOL, how closely the two engines agree); a cell whose
+    ``monodromy`` fails never aborts the batch.
 
-    Returns one (class, max|mu|, error message or None) per cell, and
-    statistics: cells accepted per step count, fallback cells, the largest
-    Richardson estimate (relative to max(1, max|mu|)) and the largest
-    relative det M error.
+    Returns the cells' record, a dict of arrays over the cells: ``mu``, the
+    six multipliers (NaN for a failed cell); ``steps``, the accepted step
+    count (0 for a cell sent to ``monodromy``); ``richardson``, the accepted
+    Richardson estimate relative to max(1, max|mu|) (NaN for those);
+    ``det_rel_err``, the relative error of det M against the Liouville
+    value; and ``error``, a failed cell's message, else None.
     """
     pm = periodic_matrix(params, exc, ControlGains(Kp=0.0, Kd=0.0), hyb=hyb)
     det_exact = _liouville_det(params, pm)
-    out: list = [None] * kp.size
-    stats = {"steps": {}, "fallback": 0, "richardson_max": 0.0, "det_rel_err_max": 0.0}
-    fallback = []
+    record = {
+        "mu": np.full((kp.size, 6), np.nan, dtype=complex),
+        "steps": np.zeros(kp.size, dtype=int),
+        "richardson": np.full(kp.size, np.nan),
+        "det_rel_err": np.full(kp.size, np.nan),
+        "error": np.full(kp.size, None, dtype=object),
+    }
     table = functools.cache(lambda steps: pm.table(6 * steps))
     with np.errstate(all="ignore"):
         for start in range(0, kp.size, BLOCK):
@@ -413,7 +419,6 @@ def _batched_cells(
             while pending.size:
                 fine = _propagate(*table(steps), kp[pending], kd[pending], pm.period)
                 finite = np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(coarse).all(axis=(1, 2))
-                fallback += list(pending[~finite])
                 pending, coarse, fine = pending[finite], coarse[finite], fine[finite]
                 mu_coarse, mu_fine = np.linalg.eigvals(coarse), np.linalg.eigvals(fine)
                 top = np.abs(mu_fine).max(axis=1)
@@ -425,31 +430,23 @@ def _batched_cells(
                 margin = np.maximum(GUARD * est, STEP_TOL) * scale
                 cls = _classes(mu_fine)
                 retry = (est > STEP_TOL) | (det_err > DET_TOL) | (cls != _classes(mu_coarse))
-                edge = ~retry & (edge_gap <= margin)
-                done = ~retry & ~edge
-                fallback += list(pending[edge])
-                for c, name, mu in zip(pending[done], cls[done], top[done]):
-                    out[c] = (name, float(mu), None)
-                if done.any():
-                    stats["steps"][steps] = stats["steps"].get(steps, 0) + int(done.sum())
-                    # fmax, like max(), passes over a NaN
-                    for key, value in (("richardson_max", est), ("det_rel_err_max", det_err)):
-                        stats[key] = float(np.fmax.reduce(value[done], initial=stats[key]))
+                done = ~retry & (edge_gap > margin)
+                for key, value in (("mu", mu_fine), ("richardson", est), ("det_rel_err", det_err)):
+                    record[key][pending[done]] = value[done]
+                record["steps"][pending[done]] = steps
                 if steps >= MAX_STEPS:
-                    fallback += list(pending[retry])
                     break
                 pending, coarse = pending[retry], fine[retry]
                 steps *= 2
-    for c in sorted(fallback):
-        stats["fallback"] += 1
+    for c in np.flatnonzero(record["steps"] == 0):
         try:
             res = monodromy(params, exc, ControlGains(Kp=float(kp[c]), Kd=float(kd[c])), hyb=hyb)
         except Exception as err:  # per-cell capture: the sweep must finish
-            out[c] = ("error", float("nan"), f"{type(err).__name__}: {err}")
+            record["error"][c] = f"{type(err).__name__}: {err}"
             continue
-        out[c] = (classify(res), res.max_modulus, None)
-        stats["det_rel_err_max"] = max(stats["det_rel_err_max"], res.stats["det_rel_err"])
-    return out, stats
+        record["mu"][c] = res.multipliers
+        record["det_rel_err"][c] = res.stats["det_rel_err"]
+    return record
 
 
 def sweep(
@@ -465,12 +462,13 @@ def sweep(
     """Classify an nx-by-ny gain grid.
 
     The cells, Kp outer and Kd inner, are split into one contiguous chunk
-    per worker and each chunk is classified by the batched engine
-    (``_batched_cells``).  The workers are those of ``resolve_workers``, but
-    no more than the grid has full blocks of BLOCK cells; with more than one
-    chunk the chunks run in a process pool.  A cell's result does not depend
-    on its chunk, so the output is the same for every worker count.  A
-    range whose width hi - lo overflows raises ``ValueError``.
+    per worker, and the classes, max|mu|, errors and engine fields of
+    ``meta`` all come from the joined records of the chunks' batched engine
+    calls (``_batched_cells``).  The workers are those of ``resolve_workers``,
+    but no more than the grid has full blocks of BLOCK cells; with more than
+    one chunk the chunks run in a process pool.  A cell's record does not
+    depend on its chunk, so the output is the same for every worker count.
+    A range whose width hi - lo overflows raises ``ValueError``.
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
@@ -494,19 +492,21 @@ def sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_batched_cells, *zip(*chunks)))
+            parts = list(pool.map(_batched_cells, *zip(*chunks)))
     else:
-        results = [_batched_cells(*chunks[0])]
-    cells = [cell for part, _ in results for cell in part]
-    stats = [st for _, st in results]
-    steps = sorted({n for st in stats for n in st["steps"]})
-    errors = [(*divmod(c, ny), err) for c, (_, _, err) in enumerate(cells) if err is not None]
+        parts = [_batched_cells(*chunks[0])]
+    # each field's chunk arrays are dropped once joined
+    cells = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
+    failed = [(c, msg) for c, msg in enumerate(cells["error"]) if msg is not None]
+    classes = _classes(cells["mu"])
+    classes[[c for c, _ in failed]] = "error"
+    steps, counts = np.unique(cells["steps"][cells["steps"] > 0], return_counts=True)
     return StabilityMap(
         kp=kp,
         kd=kd,
-        classes=np.array([cls for cls, _, _ in cells], dtype=object).reshape(nx, ny),
-        max_mu=np.array([mu for _, mu, _ in cells]).reshape(nx, ny),
-        errors=errors,
+        classes=classes.reshape(nx, ny),
+        max_mu=np.abs(cells["mu"]).max(axis=1).reshape(nx, ny),
+        errors=[(*divmod(c, ny), msg) for c, msg in failed],
         meta={
             "Kp_range": list(Kp_range),
             "Kd_range": list(Kd_range),
@@ -516,12 +516,11 @@ def sweep(
             "rtol": RTOL,
             "atol": ATOL,
             "method": ENGINE,
-            "cells_by_steps": {
-                str(n): sum(st["steps"].get(n, 0) for st in stats) for n in steps
-            },
-            "fallback_cells": sum(st["fallback"] for st in stats),
-            "richardson_max": max(st["richardson_max"] for st in stats),
-            "det_rel_err_max": max(st["det_rel_err_max"] for st in stats),
+            "cells_by_steps": {str(n): int(k) for n, k in zip(steps, counts)},
+            "fallback_cells": int(np.count_nonzero(cells["steps"] == 0)),
+            # fmax passes over the NaN of the cells the engine did not accept
+            "richardson_max": float(np.fmax.reduce(cells["richardson"], initial=0.0)),
+            "det_rel_err_max": float(np.fmax.reduce(cells["det_rel_err"], initial=0.0)),
             "workers": len(chunks),
             "hybrid_beta": None if hyb is None else hyb.beta,
         },

@@ -144,6 +144,8 @@ def validate(params: PhysicalParams, exc: ExcitationParams) -> tuple[PhysicalPar
         raise ValueError("A >= z0: steady-state gap closes")
     if not math.isfinite(exc.Omega) or exc.Omega <= 0.0:
         raise ValueError("Omega must be positive")
+    if not math.isfinite(exc.period):
+        raise ValueError(f"Omega = {exc.Omega!r} is too small: its period 2 pi/Omega overflows")
     if not math.isfinite(exc.theta):
         raise ValueError("theta must be finite")
     return params, exc

@@ -275,12 +275,19 @@ def test_cli_map_grid_over_cell_cap_rejected(tmp_path, monkeypatch, capsys):
     assert f"MAX_GRID_CELLS = {floquet.MAX_GRID_CELLS}" in err
     assert not (tmp_path / "map.csv").exists()
 
-    stats = {"steps": {}, "fallback": 0, "richardson_max": 0.0, "det_rel_err_max": 0.0}
+    def stable(params, exc, hyb, kp, kd):
+        """The record of cells all accepted at 50 steps, each with six
+        multipliers of modulus 0.5."""
+        return {
+            "mu": np.full((kp.size, 6), 0.5, dtype=complex),
+            "steps": np.full(kp.size, 50),
+            "richardson": np.zeros(kp.size),
+            "det_rel_err": np.zeros(kp.size),
+            "error": np.full(kp.size, None, dtype=object),
+        }
+
     monkeypatch.setenv("LEVSTAB_THREADS", "1")
-    monkeypatch.setattr(
-        floquet, "_batched_cells",
-        lambda params, exc, hyb, kp, kd: ([("stable", 0.5, None)] * kp.size, stats),
-    )
+    monkeypatch.setattr(floquet, "_batched_cells", stable)
     assert main(["map", "--grid", "101,101", "--out", str(tmp_path)]) == EXIT_OK
     assert len((tmp_path / "map.csv").read_text().splitlines()) == 1 + 101 * 101
 
@@ -297,6 +304,32 @@ def test_cli_simulate_periods_over_sample_cap_rejected(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"MAX_SAMPLES = {MAX_SAMPLES}" in err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_cli_simulate_periods_underflowing_to_no_time_rejected(tmp_path, capsys):
+    """A --periods above 0 whose duration periods * T underflows to 0 s is
+    bad input: exit 2 on one error line naming --periods, not the solver's
+    complaint about its time span, and no product."""
+    rc = main(["simulate", *GAINS_ARGS, "--periods", "5e-324", "--out", str(tmp_path / "out")])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --periods 5e-324 ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["steady-state"], ["simulate", *GAINS_ARGS], ["map", "--grid", "2,2"], ["ellipses"],
+])
+def test_cli_rejects_omega_whose_period_overflows(tmp_path, capsys, command):
+    """An Omega so small that 2 pi/Omega overflows is bad input: every
+    command exits 2 on one error line naming Omega and writes nothing."""
+    doc = {**B0_DOC, "excitation": {**B0_DOC["excitation"], "Omega": 5e-324}}
+    out = tmp_path / "out"
+    rc = main([*command, "--config", _write(tmp_path, doc), "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: Omega = 5e-324 ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_simulate_stiff_gains_stop_at_rhs_budget(tmp_path):

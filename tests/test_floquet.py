@@ -243,26 +243,80 @@ def test_sweep_deterministic_exports(monkeypatch, tmp_path, b0, exc_quarter):
     assert header == MAP_CSV_HEADER == "Kp,Kd,class,max_mu_abs"
 
 
+def _assert_same_record(a, b):
+    """Two engine records hold the same bits in every field, NaN included."""
+    assert a.keys() == b.keys()
+    for key in a:
+        if a[key].dtype == object:
+            assert list(a[key]) == list(b[key]), key
+        else:
+            assert (a[key].dtype, a[key].tobytes()) == (b[key].dtype, b[key].tobytes()), key
+
+
 def test_batched_cells_independent_of_chunking(monkeypatch, b0, exc_quarter):
     """A cell's result does not depend on the other cells of its batch, so
     neither the worker split nor the engine's blocks can change a map,
-    whatever the CPU count: the engine's results on a set of cells equal,
-    bit for bit, its results on two unequal parts of it, and its results
-    in blocks of 4 cells.  The kind-d tongue centre, far outside the default
-    window, needs refined passes (at 25 steps it errs by about 1e-4)."""
+    whatever the CPU count: every field of the engine's record on a set of
+    cells equals, bit for bit, its record on two unequal parts of it, and
+    its record in blocks of 4 cells.  The kind-d tongue centre, far outside
+    the default window, needs refined passes (at 25 steps it errs by about
+    1e-4)."""
     import levstab.floquet as fl
 
     kp_range, kd_range = default_map_window(b0, exc_quarter)
     ed = all_ellipses(b0, exc_quarter)["d"]
     kp = np.append(np.repeat(np.linspace(*kp_range, 5), 5), [ed.h1, 1.01 * ed.h1])
     kd = np.append(np.tile(np.linspace(*kd_range, 5), 5), [ed.h2, ed.h2])
-    whole, stats = _batched_cells(b0, exc_quarter, None, kp, kd)
-    head, _ = _batched_cells(b0, exc_quarter, None, kp[:7], kd[:7])
-    tail, _ = _batched_cells(b0, exc_quarter, None, kp[7:], kd[7:])
-    assert len(stats["steps"]) > 1  # some cells needed a refined pass
-    assert whole == head + tail
+    whole = _batched_cells(b0, exc_quarter, None, kp, kd)
+    head = _batched_cells(b0, exc_quarter, None, kp[:7], kd[:7])
+    tail = _batched_cells(b0, exc_quarter, None, kp[7:], kd[7:])
+    assert len(set(whole["steps"]) - {0}) > 1  # some cells needed a refined pass
+    _assert_same_record(whole, {key: np.concatenate([head[key], tail[key]]) for key in head})
     monkeypatch.setattr(fl, "BLOCK", 4)
-    assert _batched_cells(b0, exc_quarter, None, kp, kd)[0] == whole
+    _assert_same_record(whole, _batched_cells(b0, exc_quarter, None, kp, kd))
+
+
+@pytest.mark.parametrize("window", [
+    "tongue-d",
+    pytest.param("default", marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the engine accepts a cell on max|mu| alone: at 50 steps a smaller modulus of the "
+        "window's last cell is 1.05e-9 off DOP853, which is within 1.4e-11 of 800 steps"
+    ))),
+])
+def test_batched_multipliers_match_monodromy(monkeypatch, b0, exc_quarter, window):
+    """The engine's record holds each cell's six multipliers.  On a 5x5
+    grid of tongue d's window (Kp = h1 +/- 3 k1, Kd = h2 +/- 5 k2), where
+    every cell refines to 200 or 400 steps, and of the default window, their
+    sorted moduli and both families' signature moduli agree with
+    monodromy's within 1e-9 max(1, |mu|).  With MAX_STEPS cut to STEPS the
+    tongue-d cells go to monodromy, and the record holds its multipliers
+    bit for bit."""
+    import levstab.floquet as fl
+
+    if window == "tongue-d":
+        ed = all_ellipses(b0, exc_quarter)["d"]
+        ranges = ((ed.h1 - 3 * ed.k1, ed.h1 + 3 * ed.k1), (ed.h2 - 5 * ed.k2, ed.h2 + 5 * ed.k2))
+    else:
+        ranges = default_map_window(b0, exc_quarter)
+    kp, kd = (np.linspace(*r, 5) for r in ranges)
+    kp, kd = np.repeat(kp, 5), np.tile(kd, 5)
+    record = _batched_cells(b0, exc_quarter, None, kp, kd)
+    refs = [monodromy(b0, exc_quarter, ControlGains(p, d)).multipliers for p, d in zip(kp, kd)]
+    assert set(record["steps"]) <= ({200, 400} if window == "tongue-d" else {50, 100, 200, 400})
+
+    def close(got, ref):
+        return got.shape == ref.shape and np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, ref))
+
+    for mu, ref in zip(record["mu"], refs):
+        assert close(np.sort(np.abs(mu)), np.sort(np.abs(ref))), (mu, ref)
+        for family in ("principal", "combination"):
+            assert close(signature_moduli(mu, family), signature_moduli(ref, family)), (family, mu, ref)
+    if window == "tongue-d":
+        monkeypatch.setattr(fl, "MAX_STEPS", fl.STEPS)
+        record = _batched_cells(b0, exc_quarter, None, kp, kd)
+        assert not record["steps"].any() and np.isnan(record["richardson"]).all()
+        for mu, ref in zip(record["mu"], refs):
+            assert mu.tobytes() == np.asarray(ref, dtype=complex).tobytes()
 
 
 def test_batched_step_is_sixth_order(b0, exc_quarter):
@@ -333,7 +387,7 @@ def test_segmented_pass_matches_one_segment(monkeypatch, b0, exc_quarter):
 
     ed = all_ellipses(b0, exc_quarter)["d"]
     kp, kd = np.array([ed.h1, ed.h1]), np.array([ed.h2, ed.h2 + 3.0 * ed.k2])
-    assert _batched_cells(b0, exc_quarter, None, kp, kd)[1]["steps"] == {200: 1, 400: 1}
+    assert list(_batched_cells(b0, exc_quarter, None, kp, kd)["steps"]) == [200, 400]
     pm = periodic_matrix(b0, exc_quarter, ControlGains(0.0, 0.0))
     for steps in (200, 400):
         table = pm.table(6 * steps)
@@ -429,6 +483,11 @@ def test_sweep_captures_cell_errors(monkeypatch, b0, exc_still):
     assert smap.meta["fallback_cells"] == 1
     # the other cells are classified normally
     assert smap.classes[1, 1] in {"stable", "divergence"}
+    # the engine's record of the failed cell: no multipliers, no step count
+    kp, kd = np.array([9000.0, 10000.0]), np.array([2000.0, 3000.0])
+    record = fl._batched_cells(b0, exc_still, None, kp, kd)
+    assert np.isnan(record["mu"][0]).all() and record["steps"][0] == 0
+    assert "synthetic integrator failure" in record["error"][0] and record["error"][1] is None
 
 
 @pytest.mark.parametrize("case", ["still", "inphase", "quarter", "antiphase", "hybrid"])
@@ -663,3 +722,10 @@ def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):
     assert 0.0 <= grid["richardson_max"] <= 1e-9
     assert 0.0 <= grid["det_rel_err_max"] <= 1e-8
     assert doc["cell_errors"] == []
+    # the engine fields are reductions of the engine's record of the cells
+    record = _batched_cells(b0, exc_quarter, None, np.repeat(smap.kp, 2), np.tile(smap.kd, 2))
+    steps = [int(n) for n in record["steps"]]
+    assert grid["cells_by_steps"] == {str(n): steps.count(n) for n in sorted(set(steps) - {0})}
+    assert grid["fallback_cells"] == steps.count(0)
+    for key, field in (("richardson_max", "richardson"), ("det_rel_err_max", "det_rel_err")):
+        assert grid[key] == max([0.0, *(x for x in record[field] if not math.isnan(x))]), key
