@@ -366,9 +366,18 @@ def entry() -> None:
     the interpreter's shutdown does not traverse what the command loaded,
     numpy's import heap above all.  ``main`` does not, since the tests
     call it in-process.
+
+    It also sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller has set
+    it, before any command imports numpy.  No BLAS call levstab makes is
+    large enough to use a second thread, yet OpenBLAS starts one at
+    import that busy-waits for about 100 ms of CPU, which on two CPUs
+    it takes from ``simulate``'s CSV writer process.  The sweep's worker
+    processes and the writer inherit the setting; ``main`` and library
+    use leave the environment as it is.
     """
     import gc
 
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.freeze()
     code = main()
     gc.freeze()

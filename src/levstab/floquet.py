@@ -75,11 +75,11 @@ GROUP_COLUMNS = 1024
 # cells): a worker's engine holds 5-8 MB for its block, the stage stack of
 # at most GROUP_COLUMNS columns and the block's matrices and multipliers,
 # whatever the grid and the step counts (7.9 MB for the all-refined 50x50
-# map of tongue d's window), and its record adds 128 bytes per cell (the
-# multipliers twice while the sweep joins chunks): 301x301 peaks at 21 MB.
+# map of tongue d's window), and its record adds 128 bytes per cell, which
+# the sweep derives from a block at a time: 301x301 peaks at 19.5 MB.
 # The cap was set when the engine held all of a chunk at once, at 2 KiB per
 # cell for a 1 GiB budget: 2**30 / 2**11 = 524,288 cells, about 724 x 724.
-# It is kept, and a one-worker map at the cap peaks at 120 MB; a pool's
+# It is kept, and a one-worker map at the cap peaks at 89 MB; a pool's
 # workers add their chunk's record and 8 MB each
 MAX_GRID_CELLS = 2**30 // 2**11
 
@@ -493,19 +493,22 @@ def sweep(
 
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_batched_cells, *zip(*chunks)))
+        # each field's chunk arrays are dropped once joined
+        cells = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
     else:
-        parts = [_batched_cells(*chunks[0])]
-    # each field's chunk arrays are dropped once joined
-    cells = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
+        cells = _batched_cells(*chunks[0])
     failed = [(c, msg) for c, msg in enumerate(cells["error"]) if msg is not None]
-    classes = _classes(cells["mu"])
+    # derived a block at a time: over the whole grid, _classes' temporaries
+    # would take about 100 bytes per cell on top of the record's 128
+    blocks = [cells["mu"][lo : lo + BLOCK] for lo in range(0, nx * ny, BLOCK)]
+    classes = np.concatenate([_classes(mu) for mu in blocks])
     classes[[c for c, _ in failed]] = "error"
     steps, counts = np.unique(cells["steps"][cells["steps"] > 0], return_counts=True)
     return StabilityMap(
         kp=kp,
         kd=kd,
         classes=classes.reshape(nx, ny),
-        max_mu=np.abs(cells["mu"]).max(axis=1).reshape(nx, ny),
+        max_mu=np.concatenate([np.abs(mu).max(axis=1) for mu in blocks]).reshape(nx, ny),
         errors=[(*divmod(c, ny), msg) for c, msg in failed],
         meta={
             "Kp_range": list(Kp_range),

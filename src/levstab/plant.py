@@ -366,12 +366,14 @@ def output_grid(t_span: tuple[float, float], exc: ExcitationParams) -> np.ndarra
     SAMPLES_PER_PERIOD per excitation period, and both ends of t_span.
 
     A grid of more than MAX_SAMPLES samples raises ``ValueError`` naming
-    the limit, before anything is allocated.
+    the limit, before anything is allocated, an infinite count included.
     """
-    n = max(2, int(round(SAMPLES_PER_PERIOD * (t_span[1] - t_span[0]) / exc.period)))
+    samples = SAMPLES_PER_PERIOD * (t_span[1] - t_span[0]) / exc.period
+    # clamped before rounding, which cannot convert an infinite count
+    n = max(2, round(min(samples, MAX_SAMPLES + 1)))
     if n > MAX_SAMPLES:
         raise ValueError(
-            f"{n} output samples exceed the limit of MAX_SAMPLES = {MAX_SAMPLES} "
+            f"{samples:.7g} output samples exceed the limit of MAX_SAMPLES = {MAX_SAMPLES} "
             f"({MAX_SAMPLES // SAMPLES_PER_PERIOD} periods; a 1 GiB budget at "
             "160 bytes per sample)"
         )

@@ -24,6 +24,7 @@ from levstab.cli import (
     main,
 )
 from levstab.config import ConfigError, dump_config, load_config, parse_config
+from levstab.plant import MAX_SAMPLES, SAMPLES_PER_PERIOD
 
 
 B0_DOC = {
@@ -295,14 +296,28 @@ def test_cli_map_grid_over_cell_cap_rejected(tmp_path, monkeypatch, capsys):
 def test_cli_simulate_periods_over_sample_cap_rejected(tmp_path, capsys):
     """--periods beyond MAX_SAMPLES output samples is bad input: exit 2 on
     one error line naming the limit, before the output grid is built."""
-    from levstab.plant import MAX_SAMPLES
-
     rc = main(["simulate", "--kp", "10600", "--kd", "3000", "--periods", "1e9",
                "--out", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"MAX_SAMPLES = {MAX_SAMPLES}" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("periods", [
+    pytest.param("1e308", id="overflowing"),
+    pytest.param(repr((MAX_SAMPLES + 1) / SAMPLES_PER_PERIOD), id="one-sample-over"),
+])
+def test_cli_simulate_sample_count_checked_before_rounding(tmp_path, capsys, periods):
+    """A finite --periods whose sample count overflows to infinity, and one
+    a sample over MAX_SAMPLES, are bad input: exit 2 on one error line
+    naming the limit, not a failed conversion of the count to an integer."""
+    rc = main(["simulate", *GAINS_ARGS, "--periods", periods, "--out", str(tmp_path)])
+    assert rc == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"output samples exceed the limit of MAX_SAMPLES = {MAX_SAMPLES}" in err
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -473,17 +488,10 @@ def test_cli_ellipses_and_resonance_chart_run_no_plant(tmp_path):
         assert not ran & {"levstab.plant", "levstab.floquet", "levstab.linearized", "levstab.validation"}
 
 
-_FREEZE_SCRIPT = """
-import gc, json, runpy, sys
-freeze_at_main = []
-
-def probe(frame, event, arg):
-    code = frame.f_code
-    if event == "call" and code.co_name == "main" and code.co_filename.endswith("cli.py"):
-        freeze_at_main.append(gc.get_freeze_count())
-
-assert gc.get_freeze_count() == 0
-sys.argv = ["levstab", "ellipses", "--out", OUT]
+# the tail of a fresh-interpreter script: start the CLI with sys.argv as
+# TARGET says, its console-script entry point "module:function" or, for
+# None, ``python -m levstab.cli``, with ``probe`` set as the profiler
+_START_CLI = """
 sys.setprofile(probe)
 try:
     if TARGET is None:
@@ -495,6 +503,42 @@ except SystemExit:
     pass
 finally:
     sys.setprofile(None)
+"""
+
+
+def _fresh_cli(how, script, tmp_path, env=None):
+    """Run ``script``, which ends in ``_START_CLI``, in a fresh interpreter
+    that starts the CLI as ``how`` says: "python -m levstab.cli" or the
+    "console script" named in pyproject.toml.  ``OUT`` is ``tmp_path``.
+    Returns the JSON of the script's last line of output."""
+    import re
+
+    src = Path(levstab.__file__).resolve().parents[1]
+    target = None
+    if how == "console script":
+        pyproject = (src.parent / "pyproject.toml").read_text()
+        target = re.search(r'^levstab = "([\w.:]+)"$', pyproject, re.M).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"TARGET = {target!r}\nOUT = {str(tmp_path)!r}\n" + script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, **(env or {}), "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_FREEZE_SCRIPT = """
+import gc, json, runpy, sys
+freeze_at_main = []
+
+def probe(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_name == "main" and code.co_filename.endswith("cli.py"):
+        freeze_at_main.append(gc.get_freeze_count())
+
+assert gc.get_freeze_count() == 0
+sys.argv = ["levstab", "ellipses", "--out", OUT]
+""" + _START_CLI + """
 # the objects in the permanent generation are not among gc.get_objects()
 numpy_frozen = not any(obj is vars(sys.modules["numpy"]) for obj in gc.get_objects())
 print(json.dumps([freeze_at_main, numpy_frozen]))
@@ -509,22 +553,51 @@ def test_cli_entry_freezes_import_heap(tmp_path, how):
     and again after it, when the command has loaded numpy, so that no
     collection, the one at shutdown included, traverses it.  ``main``
     itself, which the tests call in-process, freezes nothing."""
-    import re
-
-    src = Path(levstab.__file__).resolve().parents[1]
-    target = None
-    if how == "console script":
-        pyproject = (src.parent / "pyproject.toml").read_text()
-        target = re.search(r'^levstab = "([\w.:]+)"$', pyproject, re.M).group(1)
-    proc = subprocess.run(
-        [sys.executable, "-c", f"TARGET = {target!r}\nOUT = {str(tmp_path)!r}\n" + _FREEZE_SCRIPT],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    counts, numpy_frozen = json.loads(proc.stdout.splitlines()[-1])
-    assert len(counts) == 1 and counts[0] > 0, proc.stdout
+    counts, numpy_frozen = _fresh_cli(how, _FREEZE_SCRIPT, tmp_path)
+    assert len(counts) == 1 and counts[0] > 0, counts
     assert numpy_frozen
+
+
+_THREADS_SCRIPT = """
+import json, os, runpy, sys
+at_main = []
+
+def probe(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_name == "main" and code.co_filename.endswith("cli.py"):
+        at_main.append([os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules])
+
+sys.argv = ["levstab", "steady-state", "--out", OUT]
+""" + _START_CLI + """
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([at_main, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+"""
+
+
+@pytest.mark.parametrize("how", ["python -m levstab.cli", "console script"])
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_cli_entry_runs_blas_on_one_thread(tmp_path, monkeypatch, how, caller):
+    """Both ways of starting the CLI set OPENBLAS_NUM_THREADS to 1 before
+    any command has imported numpy, unless the caller set it, so that
+    OpenBLAS starts no worker thread: after ``steady-state`` the process
+    still runs one thread (counted where /proc/self/task exists).  A
+    caller's value is kept."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+    at_main, numpy_loaded, value, tasks = _fresh_cli(how, _THREADS_SCRIPT, tmp_path, env)
+    assert at_main == [[caller or "1", False]]
+    assert numpy_loaded and value == (caller or "1")
+    if caller is None and tasks is not None:
+        assert tasks == 1
+
+
+def test_cli_main_leaves_environment_unchanged(tmp_path, monkeypatch):
+    """``main``, which the tests and library callers run in-process, sets
+    no thread policy: only the CLI's entry point does."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["steady-state", "--out", str(tmp_path)]) == EXIT_OK
+    assert dict(os.environ) == before
 
 
 def test_cli_steady_state(tmp_path, capsys):

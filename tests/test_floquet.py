@@ -243,6 +243,38 @@ def test_sweep_deterministic_exports(monkeypatch, tmp_path, b0, exc_quarter):
     assert header == MAP_CSV_HEADER == "Kp,Kd,class,max_mu_abs"
 
 
+def test_sweep_one_worker_memory_bound(monkeypatch, b0, exc_quarter):
+    """A one-worker 101x101 sweep of the default window peaks under 10 MB
+    (tracemalloc; 7.8 MB measured, in the engine).  Once the engine has
+    returned, the sweep holds the record and at most 64 bytes per cell
+    more (43 measured): it takes one chunk's record as it is, without a
+    join's copy, and derives the classes and max|mu| a block at a time.
+    Deriving them over the whole grid held 113 bytes per cell more."""
+    import tracemalloc
+
+    import levstab.floquet as fl
+
+    engine = fl._batched_cells
+    seen = []
+
+    def measured(*args):
+        record = engine(*args)
+        seen.append((tracemalloc.get_traced_memory()[1], sum(field.nbytes for field in record.values())))
+        tracemalloc.reset_peak()
+        return record
+
+    monkeypatch.setattr(fl, "_batched_cells", measured)
+    tracemalloc.start()
+    try:
+        sweep(b0, exc_quarter, *default_map_window(b0, exc_quarter), 101, 101, workers=1)
+        after_engine = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(engine_peak, record_bytes)] = seen
+    assert max(engine_peak, after_engine) < 10e6
+    assert after_engine <= record_bytes + 64 * 101 * 101
+
+
 def _assert_same_record(a, b):
     """Two engine records hold the same bits in every field, NaN included."""
     assert a.keys() == b.keys()

@@ -16,7 +16,9 @@ bounds come from ``BENCHMARK.json`` of the working tree; this tool changes
 nothing under ``benchmarks/``.
 
 The JSON written to ``--out`` holds the environment (Python and numpy
-versions, CPU count and affinity, ``PYTHONDONTWRITEBYTECODE``), the seeds,
+versions, CPU count and affinity, ``PYTHONDONTWRITEBYTECODE`` and the BLAS
+thread variables ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``, None
+where unset), the seeds,
 every run's result line (``correct``, ``attempted``, ``failed`` and each
 metric) and, per workload and metric, each side's median and quartiles
 (``statistics.quantiles``, inclusive method), the change's wins out of the
@@ -52,6 +54,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# recorded from the environment: bytecode caching and the BLAS thread count
+ENV_VARS = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def extract(rev: str | None, dest: Path) -> Path:
@@ -153,7 +157,7 @@ def environment() -> dict:
         "numpy": importlib.metadata.version("numpy"),
         "cpu_count": os.cpu_count(),
         "affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        **{name: os.environ.get(name) for name in ENV_VARS},
         "machine": platform.machine(),
     }
 
