@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +64,16 @@ DET_TOL = 1e-8
 # class edge 1 +/- EPS is recomputed by monodromy
 GUARD = 10.0
 ENGINE = "RK6 (Butcher 7-stage, Richardson-checked) + DOP853 fallback"
-# cells per engine block; the process pool starts only when every worker
-# gets at least one full block
+# cells per engine block: the engine's working memory does not grow past
+# one block's, whatever the chunk
 BLOCK = 2048
+# a sweep splits its cells into no more chunks than give each at least
+# this many cells.  Fresh `map --grid n,n` processes on a 2-vCPU VM, medians
+# of 7 alternations, a two-way split against one chunk: +3.5 ms at 16
+# cells, +1.1 at 121, +0.0 at 144 (72 per chunk), -0.6 at 169, -2.1 at 196,
+# -6.9 at 441 and -18.6 at 676 (26x26).  The split won at most 3 of 7
+# alternations below 169 cells, and 6 or 7 of 7 from there on but at 256
+MIN_CHUNK_CELLS = 96
 # stack columns (cells times segments) of one group of a pass, ten arrays
 # of 36 floats each, about 3 MB.  Best of 5 in-process timings on a 2-vCPU
 # VM, 1024 columns against 2048: 135 against 154 ms for a 50-step pass of
@@ -76,11 +85,14 @@ GROUP_COLUMNS = 1024
 # at most GROUP_COLUMNS columns and the block's matrices and multipliers,
 # whatever the grid and the step counts (7.9 MB for the all-refined 50x50
 # map of tongue d's window), and its record adds 128 bytes per cell, which
-# the sweep derives from a block at a time: 301x301 peaks at 19.5 MB.
+# the sweep derives from a block at a time: 301x301 peaks at 19.5 MB.  A
+# two-worker sweep's calling process holds the record, its own chunk's
+# while copying it in, and the engine: 301x301 peaks there at 16.0 MB and
+# 724x724 at 92 MB, and the forked child adds its engine and its chunk's
+# record (ru_maxrss 72 MB at 724x724, pages shared with the parent included).
 # The cap was set when the engine held all of a chunk at once, at 2 KiB per
 # cell for a 1 GiB budget: 2**30 / 2**11 = 524,288 cells, about 724 x 724.
-# It is kept, and a one-worker map at the cap peaks at 89 MB; a pool's
-# workers add their chunk's record and 8 MB each
+# It is kept, and a one-worker map at the cap peaks at 89 MB
 MAX_GRID_CELLS = 2**30 // 2**11
 
 # Butcher's 7-stage explicit Runge-Kutta method of order 6 (Butcher 1964;
@@ -449,6 +461,112 @@ def _batched_cells(
     return record
 
 
+def _fork_chunk(*args) -> tuple:
+    """Run the engine on ``args`` in a child made by ``os.fork``, which
+    writes its record to a pipe (``_send_record``) and leaves by
+    ``os._exit``: it runs no atexit handler and flushes none of the stdio
+    buffers it inherited.  It exits 0 once its record is written, else 1.
+    Returns the child's pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            _send_record(_batched_cells(*args), write)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _send_record(record: dict, fd: int) -> None:
+    """Write an engine record to the pipe ``fd``: the bytes of each numeric
+    field in the record's order, then its object fields, pickled."""
+    with open(fd, "wb") as pipe:
+        for field in record.values():
+            if field.dtype != object:
+                pipe.write(field)
+        pickle.dump([field for field in record.values() if field.dtype == object], pipe)
+
+
+def _receive_record(pipe, record: dict, lo: int, hi: int) -> bool:
+    """Read a record that ``_send_record`` wrote into the cells lo:hi of
+    ``record``, to the pipe's end.  Returns whether it came whole."""
+    objects = [field for field in record.values() if field.dtype == object]
+    for field in record.values():
+        if field.dtype != object:
+            cells = field[lo:hi]
+            if pipe.readinto(cells) != cells.nbytes:
+                return False
+    try:
+        parts = pickle.loads(pipe.read())
+    except (EOFError, pickle.UnpicklingError):
+        return False
+    for field, part in zip(objects, parts):
+        field[lo:hi] = part
+    return True
+
+
+def _forked_record(
+    params: PhysicalParams,
+    exc: ExcitationParams,
+    hyb: HybridParams | None,
+    kp: np.ndarray,
+    kd: np.ndarray,
+    bounds: np.ndarray,
+) -> dict:
+    """The engine's record of the cells (kp[c], kd[c]), run in the chunks
+    bounds[k]:bounds[k + 1]: chunk 0 in this process and every other chunk
+    in a child of ``_fork_chunk``.
+
+    The record is allocated field by field as chunk 0's fields are copied
+    into it and dropped, and each child's record is read from its pipe
+    straight into its cells.  A child that exits nonzero or is killed by
+    a signal, or whose record comes short, raises ``RuntimeError`` naming
+    its status.  However this returns or raises, every child has been
+    reaped, and one not yet reaped is killed first.
+    """
+    children = []  # (pid, pipe, lo, hi) of each child not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            children.append((*_fork_chunk(params, exc, hyb, kp[lo:hi], kd[lo:hi]), lo, hi))
+        part = _batched_cells(params, exc, hyb, kp[: bounds[1]], kd[: bounds[1]])
+        record = {}
+        for key in list(part):
+            field = part.pop(key)
+            record[key] = np.empty((kp.size, *field.shape[1:]), field.dtype)
+            record[key][: bounds[1]] = field
+        del field
+        while children:
+            pid, pipe, lo, hi = children[0]
+            with pipe:
+                whole = _receive_record(pipe, record, lo, hi)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code < 0:
+                how = f"was killed by signal {-code} ({signal.strsignal(-code)})"
+            elif code > 0:
+                how = f"exited with status {code}"
+            elif not whole:
+                how = "exited with status 0 but sent a short record"
+            else:
+                continue
+            raise RuntimeError(f"sweep worker {pid} {how}")
+        return record
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def sweep(
     params: PhysicalParams,
     exc: ExcitationParams,
@@ -465,10 +583,12 @@ def sweep(
     per worker, and the classes, max|mu|, errors and engine fields of
     ``meta`` all come from the joined records of the chunks' batched engine
     calls (``_batched_cells``).  The workers are those of ``resolve_workers``,
-    but no more than the grid has full blocks of BLOCK cells; with more than
-    one chunk the chunks run in a process pool.  A cell's record does not
-    depend on its chunk, so the output is the same for every worker count.
-    A range whose width hi - lo overflows raises ``ValueError``.
+    but so few that every chunk has at least MIN_CHUNK_CELLS cells, and one
+    where ``os.fork`` is missing; with more than one chunk, all but the
+    first run in forked children (``_forked_record``).  A cell's record
+    does not depend on its chunk, so the output is the same for every
+    worker count.  A range whose width hi - lo overflows raises
+    ``ValueError``; a child that fails raises ``RuntimeError``.
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")
@@ -483,20 +603,14 @@ def sweep(
     kp = np.linspace(Kp_range[0], Kp_range[1], nx)
     kd = np.linspace(Kd_range[0], Kd_range[1], ny)
     cells_kp, cells_kd = np.repeat(kp, ny), np.tile(kd, nx)
-    workers = max(1, min(resolve_workers(workers), nx * ny // BLOCK))
-    bounds = np.linspace(0, nx * ny, workers + 1).astype(int)
-    chunks = [
-        (params, exc, hyb, cells_kp[lo:hi], cells_kd[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-    ]
-    if len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_batched_cells, *zip(*chunks)))
-        # each field's chunk arrays are dropped once joined
-        cells = {key: np.concatenate([part.pop(key) for part in parts]) for key in list(parts[0])}
+    # one chunk where os.fork is missing
+    workers = resolve_workers(workers) if hasattr(os, "fork") else 1
+    workers = max(1, min(workers, nx * ny // MIN_CHUNK_CELLS))
+    if workers == 1:
+        cells = _batched_cells(params, exc, hyb, cells_kp, cells_kd)
     else:
-        cells = _batched_cells(*chunks[0])
+        bounds = np.linspace(0, nx * ny, workers + 1).astype(int)
+        cells = _forked_record(params, exc, hyb, cells_kp, cells_kd, bounds)
     failed = [(c, msg) for c, msg in enumerate(cells["error"]) if msg is not None]
     # derived a block at a time: over the whole grid, _classes' temporaries
     # would take about 100 bytes per cell on top of the record's 128
@@ -524,7 +638,7 @@ def sweep(
             # fmax passes over the NaN of the cells the engine did not accept
             "richardson_max": float(np.fmax.reduce(cells["richardson"], initial=0.0)),
             "det_rel_err_max": float(np.fmax.reduce(cells["det_rel_err"], initial=0.0)),
-            "workers": len(chunks),
+            "workers": workers,
             "hybrid_beta": None if hyb is None else hyb.beta,
         },
     )

@@ -239,6 +239,52 @@ def test_cli_map_cell_errors_exit_code(tmp_path, monkeypatch, capsys):
     assert meta["cell_errors"] == [[0, 0, "synthetic failure"]]
 
 
+def test_cli_map_worker_failure_exits_3(tmp_path, monkeypatch, capsys):
+    """A forked sweep worker that exits nonzero makes the default map exit
+    3 with one ``error:`` line naming its status and no traceback, and
+    leaves no child behind."""
+    import levstab.floquet as fl
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    engine, parent = fl._batched_cells, os.getpid()
+
+    def child_exits_7(*args):
+        return engine(*args) if os.getpid() == parent else os._exit(7)
+
+    monkeypatch.setattr(fl, "_batched_cells", child_exits_7)
+    assert main(["map", "--out", str(tmp_path)]) == EXIT_RUNTIME
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: sweep worker ") and err.endswith(" exited with status 7")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_map_piped_stdout_printed_once(tmp_path):
+    """A fresh ``map`` process, its standard output a buffered pipe, prints
+    each line once: the forked sweep worker leaves by ``os._exit``, so it
+    does not flush the stdout buffer it inherits, here a line already
+    printed.  ``PYTHONUNBUFFERED`` is dropped, so that the line waits in
+    the buffer."""
+    src = Path(levstab.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "print('before the map')\n"
+        f"sys.argv = ['levstab', 'map', '--out', {str(tmp_path)!r}]\n"
+        "from levstab.cli import entry\n"
+        "entry()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**env, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and lines[0] == "before the map" and lines[1].startswith("map 21x21: ")
+    assert json.loads((tmp_path / "map_meta.json").read_text())["grid"]["workers"] == 2
+
+
 def test_cli_map_extreme_gains_fail_fast(tmp_path):
     """Gains of 1e12 overflow the batched engine and exhaust monodromy's RHS
     budget: every cell is classed 'error' and the map exits 3 within
@@ -433,9 +479,10 @@ def test_cli_and_solvers_never_load_scipy(tmp_path):
     """In a fresh interpreter, importing the CLI, running the default map,
     ellipses, resonance-chart, steady-state and simulate, and a DOP853
     monodromy all leave scipy unloaded: the package integrates with its
-    own DOP853.  The default map is under two engine blocks, so it starts
-    no process pool and never imports one, and it needs no DOP853 fallback,
-    so neither the import nor the map loads ``levstab.dop853``.
+    own DOP853.  The default map splits its cells between this process
+    and a forked child where two CPUs are usable, and no process pool is
+    imported.  It needs no DOP853 fallback, so neither the import nor the
+    map loads ``levstab.dop853``.
 
     The import and ``--version`` run only ``levstab`` and ``levstab.cli``,
     and the map does not run the validation battery's module."""

@@ -3,6 +3,7 @@ sweeps and boundary-crossing scans."""
 
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -221,26 +222,142 @@ def test_sweep_agrees_with_static_oracle_when_unexcited(b0, exc_still):
             assert (got == "stable") == (max_re < 0.0), (kp, kd, got)
 
 
+def _two_cpus(monkeypatch):
+    """Let ``resolve_workers`` see two usable CPUs, whatever the machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def test_sweep_deterministic_exports(monkeypatch, tmp_path, b0, exc_quarter):
-    """Two identical sweeps serialize to byte-identical CSV files, parallel
-    or not.  The pool starts only when every worker gets a full block of
-    cells, so a 4x4 map runs on one worker, and on two (where two CPUs are
-    usable) once the block is shrunk to 8 cells."""
+    """Two identical sweeps serialize to byte-identical CSV files, split or
+    not.  No chunk gets fewer than MIN_CHUNK_CELLS cells, so a 4x4 map runs
+    as one chunk; with the minimum shrunk to 8 cells it runs as two, one
+    in a forked child, and as one again where ``os.fork`` is missing."""
     import levstab.floquet as fl
 
+    _two_cpus(monkeypatch)
     kp_range = (10000.0, 13000.0)
     kd_range = (2300.0, 2420.0)
     m1 = sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=1)
+    assert 4 * 4 < 2 * fl.MIN_CHUNK_CELLS
     assert sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=2).meta["workers"] == 1
-    monkeypatch.setattr(fl, "BLOCK", 8)
+    monkeypatch.setattr(fl, "MIN_CHUNK_CELLS", 8)
     m2 = sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=2)
-    assert m2.meta["workers"] == resolve_workers(2)
+    assert m2.meta["workers"] == 2
     p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     write_map_csv(m1, p1)
     write_map_csv(m2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == MAP_CSV_HEADER == "Kp,Kd,class,max_mu_abs"
+    monkeypatch.delattr(os, "fork")
+    assert sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=2).meta["workers"] == 1
+
+
+def test_sweep_default_window_split_keeps_bytes(monkeypatch, tmp_path, b0, exc_quarter):
+    """The 26x26 default-window map, which the two-way split serves, writes
+    the same map.csv bytes as one chunk in this process."""
+    _two_cpus(monkeypatch)
+    window = default_map_window(b0, exc_quarter)
+    paths = []
+    for workers in (1, 2):
+        smap = sweep(b0, exc_quarter, *window, 26, 26, workers=workers)
+        assert smap.meta["workers"] == workers
+        paths.append(tmp_path / f"w{workers}.csv")
+        write_map_csv(smap, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _stub_cells(params, exc, hyb, kp, kd):
+    """A stand-in for the engine's record of the cells (kp, kd), every cell
+    stable at 50 steps: the sweep's own memory without the engine's."""
+    return {
+        "mu": np.full((kp.size, 6), 0.5, dtype=complex),
+        "steps": np.full(kp.size, 50),
+        "richardson": np.zeros(kp.size),
+        "det_rel_err": np.zeros(kp.size),
+        "error": np.full(kp.size, None, dtype=object),
+    }
+
+
+def test_sweep_two_worker_memory_bound(monkeypatch, b0, exc_quarter):
+    """A two-worker 101x101 sweep holds its record about once in the
+    calling process: tracemalloc's peak there, over the whole sweep with
+    a stand-in engine, is at most the record's 128 bytes per cell and 64
+    more (48 measured: the cells' gains and, while chunk 0 is copied, its
+    record).  The record is allocated once and filled as the chunks
+    arrive, the child's straight from its pipe; joining both chunks'
+    records from a process pool peaked at 183 bytes per cell more."""
+    import tracemalloc
+
+    import levstab.floquet as fl
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(fl, "_batched_cells", _stub_cells)
+    cells = 101 * 101
+    tracemalloc.start()
+    try:
+        smap = sweep(b0, exc_quarter, *default_map_window(b0, exc_quarter), 101, 101, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert smap.meta["workers"] == 2
+    assert (smap.classes == "stable").all() and (smap.max_mu == 0.5).all()
+    assert peak <= (128 + 64) * cells
+
+
+def _in_child(monkeypatch, child_engine, own_engine=_batched_cells):
+    """Split a 4x4 map two ways, and run ``child_engine`` in place of the
+    engine in the forked child and ``own_engine`` in this process."""
+    import levstab.floquet as fl
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(fl, "MIN_CHUNK_CELLS", 8)
+    parent = os.getpid()
+
+    def engine(*args):
+        return (own_engine if os.getpid() == parent else child_engine)(*args)
+
+    monkeypatch.setattr(fl, "_batched_cells", engine)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("child_engine, status", [
+    (lambda *args: os._exit(7), "exited with status 7"),
+    (lambda *args: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL:d} "),
+    (
+        lambda params, exc, hyb, kp, kd: _batched_cells(params, exc, hyb, kp[:1], kd[:1]),
+        "exited with status 0 but sent a short record",
+    ),
+], ids=["exit-7", "sigkill", "short-record"])
+def test_sweep_child_failure_raises(monkeypatch, b0, exc_quarter, child_engine, status):
+    """A child that exits nonzero, is killed by a signal, or sends a record
+    of fewer cells than its chunk makes the sweep raise ``RuntimeError``
+    naming its status, and leaves no child behind."""
+    _in_child(monkeypatch, child_engine)
+    with pytest.raises(RuntimeError, match=f"^sweep worker \\d+ {status}"):
+        sweep(b0, exc_quarter, (10000.0, 13000.0), (2300.0, 2420.0), 4, 4, workers=2)
+    _assert_no_child_left()
+
+
+def test_sweep_parent_chunk_failure_kills_children(monkeypatch, b0, exc_quarter):
+    """When the chunk this process runs raises, the children are killed and
+    reaped before the exception propagates: a child that would sleep for
+    a minute does not hold the sweep up."""
+    import time
+
+    def fail(*args):
+        raise ValueError("the calling process's chunk failed")
+
+    _in_child(monkeypatch, lambda *args: time.sleep(60.0), own_engine=fail)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="calling process's chunk failed"):
+        sweep(b0, exc_quarter, (10000.0, 13000.0), (2300.0, 2420.0), 4, 4, workers=2)
+    assert time.monotonic() - start < 30.0
+    _assert_no_child_left()
 
 
 def test_sweep_one_worker_memory_bound(monkeypatch, b0, exc_quarter):

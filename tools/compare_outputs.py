@@ -111,7 +111,8 @@ TIMINGS = {"seconds", "elapsed_s"}
 MU_TOL = 1e-9  # max|mu| agreement of two map engines, relative to max(1, |mu|)
 # the engine's own record; "rk4_cells_by_steps" is the older name of
 # "cells_by_steps", kept so that a revision from before the rename compares,
-# and "workers" depends on the engine's block size, which gates the pool
+# and "workers" depends on the CPUs usable and the sweep's minimum chunk
+# size, MIN_CHUNK_CELLS
 ENGINE_FIELDS = {
     "method",
     "cells_by_steps",
