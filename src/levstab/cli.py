@@ -371,9 +371,9 @@ def entry() -> None:
     it, before any command imports numpy.  No BLAS call levstab makes is
     large enough to use a second thread, yet OpenBLAS starts one at
     import that busy-waits for about 100 ms of CPU, which on two CPUs
-    it takes from ``simulate``'s CSV writer process.  The sweep's worker
-    processes and the writer inherit the setting; ``main`` and library
-    use leave the environment as it is.
+    it takes from the forked child that formats ``simulate``'s CSV or
+    runs the sweep's second chunk.  ``main`` and library use leave the
+    environment as it is.
     """
     import gc
 

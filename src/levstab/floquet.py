@@ -14,14 +14,13 @@ import functools
 import math
 import os
 import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linearized import CURRENT_ROWS, periodic_matrix
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
-from .output import write_csv, write_json
+from .output import fork, reap, write_csv, write_json
 from .plant import ATOL, RTOL
 
 __all__ = [
@@ -461,43 +460,19 @@ def _batched_cells(
     return record
 
 
-def _fork_chunk(*args) -> tuple:
-    """Run the engine on ``args`` in a child made by ``os.fork``, which
-    writes its record to a pipe (``_send_record``) and leaves by
-    ``os._exit``: it runs no atexit handler and flushes none of the stdio
-    buffers it inherited.  It exits 0 once its record is written, else 1.
-    Returns the child's pid and the pipe's read end."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            _send_record(_batched_cells(*args), write)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _send_record(record: dict, fd: int) -> None:
-    """Write an engine record to the pipe ``fd``: the bytes of each numeric
-    field in the record's order, then its object fields, pickled."""
-    with open(fd, "wb") as pipe:
-        for field in record.values():
-            if field.dtype != object:
-                pipe.write(field)
-        pickle.dump([field for field in record.values() if field.dtype == object], pipe)
+def _send_chunk(pipe, *args) -> None:
+    """Run the engine on ``args`` and write its record to ``pipe``, in a
+    child of ``fork``: the bytes of each numeric field in the record's
+    order, then its object fields, pickled."""
+    record = _batched_cells(*args)
+    for field in record.values():
+        if field.dtype != object:
+            pipe.write(field)
+    pickle.dump([field for field in record.values() if field.dtype == object], pipe)
 
 
 def _receive_record(pipe, record: dict, lo: int, hi: int) -> bool:
-    """Read a record that ``_send_record`` wrote into the cells lo:hi of
+    """Read a record that ``_send_chunk`` wrote into the cells lo:hi of
     ``record``, to the pipe's end.  Returns whether it came whole."""
     objects = [field for field in record.values() if field.dtype == object]
     for field in record.values():
@@ -524,19 +499,20 @@ def _forked_record(
 ) -> dict:
     """The engine's record of the cells (kp[c], kd[c]), run in the chunks
     bounds[k]:bounds[k + 1]: chunk 0 in this process and every other chunk
-    in a child of ``_fork_chunk``.
+    in a child of ``fork`` (``_send_chunk``).
 
     The record is allocated field by field as chunk 0's fields are copied
     into it and dropped, and each child's record is read from its pipe
-    straight into its cells.  A child that exits nonzero or is killed by
-    a signal, or whose record comes short, raises ``RuntimeError`` naming
-    its status.  However this returns or raises, every child has been
-    reaped, and one not yet reaped is killed first.
+    straight into its cells.  A child that cannot start, fails (``reap``)
+    or sends a short record raises ``RuntimeError``.  However this returns
+    or raises, every child has been reaped, and one not yet reaped is
+    killed first.
     """
-    children = []  # (pid, pipe, lo, hi) of each child not yet reaped
+    children = []  # (child, lo, hi) of each child not yet reaped
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            children.append((*_fork_chunk(params, exc, hyb, kp[lo:hi], kd[lo:hi]), lo, hi))
+            child = fork("a sweep worker", _send_chunk, params, exc, hyb, kp[lo:hi], kd[lo:hi])
+            children.append((child, lo, hi))
         part = _batched_cells(params, exc, hyb, kp[: bounds[1]], kd[: bounds[1]])
         record = {}
         for key in list(part):
@@ -545,26 +521,15 @@ def _forked_record(
             record[key][: bounds[1]] = field
         del field
         while children:
-            pid, pipe, lo, hi = children[0]
-            with pipe:
-                whole = _receive_record(pipe, record, lo, hi)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child, lo, hi = children[0]
+            whole = _receive_record(child.pipe, record, lo, hi)
             children.pop(0)
-            if code < 0:
-                how = f"was killed by signal {-code} ({signal.strsignal(-code)})"
-            elif code > 0:
-                how = f"exited with status {code}"
-            elif not whole:
-                how = "exited with status 0 but sent a short record"
-            else:
-                continue
-            raise RuntimeError(f"sweep worker {pid} {how}")
+            fault = None if whole else "exited with status 0 but sent a short record"
+            reap(child, fault)
         return record
     finally:
-        for pid, pipe, _, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for child, _, _ in children:
+            reap(child, abort=True)
 
 
 def sweep(

@@ -1,4 +1,5 @@
-"""File products: the one place where CSV and JSON files are written.
+"""File products: the one place where CSV and JSON files are written, and
+where work runs in a child process.
 
 CSV numbers carry 17 significant digits, enough to round-trip every
 float64, so a CSV product reloads to the exact values that were computed.
@@ -6,40 +7,119 @@ JSON products are indented and key-sorted, so equal payloads give equal
 bytes.
 
 A CSV of float columns can also be streamed with :func:`csv_stream`: the
-rows of a long stream go as raw float64 frames to a writer process, which
-formats them with ``write_csv``'s row formatter while the caller computes
-the next ones.  The writer process runs this file as a script on the
-standard library alone, which is why numpy, json and contextlib are
-imported inside the functions that use them: the writer starts in about
-15 ms instead of 30.
+rows of a long stream go as raw float64 frames to a writer, a child
+process, which formats them with ``write_csv``'s row formatter while the
+caller computes the next ones.
+
+:func:`fork` starts every child levstab runs, this writer and the map
+sweep's chunks alike, and :func:`reap` ends it: a child leaves by
+``os._exit``, and one that fails raises ``RuntimeError`` naming how it
+ended and what it raised.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import sys
+import signal
+from collections import namedtuple
+from contextlib import contextmanager, suppress
 
-__all__ = ["write_csv", "write_json", "csv_stream"]
+import numpy as np
+
+__all__ = ["write_csv", "write_json", "csv_stream", "fork", "reap"]
 
 _CSV_BLOCK = 4096  # rows per formatted block
-# csv_stream starts a writer process only for a plan of at least this many
-# rows.  Below it the writer's start (a fresh interpreter, about 15 ms) costs
-# more than the formatting it takes off the caller: for simulate's 9 columns,
-# in 16 alternating pairs per length on a 2-vCPU VM, streaming lost by a
-# median 11 and 4 ms at 1001 and 2001 rows (5 and 10 periods), broke even at
-# 3001 (faster in 9 of 16) and won by 13 and 39 ms at 4001 and 6001 rows
-# (20 and 30 periods)
-_STREAM_ROWS = 4000
-# the writer process of csv_stream: this file as a script, in an
-# interpreter that ignores the environment and skips the site module, which
-# halves its start-up
-_WRITER = (sys.executable, "-I", "-S", os.path.abspath(__file__))
+# csv_stream forks a writer only for a plan of at least this many rows.
+# Below it the fork costs more than the formatting it takes off the
+# caller: for simulate's 9 columns, in two sets of 14 alternating pairs of
+# fresh processes per length on a 2-vCPU VM, the forked writer lost by a
+# median 5.4-5.5 ms at 1001 rows (5 periods) and 0.9-2.0 ms at 2001 (10),
+# broke even at 2201 (11; faster in 6 and 7 of 14) and won by 1.8-1.9 ms
+# at 2401 (12; faster in 14 and 13 of 14) and 4.5-5.9 ms at 3801 (19)
+_STREAM_ROWS = 2400
+
+# a child of fork: what its errors call it, its pid, this process's end of
+# its pipe as a binary file, and the read end of its error pipe
+Child = namedtuple("Child", "name pid pipe errors")
+
+
+def fork(name, work, *args, reads=False) -> Child:
+    """Run ``work(end, *args)`` in a child made by ``os.fork``, where
+    ``end`` is the child's end of a new pipe as a binary file: the child
+    writes to it, or reads from it if ``reads``.
+
+    The child leaves by ``os._exit``, so it runs no atexit handler and
+    flushes none of the stdio buffers it inherited: with status 0 once
+    ``work`` has returned, else with 1 after writing ``Type: message`` of
+    what it raised to its error pipe.  A fork that fails raises
+    ``RuntimeError`` naming the child as ``name`` and the error.  Every
+    child must be passed to ``reap``.
+    """
+    data, errors = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as err:
+        for fd in (*data, *errors):
+            os.close(fd)
+        raise RuntimeError(f"cannot start {name}: {err}") from err
+    theirs, ours = data if reads else data[::-1]
+    if pid == 0:
+        status = 1
+        try:
+            os.close(ours)
+            os.close(errors[0])
+            with open(theirs, "rb" if reads else "wb") as end:
+                work(end, *args)
+            status = 0
+        except BaseException as err:
+            os.write(errors[1], " ".join(f"{type(err).__name__}: {err}".split()).encode())
+        finally:
+            os._exit(status)
+    os.close(theirs)
+    os.close(errors[1])
+    return Child(name, pid, open(ours, "wb" if reads else "rb"), errors[0])
+
+
+def reap(child: Child, fault: str | None = None, abort: bool = False) -> None:
+    """Close ``child``'s pipes and wait for it to exit; with ``abort``,
+    kill it first and raise nothing.
+
+    Otherwise a child killed by a signal or exiting nonzero raises
+    ``RuntimeError`` that names it and its pid, its signal or status, and
+    the ``Type: message`` it raised, if any.  So does a child that exited
+    with status 0 in which the caller found a ``fault``, such as a short
+    record, which then stands in the error for the status.
+    """
+    if abort:
+        os.kill(child.pid, signal.SIGKILL)
+    with suppress(BrokenPipeError):  # rows still buffered for a killed reader
+        child.pipe.close()
+    with open(child.errors, "rb") as fh:
+        cause = fh.read().decode(errors="replace")
+    code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+    if abort or code == 0 and not fault:
+        return
+    if code < 0:
+        how = f"was killed by signal {-code} ({signal.strsignal(-code)})"
+    else:
+        how = f"exited with status {code}" if code else fault
+    raise RuntimeError(f"{child.name} (pid {child.pid}) {how}" + (f": {cause}" if cause else ""))
 
 
 def _rows(template, columns) -> str:
     """The CSV lines of the equal-length sequences ``columns``, one row
     each formatted by ``template``."""
     return "".join(template % row for row in zip(*columns))
+
+
+def _write_block(dst, template, values, n) -> None:
+    """Format a block of n rows by ``template`` into the binary file
+    ``dst``; ``values`` holds its columns one after the other, n floats
+    each, as a flat sequence whose slices are sequences of floats."""
+    # a list, not a generator: zip(*generator) resizes the tuple it builds,
+    # which leaves up to 2000 tuples in CPython's free list
+    dst.write(_rows(template, [values[i * n : (i + 1) * n] for i in range(template.count("%"))]).encode())
 
 
 def write_csv(path, header, columns) -> None:
@@ -52,8 +132,6 @@ def write_csv(path, header, columns) -> None:
     from ``tolist()`` slices, so memory use does not grow with the row
     count.
     """
-    import numpy as np
-
     columns = [np.asarray(c) for c in columns]
     n = min((len(c) for c in columns), default=0)
     with open(path, "w", newline="\n") as fh:
@@ -65,137 +143,88 @@ def write_csv(path, header, columns) -> None:
             fh.write(_rows(template, (c[lo : lo + _CSV_BLOCK].tolist() for c in columns)))
 
 
+@contextmanager
 def csv_stream(path, header, rows):
     """Write a CSV of float columns to ``path``, one block of rows at a
-    time, through a writer process if the stream is long.
+    time, through a forked writer if the stream is long.
 
     ``rows`` is the number of rows the caller plans to send, and it alone
-    decides the writer: a plan of at least ``_STREAM_ROWS`` rows starts the
-    writer process when the stream opens, before the first block, and the
-    process formats every block as ``write_csv`` does into a temporary file
-    beside ``path``.  A shorter plan is held and formatted in this process
-    when the stream closes, by the writer's own code into the same bytes,
-    which spares it the writer's start.  Yields ``send(columns)``, which
-    takes a block of rows as equal-length float columns, one per name in
-    ``header``, and copies them before it returns.  The temporary file
-    becomes ``path`` once the ``with`` block has ended and the writer, if
-    any, has exited with status 0.  Otherwise the writer is killed and
-    reaped, the temporary file is removed and the error propagates; a
-    writer that cannot start, failed or stopped reading raises
-    ``RuntimeError``, with its exit status and the last line of its stderr
-    once it ran.
+    decides the writer: a plan of at least ``_STREAM_ROWS`` rows forks the
+    writer (``fork``) when the stream opens, before the first block, and
+    the writer formats every block as ``write_csv`` does into a temporary
+    file beside ``path``.  A shorter plan, and every plan where
+    ``os.fork`` is missing, formats each block into that file as it
+    arrives, in this process.  Yields ``send(columns)``, which takes a
+    block of rows as equal-length float columns, one per name in
+    ``header``, and copies or formats them before it returns.  The
+    temporary file becomes ``path`` once the ``with`` block has ended and
+    the writer, if any, has exited with status 0.  Otherwise the writer is
+    killed and reaped, the temporary file is removed and the error
+    propagates; a writer that cannot start, failed or stopped reading
+    raises ``RuntimeError`` naming its status and what it raised.
     """
-    from contextlib import contextmanager
-
-    return contextmanager(_stream)(path, header, rows)
-
-
-def _stream(path, header, rows):
-    """The generator behind ``csv_stream``."""
-    import io
-    import subprocess
-
-    import numpy as np
-
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     writer = None
     try:
-        if rows >= _STREAM_ROWS:
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode() + b"\n")
+            fh.flush()  # a writer inherits the file, and must not inherit the header too
+            if rows >= _STREAM_ROWS and hasattr(os, "fork"):
+                writer = fork(f"the CSV writer of {path}", _serve, fh, template, reads=True)
+
+            def send(columns):
+                block = np.array(columns, dtype=np.float64)
+                if writer is None:
+                    _write_block(fh, template, memoryview(block.ravel()), block.shape[1])
+                else:  # a frame, as _serve reads it
+                    writer.pipe.write(block.shape[1].to_bytes(8, "little") + block.tobytes())
+
+            fault = None
             try:
-                with open(tmp, "wb") as fh:
-                    writer = subprocess.Popen(_WRITER, stdin=subprocess.PIPE, stdout=fh, stderr=subprocess.PIPE)
-            except OSError as err:
-                raise RuntimeError(f"cannot start the CSV writer of {path}: {err}") from err
-        # what the writer reads (see _serve): the header line, then a frame
-        # per block, held here for a short plan
-        frames = io.BytesIO() if writer is None else writer.stdin
-
-        def send(columns):
-            block = np.array(columns, dtype=np.float64)
-            frames.write(block.shape[1].to_bytes(8, "little") + block.tobytes())
-
-        try:
-            frames.write(header.encode() + b"\n")
-            yield send
-            if writer is None:  # the writer's work, done here
-                frames.seek(0)
-                with open(tmp, "wb") as fh:
-                    _serve(frames, fh)
-                _publish(tmp, path)
-                return
-            writer.stdin.close()
-            complete = True
-        except BrokenPipeError:  # the writer, the pipe's only reader, has exited
-            if writer is None:
-                raise
-            complete = False
-        status = writer.wait()
-        if status != 0 or not complete:
-            if status < 0:
-                what = f"was killed by signal {-status}"
-            elif status > 0:
-                what = f"exited with status {status}"
-            else:
-                what = "exited before it had read every row"
-            lines = writer.stderr.read().decode(errors="replace").strip().splitlines()
-            raise RuntimeError(f"the CSV writer of {path} {what}" + (f": {lines[-1]}" if lines else ""))
-        _publish(tmp, path)
+                yield send
+                if writer is not None:
+                    writer.pipe.close()
+            except BrokenPipeError:  # the writer, the pipe's only reader, has exited
+                if writer is None:
+                    raise
+                fault = "exited before it had read every row"
+            if writer is not None:
+                child, writer = writer, None
+                reap(child, fault)
+        try:  # an error names path alone, as tmp is removed below
+            os.replace(tmp, path)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, path) from None
     finally:
         if writer is not None:
-            if writer.returncode is None:
-                writer.kill()
-                writer.wait()
-            try:
-                writer.stdin.close()
-            except BrokenPipeError:  # rows still buffered for the killed writer
-                pass
-            writer.stderr.close()
+            reap(writer, abort=True)
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _publish(tmp, path) -> None:
-    """Rename the finished temporary file ``tmp`` to ``path``.  A failure
-    names ``path`` alone, since the caller then deletes ``tmp``."""
-    try:
-        os.replace(tmp, path)
-    except OSError as err:
-        raise OSError(err.errno, err.strerror, path) from None
-
-
-def _serve(src, dst) -> None:
-    """The writer of ``csv_stream``, run in its process, or in the caller's
-    for a plan too short to start it: copy the header line from the
-    binary stream ``src`` to ``dst``, then format each frame that follows
-    as CSV rows into ``dst`` until ``src`` ends.
+def _serve(src, dst, template) -> None:
+    """The writer of ``csv_stream``, run in a child of ``fork``: format
+    each frame of the binary stream ``src`` as CSV rows by ``template``
+    into ``dst`` until ``src`` ends.
 
     A frame is the row count n as 8 little-endian bytes, then the block's
     columns one after the other, n native float64 values each.
     """
-    header = src.readline()
-    dst.write(header)
-    k = header.count(b",") + 1
-    template = ",".join(["%.17g"] * k) + "\n"
+    size = 8 * template.count("%")  # bytes per row
     while head := src.read(8):
         n = int.from_bytes(head, "little")
-        data = src.read(8 * k * n)
-        if len(head) < 8 or len(data) < 8 * k * n:
+        data = src.read(size * n)
+        if len(head) < 8 or len(data) < size * n:
             raise EOFError("the stream ended inside a frame")
-        values = memoryview(data).cast("d")
-        dst.write(_rows(template, (values[i * n : (i + 1) * n] for i in range(k))).encode())
+        _write_block(dst, template, memoryview(data).cast("d"), n)
     dst.flush()
 
 
 def write_json(path, payload) -> None:
     """Write a JSON document with 2-space indent, sorted keys and a
     trailing newline."""
-    import json
-
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-if __name__ == "__main__":
-    _serve(sys.stdin.buffer, sys.stdout.buffer)

@@ -254,24 +254,59 @@ def test_cli_map_worker_failure_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fl, "_batched_cells", child_exits_7)
     assert main(["map", "--out", str(tmp_path)]) == EXIT_RUNTIME
     [err] = capsys.readouterr().err.splitlines()
-    assert err.startswith("error: sweep worker ") and err.endswith(" exited with status 7")
+    assert err.startswith("error: a sweep worker (pid ") and err.endswith(") exited with status 7")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_cli_map_piped_stdout_printed_once(tmp_path):
-    """A fresh ``map`` process, its standard output a buffered pipe, prints
-    each line once: the forked sweep worker leaves by ``os._exit``, so it
-    does not flush the stdout buffer it inherits, here a line already
-    printed.  ``PYTHONUNBUFFERED`` is dropped, so that the line waits in
-    the buffer."""
+def _child_runs_out(*args):
+    raise MemoryError("child ran out")
+
+
+def _no_fork():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("child", "exited with status 1: MemoryError: child ran out"),
+    ("fork", "cannot start a sweep worker: [Errno 11] Resource temporarily unavailable"),
+], ids=["child-raises", "fork-fails"])
+def test_cli_map_worker_fault_is_named(tmp_path, monkeypatch, capsys, fault, message):
+    """A forked sweep worker whose engine raises makes the default map exit
+    3 with one ``error:`` line that names what it raised; a worker that
+    cannot be forked does so before any chunk has run.  Neither leaves a
+    child behind."""
+    import levstab.floquet as fl
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    engine, parent, ran = fl._batched_cells, os.getpid(), []
+
+    def engine_here(*args):
+        ran.append(args)
+        return engine(*args) if os.getpid() == parent else _child_runs_out()
+
+    monkeypatch.setattr(fl, "_batched_cells", engine_here)
+    if fault == "fork":
+        monkeypatch.setattr(os, "fork", _no_fork)
+    assert main(["map", "--out", str(tmp_path)]) == EXIT_RUNTIME
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and err.endswith(message), err
+    assert len(ran) == (fault == "child")
+    _assert_no_child_left()
+
+
+def _fresh_piped(argv, tmp_path):
+    """Run a fresh process that sees two CPUs, prints a line and then runs
+    ``levstab argv``, its standard output a pipe.  ``PYTHONUNBUFFERED`` is dropped, so that
+    the line waits in the buffer that a forked child inherits.  Returns
+    the process's stdout lines."""
     src = Path(levstab.__file__).resolve().parents[1]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     script = (
         "import os, sys\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "print('before the map')\n"
-        f"sys.argv = ['levstab', 'map', '--out', {str(tmp_path)!r}]\n"
+        "print('before the command')\n"
+        f"sys.argv = ['levstab', *{argv!r}, '--out', {str(tmp_path)!r}]\n"
         "from levstab.cli import entry\n"
         "entry()\n"
     )
@@ -280,9 +315,29 @@ def test_cli_map_piped_stdout_printed_once(tmp_path):
         env={**env, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == EXIT_OK, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 2 and lines[0] == "before the map" and lines[1].startswith("map 21x21: ")
+    return proc.stdout.splitlines()
+
+
+def test_cli_map_piped_stdout_printed_once(tmp_path):
+    """A fresh ``map`` process, its standard output a buffered pipe, prints
+    each line once: the forked sweep worker leaves by ``os._exit``, so it
+    does not flush the stdout buffer it inherits, here a line already
+    printed."""
+    lines = _fresh_piped(["map"], tmp_path)
+    assert len(lines) == 2 and lines[0] == "before the command" and lines[1].startswith("map 21x21: ")
     assert json.loads((tmp_path / "map_meta.json").read_text())["grid"]["workers"] == 2
+
+
+def test_cli_simulate_piped_stdout_printed_once(tmp_path):
+    """A fresh ``simulate --periods 25`` process, its standard output a
+    buffered pipe, prints each line once: its forked CSV writer leaves by
+    ``os._exit`` and does not flush the line it inherits."""
+    from levstab.output import _STREAM_ROWS
+
+    assert 25 * SAMPLES_PER_PERIOD + 1 >= _STREAM_ROWS
+    lines = _fresh_piped(["simulate", *GAINS_ARGS, "--periods", "25"], tmp_path)
+    assert len(lines) == 2 and lines[0] == "before the command"
+    assert lines[1].startswith("simulated 25.0 periods (standard)"), lines
 
 
 def test_cli_map_extreme_gains_fail_fast(tmp_path):
@@ -824,6 +879,26 @@ def test_cli_simulate_hybrid_mode(tmp_path):
     assert np.max(np.abs(data[:, 1] - 0.015)) < 1e-8
 
 
+def _record_forks(monkeypatch):
+    """Record each child that ``csv_stream`` forks; returns the list that
+    the children are appended to as they start."""
+    from levstab import output
+
+    started, real = [], output.fork
+
+    def recorded(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(output, "fork", recorded)
+    return started
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # config additions, periods and (dz, dphi) of simulate runs that stream
 STREAM_CASES = {
     "standard": ({}, 25, (1e-4, 5e-5)),
@@ -836,7 +911,7 @@ STREAM_CASES = {
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_cli_simulate_stream_matches_in_process_writer(tmp_path, monkeypatch, case):
     """From _STREAM_ROWS planned rows on, simulate streams trajectory.csv
-    through one writer process, also when a gap closure ends the run within
+    through one forked writer, also when a gap closure ends the run within
     its first block; its bytes equal those of write_trajectory_csv on the
     same run, the closure row included."""
     from dataclasses import replace
@@ -856,14 +931,7 @@ def test_cli_simulate_stream_matches_in_process_writer(tmp_path, monkeypatch, ca
     write_trajectory_csv(traj, tmp_path / "reference.csv")
     assert traj.aborted == (case == "gap-closure")
 
-    started = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    started = _record_forks(monkeypatch)
     out = tmp_path / "out"
     rc = main(["simulate", "--config", _write(tmp_path, doc), "--periods", str(periods),
                f"--perturb={dz!r},{dphi!r}", "--out", str(out)])
@@ -871,35 +939,36 @@ def test_cli_simulate_stream_matches_in_process_writer(tmp_path, monkeypatch, ca
     assert len(started) == 1
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv", "trajectory_meta.json"]
+    _assert_no_child_left()
+
+
+def _disk_full(src, dst, template):
+    raise OSError(28, "No space left on device")
 
 
 @pytest.mark.parametrize(
     "writer,message",
     [
-        ("import sys; sys.exit(7)", "exited with status 7"),
+        (lambda *args: os._exit(7), "exited with status 7"),
         # 200 kB is under the 25-period run's 360 kB of frames
-        ("import os, sys; sys.stdin.buffer.read(200_000); os.kill(os.getpid(), 9)",
+        (lambda src, dst, template: (src.read(200_000), os.kill(os.getpid(), 9)),
          "was killed by signal 9"),
-        ("", "exited before it had read every row"),
+        (lambda *args: None, "exited before it had read every row"),
         (None, "integration failed here"),
+        (_disk_full, "exited with status 1: OSError: [Errno 28] No space left on device"),
     ],
-    ids=["writer-exits-7", "writer-killed-mid-stream", "writer-stops-reading", "integration-fails"],
+    ids=["writer-exits-7", "writer-killed-mid-stream", "writer-stops-reading", "integration-fails",
+         "writer-raises"],
 )
 def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsys, writer, message):
-    """A writer process that fails, dies mid-stream or stops reading, and
-    an integration that fails mid-stream, end simulate with exit 3 on one
-    error line; no trajectory.csv, no temporary file and no child process
-    is left behind."""
+    """A forked writer that fails, dies mid-stream, stops reading or
+    raises, and an integration that fails mid-stream, end simulate with
+    exit 3 on one error line, which names what the writer raised; no
+    trajectory.csv, no temporary file and no child process is left
+    behind."""
     from levstab import output, plant
 
-    started = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    started = _record_forks(monkeypatch)
     if writer is None:
         real = plant.integrate
 
@@ -913,7 +982,7 @@ def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsy
 
         monkeypatch.setattr(plant, "integrate", failing)
     else:
-        monkeypatch.setattr(output, "_WRITER", (sys.executable, "-c", writer))
+        monkeypatch.setattr(output, "_serve", writer)
     out = tmp_path / "out"
     rc = main(["simulate", *GAINS_ARGS, "--periods", "25", "--perturb", "1e-4,5e-5",
                "--out", str(out)])
@@ -923,13 +992,11 @@ def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsy
     assert message in err
     assert list(out.iterdir()) == []
     assert len(started) == 1
-    assert started[0].returncode is not None
-    with pytest.raises(ChildProcessError):
-        os.waitpid(started[0].pid, os.WNOHANG)
+    _assert_no_child_left()
 
 
 def _simulate_without_process(tmp_path, monkeypatch, periods, dz, dphi):
-    """Run simulate with subprocess.Popen unable to start anything; assert
+    """Run simulate with ``output.fork`` unable to start anything; assert
     that its trajectory.csv has the bytes write_trajectory_csv gives the
     same run, and return that run and simulate's exit code."""
     from dataclasses import replace
@@ -943,10 +1010,12 @@ def _simulate_without_process(tmp_path, monkeypatch, periods, dz, dphi):
     traj = integrate(start, (0.0, periods * cfg.exc.period), cfg.params, cfg.exc, cfg.gains)
     write_trajectory_csv(traj, tmp_path / "reference.csv")
 
+    from levstab import output
+
     def no_process(*args, **kwargs):
         raise AssertionError("simulate started a process")
 
-    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(output, "fork", no_process)
     out = tmp_path / "out"
     rc = main(["simulate", "--config", _write(tmp_path, doc), "--periods", str(periods),
                f"--perturb={dz!r},{dphi!r}", "--out", str(out)])
@@ -956,29 +1025,29 @@ def _simulate_without_process(tmp_path, monkeypatch, periods, dz, dphi):
 
 
 def test_cli_simulate_short_plan_formats_in_process(tmp_path, monkeypatch):
-    """A run planned under _STREAM_ROWS rows starts no writer process:
-    19 periods, 3,801 rows, are formatted in-process into the bytes of
+    """A run planned under _STREAM_ROWS rows forks no writer: 10 periods,
+    2,001 rows, are formatted in-process into the bytes of
     write_trajectory_csv."""
     from levstab.output import _STREAM_ROWS
 
-    traj, rc = _simulate_without_process(tmp_path, monkeypatch, 19, 1e-4, 5e-5)
+    traj, rc = _simulate_without_process(tmp_path, monkeypatch, 10, 1e-4, 5e-5)
     assert rc == EXIT_OK
-    assert traj.t.size == 3801 < _STREAM_ROWS
+    assert traj.t.size == 2001 < _STREAM_ROWS
 
 
 def test_cli_simulate_writer_that_cannot_start_exits_3(tmp_path, monkeypatch, capsys):
-    """A writer process that cannot start ends simulate with exit 3 on one
+    """A writer that cannot be forked ends simulate with exit 3 on one
     error line as the stream opens, before the integration runs; no
-    trajectory.csv and no temporary file is left behind."""
+    trajectory.csv, no temporary file and no child is left behind."""
     import errno
 
     from levstab import plant
 
-    def no_process(*args, **kwargs):
+    def no_process():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     integrated = []
-    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
     monkeypatch.setattr(plant, "integrate", lambda *args, **kwargs: integrated.append(args))
     out = tmp_path / "out"
     rc = main(["simulate", *GAINS_ARGS, "--periods", "25", "--out", str(out)])
@@ -986,8 +1055,10 @@ def test_cli_simulate_writer_that_cannot_start_exits_3(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "cannot start the CSV writer" in err and "trajectory.csv" in err
+    assert "Resource temporarily unavailable" in err
     assert integrated == []
     assert list(out.iterdir()) == []
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -1331,7 +1402,7 @@ def test_write_csv_matches_per_cell_format(tmp_path):
 
 
 def test_csv_stream_matches_write_csv(tmp_path):
-    """The writer process formats float columns into the bytes write_csv
+    """The forked writer formats float columns into the bytes write_csv
     gives them, for special and extreme floats, blocks of any size, and no
     rows at all."""
     from levstab.output import csv_stream, write_csv
@@ -1353,21 +1424,48 @@ def test_csv_stream_matches_write_csv(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv", "streamed.csv", "whole.csv"]
 
 
-@pytest.mark.parametrize("short", [1, 0], ids=["short-plan", "long-plan"])
-def test_csv_stream_decides_its_writer_when_it_opens(tmp_path, monkeypatch, short):
-    """A plan of _STREAM_ROWS rows starts the writer process when the
-    stream opens, before the first block is sent; a plan of one row fewer
-    starts none.  Both give the bytes of write_csv."""
+@pytest.mark.parametrize("fork", [True, False], ids=["short-plan", "long-plan-without-fork"])
+def test_csv_stream_in_process_holds_one_block(tmp_path, monkeypatch, fork):
+    """A stream formatted in this process, as a plan of _STREAM_ROWS - 1
+    rows is and a plan of ten times _STREAM_ROWS is where ``os.fork`` is
+    missing, formats each block as it arrives: over 9 columns sent 64 rows
+    at a time, tracemalloc's peak stays under 64 kB (about 36 kB
+    measured), where holding a plan's float64 frames until the stream
+    closes would take 72 bytes a row, 173 kB at 2,399 rows.  The bytes
+    are those of write_csv."""
+    import tracemalloc
+
     from levstab.output import _STREAM_ROWS, csv_stream, write_csv
 
-    started = []
+    rows = _STREAM_ROWS - 1 if fork else 10 * _STREAM_ROWS
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    started = _record_forks(monkeypatch)
+    header = ",".join(f"c{j}" for j in range(9))
+    columns = [np.arange(rows) / (j + 7.0) for j in range(9)]
+    write_csv(tmp_path / "whole.csv", header, columns)
+    tracemalloc.start()
+    try:
+        with csv_stream(tmp_path / "streamed.csv", header, rows) as send:
+            for lo in range(0, rows, 64):
+                send([c[lo : lo + 64] for c in columns])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert started == []
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert peak < 64_000, peak
 
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+@pytest.mark.parametrize("short", [1, 0], ids=["short-plan", "long-plan"])
+def test_csv_stream_decides_its_writer_when_it_opens(tmp_path, monkeypatch, short):
+    """A plan of _STREAM_ROWS rows forks the writer when the stream opens,
+    before the first block is sent; a plan of one row fewer forks none.
+    Both give the bytes of write_csv, and the writer has been reaped after
+    exiting with status 0 (``reap`` raises on any other end)."""
+    from levstab.output import _STREAM_ROWS, csv_stream, write_csv
+
+    started = _record_forks(monkeypatch)
     rows = _STREAM_ROWS - short
     columns = [np.arange(rows) / 7.0, np.sqrt(np.arange(rows))]
     write_csv(tmp_path / "whole.csv", "a,b", columns)
@@ -1376,6 +1474,6 @@ def test_csv_stream_decides_its_writer_when_it_opens(tmp_path, monkeypatch, shor
         for lo in range(0, rows, 1024):
             send([c[lo : lo + 1024] for c in columns])
     assert len(started) == 1 - short
-    assert all(w.returncode == 0 for w in started)
+    _assert_no_child_left()
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.csv", "whole.csv"]

@@ -338,7 +338,7 @@ def test_sweep_child_failure_raises(monkeypatch, b0, exc_quarter, child_engine, 
     of fewer cells than its chunk makes the sweep raise ``RuntimeError``
     naming its status, and leaves no child behind."""
     _in_child(monkeypatch, child_engine)
-    with pytest.raises(RuntimeError, match=f"^sweep worker \\d+ {status}"):
+    with pytest.raises(RuntimeError, match=f"^a sweep worker \\(pid \\d+\\) {status}"):
         sweep(b0, exc_quarter, (10000.0, 13000.0), (2300.0, 2420.0), 4, 4, workers=2)
     _assert_no_child_left()
 

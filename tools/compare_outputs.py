@@ -87,9 +87,9 @@ COMMANDS = {
     "map-theta0": ["map", "--theta", "0"],
     # one window for every config, so that all four run the same cells
     "map-tongue-d": ["map", *tongue_d_window(BASELINE)],
+    # 2,001 rows: a plan too short to fork a writer, formatted in-process
     "simulate": ["simulate", "--periods", "10"],
-    # 3,801 rows: more than the stream holds before it starts its writer, on
-    # a plan too short to start one, so they are formatted in-process
+    # 3,801 rows, which the forked writer formats on a run under 20 periods
     "simulate-19": ["simulate", "--periods", "19", "--perturb", "1e-4,5e-5"],
     # a perturbed start makes the step control work, which the steady start does not
     "simulate-perturbed": ["simulate", "--periods", "100", "--perturb", "1e-4,5e-5"],
