@@ -33,7 +33,6 @@ _EXPORTS = {
         "current_scale",
         "steady_state",
         "steady_vehicle_state",
-        "control_voltage",
         "rhs",
         "rhs_hybrid",
         "hybrid_gamma",

@@ -149,6 +149,7 @@ def cmd_ellipses(args) -> int:
 
 
 def cmd_map(args) -> int:
+    workers = floquet.resolve_workers()
     cfg = _load(args)
     nx, ny = _parse_pair(args.grid, "--grid", int) if args.grid else (21, 21)
     if args.kp_range and args.kd_range:
@@ -158,7 +159,7 @@ def cmd_map(args) -> int:
         raise config.ConfigError("map needs both --kp lo,hi and --kd lo,hi (or neither)")
     else:
         kp_range, kd_range = boundaries.default_map_window(cfg.params, cfg.exc)
-    smap = floquet.sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid)
+    smap = floquet.sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid, workers=workers)
     out = _outdir(args)
     floquet.write_map_csv(smap, os.path.join(out, "map.csv"))
     meta_path = os.path.join(out, "map_meta.json")
@@ -182,6 +183,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    floquet.resolve_workers()  # a bad LEVSTAB_THREADS is bad input before any criterion runs
     cfg = _load(args)
     out = _outdir(args)
     report = validation.run_battery(cfg.params, cfg.exc)

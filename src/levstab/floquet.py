@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -80,18 +81,20 @@ MIN_CHUNK_CELLS = 96
 # ms for 128 cells at 400 steps, whose 16 segments run side by side
 GROUP_COLUMNS = 1024
 # Memory (tracemalloc over whole one-worker sweeps of 50x50 to 301x301
-# cells): a worker's engine holds 5-8 MB for its block, the stage stack of
-# at most GROUP_COLUMNS columns and the block's matrices and multipliers,
-# whatever the grid and the step counts (7.9 MB for the all-refined 50x50
-# map of tongue d's window), and its record adds 128 bytes per cell, which
-# the sweep derives from a block at a time: 301x301 peaks at 19.5 MB.  A
-# two-worker sweep's calling process holds the record, its own chunk's
-# while copying it in, and the engine: 301x301 peaks there at 16.0 MB and
-# 724x724 at 92 MB, and the forked child adds its engine and its chunk's
-# record (ru_maxrss 72 MB at 724x724, pages shared with the parent included).
+# cells, plus the record's shared mapping, which tracemalloc does not see):
+# a worker's engine holds 5-8 MB for its block, the stage stack of at most
+# GROUP_COLUMNS columns and the block's matrices and multipliers, whatever
+# the grid and the step counts (7.9 MB for the all-refined 50x50 map of
+# tongue d's window), and the record adds 128 bytes per cell, 120 of them
+# shared, which the sweep derives from a block at a time: 301x301 peaks at
+# 19.5 MB.  A two-worker sweep's calling process holds the record, counted
+# whole from its allocation, and its own chunk's engine: 301x301 peaks
+# there at 19.4 MB and 724x724 at 82 MB, and the forked child adds its
+# engine and the error messages of its chunk (ru_maxrss 74 MB at 724x724,
+# its pages of the shared record included).
 # The cap was set when the engine held all of a chunk at once, at 2 KiB per
 # cell for a 1 GiB budget: 2**30 / 2**11 = 524,288 cells, about 724 x 724.
-# It is kept, and a one-worker map at the cap peaks at 89 MB
+# It is kept, and a one-worker map at the cap peaks at 82 MB
 MAX_GRID_CELLS = 2**30 // 2**11
 
 # Butcher's 7-stage explicit Runge-Kutta method of order 6 (Butcher 1964;
@@ -111,6 +114,9 @@ _RK6_B = (11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120)
 # the engine's stack holds the rows of M in the order (d1, d2, I1, I2, v1,
 # v2), so that the two supports' rows of each kind form one block
 _STACK_ROWS = (0, 3, 2, 5, 1, 4)
+# the numeric fields of a cell of the engine's record, 120 bytes, as they
+# lie in the shared mapping that every chunk of a sweep fills
+_CELL = np.dtype([("mu", complex, (6,)), ("steps", np.int64), ("richardson", float), ("det_rel_err", float)])
 
 
 class FloquetError(RuntimeError):
@@ -238,7 +244,9 @@ def signature_moduli(multipliers: np.ndarray, family: str) -> np.ndarray:
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count for sweeps: explicit argument, else LEVSTAB_THREADS;
-    0 or unset means one per usable CPU, and no count exceeds that."""
+    0 or unset means one per usable CPU, and no count exceeds that.  A
+    negative count raises ``ValueError``, which names LEVSTAB_THREADS when
+    the count, or a value that is no integer, came from there."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -247,9 +255,11 @@ def resolve_workers(workers: int | None = None) -> int:
         env = os.environ.get("LEVSTAB_THREADS", "0")
         try:
             workers = int(env)
-        except ValueError as err:
-            raise ValueError(f"LEVSTAB_THREADS must be an integer, got {env!r}") from err
-    if workers < 0:
+        except ValueError:
+            workers = -1
+        if workers < 0:
+            raise ValueError(f"LEVSTAB_THREADS must be a nonnegative integer, got {env!r}")
+    elif workers < 0:
         raise ValueError("worker count must be nonnegative")
     return cpus if workers == 0 else min(workers, cpus)
 
@@ -389,9 +399,10 @@ def _batched_cells(
     hyb: HybridParams | None,
     kp: np.ndarray,
     kd: np.ndarray,
-) -> dict:
-    """Multipliers of the gain cells (kp[c], kd[c]) by the batched engine,
-    in blocks of BLOCK cells.
+    record: dict,
+) -> None:
+    """Fill ``record`` in place with the multipliers of the gain cells
+    (kp[c], kd[c]) by the batched engine, in blocks of BLOCK cells.
 
     Every cell of a block is propagated at STEPS and at half that, each
     step count on a node table of its own.  A cell is accepted once its
@@ -405,22 +416,19 @@ def _batched_cells(
     STEP_TOL, how closely the two engines agree); a cell whose
     ``monodromy`` fails never aborts the batch.
 
-    Returns the cells' record, a dict of arrays over the cells: ``mu``, the
-    six multipliers (NaN for a failed cell); ``steps``, the accepted step
-    count (0 for a cell sent to ``monodromy``); ``richardson``, the accepted
-    Richardson estimate relative to max(1, max|mu|) (NaN for those);
-    ``det_rel_err``, the relative error of det M against the Liouville
-    value; and ``error``, a failed cell's message, else None.
+    The record is a dict of arrays over the cells, every one of which
+    this sets: ``mu``, the six multipliers (NaN for a failed cell);
+    ``steps``, the accepted step count (0 for a cell sent to
+    ``monodromy``); ``richardson``, the accepted Richardson estimate
+    relative to max(1, max|mu|) (NaN for those); ``det_rel_err``, the
+    relative error of det M against the Liouville value; and ``error``, a
+    failed cell's message, else None.
     """
     pm = periodic_matrix(params, exc, ControlGains(Kp=0.0, Kd=0.0), hyb=hyb)
     det_exact = _liouville_det(params, pm)
-    record = {
-        "mu": np.full((kp.size, 6), np.nan, dtype=complex),
-        "steps": np.zeros(kp.size, dtype=int),
-        "richardson": np.full(kp.size, np.nan),
-        "det_rel_err": np.full(kp.size, np.nan),
-        "error": np.full(kp.size, None, dtype=object),
-    }
+    empty = {"mu": np.nan, "steps": 0, "richardson": np.nan, "det_rel_err": np.nan, "error": None}
+    for key, value in empty.items():
+        record[key][:] = value
     table = functools.cache(lambda steps: pm.table(6 * steps))
     with np.errstate(all="ignore"):
         for start in range(0, kp.size, BLOCK):
@@ -457,76 +465,68 @@ def _batched_cells(
             continue
         record["mu"][c] = res.multipliers
         record["det_rel_err"][c] = res.stats["det_rel_err"]
-    return record
 
 
-def _send_chunk(pipe, *args) -> None:
-    """Run the engine on ``args`` and write its record to ``pipe``, in a
-    child of ``fork``: the bytes of each numeric field in the record's
-    order, then its object fields, pickled."""
-    record = _batched_cells(*args)
-    for field in record.values():
-        if field.dtype != object:
-            pipe.write(field)
-    pickle.dump([field for field in record.values() if field.dtype == object], pipe)
+def _fill_chunk(pipe, params, exc, hyb, kp, kd, record) -> None:
+    """Fill a chunk's cells of the shared record in a child of ``fork``
+    (``_batched_cells``), then send its cells' ``error`` messages down
+    ``pipe``, pickled: the rest of its record is already in place."""
+    _batched_cells(params, exc, hyb, kp, kd, record)
+    pickle.dump(record["error"], pipe)
 
 
-def _receive_record(pipe, record: dict, lo: int, hi: int) -> bool:
-    """Read a record that ``_send_chunk`` wrote into the cells lo:hi of
-    ``record``, to the pipe's end.  Returns whether it came whole."""
-    objects = [field for field in record.values() if field.dtype == object]
-    for field in record.values():
-        if field.dtype != object:
-            cells = field[lo:hi]
-            if pipe.readinto(cells) != cells.nbytes:
-                return False
-    try:
-        parts = pickle.loads(pipe.read())
-    except (EOFError, pickle.UnpicklingError):
-        return False
-    for field, part in zip(objects, parts):
-        field[lo:hi] = part
-    return True
-
-
-def _forked_record(
+def _cell_record(
     params: PhysicalParams,
     exc: ExcitationParams,
     hyb: HybridParams | None,
     kp: np.ndarray,
     kd: np.ndarray,
-    bounds: np.ndarray,
-) -> dict:
-    """The engine's record of the cells (kp[c], kd[c]), run in the chunks
-    bounds[k]:bounds[k + 1]: chunk 0 in this process and every other chunk
-    in a child of ``fork`` (``_send_chunk``).
+    workers: int | None = None,
+) -> tuple[dict, int]:
+    """The engine's record of the gain cells (kp[c], kd[c]), and the
+    number of chunks that filled it.
 
-    The record is allocated field by field as chunk 0's fields are copied
-    into it and dropped, and each child's record is read from its pipe
-    straight into its cells.  A child that cannot start, fails (``reap``)
-    or sends a short record raises ``RuntimeError``.  However this returns
-    or raises, every child has been reaped, and one not yet reaped is
-    killed first.
+    The cells are split into one contiguous chunk per worker of
+    ``resolve_workers``, but so few that every chunk has at least
+    MIN_CHUNK_CELLS cells, and into one where ``os.fork`` is missing.  The
+    record's numeric fields are allocated once, as the ``_CELL`` rows of
+    an anonymous shared mapping, and its ``error`` field in this process.
+    Chunk 0 fills its cells (``_batched_cells``) in this process, and
+    every other chunk in a child of ``fork`` (``_fill_chunk``) that writes
+    into the mapping and sends only its cells' messages down its pipe.  A
+    cell's record does not depend on its chunk, so the record is the same
+    for every chunk count.  A child that cannot start, fails (``reap``) or
+    exits without sending its messages raises ``RuntimeError``.  However
+    this returns or raises, every child has been reaped, and one not yet
+    reaped is killed first.
     """
+    workers = resolve_workers(workers) if hasattr(os, "fork") else 1
+    workers = max(1, min(workers, kp.size // MIN_CHUNK_CELLS))
+    # a mapping cannot be empty, though the cells can
+    rows = np.frombuffer(mmap.mmap(-1, max(1, kp.size) * _CELL.itemsize), _CELL, kp.size)
+    record = {name: rows[name] for name in _CELL.names}
+    record["error"] = np.empty(kp.size, dtype=object)
+    bounds = np.linspace(0, kp.size, workers + 1).astype(int)
+
+    def chunk(lo: int, hi: int) -> tuple:
+        """The gains and the record of the cells lo:hi, as views."""
+        return kp[lo:hi], kd[lo:hi], {key: field[lo:hi] for key, field in record.items()}
+
     children = []  # (child, lo, hi) of each child not yet reaped
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            child = fork("a sweep worker", _send_chunk, params, exc, hyb, kp[lo:hi], kd[lo:hi])
-            children.append((child, lo, hi))
-        part = _batched_cells(params, exc, hyb, kp[: bounds[1]], kd[: bounds[1]])
-        record = {}
-        for key in list(part):
-            field = part.pop(key)
-            record[key] = np.empty((kp.size, *field.shape[1:]), field.dtype)
-            record[key][: bounds[1]] = field
-        del field
+            children.append((fork("a sweep worker", _fill_chunk, params, exc, hyb, *chunk(lo, hi)), lo, hi))
+        _batched_cells(params, exc, hyb, *chunk(0, bounds[1]))
         while children:
             child, lo, hi = children[0]
-            whole = _receive_record(child.pipe, record, lo, hi)
+            try:
+                record["error"][lo:hi] = pickle.load(child.pipe)
+                fault = None
+            except (EOFError, pickle.UnpicklingError):
+                fault = "exited with status 0 without sending its cells' messages"
             children.pop(0)
-            fault = None if whole else "exited with status 0 but sent a short record"
             reap(child, fault)
-        return record
+        return record, workers
     finally:
         for child, _, _ in children:
             reap(child, abort=True)
@@ -544,15 +544,11 @@ def sweep(
 ) -> StabilityMap:
     """Classify an nx-by-ny gain grid.
 
-    The cells, Kp outer and Kd inner, are split into one contiguous chunk
-    per worker, and the classes, max|mu|, errors and engine fields of
-    ``meta`` all come from the joined records of the chunks' batched engine
-    calls (``_batched_cells``).  The workers are those of ``resolve_workers``,
-    but so few that every chunk has at least MIN_CHUNK_CELLS cells, and one
-    where ``os.fork`` is missing; with more than one chunk, all but the
-    first run in forked children (``_forked_record``).  A cell's record
-    does not depend on its chunk, so the output is the same for every
-    worker count.  A range whose width hi - lo overflows raises
+    The classes, max|mu|, errors and engine fields of ``meta`` all come
+    from the engine's record of the cells, Kp outer and Kd inner, which
+    ``_cell_record`` fills in chunks over at most ``workers`` processes;
+    ``meta["workers"]`` is the chunk count, and the output is the same for
+    every count.  A range whose width hi - lo overflows raises
     ``ValueError``; a child that fails raises ``RuntimeError``.
     """
     if nx < 2 or ny < 2:
@@ -567,15 +563,7 @@ def sweep(
             raise ValueError(f"the {flag} range {lo!r},{hi!r} is wider than a float can hold")
     kp = np.linspace(Kp_range[0], Kp_range[1], nx)
     kd = np.linspace(Kd_range[0], Kd_range[1], ny)
-    cells_kp, cells_kd = np.repeat(kp, ny), np.tile(kd, nx)
-    # one chunk where os.fork is missing
-    workers = resolve_workers(workers) if hasattr(os, "fork") else 1
-    workers = max(1, min(workers, nx * ny // MIN_CHUNK_CELLS))
-    if workers == 1:
-        cells = _batched_cells(params, exc, hyb, cells_kp, cells_kd)
-    else:
-        bounds = np.linspace(0, nx * ny, workers + 1).astype(int)
-        cells = _forked_record(params, exc, hyb, cells_kp, cells_kd, bounds)
+    cells, workers = _cell_record(params, exc, hyb, np.repeat(kp, ny), np.tile(kd, nx), workers)
     failed = [(c, msg) for c, msg in enumerate(cells["error"]) if msg is not None]
     # derived a block at a time: over the whole grid, _classes' temporaries
     # would take about 100 bytes per cell on top of the record's 128

@@ -88,8 +88,8 @@ def reap(child: Child, fault: str | None = None, abort: bool = False) -> None:
     Otherwise a child killed by a signal or exiting nonzero raises
     ``RuntimeError`` that names it and its pid, its signal or status, and
     the ``Type: message`` it raised, if any.  So does a child that exited
-    with status 0 in which the caller found a ``fault``, such as a short
-    record, which then stands in the error for the status.
+    with status 0 in which the caller found a ``fault``, such as messages
+    it never sent, which then stands in the error for the status.
     """
     if abort:
         os.kill(child.pid, signal.SIGKILL)
@@ -161,7 +161,9 @@ def csv_stream(path, header, rows):
     the writer, if any, has exited with status 0.  Otherwise the writer is
     killed and reaped, the temporary file is removed and the error
     propagates; a writer that cannot start, failed or stopped reading
-    raises ``RuntimeError`` naming its status and what it raised.
+    raises ``RuntimeError`` naming its status and what it raised, and an
+    ``OSError`` of the temporary file, from its creation to its renaming,
+    names ``path`` in its place.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -193,10 +195,12 @@ def csv_stream(path, header, rows):
             if writer is not None:
                 child, writer = writer, None
                 reap(child, fault)
-        try:  # an error names path alone, as tmp is removed below
-            os.replace(tmp, path)
-        except OSError as err:
-            raise OSError(err.errno, err.strerror, path) from None
+        os.replace(tmp, path)
+    except OSError as err:
+        if err.filename != tmp:
+            raise
+        # tmp is removed below, so the error names the product
+        raise OSError(err.errno, err.strerror, path) from None
     finally:
         if writer is not None:
             reap(writer, abort=True)

@@ -30,7 +30,6 @@ __all__ = [
     "SteadyStateSample",
     "Trajectory",
     "steady_state",
-    "control_voltage",
     "rhs",
     "rhs_hybrid",
     "hybrid_gamma",
@@ -184,15 +183,6 @@ def steady_state(
     """
     trig = (math.cos, math.sin) if isinstance(t, float) else (np.cos, np.sin)
     return SteadyStateSample(t, *_steady_kernel(params, exc, hyb, *trig)(t))
-
-
-def control_voltage(gains: ControlGains, delta, delta_dot, ss: SteadyStateSample):
-    """PD coil voltages for gap pair delta = (d1, d2) and rates delta_dot."""
-    d1, d2 = delta
-    d1dot, d2dot = delta_dot
-    u1 = ss.U1 + gains.Kp * (d1 - ss.gap1) + gains.Kd * (d1dot - ss.gap1_rate)
-    u2 = ss.U2 + gains.Kp * (d2 - ss.gap2) + gains.Kd * (d2dot - ss.gap2_rate)
-    return u1, u2
 
 
 def _gaps(state, params: PhysicalParams, ss: SteadyStateSample):

@@ -259,6 +259,20 @@ def test_cli_map_worker_failure_exits_3(tmp_path, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("value", ["-1", "two"])
+@pytest.mark.parametrize("command", ["map", "validate"])
+def test_cli_bad_threads_variable_is_bad_input(tmp_path, monkeypatch, capsys, command, value):
+    """A LEVSTAB_THREADS that is negative or no integer is bad input to the
+    commands that sweep: exit 2 before any work, on one error line naming
+    the variable, and no product written."""
+    monkeypatch.setenv("LEVSTAB_THREADS", value)
+    assert main([command, "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: LEVSTAB_THREADS ") and err.count("\n") == 1, err
+    assert repr(value) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _child_runs_out(*args):
     raise MemoryError("child ran out")
 
@@ -377,16 +391,11 @@ def test_cli_map_grid_over_cell_cap_rejected(tmp_path, monkeypatch, capsys):
     assert f"MAX_GRID_CELLS = {floquet.MAX_GRID_CELLS}" in err
     assert not (tmp_path / "map.csv").exists()
 
-    def stable(params, exc, hyb, kp, kd):
-        """The record of cells all accepted at 50 steps, each with six
-        multipliers of modulus 0.5."""
-        return {
-            "mu": np.full((kp.size, 6), 0.5, dtype=complex),
-            "steps": np.full(kp.size, 50),
-            "richardson": np.zeros(kp.size),
-            "det_rel_err": np.zeros(kp.size),
-            "error": np.full(kp.size, None, dtype=object),
-        }
+    def stable(params, exc, hyb, kp, kd, record):
+        """Fill the record with cells all accepted at 50 steps, each with
+        six multipliers of modulus 0.5."""
+        record["mu"][:], record["steps"][:] = 0.5, 50
+        record["richardson"][:] = record["det_rel_err"][:] = 0.0
 
     monkeypatch.setenv("LEVSTAB_THREADS", "1")
     monkeypatch.setattr(floquet, "_batched_cells", stable)
@@ -1083,6 +1092,31 @@ def test_cli_unwritable_product_exits_3(tmp_path, capsys, argv, product):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err and product in err and ".tmp" not in err
     assert [p.name for p in out.iterdir()] == [product]
+
+
+@pytest.mark.parametrize("periods", ["1", "25"], ids=["in-process", "forked-writer"])
+def test_cli_uncreatable_temporary_file_names_the_product(tmp_path, monkeypatch, capsys, periods):
+    """When the temporary file of a streamed ``trajectory.csv`` cannot be
+    created, here because ``open`` raises EROFS for it, ``simulate`` exits
+    3 on one error line that names the product, not the temporary file,
+    and leaves no file behind, with or without the forked writer."""
+    import builtins
+    import errno
+
+    from levstab import output
+
+    def read_only(file, *args, **kwargs):
+        if str(file).endswith(".tmp"):
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS), file)
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(output, "open", read_only, raising=False)
+    out = tmp_path / "out"
+    assert main(["simulate", *GAINS_ARGS, "--periods", periods, "--out", str(out)]) == EXIT_RUNTIME
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"error: [Errno {errno.EROFS}] {os.strerror(errno.EROFS)}: {str(out / 'trajectory.csv')!r}"
+    assert list(out.iterdir()) == []
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from levstab.boundaries import default_map_window, h0_gain, static_boundary_line
 from levstab.floquet import (
     MAP_CSV_HEADER,
     _batched_cells,
+    _cell_record,
     resolve_workers,
     signature_moduli,
     write_map_csv,
@@ -222,9 +223,9 @@ def test_sweep_agrees_with_static_oracle_when_unexcited(b0, exc_still):
             assert (got == "stable") == (max_re < 0.0), (kp, kd, got)
 
 
-def _two_cpus(monkeypatch):
-    """Let ``resolve_workers`` see two usable CPUs, whatever the machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def _cpus(monkeypatch, n=2):
+    """Let ``resolve_workers`` see n usable CPUs, whatever the machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def test_sweep_deterministic_exports(monkeypatch, tmp_path, b0, exc_quarter):
@@ -234,7 +235,7 @@ def test_sweep_deterministic_exports(monkeypatch, tmp_path, b0, exc_quarter):
     in a forked child, and as one again where ``os.fork`` is missing."""
     import levstab.floquet as fl
 
-    _two_cpus(monkeypatch)
+    _cpus(monkeypatch)
     kp_range = (10000.0, 13000.0)
     kd_range = (2300.0, 2420.0)
     m1 = sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=1)
@@ -254,44 +255,54 @@ def test_sweep_deterministic_exports(monkeypatch, tmp_path, b0, exc_quarter):
 
 
 def test_sweep_default_window_split_keeps_bytes(monkeypatch, tmp_path, b0, exc_quarter):
-    """The 26x26 default-window map, which the two-way split serves, writes
-    the same map.csv bytes as one chunk in this process."""
-    _two_cpus(monkeypatch)
+    """The 26x26 default-window map, split two ways (as on two CPUs) and
+    three, with a forked child filling each chunk but the first in the
+    shared record, writes the same map.csv bytes as one chunk in this
+    process, and the same ``meta`` apart from the chunk count."""
     window = default_map_window(b0, exc_quarter)
-    paths = []
-    for workers in (1, 2):
-        smap = sweep(b0, exc_quarter, *window, 26, 26, workers=workers)
-        assert smap.meta["workers"] == workers
-        paths.append(tmp_path / f"w{workers}.csv")
-        write_map_csv(smap, paths[-1])
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    one = sweep(b0, exc_quarter, *window, 26, 26, workers=1)
+    assert one.meta.pop("workers") == 1
+    write_map_csv(one, tmp_path / "one.csv")
+    for chunks in (2, 3):
+        _cpus(monkeypatch, chunks)
+        smap = sweep(b0, exc_quarter, *window, 26, 26, workers=chunks)
+        assert smap.meta.pop("workers") == chunks
+        write_map_csv(smap, tmp_path / f"split{chunks}.csv")
+        assert (tmp_path / f"split{chunks}.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert smap.meta == one.meta
 
 
-def _stub_cells(params, exc, hyb, kp, kd):
-    """A stand-in for the engine's record of the cells (kp, kd), every cell
-    stable at 50 steps: the sweep's own memory without the engine's."""
-    return {
-        "mu": np.full((kp.size, 6), 0.5, dtype=complex),
-        "steps": np.full(kp.size, 50),
-        "richardson": np.zeros(kp.size),
-        "det_rel_err": np.zeros(kp.size),
-        "error": np.full(kp.size, None, dtype=object),
-    }
+def _record(params, exc, kp, kd):
+    """The engine's record of the cells (kp, kd), filled as one chunk in
+    this process."""
+    record, chunks = _cell_record(params, exc, None, kp, kd, workers=1)
+    assert chunks == 1
+    return record
+
+
+def _stub_cells(params, exc, hyb, kp, kd, record):
+    """A stand-in for the engine that fills the record of the cells (kp,
+    kd) with every cell stable at 50 steps: the sweep's own memory without
+    the engine's."""
+    record["mu"][:], record["steps"][:] = 0.5, 50
+    record["richardson"][:] = record["det_rel_err"][:] = 0.0
 
 
 def test_sweep_two_worker_memory_bound(monkeypatch, b0, exc_quarter):
-    """A two-worker 101x101 sweep holds its record about once in the
-    calling process: tracemalloc's peak there, over the whole sweep with
-    a stand-in engine, is at most the record's 128 bytes per cell and 64
-    more (48 measured: the cells' gains and, while chunk 0 is copied, its
-    record).  The record is allocated once and filled as the chunks
-    arrive, the child's straight from its pipe; joining both chunks'
-    records from a process pool peaked at 183 bytes per cell more."""
+    """A two-worker 101x101 sweep holds its record once in the calling
+    process: tracemalloc's peak there, over the whole sweep with a
+    stand-in engine, plus the record's 120 bytes per cell in the shared
+    mapping, which tracemalloc does not see, is at most the record's 128
+    bytes per cell and 64 more (38 measured: the cells' gains and the
+    derived classes and max|mu|).  The record is allocated once and every
+    chunk fills its cells in place, the child's in the shared mapping;
+    joining both chunks' records from a process pool peaked at 183 bytes
+    per cell more."""
     import tracemalloc
 
     import levstab.floquet as fl
 
-    _two_cpus(monkeypatch)
+    _cpus(monkeypatch)
     monkeypatch.setattr(fl, "_batched_cells", _stub_cells)
     cells = 101 * 101
     tracemalloc.start()
@@ -302,15 +313,16 @@ def test_sweep_two_worker_memory_bound(monkeypatch, b0, exc_quarter):
         tracemalloc.stop()
     assert smap.meta["workers"] == 2
     assert (smap.classes == "stable").all() and (smap.max_mu == 0.5).all()
-    assert peak <= (128 + 64) * cells
+    assert peak + fl._CELL.itemsize * cells <= (128 + 64) * cells
 
 
-def _in_child(monkeypatch, child_engine, own_engine=_batched_cells):
-    """Split a 4x4 map two ways, and run ``child_engine`` in place of the
-    engine in the forked child and ``own_engine`` in this process."""
+def _in_child(monkeypatch, child_engine, own_engine=_batched_cells, chunks=2):
+    """Split a map of at least 8 ``chunks`` cells that many ways, and run
+    ``child_engine`` in place of the engine in the forked children and
+    ``own_engine`` in this process."""
     import levstab.floquet as fl
 
-    _two_cpus(monkeypatch)
+    _cpus(monkeypatch, chunks)
     monkeypatch.setattr(fl, "MIN_CHUNK_CELLS", 8)
     parent = os.getpid()
 
@@ -328,15 +340,12 @@ def _assert_no_child_left():
 @pytest.mark.parametrize("child_engine, status", [
     (lambda *args: os._exit(7), "exited with status 7"),
     (lambda *args: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL:d} "),
-    (
-        lambda params, exc, hyb, kp, kd: _batched_cells(params, exc, hyb, kp[:1], kd[:1]),
-        "exited with status 0 but sent a short record",
-    ),
-], ids=["exit-7", "sigkill", "short-record"])
+    (lambda *args: os._exit(0), "exited with status 0 without sending its cells' messages"),
+], ids=["exit-7", "sigkill", "no-messages"])
 def test_sweep_child_failure_raises(monkeypatch, b0, exc_quarter, child_engine, status):
-    """A child that exits nonzero, is killed by a signal, or sends a record
-    of fewer cells than its chunk makes the sweep raise ``RuntimeError``
-    naming its status, and leaves no child behind."""
+    """A child that exits nonzero, is killed by a signal, or exits 0
+    without sending its cells' messages makes the sweep raise
+    ``RuntimeError`` naming its status, and leaves no child behind."""
     _in_child(monkeypatch, child_engine)
     with pytest.raises(RuntimeError, match=f"^a sweep worker \\(pid \\d+\\) {status}"):
         sweep(b0, exc_quarter, (10000.0, 13000.0), (2300.0, 2420.0), 4, 4, workers=2)
@@ -360,13 +369,67 @@ def test_sweep_parent_chunk_failure_kills_children(monkeypatch, b0, exc_quarter)
     _assert_no_child_left()
 
 
+def test_sweep_failed_child_kills_the_next(monkeypatch, b0, exc_quarter):
+    """In a three-way split of a 5x5 map, when the child of chunk 1 exits
+    7, the sweep raises at once: the child of chunk 2, which would sleep
+    for a minute, is killed and reaped first."""
+    import time
+
+    first = np.repeat(np.linspace(10000.0, 13000.0, 5), 5)[25 // 3]  # chunk 1's first Kp
+
+    def child_engine(params, exc, hyb, kp, kd, record):
+        if kp[0] == first:
+            os._exit(7)
+        time.sleep(60.0)
+
+    _in_child(monkeypatch, child_engine, chunks=3)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited with status 7"):
+        sweep(b0, exc_quarter, (10000.0, 13000.0), (2300.0, 2420.0), 5, 5, workers=3)
+    assert time.monotonic() - start < 30.0
+    _assert_no_child_left()
+
+
+def test_sweep_child_cell_error_reaches_the_map(monkeypatch, tmp_path, b0, exc_quarter):
+    """A cell that fails in a forked child's chunk is classed 'error', and
+    its message, raised in the child, reaches ``errors`` and the
+    ``cell_errors`` of the map's metadata at its own (i, j)."""
+    import json
+
+    import levstab.floquet as fl
+
+    real = fl._propagate
+    parent = os.getpid()
+
+    def poisoned(a, g, kp, kd, period):
+        m = real(a, g, kp, kd, period)
+        m[(kp == 13000.0) & (kd == 2340.0)] = np.nan
+        return m
+
+    def failing(params, exc, gains, hyb=None):
+        raise RuntimeError(f"synthetic failure at Kp={gains.Kp}, Kd={gains.Kd} in pid {os.getpid()}")
+
+    _in_child(monkeypatch, _batched_cells)
+    monkeypatch.setattr(fl, "_propagate", poisoned)
+    monkeypatch.setattr(fl, "monodromy", failing)
+    smap = sweep(b0, exc_quarter, (10000.0, 13000.0), (2300.0, 2420.0), 4, 4, workers=2)
+    assert smap.meta["workers"] == 2
+    [(i, j, msg)] = smap.errors
+    assert (i, j) == (3, 1) and smap.classes[3, 1] == "error"
+    assert msg.startswith("RuntimeError: synthetic failure at Kp=13000.0, Kd=2340.0 in pid ")
+    assert int(msg.rsplit(" ", 1)[1]) != parent
+    write_map_metadata(smap, tmp_path / "meta.json", exc_quarter, "x.y.z", {})
+    assert json.loads((tmp_path / "meta.json").read_text())["cell_errors"] == [[3, 1, msg]]
+
+
 def test_sweep_one_worker_memory_bound(monkeypatch, b0, exc_quarter):
     """A one-worker 101x101 sweep of the default window peaks under 10 MB
-    (tracemalloc; 7.8 MB measured, in the engine).  Once the engine has
-    returned, the sweep holds the record and at most 64 bytes per cell
-    more (43 measured): it takes one chunk's record as it is, without a
-    join's copy, and derives the classes and max|mu| a block at a time.
-    Deriving them over the whole grid held 113 bytes per cell more."""
+    (tracemalloc, plus the record's 120 bytes per cell in the shared
+    mapping, which it does not see; 7.8 MB measured, in the engine).  Once
+    the engine has filled the record, the sweep holds it and at most 64
+    bytes per cell more (39 measured): it derives the classes and max|mu|
+    from the record a block at a time.  Deriving them over the whole grid
+    held 113 bytes per cell more."""
     import tracemalloc
 
     import levstab.floquet as fl
@@ -374,11 +437,10 @@ def test_sweep_one_worker_memory_bound(monkeypatch, b0, exc_quarter):
     engine = fl._batched_cells
     seen = []
 
-    def measured(*args):
-        record = engine(*args)
+    def measured(params, exc, hyb, kp, kd, record):
+        engine(params, exc, hyb, kp, kd, record)
         seen.append((tracemalloc.get_traced_memory()[1], sum(field.nbytes for field in record.values())))
         tracemalloc.reset_peak()
-        return record
 
     monkeypatch.setattr(fl, "_batched_cells", measured)
     tracemalloc.start()
@@ -388,8 +450,9 @@ def test_sweep_one_worker_memory_bound(monkeypatch, b0, exc_quarter):
     finally:
         tracemalloc.stop()
     [(engine_peak, record_bytes)] = seen
-    assert max(engine_peak, after_engine) < 10e6
-    assert after_engine <= record_bytes + 64 * 101 * 101
+    shared = fl._CELL.itemsize * 101 * 101
+    assert max(engine_peak, after_engine) + shared < 10e6
+    assert after_engine + shared <= record_bytes + 64 * 101 * 101
 
 
 def _assert_same_record(a, b):
@@ -407,7 +470,8 @@ def test_batched_cells_independent_of_chunking(monkeypatch, b0, exc_quarter):
     neither the worker split nor the engine's blocks can change a map,
     whatever the CPU count: every field of the engine's record on a set of
     cells equals, bit for bit, its record on two unequal parts of it, and
-    its record in blocks of 4 cells.  The kind-d tongue centre, far outside
+    its record in blocks of 4 cells; an empty set of cells has an empty
+    record.  The kind-d tongue centre, far outside
     the default window, needs refined passes (at 25 steps it errs by about
     1e-4)."""
     import levstab.floquet as fl
@@ -416,13 +480,14 @@ def test_batched_cells_independent_of_chunking(monkeypatch, b0, exc_quarter):
     ed = all_ellipses(b0, exc_quarter)["d"]
     kp = np.append(np.repeat(np.linspace(*kp_range, 5), 5), [ed.h1, 1.01 * ed.h1])
     kd = np.append(np.tile(np.linspace(*kd_range, 5), 5), [ed.h2, ed.h2])
-    whole = _batched_cells(b0, exc_quarter, None, kp, kd)
-    head = _batched_cells(b0, exc_quarter, None, kp[:7], kd[:7])
-    tail = _batched_cells(b0, exc_quarter, None, kp[7:], kd[7:])
+    whole = _record(b0, exc_quarter, kp, kd)
+    head = _record(b0, exc_quarter, kp[:7], kd[:7])
+    tail = _record(b0, exc_quarter, kp[7:], kd[7:])
     assert len(set(whole["steps"]) - {0}) > 1  # some cells needed a refined pass
     _assert_same_record(whole, {key: np.concatenate([head[key], tail[key]]) for key in head})
     monkeypatch.setattr(fl, "BLOCK", 4)
-    _assert_same_record(whole, _batched_cells(b0, exc_quarter, None, kp, kd))
+    _assert_same_record(whole, _record(b0, exc_quarter, kp, kd))
+    assert all(len(field) == 0 for field in _record(b0, exc_quarter, kp[:0], kd[:0]).values())
 
 
 @pytest.mark.parametrize("window", [
@@ -449,7 +514,7 @@ def test_batched_multipliers_match_monodromy(monkeypatch, b0, exc_quarter, windo
         ranges = default_map_window(b0, exc_quarter)
     kp, kd = (np.linspace(*r, 5) for r in ranges)
     kp, kd = np.repeat(kp, 5), np.tile(kd, 5)
-    record = _batched_cells(b0, exc_quarter, None, kp, kd)
+    record = _record(b0, exc_quarter, kp, kd)
     refs = [monodromy(b0, exc_quarter, ControlGains(p, d)).multipliers for p, d in zip(kp, kd)]
     assert set(record["steps"]) <= ({200, 400} if window == "tongue-d" else {50, 100, 200, 400})
 
@@ -462,7 +527,7 @@ def test_batched_multipliers_match_monodromy(monkeypatch, b0, exc_quarter, windo
             assert close(signature_moduli(mu, family), signature_moduli(ref, family)), (family, mu, ref)
     if window == "tongue-d":
         monkeypatch.setattr(fl, "MAX_STEPS", fl.STEPS)
-        record = _batched_cells(b0, exc_quarter, None, kp, kd)
+        record = _record(b0, exc_quarter, kp, kd)
         assert not record["steps"].any() and np.isnan(record["richardson"]).all()
         for mu, ref in zip(record["mu"], refs):
             assert mu.tobytes() == np.asarray(ref, dtype=complex).tobytes()
@@ -536,7 +601,7 @@ def test_segmented_pass_matches_one_segment(monkeypatch, b0, exc_quarter):
 
     ed = all_ellipses(b0, exc_quarter)["d"]
     kp, kd = np.array([ed.h1, ed.h1]), np.array([ed.h2, ed.h2 + 3.0 * ed.k2])
-    assert list(_batched_cells(b0, exc_quarter, None, kp, kd)["steps"]) == [200, 400]
+    assert list(_record(b0, exc_quarter, kp, kd)["steps"]) == [200, 400]
     pm = periodic_matrix(b0, exc_quarter, ControlGains(0.0, 0.0))
     for steps in (200, 400):
         table = pm.table(6 * steps)
@@ -634,7 +699,7 @@ def test_sweep_captures_cell_errors(monkeypatch, b0, exc_still):
     assert smap.classes[1, 1] in {"stable", "divergence"}
     # the engine's record of the failed cell: no multipliers, no step count
     kp, kd = np.array([9000.0, 10000.0]), np.array([2000.0, 3000.0])
-    record = fl._batched_cells(b0, exc_still, None, kp, kd)
+    record = _record(b0, exc_still, kp, kd)
     assert np.isnan(record["mu"][0]).all() and record["steps"][0] == 0
     assert "synthetic integrator failure" in record["error"][0] and record["error"][1] is None
 
@@ -872,7 +937,7 @@ def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):
     assert 0.0 <= grid["det_rel_err_max"] <= 1e-8
     assert doc["cell_errors"] == []
     # the engine fields are reductions of the engine's record of the cells
-    record = _batched_cells(b0, exc_quarter, None, np.repeat(smap.kp, 2), np.tile(smap.kd, 2))
+    record = _record(b0, exc_quarter, np.repeat(smap.kp, 2), np.tile(smap.kd, 2))
     steps = [int(n) for n in record["steps"]]
     assert grid["cells_by_steps"] == {str(n): steps.count(n) for n in sorted(set(steps) - {0})}
     assert grid["fallback_cells"] == steps.count(0)

@@ -13,7 +13,6 @@ from levstab import (
     HybridParams,
     PhysicalParams,
     VehicleState,
-    control_voltage,
     current_scale,
     hybrid_gamma,
     hybrid_transform,
@@ -24,7 +23,7 @@ from levstab import (
     steady_vehicle_state,
     write_trajectory_csv,
 )
-from levstab.boundaries import all_ellipses, h0_gain
+from levstab.boundaries import all_ellipses
 from levstab.plant import _EVAL_FLOOR_FRACTION, SteadyStateSample, _gaps
 
 
@@ -71,26 +70,6 @@ def test_steady_state_current_voltage_laws(b0, exc_quarter):
     np.testing.assert_allclose(ss.U2, b0.R * ss.I2, rtol=1e-13)
     assert np.all(ss.gap1 >= b0.z0 - exc_quarter.A - 1e-15)
     assert np.all(ss.gap1 <= b0.z0 + exc_quarter.A + 1e-15)
-
-
-def test_control_voltage_on_steady_state(b0, exc_quarter):
-    ss = steady_state(b0, exc_quarter, 0.01)
-    U1, U2 = control_voltage(GAINS, (ss.gap1, ss.gap2),
-                             (ss.gap1_rate, ss.gap2_rate), ss)
-    assert float(U1) == pytest.approx(float(ss.U1), rel=1e-14)
-    assert float(U2) == pytest.approx(float(ss.U2), rel=1e-14)
-
-
-def test_control_voltage_linear_increment(b0, exc_still):
-    ss = steady_state(b0, exc_still, 0.0)
-    g = ControlGains(Kp=1000.0, Kd=123.0)
-    U1, _ = control_voltage(g, (ss.gap1 + 0.001, ss.gap2),
-                            (ss.gap1_rate, ss.gap2_rate), ss)
-    assert float(U1) - float(ss.U1) == pytest.approx(1.0, rel=1e-12)
-    gh = ControlGains(Kp=h0_gain(b0), Kd=0.0)
-    U1h, _ = control_voltage(gh, (ss.gap1 + 1e-3, ss.gap2),
-                             (ss.gap1_rate, ss.gap2_rate), ss)
-    assert float(U1h) - float(ss.U1) == pytest.approx(8.41, rel=1e-3)
 
 
 def test_rhs_steady_state_residual_random_instants(b0):
@@ -361,6 +340,14 @@ def _steady_state_reference(params, exc, t, hyb=None):
     )
 
 
+def _pd_voltages(gains, d1, d2, d1dot, d2dot, ss):
+    """The PD coil voltages U = Uss + Kp (d - d_ss) + Kd (d' - d_ss') of
+    the gap pair (d1, d2) and its rates."""
+    u1 = ss.U1 + gains.Kp * (d1 - ss.gap1) + gains.Kd * (d1dot - ss.gap1_rate)
+    u2 = ss.U2 + gains.Kp * (d2 - ss.gap2) + gains.Kd * (d2dot - ss.gap2_rate)
+    return u1, u2
+
+
 def _rhs_reference(state, t, params, exc, gains):
     state = state.tolist()
     z, zdot, phi, phidot, i1, i2 = state
@@ -369,7 +356,7 @@ def _rhs_reference(state, t, params, exc, gains):
     floor = _EVAL_FLOOR_FRACTION * params.z0
     d1e = d1 if d1 > floor else floor
     d2e = d2 if d2 > floor else floor
-    u1, u2 = control_voltage(gains, (d1, d2), (d1dot, d2dot), ss)
+    u1, u2 = _pd_voltages(gains, d1, d2, d1dot, d2dot, ss)
     f1 = params.C * i1 * i1 / (d1e * d1e)
     f2 = params.C * i2 * i2 / (d2e * d2e)
     zdd = params.g - (f1 + f2) / params.m
@@ -385,7 +372,7 @@ def _rhs_hybrid_reference(state, t, params, exc, gains, hyb):
     z, zdot, phi, phidot, i1, i2 = state
     ss = _steady_state_reference(params, exc, t, hyb)
     d1, d2, d1dot, d2dot = _gaps(state, params, ss)
-    u1, u2 = control_voltage(gains, (d1, d2), (d1dot, d2dot), ss)
+    u1, u2 = _pd_voltages(gains, d1, d2, d1dot, d2dot, ss)
     floor = _EVAL_FLOOR_FRACTION * (params.z0 + hyb.beta)
     e1 = d1 + hyb.beta
     e2 = d2 + hyb.beta

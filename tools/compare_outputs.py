@@ -28,6 +28,12 @@ a value in its last digits:
   and the deviation between two maps that criterion 9 measures
   (``map_max_mu_dev``) must stay within ``MU_TOL`` on both sides.
 
+Every ``map`` command also runs once more in the working tree with
+``LEVSTAB_THREADS=1``, as one chunk in one process.  Its exit code,
+stdout, ``map.csv`` and ``map_overlay.csv`` must equal those of the
+working tree's default run, which splits the sweep over the usable CPUs,
+byte for byte, and so must ``map_meta.json`` apart from ``workers``.
+
 Each command's line also gives its wall time in both trees (one fresh
 process each, import included), so a cold-start change shows in the same run
 that checks the outputs.  Prints each difference and exits 1 if there is
@@ -135,8 +141,12 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run(src: Path, argv: list[str], config: Path, out: Path) -> tuple[int, str]:
+def run(src: Path, argv: list[str], config: Path, out: Path, threads: str | None = None) -> tuple[int, str]:
+    """Run ``levstab argv`` from ``src`` into ``out``, with LEVSTAB_THREADS
+    set to ``threads`` if given; returns its exit code and stdout."""
     env = {**os.environ, "PYTHONPATH": str(src)}
+    if threads is not None:
+        env["LEVSTAB_THREADS"] = threads
     proc = subprocess.run(
         [sys.executable, "-m", "levstab.cli", *argv, "--config", str(config), "--out", str(out)],
         capture_output=True,
@@ -202,21 +212,31 @@ def compare_validation(a: Path, b: Path) -> str | None:
     return None if all(d <= MU_TOL for d in devs) else f"validation.json map_max_mu_dev {devs}"
 
 
+def compare_all_but_workers(a: Path, b: Path) -> str | None:
+    """Equal apart from ``workers``, the chunk count of the sweep."""
+    doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
+    return None if _drop(doc_a, {"workers"}) == _drop(doc_b, {"workers"}) else a.name
+
+
 COMPARE = {
     "map.csv": compare_map_csv,
     "map_meta.json": compare_map_meta,
     "validation.json": compare_validation,
 }
+# a map of the working tree split over the CPUs against one chunk: bytes
+# but for the chunk count
+SPLIT_COMPARE = {"map_meta.json": compare_all_but_workers}
 
 
-def file_difference(a: Path, b: Path) -> str | None:
-    """None if the two files agree, else what differs."""
-    if a.name in COMPARE:
-        return COMPARE[a.name](a, b)
+def file_difference(a: Path, b: Path, compare: dict = COMPARE) -> str | None:
+    """None if the two files agree, by ``compare[name]`` where given and
+    byte for byte elsewhere, else what differs."""
+    if a.name in compare:
+        return compare[a.name](a, b)
     return None if a.read_bytes() == b.read_bytes() else a.name
 
 
-def differences(rev_run, work_run) -> list[str]:
+def differences(rev_run, work_run, compare: dict = COMPARE) -> list[str]:
     """What differs between two (exit code, stdout, output dir) runs."""
     (rc_a, stdout_a, out_a), (rc_b, stdout_b, out_b) = rev_run, work_run
     diffs = [f"exit code {rc_a} -> {rc_b}"] if rc_a != rc_b else []
@@ -227,7 +247,7 @@ def differences(rev_run, work_run) -> list[str]:
     diffs += [f"{name} only at the revision" for name in sorted(files_a - files_b)]
     diffs += [f"{name} only in the working tree" for name in sorted(files_b - files_a)]
     for name in sorted(files_a & files_b):
-        diff = file_difference(out_a / name, out_b / name)
+        diff = file_difference(out_a / name, out_b / name, compare)
         if diff is not None:
             diffs.append(diff)
     return diffs
@@ -255,6 +275,12 @@ def main(argv: list[str]) -> int:
                     seconds[side] = time.perf_counter() - start
                     wall[side] += seconds[side]
                 diffs = differences(*runs)
+                if args[0] == "map":
+                    out = tmp / "out" / "work-threads-1" / cname / cmd
+                    out.mkdir(parents=True)
+                    serial = (*run(trees["work"], args, config, out, threads="1"), out)
+                    split = differences(runs[1], serial, SPLIT_COMPARE)
+                    diffs += [f"{d} (LEVSTAB_THREADS=1 against the split)" for d in split]
                 for d in diffs:
                     print(f"differs: {cname} {cmd}: {d}")
                 print(
