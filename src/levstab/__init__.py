@@ -7,12 +7,23 @@ plant, the linearized time-periodic system about the oscillating steady state,
 closed-form parametric-resonance stability ellipses in the (Kp, Kd) gain
 plane, and a Floquet engine that classifies gain grids numerically.
 
-Importing the package runs none of its modules.  Each public name is
-imported from its submodule on first access (PEP 562) and then kept in the
-package's namespace.
+Importing the package runs none of its modules.  Every submodule but ``cli``
+(which ``python -m levstab.cli`` runs as ``__main__``) is registered here
+through ``importlib.util.LazyLoader`` and runs on its first attribute access,
+whoever makes it.  A public name is looked up in its module on every access
+(PEP 562) and never cached here.
 """
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
+
+for _name in ("boundaries", "config", "dop853", "floquet", "linearized", "model", "output", "plant", "validation"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = globals()[_name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_name])  # binds the loader; runs nothing
 
 # submodule -> the public names it exports
 _EXPORTS = {
@@ -67,10 +78,8 @@ __all__ = ["__version__", *_SOURCE]
 
 
 def __getattr__(name: str):
+    # not cached: a tracer that rebinds a function in its module (see
+    # benchmarks/spans.py) must leave no copy of its wrapper here
     if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
-    globals()[name] = value
-    return value
+    return getattr(globals()[_SOURCE[name]], name)

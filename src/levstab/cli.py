@@ -6,8 +6,8 @@ Floquet sweep, ``simulate`` and ``steady-state`` exercise the nonlinear
 plant, and ``validate`` runs the full cross-validation battery.
 
 Importing this module runs only the standard library.  The command
-modules are registered lazily and run on first use, so each command loads
-only the modules it reaches, numpy included.
+modules are the package's lazy ones and run on first use, so each command
+loads only the modules it reaches, numpy included.
 
 Exit codes: 0 success, 1 validation failure, 2 bad input, 3 runtime or
 numerical failure, including running out of memory and a product that
@@ -17,41 +17,11 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import math
 import os
 import sys
 
-from . import __version__
-
-
-def _lazy(name: str):
-    """The submodule ``levstab.<name>``, registered in ``sys.modules`` and
-    bound on the package without running it: it runs on its first
-    attribute access (``importlib.util.LazyLoader``).  A submodule already
-    in ``sys.modules`` is returned as it is."""
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-boundaries = _lazy("boundaries")
-config = _lazy("config")
-floquet = _lazy("floquet")
-# not used here: registered so that every traced module is in sys.modules
-# after ``import levstab.cli`` (benchmarks/spans.py looks them up there)
-_lazy("linearized")
-model = _lazy("model")
-output = _lazy("output")
-plant = _lazy("plant")
-validation = _lazy("validation")
+from . import __version__, boundaries, config, floquet, model, output, plant, validation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

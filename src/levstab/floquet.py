@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dop853  # lazy: a map that needs no fallback never runs it
 from .linearized import CURRENT_ROWS, periodic_matrix
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import fork, reap, write_csv, write_json
@@ -159,8 +160,6 @@ def monodromy(
     separate runs at the package tolerances.  Raises ``FloquetError`` when
     the integration fails or needs more than MAX_NFEV RHS evaluations.
     """
-    from . import dop853  # on first use: a map that needs no fallback never loads it
-
     pm = periodic_matrix(params, exc, gains, hyb=hyb)
     nfev = 0
 

@@ -22,6 +22,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from . import dop853  # lazy: importing the plant does not run the solver
 from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import write_csv
 
@@ -427,7 +428,7 @@ def integrate(
     SAMPLES_PER_PERIOD samples per excitation period.  A run that needs
     more than MAX_NFEV_PER_PERIOD RHS evaluations per period, counted from
     t_span[0] plus one period of slack, raises ``RuntimeError`` naming the
-    limit.
+    limit; one whose state turns non-finite raises it on the first NaN time.
 
     An airgap falling below 1% of the nominal z0 counts as contact and
     terminates the run (the model has no track-contact physics); the partial
@@ -447,7 +448,6 @@ def integrate(
         raise ValueError(f"unknown mode {mode!r}")
     if (mode == "hybrid") != (hyb is not None):
         raise ValueError("HybridParams go with mode 'hybrid' and only with it")
-    from . import dop853  # imported on first use: importing the package does not load it
 
     t0 = float(t_span[0])
     period = exc.period
@@ -462,7 +462,13 @@ def integrate(
         else:
             nfev += t.size
             t_last = float(t.max())
-        if nfev > MAX_NFEV_PER_PERIOD * (1.0 + (t_last - t0) / period):
+        # a NaN time, which follows a non-finite state or derivative, trips it too
+        if not nfev <= MAX_NFEV_PER_PERIOD * (1.0 + (t_last - t0) / period):
+            if not math.isfinite(t_last):
+                raise RuntimeError(
+                    f"integration stopped after {nfev} RHS evaluations: "
+                    "the state or its derivative became non-finite"
+                )
             raise RuntimeError(
                 f"integration stopped at t = {t_last:.6g} s after {nfev} RHS evaluations, over the "
                 f"budget of MAX_NFEV_PER_PERIOD = {MAX_NFEV_PER_PERIOD} per excitation period"

@@ -41,6 +41,20 @@ def exc_still():
 
 
 @pytest.fixture(scope="session")
+def seed1():
+    """(params, exc) of the second configuration that ``default_rng(1)``
+    draws with ``validation._rng_params``, then Omega uniform in 30-300
+    and A/z0 uniform in 0.05-0.5, at theta = pi/2.  Its R z0/(C Omega) is
+    16 times the baseline's, and it fails criterion 7 on tongue a's
+    centre."""
+    params = PhysicalParams(
+        m=1836.8152720892438, C=0.011353198378048266, R=30.387011238317456,
+        z0=0.02429687264945546, g=8.605439180484566, L=6.5190009239988305,
+    )
+    return params, ExcitationParams(A=0.006173204842851471, Omega=111.86260390874415, theta=math.pi / 2)
+
+
+@pytest.fixture(scope="session")
 def battery_report(b0, exc_quarter):
     """Full cross-validation battery at B0, theta = pi/2 (runs once)."""
     from levstab.validation import run_battery

@@ -11,7 +11,8 @@ from dataclasses import replace
 import pytest
 
 from levstab import all_ellipses, static_boundary_lines
-from levstab.validation import _CRITERIA
+from levstab.floquet import BISECT_TOL
+from levstab.validation import _CRITERIA, SCAN_HALF_WIDTH, tongue_edges
 
 
 def _fmt(val):
@@ -67,6 +68,24 @@ def test_acceptance_tongue_centers_spot_values(b0, exc_quarter):
         assert e.h1 == pytest.approx(lines.h0 + lines.slope * kd, rel=1e-12), kind
     assert ells["b"].h2 == pytest.approx(3.0 * ells["a"].h2, rel=1e-12)
     assert ells["d"].k1 / ells["c"].k1 == pytest.approx(7.0 + 4.0 * math.sqrt(3.0), rel=1e-12)
+
+
+def test_tongue_a_centre_shift_grows_as_amplitude_squared(seed1):
+    """Seed 1's config misses criterion 7's 1e-2 gate on tongue a's centre
+    at theta = pi/2, the one scan of its battery that does.  The miss is
+    the second-order shift the first-order ellipse leaves out: in units of
+    k1, which grows as A, the centre error (centre - h1)/k1 grows as A, so
+    err(A) = 2 err(A/2) to within the quantum of the bisection,
+    2 SCAN_HALF_WIDTH BISECT_TOL (it reads -4.06e-2 and -2.08e-2)."""
+    params, exc = seed1
+    errs = []
+    for amplitude in (exc.A, exc.A / 2.0):
+        exc_a = replace(exc, A=amplitude)
+        ell = all_ellipses(params, exc_a)["a"]
+        left, right = tongue_edges(params, exc_a, ell)
+        errs.append((0.5 * (left + right) - ell.h1) / ell.k1)
+    assert abs(errs[0]) > 1e-2
+    assert abs(errs[0] - 2.0 * errs[1]) <= 2.0 * SCAN_HALF_WIDTH * BISECT_TOL
 
 
 def test_run_battery_applies_prerequisites(monkeypatch, b0, exc_quarter, exc_still):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import levstab.cli  # noqa: F401  (registers every module the tracer patches)
+import levstab.cli  # noqa: F401  (the package registers every module the tracer patches)
 from levstab import ControlGains, HybridParams, floquet, monodromy, periodic_matrix, plant
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

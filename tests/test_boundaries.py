@@ -353,6 +353,35 @@ def test_hill_raw_determinant_zero_only_at_axis_points(b0, exc_antiphase):
     assert set(np.nonzero(small)[0]) == {0, 16, 32, 48}
 
 
+@pytest.mark.parametrize("config", ["baseline", "seed1"])
+@pytest.mark.parametrize("axis", ["Kd", "Kp"])
+def test_hill_determinant_places_d_on_closed_form_axes(b0, exc_quarter, seed1, config, axis):
+    """The first-order balance itself yields tongue d's closed-form axes.
+    Along Kp = h1 (axis Kd) and along Kd = h2 (axis Kp), over +-4.5
+    half-axes, the raw determinant never changes sign and touches zero
+    only at exactly +-1 half-axis, and the residual changes sign there
+    and nowhere else.  Floquet puts d's Kd edges at about 3.73 k2 on the
+    baseline and 3.10 k2 on seed 1's config, so the first-order balance,
+    not the step from determinant to ellipse, loses the term."""
+    params, exc = (b0, exc_quarter) if config == "baseline" else seed1
+    d = all_ellipses(params, exc)["d"]
+
+    def at(u):
+        if axis == "Kd":
+            return hill_determinant_combination(params, exc, ControlGains(d.h1, d.h2 + u * d.k2), "d")
+        return hill_determinant_combination(params, exc, ControlGains(d.h1 + u * d.k1, d.h2), "d")
+
+    # midway between multiples of 0.05 half-axes, so no sample sits on an axis point
+    dets, residuals = np.array([at(u) for u in np.arange(-4.5, 4.5, 0.05) + 0.025]).T
+    assert np.all(dets > 0.0)
+    assert np.count_nonzero(np.diff(np.sign(residuals))) == 2
+    span = np.max(dets)
+    for side in (-1.0, 1.0):
+        assert abs(at(side)[0]) < 1e-20 * span
+        assert min(at(0.99 * side)[0], at(1.01 * side)[0]) > 1e-7 * span
+        assert at(0.99 * side)[1] < 0.0 < at(1.01 * side)[1]
+
+
 def test_hill_phase_independence_at_theta_zero(b0, exc_inphase, exc_still):
     """In-phase excitation cancels the combination forcing: the residual
     loses its amplitude dependence entirely."""

@@ -482,12 +482,34 @@ def test_cli_simulate_stiff_gains_stop_at_rhs_budget(tmp_path):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_cli_simulate_non_finite_start_stops_at_rhs_budget(tmp_path):
+    """With z0 = 1e300 the start's currents overflow and DOP853's first
+    step is NaN, so every later stage time is NaN too.  The RHS budget
+    still trips on the first of them: exit 3 at once on one error line
+    saying the state became non-finite, where the solver alone would step
+    for ever.  Run in a fresh interpreter with a timeout, so that a hang
+    fails the test instead of stalling the suite."""
+    doc = {**B0_DOC, "physical": {**B0_DOC["physical"], "z0": 1e300}}
+    src = Path(levstab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "levstab.cli", "simulate", *GAINS_ARGS, "--periods", "1",
+         "--config", _write(tmp_path, doc), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == EXIT_RUNTIME
+    err = proc.stderr
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "the state or its derivative became non-finite" in err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 _NO_SCIPY_SCRIPT = """
 import json, sys, types
 from levstab.cli import DEFAULT_CONFIG, main
 
 def loaded():
-    # the levstab modules that have run: one that levstab.cli registered
+    # the levstab modules that have run: one that the package registered
     # but that has not run keeps its lazy type
     ran = [k for k, m in sys.modules.items() if k.startswith("levstab") and type(m) is types.ModuleType]
     return sorted(ran) + [k for k in ("numpy", "dataclasses", "inspect") if k in sys.modules]
@@ -499,7 +521,7 @@ try:
     main(["--version"])
 except SystemExit as stop:
     ran["--version"] = [stop.code, *loaded()]
-dop853 = ["levstab.dop853" in sys.modules]
+dop853 = ["levstab.dop853" in loaded()]
 for cmd in commands:
     argv = [cmd, "--out", f"{out}/{cmd}"]
     if cmd == "simulate":
@@ -507,7 +529,7 @@ for cmd in commands:
     seen[cmd] = [main(argv), "scipy" in sys.modules]
     ran[cmd] = loaded()
     if cmd == "map":
-        dop853.append("levstab.dop853" in sys.modules)
+        dop853.append("levstab.dop853" in loaded())
 seen["dop853 after import, map"] = dop853
 from levstab import ControlGains, all_ellipses, monodromy
 from levstab.config import parse_config
@@ -546,7 +568,7 @@ def test_cli_and_solvers_never_load_scipy(tmp_path):
     own DOP853.  The default map splits its cells between this process
     and a forked child where two CPUs are usable, and no process pool is
     imported.  It needs no DOP853 fallback, so neither the import nor the
-    map loads ``levstab.dop853``.
+    map runs ``levstab.dop853``, which the package registers lazily.
 
     The import and ``--version`` run only ``levstab`` and ``levstab.cli``,
     and the map does not run the validation battery's module."""

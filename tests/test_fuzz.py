@@ -1,0 +1,81 @@
+"""Seeded random configurations through the command line: no command hangs,
+raises or leaks a traceback, whatever the physical values."""
+
+import json
+import math
+import signal
+
+import numpy as np
+import pytest
+
+from levstab import floquet, plant
+from levstab.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_RUNTIME, main
+
+SEED = 31
+CONFIGS = 50
+# every value of a draw is log-uniform over these decades, or one of SPECIAL
+DECADES = (-4.0, 5.0)
+SPECIAL = (0.0, -1.0, 1e-300, 1e300, 5e-324)
+SPECIAL_SHARE = 0.1
+VALUES = [("physical", k) for k in ("m", "C", "R", "z0", "g", "L")] + [("excitation", k) for k in ("A", "Omega")]
+COMMANDS = (
+    ["ellipses"],
+    ["steady-state"],
+    ["resonance-chart"],
+    ["map", "--grid", "3,3"],
+    ["simulate", "--kp", "10600", "--kd", "3000", "--periods", "1"],
+)
+LIMIT_S = 5.0  # per run; the slowest legitimate run here takes about 0.07 s
+
+
+class _Late(BaseException):
+    """Raised by the alarm; no handler of ``main`` catches it."""
+
+
+def _draw(rng) -> dict:
+    doc = {"physical": {}, "excitation": {"theta": float(rng.uniform(0.0, 2.0 * math.pi))}}
+    for section, key in VALUES:
+        if rng.random() < SPECIAL_SHARE:
+            doc[section][key] = SPECIAL[rng.integers(len(SPECIAL))]
+        else:
+            doc[section][key] = float(10.0 ** rng.uniform(*DECADES))
+    return doc
+
+
+def _late(signum, frame):
+    raise _Late
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer for the time limit")
+def test_cli_survives_seeded_random_configs(tmp_path, capsys, monkeypatch):
+    """Fifty configurations drawn from one seed, each through ellipses,
+    steady-state, resonance-chart, a 3x3 map and a one-period simulate,
+    in this process: every run returns 0, 2 or 3 within LIMIT_S and
+    prints no traceback.  The budgets of a monodromy and of a simulation
+    are cut to a tenth, so that the many draws whose cells or runs exhaust
+    them fail in milliseconds and the whole test takes about a second; a
+    run that never reaches its budget is still caught by the limit."""
+    monkeypatch.setattr(floquet, "MAX_NFEV", floquet.MAX_NFEV // 10)
+    monkeypatch.setattr(plant, "MAX_NFEV_PER_PERIOD", plant.MAX_NFEV_PER_PERIOD // 10)
+    previous = signal.signal(signal.SIGALRM, _late)
+    rng = np.random.default_rng(SEED)
+    path = tmp_path / "config.json"
+    failures = []
+    try:
+        for _ in range(CONFIGS):
+            doc = _draw(rng)
+            path.write_text(json.dumps(doc))
+            for command in COMMANDS:
+                signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
+                try:
+                    rc = main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+                except _Late:
+                    rc = f"still running after {LIMIT_S} s"
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0.0)
+                printed = capsys.readouterr()
+                if rc not in (EXIT_OK, EXIT_BAD_INPUT, EXIT_RUNTIME) or "Traceback" in printed.out + printed.err:
+                    failures.append((command[0], rc, printed.err[-300:], doc))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not failures, failures

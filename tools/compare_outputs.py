@@ -15,9 +15,9 @@ and ``validate`` (at the config's phase, ``--theta=0`` and
 ``--theta=3.141592653589793``), each with the built-in baseline config
 plus gains 10600/3000, with the same config on the hybrid plant (beta
 0.01), without excitation (A = 0) and with an inertia J other than the
-uniform bar's.  Stdout, the exit code and every output file
-must match byte for byte, except where the map engine may legitimately move
-a value in its last digits:
+uniform bar's.  Stdout, stderr, the exit code and every output file must
+match byte for byte, except where the map engine may legitimately move a
+value in its last digits:
 
 * ``map.csv``: the classes must be identical and ``max_mu_abs`` must agree
   within ``MU_TOL`` relative to max(1, |mu|); the largest deviation is
@@ -30,7 +30,7 @@ a value in its last digits:
 
 Every ``map`` command also runs once more in the working tree with
 ``LEVSTAB_THREADS=1``, as one chunk in one process.  Its exit code,
-stdout, ``map.csv`` and ``map_overlay.csv`` must equal those of the
+stdout, stderr, ``map.csv`` and ``map_overlay.csv`` must equal those of the
 working tree's default run, which splits the sweep over the usable CPUs,
 byte for byte, and so must ``map_meta.json`` apart from ``workers``.
 
@@ -141,9 +141,9 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run(src: Path, argv: list[str], config: Path, out: Path, threads: str | None = None) -> tuple[int, str]:
+def run(src: Path, argv: list[str], config: Path, out: Path, threads: str | None = None) -> tuple[int, str, str]:
     """Run ``levstab argv`` from ``src`` into ``out``, with LEVSTAB_THREADS
-    set to ``threads`` if given; returns its exit code and stdout."""
+    set to ``threads`` if given; returns its exit code, stdout and stderr."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     if threads is not None:
         env["LEVSTAB_THREADS"] = threads
@@ -154,7 +154,7 @@ def run(src: Path, argv: list[str], config: Path, out: Path, threads: str | None
         env=env,
         cwd=out.parent,
     )
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def _drop(doc, keys):
@@ -237,11 +237,10 @@ def file_difference(a: Path, b: Path, compare: dict = COMPARE) -> str | None:
 
 
 def differences(rev_run, work_run, compare: dict = COMPARE) -> list[str]:
-    """What differs between two (exit code, stdout, output dir) runs."""
-    (rc_a, stdout_a, out_a), (rc_b, stdout_b, out_b) = rev_run, work_run
+    """What differs between two (exit code, stdout, stderr, output dir) runs."""
+    (rc_a, *streams_a, out_a), (rc_b, *streams_b, out_b) = rev_run, work_run
     diffs = [f"exit code {rc_a} -> {rc_b}"] if rc_a != rc_b else []
-    if stdout_a != stdout_b:
-        diffs.append("stdout")
+    diffs += [name for name, a, b in zip(("stdout", "stderr"), streams_a, streams_b) if a != b]
     files_a = {p.name for p in out_a.iterdir()}
     files_b = {p.name for p in out_b.iterdir()}
     diffs += [f"{name} only at the revision" for name in sorted(files_a - files_b)]
