@@ -45,7 +45,7 @@ def _parse_pair(text: str, flag: str, kind=float) -> tuple:
         lo, hi = kind(parts[0]), kind(parts[1])
     except ValueError as err:
         raise config.ConfigError(f"{flag} expects {kind.__name__} values, got {text!r}") from err
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not all(abs(v) <= sys.float_info.max for v in (lo, hi)):  # inf, NaN or an int no float can hold
         raise config.ConfigError(f"{flag} expects finite numbers, got {text!r}")
     return lo, hi
 

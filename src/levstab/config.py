@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from .model import (
@@ -59,7 +59,7 @@ def _number(section: dict, key: str, name: str) -> float:
     val = section[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{name}.{key} must be a number, got {val!r}")
-    if not math.isfinite(val):
+    if not abs(val) <= sys.float_info.max:  # inf, NaN or an int no float can hold
         raise ConfigError(f"{name}.{key} must be finite, got {val!r}")
     return float(val)
 

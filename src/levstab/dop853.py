@@ -246,7 +246,7 @@ class Solution(NamedTuple):
     """What ``solve`` returns.
 
     ``t`` holds the ``t_eval`` samples reached, or without ``t_eval`` the
-    start and every step's end; ``y[k]`` is the state at ``t[k]``.  After a
+    end of the run alone; ``y[k]`` is the state at ``t[k]``.  After a
     terminal event, ``t_event`` and ``y_event`` locate it and the samples
     stop at it.  ``status`` is 0 at the end of the interval, 1 after the
     event and -1 when the step size fell below the spacing of floats.
@@ -469,9 +469,7 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
     # event step, whose dense output is evaluated with theirs; nfev counts
     # their three extra stages when they are queued
     queue = []
-    if t_eval is None:
-        ts, ys = [t], [y]
-    else:
+    if t_eval is not None:
         # the samples t_eval[:i_done] are in y_out; the steps queued hold
         # t_eval[i_done:i_eval], counts[j] of them step j
         y_out = np.empty((t_eval.size, y.size))
@@ -537,8 +535,6 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
                 status = 1
             g = g_new
         if t_eval is None:
-            ts.append(t)
-            ys.append(y)
             continue
         i_new = np.searchsorted(t_eval, t, side="right")
         if dense is not None or i_new > i_eval:
@@ -556,7 +552,7 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
             i_done = i_eval
 
     if t_eval is None:
-        t_out, y_out = np.array(ts), np.vstack(ys)
+        t_out, y_out = np.array([t]), y[np.newaxis]
     else:
         if queue:
             dense = _dense_output(fun, queue)

@@ -63,7 +63,6 @@ class PeriodicMatrix:
     ):
         self.params = params
         self.exc = exc
-        self.gains = gains
         self.gap_offset = gap_offset
         self.period = exc.period
         self._steady = _steady_kernel(params, exc)

@@ -4,7 +4,8 @@ where work runs in a child process.
 CSV numbers carry 17 significant digits, enough to round-trip every
 float64, so a CSV product reloads to the exact values that were computed.
 JSON products are indented and key-sorted, so equal payloads give equal
-bytes.
+bytes.  Each file is written beside its path and renamed into place
+(``_placed``), so it appears whole or not at all.
 
 A CSV of float columns can also be streamed with :func:`csv_stream`: the
 rows of a long stream go as raw float64 frames to a writer, a child
@@ -134,13 +135,35 @@ def write_csv(path, header, columns) -> None:
     """
     columns = [np.asarray(c) for c in columns]
     n = min((len(c) for c in columns), default=0)
-    with open(path, "w", newline="\n") as fh:
+    with _placed(path, "w") as fh:
         fh.write(header + "\n")
         if n == 0:
             return
         template = ",".join("%s" if isinstance(c[0], str) else "%.17g" for c in columns) + "\n"
         for lo in range(0, n, _CSV_BLOCK):
             fh.write(_rows(template, (c[lo : lo + _CSV_BLOCK].tolist() for c in columns)))
+
+
+@contextmanager
+def _placed(path, mode):
+    """Yield a file opened in ``mode`` on ``.{name}.{pid}.tmp`` beside
+    ``path``, which becomes ``path`` by ``os.replace`` once the ``with``
+    block has ended and is removed if it raises; an ``OSError`` of that
+    file names ``path`` in its place.  The one way a product is written."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as err:
+        if err.filename != tmp:
+            raise
+        # tmp is removed below, so the error names the product
+        raise OSError(err.errno, err.strerror, path) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 @contextmanager
@@ -151,26 +174,21 @@ def csv_stream(path, header, rows):
     ``rows`` is the number of rows the caller plans to send, and it alone
     decides the writer: a plan of at least ``_STREAM_ROWS`` rows forks the
     writer (``fork``) when the stream opens, before the first block, and
-    the writer formats every block as ``write_csv`` does into a temporary
-    file beside ``path``.  A shorter plan, and every plan where
-    ``os.fork`` is missing, formats each block into that file as it
+    the writer formats every block as ``write_csv`` does.  A shorter plan,
+    and every plan where ``os.fork`` is missing, formats each block as it
     arrives, in this process.  Yields ``send(columns)``, which takes a
     block of rows as equal-length float columns, one per name in
-    ``header``, and copies or formats them before it returns.  The
-    temporary file becomes ``path`` once the ``with`` block has ended and
-    the writer, if any, has exited with status 0.  Otherwise the writer is
-    killed and reaped, the temporary file is removed and the error
-    propagates; a writer that cannot start, failed or stopped reading
-    raises ``RuntimeError`` naming its status and what it raised, and an
-    ``OSError`` of the temporary file, from its creation to its renaming,
-    names ``path`` in its place.
+    ``header``, and copies or formats them before it returns.  The file is
+    placed as every product is (``_placed``), once the ``with`` block has
+    ended and the writer, if any, has exited with status 0.  Otherwise the
+    writer is killed and reaped and the error propagates; a writer that
+    cannot start, failed or stopped reading raises ``RuntimeError`` naming
+    its status and what it raised.
     """
-    directory, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     writer = None
     try:
-        with open(tmp, "wb") as fh:
+        with _placed(path, "wb") as fh:
             fh.write(header.encode() + b"\n")
             fh.flush()  # a writer inherits the file, and must not inherit the header too
             if rows >= _STREAM_ROWS and hasattr(os, "fork"):
@@ -195,17 +213,9 @@ def csv_stream(path, header, rows):
             if writer is not None:
                 child, writer = writer, None
                 reap(child, fault)
-        os.replace(tmp, path)
-    except OSError as err:
-        if err.filename != tmp:
-            raise
-        # tmp is removed below, so the error names the product
-        raise OSError(err.errno, err.strerror, path) from None
     finally:
         if writer is not None:
             reap(writer, abort=True)
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _serve(src, dst, template) -> None:
@@ -229,6 +239,6 @@ def _serve(src, dst, template) -> None:
 def write_json(path, payload) -> None:
     """Write a JSON document with 2-space indent, sorted keys and a
     trailing newline."""
-    with open(path, "w", newline="\n") as fh:
+    with _placed(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

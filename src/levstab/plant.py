@@ -30,6 +30,7 @@ __all__ = [
     "VehicleState",
     "SteadyStateSample",
     "Trajectory",
+    "current_scale",
     "steady_state",
     "rhs",
     "rhs_hybrid",

@@ -621,6 +621,13 @@ def test_cli_ellipses_and_resonance_chart_run_no_plant(tmp_path):
         assert not ran & {"levstab.plant", "levstab.floquet", "levstab.linearized", "levstab.validation"}
 
 
+def test_package_exports_only_declared_names():
+    """Every name the package re-exports is in its module's ``__all__``."""
+    for module, names in levstab._EXPORTS.items():
+        missing = set(names) - set(getattr(levstab, module).__all__)
+        assert not missing, (module, missing)
+
+
 # the tail of a fresh-interpreter script: start the CLI with sys.argv as
 # TARGET says, its console-script entry point "module:function" or, for
 # None, ``python -m levstab.cli``, with ``probe`` set as the profiler
@@ -1141,6 +1148,73 @@ def test_cli_uncreatable_temporary_file_names_the_product(tmp_path, monkeypatch,
     _assert_no_child_left()
 
 
+def _fail_second_block(monkeypatch, error):
+    """Make ``output._rows`` raise ``error`` on the second block of rows
+    it formats, after the first went out whole."""
+    from levstab import output
+
+    real, calls = output._rows, []
+
+    def rows(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(output, "_rows", rows)
+
+
+@pytest.mark.parametrize("interrupt", [False, True], ids=["disk-full", "keyboard-interrupt"])
+def test_cli_map_failing_mid_product_leaves_nothing(tmp_path, monkeypatch, capsys, interrupt):
+    """A 101x101 map, 10,201 rows of map.csv, whose second block of 4,096
+    rows fails to be written, here by ENOSPC or an interrupt, leaves
+    --out empty: no part of map.csv, no temporary file and no later
+    product.  ENOSPC ends the command with exit 3 on one error line; the
+    interrupt propagates."""
+    import errno
+
+    _fail_second_block(
+        monkeypatch, KeyboardInterrupt() if interrupt else OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    )
+    out = tmp_path / "out"
+    argv = ["map", "--grid", "101,101", "--out", str(out)]
+    if interrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert os.strerror(errno.ENOSPC) in err
+    assert list(out.iterdir()) == []
+    _assert_no_child_left()
+
+
+def test_cli_failed_rerun_keeps_earlier_product(tmp_path, monkeypatch, capsys):
+    """ellipses run twice into one --out, the second time with json.dump
+    writing 100 bytes of ellipses.json and then raising ENOSPC, ends that
+    run with exit 3 on one error line and leaves the first run's
+    ellipses.json byte for byte, with no temporary file beside it."""
+    import errno
+
+    out = tmp_path / "out"
+    assert main(["ellipses", "--out", str(out)]) == EXIT_OK
+    first = (out / "ellipses.json").read_bytes()
+    names = sorted(p.name for p in out.iterdir())
+
+    def disk_full(payload, fh, **kwargs):
+        fh.write(json.dumps(payload, **kwargs)[:100])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(json, "dump", disk_full)
+    capsys.readouterr()
+    assert main(["ellipses", "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert (out / "ellipses.json").read_bytes() == first
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1426,6 +1500,32 @@ def test_cli_rejects_nonfinite_input(tmp_path, capsys, argv, doc):
         return
     assert rc == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+BEYOND_FLOAT = 10**400  # an int that no float can hold
+
+
+@pytest.mark.parametrize(
+    "argv,doc,name",
+    [
+        (["ellipses"], {**B0_DOC, "excitation": {**B0_DOC["excitation"], "Omega": BEYOND_FLOAT}},
+         "excitation.Omega"),
+        (["map"], {**B0_DOC, "physical": {**B0_DOC["physical"], "m": BEYOND_FLOAT}}, "physical.m"),
+        (["map", "--grid", f"{BEYOND_FLOAT},21"], None, "--grid"),
+    ],
+    ids=["config-omega", "config-mass", "grid"],
+)
+def test_cli_int_beyond_float_range_is_bad_input(tmp_path, capsys, argv, doc, name):
+    """An integer too large for a float, in a config number or a --grid
+    value, is bad input: exit 2 on one error line that names the key or
+    the flag, and no --out directory made."""
+    if doc is not None:
+        argv = [*argv, "--config", _write(tmp_path, doc)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_BAD_INPUT
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {name} ")
     assert not out.exists()
 
 
