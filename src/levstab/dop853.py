@@ -18,6 +18,7 @@ them), and no command needs SciPy.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import NamedTuple
 
@@ -292,12 +293,13 @@ def _square_norm(x):
         return math.inf
 
 
-def _error_norm(K, h, scale):
+def _error_norm(KT, h, scale):
     """RMS norm of the 8th-order step's error, the 5th-order estimate
-    damped by the 3rd-order one.  A step whose stages overflowed gives a
-    NaN or infinite norm, which rejects it."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
+    damped by the 3rd-order one, from the stages' transpose KT.  A step
+    whose stages overflowed gives a NaN or infinite norm, which rejects
+    it."""
+    err5 = KT.dot(E5) / scale
+    err3 = KT.dot(E3) / scale
     err5_norm_2 = _square_norm(err5)
     err3_norm_2 = _square_norm(err3)
     if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -432,8 +434,11 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
     are evaluated together; the event step's come with those of the steps
     queued before it.  Steps keep the local error below
     ``atol + rtol |y|``.  With ``t_eval`` (increasing, within ``t_span``)
-    the solution is sampled there on each step's dense output.
-    ``event(t, y)`` is a terminal event: the run stops where it falls
+    the solution is sampled there on each step's dense output.  Each
+    accepted step finds the samples it reached with ``bisect_right`` on a
+    memoryview of ``t_eval``, from the first sample no earlier step
+    reached, so the search reads Python floats and allocates nothing per
+    step or per sample.  ``event(t, y)`` is a terminal event: the run stops where it falls
     through zero, located on the dense output to ``EVENT_TOL``.  An
     exception raised by ``fun`` propagates, which is how callers impose
     an RHS budget.  Overflow and invalid operations, such as the stages of
@@ -459,11 +464,22 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
             raise ValueError("t_eval must be a 1-D array within t_span")
         if np.any(np.diff(t_eval) <= 0):
             raise ValueError("t_eval must be increasing")
+        # no copy of a contiguous float array
+        t_samples = memoryview(np.ascontiguousarray(t_eval, dtype=float))
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound - t, rtol, atol)
     nfev = 2
     K = np.empty((N_STAGES + 1, y.size))
-    KT = [K[:s].T for s in range(N_STAGES + 1)]
+    # per stage after the first: the transpose of the stages before it, its
+    # row of A and its node; then the transpose of all stages, which the
+    # error norm takes, and of those that make the 8th-order sum
+    stages = [(s, K[:s].T, _A_ROWS[s], _C[s]) for s in range(1, N_STAGES)]
+    KT, KT_sum = K.T, K[:-1].T
+    # the step size and tolerances as 0-d arrays: numpy multiplies and adds
+    # an array and a 0-d array faster than an array and a Python float, to
+    # the same bits
+    h_step = np.empty(())
+    atol_0d, rtol_0d = np.asarray(atol, dtype=float), np.asarray(rtol, dtype=float)
     # the accepted steps whose dense output waits, as _dense_output takes
     # them: the sampled steps since the last block of samples, then the
     # event step, whose dense output is evaluated with theirs; nfev counts
@@ -490,16 +506,16 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
+            h_step[()] = h
             K[0] = f
-            for s in range(1, N_STAGES):
-                dy = np.dot(KT[s], _A_ROWS[s]) * h
-                K[s] = fun(t + _C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
+            for s, KT_s, a, c in stages:
+                K[s] = fun(t + c * h, y + KT_s.dot(a) * h_step)
+            y_new = y + h_step * KT_sum.dot(B)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             nfev += N_STAGES
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            scale = atol_0d + np.maximum(np.abs(y), np.abs(y_new)) * rtol_0d
+            error_norm = _error_norm(KT, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -536,7 +552,7 @@ def solve(fun, t_span, y0, rtol, atol, t_eval=None, event=None, on_samples=None)
             g = g_new
         if t_eval is None:
             continue
-        i_new = np.searchsorted(t_eval, t, side="right")
+        i_new = bisect.bisect_right(t_samples, t, i_eval)
         if dense is not None or i_new > i_eval:
             if dense is None:
                 queue.append((t_old, h, y_old, y, K.copy()))

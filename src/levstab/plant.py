@@ -216,16 +216,12 @@ def _derivative(
     Without ``stacked`` it takes one state and a float t, and computes on
     Python floats with math's cos and sin; with it, a (k, 6) stack of
     states and a (k,) array of times, computed column by column with
-    numpy's cos and sin, which equal math's bit for bit.  The floor
-    ``max(floor, d)`` and its numpy form both keep d only where
-    ``d > floor``, so a NaN gap takes the floor in either.
+    numpy's cos and sin, which equal math's bit for bit.  The floor keeps
+    a gap d only where ``d > floor``, in either form, so a NaN gap takes
+    the floor.
     """
-    if stacked:
-        steady = _steady_kernel(params, exc, hyb, np.cos, np.sin)
-        at_least = lambda floor, d: np.where(d > floor, d, floor)
-    else:
-        steady = _steady_kernel(params, exc, hyb)
-        at_least = max
+    trig = (np.cos, np.sin) if stacked else (math.cos, math.sin)
+    steady = _steady_kernel(params, exc, hyb, *trig)
     half = 0.5 * params.L
     kp, kd = gains.Kp, gains.Kd
     C, R, g, m, L = params.C, params.R, params.g, params.m, params.L
@@ -249,16 +245,19 @@ def _derivative(
         d2dot = zdot - half * phidot + s2dot
         u1 = U1 + kp * (d1 - s1) + kd * (d1dot - s1dot)
         u2 = U2 + kp * (d2 - s2) + kd * (d2dot - s2dot)
+        # the effective gaps, floored
+        e1, e2 = (d1, d2) if beta is None else (d1 + beta, d2 + beta)
+        if stacked:
+            e1, e2 = np.where(e1 > floor, e1, floor), np.where(e2 > floor, e2, floor)
+        else:
+            e1 = e1 if e1 > floor else floor
+            e2 = e2 if e2 > floor else floor
         if beta is None:
-            e1 = at_least(floor, d1)
-            e2 = at_least(floor, d2)
             f1 = C * i1 * i1 / (e1 * e1)
             f2 = C * i2 * i2 / (e2 * e2)
             i1dot = (e1 / twoC) * (u1 - R * i1 + twoC * i1 * d1dot / (e1 * e1))
             i2dot = (e2 / twoC) * (u2 - R * i2 + twoC * i2 * d2dot / (e2 * e2))
         else:
-            e1 = at_least(floor, d1 + beta)
-            e2 = at_least(floor, d2 + beta)
             j1 = i1 + gamma
             j2 = i2 + gamma
             f1 = C * j1 * j1 / (e1 * e1)
@@ -434,8 +433,10 @@ def integrate(
     An airgap falling below 1% of the nominal z0 counts as contact and
     terminates the run (the model has no track-contact physics); the partial
     trajectory is returned with ``meta["aborted"] = True`` and the closure
-    time recorded.  Negative currents do not stop the run (the force law is
-    sign-blind) but are flagged in ``meta["negative_current"]``.
+    time recorded.  A negative current in the force law, I on the standard
+    plant and I + ``hybrid_gamma`` on the hybrid one, does not stop the run
+    (the force law is sign-blind) but is flagged in
+    ``meta["negative_current"]``.
 
     ``sink(columns)``, if given, gets the trajectory's rows while the run
     goes on, a block at a time as the solver makes them final, and the
@@ -463,27 +464,30 @@ def integrate(
         else:
             nfev += t.size
             t_last = float(t.max())
-        # a NaN time, which follows a non-finite state or derivative, trips it too
-        if not nfev <= MAX_NFEV_PER_PERIOD * (1.0 + (t_last - t0) / period):
-            if not math.isfinite(t_last):
-                raise RuntimeError(
-                    f"integration stopped after {nfev} RHS evaluations: "
-                    "the state or its derivative became non-finite"
-                )
+        # a NaN time, which follows a non-finite state or derivative, fails it too
+        if nfev <= MAX_NFEV_PER_PERIOD * (1.0 + (t_last - t0) / period):
+            if hyb is None:
+                return rhs(y, t, params, exc, gains)
+            return rhs_hybrid(y, t, params, exc, gains, hyb)
+        if not math.isfinite(t_last):
             raise RuntimeError(
-                f"integration stopped at t = {t_last:.6g} s after {nfev} RHS evaluations, over the "
-                f"budget of MAX_NFEV_PER_PERIOD = {MAX_NFEV_PER_PERIOD} per excitation period"
+                f"integration stopped after {nfev} RHS evaluations: "
+                "the state or its derivative became non-finite"
             )
-        if hyb is None:
-            return rhs(y, t, params, exc, gains)
-        return rhs_hybrid(y, t, params, exc, gains, hyb)
+        raise RuntimeError(
+            f"integration stopped at t = {t_last:.6g} s after {nfev} RHS evaluations, over the "
+            f"budget of MAX_NFEV_PER_PERIOD = {MAX_NFEV_PER_PERIOD} per excitation period"
+        )
 
     contact = CLOSURE_FRACTION * params.z0
+    half = 0.5 * params.L
     steady = _steady_kernel(params, exc)
 
     def gap_closure(t, y):
-        d1, d2, _, _ = _gaps(y, params, SteadyStateSample(t, *steady(t)))
-        return min(d1, d2) - contact
+        # _gaps' airgaps, on Python floats
+        w1, w2 = steady(t)[:2]
+        z, _, phi, _, _, _ = y.tolist()
+        return min(z + half * phi - w1, z - half * phi - w2) - contact
 
     if t_eval is None:
         t_eval = output_grid(t_span, exc)
@@ -522,6 +526,8 @@ def integrate(
         states = np.vstack([states, sol.y_event])
         on_samples(t[-1:], states[-1:])
     gap1, gap2 = gaps[:, : t.size]
+    # the current the force law squares is I, or I + gamma on the hybrid plant
+    shift = 0.0 if hyb is None else hybrid_gamma(params, hyb.beta)
     meta = {
         "method": METHOD,
         "rtol": rtol,
@@ -531,7 +537,7 @@ def integrate(
         "message": str(sol.message),
         "aborted": aborted,
         "mode": mode,
-        "negative_current": bool(np.any(states[:, 4:6] < 0.0)),
+        "negative_current": bool(np.any(states[:, 4:6] + shift < 0.0)),
     }
     if aborted:
         meta["abort_time"] = float(t[-1])

@@ -20,6 +20,8 @@ from levstab.plant import (
     CLOSURE_FRACTION,
     RTOL,
     _gaps,
+    integrate,
+    output_grid,
     rhs,
     rhs_hybrid,
     steady_state,
@@ -106,6 +108,51 @@ def test_gap_closure_event_matches_solve_ivp(b0, exc_quarter):
     assert sol.t[-1] <= sol.t_event < t_end
     np.testing.assert_array_equal(sol.t, ref.t)
     np.testing.assert_array_equal(sol.y, ref.y.T)
+
+
+def _plant_fun(params, exc, gains, hyb):
+    if hyb is None:
+        return lambda t, y: rhs(y, t, params, exc, gains)
+    return lambda t, y: rhs_hybrid(y, t, params, exc, gains, hyb)
+
+
+@pytest.mark.parametrize("plant", ["standard", "hybrid"])
+def test_integrate_matches_solve_ivp_bit_for_bit(b0, exc_quarter, plant):
+    """``integrate``, through its own budgeted RHS and closure event, on a
+    perturbed 20-period run: SciPy over the public rhs and the same
+    closure gives the same samples and the same nfev."""
+    hyb = HybridParams(beta=0.01) if plant == "hybrid" else None
+    start = steady_vehicle_state(b0, exc_quarter, 0.0, hyb)
+    start = replace(start, z=start.z + 1e-4, phi=start.phi + 5e-5)
+    t_span = (0.0, 20.0 * exc_quarter.period)
+
+    traj = integrate(start, t_span, b0, exc_quarter, GAINS, mode=plant, hyb=hyb)
+    ref = _reference(_plant_fun(b0, exc_quarter, GAINS, hyb), t_span, start.as_array(),
+                     output_grid(t_span, exc_quarter), _gap_closure(b0, exc_quarter))
+    assert ref.status == traj.meta["status"] == 0
+    assert traj.meta["nfev"] == ref.nfev
+    np.testing.assert_array_equal(traj.t, ref.t)
+    np.testing.assert_array_equal(traj.states, ref.y.T)
+
+
+def test_integrate_gap_closure_matches_solve_ivp(b0, exc_quarter):
+    """Weak gains close a gap in ``integrate``: its abort time is SciPy's
+    event to 1e-12 relative, and every sample before it is identical."""
+    gains = ControlGains(Kp=3000.0, Kd=10.0)
+    start = steady_vehicle_state(b0, exc_quarter)
+    start = replace(start, z=start.z + 1e-4)
+    t_span = (0.0, 50.0 * exc_quarter.period)
+
+    traj = integrate(start, t_span, b0, exc_quarter, gains)
+    ref = _reference(_plant_fun(b0, exc_quarter, gains, None), t_span, start.as_array(),
+                     output_grid(t_span, exc_quarter), _gap_closure(b0, exc_quarter))
+    assert ref.status == traj.meta["status"] == 1 and traj.aborted
+    assert traj.meta["nfev"] == ref.nfev
+    t_ref = float(ref.t_events[0][0])
+    assert abs(traj.meta["abort_time"] - t_ref) <= 1e-12 * t_ref
+    assert traj.t[-1] == traj.meta["abort_time"]
+    np.testing.assert_array_equal(traj.t[:-1], ref.t)
+    np.testing.assert_array_equal(traj.states[:-1], ref.y.T)
 
 
 def test_single_state_calls_get_float_times(b0, exc_quarter):

@@ -303,6 +303,45 @@ def test_negative_current_flagged(b0, exc_quarter):
     assert traj.meta["negative_current"]
 
 
+@pytest.mark.parametrize("start, flagged", [("steady", False), ("reversed", True)])
+def test_hybrid_negative_current_is_the_force_law_current(b0, exc_quarter, start, flagged):
+    """The hybrid coil current I swings around 0 by design; the current the
+    force law squares is I + gamma, and only its sign is flagged."""
+    hyb = HybridParams(beta=0.01)
+    gamma = hybrid_gamma(b0, hyb.beta)
+    y0 = steady_vehicle_state(b0, exc_quarter, 0.0, hyb).as_array()
+    if start == "reversed":
+        y0[4] = -gamma - 1.0
+    traj = integrate(VehicleState(*y0), (0.0, 2 * exc_quarter.period), b0, exc_quarter,
+                     GAINS, mode="hybrid", hyb=hyb)
+    assert not traj.aborted
+    assert np.min(traj.states[:, 4:6]) < 0.0
+    assert (np.min(traj.states[:, 4:6] + gamma) < 0.0) == flagged
+    assert traj.meta["negative_current"] is flagged
+
+
+@pytest.mark.parametrize(
+    "limit, t_trip, nfev",
+    [(40, "0.00659236", 44), (150, "0.0559237", 257)],
+)
+def test_integrate_stops_at_the_exact_rhs_budget(b0, exc_quarter, monkeypatch, limit, t_trip, nfev):
+    """A run over MAX_NFEV_PER_PERIOD * (1 + elapsed / T) RHS evaluations
+    stops on the first evaluation past it, at the time and count the
+    message names.  At these limits a budget one evaluation looser or
+    tighter stops elsewhere, so the values pin the check's arithmetic."""
+    from levstab import plant
+
+    monkeypatch.setattr(plant, "MAX_NFEV_PER_PERIOD", limit)
+    s0 = steady_vehicle_state(b0, exc_quarter, 0.0)
+    start = VehicleState(s0.z + 1e-4, 0.0, 5e-5, 0.0, s0.I1, s0.I2)
+    with pytest.raises(RuntimeError) as err:
+        integrate(start, (0.0, 10 * exc_quarter.period), b0, exc_quarter, GAINS)
+    assert str(err.value) == (
+        f"integration stopped at t = {t_trip} s after {nfev} RHS evaluations, over the "
+        f"budget of MAX_NFEV_PER_PERIOD = {limit} per excitation period"
+    )
+
+
 def test_integrate_rejects_mode_hyb_mismatch(b0, exc_quarter):
     """HybridParams without mode='hybrid' would silently run the standard
     plant; mode='hybrid' without them has no plant to run."""
