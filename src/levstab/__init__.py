@@ -59,8 +59,6 @@ _EXPORTS = {
         "all_ellipses",
         "default_map_window",
         "relative_size",
-        "hb_determinant_principal",
-        "hill_determinant_combination",
         "resonance_chart",
     ),
     "floquet": (

@@ -12,8 +12,7 @@ inclined line:
   d: combination difference resonance, omega2 - omega1 = Omega
 
 The closed forms bake in the uniform-bar inertia J = m L^2/12 through the
-omega2 = sqrt(3) omega1 ratio; the harmonic-balance determinants offered for
-cross-validation keep J symbolic.
+omega2 = sqrt(3) omega1 ratio.
 """
 
 from __future__ import annotations
@@ -37,15 +36,12 @@ __all__ = [
     "all_ellipses",
     "default_map_window",
     "relative_size",
-    "hb_determinant_principal",
-    "hill_determinant_combination",
     "resonance_chart",
     "ellipse_to_dict",
 ]
 
 RT2 = math.sqrt(2.0)
 RT3 = math.sqrt(3.0)
-RT6 = math.sqrt(6.0)
 BOUNDARY_SAMPLES = 64  # samples of an ellipse's boundary
 
 
@@ -137,10 +133,6 @@ class _Resonance(NamedTuple):
     def family(self) -> str:
         return "principal" if self.sign > 0.0 else "combination"
 
-    def omega1(self, Omega: float) -> float:
-        """omega1 at the center: Omega sqrt(n/den)."""
-        return Omega * math.sqrt(self.n / self.den)
-
 
 _RESONANCES = {
     "a": _Resonance("omega2", "Omega/2", 1.0, 12.0, 2304.0, 1.0, 0.5),
@@ -210,89 +202,6 @@ def relative_size(e: Ellipse, params: PhysicalParams) -> RelativeSize:
         raise ValueError("relative size undefined: ellipse center sits on the vertical line")
     printed = e.A * math.sqrt(1.0 + _RESONANCES[e.kind].sign * math.cos(e.theta)) / (4.0 * RT2 * params.z0)
     return RelativeSize(geometric=e.k1 / width, printed=printed)
-
-
-def _resonance(kind: str, family: str) -> _Resonance:
-    """The table row of ``kind``, which must belong to ``family``."""
-    kinds = [k for k, r in _RESONANCES.items() if r.family == family]
-    if kind not in kinds:
-        raise ValueError(f"kind must be {' or '.join(map(repr, kinds))}, got {kind!r}")
-    return _RESONANCES[kind]
-
-
-def hb_determinant_principal(
-    params: PhysicalParams,
-    exc: ExcitationParams,
-    gains,
-    kind: str,
-) -> float:
-    """Determinant of the first-harmonic balance matrix for a principal
-    resonance, negative inside the corresponding ellipse and zero on it.
-
-    For kind 'a' the pitch equation is probed with phi = b0 cos(w t) +
-    b1 sin(w t) at w = omega2 = Omega/2; for kind 'b' the heave equation
-    with the analogous ansatz at w = omega1 = Omega/2.  Both balances are
-    one formula in the modal inertia I = J/L^2 (pitch) or m/4 (heave): the
-    pitch equation's rows divided by L^2, the heave equation's by 2L, so
-    the determinant is that of the raw balance divided by L^4 (a) or 4 L^2
-    (b), with the same sign and zero set.  I keeps J symbolic, so the zero
-    set matches the closed-form ellipse only for the uniform-bar inertia.
-    """
-    _resonance(kind, "principal")
-    p = params
-    inertia = p.J / p.L**2 if kind == "a" else p.m / 4.0
-    w = exc.Omega / 2.0
-    rcgm = math.sqrt(p.C * p.g * p.m)
-    pump = RT2 * inertia * p.R * w**2
-    stiff = -4.0 * gains.Kp * rcgm + 2.0 * RT2 * p.g * p.m * p.R + 4.0 * p.z0 * pump
-    damp = 4.0 * gains.Kd * rcgm * w - 8.0 * RT2 * p.C * inertia * w**3
-    forced_cos = exc.A * (1.0 + math.cos(exc.theta)) * pump
-    forced_sin = exc.A * math.sin(exc.theta) * pump
-    # rows: coefficients of (b0, b1) in the cos and sin balance equations
-    c00, c01 = stiff - forced_cos, -damp - forced_sin
-    c10, c11 = damp - forced_sin, stiff + forced_cos
-    return c00 * c11 - c01 * c10
-
-
-def hill_determinant_combination(
-    params: PhysicalParams,
-    exc: ExcitationParams,
-    gains,
-    kind: str,
-) -> tuple[float, float]:
-    """Truncated Hill determinant for combination resonance kind 'c' or 'd'.
-
-    Returns (det, residual): ``det`` is the determinant of the 4x4
-    first-harmonic coefficient matrix in the amplitudes (a0, a1, b0, b1);
-    ``residual`` is the scalar reduction M1^2 + M2*M3 -
-    sqrt((L1^2+L2^2)(L3^2+L4^2)) obtained by eliminating the amplitudes,
-    whose zero set is the combination ellipse itself.  The raw determinant
-    vanishes on the ellipse only where the mode phases align (the axis
-    points); the reduction removes that phase freedom.
-    """
-    w1 = _resonance(kind, "combination").omega1(exc.Omega)
-    p = params
-    rcgm = math.sqrt(p.C * p.g * p.m)
-    P = exc.A * math.cos(exc.theta)
-    Q = exc.A * math.sin(exc.theta)
-    L, m, R = p.L, p.m, p.R
-    M1 = 2.0 * L * (-4.0 * gains.Kp * rcgm + RT2 * m * R * (2.0 * p.g + p.z0 * w1**2))
-    M2 = 8.0 * gains.Kd * L * rcgm * w1 - 4.0 * RT2 * p.C * L * m * w1**3
-    M3 = 8.0 * RT3 * gains.Kd * L * rcgm * w1 - 4.0 * RT6 * p.C * L * m * w1**3
-    L1 = L**2 * m * (-exc.A + P) * R * w1**2 / (2.0 * RT2)
-    L2 = L**2 * m * Q * R * w1**2 / (2.0 * RT2)
-    L3 = RT2 * m * (-exc.A + P) * R * w1**2
-    L4 = RT2 * m * Q * R * w1**2
-    H = np.array(
-        [
-            [M1, -M2, L1, L2],
-            [M2, M1, L2, -L1],
-            [L3, L4, M1, -M3],
-            [L4, -L3, M3, M1],
-        ]
-    )
-    residual = M1**2 + M2 * M3 - math.sqrt((L1**2 + L2**2) * (L3**2 + L4**2))
-    return float(np.linalg.det(H)), residual
 
 
 CHART_SAMPLES = 400  # Kd samples of a resonance chart

@@ -359,12 +359,13 @@ def output_grid(t_span: tuple[float, float], exc: ExcitationParams) -> np.ndarra
     A grid of more than MAX_SAMPLES samples raises ``ValueError`` naming
     the limit, before anything is allocated, an infinite count included.
     """
-    samples = SAMPLES_PER_PERIOD * (t_span[1] - t_span[0]) / exc.period
+    intervals = SAMPLES_PER_PERIOD * (t_span[1] - t_span[0]) / exc.period
     # clamped before rounding, which cannot convert an infinite count
-    n = max(2, round(min(samples, MAX_SAMPLES + 1)))
-    if n > MAX_SAMPLES:
+    n = max(2, round(min(intervals, MAX_SAMPLES + 1)))
+    # n intervals between n + 1 samples, both ends included
+    if n + 1 > MAX_SAMPLES:
         raise ValueError(
-            f"{samples:.7g} output samples exceed the limit of MAX_SAMPLES = {MAX_SAMPLES} "
+            f"{intervals + 1:.7g} output samples exceed the limit of MAX_SAMPLES = {MAX_SAMPLES} "
             f"({MAX_SAMPLES // SAMPLES_PER_PERIOD} periods; a 1 GiB budget at "
             "160 bytes per sample)"
         )

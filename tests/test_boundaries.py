@@ -1,6 +1,6 @@
 """Closed-form stability boundaries: static lines, the four resonance
-ellipses, size measures, harmonic-balance determinants and the resonance
-chart."""
+ellipses, size measures and the resonance chart, with the first-order
+harmonic-balance determinants that check the ellipses independently."""
 
 import math
 
@@ -13,9 +13,8 @@ from levstab import (
     ExcitationParams,
     PhysicalParams,
     all_ellipses,
+    boundary_crossings,
     h0_gain,
-    hb_determinant_principal,
-    hill_determinant_combination,
     natural_frequencies,
     relative_size,
     resonance_chart,
@@ -24,9 +23,12 @@ from levstab import (
 )
 from levstab.boundaries import _RESONANCES
 from levstab.cli import EXIT_OK, main
+from levstab.floquet import signature_moduli
 
 
+RT2 = math.sqrt(2.0)
 RT3 = math.sqrt(3.0)
+RT6 = math.sqrt(6.0)
 
 # frozen reference values at B0 (m=7650, C=0.05, R=9.71, z0=0.015, g=9.81),
 # Omega = 80, A = 0.005; principal ellipses at theta = 0, combination at pi
@@ -50,6 +52,76 @@ def _random_params(rng):
         g=float(rng.uniform(3.0, 20.0)),
         L=float(rng.uniform(1.0, 8.0)),
     )
+
+
+def _omega1(kind, Omega):
+    """omega1 at the center of tongue ``kind``: Omega sqrt(n/den)."""
+    r = _RESONANCES[kind]
+    return Omega * math.sqrt(r.n / r.den)
+
+
+def hb_determinant_principal(params, exc, gains, kind):
+    """Determinant of the first-harmonic balance matrix for a principal
+    resonance, negative inside the corresponding ellipse and zero on it.
+
+    For kind 'a' the pitch equation is probed with phi = b0 cos(w t) +
+    b1 sin(w t) at w = omega2 = Omega/2; for kind 'b' the heave equation
+    with the analogous ansatz at w = omega1 = Omega/2.  Both balances are
+    one formula in the modal inertia I = J/L^2 (pitch) or m/4 (heave): the
+    pitch equation's rows divided by L^2, the heave equation's by 2L, so
+    the determinant is that of the raw balance divided by L^4 (a) or 4 L^2
+    (b), with the same sign and zero set.  I keeps J symbolic, so the zero
+    set matches the closed-form ellipse only for the uniform-bar inertia.
+    """
+    p = params
+    inertia = p.J / p.L**2 if kind == "a" else p.m / 4.0
+    w = exc.Omega / 2.0
+    rcgm = math.sqrt(p.C * p.g * p.m)
+    pump = RT2 * inertia * p.R * w**2
+    stiff = -4.0 * gains.Kp * rcgm + 2.0 * RT2 * p.g * p.m * p.R + 4.0 * p.z0 * pump
+    damp = 4.0 * gains.Kd * rcgm * w - 8.0 * RT2 * p.C * inertia * w**3
+    forced_cos = exc.A * (1.0 + math.cos(exc.theta)) * pump
+    forced_sin = exc.A * math.sin(exc.theta) * pump
+    # rows: coefficients of (b0, b1) in the cos and sin balance equations
+    c00, c01 = stiff - forced_cos, -damp - forced_sin
+    c10, c11 = damp - forced_sin, stiff + forced_cos
+    return c00 * c11 - c01 * c10
+
+
+def hill_determinant_combination(params, exc, gains, kind):
+    """Truncated Hill determinant for combination resonance kind 'c' or 'd'.
+
+    Returns (det, residual): ``det`` is the determinant of the 4x4
+    first-harmonic coefficient matrix in the amplitudes (a0, a1, b0, b1);
+    ``residual`` is the scalar reduction M1^2 + M2*M3 -
+    sqrt((L1^2+L2^2)(L3^2+L4^2)) obtained by eliminating the amplitudes,
+    whose zero set is the combination ellipse itself.  The raw determinant
+    vanishes on the ellipse only where the mode phases align (the axis
+    points); the reduction removes that phase freedom.
+    """
+    w1 = _omega1(kind, exc.Omega)
+    p = params
+    rcgm = math.sqrt(p.C * p.g * p.m)
+    P = exc.A * math.cos(exc.theta)
+    Q = exc.A * math.sin(exc.theta)
+    L, m, R = p.L, p.m, p.R
+    M1 = 2.0 * L * (-4.0 * gains.Kp * rcgm + RT2 * m * R * (2.0 * p.g + p.z0 * w1**2))
+    M2 = 8.0 * gains.Kd * L * rcgm * w1 - 4.0 * RT2 * p.C * L * m * w1**3
+    M3 = 8.0 * RT3 * gains.Kd * L * rcgm * w1 - 4.0 * RT6 * p.C * L * m * w1**3
+    L1 = L**2 * m * (-exc.A + P) * R * w1**2 / (2.0 * RT2)
+    L2 = L**2 * m * Q * R * w1**2 / (2.0 * RT2)
+    L3 = RT2 * m * (-exc.A + P) * R * w1**2
+    L4 = RT2 * m * Q * R * w1**2
+    H = np.array(
+        [
+            [M1, -M2, L1, L2],
+            [M2, M1, L2, -L1],
+            [L3, L4, M1, -M3],
+            [L4, -L3, M3, M1],
+        ]
+    )
+    residual = M1**2 + M2 * M3 - math.sqrt((L1**2 + L2**2) * (L3**2 + L4**2))
+    return float(np.linalg.det(H)), residual
 
 
 def test_h0_value_and_linearity(b0):
@@ -227,15 +299,15 @@ def test_phase_scaling_of_axes(b0):
 def test_combination_frequencies_closure():
     """The table's omega1 of tongue c closes omega1 + omega2 = Omega, and
     tongue d's omega2 - omega1 = Omega, with omega2 = sqrt(3) omega1."""
-    w1c = _RESONANCES["c"].omega1(80.0)
+    w1c = _omega1("c", 80.0)
     assert w1c == pytest.approx(29.282, rel=1e-4)
     assert w1c + RT3 * w1c == pytest.approx(80.0, rel=1e-12)
-    w1d = _RESONANCES["d"].omega1(80.0)
+    w1d = _omega1("d", 80.0)
     assert w1d == pytest.approx(109.282, rel=1e-4)
     assert RT3 * w1d - w1d == pytest.approx(80.0, rel=1e-12)
     # the principal tongues respond at Omega/2: omega2 for a, omega1 for b
-    assert RT3 * _RESONANCES["a"].omega1(80.0) == pytest.approx(40.0, rel=1e-12)
-    assert _RESONANCES["b"].omega1(80.0) == 40.0
+    assert RT3 * _omega1("a", 80.0) == pytest.approx(40.0, rel=1e-12)
+    assert _omega1("b", 80.0) == 40.0
 
 
 def test_ellipse_family_from_table(b0, exc_quarter):
@@ -382,6 +454,31 @@ def test_hill_determinant_places_d_on_closed_form_axes(b0, exc_quarter, seed1, c
         assert at(0.99 * side)[1] < 0.0 < at(1.01 * side)[1]
 
 
+@pytest.mark.parametrize("config, edges", [
+    ("baseline", (-3.7236, 3.7354)),
+    ("seed1", (-3.0146, 3.1787)),
+])
+def test_floquet_places_d_kd_edges_off_closed_form_axis(b0, exc_quarter, seed1, config, edges):
+    """Floquet puts tongue d's Kd edges along Kp = h1 well beyond the
+    closed form's +-1 k2, by a factor that depends on the configuration.
+    The scan over h2 +- 4.5 k2 uses ``validation.tongue_edges``' indicator
+    for the combination family and finds exactly two edges, each within
+    0.01 k2 of the measured value; a bisection step is 9 k2 * BISECT_TOL =
+    0.009 k2."""
+    params, exc = (b0, exc_quarter) if config == "baseline" else seed1
+    d = all_ellipses(params, exc)["d"]
+
+    def inside(mu):
+        s0, s1 = np.concatenate([signature_moduli(mu, "combination"), [0.0, 0.0]])[:2]
+        return float(min(s0 - 1.0, 1.0 - s1))
+
+    scan = ((d.h1, d.h2 - 4.5 * d.k2), (d.h1, d.h2 + 4.5 * d.k2))
+    crossings = boundary_crossings(params, exc, scan, inside)
+    assert len(crossings) == 2
+    for (_, kd), edge in zip(crossings, edges):
+        assert (kd - d.h2) / d.k2 == pytest.approx(edge, abs=0.01)
+
+
 def test_hill_phase_independence_at_theta_zero(b0, exc_inphase, exc_still):
     """In-phase excitation cancels the combination forcing: the residual
     loses its amplitude dependence entirely."""
@@ -389,18 +486,6 @@ def test_hill_phase_independence_at_theta_zero(b0, exc_inphase, exc_still):
     _, r_inphase = hill_determinant_combination(b0, exc_inphase, g, "c")
     _, r_still = hill_determinant_combination(b0, exc_still, g, "c")
     assert r_inphase == r_still
-
-
-def test_invalid_kind_and_pair_rejected(b0, exc_quarter):
-    """Each determinant takes the kinds of its own family only; the pair
-    names 'sum' and 'difference' are no kinds."""
-    g = ControlGains(1.0, 1.0)
-    for kind in ("c", "d", "sum", "x"):
-        with pytest.raises(ValueError, match=r"^kind must be 'a' or 'b', got "):
-            hb_determinant_principal(b0, exc_quarter, g, kind)
-    for kind in ("a", "b", "sum", "difference"):
-        with pytest.raises(ValueError, match=r"^kind must be 'c' or 'd', got "):
-            hill_determinant_combination(b0, exc_quarter, g, kind)
 
 
 def test_resonance_chart_intersections(b0):

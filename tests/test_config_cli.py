@@ -418,11 +418,13 @@ def test_cli_simulate_periods_over_sample_cap_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("periods", [
     pytest.param("1e308", id="overflowing"),
     pytest.param(repr((MAX_SAMPLES + 1) / SAMPLES_PER_PERIOD), id="one-sample-over"),
+    pytest.param(repr(MAX_SAMPLES / SAMPLES_PER_PERIOD), id="one-interval-over"),
 ])
 def test_cli_simulate_sample_count_checked_before_rounding(tmp_path, capsys, periods):
-    """A finite --periods whose sample count overflows to infinity, and one
-    a sample over MAX_SAMPLES, are bad input: exit 2 on one error line
-    naming the limit, not a failed conversion of the count to an integer."""
+    """A finite --periods whose sample count overflows to infinity, and
+    those whose grid, both ends included, holds one or two samples over
+    MAX_SAMPLES, are bad input: exit 2 on one error line naming the limit,
+    not a failed conversion of the count to an integer."""
     rc = main(["simulate", *GAINS_ARGS, "--periods", periods, "--out", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
     err = capsys.readouterr().err
@@ -626,6 +628,36 @@ def test_package_exports_only_declared_names():
     for module, names in levstab._EXPORTS.items():
         missing = set(names) - set(getattr(levstab, module).__all__)
         assert not missing, (module, missing)
+
+
+def test_every_public_name_has_a_program_reader(monkeypatch):
+    """Every name the package or a submodule exports is read somewhere in
+    the program: loaded as a name or an attribute in levstab's sources, in
+    ``tools/`` or in ``benchmarks/``.  A definition, an import or an export
+    list is no reader.  The benchmark's tracer wraps the functions in
+    ``spans.TRACED`` by name, so those count as read."""
+    import ast
+    import importlib
+
+    src = Path(levstab.__file__).resolve().parent
+    root = src.parents[1]
+    monkeypatch.syspath_prepend(str(root / "benchmarks"))
+    from spans import TRACED
+
+    read = {part for _, attr in TRACED for part in attr.split(".")}
+    for path in [*src.glob("*.py"), *(root / "tools").glob("*.py"), *(root / "benchmarks").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    exported = {(module, name) for module, names in levstab._EXPORTS.items() for name in names}
+    for path in src.glob("*.py"):
+        if path.stem != "__init__":
+            names = getattr(importlib.import_module(f"levstab.{path.stem}"), "__all__", ())
+            exported.update((path.stem, name) for name in names)
+    unread = sorted(f"{module}.{name}" for module, name in exported if name not in read)
+    assert not unread, unread
 
 
 # the tail of a fresh-interpreter script: start the CLI with sys.argv as

@@ -342,6 +342,21 @@ def test_integrate_stops_at_the_exact_rhs_budget(b0, exc_quarter, monkeypatch, l
     )
 
 
+def test_output_grid_counts_both_ends_against_the_sample_cap(exc_quarter, monkeypatch):
+    """n intervals make a grid of n + 1 samples: MAX_SAMPLES - 1 intervals
+    fit the cap exactly, one more is rejected, and the message counts the
+    grid's samples."""
+    from levstab import plant
+
+    monkeypatch.setattr(plant, "MAX_SAMPLES", 1000)
+    span = (plant.MAX_SAMPLES - 1) / plant.SAMPLES_PER_PERIOD * exc_quarter.period
+    assert plant.output_grid((0.0, span), exc_quarter).size == 1000
+    for intervals, samples in ((1000, 1001), (1001, 1002)):
+        span = intervals / plant.SAMPLES_PER_PERIOD * exc_quarter.period
+        with pytest.raises(ValueError, match=rf"^{samples} output samples exceed the limit of MAX_SAMPLES = 1000 "):
+            plant.output_grid((0.0, span), exc_quarter)
+
+
 def test_integrate_rejects_mode_hyb_mismatch(b0, exc_quarter):
     """HybridParams without mode='hybrid' would silently run the standard
     plant; mode='hybrid' without them has no plant to run."""

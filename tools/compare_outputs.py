@@ -37,7 +37,7 @@ byte for byte, and so must ``map_meta.json`` apart from ``workers``.
 Each command's line also gives its wall time in both trees (one fresh
 process each, import included), so a cold-start change shows in the same run
 that checks the outputs.  Prints each difference and exits 1 if there is
-any, else 0.  A full run takes a few minutes, mostly ``validate``.
+any, else 0.  A full run takes about 30 s on 2 vCPUs, mostly ``validate``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ relative to max(1, |mu|), the engine's cells per step count and its
 fallback cells) and a summary.  Exits 1 on any class difference or on a
 deviation above MU_TOL, else 0.  The maps run in a process pool of
 ``floquet.resolve_workers()`` processes (``LEVSTAB_THREADS`` sets it); a
-full run performs 26,808 DOP853 monodromies and takes a few minutes.
+full run performs 26,808 DOP853 monodromies and takes about 25 s on 2
+vCPUs (Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
