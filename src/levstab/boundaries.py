@@ -170,7 +170,9 @@ def default_map_window(
     params: PhysicalParams, exc: ExcitationParams
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Gain window ((Kp lo, hi), (Kd lo, hi)) enclosing the static triangle
-    tip and the a, b, c tongues."""
+    tip and the a, b, c tongues' centres.  Its grids barely sample them: at
+    the baseline (A = 5 mm, theta = pi/2) a 21x21 grid has no cell inside
+    any ellipse, and a 101x101 grid 6, all in b."""
     lines = static_boundary_lines(params)
     ells = all_ellipses(params, exc)
     kp = (0.8 * lines.h0, ells["b"].h1 + 2.0 * ells["b"].k1)

@@ -22,11 +22,7 @@ class ConfigError(ValueError):
     """Configuration file is malformed or inconsistent."""
 
 
-_PHYSICAL_KEYS = {f.name for f in fields(PhysicalParams)}
-_PHYSICAL_REQUIRED = {f.name for f in fields(PhysicalParams) if f.default is MISSING}
 _EXC_KEYS = {f.name for f in fields(ExcitationParams)}
-_GAIN_KEYS = {f.name for f in fields(ControlGains)}
-_HYBRID_KEYS = {f.name for f in fields(HybridParams)}
 _TOP_KEYS = {"physical", "excitation", "gains", "hybrid"}
 
 
@@ -64,6 +60,21 @@ def _number(section: dict, key: str, name: str) -> float:
     return float(val)
 
 
+def _section(doc: dict, name: str, cls):
+    """The dataclass ``cls`` built from the JSON object ``doc[name]``, as
+    ``dump_config`` writes it with ``asdict``: its keys are fields of
+    ``cls``, every field without a default among them, and every value is a
+    finite number.  A ``ValueError`` of the constructor is a ConfigError."""
+    section = _require_mapping(doc[name], name)
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    _check_keys(section, {f.name for f in fields(cls)}, required, name)
+    kwargs = {key: _number(section, key, name) for key in section}
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a decoded JSON document.
 
@@ -74,13 +85,7 @@ def parse_config(doc: dict) -> RunConfig:
     _require_mapping(doc, "configuration")
     _check_keys(doc, _TOP_KEYS, {"physical", "excitation"}, "configuration")
 
-    phys = _require_mapping(doc["physical"], "physical")
-    _check_keys(phys, _PHYSICAL_KEYS, _PHYSICAL_REQUIRED, "physical")
-    kwargs = {k: _number(phys, k, "physical") for k in phys}
-    try:
-        params = PhysicalParams(**kwargs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    params = _section(doc, "physical", PhysicalParams)
 
     exc_doc = _require_mapping(doc["excitation"], "excitation")
     _check_keys(exc_doc, _EXC_KEYS, {"A"}, "excitation")
@@ -114,20 +119,10 @@ def parse_config(doc: dict) -> RunConfig:
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
-    gains = None
-    if "gains" in doc:
-        gd = _require_mapping(doc["gains"], "gains")
-        _check_keys(gd, _GAIN_KEYS, _GAIN_KEYS, "gains")
-        gains = ControlGains(Kp=_number(gd, "Kp", "gains"), Kd=_number(gd, "Kd", "gains"))
-
-    hybrid = None
-    if "hybrid" in doc:
-        hd = _require_mapping(doc["hybrid"], "hybrid")
-        _check_keys(hd, _HYBRID_KEYS, _HYBRID_KEYS, "hybrid")
-        beta = _number(hd, "beta", "hybrid")
-        if beta < 0:
-            raise ConfigError("hybrid.beta must be nonnegative")
-        hybrid = HybridParams(beta=beta)
+    gains = _section(doc, "gains", ControlGains) if "gains" in doc else None
+    hybrid = _section(doc, "hybrid", HybridParams) if "hybrid" in doc else None
+    if hybrid is not None and hybrid.beta < 0:
+        raise ConfigError("hybrid.beta must be nonnegative")
 
     return RunConfig(params=params, exc=exc, gains=gains, hybrid=hybrid)
 

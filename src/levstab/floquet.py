@@ -609,39 +609,38 @@ def boundary_crossings(
     stability boundary, or a measure of a single resonance signature.
     Bisection runs on each sign change among N_PRESAMPLE uniform samples,
     down to BISECT_TOL of the scan length, so each gain point is integrated
-    once.  Returns the crossing coordinates ordered along the scan; empty if
-    no sign change.
+    once.  The brackets [lo, hi, f(lo)] are refined breadth-first: a pass
+    evaluates the midpoints of every bracket still wider than BISECT_TOL,
+    and a bracket whose f(lo) is exactly zero shrinks onto lo.  Returns the
+    crossings, each its final bracket's midpoint, ordered along the scan;
+    empty if no sign change.
     """
     (kp0, kd0), (kp1, kd1) = scan
 
-    def f(u: float) -> float:
-        gains = ControlGains(Kp=kp0 + u * (kp1 - kp0), Kd=kd0 + u * (kd1 - kd0))
-        return indicator(monodromy(params, exc, gains).multipliers)
+    def point(u: float) -> tuple[float, float]:
+        return kp0 + u * (kp1 - kp0), kd0 + u * (kd1 - kd0)
 
-    us = np.linspace(0.0, 1.0, N_PRESAMPLE)
+    def f(u: float) -> float:
+        return indicator(monodromy(params, exc, ControlGains(*point(u))).multipliers)
+
+    us = list(np.linspace(0.0, 1.0, N_PRESAMPLE))
     vals = [f(u) for u in us]
-    crossings = []
-    for a, b, fa, fb in zip(us[:-1], us[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            crossings.append(a)
-            continue
-        if fa * fb >= 0.0:
-            continue
-        lo, hi, flo = a, b, fa
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi = mid
+    # the last sample is paired with a zero, so that it brackets only a zero of its own
+    pairs = zip(us, us[1:] + [1.0], vals, vals[1:] + [0.0])
+    brackets = [[a, b, fa] for a, b, fa, fb in pairs if fa == 0.0 or fa * fb < 0.0]
+    while True:
+        for br in brackets:
+            if br[2] == 0.0:
+                br[1] = br[0]
+        wide = [br for br in brackets if br[1] - br[0] > BISECT_TOL]
+        if not wide:
+            return [point(0.5 * (lo + hi)) for lo, hi, _ in brackets]
+        mids = [0.5 * (lo + hi) for lo, hi, _ in wide]
+        for br, mid, fm in zip(wide, mids, [f(mid) for mid in mids]):
+            if br[2] * fm < 0.0:
+                br[1] = mid
             else:
-                lo, flo = mid, fm
-        crossings.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        crossings.append(1.0)
-    return [(kp0 + u * (kp1 - kp0), kd0 + u * (kd1 - kd0)) for u in crossings]
+                br[0], br[2] = mid, fm
 
 
 def write_map_csv(smap: StabilityMap, path) -> None:

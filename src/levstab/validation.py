@@ -111,6 +111,12 @@ def pick_stable_gains(params: PhysicalParams, exc: ExcitationParams) -> ControlG
     raise RuntimeError("no Floquet-stable gain candidate found")
 
 
+def _inside_tongue(mu, family: str) -> float:
+    """``tongue_edges``' indicator min(s0 - 1, 1 - s1) of ``family``'s moduli."""
+    s0, s1 = np.concatenate([signature_moduli(mu, family), [0.0, 0.0]])[:2]
+    return float(min(s0 - 1.0, 1.0 - s1))
+
+
 def tongue_edges(
     params: PhysicalParams,
     exc: ExcitationParams,
@@ -129,13 +135,9 @@ def tongue_edges(
     So min(s0 - 1, 1 - s1) is positive exactly inside the tongue, and one
     scan finds both edges, as its first and last crossings.
     """
-    def inside(mu) -> float:
-        s0, s1 = np.concatenate([signature_moduli(mu, ell.family), [0.0, 0.0]])[:2]
-        return float(min(s0 - 1.0, 1.0 - s1))
-
     half = SCAN_HALF_WIDTH * ell.k1
     scan = ((ell.h1 - half, ell.h2), (ell.h1 + half, ell.h2))
-    crossings = floquet.boundary_crossings(params, exc, scan, inside)
+    crossings = floquet.boundary_crossings(params, exc, scan, lambda mu: _inside_tongue(mu, ell.family))
     if len(crossings) < 2:
         raise RuntimeError(f"tongue edges of kind {ell.kind} not bracketed by the scan")
     return crossings[0][0], crossings[-1][0]

@@ -23,7 +23,7 @@ from levstab import (
 )
 from levstab.boundaries import _RESONANCES
 from levstab.cli import EXIT_OK, main
-from levstab.floquet import signature_moduli
+from levstab.validation import _inside_tongue
 
 
 RT2 = math.sqrt(2.0)
@@ -467,13 +467,8 @@ def test_floquet_places_d_kd_edges_off_closed_form_axis(b0, exc_quarter, seed1, 
     0.009 k2."""
     params, exc = (b0, exc_quarter) if config == "baseline" else seed1
     d = all_ellipses(params, exc)["d"]
-
-    def inside(mu):
-        s0, s1 = np.concatenate([signature_moduli(mu, "combination"), [0.0, 0.0]])[:2]
-        return float(min(s0 - 1.0, 1.0 - s1))
-
     scan = ((d.h1, d.h2 - 4.5 * d.k2), (d.h1, d.h2 + 4.5 * d.k2))
-    crossings = boundary_crossings(params, exc, scan, inside)
+    crossings = boundary_crossings(params, exc, scan, lambda mu: _inside_tongue(mu, "combination"))
     assert len(crossings) == 2
     for (_, kd), edge in zip(crossings, edges):
         assert (kd - d.h2) / d.k2 == pytest.approx(edge, abs=0.01)

@@ -23,7 +23,9 @@ from levstab import (
 )
 from levstab.boundaries import default_map_window, h0_gain, static_boundary_lines
 from levstab.floquet import (
+    BISECT_TOL,
     MAP_CSV_HEADER,
+    N_PRESAMPLE,
     _batched_cells,
     _cell_record,
     resolve_workers,
@@ -533,6 +535,27 @@ def test_batched_multipliers_match_monodromy(monkeypatch, b0, exc_quarter, windo
             assert mu.tobytes() == np.asarray(ref, dtype=complex).tobytes()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "inside a narrow tongue the Richardson estimate understates the engine's error: the cell "
+    "is accepted at 200 steps with an estimate of 9.85e-10, and its max|mu| is 3.89e-9 off "
+    "DOP853 at rtol 1e-13"
+))
+def test_batched_max_mu_inside_tongue_d_matches_monodromy(b0):
+    """Inside tongue d at A = 1e-6, theta = pi/2, the engine's max|mu|
+    agrees with monodromy's within 1e-9 max(1, |mu|), the engine gate's
+    limit.  The cell is (18, 18) of a 21x21 grid of Kp = h1 +/- 1.6 k1 by
+    Kd = h2 +/- 4.5 k2; its record does not depend on the other cells, so
+    it runs alone.  monodromy (rtol 1e-10) lies within 2.3e-10 of a DOP853
+    run at rtol 1e-13 there, the engine's value 3.89e-9 from it."""
+    exc = ExcitationParams(A=1e-6, Omega=80.0, theta=math.pi / 2)
+    d = all_ellipses(b0, exc)["d"]
+    kp = np.linspace(d.h1 - 1.6 * d.k1, d.h1 + 1.6 * d.k1, 21)[18]
+    kd = np.linspace(d.h2 - 4.5 * d.k2, d.h2 + 4.5 * d.k2, 21)[18]
+    got = np.abs(_record(b0, exc, np.array([kp]), np.array([kd]))["mu"][0]).max()
+    ref = monodromy(b0, exc, ControlGains(float(kp), float(kd))).max_modulus
+    assert abs(got - ref) <= 1e-9 * max(1.0, ref), (got, ref)
+
+
 def test_batched_step_is_sixth_order(b0, exc_quarter):
     """Guards the engine's tableau: at the tongue-a centre the monodromy
     matrix at 25, 50 and 100 steps converges on a 400-step run at an
@@ -823,6 +846,75 @@ def test_boundary_crossing_stable_scan_empty(b0, exc_quarter):
     lo = lines.h0 + 0.35 * (lines.inclined(kd) - lines.h0)
     hi = lines.h0 + 0.65 * (lines.inclined(kd) - lines.h0)
     assert boundary_crossings(b0, exc_quarter, ((lo, kd), (hi, kd)), _max_mu) == []
+
+
+def _depth_first_crossings(f):
+    """The crossings, as fractions of the scan, of the bisection that
+    boundary_crossings ran before it refined its brackets breadth-first:
+    one bracket at a time, with the last sample checked on its own."""
+    us = np.linspace(0.0, 1.0, N_PRESAMPLE)
+    vals = [f(u) for u in us]
+    crossings = []
+    for a, b, fa, fb in zip(us[:-1], us[1:], vals[:-1], vals[1:]):
+        if fa == 0.0:
+            crossings.append(a)
+            continue
+        if fa * fb >= 0.0:
+            continue
+        lo, hi, flo = a, b, fa
+        while hi - lo > BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if flo * fm < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        crossings.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0:
+        crossings.append(1.0)
+    return crossings
+
+
+_U = np.linspace(0.0, 1.0, N_PRESAMPLE)
+
+
+@pytest.mark.parametrize("roots, power", [
+    # exact zeros at the first, an inner and the last sample
+    ((_U[0], _U[7], _U[-1]), 1),
+    # an exact zero at a bracket's first midpoint and one at a second-level midpoint
+    ((0.5 * (_U[9] + _U[10]), 0.5 * (_U[3] + 0.5 * (_U[3] + _U[4]))), 1),
+    # zeros at no evaluated point, two of them inside one sample interval
+    ((0.1234567, 0.5 + 1e-4, 0.81, 0.8101, 0.999), 1),
+    # zeros that touch without a sign change, one at a sample and one between
+    ((_U[12], 0.3333), 2),
+])
+def test_boundary_crossings_match_depth_first_bisection(monkeypatch, b0, exc_still, roots, power):
+    """Refining every bracket breadth-first finds the crossings of the
+    depth-first bisection bit for bit, by integrating the same gain points,
+    exact zeros of the indicator included, wherever they fall.  The
+    stand-in monodromy returns Kp as its one multiplier, and the scan runs
+    Kp over [0, 1] at Kd = 0, so Kp is the scan fraction."""
+    import levstab.floquet as fl
+
+    def g(u):
+        return float(np.prod([(u - r) ** power for r in roots]))
+
+    seen = []
+
+    def fake(params, exc, gains, hyb=None):
+        seen.append(gains.Kp)
+        return _fake_result([gains.Kp])
+
+    monkeypatch.setattr(fl, "monodromy", fake)
+    got = boundary_crossings(b0, exc_still, ((0.0, 0.0), (1.0, 0.0)), lambda mu: g(mu[0].real))
+    expected_points = []
+    expected = _depth_first_crossings(lambda u: expected_points.append(u) or g(u))
+    assert [kp for kp, _ in got] == expected
+    assert all(kd == 0.0 for _, kd in got)
+    assert sorted(seen) == sorted(expected_points)
 
 
 def _usable_cpus():

@@ -14,10 +14,11 @@ window of the baseline, ``--kp h1-3k1,h1+3k1
 and ``validate`` (at the config's phase, ``--theta=0`` and
 ``--theta=3.141592653589793``), each with the built-in baseline config
 plus gains 10600/3000, with the same config on the hybrid plant (beta
-0.01), without excitation (A = 0) and with an inertia J other than the
-uniform bar's.  Stdout, stderr, the exit code and every output file must
-match byte for byte, except where the map engine may legitimately move a
-value in its last digits:
+0.01), without excitation (A = 0), with an inertia J other than the
+uniform bar's and at A = 1e-8, where the tongues are narrow.  Stdout,
+stderr, the exit code and every output file must match byte for byte,
+except where the map engine may legitimately move a value in its last
+digits:
 
 * ``map.csv``: the classes must be identical and ``max_mu_abs`` must agree
   within ``MU_TOL`` relative to max(1, |mu|); the largest deviation is
@@ -37,7 +38,8 @@ byte for byte, and so must ``map_meta.json`` apart from ``workers``.
 Each command's line also gives its wall time in both trees (one fresh
 process each, import included), so a cold-start change shows in the same run
 that checks the outputs.  Prints each difference and exits 1 if there is
-any, else 0.  A full run takes about 30 s on 2 vCPUs, mostly ``validate``.
+any, else 0.  A full run takes about 37 s on 2 vCPUs, mostly ``validate``;
+the A = 1e-8 config adds about 8 s of it.
 """
 
 from __future__ import annotations
@@ -77,12 +79,16 @@ def tongue_d_window(doc: dict) -> list[str]:
     return ["--kp={!r},{!r}".format(*kp), "--kd={!r},{!r}".format(*kd)]
 
 
-# the unexcited and non-uniform-J configs take the battery's two skip paths
+# the unexcited and non-uniform-J configs take the battery's two skip paths;
+# at A = 1e-8 the tongues' half-widths are 7e-8 to 2e-7 of their centres,
+# where a cheaper evaluator of criterion 7's scans has trusted indicator
+# values of the wrong sign
 CONFIGS = {
     "standard": BASELINE,
     "hybrid": {**BASELINE, "hybrid": {"beta": 0.01}},
     "unexcited": {**BASELINE, "excitation": {**BASELINE["excitation"], "A": 0.0}},
     "non-uniform-J": {**BASELINE, "physical": {**BASELINE["physical"], "J": 7000.0}},
+    "narrow-tongue": {**BASELINE, "excitation": {**BASELINE["excitation"], "A": 1e-8}},
 }
 COMMANDS = {
     "ellipses": ["ellipses"],
