@@ -37,16 +37,16 @@ _EXPORTS = {
         "has_uniform_bar_inertia",
         "natural_frequencies",
         "kinematic_excitation",
+        "current_scale",
+        "steady_state",
+        "hybrid_gamma",
     ),
     "plant": (
         "VehicleState",
         "Trajectory",
-        "current_scale",
-        "steady_state",
         "steady_vehicle_state",
         "rhs",
         "rhs_hybrid",
-        "hybrid_gamma",
         "hybrid_transform",
         "integrate",
         "write_trajectory_csv",

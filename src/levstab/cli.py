@@ -17,6 +17,7 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -81,34 +82,81 @@ def _gains_from(args, cfg: config.RunConfig) -> model.ControlGains:
     return model.ControlGains(Kp=float(kp), Kd=float(kd))
 
 
-def _write_products(args, cfg: config.RunConfig, out: str, tables: dict, name: str, doc: dict) -> None:
+def _write_products(
+    args, cfg: config.RunConfig, out: str, tables: dict, name: str, doc: dict, finite: bool = False
+) -> None:
     """Write the CSV tables ``{file: (header, columns)}`` and the JSON
     document ``doc``, with the run's ``config`` and the package ``version``
     added, as ``name`` into ``out``; a command's ``--format`` keeps one of
-    the two kinds."""
+    the two kinds.  With ``finite``, a NaN or infinite number in a product
+    to be written raises ``ArithmeticError`` naming the product and its
+    column, and no product is written."""
     fmt = getattr(args, "format", None)
-    if fmt != "json":
-        for file, (header, columns) in tables.items():
-            output.write_csv(os.path.join(out, file), header, columns)
-    if fmt != "csv":
+    tables = {} if fmt == "json" else tables
+    doc = None if fmt == "csv" else doc
+    if finite:
+        _require_finite(tables, name, doc)
+    for file, (header, columns) in tables.items():
+        output.write_csv(os.path.join(out, file), header, columns)
+    if doc is not None:
         doc = {**doc, "config": config.dump_config(cfg), "version": __version__}
         output.write_json(os.path.join(out, name), doc)
+
+
+def _require_finite(tables: dict, name: str, doc) -> None:
+    """Raise ``ArithmeticError`` at the first CSV column of ``tables``, or
+    else the first key of the JSON document ``doc`` (None for none),
+    that holds NaN or an infinite number."""
+    import numpy as np
+
+    for file, (header, columns) in tables.items():
+        for column, values in zip(header.split(","), columns):
+            if not np.isfinite(values).all():
+                raise ArithmeticError(f"{file}: NaN or inf in column {column}; no product written")
+    key = _nonfinite_key(doc)
+    if key is not None:
+        raise ArithmeticError(f"{name}: NaN or inf in {key}; no product written")
+
+
+def _nonfinite_key(value, key=None):
+    """The key under which the JSON value ``value`` first holds NaN or an
+    infinite number, ``key`` for a bare number; None if it holds none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else key
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = ((key, item) for item in value)
+    else:
+        return None
+    for k, v in items:
+        found = _nonfinite_key(v, k)
+        if found is not None:
+            return found
+    return None
+
+
+def _unwarned():
+    """A context in which numpy warns of no floating-point error: a
+    closed-form command refuses a NaN or inf it has computed, with
+    ``_write_products(..., finite=True)``, instead of warning about it."""
+    import numpy as np
+
+    return np.errstate(all="ignore")
 
 
 def cmd_ellipses(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    ells = boundaries.all_ellipses(cfg.params, cfg.exc)
-    lines = boundaries.static_boundary_lines(cfg.params)
-    _write_products(
-        args, cfg, out,
-        {f"ellipse_{kind}.csv": ("s,Kp,Kd", e.boundary_points()) for kind, e in ells.items()},
-        "ellipses.json",
-        {
+    with _unwarned():
+        ells = boundaries.all_ellipses(cfg.params, cfg.exc)
+        lines = boundaries.static_boundary_lines(cfg.params)
+        tables = {f"ellipse_{kind}.csv": ("s,Kp,Kd", e.boundary_points()) for kind, e in ells.items()}
+        doc = {
             "static_lines": {"h0": lines.h0, "slope": lines.slope},
             "ellipses": [boundaries.ellipse_to_dict(e, cfg.params) for e in ells.values()],
-        },
-    )
+        }
+    _write_products(args, cfg, out, tables, "ellipses.json", doc, finite=True)
     for e in ells.values():
         tag = " (degenerate)" if e.degenerate else ""
         print(
@@ -218,7 +266,8 @@ def cmd_simulate(args) -> int:
 def cmd_resonance_chart(args) -> int:
     cfg = _load(args)
     kd_range = _parse_pair(args.kd_range, "--kd") if args.kd_range else None
-    chart = boundaries.resonance_chart(cfg.params, cfg.exc.Omega, kd_range)
+    with _unwarned():
+        chart = boundaries.resonance_chart(cfg.params, cfg.exc.Omega, kd_range)
     out = _outdir(args)
     fields = ("Kd", "omega1", "omega2", "sum", "difference")
     _write_products(
@@ -226,6 +275,7 @@ def cmd_resonance_chart(args) -> int:
         {"resonance_chart.csv": (",".join(fields), [getattr(chart, f) for f in fields])},
         "resonance_chart.json",
         {"Omega": chart.Omega, "Kd_range": list(chart.Kd_range), "intersections": list(chart.intersections)},
+        finite=True,
     )
     for rec in chart.intersections:
         if rec["observed"]:
@@ -242,14 +292,16 @@ def cmd_steady_state(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     ts = np.linspace(0.0, cfg.exc.period, 201)
-    ss = plant.steady_state(cfg.params, cfg.exc, ts, cfg.hybrid)
     fields = ("t", "gap1", "gap1_rate", "I1", "U1", "gap2", "gap2_rate", "I2", "U2")
-    cols = [np.asarray(getattr(ss, f)) for f in fields]
+    with _unwarned():
+        ss = model.steady_state(cfg.params, cfg.exc, ts, cfg.hybrid)
+        cols = [np.asarray(getattr(ss, f)) for f in fields]
     _write_products(
         args, cfg, out,
         {"steady_state.csv": (",".join(fields), cols)},
         "steady_state.json",
         {"samples": {f: list(map(float, c)) for f, c in zip(fields, cols)}},
+        finite=True,
     )
     print(
         f"steady state over one period written; at t=0: gap1 = {float(ss.gap1[0]):.6g} m, "
@@ -320,24 +372,35 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as err:  # ConfigError included
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError, OSError) as err:
+        return _failure(err)
+
+
+def _failure(err: Exception) -> int:
+    """Print ``err`` as the command's one ``error:`` line and return its
+    exit code: bad input for a ``ValueError`` (``ConfigError`` included),
+    a runtime failure for anything else."""
+    if isinstance(err, ValueError):
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (RuntimeError, ArithmeticError, MemoryError, OSError) as err:
-        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
-        return EXIT_RUNTIME
+    print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
+    return EXIT_RUNTIME
 
 
 def entry() -> None:
     """The ``levstab`` console script and ``python -m levstab.cli``: run
     ``main`` and exit with its code.
 
-    It moves every object alive into the collector's permanent generation
-    (``gc.freeze``) twice: before ``main``, so that no collection during
-    the command traverses the CLI's own import heap, and after it, so that
-    the interpreter's shutdown does not traverse what the command loaded,
-    numpy's import heap above all.  ``main`` does not, since the tests
-    call it in-process.
+    A command is one short run that keeps what it loads to the end, so
+    ``entry`` turns cyclic garbage collection off (``gc.disable``) before
+    ``main``, and no collection traverses the import heap while the
+    command runs.  After ``main`` it flushes stdout and stderr and leaves
+    by ``os._exit``, as the forked sweep chunks and CSV writer do,
+    skipping the interpreter's teardown: every product is already in
+    place and every child reaped.  A stdout that cannot be flushed, a
+    closed pipe above all, is reported like any failed write, with one
+    ``error:`` line and exit code 3.  ``main`` does none of this, since
+    the tests call it in-process.
 
     It also sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller has set
     it, before any command imports numpy.  No BLAS call levstab makes is
@@ -350,10 +413,18 @@ def entry() -> None:
     import gc
 
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    gc.freeze()
-    code = main()
-    gc.freeze()
-    sys.exit(code)
+    gc.disable()
+    try:
+        code = main()
+    except SystemExit as stop:  # argparse's --help, --version and usage errors
+        code = stop.code
+    try:
+        sys.stdout.flush()
+    except OSError as err:
+        code = _failure(err)
+    with contextlib.suppress(OSError):  # a closed stderr leaves nowhere to report
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

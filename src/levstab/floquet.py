@@ -21,9 +21,8 @@ import numpy as np
 
 from . import dop853  # lazy: a map that needs no fallback never runs it
 from .linearized import CURRENT_ROWS, periodic_matrix
-from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
+from .model import ATOL, RTOL, ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import fork, reap, write_csv, write_json
-from .plant import ATOL, RTOL
 
 __all__ = [
     "MonodromyResult",

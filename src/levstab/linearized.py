@@ -25,14 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ControlGains, ExcitationParams, HybridParams, PhysicalParams
-from .plant import (
+from . import plant  # lazy: only fd_jacobian runs the nonlinear plant
+from .model import (
+    ControlGains,
+    ExcitationParams,
+    HybridParams,
+    PhysicalParams,
     _steady_kernel,
     current_scale,
-    rhs,
-    rhs_hybrid,
     steady_state,
-    steady_vehicle_state,
 )
 
 __all__ = [
@@ -187,11 +188,11 @@ def fd_jacobian(
     transcription errors in the analytic coefficients.
     """
     step = 1e-7
-    y0 = steady_vehicle_state(params, exc, t, hyb).as_array()
+    y0 = plant.steady_vehicle_state(params, exc, t, hyb).as_array()
     if hyb is None:
-        fun = lambda y: rhs(y, t, params, exc, gains)
+        fun = lambda y: plant.rhs(y, t, params, exc, gains)
     else:
-        fun = lambda y: rhs_hybrid(y, t, params, exc, gains, hyb)
+        fun = lambda y: plant.rhs_hybrid(y, t, params, exc, gains, hyb)
     S = _vehicle_to_support_basis(params.L)
     directions = np.linalg.inv(S)
     jac = np.zeros((6, 6))

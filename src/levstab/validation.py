@@ -27,10 +27,12 @@ from .model import (
     ExcitationParams,
     HybridParams,
     PhysicalParams,
+    RTOL,
     has_uniform_bar_inertia,
+    hybrid_gamma,
     natural_frequencies,
 )
-from .plant import RTOL, hybrid_gamma, hybrid_transform, steady_vehicle_state
+from .plant import hybrid_transform, steady_vehicle_state
 
 __all__ = [
     "CriterionResult",

@@ -2,6 +2,7 @@
 exit codes and file products."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -613,14 +614,23 @@ def test_cli_simulate_runs_no_analysis_module(tmp_path):
 def test_cli_ellipses_and_resonance_chart_run_no_plant(tmp_path):
     """ellipses and then resonance-chart, the first commands of a fresh
     interpreter, run neither the plant nor the Floquet, linearization or
-    validation modules: loading a configuration needs no plant."""
-    result = _run_no_scipy_script(tmp_path, "ellipses", "resonance-chart")
-    assert result["seen"]["ellipses"] == result["seen"]["resonance-chart"] == [EXIT_OK, False]
-    assert result["ran"]["import"] == COLD_START
+    validation modules: loading a configuration needs no plant.  Nor do
+    map and steady-state, each the first command of a fresh interpreter:
+    the exact steady state and the solver policy are the model's.  None of
+    them runs the DOP853 solver."""
+    no_plant = {"levstab.plant", "levstab.dop853"}
+    ran = {}
+    for commands in (("ellipses", "resonance-chart"), ("map",), ("steady-state",)):
+        result = _run_no_scipy_script(tmp_path / commands[0], *commands)
+        assert result["ran"]["import"] == COLD_START
+        for cmd in commands:
+            assert result["seen"][cmd] == [EXIT_OK, False], cmd
+            ran[cmd] = set(result["ran"][cmd])
+            assert "levstab.config" in ran[cmd] and not ran[cmd] & no_plant, (cmd, ran[cmd])
     for cmd in ("ellipses", "resonance-chart"):
-        ran = set(result["ran"][cmd])
-        assert "levstab.config" in ran
-        assert not ran & {"levstab.plant", "levstab.floquet", "levstab.linearized", "levstab.validation"}
+        assert not ran[cmd] & {"levstab.floquet", "levstab.linearized", "levstab.validation"}
+    assert {"levstab.floquet", "levstab.linearized"} <= ran["map"]
+    assert not ran["steady-state"] & {"levstab.floquet", "levstab.linearized", "levstab.boundaries"}
 
 
 def test_package_exports_only_declared_names():
@@ -660,29 +670,45 @@ def test_every_public_name_has_a_program_reader(monkeypatch):
     assert not unread, unread
 
 
-# the tail of a fresh-interpreter script: start the CLI with sys.argv as
-# TARGET says, its console-script entry point "module:function" or, for
-# None, ``python -m levstab.cli``, with ``probe`` set as the profiler
-_START_CLI = """
+# a fresh-interpreter script that starts the CLI with ``levstab *ARGV --out
+# OUT``, as TARGET says: its console-script entry point "module:function"
+# or, for None, ``python -m levstab.cli``.  A profiler probes ``main`` as
+# it is called and as it returns, where it prints what it saw as the last
+# line of output: the command has run, and the entry point's exit follows
+_LIFECYCLE_SCRIPT = """
+import atexit, gc, json, os, runpy, sys
+atexit.register(print, "teardown")
+at_call, collections = [], []
+
+def probe(frame, event, arg):
+    code = frame.f_code
+    if code.co_name != "main" or not code.co_filename.endswith("cli.py"):
+        return
+    if event == "call":
+        gc.callbacks.append(lambda phase, info: collections.append(phase))
+        at_call.extend([gc.isenabled(), os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules])
+    elif event == "return":
+        tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+        at_return = [gc.isenabled(), os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules, tasks]
+        print(json.dumps({"call": at_call, "return": at_return, "collections": len(collections), "code": arg}))
+
+sys.argv = ["levstab", *ARGV, "--out", OUT]
 sys.setprofile(probe)
-try:
-    if TARGET is None:
-        runpy.run_module("levstab.cli", run_name="__main__", alter_sys=True)
-    else:
-        module, name = TARGET.split(":")
-        getattr(__import__(module, fromlist=[name]), name)()
-except SystemExit:
-    pass
-finally:
-    sys.setprofile(None)
+if TARGET is None:
+    runpy.run_module("levstab.cli", run_name="__main__", alter_sys=True)
+else:
+    module, name = TARGET.split(":")
+    getattr(__import__(module, fromlist=[name]), name)()
+print("the entry point returned")
 """
 
 
-def _fresh_cli(how, script, tmp_path, env=None):
-    """Run ``script``, which ends in ``_START_CLI``, in a fresh interpreter
+def _fresh_cli(how, argv, tmp_path, env=None):
+    """Run ``_LIFECYCLE_SCRIPT`` for ``levstab argv`` in a fresh interpreter
     that starts the CLI as ``how`` says: "python -m levstab.cli" or the
-    "console script" named in pyproject.toml.  ``OUT`` is ``tmp_path``.
-    Returns the JSON of the script's last line of output."""
+    "console script" named in pyproject.toml, with ``tmp_path`` as ``--out``.
+    Returns the process's exit code, its stdout lines and the probe's
+    record of ``main``."""
     import re
 
     src = Path(levstab.__file__).resolve().parents[1]
@@ -690,60 +716,37 @@ def _fresh_cli(how, script, tmp_path, env=None):
     if how == "console script":
         pyproject = (src.parent / "pyproject.toml").read_text()
         target = re.search(r'^levstab = "([\w.:]+)"$', pyproject, re.M).group(1)
+    head = f"TARGET = {target!r}\nARGV = {argv!r}\nOUT = {str(tmp_path)!r}\n"
     proc = subprocess.run(
-        [sys.executable, "-c", f"TARGET = {target!r}\nOUT = {str(tmp_path)!r}\n" + script],
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", head + _LIFECYCLE_SCRIPT], capture_output=True, text=True, timeout=120,
         env={**os.environ, **(env or {}), "PYTHONPATH": str(src)},
     )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-_FREEZE_SCRIPT = """
-import gc, json, runpy, sys
-freeze_at_main = []
-
-def probe(frame, event, arg):
-    code = frame.f_code
-    if event == "call" and code.co_name == "main" and code.co_filename.endswith("cli.py"):
-        freeze_at_main.append(gc.get_freeze_count())
-
-assert gc.get_freeze_count() == 0
-sys.argv = ["levstab", "ellipses", "--out", OUT]
-""" + _START_CLI + """
-# the objects in the permanent generation are not among gc.get_objects()
-numpy_frozen = not any(obj is vars(sys.modules["numpy"]) for obj in gc.get_objects())
-print(json.dumps([freeze_at_main, numpy_frozen]))
-"""
+    lines = proc.stdout.splitlines()
+    assert lines and lines[-1].startswith("{"), proc.stderr
+    return proc.returncode, lines, json.loads(lines[-1])
 
 
 @pytest.mark.parametrize("how", ["python -m levstab.cli", "console script"])
-def test_cli_entry_freezes_import_heap(tmp_path, how):
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["ellipses"], EXIT_OK), (["ellipses", "--theta", "nan"], EXIT_BAD_INPUT)],
+    ids=["ellipses", "bad theta"],
+)
+def test_cli_entry_runs_no_collection_and_no_teardown(tmp_path, how, argv, code):
     """Both ways of starting the CLI, ``python -m levstab.cli`` and the
-    ``levstab`` console script named in pyproject.toml, move the import
-    heap into the collector's permanent generation before ``main`` runs,
-    and again after it, when the command has loaded numpy, so that no
-    collection, the one at shutdown included, traverses it.  ``main``
-    itself, which the tests call in-process, freezes nothing."""
-    counts, numpy_frozen = _fresh_cli(how, _FREEZE_SCRIPT, tmp_path)
-    assert len(counts) == 1 and counts[0] > 0, counts
-    assert numpy_frozen
-
-
-_THREADS_SCRIPT = """
-import json, os, runpy, sys
-at_main = []
-
-def probe(frame, event, arg):
-    code = frame.f_code
-    if event == "call" and code.co_name == "main" and code.co_filename.endswith("cli.py"):
-        at_main.append([os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules])
-
-sys.argv = ["levstab", "steady-state", "--out", OUT]
-""" + _START_CLI + """
-tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([at_main, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
-"""
+    ``levstab`` console script named in pyproject.toml, turn cyclic
+    collection off before ``main`` runs, so that no collection runs during
+    the command, numpy's import included, and exit with ``main``'s code by
+    ``os._exit`` once ``main`` has returned: neither the code after the
+    entry point nor an atexit handler runs, and what the command printed
+    is flushed.  ``main`` itself, which the tests call in-process, leaves
+    collection on (``test_cli_main_leaves_environment_unchanged``)."""
+    rc, lines, seen = _fresh_cli(how, argv, tmp_path)
+    assert seen["call"][0] is False and seen["return"][0] is False, seen
+    assert seen["collections"] == 0, seen
+    assert seen["code"] == code and rc == code, (rc, seen)
+    assert "teardown" not in lines and "the entry point returned" not in lines, lines
+    assert sum(line.startswith("kind ") for line in lines) == 4 * (code == EXIT_OK), lines
 
 
 @pytest.mark.parametrize("how", ["python -m levstab.cli", "console script"])
@@ -751,25 +754,56 @@ print(json.dumps([at_main, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_
 def test_cli_entry_runs_blas_on_one_thread(tmp_path, monkeypatch, how, caller):
     """Both ways of starting the CLI set OPENBLAS_NUM_THREADS to 1 before
     any command has imported numpy, unless the caller set it, so that
-    OpenBLAS starts no worker thread: after ``steady-state`` the process
-    still runs one thread (counted where /proc/self/task exists).  A
+    OpenBLAS starts no worker thread: when ``steady-state``'s ``main``
+    returns, numpy loaded, the process still runs one thread (counted
+    where /proc/self/task exists), and it exits with ``main``'s code.  A
     caller's value is kept."""
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
-    at_main, numpy_loaded, value, tasks = _fresh_cli(how, _THREADS_SCRIPT, tmp_path, env)
-    assert at_main == [[caller or "1", False]]
+    rc, _, seen = _fresh_cli(how, ["steady-state"], tmp_path, env)
+    assert seen["call"][1:] == [caller or "1", False], seen
+    _, value, numpy_loaded, tasks = seen["return"]
     assert numpy_loaded and value == (caller or "1")
     if caller is None and tasks is not None:
         assert tasks == 1
+    assert seen["code"] == EXIT_OK and rc == EXIT_OK
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_closed_stdout_exits_3(tmp_path, unbuffered):
+    """A command whose standard output is a pipe that nobody reads exits 3
+    with one ``error:`` line, whether Python buffers stdout, when the
+    failure shows at the entry point's final flush, or writes it through
+    (``PYTHONUNBUFFERED``), when the command's own print fails."""
+    src = Path(levstab.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "levstab.cli", "ellipses", "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**env, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_RUNTIME, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "Broken pipe" in line, line
 
 
 def test_cli_main_leaves_environment_unchanged(tmp_path, monkeypatch):
     """``main``, which the tests and library callers run in-process, sets
-    no thread policy: only the CLI's entry point does."""
+    no thread policy and leaves cyclic collection on: only the CLI's entry
+    point does either."""
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     before = dict(os.environ)
+    assert gc.isenabled()
     assert main(["steady-state", "--out", str(tmp_path)]) == EXIT_OK
     assert dict(os.environ) == before
+    assert gc.isenabled()
 
 
 def test_cli_steady_state(tmp_path, capsys):
@@ -1466,6 +1500,43 @@ def test_criterion_13_measures_closed_tongues_at_their_open_phase(monkeypatch, b
     assert phases == [theta, math.pi - theta]
     assert measured_at == [0.0, 0.0, math.pi, math.pi]
     assert sorted(measured) == ["dominant_a", "dominant_b", "dominant_c", "dominant_d"]
+
+
+# configurations whose closed forms overflow: every ellipse centre and
+# half-axis is inf and Kd NaN; every steady current and voltage is inf
+HUGE_MASS = {
+    "physical": {"m": 1e300, "C": 1e5, "R": 1e5, "z0": 1e5},
+    "excitation": {"A": 0.005, "Omega": 1e5, "theta": math.pi / 2},
+}
+TINY_C = {
+    "physical": {"m": 7650.0, "C": 5e-324, "R": 9.71, "z0": 1e300},
+    "excitation": {"A": 0.005, "Omega": 80.0, "theta": math.pi / 2},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["ellipses"], HUGE_MASS, "ellipse_a.csv: NaN or inf in column Kp"),
+        (["ellipses", "--format", "json"], HUGE_MASS, "ellipses.json: NaN or inf in h1"),
+        (["steady-state"], TINY_C, "steady_state.csv: NaN or inf in column I1"),
+    ],
+    ids=["ellipses", "ellipses json", "steady-state"],
+)
+def test_cli_nonfinite_product_exits_3(tmp_path, argv, doc, message):
+    """A closed-form command whose product would hold NaN or inf exits 3
+    with one ``error:`` line naming the product and the column, places no
+    product and prints nothing else: numpy's floating-point warnings stay
+    off while it computes."""
+    src = Path(levstab.__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "levstab.cli", *argv, "--config", _write(tmp_path, doc), "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == EXIT_RUNTIME, proc.stderr
+    assert proc.stderr == f"error: {message}; no product written\n" and proc.stdout == ""
+    assert list(out.iterdir()) == []
 
 
 def test_cli_bad_config_exit(tmp_path):

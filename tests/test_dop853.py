@@ -15,16 +15,14 @@ from scipy.integrate import solve_ivp
 from levstab import ControlGains, HybridParams, all_ellipses, monodromy
 from levstab.dop853 import solve
 from levstab.linearized import periodic_matrix
+from levstab.model import ATOL, RTOL, steady_state
 from levstab.plant import (
-    ATOL,
     CLOSURE_FRACTION,
-    RTOL,
     _gaps,
     integrate,
     output_grid,
     rhs,
     rhs_hybrid,
-    steady_state,
     steady_vehicle_state,
 )
 

@@ -1,9 +1,11 @@
 """Seeded random configurations through the command line: no command hangs,
-raises or leaks a traceback, whatever the physical values."""
+raises, leaks a traceback or a warning, or reports success on a product
+that holds NaN or inf, whatever the physical values."""
 
 import json
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ COMMANDS = (
     ["simulate", "--kp", "10600", "--kd", "3000", "--periods", "1"],
 )
 LIMIT_S = 5.0  # per run; the slowest legitimate run here takes about 0.07 s
+# the closed-form commands, whose products are checked number by number
+CLOSED_FORM = {"ellipses", "steady-state", "resonance-chart"}
 
 
 class _Late(BaseException):
@@ -46,12 +50,32 @@ def _late(signum, frame):
     raise _Late
 
 
+def _nonfinite_files(out) -> list:
+    """The files in ``out`` that hold a NaN or infinite number: a CSV cell
+    or a JSON constant (NaN, Infinity, -Infinity)."""
+    found = []
+    for path in sorted(out.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            constants = []
+            json.loads(text, parse_constant=constants.append)
+            bad = bool(constants)
+        else:
+            cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+            bad = not all(math.isfinite(float(cell)) for cell in cells)
+        if bad:
+            found.append(path.name)
+    return found
+
+
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer for the time limit")
 def test_cli_survives_seeded_random_configs(tmp_path, capsys, monkeypatch):
     """Fifty configurations drawn from one seed, each through ellipses,
     steady-state, resonance-chart, a 3x3 map and a one-period simulate,
-    in this process: every run returns 0, 2 or 3 within LIMIT_S and
-    prints no traceback.  The budgets of a monodromy and of a simulation
+    in this process: every run returns 0, 2 or 3 within LIMIT_S, prints
+    no traceback and warns of nothing.  A closed-form command that
+    succeeds has written no NaN or inf, and one that fails has written
+    nothing.  The budgets of a monodromy and of a simulation
     are cut to a tenth, so that the many draws whose cells or runs exhaust
     them fail in milliseconds and the whole test takes about a second; a
     run that never reaches its budget is still caught by the limit."""
@@ -62,13 +86,16 @@ def test_cli_survives_seeded_random_configs(tmp_path, capsys, monkeypatch):
     path = tmp_path / "config.json"
     failures = []
     try:
-        for _ in range(CONFIGS):
+        for draw in range(CONFIGS):
             doc = _draw(rng)
             path.write_text(json.dumps(doc))
             for command in COMMANDS:
+                out = tmp_path / f"{draw}-{command[0]}"
                 signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
                 try:
-                    rc = main([*command, "--config", str(path), "--out", str(tmp_path / "out")])
+                    with warnings.catch_warnings(record=True) as warned:
+                        warnings.simplefilter("always")
+                        rc = main([*command, "--config", str(path), "--out", str(out)])
                 except _Late:
                     rc = f"still running after {LIMIT_S} s"
                 finally:
@@ -76,6 +103,12 @@ def test_cli_survives_seeded_random_configs(tmp_path, capsys, monkeypatch):
                 printed = capsys.readouterr()
                 if rc not in (EXIT_OK, EXIT_BAD_INPUT, EXIT_RUNTIME) or "Traceback" in printed.out + printed.err:
                     failures.append((command[0], rc, printed.err[-300:], doc))
+                if warned:
+                    failures.append((command[0], rc, [str(w.message) for w in warned], doc))
+                if command[0] in CLOSED_FORM and out.is_dir():
+                    placed = sorted(p.name for p in out.iterdir()) if rc != EXIT_OK else _nonfinite_files(out)
+                    if placed:
+                        failures.append((command[0], rc, placed, doc))
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert not failures, failures

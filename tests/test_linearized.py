@@ -22,7 +22,7 @@ from levstab import (
 )
 from levstab.boundaries import h0_gain, static_boundary_lines
 from levstab.linearized import _NONZERO, PeriodicMatrix
-from levstab.plant import ATOL, METHOD, RTOL
+from levstab.model import ATOL, METHOD, RTOL
 
 
 GAINS = ControlGains(Kp=10600.0, Kd=3000.0)

@@ -24,7 +24,8 @@ from levstab import (
     write_trajectory_csv,
 )
 from levstab.boundaries import all_ellipses
-from levstab.plant import _EVAL_FLOOR_FRACTION, SteadyStateSample, _gaps
+from levstab.model import SteadyStateSample
+from levstab.plant import _EVAL_FLOOR_FRACTION, _gaps
 
 
 GAINS = ControlGains(Kp=10600.0, Kd=3000.0)  # inside the stable wedge at B0

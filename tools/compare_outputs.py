@@ -35,11 +35,16 @@ stdout, stderr, ``map.csv`` and ``map_overlay.csv`` must equal those of the
 working tree's default run, which splits the sweep over the usable CPUs,
 byte for byte, and so must ``map_meta.json`` apart from ``workers``.
 
-Each command's line also gives its wall time in both trees (one fresh
-process each, import included), so a cold-start change shows in the same run
-that checks the outputs.  Prints each difference and exits 1 if there is
-any, else 0.  A full run takes about 37 s on 2 vCPUs, mostly ``validate``;
-the A = 1e-8 config adds about 8 s of it.
+Each command's line also gives its wall time and peak RSS in both trees
+(one fresh process each, import included), so a change to how a command
+starts, runs or ends shows in the same run that checks the outputs.  The
+peak RSS is ``ru_maxrss`` from ``os.wait4``, in MB.  A child's high-water
+mark starts at the resident size of the process that forks it, so every
+command is started by a small launcher process (``LAUNCHER``), never by
+this tool, which holds numpy.  These numbers are informational: no
+difference is counted for them.  Prints each difference and exits 1 if
+there is any, else 0.  A full run takes about 37 s on 2 vCPUs, mostly
+``validate``; the A = 1e-8 config adds about 8 s of it.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -147,20 +151,40 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run(src: Path, argv: list[str], config: Path, out: Path, threads: str | None = None) -> tuple[int, str, str]:
-    """Run ``levstab argv`` from ``src`` into ``out``, with LEVSTAB_THREADS
-    set to ``threads`` if given; returns its exit code, stdout and stderr."""
+# Reads one job per line, [argv, env, cwd, stdout file, stderr file], runs
+# it with its streams in those files, and answers [exit code, wall time in
+# s, peak RSS in MB] on a line.  Its own resident size, about 14 MB, is the
+# floor of every peak it reports.
+LAUNCHER = """
+import json, os, subprocess, sys, time
+for line in sys.stdin:
+    argv, env, cwd, out, err = json.loads(line)
+    with open(out, "wb") as fo, open(err, "wb") as fe:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, cwd=cwd, stdout=fo, stderr=fe)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    print(json.dumps([proc.returncode, wall, usage.ru_maxrss / 1024.0]), flush=True)
+"""
+
+
+def run(
+    launcher: subprocess.Popen, src: Path, argv: list[str], config: Path, out: Path, threads: str | None = None
+) -> tuple[int, str, str, float, float]:
+    """Run ``levstab argv`` from ``src`` into ``out`` through ``launcher``,
+    with LEVSTAB_THREADS set to ``threads`` if given; returns its exit
+    code, stdout, stderr, wall time (s) and peak RSS (MB)."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     if threads is not None:
         env["LEVSTAB_THREADS"] = threads
-    proc = subprocess.run(
-        [sys.executable, "-m", "levstab.cli", *argv, "--config", str(config), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=out.parent,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    cmd = [sys.executable, "-m", "levstab.cli", *argv, "--config", str(config), "--out", str(out)]
+    streams = [out.parent / f"{out.name}.{name}" for name in ("stdout", "stderr")]
+    launcher.stdin.write(json.dumps([cmd, env, str(out.parent), *map(str, streams)]) + "\n")
+    launcher.stdin.flush()
+    rc, wall, rss_mb = json.loads(launcher.stdout.readline())
+    stdout, stderr = (path.read_text() for path in streams)
+    return rc, stdout, stderr, wall, rss_mb
 
 
 def _drop(doc, keys):
@@ -264,33 +288,36 @@ def main(argv: list[str]) -> int:
         return 2
     total = 0
     wall = {"rev": 0.0, "work": 0.0}
-    with tempfile.TemporaryDirectory() as tmp:
+    launcher = subprocess.Popen(
+        [sys.executable, "-c", LAUNCHER], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+    )
+    with launcher, tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         trees = {"rev": extract_src(argv[0], tmp / "rev"), "work": ROOT / "src"}
         for cname, doc in CONFIGS.items():
             config = tmp / f"{cname}.json"
             config.write_text(json.dumps(doc))
             for cmd, args in COMMANDS.items():
-                runs, seconds = [], {}
+                runs, seconds, rss = [], {}, {}
                 for side, src in trees.items():
                     out = tmp / "out" / side / cname / cmd
                     out.mkdir(parents=True)
-                    start = time.perf_counter()
-                    runs.append((*run(src, args, config, out), out))
-                    seconds[side] = time.perf_counter() - start
+                    rc, stdout, stderr, seconds[side], rss[side] = run(launcher, src, args, config, out)
+                    runs.append((rc, stdout, stderr, out))
                     wall[side] += seconds[side]
                 diffs = differences(*runs)
                 if args[0] == "map":
                     out = tmp / "out" / "work-threads-1" / cname / cmd
                     out.mkdir(parents=True)
-                    serial = (*run(trees["work"], args, config, out, threads="1"), out)
+                    serial = (*run(launcher, trees["work"], args, config, out, threads="1")[:3], out)
                     split = differences(runs[1], serial, SPLIT_COMPARE)
                     diffs += [f"{d} (LEVSTAB_THREADS=1 against the split)" for d in split]
                 for d in diffs:
                     print(f"differs: {cname} {cmd}: {d}")
                 print(
                     f"{cname} {cmd}: exit {runs[1][0]}, {len(diffs)} difference(s), "
-                    f"{seconds['rev']:.2f} s at {argv[0]} -> {seconds['work']:.2f} s here"
+                    f"{seconds['rev']:.2f} s, {rss['rev']:.1f} MB at {argv[0]} -> "
+                    f"{seconds['work']:.2f} s, {rss['work']:.1f} MB here"
                 )
                 total += len(diffs)
     print(
