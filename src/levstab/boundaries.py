@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +44,7 @@ RT3 = math.sqrt(3.0)
 BOUNDARY_SAMPLES = 64  # samples of an ellipse's boundary
 
 
-@dataclass(frozen=True)
-class Ellipse:
+class Ellipse(NamedTuple):
     """Axis-aligned stability ellipse (Kp - h1)^2/k1^2 + (Kd - h2)^2/k2^2 = 1.
 
     A and theta record the excitation that produced the axes; degenerate
@@ -59,8 +57,8 @@ class Ellipse:
     h2: float
     k1: float
     k2: float
-    A: float = field(default=0.0, compare=False)
-    theta: float = field(default=0.0, compare=False)
+    A: float = 0.0
+    theta: float = 0.0
 
     @property
     def degenerate(self) -> bool:
@@ -89,8 +87,7 @@ def h0_gain(params: PhysicalParams) -> float:
     return params.m * params.R * params.g / (RT2 * math.sqrt(params.C * params.g * params.m))
 
 
-@dataclass(frozen=True)
-class BoundaryLines:
+class BoundaryLines(NamedTuple):
     """Static stability boundaries: the wedge h0 < Kp < h0 + slope*Kd."""
 
     h0: float
@@ -180,8 +177,7 @@ def default_map_window(
     return kp, kd
 
 
-@dataclass(frozen=True)
-class RelativeSize:
+class RelativeSize(NamedTuple):
     """Ellipse major axis relative to the local width of the stable wedge.
 
     ``geometric`` is k1/(h1 - h0) evaluated from the ellipse fields;
@@ -209,8 +205,7 @@ def relative_size(e: Ellipse, params: PhysicalParams) -> RelativeSize:
 CHART_SAMPLES = 400  # Kd samples of a resonance chart
 
 
-@dataclass(frozen=True)
-class ResonanceChart:
+class ResonanceChart(NamedTuple):
     """Sampled natural-frequency curves over Kd and their intersections with
     the excitation lines Omega and Omega/2.
 

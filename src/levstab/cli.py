@@ -61,7 +61,7 @@ def _load(args) -> config.RunConfig:
 
         exc = replace(cfg.exc, theta=args.theta, v=None, d=None)
         model.validate(cfg.params, exc)
-        cfg = replace(cfg, exc=exc)
+        cfg = cfg._replace(exc=exc)
     return cfg
 
 

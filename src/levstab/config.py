@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, fields
+from typing import NamedTuple
 
 from .model import (
     ControlGains,
@@ -26,8 +27,7 @@ _EXC_KEYS = {f.name for f in fields(ExcitationParams)}
 _TOP_KEYS = {"physical", "excitation", "gains", "hybrid"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run description assembled from a JSON document."""
 
     params: PhysicalParams

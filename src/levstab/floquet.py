@@ -15,7 +15,7 @@ import math
 import mmap
 import os
 import pickle
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,18 +123,19 @@ class FloquetError(RuntimeError):
     """Monodromy integration failed."""
 
 
-@dataclass(frozen=True)
-class MonodromyResult:
+class MonodromyResult(NamedTuple):
     """One-period state transition matrix and its multipliers.
 
     ``monodromy`` records in ``stats`` its RHS count ``nfev`` and
     ``det_rel_err``, |det M / exp(-R (z0 + beta) T / C) - 1|, the relative
-    error of det M against Liouville's formula.
+    error of det M against Liouville's formula.  That is NaN when the
+    Liouville value underflows to 0 (R (z0 + beta) T / C above about 745),
+    against which no relative error is defined.
     """
 
     matrix: np.ndarray
     multipliers: np.ndarray
-    stats: dict = field(compare=False, default_factory=dict)
+    stats: dict
 
     @property
     def max_modulus(self) -> float:
@@ -177,12 +178,13 @@ def monodromy(
             f"monodromy integration failed at Kp={gains.Kp!r}, Kd={gains.Kd!r}: {sol.message}"
         )
     m = sol.y[-1].reshape(6, 6)
+    exact = _liouville_det(params, pm)
     return MonodromyResult(
         matrix=m,
         multipliers=np.linalg.eigvals(m),
         stats={
             "nfev": int(sol.nfev),
-            "det_rel_err": abs(float(np.linalg.det(m)) / _liouville_det(params, pm) - 1.0),
+            "det_rel_err": abs(float(np.linalg.det(m)) / exact - 1.0) if exact > 0.0 else math.nan,
         },
     )
 
@@ -262,8 +264,7 @@ def resolve_workers(workers: int | None = None) -> int:
     return cpus if workers == 0 else min(workers, cpus)
 
 
-@dataclass
-class StabilityMap:
+class StabilityMap(NamedTuple):
     """Floquet classification over a gain grid.
 
     ``classes[i, j]`` and ``max_mu[i, j]`` belong to (kp[i], kd[j]); rows of
@@ -277,7 +278,7 @@ class StabilityMap:
     classes: np.ndarray
     max_mu: np.ndarray
     errors: list
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def _propagate(a: np.ndarray, g: np.ndarray, kp: np.ndarray, kd: np.ndarray, period: float) -> np.ndarray:
@@ -419,8 +420,9 @@ def _batched_cells(
     ``steps``, the accepted step count (0 for a cell sent to
     ``monodromy``); ``richardson``, the accepted Richardson estimate
     relative to max(1, max|mu|) (NaN for those); ``det_rel_err``, the
-    relative error of det M against the Liouville value; and ``error``, a
-    failed cell's message, else None.
+    relative error of det M against the Liouville value (NaN for every
+    cell where that value underflows to 0); and ``error``, a failed
+    cell's message, else None.
     """
     pm = periodic_matrix(params, exc, ControlGains(Kp=0.0, Kd=0.0), hyb=hyb)
     det_exact = _liouville_det(params, pm)

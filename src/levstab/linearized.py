@@ -21,7 +21,7 @@ linearized coil equation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,8 +202,7 @@ def fd_jacobian(
     return jac
 
 
-@dataclass(frozen=True)
-class UnexcitedSpectrum:
+class UnexcitedSpectrum(NamedTuple):
     """Eigenvalues of the constant (A = 0) system, split by subsystem."""
 
     translation: np.ndarray

@@ -58,6 +58,7 @@ def default_inertia(m: float, L: float) -> float:
     return m * L * L / 12.0
 
 
+# a dataclass, not a NamedTuple: __post_init__ derives J
 @dataclass(frozen=True)
 class PhysicalParams:
     """Vehicle and electromagnet constants (SI units throughout).
@@ -95,6 +96,7 @@ def has_uniform_bar_inertia(params: PhysicalParams) -> bool:
     return math.isclose(params.J, params.m * params.L**2 / 12.0, rel_tol=1e-12)
 
 
+# a dataclass: __post_init__ normalizes theta, and v and d stay out of equality
 @dataclass(frozen=True)
 class ExcitationParams:
     """Harmonic base excitation seen by the two supports.
@@ -125,6 +127,7 @@ class ExcitationParams:
         return TWO_PI / self.Omega
 
 
+# a dataclass: __post_init__ rejects non-finite gains
 @dataclass(frozen=True)
 class ControlGains:
     """PD gains mapping gap error (m) and gap-rate error (m/s) to volts."""
@@ -137,6 +140,8 @@ class ControlGains:
             raise ValueError(f"gains must be finite, got Kp={self.Kp!r}, Kd={self.Kd!r}")
 
 
+# a dataclass: a configuration section, whose keys config._section reads
+# through dataclasses.fields
 @dataclass(frozen=True)
 class HybridParams:
     """Hybrid-magnet gap offset: the permanent magnet shifts the force law to

@@ -18,7 +18,8 @@ equations exactly, not approximately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +80,8 @@ CLOSURE_FRACTION = 0.01
 _EVAL_FLOOR_FRACTION = 1e-3
 
 
+# a dataclass: its callers, benchmarks/checks.py among them, copy it with
+# dataclasses.replace
 @dataclass(frozen=True)
 class VehicleState:
     """Nonlinear plant state: heave z, pitch phi, their rates, coil currents."""
@@ -298,8 +301,7 @@ def require_open_gaps(
             )
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Integration result: samples plus integrator metadata.
 
     ``states`` has one row per sample in the order
@@ -310,7 +312,7 @@ class Trajectory:
     states: np.ndarray
     gap1: np.ndarray
     gap2: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     @property
     def aborted(self) -> bool:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,25 +59,23 @@ SCAN_HALF_WIDTH = 1.6
 MIN_TONGUE_WIDTH = RTOL / (2.0 * SCAN_HALF_WIDTH * BISECT_TOL)
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     """Outcome of one battery criterion."""
 
     index: int
     name: str
     status: str  # "pass" | "fail" | "skip"
     tolerance: str
-    measured: dict = field(default_factory=dict)
+    measured: dict
     detail: str = ""
     reason: str = ""
     seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "seconds": round(self.seconds, 3)}
+        return {**self._asdict(), "seconds": round(self.seconds, 3)}
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Battery results; ``passed`` means no criterion failed (skips allowed)."""
 
     criteria: list

@@ -60,3 +60,17 @@ def battery_report(b0, exc_quarter):
     from levstab.validation import run_battery
 
     return run_battery(b0, exc_quarter)
+
+
+@pytest.fixture(scope="session")
+def underflow_doc():
+    """A configuration, with no hybrid section, whose Liouville value
+    exp(-R z0 T / C) underflows to 0: R z0 T / C is about 4061, and the
+    value reaches 0 above about 745."""
+    return {
+        "physical": {
+            "m": 820.9115772147311, "C": 20354.368928840577, "R": 38.74012569727796,
+            "z0": 565.3588946906601, "g": 0.020562485808009973, "L": 2.530606545028965,
+        },
+        "excitation": {"A": 0.9375398909578448, "Omega": 0.0016650625190529165, "theta": 0.8673176300861265},
+    }

@@ -5,6 +5,7 @@ calls a few of them with keyword arguments.  Dropping any of these breaks
 the benchmark, not the program, so this suite guards them.
 """
 
+import dataclasses
 import inspect
 import json
 import os
@@ -12,10 +13,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levstab.cli  # noqa: F401  (the package registers every module the tracer patches)
 from levstab import ControlGains, HybridParams, floquet, monodromy, periodic_matrix, plant
+from levstab.cli import DEFAULT_CONFIG
+from levstab.config import parse_config
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -131,6 +135,8 @@ def test_tracer_counts_every_rhs_evaluation(monkeypatch, b0, exc_quarter, beta):
 
 
 def test_benchmark_call_signatures(b0, exc_quarter):
+    """The calls that benchmarks/run.py makes, and the fields of their
+    results that benchmarks/checks.py and benchmarks/spans.py read."""
     integrate_args = inspect.signature(plant.integrate).parameters
     for name in ("mode", "hyb", "rtol", "atol", "t_eval"):
         assert name in integrate_args
@@ -146,3 +152,18 @@ def test_benchmark_call_signatures(b0, exc_quarter):
     assert pm.period == exc_quarter.period
     assert monodromy(b0, exc_quarter, gains).stats["nfev"] > 0
     assert plant.steady_vehicle_state(b0, exc_quarter, 0.0, None).z == b0.z0
+
+    # checks.py perturbs the start with dataclasses.replace
+    cfg = parse_config({**DEFAULT_CONFIG, "hybrid": {"beta": 0.01}})
+    assert (cfg.params, cfg.exc, cfg.hybrid) == (b0, exc_quarter, HybridParams(0.01))
+    start = plant.steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
+    moved = dataclasses.replace(start, z=start.z + 1e-4, phi=start.phi + 5e-5)
+    assert (moved.z, moved.phi, moved.I1) == (start.z + 1e-4, start.phi + 5e-5, start.I1)
+    traj = plant.integrate(
+        moved, (0.0, cfg.exc.period), cfg.params, cfg.exc, gains, mode="hybrid", hyb=cfg.hybrid,
+        t_eval=np.array([cfg.exc.period]),
+    )
+    assert traj.states.shape == (1, 6) and traj.aborted is False
+    # spans.py counts a sweep's failed cells
+    smap = floquet.sweep(cfg.params, cfg.exc, (10000.0, 11000.0), (2000.0, 2100.0), 2, 2, hyb=cfg.hybrid, workers=1)
+    assert smap.errors == []

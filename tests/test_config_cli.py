@@ -376,6 +376,28 @@ def test_cli_map_extreme_gains_fail_fast(tmp_path):
     assert all("RHS evaluations" in msg for _, _, msg in meta["cell_errors"])
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_cli_map_liouville_underflow_writes_strict_json(tmp_path, underflow_doc):
+    """Where the Liouville value exp(-R z0 T / C) underflows to 0, a fresh
+    ``map --grid 3,3`` exits 0 with nothing on stderr, and its
+    ``map_meta.json`` parses with NaN and Infinity refused: the relative
+    determinant errors are NaN, which ``det_rel_err_max`` passes over."""
+    src = Path(levstab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "levstab.cli", "map", "--grid", "3,3",
+         "--config", _write(tmp_path, underflow_doc), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    meta = json.loads((tmp_path / "out" / "map_meta.json").read_text(), parse_constant=_refuse_constant)
+    assert meta["grid"]["fallback_cells"] == 9 and meta["cell_errors"] == []
+    assert meta["grid"]["det_rel_err_max"] == 0.0
+
+
 def test_cli_map_grid_over_cell_cap_rejected(tmp_path, monkeypatch, capsys):
     """A grid over MAX_GRID_CELLS is bad input: exit 2 at once, before any
     engine buffer is allocated, on one error line naming the limit.  A
@@ -631,6 +653,48 @@ def test_cli_ellipses_and_resonance_chart_run_no_plant(tmp_path):
         assert not ran[cmd] & {"levstab.floquet", "levstab.linearized", "levstab.validation"}
     assert {"levstab.floquet", "levstab.linearized"} <= ran["map"]
     assert not ran["steady-state"] & {"levstab.floquet", "levstab.linearized", "levstab.boundaries"}
+
+
+# the package's dataclasses, each for a reason written where it is defined;
+# every other record is a NamedTuple
+DATACLASSES = {
+    "levstab.model": {"PhysicalParams", "ExcitationParams", "ControlGains", "HybridParams"},
+    "levstab.plant": {"VehicleState"},
+}
+RECORDS = {
+    "levstab.config": {"RunConfig"},
+    "levstab.boundaries": {"Ellipse", "BoundaryLines", "RelativeSize", "ResonanceChart"},
+    "levstab.floquet": {"MonodromyResult", "StabilityMap"},
+    "levstab.linearized": {"UnexcitedSpectrum"},
+    "levstab.plant": {"Trajectory"},
+    "levstab.validation": {"CriterionResult", "ValidationReport"},
+}
+
+
+def test_dataclasses_are_the_five_that_check_or_derive(tmp_path):
+    """The package defines five dataclasses: the four parameter types of
+    ``model`` and the plant's ``VehicleState``.  The records that check,
+    normalize and derive nothing are NamedTuples.  The default map, the
+    first command of a fresh interpreter, runs no levstab module that
+    defines a dataclass but ``model``."""
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    found = {}
+    for info in pkgutil.iter_modules(levstab.__path__):
+        module = importlib.import_module(f"levstab.{info.name}")
+        classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
+        names = {c.__name__ for c in classes if dataclasses.is_dataclass(c)}
+        if names:
+            found[module.__name__] = names
+        for name in RECORDS.get(module.__name__, ()):
+            record = getattr(module, name)
+            assert issubclass(record, tuple) and hasattr(record, "_fields"), record
+    assert found == DATACLASSES
+    ran = _run_no_scipy_script(tmp_path, "map")["ran"]["map"]
+    assert "levstab.floquet" in ran
+    assert {name for name in ran if name in found} == {"levstab.model"}
 
 
 def test_package_exports_only_declared_names():
@@ -1389,8 +1453,8 @@ def test_cli_validate_failure_exit(tmp_path, monkeypatch, capsys):
     from levstab.validation import CriterionResult, ValidationReport
 
     canned = ValidationReport(criteria=[
-        CriterionResult(index=1, name="x", status="pass", tolerance=0.0),
-        CriterionResult(index=2, name="y", status="fail", tolerance=1e-9,
+        CriterionResult(index=1, name="x", status="pass", tolerance=0.0, measured={}),
+        CriterionResult(index=2, name="y", status="fail", tolerance=1e-9, measured={},
                         reason="synthetic"),
     ])
     monkeypatch.setattr(validation, "run_battery", lambda params, exc: canned)
@@ -1410,10 +1474,8 @@ def test_fault_injection_breaks_ratio_criterion(monkeypatch, b0, exc_quarter):
     real = boundaries.all_ellipses
 
     def skewed(params, exc):
-        from dataclasses import replace
-
         ells = real(params, exc)
-        return {**ells, "a": replace(ells["a"], k1=1.01 * ells["a"].k1)}
+        return {**ells, "a": ells["a"]._replace(k1=1.01 * ells["a"].k1)}
 
     monkeypatch.setattr(boundaries, "all_ellipses", skewed)
     ok, measured, detail = validation._c4_axis_ratios(b0, exc_quarter)

@@ -55,7 +55,7 @@ def _ranked(rank, family="principal"):
 
 def _fake_result(multipliers):
     mu = np.asarray(multipliers, dtype=complex)
-    return MonodromyResult(matrix=np.eye(6), multipliers=mu)
+    return MonodromyResult(matrix=np.eye(6), multipliers=mu, stats={})
 
 
 def test_monodromy_unexcited_stable_gains(b0, exc_still):
@@ -1002,6 +1002,23 @@ def test_tongue_edges_match_rank_indicator_searches(request, b0, kind, exc_name)
     left = boundary_crossings(b0, exc, scan, _ranked(0, family))
     right = boundary_crossings(b0, exc, scan, _ranked(1, family))
     assert tongue_edges(b0, exc, ell) == (left[0][0], right[-1][0])
+
+
+def test_monodromy_det_error_is_nan_where_liouville_underflows(underflow_doc):
+    """Where exp(-R z0 T / C) underflows to 0 no relative error of det M is
+    defined: ``det_rel_err`` is NaN, and ``monodromy`` divides by nothing,
+    so it warns of nothing."""
+    import warnings
+
+    from levstab.config import parse_config
+
+    cfg = parse_config(underflow_doc)
+    (_, kp), (_, kd) = default_map_window(cfg.params, cfg.exc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = monodromy(cfg.params, cfg.exc, ControlGains(Kp=kp, Kd=kd))
+    assert res.stats["nfev"] > 0 and math.isnan(res.stats["det_rel_err"])
+    assert classify(res) == "stable"
 
 
 def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):

@@ -15,6 +15,10 @@ from levstab.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_RUNTIME, main
 
 SEED = 31
 CONFIGS = 50
+# drawn after CONFIGS, so that those keep their values: configurations with
+# a hybrid section.  The twelfth has R (z0 + beta) T / C = 901, so that its
+# Liouville value exp(-R (z0 + beta) T / C) underflows to 0
+HYBRID_CONFIGS = 12
 # every value of a draw is log-uniform over these decades, or one of SPECIAL
 DECADES = (-4.0, 5.0)
 SPECIAL = (0.0, -1.0, 1e-300, 1e300, 5e-324)
@@ -36,13 +40,18 @@ class _Late(BaseException):
     """Raised by the alarm; no handler of ``main`` catches it."""
 
 
-def _draw(rng) -> dict:
+def _value(rng) -> float:
+    if rng.random() < SPECIAL_SHARE:
+        return SPECIAL[rng.integers(len(SPECIAL))]
+    return float(10.0 ** rng.uniform(*DECADES))
+
+
+def _draw(rng, hybrid=False) -> dict:
     doc = {"physical": {}, "excitation": {"theta": float(rng.uniform(0.0, 2.0 * math.pi))}}
     for section, key in VALUES:
-        if rng.random() < SPECIAL_SHARE:
-            doc[section][key] = SPECIAL[rng.integers(len(SPECIAL))]
-        else:
-            doc[section][key] = float(10.0 ** rng.uniform(*DECADES))
+        doc[section][key] = _value(rng)
+    if hybrid:
+        doc["hybrid"] = {"beta": _value(rng)}
     return doc
 
 
@@ -50,18 +59,23 @@ def _late(signum, frame):
     raise _Late
 
 
+def _nonstrict_json(path) -> bool:
+    """Whether the JSON file holds a constant that strict JSON refuses:
+    NaN, Infinity or -Infinity."""
+    constants = []
+    json.loads(path.read_text(), parse_constant=constants.append)
+    return bool(constants)
+
+
 def _nonfinite_files(out) -> list:
     """The files in ``out`` that hold a NaN or infinite number: a CSV cell
     or a JSON constant (NaN, Infinity, -Infinity)."""
     found = []
     for path in sorted(out.iterdir()):
-        text = path.read_text()
         if path.suffix == ".json":
-            constants = []
-            json.loads(text, parse_constant=constants.append)
-            bad = bool(constants)
+            bad = _nonstrict_json(path)
         else:
-            cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+            cells = [cell for line in path.read_text().splitlines()[1:] for cell in line.split(",")]
             bad = not all(math.isfinite(float(cell)) for cell in cells)
         if bad:
             found.append(path.name)
@@ -70,24 +84,33 @@ def _nonfinite_files(out) -> list:
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer for the time limit")
 def test_cli_survives_seeded_random_configs(tmp_path, capsys, monkeypatch):
-    """Fifty configurations drawn from one seed, each through ellipses,
-    steady-state, resonance-chart, a 3x3 map and a one-period simulate,
-    in this process: every run returns 0, 2 or 3 within LIMIT_S, prints
-    no traceback and warns of nothing.  A closed-form command that
-    succeeds has written no NaN or inf, and one that fails has written
-    nothing.  The budgets of a monodromy and of a simulation
-    are cut to a tenth, so that the many draws whose cells or runs exhaust
+    """Fifty configurations drawn from one seed, and then twelve with a
+    hybrid section, each through ellipses, steady-state, resonance-chart,
+    a 3x3 map and a one-period simulate, in this process: every run
+    returns 0, 2 or 3 within LIMIT_S, prints no traceback and warns of
+    nothing.  A closed-form command that succeeds has written no NaN or
+    inf, and one that fails has written nothing; every ``map_meta.json``
+    is strict JSON.  The budgets of a monodromy and of a simulation are
+    cut to a tenth, so that the many draws whose cells or runs exhaust
     them fail in milliseconds and the whole test takes about a second; a
-    run that never reaches its budget is still caught by the limit."""
-    monkeypatch.setattr(floquet, "MAX_NFEV", floquet.MAX_NFEV // 10)
+    run that never reaches its budget is still caught by the limit.  The
+    hybrid draws give monodromy its whole budget back: where the
+    Liouville value underflows, DOP853's stability bound alone takes more
+    than a tenth of it per cell (2,822 to 4,682 RHS evaluations on the
+    twelfth draw's map), so a cut budget would fail every such cell
+    before it reaches det M."""
+    full_budget = floquet.MAX_NFEV
+    monkeypatch.setattr(floquet, "MAX_NFEV", full_budget // 10)
     monkeypatch.setattr(plant, "MAX_NFEV_PER_PERIOD", plant.MAX_NFEV_PER_PERIOD // 10)
     previous = signal.signal(signal.SIGALRM, _late)
     rng = np.random.default_rng(SEED)
     path = tmp_path / "config.json"
     failures = []
     try:
-        for draw in range(CONFIGS):
-            doc = _draw(rng)
+        for draw in range(CONFIGS + HYBRID_CONFIGS):
+            doc = _draw(rng, hybrid=draw >= CONFIGS)
+            if draw == CONFIGS:
+                monkeypatch.setattr(floquet, "MAX_NFEV", full_budget)
             path.write_text(json.dumps(doc))
             for command in COMMANDS:
                 out = tmp_path / f"{draw}-{command[0]}"
@@ -109,6 +132,9 @@ def test_cli_survives_seeded_random_configs(tmp_path, capsys, monkeypatch):
                     placed = sorted(p.name for p in out.iterdir()) if rc != EXIT_OK else _nonfinite_files(out)
                     if placed:
                         failures.append((command[0], rc, placed, doc))
+                meta = out / "map_meta.json"
+                if command[0] == "map" and meta.is_file() and _nonstrict_json(meta):
+                    failures.append((command[0], rc, meta.name, doc))
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert not failures, failures

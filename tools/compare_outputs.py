@@ -29,6 +29,11 @@ digits:
   and the deviation between two maps that criterion 9 measures
   (``map_max_mu_dev``) must stay within ``MU_TOL`` on both sides.
 
+Every JSON product of every run must also be strict JSON: it must parse
+with the constants NaN, Infinity and -Infinity refused, which Python's
+``json`` writes for non-finite floats but strict parsers reject.  A product
+that does not counts as a difference, in either tree.
+
 Every ``map`` command also runs once more in the working tree with
 ``LEVSTAB_THREADS=1``, as one chunk in one process.  Its exit code,
 stdout, stderr, ``map.csv`` and ``map_overlay.csv`` must equal those of the
@@ -205,6 +210,22 @@ def _map_deviations(doc) -> list:
     return []
 
 
+def _refuse(constant: str):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+def nonstrict_json(out: Path) -> list[str]:
+    """The JSON files in ``out`` that do not parse as strict JSON, with
+    NaN, Infinity and -Infinity refused."""
+    found = []
+    for path in sorted(out.glob("*.json")):
+        try:
+            json.loads(path.read_text(), parse_constant=_refuse)
+        except ValueError:
+            found.append(path.name)
+    return found
+
+
 def compare_map_csv(a: Path, b: Path) -> str | None:
     """Classes exact, max|mu| within MU_TOL; prints the largest deviation."""
     rows_a = [r.split(",") for r in a.read_text().splitlines()]
@@ -306,12 +327,16 @@ def main(argv: list[str]) -> int:
                     runs.append((rc, stdout, stderr, out))
                     wall[side] += seconds[side]
                 diffs = differences(*runs)
+                outs = {f"at {argv[0]}": runs[0][3], "here": runs[1][3]}
                 if args[0] == "map":
                     out = tmp / "out" / "work-threads-1" / cname / cmd
                     out.mkdir(parents=True)
                     serial = (*run(launcher, trees["work"], args, config, out, threads="1")[:3], out)
                     split = differences(runs[1], serial, SPLIT_COMPARE)
                     diffs += [f"{d} (LEVSTAB_THREADS=1 against the split)" for d in split]
+                    outs["here with LEVSTAB_THREADS=1"] = out
+                for where, out in outs.items():
+                    diffs += [f"{name} is not strict JSON {where}" for name in nonstrict_json(out)]
                 for d in diffs:
                     print(f"differs: {cname} {cmd}: {d}")
                 print(
