@@ -232,8 +232,9 @@ class SteadyStateSample(NamedTuple):
 
     The body stays at z0, so the gaps follow the base motion w; currents are
     the ones that hold the gaps there and voltages are the resistive drop
-    R*I.  All rates are analytic derivatives.  Fields are floats or arrays,
-    like the t they were evaluated at.
+    R*I.  The gap rates are analytic derivatives; the current rates are
+    ``current_scale(params)`` times them, on either plant, and are not
+    kept.  Fields are floats or arrays, like the t they were evaluated at.
     """
 
     t: Any
@@ -245,8 +246,6 @@ class SteadyStateSample(NamedTuple):
     gap2_rate: Any
     I1: Any
     I2: Any
-    I1_rate: Any
-    I2_rate: Any
     U1: Any
     U2: Any
 
@@ -258,9 +257,9 @@ def _steady_kernel(
     hoisted out of it.
 
     The kernel returns the plain tuple (w1, w2, gap1, gap2, gap1_rate,
-    gap2_rate, I1, I2, I1_rate, I2_rate, U1, U2), the fields of
-    :class:`SteadyStateSample` after t.  ``cos`` and ``sin`` are math's for
-    a float t and numpy's for an array.
+    gap2_rate, I1, I2, U1, U2), the fields of :class:`SteadyStateSample`
+    after t.  ``cos`` and ``sin`` are math's for a float t and numpy's for
+    an array.
     """
     A, Omega, theta, z0 = exc.A, exc.Omega, exc.theta, params.z0
     A_Omega = A * Omega
@@ -284,7 +283,7 @@ def _steady_kernel(
             i1 = kappa * (d1 + beta) - gamma
             i2 = kappa * (d2 + beta) - gamma
             u1, u2 = R * i1, R * i2
-        return w1, w2, d1, d2, d1dot, d2dot, i1, i2, kappa * d1dot, kappa * d2dot, u1, u2
+        return w1, w2, d1, d2, d1dot, d2dot, i1, i2, u1, u2
 
     return kernel
 
@@ -300,11 +299,12 @@ def steady_state(
     kappa*(Delta_ss + beta) - gamma.  Substituted back into the plant
     equations these leave zero residuals for every t, every A < z0 and every
     theta.  Its kernel is the one place that evaluates the base motion; the
-    plant's ``rhs``, ``rhs_hybrid`` and closure event and
-    ``PeriodicMatrix.at`` each hold one for their configuration, and this
-    function builds a fresh one per call.  A float t takes ``math``'s cos
-    and sin, a fraction of numpy's cost per call; on x86-64 with numpy 2.4
-    they give numpy's values bit for bit (checked on 1.2 million phases).
+    plant's derivative holds two for its configuration, math's for one
+    state and numpy's for a stack, its closure event and
+    ``PeriodicMatrix.at`` one each, and this function builds a fresh one
+    per call.  A float t takes ``math``'s cos and sin, a fraction of
+    numpy's cost per call; on x86-64 with numpy 2.4 they give numpy's
+    values bit for bit (checked on 1.2 million phases).
     """
     if isinstance(t, float):
         trig = math.cos, math.sin

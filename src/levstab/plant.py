@@ -98,40 +98,34 @@ class VehicleState:
 
 
 def _gaps(state, params: PhysicalParams, ss: SteadyStateSample):
-    """Airgaps and their rates for state rows (z, zdot, phi, phidot, ...)
-    over the base motion recorded in ss."""
-    z, zdot, phi, phidot = state[0], state[1], state[2], state[3]
+    """Airgaps of state rows (z, zdot, phi, phidot, ...) over the base
+    motion recorded in ss."""
+    z, phi = state[0], state[2]
     half = 0.5 * params.L
-    d1 = z + half * phi - ss.w1
-    d2 = z - half * phi - ss.w2
-    # the steady gap rate is -w', which is how the base enters the gap rates
-    d1dot = zdot + half * phidot + ss.gap1_rate
-    d2dot = zdot - half * phidot + ss.gap2_rate
-    return d1, d2, d1dot, d2dot
+    return z + half * phi - ss.w1, z - half * phi - ss.w2
 
 
-# the derivatives of the last configuration that rhs or rhs_hybrid served,
+# the derivative of the last configuration that rhs or rhs_hybrid served,
 # keyed on the identity of its frozen (params, exc, gains, hyb) objects: one
 # tuple, read once per call, so that a miss replaces the entry whole
-_last_derivative = (None, None, None, None, None, None)
+_last_derivative = (None, None, None, None, None)
 
 
-def _derivative(
-    params: PhysicalParams, exc: ExcitationParams, gains: ControlGains, hyb, stacked: bool
-):
+def _derivative(params: PhysicalParams, exc: ExcitationParams, gains: ControlGains, hyb):
     """``rhs`` (hyb None) or ``rhs_hybrid`` at one configuration, as a
     function of (state, t), with the configuration's constants hoisted and
-    the arithmetic of the gaps, voltages, forces and currents written out.
+    the arithmetic of the gaps, voltages, forces and currents written out;
+    it becomes the entry of ``_last_derivative``.
 
-    Without ``stacked`` it takes one state and a float t, and computes on
-    Python floats with math's cos and sin; with it, a (k, 6) stack of
-    states and a (k,) array of times, computed column by column with
-    numpy's cos and sin, which equal math's bit for bit.  The floor keeps
-    a gap d only where ``d > floor``, in either form, so a NaN gap takes
-    the floor.
+    It takes one state and a float t, computed on Python floats with
+    math's cos and sin, or a (k, 6) stack of states and a (k,) array of
+    times, computed column by column with numpy's cos and sin, which equal
+    math's bit for bit.  The floor keeps a gap d only where ``d > floor``,
+    in either form, so a NaN gap takes the floor.
     """
-    trig = (np.cos, np.sin) if stacked else (math.cos, math.sin)
-    steady = _steady_kernel(params, exc, hyb, *trig)
+    global _last_derivative
+    steady_one = _steady_kernel(params, exc, hyb)
+    steady_stack = _steady_kernel(params, exc, hyb, np.cos, np.sin)
     half = 0.5 * params.L
     kp, kd = gains.Kp, gains.Kd
     C, R, g, m, L = params.C, params.R, params.g, params.m, params.L
@@ -145,10 +139,15 @@ def _derivative(
         floor = _EVAL_FLOOR_FRACTION * (params.z0 + beta)
 
     def derivative(state, t):
+        one = isinstance(t, float)
         # one state as Python floats, cheaper in scalar arithmetic than
         # numpy scalars, or a stack as its columns
-        z, zdot, phi, phidot, i1, i2 = state.T if stacked else state.tolist()
-        w1, w2, s1, s2, s1dot, s2dot, _, _, _, _, U1, U2 = steady(t)
+        if one:
+            z, zdot, phi, phidot, i1, i2 = state.tolist()
+            w1, w2, s1, s2, s1dot, s2dot, _, _, U1, U2 = steady_one(t)
+        else:
+            z, zdot, phi, phidot, i1, i2 = state.T
+            w1, w2, s1, s2, s1dot, s2dot, _, _, U1, U2 = steady_stack(t)
         d1 = z + half * phi - w1
         d2 = z - half * phi - w2
         d1dot = zdot + half * phidot + s1dot
@@ -157,11 +156,11 @@ def _derivative(
         u2 = U2 + kp * (d2 - s2) + kd * (d2dot - s2dot)
         # the effective gaps, floored
         e1, e2 = (d1, d2) if beta is None else (d1 + beta, d2 + beta)
-        if stacked:
-            e1, e2 = np.where(e1 > floor, e1, floor), np.where(e2 > floor, e2, floor)
-        else:
+        if one:
             e1 = e1 if e1 > floor else floor
             e2 = e2 if e2 > floor else floor
+        else:
+            e1, e2 = np.where(e1 > floor, e1, floor), np.where(e2 > floor, e2, floor)
         if beta is None:
             f1 = C * i1 * i1 / (e1 * e1)
             f2 = C * i2 * i2 / (e2 * e2)
@@ -177,19 +176,10 @@ def _derivative(
         zdd = g - (f1 + f2) / m
         phidd = -(f1 - f2) * L / twoJ
         out = np.array([zdot, zdd, phidot, phidd, i1dot, i2dot])
-        return out.T if stacked else out
+        return out if one else out.T
 
+    _last_derivative = (params, exc, gains, hyb, derivative)
     return derivative
-
-
-def _derivatives(params, exc, gains, hyb):
-    """The derivatives of one state and of a stack at one configuration,
-    which become the entry of ``_last_derivative``."""
-    global _last_derivative
-    one = _derivative(params, exc, gains, hyb, stacked=False)
-    stack = _derivative(params, exc, gains, hyb, stacked=True)
-    _last_derivative = (params, exc, gains, hyb, one, stack)
-    return one, stack
 
 
 def rhs(state, t, params: PhysicalParams, exc: ExcitationParams, gains: ControlGains) -> np.ndarray:
@@ -197,17 +187,18 @@ def rhs(state, t, params: PhysicalParams, exc: ExcitationParams, gains: ControlG
 
     ``state`` is one state and t a float, or ``state`` is a (k, 6) stack
     of states, one row each, and t a (k,) array of their times; the
-    result is shaped like ``state``.
+    result is shaped like ``state``.  Both forms go through the one
+    derivative of the configuration, kept while the same objects come in.
 
     Gap denominators are floored at 0.1% of z0: exact above the floor, and a
     finite (if enormous) force below it, so an adaptive integrator can
     evaluate trial stages past the contact event instead of hitting the
     1/gap^2 singularity.
     """
-    p, e, g, h, one, stack = _last_derivative
+    p, e, g, h, derivative = _last_derivative
     if p is not params or e is not exc or g is not gains or h is not None:
-        one, stack = _derivatives(params, exc, gains, None)
-    return (one if isinstance(t, float) else stack)(state, t)
+        derivative = _derivative(params, exc, gains, None)
+    return derivative(state, t)
 
 
 def rhs_hybrid(
@@ -226,10 +217,10 @@ def rhs_hybrid(
     accordingly; the PD law still acts on the physical gap error.  Shifted by
     :func:`hybrid_transform`, it is :func:`rhs` with the nominal gap z0 + beta.
     """
-    p, e, g, h, one, stack = _last_derivative
+    p, e, g, h, derivative = _last_derivative
     if p is not params or e is not exc or g is not gains or h is not hyb:
-        one, stack = _derivatives(params, exc, gains, hyb)
-    return (one if isinstance(t, float) else stack)(state, t)
+        derivative = _derivative(params, exc, gains, hyb)
+    return derivative(state, t)
 
 
 def hybrid_transform(state: VehicleState, params: PhysicalParams, hyb: HybridParams) -> VehicleState:
@@ -292,7 +283,7 @@ def require_open_gaps(
     threshold, so it never sees a run that starts below it.
     """
     contact = CLOSURE_FRACTION * params.z0
-    gaps = _gaps(state.as_array(), params, steady_state(params, exc, float(t)))[:2]
+    gaps = _gaps(state.as_array(), params, steady_state(params, exc, float(t)))
     for name, gap in zip(("gap1", "gap2"), gaps):
         if gap < contact:
             raise ValueError(
@@ -409,7 +400,7 @@ def integrate(
     def on_samples(t, y):
         nonlocal done
         block = gaps[:, done : done + t.size]
-        block[0], block[1], _, _ = _gaps(y.T, params, steady_state(params, exc, t))
+        block[0], block[1] = _gaps(y.T, params, steady_state(params, exc, t))
         done += t.size
         if sink is not None:
             sink((t, *y.T, *block))

@@ -280,7 +280,6 @@ def _c4_axis_ratios(params, exc):
 
 
 def _c5_eta_frequency_independence(params, exc):
-    h0 = boundaries.h0_gain(params)
     worst = 0.0
     measured = {}
     for kind in "abcd":
@@ -291,7 +290,7 @@ def _c5_eta_frequency_independence(params, exc):
             )[kind]
             if ell.degenerate:
                 break
-            etas.append(ell.k1 / (ell.h1 - h0))
+            etas.append(boundaries.relative_size(ell, params).geometric)
         if len(etas) < 3:
             continue
         spread = max(abs(e / etas[0] - 1.0) for e in etas)

@@ -33,7 +33,7 @@ def _gap_closure(params, exc):
     contact = CLOSURE_FRACTION * params.z0
 
     def event(t, y):
-        d1, d2, _, _ = _gaps(y, params, steady_state(params, exc, t))
+        d1, d2 = _gaps(y, params, steady_state(params, exc, t))
         return min(d1, d2) - contact
 
     return event

@@ -1021,6 +1021,32 @@ def test_monodromy_det_error_is_nan_where_liouville_underflows(underflow_doc):
     assert classify(res) == "stable"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: the engine's det M check is relative to exp(-R z0 T / C), and at "
+    "R z0 T / C = 100 it fails on every cell, so all 25 go to DOP853, which gives them "
+    "the same classes"
+))
+def test_damped_map_keeps_its_cells_on_the_engine(underflow_doc):
+    """On a plant whose Liouville value exp(-R z0 T / C) is small but
+    representable (R z0 T / C = 100), the batched engine keeps every cell
+    of a 5x5 default window, with DOP853's classes."""
+    import dataclasses
+
+    from levstab.config import parse_config
+
+    cfg = parse_config(underflow_doc)
+    params = cfg.params
+    exc = dataclasses.replace(cfg.exc, Omega=0.06760946216681478)
+    assert params.R * params.z0 * exc.period / params.C == pytest.approx(100.0, rel=1e-12)
+    kp_range, kd_range = default_map_window(params, exc)
+    smap = sweep(params, exc, kp_range, kd_range, 5, 5, workers=1)
+    for i, kp in enumerate(smap.kp):
+        for j, kd in enumerate(smap.kd):
+            ref = monodromy(params, exc, ControlGains(Kp=float(kp), Kd=float(kd)))
+            assert smap.classes[i, j] == classify(ref)
+    assert smap.meta["fallback_cells"] == 0
+
+
 def test_map_metadata_round_trip(tmp_path, b0, exc_quarter):
     import json
 

@@ -14,6 +14,7 @@ from levstab import (
     ExcitationParams,
     HybridParams,
     PhysicalParams,
+    current_scale,
     fd_jacobian,
     natural_frequencies,
     periodic_matrix,
@@ -230,7 +231,7 @@ def reduced_residual(
         d = (float(ss.gap1), float(ss.gap2))
         ddot = (float(ss.gap1_rate), float(ss.gap2_rate))
         iss = (float(ss.I1), float(ss.I2))
-        issdot = (float(ss.I1_rate), float(ss.I2_rate))
+        issdot = (current_scale(p) * ddot[0], current_scale(p) * ddot[1])
         xdot = pm.at(t[k]) @ x
 
         delta = 0.5 * (x[0] + x[3])

@@ -25,7 +25,7 @@ from levstab import (
 )
 from levstab.boundaries import all_ellipses
 from levstab.model import SteadyStateSample
-from levstab.plant import _EVAL_FLOOR_FRACTION, _gaps
+from levstab.plant import _EVAL_FLOOR_FRACTION
 
 
 GAINS = ControlGains(Kp=10600.0, Kd=3000.0)  # inside the stable wedge at B0
@@ -89,8 +89,8 @@ def test_rhs_steady_state_residual_random_instants(b0):
         assert abs(d[1]) < 1e-10 * b0.g
         assert abs(d[3]) < 1e-10 * b0.g
         iscale = current_scale(b0) * b0.z0 * max(1.0, e.Omega)
-        assert abs(d[4] - float(ss.I1_rate)) < 1e-10 * iscale
-        assert abs(d[5] - float(ss.I2_rate)) < 1e-10 * iscale
+        assert abs(d[4] - current_scale(b0) * float(ss.gap1_rate)) < 1e-10 * iscale
+        assert abs(d[5] - current_scale(b0) * float(ss.gap2_rate)) < 1e-10 * iscale
 
 
 def test_rhs_zero_vector_at_rest(b0, exc_still):
@@ -205,7 +205,7 @@ def test_integrate_gap_columns_match_whole_grid(b0, exc_quarter):
     start = VehicleState(s0.z + 1e-4, 0.0, 5e-5, 0.0, s0.I1, s0.I2)
     traj = integrate(start, (0.0, 6.0 * exc_quarter.period), b0, exc_quarter, GAINS)
     assert traj.t.size > dop853.SAMPLE_BLOCK
-    gap1, gap2, _, _ = plant._gaps(traj.states.T, b0, steady_state(b0, exc_quarter, traj.t))
+    gap1, gap2 = plant._gaps(traj.states.T, b0, steady_state(b0, exc_quarter, traj.t))
     np.testing.assert_array_equal(traj.gap1, gap1)
     np.testing.assert_array_equal(traj.gap2, gap2)
 
@@ -390,9 +390,18 @@ def _steady_state_reference(params, exc, t, hyb=None):
         i1 = kappa * (d1 + hyb.beta) - gamma
         i2 = kappa * (d2 + hyb.beta) - gamma
         u1, u2 = params.R * i1, params.R * i2
-    return SteadyStateSample(
-        t, w1, w2, d1, d2, d1dot, d2dot, i1, i2, kappa * d1dot, kappa * d2dot, u1, u2
-    )
+    return SteadyStateSample(t, w1, w2, d1, d2, d1dot, d2dot, i1, i2, u1, u2)
+
+
+def _gaps_and_rates(state, params, ss):
+    """The airgaps of one state over the base motion in ss, and their rates."""
+    z, zdot, phi, phidot = state[:4]
+    half = 0.5 * params.L
+    d1 = z + half * phi - ss.w1
+    d2 = z - half * phi - ss.w2
+    d1dot = zdot + half * phidot + ss.gap1_rate
+    d2dot = zdot - half * phidot + ss.gap2_rate
+    return d1, d2, d1dot, d2dot
 
 
 def _pd_voltages(gains, d1, d2, d1dot, d2dot, ss):
@@ -407,7 +416,7 @@ def _rhs_reference(state, t, params, exc, gains):
     state = state.tolist()
     z, zdot, phi, phidot, i1, i2 = state
     ss = _steady_state_reference(params, exc, t)
-    d1, d2, d1dot, d2dot = _gaps(state, params, ss)
+    d1, d2, d1dot, d2dot = _gaps_and_rates(state, params, ss)
     floor = _EVAL_FLOOR_FRACTION * params.z0
     d1e = d1 if d1 > floor else floor
     d2e = d2 if d2 > floor else floor
@@ -426,7 +435,7 @@ def _rhs_hybrid_reference(state, t, params, exc, gains, hyb):
     state = state.tolist()
     z, zdot, phi, phidot, i1, i2 = state
     ss = _steady_state_reference(params, exc, t, hyb)
-    d1, d2, d1dot, d2dot = _gaps(state, params, ss)
+    d1, d2, d1dot, d2dot = _gaps_and_rates(state, params, ss)
     u1, u2 = _pd_voltages(gains, d1, d2, d1dot, d2dot, ss)
     floor = _EVAL_FLOOR_FRACTION * (params.z0 + hyb.beta)
     e1 = d1 + hyb.beta

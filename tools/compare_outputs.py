@@ -2,8 +2,9 @@
 
     python tools/compare_outputs.py REV
 
-Extracts ``src/`` at REV with ``git archive`` into a temporary directory and
-runs the same matrix of ``levstab`` commands against both source trees:
+Extracts the tree at REV with ``bench_pairs.extract`` into a temporary
+directory and runs the same matrix of ``levstab`` commands against its
+``src/`` and the working tree's:
 ``ellipses``, ``resonance-chart`` (default range and ``--kd=0,1e5``),
 ``steady-state``, ``map`` (default window, ``--theta 0``, and tongue d's
 window of the baseline, ``--kp h1-3k1,h1+3k1
@@ -12,7 +13,7 @@ window of the baseline, ``--kp h1-3k1,h1+3k1
 --periods 100 --perturb 1e-4,5e-5``, ``simulate --periods 100 --perturb
 0,5e-3``, ``simulate --periods 100 --kp 6000 --kd 1000 --perturb=-1e-6,0``
 and ``validate`` (at the config's phase, ``--theta=0`` and
-``--theta=3.141592653589793``), each with the built-in baseline config
+``--theta=3.141592653589793``), each with ``levstab.cli.DEFAULT_CONFIG``
 plus gains 10600/3000, with the same config on the hybrid plant (beta
 0.01), without excitation (A = 0), with an inertia J other than the
 uniform bar's and at A = 1e-8, where the tongues are narrow.  Stdout,
@@ -54,27 +55,24 @@ there is any, else 0.  A full run takes about 37 s on 2 vCPUs, mostly
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from bench_pairs import extract
 from levstab import all_ellipses
+from levstab.cli import DEFAULT_CONFIG
 from levstab.config import parse_config
 
-BASELINE = {
-    "physical": {"m": 7650.0, "C": 0.05, "R": 9.71, "z0": 0.015},
-    "excitation": {"A": 0.005, "Omega": 80.0, "theta": math.pi / 2.0},
-    "gains": {"Kp": 10600.0, "Kd": 3000.0},
-}
+# the configuration levstab runs without --config, at stable gains
+BASELINE = {**DEFAULT_CONFIG, "gains": {"Kp": 10600.0, "Kd": 3000.0}}
 
 
 def tongue_d_window(doc: dict) -> list[str]:
@@ -143,17 +141,6 @@ ENGINE_FIELDS = {
     "det_rel_err_max",
     "workers",
 }
-
-
-def extract_src(rev: str, dest: Path) -> Path:
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
-        capture_output=True,
-        check=True,
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
-    return dest / "src"
 
 
 # Reads one job per line, [argv, env, cwd, stdout file, stderr file], runs
@@ -314,7 +301,7 @@ def main(argv: list[str]) -> int:
     )
     with launcher, tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        trees = {"rev": extract_src(argv[0], tmp / "rev"), "work": ROOT / "src"}
+        trees = {"rev": extract(argv[0], tmp / "rev") / "src", "work": ROOT / "src"}
         for cname, doc in CONFIGS.items():
             config = tmp / f"{cname}.json"
             config.write_text(json.dumps(doc))

@@ -3,9 +3,10 @@
     python tools/engine_gate.py
 
 Runs ``floquet.sweep`` with one worker on 48 maps: the default window
-(``boundaries.default_map_window``) of the baseline config (m 7650, C 0.05,
-R 9.71, z0 0.015, A 0.005, Omega 80) at theta = k pi/12 for k = 1..12, on
-the standard plant and on the hybrid plant (beta 0.01), at 21x21 and 26x26.
+(``boundaries.default_map_window``) of ``levstab.cli.DEFAULT_CONFIG`` (m
+7650, C 0.05, R 9.71, z0 0.015, A 0.005, Omega 80) with its theta replaced
+by k pi/12 for k = 1..12, on the standard plant and on the hybrid plant
+(beta 0.01), at 21x21 and 26x26.
 Every cell is recomputed by ``floquet.monodromy`` (DOP853, rtol 1e-10), the
 reference the engine falls back to.  A cell differs when its class is not
 the reference's, or when the engine or the reference failed on it.
@@ -21,6 +22,7 @@ vCPUs (Python 3.11, numpy 2.4).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import time
@@ -29,20 +31,23 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from levstab import ControlGains, ExcitationParams, HybridParams, PhysicalParams
+from compare_outputs import MU_TOL
+from levstab import ControlGains, HybridParams
 from levstab.boundaries import default_map_window
+from levstab.cli import DEFAULT_CONFIG
+from levstab.config import parse_config
 from levstab.floquet import STEPS, FloquetError, classify, monodromy, resolve_workers, sweep
 
-PARAMS = PhysicalParams(m=7650.0, C=0.05, R=9.71, z0=0.015)
+BASELINE = parse_config(DEFAULT_CONFIG)
+PARAMS = BASELINE.params
 THETAS = [k * math.pi / 12.0 for k in range(1, 13)]
 BETA = 0.01
 GRIDS = (21, 26)
-MU_TOL = 1e-9  # max|mu| agreement, relative to max(1, |mu|), as in compare_outputs.py
 
 
 def check_map(theta: float, hybrid: bool, n: int) -> dict:
     """One map against DOP853: class differences and the largest deviation."""
-    exc = ExcitationParams(A=0.005, Omega=80.0, theta=theta)
+    exc = dataclasses.replace(BASELINE.exc, theta=theta)
     hyb = HybridParams(BETA) if hybrid else None
     kp_range, kd_range = default_map_window(PARAMS, exc)
     start = time.perf_counter()
