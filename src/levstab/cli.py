@@ -21,6 +21,7 @@ import contextlib
 import math
 import os
 import sys
+import warnings
 
 from . import __version__, boundaries, config, floquet, model, output, plant, validation
 
@@ -52,10 +53,16 @@ def _parse_pair(text: str, flag: str, kind=float) -> tuple:
 
 
 def _load(args) -> config.RunConfig:
-    if args.config is not None:
-        cfg = config.load_config(args.config)
-    else:
-        cfg = config.parse_config(DEFAULT_CONFIG)
+    """The run's configuration; a warning raised while it is parsed, such
+    as the kinematic caveat, is printed as one ``warning:`` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if args.config is not None:
+            cfg = config.load_config(args.config)
+        else:
+            cfg = config.parse_config(DEFAULT_CONFIG)
+    for caveat in caught:
+        print(f"warning: {caveat.message}", file=sys.stderr)
     if getattr(args, "theta", None) is not None:
         from dataclasses import replace
 
@@ -167,7 +174,6 @@ def cmd_ellipses(args) -> int:
 
 
 def cmd_map(args) -> int:
-    workers = floquet.resolve_workers()
     cfg = _load(args)
     nx, ny = _parse_pair(args.grid, "--grid", int) if args.grid else (21, 21)
     if args.kp_range and args.kd_range:
@@ -177,7 +183,7 @@ def cmd_map(args) -> int:
         raise config.ConfigError("map needs both --kp lo,hi and --kd lo,hi (or neither)")
     else:
         kp_range, kd_range = boundaries.default_map_window(cfg.params, cfg.exc)
-    smap = floquet.sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid, workers=workers)
+    smap = floquet.sweep(cfg.params, cfg.exc, kp_range, kd_range, nx, ny, hyb=cfg.hybrid)
     out = _outdir(args)
     floquet.write_map_csv(smap, os.path.join(out, "map.csv"))
     meta_path = os.path.join(out, "map_meta.json")
@@ -201,7 +207,10 @@ def cmd_map(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    floquet.resolve_workers()  # a bad LEVSTAB_THREADS is bad input before any criterion runs
+    # a bad LEVSTAB_THREADS is bad input before any criterion runs: the
+    # battery's first sweep comes after eight criteria, which would report
+    # it as a failed criterion (map's sweep rejects it before any product)
+    floquet.resolve_workers()
     cfg = _load(args)
     out = _outdir(args)
     report = validation.run_battery(cfg.params, cfg.exc)
@@ -234,7 +243,6 @@ def cmd_simulate(args) -> int:
     mode = "hybrid" if cfg.hybrid is not None else "standard"
     start = plant.steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
     start = replace(start, z=start.z + dz, phi=start.phi + dphi)
-    plant.require_open_gaps(start, 0.0, cfg.params, cfg.exc)
     out = _outdir(args)
     t_eval = plant.output_grid(t_span, cfg.exc)
     path = os.path.join(out, "trajectory.csv")

@@ -53,18 +53,31 @@ CURRENT_ROWS = ((2, 0, 1), (5, 3, 4))
 
 
 class PeriodicMatrix:
-    """Evaluator of the 6x6 coefficient matrix A(t), periodic with T = 2pi/Omega."""
+    """Evaluator of the 6x6 coefficient matrix A(t), periodic with T = 2pi/Omega,
+    of the standard plant, or of the hybrid plant (``hyb``) linearized about
+    its own steady state.
+
+    The hybrid coefficients involve the shifted gap dss + beta and the total
+    magnet current Iss + gamma = kappa*(dss + beta); gamma itself cancels,
+    so the linearization is the standard one at the nominal gap z0 + beta,
+    and ``gap_offset`` is beta.  A >= z0, where the steady-state gap
+    closes, raises ``ValueError``; acceleration weights (of order 4/m) that
+    are not finite, as at a subnormal m = 1e-310, raise ``RuntimeError``
+    naming m, J and L.
+    """
 
     def __init__(
         self,
         params: PhysicalParams,
         exc: ExcitationParams,
         gains: ControlGains,
-        gap_offset: float = 0.0,
+        hyb: HybridParams | None = None,
     ):
+        if exc.A >= params.z0:
+            raise ValueError("A >= z0: steady-state gap closes")
         self.params = params
         self.exc = exc
-        self.gap_offset = gap_offset
+        self.gap_offset = 0.0 if hyb is None else hyb.beta
         self.period = exc.period
         self._steady = _steady_kernel(params, exc)
         self._kappa = current_scale(params)
@@ -77,13 +90,14 @@ class PeriodicMatrix:
         lhs = np.array([[m / 2.0, m / 2.0], [2.0 * J / L**2, -2.0 * J / L**2]])
         try:
             w = np.linalg.solve(lhs, np.eye(2))
-        except np.linalg.LinAlgError as err:  # unreachable for m, J > 0
+        except np.linalg.LinAlgError as err:  # 2J/L^2 underflows to 0, as at m = J = 5e-324
             raise RuntimeError("acceleration solve singular") from err
         # d_i'' = wp_i * G1 + wm_i * G2
-        self._w11 = w[0, 0] + w[0, 1]
-        self._w12 = w[0, 0] - w[0, 1]
-        self._w21 = w[1, 0] + w[1, 1]
-        self._w22 = w[1, 0] - w[1, 1]
+        with np.errstate(all="ignore"):
+            weights = (w[0, 0] + w[0, 1], w[0, 0] - w[0, 1], w[1, 0] + w[1, 1], w[1, 0] - w[1, 1])
+        if not np.isfinite(weights).all():
+            raise RuntimeError(f"acceleration weights of A(t) not finite at m = {m!r}, J = {J!r}, L = {L!r}")
+        self._w11, self._w12, self._w21, self._w22 = weights
 
     def at(self, t: float) -> np.ndarray:
         """Coefficient matrix at time t, a float, from this matrix's own
@@ -135,23 +149,8 @@ class PeriodicMatrix:
         )
 
 
-def periodic_matrix(
-    params: PhysicalParams,
-    exc: ExcitationParams,
-    gains: ControlGains,
-    hyb: HybridParams | None = None,
-) -> PeriodicMatrix:
-    """Assemble A(t) for the standard plant, or for the hybrid plant
-    linearized about its own steady state.
-
-    The hybrid coefficients involve the shifted gap dss + beta and the total
-    magnet current Iss + gamma = kappa*(dss + beta); the current offset gamma
-    itself cancels, so the linearization equals the standard one with the
-    nominal gap z0 + beta.
-    """
-    if exc.A >= params.z0:
-        raise ValueError("A >= z0: steady-state gap closes")
-    return PeriodicMatrix(params, exc, gains, gap_offset=0.0 if hyb is None else hyb.beta)
+# the name the package exports and its callers use
+periodic_matrix = PeriodicMatrix
 
 
 def _vehicle_to_support_basis(L: float) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "hybrid_transform",
     "steady_vehicle_state",
     "output_grid",
-    "require_open_gaps",
     "integrate",
     "write_trajectory_csv",
     "TRAJECTORY_CSV_HEADER",
@@ -273,25 +272,6 @@ def output_grid(t_span: tuple[float, float], exc: ExcitationParams) -> np.ndarra
     return np.linspace(t_span[0], t_span[1], n + 1)
 
 
-def require_open_gaps(
-    state: VehicleState, t: float, params: PhysicalParams, exc: ExcitationParams
-) -> None:
-    """Raise ``ValueError`` if an airgap of ``state`` at time t lies below
-    the contact threshold CLOSURE_FRACTION * z0.
-
-    ``integrate``'s closure event fires when a gap falls through that
-    threshold, so it never sees a run that starts below it.
-    """
-    contact = CLOSURE_FRACTION * params.z0
-    gaps = _gaps(state.as_array(), params, steady_state(params, exc, float(t)))
-    for name, gap in zip(("gap1", "gap2"), gaps):
-        if gap < contact:
-            raise ValueError(
-                f"the start has {name} = {gap:.6g} m, below the contact threshold "
-                f"CLOSURE_FRACTION * z0 = {contact:.6g} m"
-            )
-
-
 class Trajectory(NamedTuple):
     """Integration result: samples plus integrator metadata.
 
@@ -331,7 +311,10 @@ def integrate(
     t_span[0] plus one period of slack, raises ``RuntimeError`` naming the
     limit; one whose state turns non-finite raises it on the first NaN time.
 
-    An airgap falling below 1% of the nominal z0 counts as contact and
+    A start with an airgap below the contact threshold CLOSURE_FRACTION *
+    z0, 1% of the nominal gap, raises ``ValueError`` naming the gap before
+    the first RHS evaluation, since the closure event fires only on a
+    falling crossing.  An airgap falling through it counts as contact and
     terminates the run (the model has no track-contact physics); the partial
     trajectory is returned with ``meta["aborted"] = True`` and the closure
     time recorded.  A negative current in the force law, I on the standard
@@ -381,6 +364,13 @@ def integrate(
         )
 
     contact = CLOSURE_FRACTION * params.z0
+    start = initial.as_array()
+    for name, gap in zip(("gap1", "gap2"), _gaps(start, params, steady_state(params, exc, t0))):
+        if gap < contact:
+            raise ValueError(
+                f"the start has {name} = {gap:.6g} m, below the contact threshold "
+                f"CLOSURE_FRACTION * z0 = {contact:.6g} m"
+            )
     half = 0.5 * params.L
     steady = _steady_kernel(params, exc)
 
@@ -408,7 +398,7 @@ def integrate(
     sol = dop853.solve(
         fun,
         t_span,
-        initial.as_array(),
+        start,
         rtol,
         atol,
         t_eval=t_eval,

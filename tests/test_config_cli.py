@@ -1396,12 +1396,12 @@ def test_cli_simulate_rejects_start_with_closed_gap(tmp_path, monkeypatch, capsy
     """A perturbation that puts an airgap below the contact threshold at
     the start is bad input, reported before any integration: the closure
     event fires only on a falling crossing and would never see it."""
-    from levstab import plant
+    from levstab import dop853
 
     def never(*args, **kwargs):
         raise AssertionError("integrated a start with a closed gap")
 
-    monkeypatch.setattr(plant, "integrate", never)
+    monkeypatch.setattr(dop853, "solve", never)
     rc = main(["simulate", "--kp", "11841.56", "--kd", "4709.7", "--perturb", "0,1e-2",
                "--out", str(tmp_path)])
     assert rc == EXIT_BAD_INPUT
@@ -1409,6 +1409,43 @@ def test_cli_simulate_rejects_start_with_closed_gap(tmp_path, monkeypatch, capsy
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "gap2" in err and "CLOSURE_FRACTION * z0 = 0.00015 m" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_map_subnormal_mass_fails_at_once(tmp_path, monkeypatch, capsys):
+    """At m = 1e-310 the acceleration weights of A(t) are not finite: the
+    map fails in A(t)'s constructor with one error line and exit 3, with
+    no numpy warning, no product and no cell sent to ``monodromy``."""
+    import warnings
+
+    from levstab import floquet
+
+    calls = []
+    real = floquet.monodromy
+    monkeypatch.setattr(floquet, "monodromy", lambda *a, **k: calls.append(1) or real(*a, **k))
+    doc = {**B0_DOC, "physical": {**B0_DOC["physical"], "m": 1e-310}}
+    cfgp = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["map", "--grid", "3,3", "--config", cfgp, "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == "error: acceleration weights of A(t) not finite at m = 1e-310, J = 7.5e-311, L = 3.0\n"
+    assert caught == [] and calls == []
+    assert not out.exists()
+
+
+def test_cli_prints_kinematic_caveat_as_one_warning_line(tmp_path, capsys):
+    """A configuration given as v, d draws the kinematic caveat, which the
+    CLI prints as one ``warning:`` line, with no path or source line."""
+    doc = {**B0_DOC, "excitation": {"A": 0.005, "v": 38.197186342054884, "d": 0.75}}
+    rc = main(["ellipses", "--config", _write(tmp_path, doc), "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: kinematic_excitation uses Omega = 2*pi*v/L, theta = 2*pi*d/L as "
+        "published; the roles of d and L are suspected transposed. "
+        "Prefer supplying Omega and theta directly.\n"
+    )
 
 
 @pytest.mark.parametrize("command", [["ellipses"], ["simulate", *GAINS_ARGS]])

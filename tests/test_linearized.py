@@ -39,6 +39,35 @@ def test_periodicity(b0, exc_quarter):
         assert np.linalg.norm(a1 - a0) < 1e-12 * np.linalg.norm(a0)
 
 
+@pytest.mark.parametrize("A", [0.015, 0.02])
+def test_constructor_rejects_closed_steady_gap(b0, A):
+    """A >= z0 closes the steady-state gap: ``PeriodicMatrix`` built
+    directly refuses it, as ``periodic_matrix``, the same class, does."""
+    assert periodic_matrix is PeriodicMatrix
+    with pytest.raises(ValueError, match="^A >= z0: steady-state gap closes$"):
+        PeriodicMatrix(b0, ExcitationParams(A=A, Omega=80.0), GAINS)
+
+
+@pytest.mark.parametrize("m, message", [
+    (1e-310, "acceleration weights of A(t) not finite at m = 1e-310, J = 7.5e-311, L = 3.0"),
+    # 2J/L^2 underflows to 0, so the force-balance rows are singular
+    (5e-324, "acceleration solve singular"),
+])
+def test_subnormal_mass_fails_without_warnings(m, message, exc_quarter):
+    """Below about 2.2e-308 kg the acceleration weights, of order 4/m, are
+    not finite: A(t)'s constructor raises at once, naming m, J and L, and
+    numpy warns of nothing."""
+    import warnings
+
+    params = PhysicalParams(m=m, C=0.05, R=9.71, z0=0.015)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError) as err:
+            periodic_matrix(params, exc_quarter, GAINS)
+    assert str(err.value) == message
+    assert caught == []
+
+
 def test_unexcited_matrix_constant(b0, exc_still):
     pm = periodic_matrix(b0, exc_still, GAINS)
     np.testing.assert_array_equal(pm.at(0.0), pm.at(0.777))

@@ -370,6 +370,35 @@ def test_integrate_rejects_mode_hyb_mismatch(b0, exc_quarter):
         integrate(start, span, b0, exc_quarter, GAINS, mode="hybrid")
 
 
+@pytest.mark.parametrize("hybrid", [False, True], ids=["standard", "hybrid"])
+@pytest.mark.parametrize("fraction", [0.005, 0.0099])
+def test_integrate_rejects_start_below_contact_threshold(b0, exc_quarter, monkeypatch, hybrid, fraction):
+    """A start whose gap2 lies below CLOSURE_FRACTION * z0 is refused
+    before the first RHS evaluation: the closure event fires only on a
+    falling crossing, so the run would otherwise go on into its RHS
+    budget."""
+    from levstab import plant
+
+    calls = []
+    for name in ("rhs", "rhs_hybrid"):
+        real = getattr(plant, name)
+        monkeypatch.setattr(plant, name, lambda *a, real=real: calls.append(1) or real(*a))
+    hyb = HybridParams(beta=0.01) if hybrid else None
+    s0 = steady_vehicle_state(b0, exc_quarter, 0.0, hyb)
+    # gap2 = z - (L/2) phi - w2
+    w2 = float(steady_state(b0, exc_quarter, 0.0).w2)
+    phi = (s0.z - w2 - fraction * b0.z0) / (0.5 * b0.L)
+    start = VehicleState(s0.z, 0.0, phi, 0.0, s0.I1, s0.I2)
+    with pytest.raises(ValueError) as err:
+        integrate(start, (0.0, 2 * exc_quarter.period), b0, exc_quarter, GAINS,
+                  mode="hybrid" if hybrid else "standard", hyb=hyb)
+    assert str(err.value) == (
+        f"the start has gap2 = {fraction * b0.z0:.6g} m, below the contact threshold "
+        "CLOSURE_FRACTION * z0 = 0.00015 m"
+    )
+    assert calls == []
+
+
 # The per-call steady state and right-hand sides that the per-configuration
 # derivative replaced, kept as the reference it must equal bit for bit.
 def _steady_state_reference(params, exc, t, hyb=None):

@@ -16,7 +16,10 @@ and ``validate`` (at the config's phase, ``--theta=0`` and
 ``--theta=3.141592653589793``), each with ``levstab.cli.DEFAULT_CONFIG``
 plus gains 10600/3000, with the same config on the hybrid plant (beta
 0.01), without excitation (A = 0), with an inertia J other than the
-uniform bar's and at A = 1e-8, where the tongues are narrow.  Stdout,
+uniform bar's, at A = 1e-8, where the tongues are narrow, and with the
+excitation given in the kinematic form v, d, which ``parse_config``
+converts to Omega = 80 and theta = pi/2 up to rounding, ``dump_config``
+writes back as v, d, and ``--theta`` replaces.  Stdout,
 stderr, the exit code and every output file must match byte for byte,
 except where the map engine may legitimately move a value in its last
 digits:
@@ -49,8 +52,9 @@ mark starts at the resident size of the process that forks it, so every
 command is started by a small launcher process (``LAUNCHER``), never by
 this tool, which holds numpy.  These numbers are informational: no
 difference is counted for them.  Prints each difference and exits 1 if
-there is any, else 0.  A full run takes about 37 s on 2 vCPUs, mostly
-``validate``; the A = 1e-8 config adds about 8 s of it.
+there is any, else 0.  A full run takes about 45 s on 2 vCPUs, mostly
+``validate``; the A = 1e-8 config adds about 8 s of it, and the kinematic
+one about 9 s.
 """
 
 from __future__ import annotations
@@ -89,13 +93,15 @@ def tongue_d_window(doc: dict) -> list[str]:
 # the unexcited and non-uniform-J configs take the battery's two skip paths;
 # at A = 1e-8 the tongues' half-widths are 7e-8 to 2e-7 of their centres,
 # where a cheaper evaluator of criterion 7's scans has trusted indicator
-# values of the wrong sign
+# values of the wrong sign; the kinematic config is the baseline's
+# excitation as v, d, with the caveat the CLI prints as a warning line
 CONFIGS = {
     "standard": BASELINE,
     "hybrid": {**BASELINE, "hybrid": {"beta": 0.01}},
     "unexcited": {**BASELINE, "excitation": {**BASELINE["excitation"], "A": 0.0}},
     "non-uniform-J": {**BASELINE, "physical": {**BASELINE["physical"], "J": 7000.0}},
     "narrow-tongue": {**BASELINE, "excitation": {**BASELINE["excitation"], "A": 1e-8}},
+    "kinematic": {**BASELINE, "excitation": {"A": 0.005, "v": 38.197186342054884, "d": 0.75}},
 }
 COMMANDS = {
     "ellipses": ["ellipses"],
