@@ -67,7 +67,7 @@ def _load(args) -> config.RunConfig:
         from dataclasses import replace
 
         exc = replace(cfg.exc, theta=args.theta, v=None, d=None)
-        model.validate(cfg.params, exc)
+        model.validate(cfg.params, exc, cfg.hybrid)
         cfg = cfg._replace(exc=exc)
     return cfg
 

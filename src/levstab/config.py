@@ -114,15 +114,13 @@ def parse_config(doc: dict) -> RunConfig:
             theta=_number(exc_doc, "theta", "excitation") if "theta" in exc_doc else 0.0,
         )
 
+    hybrid = _section(doc, "hybrid", HybridParams) if "hybrid" in doc else None
     try:
-        validate(params, exc)
+        validate(params, exc, hybrid)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
     gains = _section(doc, "gains", ControlGains) if "gains" in doc else None
-    hybrid = _section(doc, "hybrid", HybridParams) if "hybrid" in doc else None
-    if hybrid is not None and hybrid.beta < 0:
-        raise ConfigError("hybrid.beta must be nonnegative")
 
     return RunConfig(params=params, exc=exc, gains=gains, hybrid=hybrid)
 

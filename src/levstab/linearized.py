@@ -34,6 +34,7 @@ from .model import (
     _steady_kernel,
     current_scale,
     steady_state,
+    validate,
 )
 
 __all__ = [
@@ -60,10 +61,11 @@ class PeriodicMatrix:
     The hybrid coefficients involve the shifted gap dss + beta and the total
     magnet current Iss + gamma = kappa*(dss + beta); gamma itself cancels,
     so the linearization is the standard one at the nominal gap z0 + beta,
-    and ``gap_offset`` is beta.  A >= z0, where the steady-state gap
-    closes, raises ``ValueError``; acceleration weights (of order 4/m) that
-    are not finite, as at a subnormal m = 1e-310, raise ``RuntimeError``
-    naming m, J and L.
+    and ``gap_offset`` is beta.  The constructor checks its configuration
+    with ``model.validate``, whose ``ValueError`` names what is wrong: A >=
+    z0, where the steady-state gap closes, or a parameter outside the
+    physical range, where the acceleration weights below would overflow
+    or the solve be singular.
     """
 
     def __init__(
@@ -73,8 +75,7 @@ class PeriodicMatrix:
         gains: ControlGains,
         hyb: HybridParams | None = None,
     ):
-        if exc.A >= params.z0:
-            raise ValueError("A >= z0: steady-state gap closes")
+        validate(params, exc, hyb)
         self.params = params
         self.exc = exc
         self.gap_offset = 0.0 if hyb is None else hyb.beta
@@ -88,16 +89,11 @@ class PeriodicMatrix:
         # [m/2, m/2; 2J/L^2, -2J/L^2] [d1''; d2''] = [G1+G2; G1-G2]
         m, J, L = params.m, params.J, params.L
         lhs = np.array([[m / 2.0, m / 2.0], [2.0 * J / L**2, -2.0 * J / L**2]])
-        try:
-            w = np.linalg.solve(lhs, np.eye(2))
-        except np.linalg.LinAlgError as err:  # 2J/L^2 underflows to 0, as at m = J = 5e-324
-            raise RuntimeError("acceleration solve singular") from err
-        # d_i'' = wp_i * G1 + wm_i * G2
-        with np.errstate(all="ignore"):
-            weights = (w[0, 0] + w[0, 1], w[0, 0] - w[0, 1], w[1, 0] + w[1, 1], w[1, 0] - w[1, 1])
-        if not np.isfinite(weights).all():
-            raise RuntimeError(f"acceleration weights of A(t) not finite at m = {m!r}, J = {J!r}, L = {L!r}")
-        self._w11, self._w12, self._w21, self._w22 = weights
+        w = np.linalg.solve(lhs, np.eye(2))
+        # d_i'' = wp_i * G1 + wm_i * G2, with weights 1/m +/- L^2/(4J)
+        self._w11, self._w12, self._w21, self._w22 = (
+            w[0, 0] + w[0, 1], w[0, 0] - w[0, 1], w[1, 0] + w[1, 1], w[1, 0] - w[1, 1]
+        )
 
     def at(self, t: float) -> np.ndarray:
         """Coefficient matrix at time t, a float, from this matrix's own

@@ -17,6 +17,7 @@ no plant.  numpy loads only when the steady state is evaluated on an array.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
@@ -150,15 +151,68 @@ class HybridParams:
     beta: float
 
 
-def validate(params: PhysicalParams, exc: ExcitationParams) -> tuple[PhysicalParams, ExcitationParams]:
-    """Check all type invariants; return the pair unchanged if they hold.
+def validate(
+    params: PhysicalParams, exc: ExcitationParams, hyb: HybridParams | None = None
+) -> tuple[PhysicalParams, ExcitationParams]:
+    """Check all type invariants and the physical range; return the pair
+    unchanged if they hold.
 
-    Raises ValueError naming the first violated invariant.
+    The physical range: each factor that the parameters alone set in the
+    formulas the commands evaluate is a normal float, neither overflowed
+    nor underflowed.  The factors are kappa^2 = m g/(2C), R kappa, 2C,
+    R z0/(2C), 2g/(mC), C g m, m/2, 2J/L^2, m L^2/(4J), 1/m + L^2/(4J)
+    and, with ``hyb``, kappa (z0 + beta); the comment below names the
+    formula each one scales.  A, Omega and theta keep their own checks, so
+    A = 0, a subnormal A^2 and a Liouville value exp(-R z0 T/C) that
+    underflows stay valid.
+
+    Raises ValueError naming the first violated invariant or factor.
     """
     for name in ("m", "C", "R", "g", "z0", "L", "J"):
         value = getattr(params, name)
         if not math.isfinite(value) or value <= 0.0:
             raise ValueError(f"{name} must be positive")
+    if hyb is not None and not hyb.beta >= 0.0:
+        raise ValueError("hybrid.beta must be nonnegative")
+    m, C, R, g, z0, L, J = (getattr(params, k) for k in ("m", "C", "R", "g", "z0", "L", "J"))
+
+    def normal(name: str, value: float) -> float:
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise ValueError(
+                f"{name} = {value!r} is not a normal float: the parameters lie outside "
+                "the range the model's formulas can represent"
+            )
+        return value
+
+    # the factors, in order, and the formulas whose scale each one sets:
+    #   kappa^2 = m g/(2C): the steady currents kappa gap (steady_state, A(t))
+    #   R kappa: the steady voltages R kappa gap (steady_state)
+    #   2C: A(t)'s force gradients 2C I^2/gap^3, 2C I/gap^2, and 1/(2C) in its current rows
+    #   R z0/(2C): the Hopf line's slope (static_boundary_lines), R gap/(2C) in A(t)
+    #   2g/(mC): omega1^2 per unit Kd (natural_frequencies, resonance_chart),
+    #     and criterion 2's (2g/(mC))^(1/4)
+    #   C g m: under the root sqrt(C g m) that divides h0, h1 and h2 (boundaries)
+    #   m/2, 2J/L^2: the inertias of A(t)'s force-balance rows, by which its
+    #     solve for the accelerations divides
+    #   m L^2/(4J): their ratio, (omega2/omega1)^2 (natural_frequencies), which
+    #     that solve multiplies into the larger inertia
+    #   1/m + L^2/(4J): the acceleration weights that solve gives A(t)
+    #   kappa (z0 + beta): the hybrid plant's current offset gamma (hybrid_gamma)
+    kappa2 = normal("kappa^2 = m g/(2C)", m * g / (2.0 * C))
+    normal("R kappa = R sqrt(m g/(2C))", R * math.sqrt(kappa2))
+    normal("2C", 2.0 * C)
+    normal("R z0/(2C)", R * z0 / (2.0 * C))
+    mC = m * C
+    normal("2g/(mC)", 2.0 * g / mC if mC else math.inf)
+    normal("C g m", C * g * m)
+    half_m = normal("m/2", m / 2.0)
+    LL = L * L
+    rot = normal("2J/L^2", 2.0 * J / LL if LL else math.inf)
+    normal("m L^2/(4J)", half_m / rot)
+    normal("1/m + L^2/(4J)", 1.0 / m + 0.5 / rot)
+    if hyb is not None:
+        normal("kappa (z0 + beta)", math.sqrt(kappa2) * (z0 + hyb.beta))
+
     if not math.isfinite(exc.A) or exc.A < 0.0:
         raise ValueError("A must be nonnegative")
     if exc.A >= params.z0:

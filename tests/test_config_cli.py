@@ -6,9 +6,11 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from levstab.cli import (
     EXIT_VALIDATION,
     main,
 )
-from levstab.config import ConfigError, dump_config, load_config, parse_config
+from levstab.config import ConfigError, RunConfig, dump_config, load_config, parse_config
 from levstab.plant import MAX_SAMPLES, SAMPLES_PER_PERIOD
 
 
@@ -90,6 +92,74 @@ def test_parse_enforces_model_invariants():
     doc = {**B0_DOC, "physical": {**B0_DOC["physical"], "m": -1.0}}
     with pytest.raises(ConfigError, match="must be positive"):
         parse_config(doc)
+
+
+# configurations outside the physical range: (physical overrides of B0,
+# the factor the error names)
+OUT_OF_RANGE = {
+    "m=1e-310": ({"m": 1e-310}, "kappa^2 = m g/(2C)"),
+    "m=5e-324": ({"m": 5e-324}, "kappa^2 = m g/(2C)"),
+    "m=1e-300,C=1e300": ({"m": 1e-300, "C": 1e300}, "kappa^2 = m g/(2C)"),
+}
+
+
+def _out_of_range_doc(case: str) -> dict:
+    return {**B0_DOC, "physical": {**B0_DOC["physical"], **OUT_OF_RANGE[case][0]}}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_parse_rejects_parameters_outside_the_physical_range(case):
+    factor = OUT_OF_RANGE[case][1]
+    with pytest.raises(ConfigError, match=f"^{re.escape(factor)} = .* is not a normal float"):
+        parse_config(_out_of_range_doc(case))
+
+
+def test_parse_accepts_configurations_inside_the_physical_range(seed1, underflow_doc, monkeypatch):
+    """B0, seed1, underflow_doc, the configurations of
+    ``tools/compare_outputs.py`` inside the range, and the twelfth hybrid
+    draw of the fuzz test, whose Liouville value underflows, all parse."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    from compare_outputs import CONFIGS
+    from test_fuzz import CONFIGS as DRAWS, HYBRID_CONFIGS, SEED, _draw
+
+    rng = np.random.default_rng(SEED)
+    draws = [_draw(rng, hybrid=k >= DRAWS) for k in range(DRAWS + HYBRID_CONFIGS)]
+    docs = {"B0": B0_DOC, "seed1": dump_config(RunConfig(*seed1)), "underflow_doc": underflow_doc}
+    docs.update((name, doc) for name, doc in CONFIGS.items() if name != "out-of-range")
+    docs["fuzz hybrid draw 12"] = draws[-1]
+    assert len(docs) == 10 and "hybrid" in draws[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the kinematic caveat
+        for doc in docs.values():
+            parse_config(doc)
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ellipses"],
+        ["steady-state"],
+        ["resonance-chart"],
+        ["map", "--grid", "3,3"],
+        ["simulate", *GAINS_ARGS, "--periods", "1"],
+        ["validate"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_rejects_parameters_outside_the_physical_range(tmp_path, capsys, argv, case):
+    """Every command refuses a configuration outside the physical range as
+    bad input: exit 2, one ``error:`` line naming the factor, no numpy
+    warning and no ``--out`` directory."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--config", _write(tmp_path, _out_of_range_doc(case)), "--out", str(out)])
+    assert rc == EXIT_BAD_INPUT
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"error: {OUT_OF_RANGE[case][1]} = ") and printed.err.count("\n") == 1
+    assert printed.out == "" and caught == []
+    assert not out.exists()
 
 
 def test_parse_kinematic_form_warns_and_converts():
@@ -1412,11 +1482,10 @@ def test_cli_simulate_rejects_start_with_closed_gap(tmp_path, monkeypatch, capsy
 
 
 def test_cli_map_subnormal_mass_fails_at_once(tmp_path, monkeypatch, capsys):
-    """At m = 1e-310 the acceleration weights of A(t) are not finite: the
-    map fails in A(t)'s constructor with one error line and exit 3, with
-    no numpy warning, no product and no cell sent to ``monodromy``."""
-    import warnings
-
+    """At m = 1e-310 the acceleration weights of A(t) would not be finite:
+    the map refuses the configuration as bad input, with one error line
+    and exit 2, no numpy warning, no product and no cell sent to
+    ``monodromy``."""
     from levstab import floquet
 
     calls = []
@@ -1428,9 +1497,12 @@ def test_cli_map_subnormal_mass_fails_at_once(tmp_path, monkeypatch, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["map", "--grid", "3,3", "--config", cfgp, "--out", str(out)])
-    assert rc == EXIT_RUNTIME
+    assert rc == EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert err == "error: acceleration weights of A(t) not finite at m = 1e-310, J = 7.5e-311, L = 3.0\n"
+    assert err == (
+        "error: kappa^2 = m g/(2C) = 9.809999999999965e-309 is not a normal float: "
+        "the parameters lie outside the range the model's formulas can represent\n"
+    )
     assert caught == [] and calls == []
     assert not out.exists()
 
@@ -1601,14 +1673,16 @@ def test_criterion_13_measures_closed_tongues_at_their_open_phase(monkeypatch, b
     assert sorted(measured) == ["dominant_a", "dominant_b", "dominant_c", "dominant_d"]
 
 
-# configurations whose closed forms overflow: every ellipse centre and
-# half-axis is inf and Kd NaN; every steady current and voltage is inf
+# configurations inside the physical range whose closed forms overflow:
+# every ellipse centre and half-axis is inf and Kd NaN; every steady
+# current kappa gap, with kappa = 2.2e150 A/m and gaps near 1e200 m, and
+# every voltage is inf
 HUGE_MASS = {
     "physical": {"m": 1e300, "C": 1e5, "R": 1e5, "z0": 1e5},
     "excitation": {"A": 0.005, "Omega": 1e5, "theta": math.pi / 2},
 }
-TINY_C = {
-    "physical": {"m": 7650.0, "C": 5e-324, "R": 9.71, "z0": 1e300},
+HUGE_GAP = {
+    "physical": {"m": 1e300, "C": 1.0, "R": 9.71, "z0": 1e200},
     "excitation": {"A": 0.005, "Omega": 80.0, "theta": math.pi / 2},
 }
 
@@ -1618,7 +1692,7 @@ TINY_C = {
     [
         (["ellipses"], HUGE_MASS, "ellipse_a.csv: NaN or inf in column Kp"),
         (["ellipses", "--format", "json"], HUGE_MASS, "ellipses.json: NaN or inf in h1"),
-        (["steady-state"], TINY_C, "steady_state.csv: NaN or inf in column I1"),
+        (["steady-state"], HUGE_GAP, "steady_state.csv: NaN or inf in column I1"),
     ],
     ids=["ellipses", "ellipses json", "steady-state"],
 )

@@ -663,18 +663,18 @@ def test_refined_pass_independent_of_groups(monkeypatch, b0, exc_quarter):
         assert passes[5].tobytes() == passes[1].tobytes()
 
 
-def test_sweep_survives_rows_of_a_that_underflow(exc_quarter):
-    """With m = 1e-300 and C = 1e300 the steady currents underflow to zero
-    and the force-balance rows of A are zero over the whole period; the
-    sweep still classifies every cell, as DOP853 does."""
+def test_sweep_refuses_currents_that_underflow(exc_quarter, monkeypatch):
+    """With m = 1e-300 and C = 1e300 the steady currents per unit gap,
+    sqrt(m g/(2C)), underflow to zero, and the force-balance rows of A
+    with them, so every cell would read marginal: the sweep refuses the
+    parameters with a ``ValueError`` naming kappa^2 before any cell runs."""
+    import levstab.floquet as fl
+
     params = PhysicalParams(m=1e-300, C=1e300, R=9.71, z0=0.015)
-    kp_range, kd_range = default_map_window(params, exc_quarter)
-    smap = sweep(params, exc_quarter, kp_range, kd_range, 3, 3, workers=1)
-    assert not smap.errors
-    for i, kp in enumerate(smap.kp):
-        for j, kd in enumerate(smap.kd):
-            ref = classify(monodromy(params, exc_quarter, ControlGains(kp, kd)))
-            assert smap.classes[i, j] == ref == "marginal", (kp, kd)
+    for name in ("_propagate", "monodromy"):
+        monkeypatch.setattr(fl, name, lambda *a, **k: pytest.fail("ran a cell"))
+    with pytest.raises(ValueError, match=r"^kappa\^2 = m g/\(2C\) = 0\.0 is not a normal float"):
+        sweep(params, exc_quarter, (1.0, 2.0), (1.0, 2.0), 3, 3, workers=1)
 
 
 def test_sweep_grid_properties(b0, exc_still):

@@ -49,20 +49,23 @@ def test_constructor_rejects_closed_steady_gap(b0, A):
 
 
 @pytest.mark.parametrize("m, message", [
-    (1e-310, "acceleration weights of A(t) not finite at m = 1e-310, J = 7.5e-311, L = 3.0"),
-    # 2J/L^2 underflows to 0, so the force-balance rows are singular
-    (5e-324, "acceleration solve singular"),
-])
+    (1e-310, "kappa^2 = m g/(2C) = 9.809999999999965e-309 is not a normal float: "
+             "the parameters lie outside the range the model's formulas can represent"),
+    (5e-324, "kappa^2 = m g/(2C) = 4.94e-322 is not a normal float: "
+             "the parameters lie outside the range the model's formulas can represent"),
+], ids=["1e-310", "5e-324"])
 def test_subnormal_mass_fails_without_warnings(m, message, exc_quarter):
-    """Below about 2.2e-308 kg the acceleration weights, of order 4/m, are
-    not finite: A(t)'s constructor raises at once, naming m, J and L, and
-    numpy warns of nothing."""
+    """Below about 2.2e-308 kg the acceleration weights, of order 4/m,
+    would not be finite, and the steady currents per unit gap underflow:
+    A(t)'s constructor refuses the parameters at once, through
+    ``model.validate``, naming the first factor out of range, and numpy
+    warns of nothing."""
     import warnings
 
     params = PhysicalParams(m=m, C=0.05, R=9.71, z0=0.015)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(RuntimeError) as err:
+        with pytest.raises(ValueError) as err:
             periodic_matrix(params, exc_quarter, GAINS)
     assert str(err.value) == message
     assert caught == []

@@ -2,6 +2,7 @@
 kinematic excitation wrapper."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,49 @@ def test_validate_rejects_nonpositive_mass():
     bad = PhysicalParams(m=0.0, C=0.05, R=9.71, z0=0.015, L=3.0, J=1.0)
     with pytest.raises(ValueError, match="m must be positive"):
         validate(bad, ExcitationParams(A=0.001, Omega=80.0, theta=0.0))
+
+
+# one configuration per factor of the physical range, each inside the
+# range in every factor checked before it: (overrides of B0, hybrid beta,
+# the factor named)
+RANGE_CASES = {
+    "kappa2": (dict(m=1e-300, C=1e300), None, "kappa^2 = m g/(2C)"),
+    "R-kappa": (dict(R=1e306), None, "R kappa = R sqrt(m g/(2C))"),
+    "2C": (dict(m=1e-298, g=1.0, C=1e-309), None, "2C"),
+    "slope": (dict(z0=1e307), None, "R z0/(2C)"),
+    "omega-scale": (dict(m=1e-200, C=1e-200), None, "2g/(mC)"),
+    "Cgm": (dict(m=1e-5, C=1e-5, g=1e-300), None, "C g m"),
+    "half-mass": (dict(m=3e-308, C=4.9), None, "m/2"),
+    "rotational-inertia": (dict(m=1.0, C=1.0, J=1e-310), None, "2J/L^2"),
+    "inertia-ratio": (dict(m=1e-200, C=1.0, L=1.0, J=1e110), None, "m L^2/(4J)"),
+    "weights": (dict(m=1e308, C=0.5, g=1.0, L=1.0, J=5e307), None, "1/m + L^2/(4J)"),
+    "hybrid-offset": ({}, 1e306, "kappa (z0 + beta)"),
+}
+
+
+@pytest.mark.parametrize("case", RANGE_CASES.values(), ids=RANGE_CASES.keys())
+def test_validate_rejects_each_factor_outside_the_range(b0, exc_quarter, case):
+    """Every factor of the physical range can be the first one out of it:
+    a factor below the normal floats or overflowed raises ``ValueError``
+    naming it."""
+    from levstab import HybridParams
+
+    overrides, beta, factor = case
+    fields = {"m": b0.m, "C": b0.C, "R": b0.R, "z0": b0.z0, "g": b0.g, "L": b0.L, **overrides}
+    params = PhysicalParams(**fields)
+    hyb = None if beta is None else HybridParams(beta)
+    with pytest.raises(ValueError, match=f"^{re.escape(factor)} = .* is not a normal float"):
+        validate(params, exc_quarter, hyb)
+
+
+def test_validate_rejects_negative_beta(b0, exc_quarter):
+    """The hybrid gap offset beta >= 0 is a precondition of the model."""
+    from levstab import HybridParams
+
+    for beta in (-0.01, math.nan):
+        with pytest.raises(ValueError, match="^hybrid.beta must be nonnegative$"):
+            validate(b0, exc_quarter, HybridParams(beta))
+    assert validate(b0, exc_quarter, HybridParams(0.0)) == (b0, exc_quarter)
 
 
 def test_validate_rejects_negative_amplitude(b0):

@@ -19,7 +19,9 @@ plus gains 10600/3000, with the same config on the hybrid plant (beta
 uniform bar's, at A = 1e-8, where the tongues are narrow, and with the
 excitation given in the kinematic form v, d, which ``parse_config``
 converts to Omega = 80 and theta = pi/2 up to rounding, ``dump_config``
-writes back as v, d, and ``--theta`` replaces.  Stdout,
+writes back as v, d, and ``--theta`` replaces, and with m = 1e-300 and C =
+1e300, outside the physical range, which every command refuses as bad
+input.  Stdout,
 stderr, the exit code and every output file must match byte for byte,
 except where the map engine may legitimately move a value in its last
 digits:
@@ -54,7 +56,9 @@ this tool, which holds numpy.  These numbers are informational: no
 difference is counted for them.  Prints each difference and exits 1 if
 there is any, else 0.  A full run takes about 45 s on 2 vCPUs, mostly
 ``validate``; the A = 1e-8 config adds about 8 s of it, and the kinematic
-one about 9 s.
+one about 9 s.  The out-of-range config added 5.4 s against a revision
+whose commands still ran it, of a run that took 97 s on a busier 2-vCPU
+VM; once both trees refuse it, it costs about 3.5 s there.
 """
 
 from __future__ import annotations
@@ -94,7 +98,9 @@ def tongue_d_window(doc: dict) -> list[str]:
 # at A = 1e-8 the tongues' half-widths are 7e-8 to 2e-7 of their centres,
 # where a cheaper evaluator of criterion 7's scans has trusted indicator
 # values of the wrong sign; the kinematic config is the baseline's
-# excitation as v, d, with the caveat the CLI prints as a warning line
+# excitation as v, d, with the caveat the CLI prints as a warning line;
+# out-of-range lies outside the physical range, its steady currents per
+# unit gap underflowing to 0, so every command takes the bad-input path
 CONFIGS = {
     "standard": BASELINE,
     "hybrid": {**BASELINE, "hybrid": {"beta": 0.01}},
@@ -102,6 +108,7 @@ CONFIGS = {
     "non-uniform-J": {**BASELINE, "physical": {**BASELINE["physical"], "J": 7000.0}},
     "narrow-tongue": {**BASELINE, "excitation": {**BASELINE["excitation"], "A": 1e-8}},
     "kinematic": {**BASELINE, "excitation": {"A": 0.005, "v": 38.197186342054884, "d": 0.75}},
+    "out-of-range": {**BASELINE, "physical": {**BASELINE["physical"], "m": 1e-300, "C": 1e300}},
 }
 COMMANDS = {
     "ellipses": ["ellipses"],

@@ -13,11 +13,12 @@ the reference's, or when the engine or the reference failed on it.
 
 Prints one line per map (class differences, the largest max|mu| deviation
 relative to max(1, |mu|), the engine's cells per step count and its
-fallback cells) and a summary.  Exits 1 on any class difference or on a
-deviation above MU_TOL, else 0.  The maps run in a process pool of
-``floquet.resolve_workers()`` processes (``LEVSTAB_THREADS`` sets it); a
-full run performs 26,808 DOP853 monodromies and takes about 25 s on 2
-vCPUs (Python 3.11, numpy 2.4).
+fallback cells) and a summary, which names the cell behind the largest
+deviation: its map, Kp, Kd and the step count the engine accepted it at.
+Exits 1 on any class difference or on a deviation above MU_TOL, else 0.
+The maps run in a process pool of ``floquet.resolve_workers()`` processes
+(``LEVSTAB_THREADS`` sets it); a full run performs 26,808 DOP853
+monodromies and takes about 25 s on 2 vCPUs (Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def check_map(theta: float, hybrid: bool, n: int) -> dict:
     start = time.perf_counter()
     smap = sweep(PARAMS, exc, kp_range, kd_range, n, n, hyb=hyb, workers=1)
     seconds = time.perf_counter() - start
-    differ, worst = 0, 0.0
+    differ, worst, worst_at = 0, 0.0, None
     for i, kp in enumerate(smap.kp):
         for j, kd in enumerate(smap.kd):
             try:
@@ -65,16 +66,35 @@ def check_map(theta: float, hybrid: bool, n: int) -> dict:
                 differ += 1
             elif math.isfinite(smap.max_mu[i, j]):
                 dev = abs(smap.max_mu[i, j] - ref.max_modulus) / max(1.0, ref.max_modulus)
-                worst = max(worst, dev)
+                if dev > worst:
+                    worst, worst_at = dev, (float(kp), float(kd))
     return {
         "label": f"theta {theta / math.pi:.4f} pi, {'hybrid' if hybrid else 'standard'}, {n}x{n}",
         "cells": n * n,
         "differ": differ,
         "worst": worst,
+        "worst_at": worst_at,
+        "theta": theta,
+        "hybrid": hybrid,
         "steps": smap.meta["cells_by_steps"],
         "fallback": smap.meta["fallback_cells"],
         "seconds": seconds,
     }
+
+
+def worst_cell(result: dict) -> str:
+    """Where a map's worst deviation lies: its label, the cell's gains and
+    the step count the engine accepted the cell at.  A cell's record does
+    not depend on the grid around it, so a 2x2 sweep of the cell alone
+    gives the steps."""
+    if result["worst_at"] is None:
+        return ""
+    kp, kd = result["worst_at"]
+    exc = dataclasses.replace(BASELINE.exc, theta=result["theta"])
+    hyb = HybridParams(BETA) if result["hybrid"] else None
+    steps = sweep(PARAMS, exc, (kp, kp), (kd, kd), 2, 2, hyb=hyb, workers=1).meta["cells_by_steps"]
+    accepted = ", ".join(f"{n} steps" for n in steps) or "DOP853 fallback"
+    return f" at {result['label']}, Kp {kp!r}, Kd {kd!r}, {accepted}"
 
 
 def main() -> int:
@@ -89,15 +109,15 @@ def main() -> int:
             f"sweep {r['seconds']:.3f} s"
         )
     differ = sum(r["differ"] for r in results)
-    worst = max(r["worst"] for r in results)
+    worst = max(results, key=lambda r: r["worst"])
     refined = sum(v for r in results for k, v in r["steps"].items() if int(k) > STEPS)
     print(
         f"{len(results)} maps, {sum(r['cells'] for r in results)} cells: {differ} class "
-        f"difference(s), max|mu| deviation {worst:.2e} (limit {MU_TOL:g}), "
+        f"difference(s), max|mu| deviation {worst['worst']:.2e} (limit {MU_TOL:g}){worst_cell(worst)}, "
         f"{refined} cells refined, {sum(r['fallback'] for r in results)} fallback; "
         f"{time.perf_counter() - start:.0f} s"
     )
-    return 1 if differ or worst > MU_TOL else 0
+    return 1 if differ or worst["worst"] > MU_TOL else 0
 
 
 if __name__ == "__main__":
