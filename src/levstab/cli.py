@@ -207,10 +207,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # a bad LEVSTAB_THREADS is bad input before any criterion runs: the
-    # battery's first sweep comes after eight criteria, which would report
-    # it as a failed criterion (map's sweep rejects it before any product)
-    floquet.resolve_workers()
+    output.resolve_workers()  # a bad LEVSTAB_THREADS is bad input, not criterion 9 failing
     cfg = _load(args)
     out = _outdir(args)
     report = validation.run_battery(cfg.params, cfg.exc)
@@ -243,8 +240,9 @@ def cmd_simulate(args) -> int:
     mode = "hybrid" if cfg.hybrid is not None else "standard"
     start = plant.steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
     start = replace(start, z=start.z + dz, phi=start.phi + dphi)
-    out = _outdir(args)
     t_eval = plant.output_grid(t_span, cfg.exc)
+    output.resolve_workers()  # a bad LEVSTAB_THREADS, like a bad grid, creates no --out
+    out = _outdir(args)
     path = os.path.join(out, "trajectory.csv")
     with output.csv_stream(path, plant.TRAJECTORY_CSV_HEADER, t_eval.size) as sink:
         traj = plant.integrate(
@@ -413,10 +411,10 @@ def entry() -> None:
     It also sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller has set
     it, before any command imports numpy.  No BLAS call levstab makes is
     large enough to use a second thread, yet OpenBLAS starts one at
-    import that busy-waits for about 100 ms of CPU, which on two CPUs
-    it takes from the forked child that formats ``simulate``'s CSV or
-    runs the sweep's second chunk.  ``main`` and library use leave the
-    environment as it is.
+    import that busy-waits for about 100 ms of CPU, taken on two CPUs
+    from the second process ``output.resolve_workers`` allows: the forked
+    child that formats ``simulate``'s CSV or runs the sweep's second
+    chunk.  ``main`` and library use leave the environment as it is.
     """
     import gc
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import mmap
-import os
 import pickle
 from typing import NamedTuple
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import dop853  # lazy: a map that needs no fallback never runs it
 from .linearized import CURRENT_ROWS, periodic_matrix
 from .model import ATOL, RTOL, ControlGains, ExcitationParams, HybridParams, PhysicalParams
-from .output import fork, reap, write_csv, write_json
+from .output import fork, reap, resolve_workers, write_csv, write_json
 
 __all__ = [
     "MonodromyResult",
@@ -34,7 +33,6 @@ __all__ = [
     "boundary_crossings",
     "signature_moduli",
     "is_real",
-    "resolve_workers",
     "write_map_csv",
     "write_map_metadata",
     "MAP_CSV_HEADER",
@@ -240,28 +238,6 @@ def signature_moduli(multipliers: np.ndarray, family: str) -> np.ndarray:
     else:
         raise ValueError(f"family must be 'principal' or 'combination', got {family!r}")
     return np.sort(np.abs(mu[sel]))[::-1]
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for sweeps: explicit argument, else LEVSTAB_THREADS;
-    0 or unset means one per usable CPU, and no count exceeds that.  A
-    negative count raises ``ValueError``, which names LEVSTAB_THREADS when
-    the count, or a value that is no integer, came from there."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if workers is None:
-        env = os.environ.get("LEVSTAB_THREADS", "0")
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = -1
-        if workers < 0:
-            raise ValueError(f"LEVSTAB_THREADS must be a nonnegative integer, got {env!r}")
-    elif workers < 0:
-        raise ValueError("worker count must be nonnegative")
-    return cpus if workers == 0 else min(workers, cpus)
 
 
 class StabilityMap(NamedTuple):
@@ -486,22 +462,21 @@ def _cell_record(
     """The engine's record of the gain cells (kp[c], kd[c]), and the
     number of chunks that filled it.
 
-    The cells are split into one contiguous chunk per worker of
-    ``resolve_workers``, but so few that every chunk has at least
-    MIN_CHUNK_CELLS cells, and into one where ``os.fork`` is missing.  The
-    record's numeric fields are allocated once, as the ``_CELL`` rows of
-    an anonymous shared mapping, and its ``error`` field in this process.
-    Chunk 0 fills its cells (``_batched_cells``) in this process, and
-    every other chunk in a child of ``fork`` (``_fill_chunk``) that writes
-    into the mapping and sends only its cells' messages down its pipe.  A
-    cell's record does not depend on its chunk, so the record is the same
-    for every chunk count.  A child that cannot start, fails (``reap``) or
-    exits without sending its messages raises ``RuntimeError``.  However
-    this returns or raises, every child has been reaped, and one not yet
-    reaped is killed first.
+    The cells are split into one contiguous chunk per process that
+    ``output.resolve_workers(workers)`` allows, one where ``os.fork`` is
+    missing, but so few that every chunk has at least MIN_CHUNK_CELLS
+    cells.  The record's numeric fields are allocated once, as the
+    ``_CELL`` rows of an anonymous shared mapping, and its ``error`` field
+    in this process.  Chunk 0 fills its cells (``_batched_cells``) in this
+    process, and every other chunk in a child of ``fork``
+    (``_fill_chunk``) that writes into the mapping and sends only its
+    cells' messages down its pipe.  A cell's record does not depend on its
+    chunk, so the record is the same for every chunk count.  A child that
+    cannot start, fails (``reap``) or exits without sending its messages
+    raises ``RuntimeError``.  However this returns or raises, every child
+    has been reaped, and one not yet reaped is killed first.
     """
-    workers = resolve_workers(workers) if hasattr(os, "fork") else 1
-    workers = max(1, min(workers, kp.size // MIN_CHUNK_CELLS))
+    workers = max(1, min(resolve_workers(workers), kp.size // MIN_CHUNK_CELLS))
     # a mapping cannot be empty, though the cells can
     rows = np.frombuffer(mmap.mmap(-1, max(1, kp.size) * _CELL.itemsize), _CELL, kp.size)
     record = {name: rows[name] for name in _CELL.names}

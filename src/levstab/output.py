@@ -15,7 +15,8 @@ caller computes the next ones.
 :func:`fork` starts every child levstab runs, this writer and the map
 sweep's chunks alike, and :func:`reap` ends it: a child leaves by
 ``os._exit``, and one that fails raises ``RuntimeError`` naming how it
-ended and what it raised.
+ended and what it raised.  :func:`resolve_workers` alone decides how
+many processes a command may run.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-__all__ = ["write_csv", "write_json", "csv_stream", "fork", "reap"]
+__all__ = ["write_csv", "write_json", "csv_stream", "fork", "reap", "resolve_workers"]
 
 _CSV_BLOCK = 4096  # rows per formatted block
 # csv_stream forks a writer only for a plan of at least this many rows.
@@ -43,6 +44,31 @@ _STREAM_ROWS = 2400
 # a child of fork: what its errors call it, its pid, this process's end of
 # its pipe as a binary file, and the read end of its error pipe
 Child = namedtuple("Child", "name pid pipe errors")
+
+
+def resolve_workers(workers: int | None = None) -> int:
+    """How many processes a command may run, its own included: the map
+    sweep's chunks, or ``csv_stream``'s writer beside its caller.
+
+    An explicit count, else LEVSTAB_THREADS; 0 or unset means one per
+    usable CPU, no count exceeds that, and it is 1 where ``os.fork`` is
+    missing.  A negative count raises ``ValueError`` all the same, which
+    names LEVSTAB_THREADS when the count, or a value that is no integer,
+    came from there."""
+    if workers is None:
+        env = os.environ.get("LEVSTAB_THREADS", "0")
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = -1
+        if workers < 0:
+            raise ValueError(f"LEVSTAB_THREADS must be a nonnegative integer, got {env!r}")
+    elif workers < 0:
+        raise ValueError("worker count must be nonnegative")
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus if workers == 0 else min(workers, cpus)
 
 
 def fork(name, work, *args, reads=False) -> Child:
@@ -171,19 +197,19 @@ def csv_stream(path, header, rows):
     """Write a CSV of float columns to ``path``, one block of rows at a
     time, through a forked writer if the stream is long.
 
-    ``rows`` is the number of rows the caller plans to send, and it alone
-    decides the writer: a plan of at least ``_STREAM_ROWS`` rows forks the
-    writer (``fork``) when the stream opens, before the first block, and
-    the writer formats every block as ``write_csv`` does.  A shorter plan,
-    and every plan where ``os.fork`` is missing, formats each block as it
-    arrives, in this process.  Yields ``send(columns)``, which takes a
-    block of rows as equal-length float columns, one per name in
-    ``header``, and copies or formats them before it returns.  The file is
-    placed as every product is (``_placed``), once the ``with`` block has
-    ended and the writer, if any, has exited with status 0.  Otherwise the
-    writer is killed and reaped and the error propagates; a writer that
-    cannot start, failed or stopped reading raises ``RuntimeError`` naming
-    its status and what it raised.
+    ``rows`` is the number of rows the caller plans to send.  A plan of at
+    least ``_STREAM_ROWS`` rows forks the writer (``fork``) when the
+    stream opens, before the first block, if ``resolve_workers()`` allows
+    two processes, and the writer formats every block as ``write_csv``
+    does.  Any other stream formats each block as it arrives, in this
+    process: one CPU leaves a writer nothing to overlap.  Yields
+    ``send(columns)``, which takes a block of rows as equal-length float
+    columns, one per name in ``header``, and copies or formats them before
+    it returns.  The file is placed as every product is (``_placed``),
+    once the ``with`` block has ended and the writer, if any, has exited
+    with status 0.  Otherwise the writer is killed and reaped and the
+    error propagates; a writer that cannot start, failed or stopped
+    reading raises ``RuntimeError`` naming its status and what it raised.
     """
     template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     writer = None
@@ -191,7 +217,7 @@ def csv_stream(path, header, rows):
         with _placed(path, "wb") as fh:
             fh.write(header.encode() + b"\n")
             fh.flush()  # a writer inherits the file, and must not inherit the header too
-            if rows >= _STREAM_ROWS and hasattr(os, "fork"):
+            if rows >= _STREAM_ROWS and resolve_workers() > 1:
                 writer = fork(f"the CSV writer of {path}", _serve, fh, template, reads=True)
 
             def send(columns):

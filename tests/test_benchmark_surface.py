@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import levstab.cli  # noqa: F401  (the package registers every module the tracer patches)
-from levstab import ControlGains, HybridParams, floquet, monodromy, periodic_matrix, plant
+from levstab import ControlGains, HybridParams, floquet, monodromy, output, periodic_matrix, plant
 from levstab.cli import DEFAULT_CONFIG
 from levstab.config import parse_config
 
@@ -145,6 +145,8 @@ def test_benchmark_call_signatures(b0, exc_quarter):
         assert name in sweep_args
     workers = floquet.resolve_workers(0)
     assert isinstance(workers, int) and workers >= 1
+    # run.py and engine_gate.py import it from floquet; output defines it
+    assert floquet.resolve_workers is output.resolve_workers
 
     gains = ControlGains(Kp=10600.0, Kd=3000.0)
     pm = periodic_matrix(b0, exc_quarter, gains, hyb=None)

@@ -331,13 +331,15 @@ def test_cli_map_worker_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("value", ["-1", "two"])
-@pytest.mark.parametrize("command", ["map", "validate"])
+@pytest.mark.parametrize("command", ["map", "validate", "simulate"])
 def test_cli_bad_threads_variable_is_bad_input(tmp_path, monkeypatch, capsys, command, value):
     """A LEVSTAB_THREADS that is negative or no integer is bad input to the
-    commands that sweep: exit 2 before any work, on one error line naming
-    the variable, and no product written."""
+    commands that may run a second process, the sweeps and simulate's CSV
+    writer: exit 2 before any work, on one error line naming the variable,
+    and no --out directory made."""
     monkeypatch.setenv("LEVSTAB_THREADS", value)
-    assert main([command, "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+    gains = GAINS_ARGS if command == "simulate" else []
+    assert main([command, *gains, "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: LEVSTAB_THREADS ") and err.count("\n") == 1, err
     assert repr(value) in err
@@ -498,14 +500,15 @@ def test_cli_map_grid_over_cell_cap_rejected(tmp_path, monkeypatch, capsys):
 
 def test_cli_simulate_periods_over_sample_cap_rejected(tmp_path, capsys):
     """--periods beyond MAX_SAMPLES output samples is bad input: exit 2 on
-    one error line naming the limit, before the output grid is built."""
+    one error line naming the limit, before the output grid is built and
+    before the --out directory is made."""
     rc = main(["simulate", "--kp", "10600", "--kd", "3000", "--periods", "1e9",
-               "--out", str(tmp_path)])
+               "--out", str(tmp_path / "out")])
     assert rc == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"MAX_SAMPLES = {MAX_SAMPLES}" in err
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("periods", [
@@ -517,13 +520,14 @@ def test_cli_simulate_sample_count_checked_before_rounding(tmp_path, capsys, per
     """A finite --periods whose sample count overflows to infinity, and
     those whose grid, both ends included, holds one or two samples over
     MAX_SAMPLES, are bad input: exit 2 on one error line naming the limit,
-    not a failed conversion of the count to an integer."""
-    rc = main(["simulate", *GAINS_ARGS, "--periods", periods, "--out", str(tmp_path)])
+    not a failed conversion of the count to an integer, and no --out
+    directory made."""
+    rc = main(["simulate", *GAINS_ARGS, "--periods", periods, "--out", str(tmp_path / "out")])
     assert rc == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"output samples exceed the limit of MAX_SAMPLES = {MAX_SAMPLES}" in err
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_periods_underflowing_to_no_time_rejected(tmp_path, capsys):
@@ -1117,11 +1121,20 @@ def test_cli_simulate_hybrid_mode(tmp_path):
     assert np.max(np.abs(data[:, 1] - 0.015)) < 1e-8
 
 
+def _two_cpus(monkeypatch):
+    """Let ``resolve_workers`` allow two processes, with LEVSTAB_THREADS
+    unset, whatever the machine: a long plan forks its writer."""
+    monkeypatch.delenv("LEVSTAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def _record_forks(monkeypatch):
-    """Record each child that ``csv_stream`` forks; returns the list that
-    the children are appended to as they start."""
+    """Record each child that ``csv_stream`` forks, on two CPUs
+    (``_two_cpus``); returns the list that the children are appended to
+    as they start."""
     from levstab import output
 
+    _two_cpus(monkeypatch)
     started, real = [], output.fork
 
     def recorded(*args, **kwargs):
@@ -1273,6 +1286,24 @@ def test_cli_simulate_short_plan_formats_in_process(tmp_path, monkeypatch):
     assert traj.t.size == 2001 < _STREAM_ROWS
 
 
+@pytest.mark.parametrize("policy", ["threads-1", "one-cpu"])
+def test_cli_simulate_one_process_policy_formats_in_process(tmp_path, monkeypatch, policy):
+    """Where ``resolve_workers`` allows one process, under
+    LEVSTAB_THREADS=1 or on one usable CPU, a run planned over
+    _STREAM_ROWS rows forks no writer: 25 periods, 5,001 rows, are
+    formatted in-process into the bytes of write_trajectory_csv."""
+    from levstab.output import _STREAM_ROWS
+
+    _two_cpus(monkeypatch)
+    if policy == "threads-1":
+        monkeypatch.setenv("LEVSTAB_THREADS", "1")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    traj, rc = _simulate_without_process(tmp_path, monkeypatch, 25, 1e-4, 5e-5)
+    assert rc == EXIT_OK
+    assert traj.t.size == 5001 >= _STREAM_ROWS
+
+
 def test_cli_simulate_writer_that_cannot_start_exits_3(tmp_path, monkeypatch, capsys):
     """A writer that cannot be forked ends simulate with exit 3 on one
     error line as the stream opens, before the integration runs; no
@@ -1285,6 +1316,7 @@ def test_cli_simulate_writer_that_cannot_start_exits_3(tmp_path, monkeypatch, ca
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     integrated = []
+    _two_cpus(monkeypatch)
     monkeypatch.setattr(os, "fork", no_process)
     monkeypatch.setattr(plant, "integrate", lambda *args, **kwargs: integrated.append(args))
     out = tmp_path / "out"

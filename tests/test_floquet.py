@@ -954,6 +954,19 @@ def test_resolve_workers_capped_at_usable_cpus(monkeypatch):
     assert resolve_workers(None) == 5
 
 
+def test_resolve_workers_one_without_fork(monkeypatch):
+    """Where ``os.fork`` is missing every count is 1, once it has been
+    checked: a malformed LEVSTAB_THREADS is still bad input."""
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setenv("LEVSTAB_THREADS", "0")
+    assert resolve_workers() == resolve_workers(0) == resolve_workers(4) == 1
+    monkeypatch.setenv("LEVSTAB_THREADS", "two")
+    with pytest.raises(ValueError, match="LEVSTAB_THREADS"):
+        resolve_workers()
+    with pytest.raises(ValueError):
+        resolve_workers(-1)
+
+
 def test_tongue_edge_scans_integrate_each_gain_once(monkeypatch, b0, exc_inphase):
     """tongue_edges finds both edges in one boundary_crossings call, which
     integrates each gain point once; a second call integrates its points

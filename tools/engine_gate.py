@@ -16,7 +16,8 @@ relative to max(1, |mu|), the engine's cells per step count and its
 fallback cells) and a summary, which names the cell behind the largest
 deviation: its map, Kp, Kd and the step count the engine accepted it at.
 Exits 1 on any class difference or on a deviation above MU_TOL, else 0.
-The maps run in a process pool of ``floquet.resolve_workers()`` processes
+The maps run in a process pool of ``resolve_workers()`` processes, the
+rule ``levstab.output`` defines for every command and ``floquet`` imports
 (``LEVSTAB_THREADS`` sets it); a full run performs 26,808 DOP853
 monodromies and takes about 25 s on 2 vCPUs (Python 3.11, numpy 2.4).
 """
