@@ -63,10 +63,15 @@ DET_TOL = 1e-8
 GUARD = 10.0
 ENGINE = "RK6 (Butcher 7-stage, Richardson-checked) + DOP853 fallback"
 # cells per engine block: the engine's working memory does not grow past
-# one block's, whatever the chunk.  A sweep makes no more chunks than
-# blocks: on 2 vCPUs a two-way split of 50-step cells lost to one chunk up
-# to one block and won from just past it (README, LEVSTAB_THREADS)
+# one block's, whatever the chunk
 BLOCK = 2048
+# a sweep splits its cells into no more chunks than give each at least
+# this many cells.  Fresh `map --grid n,n` processes on a 2-vCPU VM, medians
+# of 7 alternations, a two-way split against one chunk: +3.5 ms at 16
+# cells, +1.1 at 121, +0.0 at 144 (72 per chunk), -0.6 at 169, -2.1 at 196,
+# -6.9 at 441 and -18.6 at 676 (26x26).  The split won at most 3 of 7
+# alternations below 169 cells, and 6 or 7 of 7 from there on but at 256
+MIN_CHUNK_CELLS = 96
 # stack columns (cells times segments) of one group of a pass, ten arrays
 # of 36 floats each, about 3 MB.  Best of 5 in-process timings on a 2-vCPU
 # VM, 1024 columns against 2048: 135 against 154 ms for a 50-step pass of
@@ -459,20 +464,19 @@ def _cell_record(
 
     The cells are split into one contiguous chunk per process that
     ``output.resolve_workers(workers)`` allows, one where ``os.fork`` is
-    missing, but into no more chunks than the engine's blocks of BLOCK
-    cells: cells that fit one block run in this process.  The record's
-    numeric fields are allocated once, as the ``_CELL`` rows of an
-    anonymous shared mapping, and its ``error`` field in this process.
-    Chunk 0 fills its cells (``_batched_cells``) in this process, and
-    every other chunk in a child of ``fork`` (``_fill_chunk``) that writes
-    into the mapping and sends only its cells' messages down its pipe.  A
-    cell's record does not depend on its chunk, so the record is the same
-    for every chunk count.  A child that cannot start, fails (``reap``)
-    or exits without sending its messages raises ``RuntimeError``.
-    However this returns or raises, every child has been reaped, and one
-    not yet reaped is killed first.
+    missing, but so few that every chunk has at least MIN_CHUNK_CELLS
+    cells.  The record's numeric fields are allocated once, as the
+    ``_CELL`` rows of an anonymous shared mapping, and its ``error`` field
+    in this process.  Chunk 0 fills its cells (``_batched_cells``) in this
+    process, and every other chunk in a child of ``fork``
+    (``_fill_chunk``) that writes into the mapping and sends only its
+    cells' messages down its pipe.  A cell's record does not depend on its
+    chunk, so the record is the same for every chunk count.  A child that
+    cannot start, fails (``reap``) or exits without sending its messages
+    raises ``RuntimeError``.  However this returns or raises, every child
+    has been reaped, and one not yet reaped is killed first.
     """
-    workers = max(1, min(resolve_workers(workers), math.ceil(kp.size / BLOCK)))
+    workers = max(1, min(resolve_workers(workers), kp.size // MIN_CHUNK_CELLS))
     # a mapping cannot be empty, though the cells can
     rows = np.frombuffer(mmap.mmap(-1, max(1, kp.size) * _CELL.itemsize), _CELL, kp.size)
     record = {name: rows[name] for name in _CELL.names}
@@ -517,12 +521,10 @@ def sweep(
 
     The classes, max|mu|, errors and engine fields of ``meta`` all come
     from the engine's record of the cells, Kp outer and Kd inner, which
-    ``_cell_record`` fills in chunks over at most ``workers`` processes
-    and no more chunks than blocks of BLOCK cells, so a grid of at most
-    BLOCK cells runs in this process; ``meta["workers"]`` is the chunk
-    count, and the output is the same for every count.  A range whose
-    width hi - lo overflows raises ``ValueError``; a child that fails
-    raises ``RuntimeError``.
+    ``_cell_record`` fills in chunks over at most ``workers`` processes;
+    ``meta["workers"]`` is the chunk count, and the output is the same for
+    every count.  A range whose width hi - lo overflows raises
+    ``ValueError``; a child that fails raises ``RuntimeError``.
     """
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be at least 2")

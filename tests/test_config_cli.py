@@ -311,14 +311,12 @@ def test_cli_map_cell_errors_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_map_worker_failure_exits_3(tmp_path, monkeypatch, capsys):
-    """A forked sweep worker that exits nonzero makes the default map, its
-    441 cells split in two by a BLOCK shrunk to 256 cells, exit 3 with one
-    ``error:`` line naming its status and no traceback, and leaves no
-    child behind."""
+    """A forked sweep worker that exits nonzero makes the default map exit
+    3 with one ``error:`` line naming its status and no traceback, and
+    leaves no child behind."""
     import levstab.floquet as fl
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(fl, "BLOCK", 256)
     engine, parent = fl._batched_cells, os.getpid()
 
     def child_exits_7(*args):
@@ -361,15 +359,13 @@ def _no_fork():
     ("fork", "cannot start a sweep worker: [Errno 11] Resource temporarily unavailable"),
 ], ids=["child-raises", "fork-fails"])
 def test_cli_map_worker_fault_is_named(tmp_path, monkeypatch, capsys, fault, message):
-    """A forked sweep worker whose engine raises makes the default map,
-    its 441 cells split in two by a BLOCK shrunk to 256 cells, exit 3 with
-    one ``error:`` line that names what it raised; a worker that cannot be
-    forked does so before any chunk has run.  Neither leaves a child
-    behind."""
+    """A forked sweep worker whose engine raises makes the default map exit
+    3 with one ``error:`` line that names what it raised; a worker that
+    cannot be forked does so before any chunk has run.  Neither leaves a
+    child behind."""
     import levstab.floquet as fl
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(fl, "BLOCK", 256)
     engine, parent, ran = fl._batched_cells, os.getpid(), []
 
     def engine_here(*args):
@@ -410,12 +406,12 @@ def _fresh_piped(argv, tmp_path):
 
 
 def test_cli_map_piped_stdout_printed_once(tmp_path):
-    """A fresh ``map --grid 46,46`` process (2,116 cells, two engine
-    blocks), its standard output a buffered pipe, prints each line once:
-    the forked sweep worker leaves by ``os._exit``, so it does not flush
-    the stdout buffer it inherits, here a line already printed."""
-    lines = _fresh_piped(["map", "--grid", "46,46"], tmp_path)
-    assert len(lines) == 2 and lines[0] == "before the command" and lines[1].startswith("map 46x46: ")
+    """A fresh ``map`` process, its standard output a buffered pipe, prints
+    each line once: the forked sweep worker leaves by ``os._exit``, so it
+    does not flush the stdout buffer it inherits, here a line already
+    printed."""
+    lines = _fresh_piped(["map"], tmp_path)
+    assert len(lines) == 2 and lines[0] == "before the command" and lines[1].startswith("map 21x21: ")
     assert json.loads((tmp_path / "map_meta.json").read_text())["grid"]["workers"] == 2
 
 

@@ -24,8 +24,8 @@ from levstab import (
 from levstab.boundaries import default_map_window, h0_gain, static_boundary_lines
 from levstab.floquet import (
     BISECT_TOL,
-    BLOCK,
     MAP_CSV_HEADER,
+    MIN_CHUNK_CELLS,
     N_PRESAMPLE,
     _batched_cells,
     _cell_record,
@@ -233,18 +233,18 @@ def _cpus(monkeypatch, n=2):
 
 def test_sweep_deterministic_exports(monkeypatch, tmp_path, b0, exc_quarter):
     """Two identical sweeps serialize to byte-identical CSV files, split or
-    not.  A sweep makes no more chunks than blocks of BLOCK cells, so a 4x4
-    map runs as one chunk; with the block shrunk to 8 cells it runs as two,
-    one in a forked child, and as one again where ``os.fork`` is missing."""
+    not.  No chunk gets fewer than MIN_CHUNK_CELLS cells, so a 4x4 map runs
+    as one chunk; with the minimum shrunk to 8 cells it runs as two, one
+    in a forked child, and as one again where ``os.fork`` is missing."""
     import levstab.floquet as fl
 
     _cpus(monkeypatch)
     kp_range = (10000.0, 13000.0)
     kd_range = (2300.0, 2420.0)
     m1 = sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=1)
-    assert 4 * 4 <= fl.BLOCK
+    assert 4 * 4 < 2 * fl.MIN_CHUNK_CELLS
     assert sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=2).meta["workers"] == 1
-    monkeypatch.setattr(fl, "BLOCK", 8)
+    monkeypatch.setattr(fl, "MIN_CHUNK_CELLS", 8)
     m2 = sweep(b0, exc_quarter, kp_range, kd_range, 4, 4, workers=2)
     assert m2.meta["workers"] == 2
     p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
@@ -258,14 +258,10 @@ def test_sweep_deterministic_exports(monkeypatch, tmp_path, b0, exc_quarter):
 
 
 def test_sweep_default_window_split_keeps_bytes(monkeypatch, tmp_path, b0, exc_quarter):
-    """The 26x26 default-window map, its 676 cells spread over three
-    blocks of a BLOCK shrunk to 256 cells, split two ways (as on two CPUs)
-    and three, with a forked child filling each chunk but the first in the
+    """The 26x26 default-window map, split two ways (as on two CPUs) and
+    three, with a forked child filling each chunk but the first in the
     shared record, writes the same map.csv bytes as one chunk in this
     process, and the same ``meta`` apart from the chunk count."""
-    import levstab.floquet as fl
-
-    monkeypatch.setattr(fl, "BLOCK", 256)
     window = default_map_window(b0, exc_quarter)
     one = sweep(b0, exc_quarter, *window, 26, 26, workers=1)
     assert one.meta.pop("workers") == 1
@@ -296,19 +292,20 @@ def _stub_cells(params, exc, hyb, kp, kd, record):
 
 
 @pytest.mark.parametrize("cpus, workers, cells, chunks", [
-    (2, None, BLOCK, 1),
-    (2, None, BLOCK + 1, 2),
-    (3, 3, 2 * BLOCK, 2),
-    (3, 3, 2 * BLOCK + 1, 3),
+    (2, None, 2 * MIN_CHUNK_CELLS - 1, 1),
+    (2, None, 2 * MIN_CHUNK_CELLS, 2),
+    (3, 3, 3 * MIN_CHUNK_CELLS - 1, 2),
+    (3, 3, 3 * MIN_CHUNK_CELLS, 3),
 ])
-def test_cell_record_makes_no_more_chunks_than_blocks(
+def test_cell_record_gives_every_chunk_min_chunk_cells(
     monkeypatch, b0, exc_quarter, cpus, workers, cells, chunks
 ):
-    """A sweep splits its cells into no more chunks than the engine's
-    blocks of BLOCK cells fill: on two CPUs one block's cells run as one
-    chunk in this process and one cell more splits in two, and on three
-    two blocks' cells split in two and one cell more in three.  Every
-    chunk fills its cells (a stand-in engine)."""
+    """A sweep splits its cells into no more chunks than give each at least
+    MIN_CHUNK_CELLS cells: on two CPUs one cell short of two chunks' worth
+    runs as one chunk in this process and two chunks' worth splits in two,
+    and on three one cell short of three chunks' worth splits in two and
+    three chunks' worth in three.  Every chunk fills its cells (a stand-in
+    engine)."""
     import levstab.floquet as fl
 
     _cpus(monkeypatch, cpus)
@@ -349,14 +346,13 @@ def test_sweep_two_worker_memory_bound(monkeypatch, b0, exc_quarter):
 
 
 def _in_child(monkeypatch, child_engine, own_engine=_batched_cells, chunks=2):
-    """Split a map of more than 8 (``chunks`` - 1) cells that many ways,
-    its engine blocks shrunk to 8 cells, and run ``child_engine`` in place
-    of the engine in the forked children and ``own_engine`` in this
-    process."""
+    """Split a map of at least 8 ``chunks`` cells that many ways, and run
+    ``child_engine`` in place of the engine in the forked children and
+    ``own_engine`` in this process."""
     import levstab.floquet as fl
 
     _cpus(monkeypatch, chunks)
-    monkeypatch.setattr(fl, "BLOCK", 8)
+    monkeypatch.setattr(fl, "MIN_CHUNK_CELLS", 8)
     parent = os.getpid()
 
     def engine(*args):

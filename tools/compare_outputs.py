@@ -6,9 +6,9 @@ Extracts the tree at REV with ``bench_pairs.extract`` into a temporary
 directory and runs the same matrix of ``levstab`` commands against its
 ``src/`` and the working tree's:
 ``ellipses``, ``resonance-chart`` (default range and ``--kd=0,1e5``),
-``steady-state``, ``map`` (default window, ``--theta 0``, tongue d's
-window of the baseline, ``--kp h1-3k1,h1+3k1 --kd h2-5k2,h2+5k2``, where
-the engine refines every cell, and ``--grid 46,46``), ``simulate
+``steady-state``, ``map`` (default window, ``--theta 0``, and tongue d's
+window of the baseline, ``--kp h1-3k1,h1+3k1
+--kd h2-5k2,h2+5k2``, where the engine refines every cell), ``simulate
 --periods 10``, ``simulate --periods 19 --perturb 1e-4,5e-5``, ``simulate
 --periods 100 --perturb 1e-4,5e-5``, ``simulate --periods 100 --perturb
 0,5e-3``, ``simulate --periods 100 --kp 6000 --kd 1000 --perturb=-1e-6,0``
@@ -45,12 +45,10 @@ working tree with ``LEVSTAB_THREADS=1``, in one process: the sweep as one
 chunk, and ``trajectory.csv`` formatted in-process however many rows it
 plans.  Its exit code, stdout, stderr and every product must equal those
 of the working tree's default run, byte for byte, which on two or more
-CPUs splits a sweep of more than one engine block (``floquet.BLOCK``
-cells; of these maps only the 46x46 one, 2,116 cells) and forks the CSV
-writer from ``_STREAM_ROWS`` planned rows on; ``map_meta.json`` is
-compared apart from ``workers``.  The 35 ``simulate`` reruns add about
-9 s to a full run, which took 119 s on a 2-vCPU VM, and the 46x46 map's
-three runs per config about 8.5 s (5.5 s of it the two trees' runs).
+CPUs splits the sweep and forks the CSV writer from ``_STREAM_ROWS``
+planned rows on; ``map_meta.json`` is compared apart from ``workers``.
+The 35 ``simulate`` reruns add about 9 s to a full run, which took 119 s
+on a 2-vCPU VM.
 
 Each command's line also gives its wall time and peak RSS in both trees
 (one fresh process each, import included), so a change to how a command
@@ -125,9 +123,6 @@ COMMANDS = {
     "map-theta0": ["map", "--theta", "0"],
     # one window for every config, so that all four run the same cells
     "map-tongue-d": ["map", *tongue_d_window(BASELINE)],
-    # two engine blocks, the smallest square grid that a sweep on two CPUs
-    # splits, so the LEVSTAB_THREADS=1 rerun compares a forked chunk
-    "map-46": ["map", "--grid", "46,46"],
     # 2,001 rows: a plan too short to fork a writer, formatted in-process
     "simulate": ["simulate", "--periods", "10"],
     # 3,801 rows, which the forked writer formats on a run under 20 periods
@@ -152,8 +147,8 @@ TIMINGS = {"seconds", "elapsed_s"}
 MU_TOL = 1e-9  # max|mu| agreement of two map engines, relative to max(1, |mu|)
 # the engine's own record; "rk4_cells_by_steps" is the older name of
 # "cells_by_steps", kept so that a revision from before the rename compares,
-# and "workers" depends on the CPUs usable and on how many engine blocks
-# of floquet.BLOCK cells the map fills
+# and "workers" depends on the CPUs usable and the sweep's minimum chunk
+# size, MIN_CHUNK_CELLS
 ENGINE_FIELDS = {
     "method",
     "cells_by_steps",
