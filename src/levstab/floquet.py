@@ -31,7 +31,6 @@ __all__ = [
     "classify",
     "sweep",
     "boundary_crossings",
-    "signature_moduli",
     "is_real",
     "write_map_csv",
     "write_map_metadata",
@@ -42,8 +41,8 @@ MAP_CSV_HEADER = "Kp,Kd,class,max_mu_abs"
 
 REAL_TOL = 1e-9  # |Im mu| below this (scaled) counts as a real multiplier
 EPS = 1e-6  # |mu| within EPS of 1 is classed marginal
-BISECT_TOL = 1e-3  # boundary_crossings bisects to this fraction of its scan
-N_PRESAMPLE = 25  # uniform samples in which boundary_crossings looks for sign changes
+NODES = 32  # first-kind Chebyshev nodes per boundary_crossings scan; even, so none is its centre
+DELTA = 2.5e-4  # boundary_crossings certifies each crossing across +-DELTA of its scan
 MAX_NFEV = 10_000  # RHS budget of one monodromy: 26x the default windows need, 14x the battery
 
 # sweep's batched engine: Butcher's order-6 Runge-Kutta method on shared
@@ -153,10 +152,10 @@ def monodromy(
     """Integrate X' = A(t) X, X(0) = I over one period and extract multipliers.
 
     The six canonical columns are propagated together as a single 36-state
-    system; this evaluates A(t) once per step instead of six times, which
-    matters for the boundary scans, and yields the same columns as six
-    separate runs at the package tolerances.  Raises ``FloquetError`` when
-    the integration fails or needs more than MAX_NFEV RHS evaluations.
+    system, which evaluates A(t) once per step instead of six times and
+    yields the same columns as six separate runs at the package
+    tolerances.  Raises ``FloquetError`` when the integration fails or
+    needs more than MAX_NFEV RHS evaluations.
     """
     pm = periodic_matrix(params, exc, gains, hyb=hyb)
     nfev = 0
@@ -222,22 +221,6 @@ def _classes(mu: np.ndarray) -> np.ndarray:
 def is_real(mu):
     """Whether each multiplier is real: |Im mu| <= REAL_TOL max(1, |mu|)."""
     return np.abs(mu.imag) <= REAL_TOL * np.maximum(1.0, np.abs(mu))
-
-
-def signature_moduli(multipliers: np.ndarray, family: str) -> np.ndarray:
-    """Moduli of the multipliers carrying a resonance signature, descending.
-
-    family 'principal': real negative multipliers (period-2T mechanism).
-    family 'combination': one representative per complex-conjugate pair.
-    """
-    mu = np.asarray(multipliers)
-    if family == "principal":
-        sel = is_real(mu) & (mu.real < 0.0)
-    elif family == "combination":
-        sel = ~is_real(mu) & (mu.imag > 0.0)
-    else:
-        raise ValueError(f"family must be 'principal' or 'combination', got {family!r}")
-    return np.sort(np.abs(mu[sel]))[::-1]
 
 
 class StabilityMap(NamedTuple):
@@ -578,45 +561,66 @@ def boundary_crossings(
     scan: tuple[tuple[float, float], tuple[float, float]],
     indicator,
 ) -> list[tuple[float, float]]:
-    """Locate the sign changes of an indicator along a line segment of gains.
+    """The sign changes, in scan order, of a test function psi along the
+    gains from (Kp0, Kd0) to (Kp1, Kd1), each certified to DELTA of the scan.
 
-    ``scan`` is ((Kp0, Kd0), (Kp1, Kd1)); ``indicator`` maps the multiplier
-    array of one gain point to a scalar, for example max|mu| - 1 for the
-    stability boundary, or a measure of a single resonance signature.
-    Bisection runs on each sign change among N_PRESAMPLE uniform samples,
-    down to BISECT_TOL of the scan length, so each gain point is integrated
-    once.  The brackets [lo, hi, f(lo)] are refined breadth-first: a pass
-    evaluates the midpoints of every bracket still wider than BISECT_TOL,
-    and a bracket whose f(lo) is exactly zero shrinks onto lo.  Returns the
-    crossings, each its final bracket's midpoint, ordered along the scan;
-    empty if no sign change.
-    """
+    ``indicator`` maps an (n, 6, 6) stack of monodromy matrices to psi, an
+    analytic function of them.  The engine (``_propagate``) evaluates psi
+    at n and n/2 steps at NODES first-kind Chebyshev nodes; the crossings
+    are the real roots in the scan of the Chebyshev series through the
+    n-step values (``_chebyshev_roots``).  They are certified when psi(n)
+    changes sign across each, and the order-6 Richardson estimate
+    |psi(n) - psi(n/2)| / 63 lies below |psi(n)| at every node and at
+    DELTA of the scan on either side of each; n doubles from STEPS until
+    they are, and a scan not certified at MAX_STEPS raises ``FloquetError``."""
     (kp0, kd0), (kp1, kd1) = scan
+    pm = periodic_matrix(params, exc, ControlGains(Kp=0.0, Kd=0.0))
+    angles = np.pi * (np.arange(NODES) + 0.5) / NODES
+    # T_k(x) = cos(k arccos x) at the nodes, times 2/N (1/N for k = 0)
+    basis = np.cos(np.outer(np.arange(NODES), angles)) * (2.0 / NODES)
+    basis[0] /= 2.0
 
-    def point(u: float) -> tuple[float, float]:
-        return kp0 + u * (kp1 - kp0), kd0 + u * (kd1 - kd0)
+    def psi(u: np.ndarray, steps: int) -> np.ndarray:
+        kp, kd = kp0 + u * (kp1 - kp0), kd0 + u * (kd1 - kd0)  # at the fractions u of the scan
+        return indicator(_propagate(*pm.table(6 * steps), kp, kd, pm.period))
 
-    def f(u: float) -> float:
-        return indicator(monodromy(params, exc, ControlGains(*point(u))).multipliers)
+    def certified(fine: np.ndarray, coarse: np.ndarray) -> bool:
+        return bool(np.all(np.abs(fine - coarse) / 63.0 < np.abs(fine)))
 
-    us = list(np.linspace(0.0, 1.0, N_PRESAMPLE))
-    vals = [f(u) for u in us]
-    # the last sample is paired with a zero, so that it brackets only a zero of its own
-    pairs = zip(us, us[1:] + [1.0], vals, vals[1:] + [0.0])
-    brackets = [[a, b, fa] for a, b, fa, fb in pairs if fa == 0.0 or fa * fb < 0.0]
+    nodes = 0.5 * (1.0 + np.cos(angles))
+    steps, coarse = STEPS, psi(nodes, STEPS // 2)
     while True:
-        for br in brackets:
-            if br[2] == 0.0:
-                br[1] = br[0]
-        wide = [br for br in brackets if br[1] - br[0] > BISECT_TOL]
-        if not wide:
-            return [point(0.5 * (lo + hi)) for lo, hi, _ in brackets]
-        mids = [0.5 * (lo + hi) for lo, hi, _ in wide]
-        for br, mid, fm in zip(wide, mids, [f(mid) for mid in mids]):
-            if br[2] * fm < 0.0:
-                br[1] = mid
-            else:
-                br[0], br[2] = mid, fm
+        fine = psi(nodes, steps)
+        if certified(fine, coarse):
+            roots = 0.5 * (1.0 + _chebyshev_roots(basis @ fine))
+            ends = (roots[:, None] + np.array([-DELTA, DELTA])).ravel()
+            at_ends = psi(ends, steps)
+            if certified(at_ends, psi(ends, steps // 2)) and np.all(at_ends[0::2] * at_ends[1::2] < 0.0):
+                return [(float(kp0 + u * (kp1 - kp0)), float(kd0 + u * (kd1 - kd0))) for u in roots]
+        if steps >= MAX_STEPS:
+            raise FloquetError(f"the scan {scan} is unresolved: its test function's signs are not "
+                               f"certified at MAX_STEPS = {MAX_STEPS} steps")
+        steps, coarse = 2 * steps, fine
+
+
+def _chebyshev_roots(coef: np.ndarray) -> np.ndarray:
+    """The real roots in [-1, 1], ascending, of the Chebyshev series sum_k
+    coef[k] T_k(x): its colleague matrix's eigenvalues (Good 1961) within
+    1e-8 of that interval, which a simple root's rounding does not leave."""
+    coef = np.trim_zeros(np.asarray(coef, dtype=float), "b")
+    degree = coef.size - 1
+    if degree < 1:
+        return np.empty(0)
+    if degree == 1:
+        roots = np.array([-coef[0] / coef[1]], dtype=complex)
+    else:
+        # x T_0 = T_1, x T_k = (T_{k-1} + T_{k+1}) / 2 and sum_k coef[k] T_k = 0
+        colleague = np.diag(np.full(degree - 1, 0.5), 1) + np.diag(np.full(degree - 1, 0.5), -1)
+        colleague[0, 1] = 1.0
+        colleague[-1] -= coef[:-1] / (2.0 * coef[-1])
+        roots = np.linalg.eigvals(colleague)
+    real = roots[(np.abs(roots.imag) <= 1e-8) & (np.abs(roots.real) <= 1.0 + 1e-8)].real
+    return np.sort(np.clip(real, -1.0, 1.0))
 
 
 def write_map_csv(smap: StabilityMap, path) -> None:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from levstab import all_ellipses, static_boundary_lines
-from levstab.floquet import BISECT_TOL
+from levstab.floquet import DELTA
 from levstab.validation import _CRITERIA, SCAN_HALF_WIDTH, tongue_edges
 
 
@@ -75,8 +75,9 @@ def test_tongue_a_centre_shift_grows_as_amplitude_squared(seed1):
     at theta = pi/2, the one scan of its battery that does.  The miss is
     the second-order shift the first-order ellipse leaves out: in units of
     k1, which grows as A, the centre error (centre - h1)/k1 grows as A, so
-    err(A) = 2 err(A/2) to within the quantum of the bisection,
-    2 SCAN_HALF_WIDTH BISECT_TOL (it reads -4.06e-2 and -2.08e-2)."""
+    err(A) = 2 err(A/2) to within the edges' certified half-width, 2
+    SCAN_HALF_WIDTH DELTA in units of k1, three times over: once for
+    err(A) and twice for 2 err(A/2) (it reads -4.12e-2 and -2.05e-2)."""
     params, exc = seed1
     errs = []
     for amplitude in (exc.A, exc.A / 2.0):
@@ -85,7 +86,7 @@ def test_tongue_a_centre_shift_grows_as_amplitude_squared(seed1):
         left, right = tongue_edges(params, exc_a, ell)
         errs.append((0.5 * (left + right) - ell.h1) / ell.k1)
     assert abs(errs[0]) > 1e-2
-    assert abs(errs[0] - 2.0 * errs[1]) <= 2.0 * SCAN_HALF_WIDTH * BISECT_TOL
+    assert abs(errs[0] - 2.0 * errs[1]) <= 3.0 * 2.0 * SCAN_HALF_WIDTH * DELTA
 
 
 def test_run_battery_applies_prerequisites(monkeypatch, b0, exc_quarter, exc_still):
@@ -160,7 +161,7 @@ def test_run_battery_underflowing_excitation_skips_like_unexcited(b0, exc_still)
 
 def test_run_battery_skips_floquet_tongue_criteria_below_resolvable_width(b0):
     """The relative tongue width is about 7 A.  Below MIN_TONGUE_WIDTH the
-    boundary bisection cannot resolve a tongue, so at A = 1e-12 and 1e-150
+    Chebyshev scan cannot certify a tongue's edges, so at A = 1e-12 and 1e-150
     the criteria that measure tongues by Floquet (7 and 13) are skipped
     with a reason naming that limit, where they used to fail; at A = 1e-8
     all 13 criteria still run and pass."""

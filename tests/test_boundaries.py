@@ -23,7 +23,7 @@ from levstab import (
 )
 from levstab.boundaries import _RESONANCES
 from levstab.cli import EXIT_OK, main
-from levstab.validation import _inside_tongue
+from levstab.validation import _psi_ns
 
 
 RT2 = math.sqrt(2.0)
@@ -461,14 +461,13 @@ def test_hill_determinant_places_d_on_closed_form_axes(b0, exc_quarter, seed1, c
 def test_floquet_places_d_kd_edges_off_closed_form_axis(b0, exc_quarter, seed1, config, edges):
     """Floquet puts tongue d's Kd edges along Kp = h1 well beyond the
     closed form's +-1 k2, by a factor that depends on the configuration.
-    The scan over h2 +- 4.5 k2 uses ``validation.tongue_edges``' indicator
-    for the combination family and finds exactly two edges, each within
-    0.01 k2 of the measured value; a bisection step is 9 k2 * BISECT_TOL =
-    0.009 k2."""
+    The scan over h2 +- 4.5 k2 uses ``validation.tongue_edges``' test
+    function for the combination family and finds exactly two edges, each
+    within 0.01 k2 of the measured value."""
     params, exc = (b0, exc_quarter) if config == "baseline" else seed1
     d = all_ellipses(params, exc)["d"]
     scan = ((d.h1, d.h2 - 4.5 * d.k2), (d.h1, d.h2 + 4.5 * d.k2))
-    crossings = boundary_crossings(params, exc, scan, lambda mu: _inside_tongue(mu, "combination"))
+    crossings = boundary_crossings(params, exc, scan, _psi_ns)
     assert len(crossings) == 2
     for (_, kd), edge in zip(crossings, edges):
         assert (kd - d.h2) / d.k2 == pytest.approx(edge, abs=0.01)

@@ -1658,6 +1658,21 @@ def test_fault_injection_factor_two_fails_tongue_criterion(monkeypatch, b0, exc_
     assert measured["max_center_err"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_fault_injection_uncertified_test_function_skips_tongue_criterion(monkeypatch, b0, exc_quarter):
+    """A combination test function whose sign cannot be certified at
+    MAX_STEPS, here one that is zero everywhere, leaves tongue c's scan
+    unresolved: criterion 7 is skipped with that reason, though the
+    principal scans before it were certified, and never passes."""
+    from levstab import validation
+
+    monkeypatch.setattr(validation, "_psi_ns", lambda m: np.zeros(len(m)))
+    monkeypatch.setattr(validation, "_CRITERIA", [c for c in validation._CRITERIA if c[0] == 7])
+    (c7,) = validation.run_battery(b0, exc_quarter).criteria
+    assert c7.status == "skip"
+    assert c7.reason.startswith("tongue c at theta = 1.5708: the scan ((")
+    assert c7.reason.endswith("is unresolved: its test function's signs are not certified at MAX_STEPS = 400 steps")
+
+
 def test_criterion_7_scans_the_open_tongues_at_each_phase(monkeypatch, b0, exc_quarter):
     """Criterion 7 scans every tongue that is open at theta = 0, pi/2 and
     pi: the principal ones at 0, all four at pi/2, the combination ones at

@@ -1,5 +1,5 @@
 """Floquet engine: monodromy matrices, multiplier classification, grid
-sweeps and boundary-crossing scans."""
+sweeps and Chebyshev boundary-crossing scans."""
 
 import math
 import os
@@ -23,35 +23,35 @@ from levstab import (
 )
 from levstab.boundaries import default_map_window, h0_gain, static_boundary_lines
 from levstab.floquet import (
-    BISECT_TOL,
+    DELTA,
     MAP_CSV_HEADER,
     MIN_CHUNK_CELLS,
-    N_PRESAMPLE,
+    NODES,
+    FloquetError,
     _batched_cells,
     _cell_record,
+    _chebyshev_roots,
+    is_real,
     resolve_workers,
-    signature_moduli,
     write_map_csv,
     write_map_metadata,
 )
+from levstab.validation import _psi_ns, _psi_pd
 
 
 STABLE = ControlGains(Kp=10600.0, Kd=3000.0)
 
 
-def _max_mu(mu):
-    """The stability indicator max|mu| - 1."""
-    return float(np.max(np.abs(mu))) - 1.0
-
-
-def _ranked(rank, family="principal"):
-    """Indicator of the rank-th largest signature modulus of ``family``."""
-    def indicator(mu):
-        moduli = signature_moduli(mu, family)
-        if len(moduli) <= rank:
-            return -1.0
-        return float(moduli[rank]) - 1.0
-    return indicator
+def _signature_moduli(multipliers, family):
+    """Moduli of the multipliers carrying a resonance signature, descending:
+    for family 'principal' the real negative multipliers (period-2T
+    mechanism), for 'combination' one of each complex-conjugate pair."""
+    mu = np.asarray(multipliers)
+    if family == "principal":
+        sel = is_real(mu) & (mu.real < 0.0)
+    else:
+        sel = ~is_real(mu) & (mu.imag > 0.0)
+    return np.sort(np.abs(mu[sel]))[::-1]
 
 
 def _fake_result(multipliers):
@@ -198,16 +198,6 @@ def test_classify_at_the_real_tolerance():
 def test_classify_divergence_left_of_vertical_line(b0, exc_quarter):
     res = monodromy(b0, exc_quarter, ControlGains(h0_gain(b0) - 100.0, 2000.0))
     assert classify(res) == "divergence"
-
-
-def test_signature_moduli_families():
-    mu = np.array([-1.2, -0.5, 0.8, 0.3 + 0.9j, 0.3 - 0.9j, 0.1])
-    princ = signature_moduli(mu, "principal")
-    np.testing.assert_allclose(princ, [1.2, 0.5])
-    comb = signature_moduli(mu, "combination")
-    np.testing.assert_allclose(comb, [abs(0.3 + 0.9j)])
-    with pytest.raises(ValueError):
-        signature_moduli(mu, "both")
 
 
 def test_sweep_agrees_with_static_oracle_when_unexcited(b0, exc_still):
@@ -553,7 +543,7 @@ def test_batched_multipliers_match_monodromy(monkeypatch, b0, exc_quarter, windo
     for mu, ref in zip(record["mu"], refs):
         assert close(np.sort(np.abs(mu)), np.sort(np.abs(ref))), (mu, ref)
         for family in ("principal", "combination"):
-            assert close(signature_moduli(mu, family), signature_moduli(ref, family)), (family, mu, ref)
+            assert close(_signature_moduli(mu, family), _signature_moduli(ref, family)), (family, mu, ref)
     if window == "tongue-d":
         monkeypatch.setattr(fl, "MAX_STEPS", fl.STEPS)
         record = _record(b0, exc_quarter, kp, kd)
@@ -832,39 +822,44 @@ def test_hybrid_sweep_identical_to_standard(b0, exc_quarter):
 
 
 def test_boundary_crossing_left_edge_of_principal_tongue(b0, exc_inphase):
-    """Scanning Kd = h2,a across ellipse a, the dominant-multiplier indicator
-    crosses unity once, at the left edge h1 - k1 (the right half of the
-    tongue overlaps the statically unstable side of the inclined line)."""
+    """Scanning Kd = h2,a across ellipse a, the period-doubling test
+    function -det(M + I) crosses zero twice, first at the left edge
+    h1 - k1."""
     ea = all_ellipses(b0, exc_inphase)["a"]
     scan = ((ea.h1 - 1.6 * ea.k1, ea.h2), (ea.h1 + 1.6 * ea.k1, ea.h2))
-    pts = boundary_crossings(b0, exc_inphase, scan, _max_mu)
-    assert len(pts) == 1
+    pts = boundary_crossings(b0, exc_inphase, scan, _psi_pd)
+    assert len(pts) == 2
     kp_cross, kd_cross = pts[0]
     assert kd_cross == ea.h2
     assert kp_cross == pytest.approx(ea.h1 - ea.k1, abs=0.01 * ea.k1)
 
 
-def test_boundary_crossing_signature_indicator_finds_both_edges(b0, exc_inphase):
-    """Tracking the resonant (real negative) multiplier pair separates the
-    two tongue edges: the larger of the pair crosses unity at the left edge,
-    the smaller at the right edge."""
-    ea = all_ellipses(b0, exc_inphase)["a"]
-    scan = ((ea.h1 - 1.6 * ea.k1, ea.h2), (ea.h1 + 1.6 * ea.k1, ea.h2))
-    left = boundary_crossings(b0, exc_inphase, scan, indicator=_ranked(0))
-    right = boundary_crossings(b0, exc_inphase, scan, indicator=_ranked(1))
-    assert len(left) >= 1 and len(right) >= 1
-    assert left[0][0] == pytest.approx(ea.h1 - ea.k1, abs=0.02 * ea.k1)
-    assert right[-1][0] == pytest.approx(ea.h1 + ea.k1, abs=0.02 * ea.k1)
+def test_boundary_crossing_signature_indicator_finds_both_edges(b0, exc_antiphase):
+    """The combination family's test function det(C2(M) - I), zero where
+    two multipliers' product passes 1, separates the two edges of tongue c:
+    it crosses zero at h1 - k1 and at h1 + k1."""
+    ec = all_ellipses(b0, exc_antiphase)["c"]
+    scan = ((ec.h1 - 1.6 * ec.k1, ec.h2), (ec.h1 + 1.6 * ec.k1, ec.h2))
+    (left, _), (right, _) = boundary_crossings(b0, exc_antiphase, scan, _psi_ns)
+    assert left == pytest.approx(ec.h1 - ec.k1, abs=0.02 * ec.k1)
+    assert right == pytest.approx(ec.h1 + ec.k1, abs=0.02 * ec.k1)
 
 
 def test_boundary_crossing_static_vertical_line(b0, exc_still):
-    """With A = 0 a horizontal scan crosses the divergence boundary exactly
-    at Kp = h0."""
+    """With A = 0 a horizontal scan crosses the divergence boundary at Kp =
+    h0, to DELTA of the scan.  The supports are alike, so M keeps the
+    supports' symmetric states, (d1 + d2, v1 + v2, I1 + I2), to themselves:
+    det(M - I) on them has a simple root at h0, where the translation's
+    real multiplier passes 1.  det(M - I) on all six states touches zero
+    there without a sign change, the rotation's multiplier passing 1 too,
+    so it has no crossing."""
     h0 = h0_gain(b0)
     scan = ((h0 - 800.0, 2000.0), (h0 + 800.0, 2000.0))
-    pts = boundary_crossings(b0, exc_still, scan, _max_mu)
+    q = np.vstack([np.eye(3), np.eye(3)]) / math.sqrt(2.0)
+    pts = boundary_crossings(b0, exc_still, scan, lambda m: np.linalg.det(q.T @ m @ q - np.eye(3)))
     assert len(pts) == 1
-    assert pts[0][0] == pytest.approx(h0, rel=1e-3)
+    assert pts[0][0] == pytest.approx(h0, abs=1600.0 * DELTA)
+    assert boundary_crossings(b0, exc_still, scan, lambda m: np.linalg.det(m - np.eye(6))) == []
 
 
 def test_boundary_crossing_stable_scan_empty(b0, exc_quarter):
@@ -872,76 +867,109 @@ def test_boundary_crossing_stable_scan_empty(b0, exc_quarter):
     kd = 2000.0  # off every tongue center at Omega = 80
     lo = lines.h0 + 0.35 * (lines.inclined(kd) - lines.h0)
     hi = lines.h0 + 0.65 * (lines.inclined(kd) - lines.h0)
-    assert boundary_crossings(b0, exc_quarter, ((lo, kd), (hi, kd)), _max_mu) == []
+    for psi in (_psi_pd, _psi_ns):
+        assert boundary_crossings(b0, exc_quarter, ((lo, kd), (hi, kd)), psi) == []
 
 
-def _depth_first_crossings(f):
-    """The crossings, as fractions of the scan, of the bisection that
-    boundary_crossings ran before it refined its brackets breadth-first:
-    one bracket at a time, with the last sample checked on its own."""
-    us = np.linspace(0.0, 1.0, N_PRESAMPLE)
-    vals = [f(u) for u in us]
-    crossings = []
-    for a, b, fa, fb in zip(us[:-1], us[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            crossings.append(a)
-            continue
-        if fa * fb >= 0.0:
-            continue
-        lo, hi, flo = a, b, fa
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        crossings.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        crossings.append(1.0)
-    return crossings
+def _from_roots(roots, extra=()):
+    """Chebyshev coefficients of prod (x - r) over ``roots``, times the
+    polynomials whose monomial coefficients (lowest first) ``extra`` lists,
+    built by x T_0 = T_1 and x T_k = (T_{k-1} + T_{k+1}) / 2."""
+    def times_x(c):
+        out = np.zeros(c.size + 1)
+        out[1] += c[0]
+        for k in range(1, c.size):
+            out[k - 1] += 0.5 * c[k]
+            out[k + 1] += 0.5 * c[k]
+        return out
+
+    coef = np.array([1.0])
+    for poly in [(-r, 1.0) for r in roots] + list(extra):
+        power, total = coef, np.zeros(coef.size + len(poly) - 1)
+        for a in poly:
+            total[: power.size] += a * power
+            power = times_x(power)
+        coef = total
+    return coef
 
 
-_U = np.linspace(0.0, 1.0, N_PRESAMPLE)
-
-
-@pytest.mark.parametrize("roots, power", [
-    # exact zeros at the first, an inner and the last sample
-    ((_U[0], _U[7], _U[-1]), 1),
-    # an exact zero at a bracket's first midpoint and one at a second-level midpoint
-    ((0.5 * (_U[9] + _U[10]), 0.5 * (_U[3] + 0.5 * (_U[3] + _U[4]))), 1),
-    # zeros at no evaluated point, two of them inside one sample interval
-    ((0.1234567, 0.5 + 1e-4, 0.81, 0.8101, 0.999), 1),
-    # zeros that touch without a sign change, one at a sample and one between
-    ((_U[12], 0.3333), 2),
+@pytest.mark.parametrize("roots, extra", [
+    # simple roots inside and within 1e-12 of the ends, with a real root
+    # outside and a complex pair
+    ((-1.0 + 1e-12, -0.5, 1.0 / 3.0, 1.0 - 1e-12), ((-1.5, 1.0), (0.25, 0.0, 1.0))),
+    # roots at both ends
+    ((-1.0, 0.2, 1.0), ()),
+    ((0.0,), ()),
+    ((-0.9, 0.8, 0.999999), ((2.0, 1.0),)),
+    # no real root in [-1, 1]: real roots outside it and complex pairs
+    ((), ((-1.1, 1.0), (3.0, 1.0), (0.01, 0.0, 1.0), (1.0, 0.2, 1.0))),
+    # a constant, with trailing zero coefficients
+    ((), ((2.0, 0.0, 0.0),)),
 ])
-def test_boundary_crossings_match_depth_first_bisection(monkeypatch, b0, exc_still, roots, power):
-    """Refining every bracket breadth-first finds the crossings of the
-    depth-first bisection bit for bit, by integrating the same gain points,
-    exact zeros of the indicator included, wherever they fall.  The
-    stand-in monodromy returns Kp as its one multiplier, and the scan runs
-    Kp over [0, 1] at Kd = 0, so Kp is the scan fraction."""
+def test_chebyshev_roots_of_known_series(roots, extra):
+    """The colleague matrix gives a Chebyshev series' real roots in [-1, 1]
+    in ascending order, and none of its roots outside or off the axis."""
+    got = _chebyshev_roots(_from_roots(roots, extra))
+    np.testing.assert_allclose(got, sorted(roots), rtol=0.0, atol=1e-12)
+
+
+def test_test_functions_are_products_over_multipliers():
+    """On seeded random 6x6 matrices, -det(M + I) equals -prod(mu_i + 1)
+    and det(C2(M) - I) equals prod_{i<j}(mu_i mu_j - 1), to 1e-10
+    relative."""
+    m = np.random.default_rng(7).normal(size=(20, 6, 6))
+    mu = np.linalg.eigvals(m)
+    i, j = np.triu_indices(6, 1)
+    pd = -np.prod(mu + 1.0, axis=1)
+    ns = np.prod(mu[:, i] * mu[:, j] - 1.0, axis=1)
+    assert np.all(np.abs(pd.imag) <= 1e-10 * np.abs(pd)) and np.all(np.abs(ns.imag) <= 1e-10 * np.abs(ns))
+    np.testing.assert_allclose(_psi_pd(m), pd.real, rtol=1e-10)
+    np.testing.assert_allclose(_psi_ns(m), ns.real, rtol=1e-10)
+
+
+def _gain_engine(monkeypatch):
+    """Replace the engine by one whose every monodromy matrix holds Kp at
+    [0, 0], whatever the step count."""
     import levstab.floquet as fl
 
-    def g(u):
-        return float(np.prod([(u - r) ** power for r in roots]))
+    def propagate(a, g, kp, kd, period):
+        m = np.zeros((kp.size, 6, 6))
+        m[:, 0, 0] = kp
+        return m
 
-    seen = []
+    monkeypatch.setattr(fl, "_propagate", propagate)
 
-    def fake(params, exc, gains, hyb=None):
-        seen.append(gains.Kp)
-        return _fake_result([gains.Kp])
 
-    monkeypatch.setattr(fl, "monodromy", fake)
-    got = boundary_crossings(b0, exc_still, ((0.0, 0.0), (1.0, 0.0)), lambda mu: g(mu[0].real))
-    expected_points = []
-    expected = _depth_first_crossings(lambda u: expected_points.append(u) or g(u))
-    assert [kp for kp, _ in got] == expected
+@pytest.mark.parametrize("roots", [
+    (0.1234567, 0.5 + 1e-4, 0.81, 0.999),
+    (0.0, 0.5),
+    (1e-3, 1.0),
+])
+def test_boundary_crossings_certify_the_roots_of_a_known_function(monkeypatch, b0, exc_still, roots):
+    """With a stand-in engine that returns Kp, and a scan of Kp over [0, 1]
+    at Kd = 0, the crossings of a polynomial in Kp are its roots, in scan
+    order, whether inside the scan or at its ends."""
+    _gain_engine(monkeypatch)
+    got = boundary_crossings(b0, exc_still, ((0.0, 0.0), (1.0, 0.0)),
+                             lambda m: np.prod([m[:, 0, 0] - r for r in roots], axis=0))
+    np.testing.assert_allclose([kp for kp, _ in got], roots, rtol=0.0, atol=1e-10)
     assert all(kd == 0.0 for _, kd in got)
-    assert sorted(seen) == sorted(expected_points)
+
+
+@pytest.mark.parametrize("psi", [
+    # two crossings closer than DELTA of the scan: psi keeps its sign across either
+    lambda kp: (kp - 0.4) * (kp - 0.4 - DELTA),
+    # a test function that is zero everywhere has no certain sign anywhere
+    lambda kp: 0.0 * kp,
+    # nor does one that is not finite
+    lambda kp: np.full(kp.shape, np.nan),
+])
+def test_boundary_crossings_unresolved_raise(monkeypatch, b0, exc_still, psi):
+    """A scan whose signs cannot be certified at MAX_STEPS raises
+    FloquetError rather than return crossings it has not confirmed."""
+    _gain_engine(monkeypatch)
+    with pytest.raises(FloquetError, match="unresolved"):
+        boundary_crossings(b0, exc_still, ((0.0, 0.0), (1.0, 0.0)), lambda m: psi(m[:, 0, 0]))
 
 
 def _usable_cpus():
@@ -996,29 +1024,36 @@ def test_resolve_workers_one_without_fork(monkeypatch):
 
 def test_tongue_edge_scans_integrate_each_gain_once(monkeypatch, b0, exc_inphase):
     """tongue_edges finds both edges in one boundary_crossings call, which
-    integrates each gain point once; a second call integrates its points
-    again, so no state outlives a call."""
+    runs no scalar monodromy and propagates each gain point once per step
+    count: tongue a's is certified at 50 steps, which reads the NODES nodes
+    and the two points around each edge at 50 steps and at 25.  A second
+    call propagates the same points again, so no state outlives a call."""
     import levstab.floquet as fl
     from levstab import validation
 
     ea = all_ellipses(b0, exc_inphase)["a"]
-    real_monodromy, real_crossings = fl.monodromy, fl.boundary_crossings
+    real_propagate, real_crossings = fl._propagate, fl.boundary_crossings
     seen, scans = [], []
 
-    def counting(params, exc, gains, hyb=None):
-        seen.append((gains.Kp, gains.Kd))
-        return real_monodromy(params, exc, gains, hyb=hyb)
+    def propagating(a, g, kp, kd, period):
+        seen.extend(((len(a) - 1) // 6, p, d) for p, d in zip(kp, kd))
+        return real_propagate(a, g, kp, kd, period)
 
     def crossings(params, exc, scan, indicator):
         scans.append(scan)
         return real_crossings(params, exc, scan, indicator)
 
-    monkeypatch.setattr(fl, "monodromy", counting)
+    def no_monodromy(*args, **kwargs):
+        raise AssertionError("a scan ran the scalar monodromy")
+
+    monkeypatch.setattr(fl, "_propagate", propagating)
     monkeypatch.setattr(fl, "boundary_crossings", crossings)
+    monkeypatch.setattr(fl, "monodromy", no_monodromy)
     edges = validation.tongue_edges(b0, exc_inphase, ea)
     first = list(seen)
     assert len(scans) == 1
-    assert len(first) == len(set(first)) > fl.N_PRESAMPLE
+    assert len(first) == len(set(first)) == 2 * (NODES + 4)
+    assert {steps for steps, _, _ in first} == {25, 50}
 
     seen.clear()
     assert validation.tongue_edges(b0, exc_inphase, ea) == edges
@@ -1029,19 +1064,24 @@ def test_tongue_edge_scans_integrate_each_gain_once(monkeypatch, b0, exc_inphase
     ("a", "exc_inphase"), ("b", "exc_inphase"), ("c", "exc_antiphase"), ("d", "exc_antiphase"),
 ])
 def test_tongue_edges_match_rank_indicator_searches(request, b0, kind, exc_name):
-    """The inside-the-tongue indicator's first and last crossings are the
-    left edge of the largest signature modulus and the right edge of the
-    second largest, each found by its own search."""
+    """Each edge's certified bracket holds the sign change of the rank
+    indicator that marks it, by the scalar monodromy: the largest
+    signature modulus of the tongue's family passes 1 within DELTA of the
+    scan around the left edge, and the second largest around the right
+    one, where the partner multiplier leaves the unit circle too."""
     from levstab.validation import SCAN_HALF_WIDTH, tongue_edges
 
     exc = request.getfixturevalue(exc_name)
     ell = all_ellipses(b0, exc)[kind]
     family = "principal" if kind in "ab" else "combination"
-    half = SCAN_HALF_WIDTH * ell.k1
-    scan = ((ell.h1 - half, ell.h2), (ell.h1 + half, ell.h2))
-    left = boundary_crossings(b0, exc, scan, _ranked(0, family))
-    right = boundary_crossings(b0, exc, scan, _ranked(1, family))
-    assert tongue_edges(b0, exc, ell) == (left[0][0], right[-1][0])
+    delta = 2.0 * SCAN_HALF_WIDTH * ell.k1 * DELTA
+
+    def ranked(kp, rank):
+        moduli = _signature_moduli(monodromy(b0, exc, ControlGains(kp, ell.h2)).multipliers, family)
+        return moduli[rank] - 1.0 if len(moduli) > rank else -1.0
+
+    for edge, rank in zip(tongue_edges(b0, exc, ell), (0, 1)):
+        assert ranked(edge - delta, rank) < 0.0 < ranked(edge + delta, rank)
 
 
 def test_monodromy_det_error_is_nan_where_liouville_underflows(underflow_doc):
