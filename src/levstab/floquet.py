@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dop853  # lazy: a map that needs no fallback never runs it
-from .linearized import CURRENT_ROWS, periodic_matrix
+from .linearized import periodic_matrix
 from .model import ATOL, RTOL, ControlGains, ExcitationParams, HybridParams, PhysicalParams
 from .output import fork, reap, resolve_workers, write_csv, write_json
 
@@ -65,24 +65,26 @@ ENGINE = "RK6 (Butcher 7-stage, Richardson-checked) + DOP853 fallback"
 # one block's, whatever the chunk
 BLOCK = 2048
 # a sweep splits its cells into no more chunks than give each at least
-# this many cells.  Fresh `map --grid n,n` processes on a 2-vCPU VM, medians
-# of 7 alternations, a two-way split against one chunk: +3.5 ms at 16
-# cells, +1.1 at 121, +0.0 at 144 (72 per chunk), -0.6 at 169, -2.1 at 196,
-# -6.9 at 441 and -18.6 at 676 (26x26).  The split won at most 3 of 7
-# alternations below 169 cells, and 6 or 7 of 7 from there on but at 256
+# this many cells, set where a two-way split broke even (144 cells) on an
+# earlier, faster 2-vCPU VM.  On a later one, fresh `map --grid n,n`
+# processes, medians of 7 alternations, the split cost +13.3 ms at 121
+# cells, +10.5 at 169, +11.9 at 441 and +9.6 at 676 (26x26), faster in at
+# most 2 of 7; where cells refine it still pays: in-process 26x26 maps
+# over theta = k pi/6 took 38 ms on two workers against 58 ms on one
 MIN_CHUNK_CELLS = 96
-# stack columns (cells times segments) of one group of a pass, ten arrays
-# of 36 floats each, about 3 MB.  Best of 5 in-process timings on a 2-vCPU
-# VM, 1024 columns against 2048: 135 against 154 ms for a 50-step pass of
-# 2048 cells, 1190 against 1238 ms for one at 400 steps, and 84 against 96
-# ms for 128 cells at 400 steps, whose 16 segments run side by side
+# stack columns (cells times segments) of one group of a pass, nine
+# arrays of 36 floats each, about 2.7 MB.  Best of 5 in-process timings on
+# a 2-vCPU VM, 1024 columns against 2048: 82 against 89 ms for a 50-step
+# pass of 2048 cells, 779 against 853 ms for one at 400 steps, and 50
+# against 56 ms for 128 cells at 400 steps, whose 16 segments run side by
+# side
 GROUP_COLUMNS = 1024
 # Memory (tracemalloc over whole one-worker sweeps of 50x50 to 301x301
 # cells, plus the record's shared mapping, which tracemalloc does not see):
-# a worker's engine holds 5-8 MB for its block, the stage stack of at most
-# GROUP_COLUMNS columns and the block's matrices and multipliers, whatever
-# the grid and the step counts (7.9 MB for the all-refined 50x50 map of
-# tongue d's window), and the record adds 128 bytes per cell, 120 of them
+# a worker's engine holds 5.1-7.3 MB for its block, the stage stack of at
+# most GROUP_COLUMNS columns and the block's matrices and multipliers,
+# whatever the grid and the step counts (7.3 MB for the all-refined 50x50
+# map of tongue d's window), and the record adds 128 bytes per cell, 120 of them
 # shared, which the sweep derives from a block at a time: 301x301 peaks at
 # 19.5 MB.  A two-worker sweep's calling process holds the record, counted
 # whole from its allocation, and its own chunk's engine: 301x301 peaks
@@ -251,17 +253,20 @@ def _propagate(a: np.ndarray, g: np.ndarray, kp: np.ndarray, kd: np.ndarray, per
     order.  The segments are integrated side by side, GROUP_COLUMNS // S
     cells at a time, so a group makes SEGMENT stack iterations, not n.
 
-    The stack of S segments of n cells is (6, 6, S, n), x[r, j, s, c] =
-    M_sc[_STACK_ROWS[r], j] for segment s of cell c, so a segment's
-    coefficients broadcast over its cells and a pass of one segment is the
-    case S = 1.  Each support pair of rows is a contiguous (2, 6, S, n)
-    block and A acts on it by elementwise products summed in a fixed order:
-    the rate rows are the velocity rows, the force rows take both gaps and
-    both currents, and the current rows take their own gap, rate and
-    current, with the gains entering the gap and rate columns.  The
-    segments' product is elementwise too.  So a cell's arithmetic, and with
-    it its result, depends neither on which other cells share the stack.
-    Returns the matrices as an (N, 6, 6) array.
+    A stack of S segments of n cells is (S, 6, 6, n), x[s, r, j, c] =
+    M_sc[_STACK_ROWS[r], j] for segment s of cell c, and the buffer ``ks``
+    holds x and the seven stages' derivatives.  A stage value x + h sum_j
+    a_ij k_j, and the step's update, is one matrix-vector product of its
+    coefficient row with the whole buffer, flat; A y at a node is one
+    matrix product per segment of A at zero gains with every column of y,
+    and the gains add Kp g_i y_d + Kd g_i y_v to the current rows, with
+    elementwise products.  The segments' product is elementwise too.  No
+    sum mixes two cells' entries, and BLAS adds the terms of each output
+    entry in the same order wherever it lies in the vector (the tests
+    ``test_base_pass_independent_of_groups`` and
+    ``test_refined_pass_independent_of_groups`` pin this bit for bit), so a
+    cell's result depends neither on which other cells share the stack nor
+    on their number.  Returns the matrices as an (N, 6, 6) array.
     """
     steps = (len(a) - 1) // 6
     segments = 1 if steps <= STEPS else steps // SEGMENT
@@ -270,69 +275,54 @@ def _propagate(a: np.ndarray, g: np.ndarray, kp: np.ndarray, kd: np.ndarray, per
     # the table row of node k of step i of segment s, as [i, k, s]
     begin = 6 * (np.arange(segments) * length + np.arange(length)[:, None])
     at = begin[:, None, :] + np.arange(7)[:, None]
+    # A at zero gains in the stack's row and column order, and the gain
+    # scale as (2, 1, 1) columns over the current rows, the stack's matrix
+    # columns and its cells, both indexed [step, node, segment]
+    order = np.array(_STACK_ROWS)
+    coef = np.ascontiguousarray(a[at][..., order[:, None], order])
+    scale = g[at][..., None, None]
+    # the rows (1, h a_i1, ...) of the stage values and (1, h b_1, ...) of the update
+    sums = [np.array((1.0, *(h * c for c in row))) for row in (*_RK6_A, _RK6_B)]
 
-    def columns(table: np.ndarray) -> np.ndarray:
-        """A table of two entries per node as (2, 1, S, 1) columns, indexed
-        [step, node], which broadcast over a stack's cells."""
-        return table[at].transpose(0, 1, 3, 2)[:, :, :, None, :, None]
+    def views(stack: np.ndarray) -> tuple:
+        """A stack as the (S, 6, 6 n) operand of A's matrix product, then
+        its gap, rate and current rows."""
+        return stack.reshape(segments, 6, -1), stack[:, 0:2], stack[:, 4:6], stack[:, 2:4]
 
-    # the force rows' entries on d1, I1, d2, I2 and the current rows' on
-    # their own current, then the current rows' entries on their gap and
-    # rate at zero gains, and the gain scale d_i/2C
-    rows, gaps, rates = (list(cols) for cols in zip(*CURRENT_ROWS))
-    fixed = [columns(a[:, [1, 4], col]) for col in (0, 2, 3, 5)] + [columns(a[:, rows, rows])]
-    force_rows = [_STACK_ROWS.index(col) for col in (0, 2, 3, 5)]
-    cur_d, cur_v, scale = columns(a[:, rows, gaps]), columns(a[:, rows, rates]), columns(g)
-    stages = [
-        (node, [(j, h * c) for j, c in enumerate(row) if c])
-        for node, row in zip(_RK6_NODES[1:], _RK6_A)
-    ]
-    weights = [(j, h * b) for j, b in enumerate(_RK6_B) if b]
-
-    def derivative(y, k, pair, coef: list, gap: np.ndarray, rate: np.ndarray):
-        """k = A y at one node, with the entries ``coef`` of ``fixed`` there
-        and the current rows' gap and rate entries at the cells' gains."""
-        np.copyto(k[0:2], y[4:6])
-        out = k[4:6]
-        np.multiply(coef[0], y[force_rows[0]], out=out)
-        for f, row in zip(coef[1:4], force_rows[1:]):
-            np.multiply(f, y[row], out=pair)
-            out += pair
-        out = k[2:4]
-        np.multiply(gap, y[0:2], out=out)
-        np.multiply(rate, y[4:6], out=pair)
-        out += pair
-        np.multiply(coef[4], y[2:4], out=pair)
-        out += pair
+    def derivative(y: tuple, k: tuple, node: np.ndarray, gap: np.ndarray, rate: np.ndarray, tmp) -> None:
+        """k = A y at one node, on the ``views`` of two stacks: A there at
+        zero gains (``node``) times every column, and the current rows'
+        gain entries at the cells' gains."""
+        (y_all, y_gap, y_rate, _), (k_all, _, _, k_cur) = y, k
+        np.matmul(node, y_all, out=k_all)
+        np.multiply(gap, y_gap, out=tmp)
+        np.add(k_cur, tmp, out=k_cur)
+        np.multiply(rate, y_rate, out=tmp)
+        np.add(k_cur, tmp, out=k_cur)
 
     def run(gkp: np.ndarray, gkd: np.ndarray) -> np.ndarray:
         """Matrices of every segment of the cells (gkp, gkd), integrated
-        side by side, as (6, 6, S, n) in the natural row order."""
-        x = np.zeros((6, 6, segments, gkp.size))
+        side by side, as (S, 6, 6, n) in the natural row order."""
+        # x, then the stages' derivatives k1 .. k7
+        ks = np.zeros((1 + len(_RK6_B), segments, 6, 6, gkp.size))
         for r, row in enumerate(_STACK_ROWS):
-            x[r, row] = 1.0
-        ks = [np.empty_like(x) for _ in _RK6_B]
-        y, tmp = np.empty_like(x), np.empty_like(x)
+            ks[0, :, r, row] = 1.0
+        y, tmp = np.empty_like(ks[0]), np.empty_like(ks[0, :, :2])
+        flat, y_flat = ks.reshape(len(ks), -1), y.reshape(-1)
+        x, *k = [views(stack) for stack in ks]
+        y_views = views(y)
+        # each later stage's node, sum row, the stacks that row reads and its k
+        stages = [(node, row, flat[: row.size], ki) for node, row, ki in zip(_RK6_NODES[1:], sums, k[1:])]
         for step in range(length):
-            gap = cur_d[step] + gkp * scale[step]
-            rate = cur_v[step] + gkd * scale[step]
-            derivative(x, ks[0], tmp[:2], [t[step, 0] for t in fixed], gap[0], rate[0])
-            for s, (node, terms) in enumerate(stages, start=1):
-                (j, c), *rest = terms
-                np.multiply(ks[j], c, out=y)
-                y += x
-                for j, c in rest:
-                    np.multiply(ks[j], c, out=tmp)
-                    y += tmp
-                derivative(y, ks[s], tmp[:2], [t[step, node] for t in fixed], gap[node], rate[node])
-            (j, c), *rest = weights
-            np.multiply(ks[j], c, out=y)
-            for j, c in rest:
-                np.multiply(ks[j], c, out=tmp)
-                y += tmp
-            x += y
-        seg = np.empty_like(x)
-        seg[list(_STACK_ROWS)] = x
+            gap, rate, a_step = scale[step] * gkp, scale[step] * gkd, coef[step]
+            derivative(x, k[0], a_step[0], gap[0], rate[0], tmp)
+            for node, row, terms, out in stages:
+                np.matmul(row, terms, out=y_flat)
+                derivative(y_views, out, a_step[node], gap[node], rate[node], tmp)
+            np.matmul(sums[-1], flat, out=y_flat)
+            ks[0] = y
+        seg = np.empty_like(y)
+        seg[:, list(_STACK_ROWS)] = ks[0]
         return seg
 
     m = np.empty((kp.size, 6, 6))
@@ -340,9 +330,9 @@ def _propagate(a: np.ndarray, g: np.ndarray, kp: np.ndarray, kd: np.ndarray, per
     for lo in range(0, kp.size, group):
         seg = run(kp[lo : lo + group], kd[lo : lo + group])
         # M = M_{S-1} ... M_1 M_0
-        prod = seg[:, :, 0]
+        prod = seg[0]
         for s in range(1, segments):
-            later = seg[:, :, s]
+            later = seg[s]
             nxt = later[:, 0, None] * prod[0]
             for k in range(1, 6):
                 nxt += later[:, k, None] * prod[k]

@@ -49,8 +49,6 @@ __all__ = [
 # flat indices of the nonzero entries of A(t): the two rate rows, the
 # force-balance rows (1, 4) and the current rows (2, 5)
 _NONZERO = np.array([1, 6, 8, 9, 11, 12, 13, 14, 22, 24, 26, 27, 29, 33, 34, 35])
-# per support: its current row and the gap and gap-rate columns the gains act on
-CURRENT_ROWS = ((2, 0, 1), (5, 3, 4))
 
 
 class PeriodicMatrix:
@@ -110,9 +108,9 @@ class PeriodicMatrix:
         evaluation and the assembly ``at`` uses.
 
         Returns ``(a, g)`` with ``a[k]`` the 6x6 matrix at t_k and ``g[k, i]``
-        support i's d_i/2C, the entry per unit gain at ``CURRENT_ROWS``: A at
-        gains (Kp + dKp, Kd + dKd) adds dKp*g_i at (row, gap column) and
-        dKd*g_i at (row, gap-rate column).
+        support i's d_i/2C, the entry per unit gain of its current row (2 or
+        5): A at gains (Kp + dKp, Kd + dKd) adds dKp*g_i there on the gap
+        column (0 or 3) and dKd*g_i on the gap-rate column (1 or 4).
         """
         t = np.arange(count + 1) * (self.period / count)
         ss = steady_state(self.params, self.exc, t)

@@ -680,6 +680,93 @@ def test_refined_pass_independent_of_groups(monkeypatch, b0, exc_quarter):
         assert passes[5].tobytes() == passes[1].tobytes()
 
 
+def test_base_pass_independent_of_groups(monkeypatch, b0, exc_quarter):
+    """The one-segment passes at 25 and 50 steps give each of 1, 7, 13 and
+    441 cells across the default window the bits of a pass in groups of
+    one cell, whether the cells share one group or split into groups of
+    five.  The stage sums and A's products run in BLAS, whose kernels take
+    other paths at the tail of a vector than in its body, so this pins that
+    a cell's bits depend neither on its place in the stack nor on the
+    stack's width."""
+    import levstab.floquet as fl
+    from levstab.linearized import periodic_matrix
+
+    (kp_lo, kp_hi), (kd_lo, kd_hi) = default_map_window(b0, exc_quarter)
+    rng = np.random.default_rng(23)
+    pm = periodic_matrix(b0, exc_quarter, ControlGains(0.0, 0.0))
+    for steps in (25, 50):
+        table = pm.table(6 * steps)
+        for count in (1, 7, 13, 441):
+            kp, kd = rng.uniform(kp_lo, kp_hi, count), rng.uniform(kd_lo, kd_hi, count)
+            passes = {}
+            for cells in (None, 5, 1):
+                with monkeypatch.context() as groups:
+                    if cells is not None:
+                        groups.setattr(fl, "GROUP_COLUMNS", cells)
+                    passes[cells] = fl._propagate(*table, kp, kd, pm.period)
+            assert passes[None].tobytes() == passes[1].tobytes(), (steps, count)
+            assert passes[5].tobytes() == passes[1].tobytes(), (steps, count)
+
+
+# Butcher's 7-stage order-6 tableau, written out here apart from the
+# engine's: nodes in sixths of a step, a-rows and weights
+_REF_NODES = (0, 2, 4, 2, 3, 3, 6)
+_REF_A = (
+    (),
+    (1 / 3,),
+    (0.0, 2 / 3),
+    (1 / 12, 1 / 3, -1 / 12),
+    (-1 / 16, 9 / 8, -3 / 16, -3 / 8),
+    (0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2),
+    (9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11),
+)
+_REF_B = (11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120)
+
+
+def _reference_rk6(params, exc, gains, steps: int) -> np.ndarray:
+    """The monodromy matrix of one cell by the plain Butcher loop over one
+    period in ``steps`` steps, with the dense A at the cell's own gains
+    from ``PeriodicMatrix.table``."""
+    from levstab.linearized import periodic_matrix
+
+    pm = periodic_matrix(params, exc, gains)
+    a, _ = pm.table(6 * steps)
+    h = pm.period / steps
+    x = np.eye(6)
+    for i in range(steps):
+        k = []
+        for node, row in zip(_REF_NODES, _REF_A):
+            y = x + h * sum((c * kj for c, kj in zip(row, k)), np.zeros((6, 6)))
+            k.append(a[6 * i + node] @ y)
+        x = x + h * sum(b * kj for b, kj in zip(_REF_B, k))
+    return x
+
+
+def test_propagate_matches_reference_rk6(b0, exc_quarter):
+    """_propagate's matrices at 25, 50 and 100 steps (the last in
+    segments) equal the plain Butcher loop's to 1e-13 of their largest
+    entry, at stable gains and at tongues a, b and d: a permuted stack row,
+    a stage that reads the wrong derivatives or a wrong coefficient row
+    moves them far more."""
+    from levstab.floquet import _propagate
+    from levstab.linearized import periodic_matrix
+
+    e = all_ellipses(b0, exc_quarter)
+    cells = [
+        (STABLE.Kp, STABLE.Kd),
+        (e["a"].h1, e["a"].h2),
+        (e["b"].h1 + e["b"].k1, e["b"].h2),
+        (e["d"].h1, e["d"].h2 + 3.0 * e["d"].k2),
+    ]
+    kp, kd = (np.array(col) for col in zip(*cells))
+    pm = periodic_matrix(b0, exc_quarter, ControlGains(0.0, 0.0))
+    for steps in (25, 50, 100):
+        got = _propagate(*pm.table(6 * steps), kp, kd, pm.period)
+        for c, (p, d) in enumerate(cells):
+            ref = _reference_rk6(b0, exc_quarter, ControlGains(p, d), steps)
+            assert np.abs(got[c] - ref).max() <= 1e-13 * np.abs(ref).max(), (steps, c)
+
+
 def test_sweep_refuses_currents_that_underflow(exc_quarter, monkeypatch):
     """With m = 1e-300 and C = 1e300 the steady currents per unit gap,
     sqrt(m g/(2C)), underflow to zero, and the force-balance rows of A

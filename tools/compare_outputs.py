@@ -33,7 +33,10 @@ digits:
   (``ENGINE_FIELDS``) are printed, not compared; all else must be equal;
 * ``validation.json``: the timings ``seconds`` and ``elapsed_s`` are ignored,
   and the deviation between two maps that criterion 9 measures
-  (``map_max_mu_dev``) must stay within ``MU_TOL`` on both sides.
+  (``map_max_mu_dev``) must stay within ``MU_TOL`` on both sides.  Every
+  other field that moved is printed with its JSON path, both values and,
+  for numbers, their deviation relative to max(1, |value|), and counts as
+  one difference; a moved ``map_max_mu_dev`` is printed the same way.
 
 Every JSON product of every run must also be strict JSON: it must parse
 with the constants NaN, Infinity and -Infinity refused, which Python's
@@ -204,6 +207,18 @@ def _drop(doc, keys):
     return doc
 
 
+def _moved(a, b, path: str = "") -> list[tuple[str, object, object]]:
+    """The leaves in which two JSON documents differ, as (JSON path, value
+    in a, value in b); a key on one side only is a leaf, and so is a list
+    whose length changed."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = [*a, *(k for k in b if k not in a)]
+        return [m for k in keys for m in _moved(a.get(k, "(absent)"), b.get(k, "(absent)"), f"{path}.{k}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [m for i, (u, v) in enumerate(zip(a, b)) for m in _moved(u, v, f"{path}[{i}]")]
+    return [] if a == b else [(path.lstrip("."), a, b)]
+
+
 def _map_deviations(doc) -> list:
     """Every ``map_max_mu_dev`` in a validation report."""
     if isinstance(doc, dict):
@@ -230,47 +245,52 @@ def nonstrict_json(out: Path) -> list[str]:
     return found
 
 
-def compare_map_csv(a: Path, b: Path) -> str | None:
+def compare_map_csv(a: Path, b: Path) -> list[str]:
     """Classes exact, max|mu| within MU_TOL; prints the largest deviation."""
     rows_a = [r.split(",") for r in a.read_text().splitlines()]
     rows_b = [r.split(",") for r in b.read_text().splitlines()]
     if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
-        return "map.csv header or row count"
+        return ["map.csv header or row count"]
     worst = 0.0
     for ra, rb in zip(rows_a[1:], rows_b[1:]):
         if ra[:3] != rb[:3]:
-            return f"map.csv cell {ra[:3]} -> {rb[:3]}"
+            return [f"map.csv cell {ra[:3]} -> {rb[:3]}"]
         mu_a, mu_b = float(ra[3]), float(rb[3])
         if not (math.isnan(mu_a) and math.isnan(mu_b)):
             worst = max(worst, abs(mu_a - mu_b) / max(1.0, abs(mu_a)))
     print(f"  map.csv: classes identical, max|mu| deviates by up to {worst:.3e}")
-    return None if worst <= MU_TOL else f"map.csv max|mu| deviates by {worst:.3e}"
+    return [] if worst <= MU_TOL else [f"map.csv max|mu| deviates by {worst:.3e}"]
 
 
-def compare_map_meta(a: Path, b: Path) -> str | None:
+def compare_map_meta(a: Path, b: Path) -> list[str]:
     """Equal apart from the engine fields, which are printed."""
     doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
     for key in sorted(ENGINE_FIELDS):
         va, vb = doc_a["grid"].get(key), doc_b["grid"].get(key)
         if va != vb:
             print(f"  map_meta.json grid.{key}: {va!r} -> {vb!r}")
-    return None if _drop(doc_a, ENGINE_FIELDS) == _drop(doc_b, ENGINE_FIELDS) else "map_meta.json"
+    return [] if _drop(doc_a, ENGINE_FIELDS) == _drop(doc_b, ENGINE_FIELDS) else ["map_meta.json"]
 
 
-def compare_validation(a: Path, b: Path) -> str | None:
-    """Equal apart from timings; criterion 9's map deviation within MU_TOL."""
+def compare_validation(a: Path, b: Path) -> list[str]:
+    """Equal apart from timings, each moved field printed and counted;
+    criterion 9's map deviation, printed where it moved, within MU_TOL."""
     doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
-    ignored = TIMINGS | {"map_max_mu_dev"}
-    if _drop(doc_a, ignored) != _drop(doc_b, ignored):
-        return "validation.json"
+    diffs = []
+    for path, va, vb in _moved(_drop(doc_a, TIMINGS), _drop(doc_b, TIMINGS)):
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (va, vb))
+        dev = f", deviation {abs(va - vb) / max(1.0, abs(va)):.3e}" if numbers else ""
+        print(f"  validation.json {path}: {va!r} -> {vb!r}{dev}")
+        if not path.endswith("map_max_mu_dev"):
+            diffs.append(f"validation.json {path}")
     devs = _map_deviations(doc_a) + _map_deviations(doc_b)
-    return None if all(d <= MU_TOL for d in devs) else f"validation.json map_max_mu_dev {devs}"
+    return diffs + ([] if all(d <= MU_TOL for d in devs) else [f"validation.json map_max_mu_dev {devs}"])
 
 
-def compare_all_but_workers(a: Path, b: Path) -> str | None:
+def compare_all_but_workers(a: Path, b: Path) -> list[str]:
     """Equal apart from ``workers``, the chunk count of the sweep."""
     doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
-    return None if _drop(doc_a, {"workers"}) == _drop(doc_b, {"workers"}) else a.name
+    return [] if _drop(doc_a, {"workers"}) == _drop(doc_b, {"workers"}) else [a.name]
 
 
 COMPARE = {
@@ -283,12 +303,12 @@ COMPARE = {
 SPLIT_COMPARE = {"map_meta.json": compare_all_but_workers}
 
 
-def file_difference(a: Path, b: Path, compare: dict = COMPARE) -> str | None:
-    """None if the two files agree, by ``compare[name]`` where given and
-    byte for byte elsewhere, else what differs."""
+def file_differences(a: Path, b: Path, compare: dict = COMPARE) -> list[str]:
+    """What differs between the two files, by ``compare[name]`` where given
+    and byte for byte elsewhere; empty if they agree."""
     if a.name in compare:
         return compare[a.name](a, b)
-    return None if a.read_bytes() == b.read_bytes() else a.name
+    return [] if a.read_bytes() == b.read_bytes() else [a.name]
 
 
 def differences(rev_run, work_run, compare: dict = COMPARE) -> list[str]:
@@ -301,9 +321,7 @@ def differences(rev_run, work_run, compare: dict = COMPARE) -> list[str]:
     diffs += [f"{name} only at the revision" for name in sorted(files_a - files_b)]
     diffs += [f"{name} only in the working tree" for name in sorted(files_b - files_a)]
     for name in sorted(files_a & files_b):
-        diff = file_difference(out_a / name, out_b / name, compare)
-        if diff is not None:
-            diffs.append(diff)
+        diffs += file_differences(out_a / name, out_b / name, compare)
     return diffs
 
 
