@@ -249,6 +249,8 @@ def cmd_simulate(args) -> int:
             start, t_span, cfg.params, cfg.exc, gains, mode=mode, hyb=cfg.hybrid,
             t_eval=t_eval, sink=sink,
         )
+    if sink is None:  # no writer was forked
+        plant.write_trajectory_csv(traj, path)
     meta = {
         **traj.meta,
         "gains": {"Kp": gains.Kp, "Kd": gains.Kd},

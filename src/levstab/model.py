@@ -153,9 +153,8 @@ class HybridParams:
 
 def validate(
     params: PhysicalParams, exc: ExcitationParams, hyb: HybridParams | None = None
-) -> tuple[PhysicalParams, ExcitationParams]:
-    """Check all type invariants and the physical range; return the pair
-    unchanged if they hold.
+) -> None:
+    """Check all type invariants and the physical range.
 
     The physical range: each factor that the parameters alone set in the
     formulas the commands evaluate is a normal float, neither overflowed
@@ -223,7 +222,6 @@ def validate(
         raise ValueError(f"Omega = {exc.Omega!r} is too small: its period 2 pi/Omega overflows")
     if not math.isfinite(exc.theta):
         raise ValueError("theta must be finite")
-    return params, exc
 
 
 def natural_frequencies(params: PhysicalParams, Kd: float) -> tuple[float, float]:

@@ -7,10 +7,12 @@ JSON products are indented and key-sorted, so equal payloads give equal
 bytes.  Each file is written beside its path and renamed into place
 (``_placed``), so it appears whole or not at all.
 
-A CSV of float columns can also be streamed with :func:`csv_stream`: the
-rows of a long stream go as raw float64 frames to a writer, a child
-process, which formats them with ``write_csv``'s row formatter while the
-caller computes the next ones.
+A long CSV of float columns can also be streamed with :func:`csv_stream`:
+its rows go as raw float64 frames to a writer, a child process, which
+formats them with ``write_csv``'s row formatter while the caller computes
+the next ones.  A stream too short for the writer to pay, or one with no
+second CPU to run it on, is not streamed: ``csv_stream`` yields no sink,
+and the caller writes the whole file with ``write_csv``.
 
 :func:`fork` starts every child levstab runs, this writer and the map
 sweep's chunks alike, and :func:`reap` ends it: a child leaves by
@@ -140,15 +142,6 @@ def _rows(template, columns) -> str:
     return "".join(template % row for row in zip(*columns))
 
 
-def _write_block(dst, template, values, n) -> None:
-    """Format a block of n rows by ``template`` into the binary file
-    ``dst``; ``values`` holds its columns one after the other, n floats
-    each, as a flat sequence whose slices are sequences of floats."""
-    # a list, not a generator: zip(*generator) resizes the tuple it builds,
-    # which leaves up to 2000 tuples in CPython's free list
-    dst.write(_rows(template, [values[i * n : (i + 1) * n] for i in range(template.count("%"))]).encode())
-
-
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns as CSV rows below ``header``, the
     comma-separated column names.
@@ -194,51 +187,49 @@ def _placed(path, mode):
 
 @contextmanager
 def csv_stream(path, header, rows):
-    """Write a CSV of float columns to ``path``, one block of rows at a
-    time, through a forked writer if the stream is long.
+    """Write a CSV of float columns to ``path`` through a forked writer,
+    one block of rows at a time, if the stream is long; else write nothing.
 
     ``rows`` is the number of rows the caller plans to send.  A plan of at
-    least ``_STREAM_ROWS`` rows forks the writer (``fork``) when the
-    stream opens, before the first block, if ``resolve_workers()`` allows
-    two processes, and the writer formats every block as ``write_csv``
-    does.  Any other stream formats each block as it arrives, in this
-    process: one CPU leaves a writer nothing to overlap.  Yields
-    ``send(columns)``, which takes a block of rows as equal-length float
-    columns, one per name in ``header``, and copies or formats them before
-    it returns.  The file is placed as every product is (``_placed``),
-    once the ``with`` block has ended and the writer, if any, has exited
-    with status 0.  Otherwise the writer is killed and reaped and the
-    error propagates; a writer that cannot start, failed or stopped
-    reading raises ``RuntimeError`` naming its status and what it raised.
+    least ``_STREAM_ROWS`` rows, where ``resolve_workers()`` allows two
+    processes, forks the writer (``fork``) when the stream opens, before
+    the first block, and yields ``send(columns)``, which takes a block of
+    rows as equal-length float columns, one per name in ``header``, and
+    copies them into a frame before it returns; the writer formats every
+    block as ``write_csv`` does.  Any other plan yields None and opens no
+    file, and the caller writes its rows with ``write_csv`` once it has
+    them all: below ``_STREAM_ROWS`` the fork costs more than it saves,
+    and one process leaves a writer nothing to overlap.  The file is
+    placed as every product is (``_placed``), once the ``with`` block has
+    ended and the writer has exited with status 0.  Otherwise the writer
+    is killed and reaped and the error propagates; a writer that cannot
+    start, failed or stopped reading raises ``RuntimeError`` naming its
+    status and what it raised.
     """
+    if rows < _STREAM_ROWS or resolve_workers() < 2:
+        yield None
+        return
     template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     writer = None
     try:
         with _placed(path, "wb") as fh:
             fh.write(header.encode() + b"\n")
             fh.flush()  # a writer inherits the file, and must not inherit the header too
-            if rows >= _STREAM_ROWS and resolve_workers() > 1:
-                writer = fork(f"the CSV writer of {path}", _serve, fh, template, reads=True)
+            writer = fork(f"the CSV writer of {path}", _serve, fh, template, reads=True)
 
             def send(columns):
                 block = np.array(columns, dtype=np.float64)
-                if writer is None:
-                    _write_block(fh, template, memoryview(block.ravel()), block.shape[1])
-                else:  # a frame, as _serve reads it
-                    writer.pipe.write(block.shape[1].to_bytes(8, "little") + block.tobytes())
+                # a frame, as _serve reads it
+                writer.pipe.write(block.shape[1].to_bytes(8, "little") + block.tobytes())
 
             fault = None
             try:
                 yield send
-                if writer is not None:
-                    writer.pipe.close()
+                writer.pipe.close()
             except BrokenPipeError:  # the writer, the pipe's only reader, has exited
-                if writer is None:
-                    raise
                 fault = "exited before it had read every row"
-            if writer is not None:
-                child, writer = writer, None
-                reap(child, fault)
+            child, writer = writer, None
+            reap(child, fault)
     finally:
         if writer is not None:
             reap(writer, abort=True)
@@ -247,18 +238,21 @@ def csv_stream(path, header, rows):
 def _serve(src, dst, template) -> None:
     """The writer of ``csv_stream``, run in a child of ``fork``: format
     each frame of the binary stream ``src`` as CSV rows by ``template``
-    into ``dst`` until ``src`` ends.
+    into the binary file ``dst`` until ``src`` ends.
 
     A frame is the row count n as 8 little-endian bytes, then the block's
     columns one after the other, n native float64 values each.
     """
-    size = 8 * template.count("%")  # bytes per row
+    width = template.count("%")
     while head := src.read(8):
         n = int.from_bytes(head, "little")
-        data = src.read(size * n)
-        if len(head) < 8 or len(data) < size * n:
+        data = src.read(8 * width * n)
+        if len(head) < 8 or len(data) < 8 * width * n:
             raise EOFError("the stream ended inside a frame")
-        _write_block(dst, template, memoryview(data).cast("d"), n)
+        values = memoryview(data).cast("d")
+        # a list, not a generator: zip(*generator) resizes the tuple it builds,
+        # which leaves up to 2000 tuples in CPython's free list
+        dst.write(_rows(template, [values[i * n : (i + 1) * n] for i in range(width)]).encode())
     dst.flush()
 
 

@@ -436,5 +436,7 @@ def integrate(
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write samples as CSV with full double precision (17 significant digits)."""
+    """Write samples as CSV with full double precision (17 significant
+    digits), in the bytes ``output.csv_stream``'s forked writer gives the
+    same rows: ``simulate``'s writer for a run that forks none."""
     write_csv(path, TRAJECTORY_CSV_HEADER, [traj.t, *traj.states.T, traj.gap1, traj.gap2])

@@ -1246,19 +1246,22 @@ def test_cli_simulate_stream_failure_leaves_nothing(tmp_path, monkeypatch, capsy
     _assert_no_child_left()
 
 
-def _simulate_without_process(tmp_path, monkeypatch, periods, dz, dphi):
-    """Run simulate with ``output.fork`` unable to start anything; assert
-    that its trajectory.csv has the bytes write_trajectory_csv gives the
-    same run, and return that run and simulate's exit code."""
+def _simulate_without_process(tmp_path, monkeypatch, extra, periods, dz, dphi):
+    """Run simulate on B0_DOC plus the config additions ``extra`` with
+    ``output.fork`` unable to start anything; assert that its
+    trajectory.csv has the bytes write_trajectory_csv gives the same run,
+    and return that run and simulate's exit code."""
     from dataclasses import replace
 
     from levstab.plant import integrate, steady_vehicle_state, write_trajectory_csv
 
-    doc = {**B0_DOC, "gains": {"Kp": 10600.0, "Kd": 3000.0}}
+    doc = {**B0_DOC, "gains": {"Kp": 10600.0, "Kd": 3000.0}, **extra}
     cfg = parse_config(doc)
-    start = steady_vehicle_state(cfg.params, cfg.exc, 0.0)
+    start = steady_vehicle_state(cfg.params, cfg.exc, 0.0, cfg.hybrid)
     start = replace(start, z=start.z + dz, phi=start.phi + dphi)
-    traj = integrate(start, (0.0, periods * cfg.exc.period), cfg.params, cfg.exc, cfg.gains)
+    mode = "standard" if cfg.hybrid is None else "hybrid"
+    traj = integrate(start, (0.0, periods * cfg.exc.period), cfg.params, cfg.exc, cfg.gains,
+                     mode=mode, hyb=cfg.hybrid)
     write_trajectory_csv(traj, tmp_path / "reference.csv")
 
     from levstab import output
@@ -1281,7 +1284,7 @@ def test_cli_simulate_short_plan_formats_in_process(tmp_path, monkeypatch):
     write_trajectory_csv."""
     from levstab.output import _STREAM_ROWS
 
-    traj, rc = _simulate_without_process(tmp_path, monkeypatch, 10, 1e-4, 5e-5)
+    traj, rc = _simulate_without_process(tmp_path, monkeypatch, {}, 10, 1e-4, 5e-5)
     assert rc == EXIT_OK
     assert traj.t.size == 2001 < _STREAM_ROWS
 
@@ -1290,8 +1293,10 @@ def test_cli_simulate_short_plan_formats_in_process(tmp_path, monkeypatch):
 def test_cli_simulate_one_process_policy_formats_in_process(tmp_path, monkeypatch, policy):
     """Where ``resolve_workers`` allows one process, under
     LEVSTAB_THREADS=1 or on one usable CPU, a run planned over
-    _STREAM_ROWS rows forks no writer: 25 periods, 5,001 rows, are
-    formatted in-process into the bytes of write_trajectory_csv."""
+    _STREAM_ROWS rows forks no writer: for each of STREAM_CASES, the
+    standard and the hybrid plant over 25 periods, 5,001 rows, and a gap
+    closure that ends the run in its first block, trajectory.csv has the
+    bytes of write_trajectory_csv, the closure row included."""
     from levstab.output import _STREAM_ROWS
 
     _two_cpus(monkeypatch)
@@ -1299,9 +1304,39 @@ def test_cli_simulate_one_process_policy_formats_in_process(tmp_path, monkeypatc
         monkeypatch.setenv("LEVSTAB_THREADS", "1")
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    traj, rc = _simulate_without_process(tmp_path, monkeypatch, 25, 1e-4, 5e-5)
+    for case, (extra, periods, (dz, dphi)) in STREAM_CASES.items():
+        assert 200 * periods + 1 >= _STREAM_ROWS
+        (tmp_path / case).mkdir()
+        traj, rc = _simulate_without_process(tmp_path / case, monkeypatch, extra, periods, dz, dphi)
+        assert traj.aborted == (case == "gap-closure")
+        assert rc == (EXIT_RUNTIME if traj.aborted else EXIT_OK)
+        assert traj.aborted or traj.t.size == 200 * periods + 1
+
+
+def test_cli_simulate_without_writer_writes_after_the_run(tmp_path, monkeypatch):
+    """A simulate that forks no writer, under LEVSTAB_THREADS=1, passes no
+    sink to integrate and writes trajectory.csv once, by
+    write_trajectory_csv, after integrate has returned."""
+    from levstab import plant
+
+    calls, integrate, write = [], plant.integrate, plant.write_trajectory_csv
+
+    def recorded_integrate(*args, sink, **kwargs):
+        calls.append(("integrate", sink))
+        return integrate(*args, sink=sink, **kwargs)
+
+    def recorded_write(traj, path):
+        calls.append(("write_trajectory_csv", os.path.basename(path)))
+        write(traj, path)
+
+    monkeypatch.setenv("LEVSTAB_THREADS", "1")
+    monkeypatch.setattr(plant, "integrate", recorded_integrate)
+    monkeypatch.setattr(plant, "write_trajectory_csv", recorded_write)
+    out = tmp_path / "out"
+    rc = main(["simulate", *GAINS_ARGS, "--periods", "25", "--out", str(out)])
     assert rc == EXIT_OK
-    assert traj.t.size == 5001 >= _STREAM_ROWS
+    assert calls == [("integrate", None), ("write_trajectory_csv", "trajectory.csv")]
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv", "trajectory_meta.json"]
 
 
 def test_cli_simulate_writer_that_cannot_start_exits_3(tmp_path, monkeypatch, capsys):
@@ -1880,11 +1915,13 @@ def test_write_csv_matches_per_cell_format(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
 
-def test_csv_stream_matches_write_csv(tmp_path):
+def test_csv_stream_matches_write_csv(tmp_path, monkeypatch):
     """The forked writer formats float columns into the bytes write_csv
-    gives them, for special and extreme floats, blocks of any size, and no
-    rows at all."""
+    gives them, for special and extreme floats and blocks of any size; a
+    plan of no rows forks no writer, yields no sink and places no file."""
     from levstab.output import csv_stream, write_csv
+
+    _two_cpus(monkeypatch)
 
     special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.225e-308, 1e308, -1.7976931348623157e308, 0.1, 3]
     rng = np.random.default_rng(11)
@@ -1897,51 +1934,45 @@ def test_csv_stream_matches_write_csv(tmp_path):
         for lo, hi in [(0, 1), (1, 1024), (1024, 4999), (4999, 5000)]:
             send([c[lo:hi] for c in columns])
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    with csv_stream(tmp_path / "empty.csv", "a,b", 0):
-        pass
-    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.csv", "streamed.csv", "whole.csv"]
+    with csv_stream(tmp_path / "empty.csv", "a,b", 0) as send:
+        assert send is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.csv", "whole.csv"]
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["short-plan", "long-plan-without-fork"])
-def test_csv_stream_in_process_holds_one_block(tmp_path, monkeypatch, fork):
-    """A stream formatted in this process, as a plan of _STREAM_ROWS - 1
-    rows is and a plan of ten times _STREAM_ROWS is where ``os.fork`` is
-    missing, formats each block as it arrives: over 9 columns sent 64 rows
-    at a time, tracemalloc's peak stays under 64 kB (about 36 kB
-    measured), where holding a plan's float64 frames until the stream
-    closes would take 72 bytes a row, 173 kB at 2,399 rows.  The bytes
-    are those of write_csv."""
+@pytest.mark.parametrize("short", [True, False], ids=["short-plan", "long-plan-without-fork"])
+def test_write_trajectory_csv_holds_one_block(tmp_path, short):
+    """write_trajectory_csv, which writes the trajectory of a simulate
+    that forks no writer (a plan of _STREAM_ROWS - 1 rows, or of ten times
+    _STREAM_ROWS with one process allowed), formats _CSV_BLOCK rows at a
+    time: tracemalloc's peak stays under 2.5 MB (about 2.0 MB measured at
+    24,000 rows, 1.2 MB at 2,399), where the 24,000 rows' text alone is
+    3.4 MB.  The bytes are those of write_csv."""
     import tracemalloc
 
-    from levstab.output import _STREAM_ROWS, csv_stream, write_csv
+    from levstab.output import _STREAM_ROWS, write_csv
+    from levstab.plant import TRAJECTORY_CSV_HEADER, Trajectory, write_trajectory_csv
 
-    rows = _STREAM_ROWS - 1 if fork else 10 * _STREAM_ROWS
-    if not fork:
-        monkeypatch.delattr(os, "fork")
-    started = _record_forks(monkeypatch)
-    header = ",".join(f"c{j}" for j in range(9))
+    rows = _STREAM_ROWS - 1 if short else 10 * _STREAM_ROWS
     columns = [np.arange(rows) / (j + 7.0) for j in range(9)]
-    write_csv(tmp_path / "whole.csv", header, columns)
+    traj = Trajectory(columns[0], np.column_stack(columns[1:7]), columns[7], columns[8], {})
+    write_csv(tmp_path / "whole.csv", TRAJECTORY_CSV_HEADER, columns)
     tracemalloc.start()
     try:
-        with csv_stream(tmp_path / "streamed.csv", header, rows) as send:
-            for lo in range(0, rows, 64):
-                send([c[lo : lo + 64] for c in columns])
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert started == []
-    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    assert peak < 64_000, peak
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert peak < 2_500_000, peak
 
 
 @pytest.mark.parametrize("short", [1, 0], ids=["short-plan", "long-plan"])
 def test_csv_stream_decides_its_writer_when_it_opens(tmp_path, monkeypatch, short):
     """A plan of _STREAM_ROWS rows forks the writer when the stream opens,
-    before the first block is sent; a plan of one row fewer forks none.
-    Both give the bytes of write_csv, and the writer has been reaped after
-    exiting with status 0 (``reap`` raises on any other end)."""
+    before the first block is sent, which gives the bytes of write_csv,
+    and the writer has been reaped after exiting with status 0 (``reap``
+    raises on any other end).  A plan of one row fewer forks none, yields
+    no sink and places no file."""
     from levstab.output import _STREAM_ROWS, csv_stream, write_csv
 
     started = _record_forks(monkeypatch)
@@ -1950,9 +1981,13 @@ def test_csv_stream_decides_its_writer_when_it_opens(tmp_path, monkeypatch, shor
     write_csv(tmp_path / "whole.csv", "a,b", columns)
     with csv_stream(tmp_path / "streamed.csv", "a,b", rows) as send:
         assert len(started) == 1 - short
-        for lo in range(0, rows, 1024):
+        assert (send is None) == bool(short)
+        for lo in range(0, rows if send else 0, 1024):
             send([c[lo : lo + 1024] for c in columns])
     assert len(started) == 1 - short
     _assert_no_child_left()
-    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.csv", "whole.csv"]
+    if short:
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["whole.csv"]
+    else:
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.csv", "whole.csv"]

@@ -44,8 +44,7 @@ def test_inertia_defaulting_flag(b0):
 
 
 def test_validate_accepts_baseline(b0, exc_inphase):
-    p, e = validate(b0, exc_inphase)
-    assert p is b0 and e is exc_inphase
+    assert validate(b0, exc_inphase) is None
 
 
 def test_validate_rejects_gap_closing_amplitude(b0):
@@ -100,7 +99,7 @@ def test_validate_rejects_negative_beta(b0, exc_quarter):
     for beta in (-0.01, math.nan):
         with pytest.raises(ValueError, match="^hybrid.beta must be nonnegative$"):
             validate(b0, exc_quarter, HybridParams(beta))
-    assert validate(b0, exc_quarter, HybridParams(0.0)) == (b0, exc_quarter)
+    assert validate(b0, exc_quarter, HybridParams(0.0)) is None
 
 
 def test_validate_rejects_negative_amplitude(b0):

@@ -45,11 +45,14 @@ that does not counts as a difference, in either tree.
 
 Every ``map`` and ``simulate`` command also runs once more in the
 working tree with ``LEVSTAB_THREADS=1``, in one process: the sweep as one
-chunk, and ``trajectory.csv`` formatted in-process however many rows it
-plans.  Its exit code, stdout, stderr and every product must equal those
-of the working tree's default run, byte for byte, which on two or more
-CPUs splits the sweep and forks the CSV writer from ``_STREAM_ROWS``
-planned rows on; ``map_meta.json`` is compared apart from ``workers``.
+chunk, and ``trajectory.csv`` written by ``write_trajectory_csv`` after
+the run however many rows it plans.  Its exit code, stdout, stderr and
+every product must equal those of the working tree's default run, byte
+for byte, which on two or more CPUs splits the sweep and forks the CSV
+writer from ``_STREAM_ROWS`` planned rows on; so the reruns of the
+``simulate`` commands that plan that many rows compare the forked writer
+with ``write_trajectory_csv`` byte for byte.  ``map_meta.json`` is
+compared apart from ``workers``.
 The 35 ``simulate`` reruns add about 9 s to a full run, which took 119 s
 on a 2-vCPU VM.
 
@@ -126,7 +129,8 @@ COMMANDS = {
     "map-theta0": ["map", "--theta", "0"],
     # one window for every config, so that all four run the same cells
     "map-tongue-d": ["map", *tongue_d_window(BASELINE)],
-    # 2,001 rows: a plan too short to fork a writer, formatted in-process
+    # 2,001 rows: a plan too short to fork a writer, written by
+    # write_trajectory_csv after the run
     "simulate": ["simulate", "--periods", "10"],
     # 3,801 rows, which the forked writer formats on a run under 20 periods
     "simulate-19": ["simulate", "--periods", "19", "--perturb", "1e-4,5e-5"],
