@@ -45,15 +45,12 @@ NODES = 32  # first-kind Chebyshev nodes per boundary_crossings scan; even, so n
 DELTA = 2.5e-4  # boundary_crossings certifies each crossing across +-DELTA of its scan
 MAX_NFEV = 10_000  # RHS budget of one monodromy: 26x the default windows need, 14x the battery
 
-# sweep's batched engine: Butcher's order-6 Runge-Kutta method on shared
-# nodes, step count doubled from STEPS to MAX_STEPS until the Richardson
-# estimate of max|mu| stays within STEP_TOL * max(1, max|mu|) and det M
-# passes the Liouville check
+# the engine's step doubling (``_refine``) runs STEPS against STEPS // 2 first, MAX_STEPS last
 STEPS = 50
 MAX_STEPS = 400
 # a refined pass (over STEPS steps) runs as segments of this many steps
 SEGMENT = STEPS // 2
-STEP_TOL = 1e-9
+STEP_TOL = 1e-9  # a cell's accepted Richardson estimate of max|mu|, relative to max(1, max|mu|)
 # det M of an accepted cell lies within DET_TOL (relative) of the Liouville
 # value; its error is set by the fastest-decaying modes, not by max|mu|
 DET_TOL = 1e-8
@@ -341,6 +338,29 @@ def _propagate(a: np.ndarray, g: np.ndarray, kp: np.ndarray, kd: np.ndarray, per
     return m
 
 
+def _refine(run, points: np.ndarray, settle) -> np.ndarray:
+    """The batched engine's step doubling, which the map's cells
+    (``_batched_cells``) and the boundary scans (``boundary_crossings``)
+    share.
+
+    ``run(n, points)`` is the caller's function of the monodromy matrices
+    of the points at n steps (``_propagate``), on tables of A that it
+    keeps for its whole call, so A is tabulated once per step count.  The
+    points run at n/2 = STEPS // 2 steps, then at n = STEPS, and
+    ``settle(n, points, fine, coarse)`` gets the open points with their
+    values at n (``fine``) and at n/2 (``coarse``) and returns those of
+    them to run again, as indices into ``points`` or a mask over it.
+    Those run at 2n, against their values at n, and so on while n is at
+    most MAX_STEPS.  Returns the points still open after MAX_STEPS.
+    """
+    steps, coarse = STEPS, run(STEPS // 2, points)
+    while points.size and steps <= MAX_STEPS:
+        fine = run(steps, points)
+        again = settle(steps, points, fine, coarse)
+        points, coarse, steps = points[again], fine[again], 2 * steps
+    return points
+
+
 def _batched_cells(
     params: PhysicalParams,
     exc: ExcitationParams,
@@ -350,16 +370,14 @@ def _batched_cells(
     record: dict,
 ) -> None:
     """Fill ``record`` in place with the multipliers of the gain cells
-    (kp[c], kd[c]) by the batched engine, in blocks of BLOCK cells.
+    (kp[c], kd[c]) by the engine's ``_refine``, in blocks of BLOCK cells.
 
-    Every cell of a block is propagated at STEPS and at half that, each
-    step count on a node table of its own.  A cell is accepted once its
-    Richardson estimate |max|mu|(n) - max|mu|(n/2)| / 63 is within
-    STEP_TOL * max(1, max|mu|), det M is within DET_TOL of the Liouville
-    value exp(-R (z0 + beta) T / C), and its class at n equals that at
-    n/2; the others are run again at twice the steps, up to MAX_STEPS.  A
+    A cell is accepted at n steps once its Richardson estimate
+    |max|mu|(n) - max|mu|(n/2)| / 63 is within STEP_TOL * max(1, max|mu|),
+    det M is within DET_TOL of the Liouville value exp(-R (z0 + beta) T /
+    C), and its class at n equals that at n/2; the others run again.  A
     cell goes to the scalar ``monodromy`` (DOP853) when its matrix is not
-    finite, when it is still not accepted at the cap, or when its max|mu|
+    finite, when it is still not accepted at MAX_STEPS, or when its max|mu|
     lies within GUARD estimates of a class edge 1 +/- EPS (or within
     STEP_TOL, how closely the two engines agree); a cell whose
     ``monodromy`` fails never aborts the batch.
@@ -379,33 +397,33 @@ def _batched_cells(
     for key, value in empty.items():
         record[key][:] = value
     table = functools.cache(lambda steps: pm.table(6 * steps))
+
+    def run(steps: int, cells: np.ndarray) -> np.ndarray:
+        return _propagate(*table(steps), kp[cells], kd[cells], pm.period)
+
+    def settle(steps: int, cells: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+        """Record the cells accepted at ``steps``; return where the ones to run again lie."""
+        finite = np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(coarse).all(axis=(1, 2))
+        cells, coarse, fine = cells[finite], coarse[finite], fine[finite]
+        mu_coarse, mu_fine = np.linalg.eigvals(coarse), np.linalg.eigvals(fine)
+        top = np.abs(mu_fine).max(axis=1)
+        scale = np.maximum(1.0, top)
+        # order 6: halving the step divides the error by 2**6
+        est = np.abs(top - np.abs(mu_coarse).max(axis=1)) / 63.0 / scale
+        det_err = np.abs(np.linalg.det(fine) / det_exact - 1.0)
+        edge_gap = np.minimum(np.abs(top - (1.0 - EPS)), np.abs(top - (1.0 + EPS)))
+        margin = np.maximum(GUARD * est, STEP_TOL) * scale
+        cls = _classes(mu_fine)
+        retry = (est > STEP_TOL) | (det_err > DET_TOL) | (cls != _classes(mu_coarse))
+        done = ~retry & (edge_gap > margin)
+        for key, value in (("mu", mu_fine), ("richardson", est), ("det_rel_err", det_err)):
+            record[key][cells[done]] = value[done]
+        record["steps"][cells[done]] = steps
+        return np.flatnonzero(finite)[retry]
+
     with np.errstate(all="ignore"):
         for start in range(0, kp.size, BLOCK):
-            pending = np.arange(start, min(start + BLOCK, kp.size))
-            steps = STEPS
-            coarse = _propagate(*table(steps // 2), kp[pending], kd[pending], pm.period)
-            while pending.size:
-                fine = _propagate(*table(steps), kp[pending], kd[pending], pm.period)
-                finite = np.isfinite(fine).all(axis=(1, 2)) & np.isfinite(coarse).all(axis=(1, 2))
-                pending, coarse, fine = pending[finite], coarse[finite], fine[finite]
-                mu_coarse, mu_fine = np.linalg.eigvals(coarse), np.linalg.eigvals(fine)
-                top = np.abs(mu_fine).max(axis=1)
-                scale = np.maximum(1.0, top)
-                # order 6: halving the step divides the error by 2**6
-                est = np.abs(top - np.abs(mu_coarse).max(axis=1)) / 63.0 / scale
-                det_err = np.abs(np.linalg.det(fine) / det_exact - 1.0)
-                edge_gap = np.minimum(np.abs(top - (1.0 - EPS)), np.abs(top - (1.0 + EPS)))
-                margin = np.maximum(GUARD * est, STEP_TOL) * scale
-                cls = _classes(mu_fine)
-                retry = (est > STEP_TOL) | (det_err > DET_TOL) | (cls != _classes(mu_coarse))
-                done = ~retry & (edge_gap > margin)
-                for key, value in (("mu", mu_fine), ("richardson", est), ("det_rel_err", det_err)):
-                    record[key][pending[done]] = value[done]
-                record["steps"][pending[done]] = steps
-                if steps >= MAX_STEPS:
-                    break
-                pending, coarse = pending[retry], fine[retry]
-                steps *= 2
+            _refine(run, np.arange(start, min(start + BLOCK, kp.size)), settle)
     for c in np.flatnonzero(record["steps"] == 0):
         try:
             res = monodromy(params, exc, ControlGains(Kp=float(kp[c]), Kd=float(kd[c])), hyb=hyb)
@@ -555,42 +573,45 @@ def boundary_crossings(
     gains from (Kp0, Kd0) to (Kp1, Kd1), each certified to DELTA of the scan.
 
     ``indicator`` maps an (n, 6, 6) stack of monodromy matrices to psi, an
-    analytic function of them.  The engine (``_propagate``) evaluates psi
-    at n and n/2 steps at NODES first-kind Chebyshev nodes; the crossings
-    are the real roots in the scan of the Chebyshev series through the
-    n-step values (``_chebyshev_roots``).  They are certified when psi(n)
-    changes sign across each, and the order-6 Richardson estimate
+    analytic function of them, which the batched engine (``_refine``)
+    evaluates at NODES first-kind Chebyshev nodes.  The crossings are the
+    real roots in the scan of the Chebyshev series through the n-step
+    values (``_chebyshev_roots``).  They are certified at n steps when
+    psi(n) changes sign across each, and the order-6 Richardson estimate
     |psi(n) - psi(n/2)| / 63 lies below |psi(n)| at every node and at
-    DELTA of the scan on either side of each; n doubles from STEPS until
-    they are, and a scan not certified at MAX_STEPS raises ``FloquetError``."""
+    DELTA of the scan on either side of each; a scan not certified at
+    MAX_STEPS raises ``FloquetError``."""
     (kp0, kd0), (kp1, kd1) = scan
     pm = periodic_matrix(params, exc, ControlGains(Kp=0.0, Kd=0.0))
+    table = functools.cache(lambda steps: pm.table(6 * steps))
     angles = np.pi * (np.arange(NODES) + 0.5) / NODES
     # T_k(x) = cos(k arccos x) at the nodes, times 2/N (1/N for k = 0)
     basis = np.cos(np.outer(np.arange(NODES), angles)) * (2.0 / NODES)
     basis[0] /= 2.0
+    roots = None
 
-    def psi(u: np.ndarray, steps: int) -> np.ndarray:
+    def psi(steps: int, u: np.ndarray) -> np.ndarray:
         kp, kd = kp0 + u * (kp1 - kp0), kd0 + u * (kd1 - kd0)  # at the fractions u of the scan
-        return indicator(_propagate(*pm.table(6 * steps), kp, kd, pm.period))
+        return indicator(_propagate(*table(steps), kp, kd, pm.period))
 
     def certified(fine: np.ndarray, coarse: np.ndarray) -> bool:
         return bool(np.all(np.abs(fine - coarse) / 63.0 < np.abs(fine)))
 
-    nodes = 0.5 * (1.0 + np.cos(angles))
-    steps, coarse = STEPS, psi(nodes, STEPS // 2)
-    while True:
-        fine = psi(nodes, steps)
-        if certified(fine, coarse):
+    def settle(steps: int, nodes: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+        """Every node runs again until the roots of their series are certified."""
+        nonlocal roots
+        done = certified(fine, coarse)
+        if done:
             roots = 0.5 * (1.0 + _chebyshev_roots(basis @ fine))
             ends = (roots[:, None] + np.array([-DELTA, DELTA])).ravel()
-            at_ends = psi(ends, steps)
-            if certified(at_ends, psi(ends, steps // 2)) and np.all(at_ends[0::2] * at_ends[1::2] < 0.0):
-                return [(float(kp0 + u * (kp1 - kp0)), float(kd0 + u * (kd1 - kd0))) for u in roots]
-        if steps >= MAX_STEPS:
-            raise FloquetError(f"the scan {scan} is unresolved: its test function's signs are not "
-                               f"certified at MAX_STEPS = {MAX_STEPS} steps")
-        steps, coarse = 2 * steps, fine
+            at_ends = psi(steps, ends)
+            done = certified(at_ends, psi(steps // 2, ends)) and np.all(at_ends[0::2] * at_ends[1::2] < 0.0)
+        return np.full(nodes.size, not done)
+
+    if _refine(psi, 0.5 * (1.0 + np.cos(angles)), settle).size:
+        raise FloquetError(f"the scan {scan} is unresolved: its test function's signs are not "
+                           f"certified at MAX_STEPS = {MAX_STEPS} steps")
+    return [(float(kp0 + u * (kp1 - kp0)), float(kd0 + u * (kd1 - kd0))) for u in roots]
 
 
 def _chebyshev_roots(coef: np.ndarray) -> np.ndarray:

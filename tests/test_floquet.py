@@ -1147,6 +1147,43 @@ def test_tongue_edge_scans_integrate_each_gain_once(monkeypatch, b0, exc_inphase
     assert len(scans) == 2 and seen == first
 
 
+def test_engine_passes_run_in_a_fixed_order(monkeypatch, b0, exc_quarter):
+    """Every ``_propagate`` pass, as (step count, points), in order, for the
+    scans and the map's cells.  At A = 1e-8 tongue a's scan (theta = 0) is
+    certified at its nodes at 50 steps but not at its edges' end points,
+    so it runs again at 100; tongue d's (theta = pi) doubles to 400.  Of a
+    3x3 map on which cells settle at 50, 100 and 200 steps, one cell whose
+    matrices are not finite leaves the engine for DOP853 after the base
+    pair."""
+    import levstab.floquet as fl
+    from levstab import validation
+
+    real = fl._propagate
+    passes = []
+
+    def recorded(a, g, kp, kd, period):
+        passes.append(((len(a) - 1) // 6, kp.size))
+        m = real(a, g, kp, kd, period)
+        m[(kp == 8000.0) & (kd == 30500.0)] = np.nan
+        return m
+
+    monkeypatch.setattr(fl, "_propagate", recorded)
+    for theta, kind, order in (
+        (0.0, "a", [(25, 32), (50, 32), (50, 4), (25, 4), (100, 32), (100, 4), (50, 4)]),
+        (math.pi, "d", [(25, 32), (50, 32), (100, 32), (200, 32), (400, 32), (400, 4), (200, 4)]),
+    ):
+        exc = ExcitationParams(A=1e-8, Omega=80.0, theta=theta)
+        passes.clear()
+        validation.tongue_edges(b0, exc, all_ellipses(b0, exc)[kind])
+        assert passes == order
+
+    kp, kd = np.linspace(8000.0, 30000.0, 3), np.linspace(1000.0, 60000.0, 3)
+    passes.clear()
+    record = _record(b0, exc_quarter, np.repeat(kp, 3), np.tile(kd, 3))
+    assert passes == [(25, 9), (50, 9), (100, 5), (200, 3)]
+    assert record["steps"].tolist() == [50, 0, 200, 50, 100, 200, 50, 100, 200]
+
+
 @pytest.mark.parametrize("kind,exc_name", [
     ("a", "exc_inphase"), ("b", "exc_inphase"), ("c", "exc_antiphase"), ("d", "exc_antiphase"),
 ])
@@ -1189,7 +1226,7 @@ def test_monodromy_det_error_is_nan_where_liouville_underflows(underflow_doc):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: the engine's det M check is relative to exp(-R z0 T / C), and at "
+    "ROADMAP item 5(d): the engine's det M check is relative to exp(-R z0 T / C), and at "
     "R z0 T / C = 100 it fails on every cell, so all 25 go to DOP853, which gives them "
     "the same classes"
 ))
